@@ -30,43 +30,86 @@ from .certificates import (
     SIDE_LOWER,
     SIDE_UPPER,
     TARGET_AT_LEAST,
-    TARGET_EXACTLY,
-    TARGETS,
     BoundCertificate,
-    BoundTerm,
-    certificate_from_terms,
 )
 from .core import binomial
-from .errors import DegenerateConfigurationError, NotApplicableError
-from .moments import MomentSet, MomentVector
-from .numerics import Number, dot_product, integer_bracket, rational
+from .errors import DegenerateConfigurationError
+from .families import Family, best_certificate, family_certificate, family_pair, window_candidates
+from .moments import MomentSet
+from .numerics import Number, rational
 
 
-def _validate(moments: MomentSet, n: int, r: int, d: int) -> None:
-    if (moments.n, moments.d) != (n, d):
-        raise ValueError(
-            f"moment set is for (n={moments.n}, d={moments.d}), request says (n={n}, d={d})"
+def _u1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+    return (rational(0), rational(1, binomial(r, d + 1))), (1, r - d + 1), None
+
+
+def _determinant(n: int, r: int, d: int) -> int:
+    denominator = binomial(n, d + 1) * binomial(r, d) - binomial(n, d) * binomial(r, d + 1)
+    if denominator == 0:
+        raise DegenerateConfigurationError(
+            f"degenerate two-moment configuration at n={n}, r={r}, d={d}"
         )
-    if moments.ell < 2:
-        raise ValueError(f"two moment orders required, moment set has ell={moments.ell}")
-    if not (0 <= d <= r <= n):
-        raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={n}")
+    return denominator
 
 
-def _pair(vector: MomentVector) -> tuple[Number, Number]:
-    return vector.values[0], vector.values[1]
+def _u2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+    denominator = _determinant(n, r, d)
+    if target == TARGET_AT_LEAST:
+        coefficients = (
+            rational(binomial(n, d + 1) - binomial(r, d + 1), denominator),
+            rational(binomial(r, d) - binomial(n, d), denominator),
+        )
+    else:
+        coefficients = (
+            rational(binomial(n, d + 1), denominator),
+            rational(-binomial(n, d), denominator),
+        )
+    return coefficients, (r - d + 1, n - d + 1), None
 
 
-def _term(vector: MomentVector, coefficients, index_set, formula_id: str, m: Optional[int] = None) -> BoundTerm:
-    value = dot_product(coefficients, _pair(vector))
-    return BoundTerm(
-        j=vector.j,
-        coefficients=coefficients,
-        index_set=index_set,
-        value=value,
-        formula_id=formula_id,
-        m=m,
+def _l1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+    denominator = _determinant(n, r - 1, d)
+    coefficients = (
+        rational(-binomial(r - 1, d + 1), denominator),
+        rational(binomial(r - 1, d), denominator),
     )
+    return coefficients, (r - d, n - d + 1), None
+
+
+def _l2_coefficients(d: int, m: int) -> tuple[Number, Number]:
+    scale = rational(d + 1, (m + d) * binomial(m + d - 1, d))
+    return (scale * m, -scale * d)
+
+
+def _l2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+    if target == TARGET_AT_LEAST:
+        return _l2_coefficients(d, m), (m, m + 1), m
+    return (rational(1), rational(-(d + 1))), (1, 2), None
+
+
+def _l2_windows(values, n: int, r: int, d: int, lo: int, hi: int) -> tuple[int, ...]:
+    """The bracket m-1 <= (d+1) s_2/s_1 <= m when s_1 > 0, else the endpoints."""
+    s1, s2 = values
+    return window_candidates((d + 1) * s2, s1, lo, hi)
+
+
+FAMILY_ROWS = (
+    Family("u1", SIDE_UPPER, 2, lambda n, r, d, target: r - d >= 1, _u1_row),
+    Family("u2", SIDE_UPPER, 2, lambda n, r, d, target: n - r >= 1, _u2_row),
+    Family(
+        "l1", SIDE_LOWER, 2,
+        lambda n, r, d, target: r - d >= 1 and (target == TARGET_AT_LEAST or r == n),
+        _l1_row,
+    ),
+    Family(
+        "l2", SIDE_LOWER, 2,
+        lambda n, r, d, target: r == d >= 1 and n - d >= 1,
+        _l2_row,
+        windows={TARGET_AT_LEAST: lambda n, r, d: (1, n - d)},
+        pick=_l2_windows,
+    ),
+)
+_U1, _U2, _L1, _L2 = FAMILY_ROWS
 
 
 def upper_u1(moments: MomentSet, n: int, r: int, d: int, target: str = TARGET_AT_LEAST) -> BoundCertificate:
@@ -75,15 +118,7 @@ def upper_u1(moments: MomentSet, n: int, r: int, d: int, target: str = TARGET_AT
     The value simultaneously bounds the at-least-r and the exactly-r
     probability; ``target`` only labels the certificate.
     """
-    _validate(moments, n, r, d)
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    if r - d < 1:
-        raise NotApplicableError(f"needs r - d >= 1, got r={r}, d={d}")
-    coefficients = (rational(0), rational(1, binomial(r, d + 1)))
-    index_set = (1, r - d + 1)
-    terms = [_term(v, coefficients, index_set, "u1") for v in moments]
-    return certificate_from_terms(SIDE_UPPER, target, r, d, 2, "u1", terms)
+    return family_certificate(_U1, moments, n, r, d, target)
 
 
 def upper_u2(moments: MomentSet, n: int, r: int, d: int) -> tuple[BoundCertificate, BoundCertificate]:
@@ -91,29 +126,7 @@ def upper_u2(moments: MomentSet, n: int, r: int, d: int) -> tuple[BoundCertifica
 
     Returns one certificate per target (at-least-r, exactly-r).
     """
-    _validate(moments, n, r, d)
-    if n - r < 1:
-        raise NotApplicableError(f"needs n - r >= 1, got r={r}, n={n}")
-    denominator = binomial(n, d + 1) * binomial(r, d) - binomial(n, d) * binomial(r, d + 1)
-    if denominator == 0:
-        raise DegenerateConfigurationError(
-            f"degenerate two-moment configuration at n={n}, r={r}, d={d}"
-        )
-    at_least_coeffs = (
-        rational(binomial(n, d + 1) - binomial(r, d + 1), denominator),
-        rational(binomial(r, d) - binomial(n, d), denominator),
-    )
-    exactly_coeffs = (
-        rational(binomial(n, d + 1), denominator),
-        rational(-binomial(n, d), denominator),
-    )
-    index_set = (r - d + 1, n - d + 1)
-    at_least_terms = [_term(v, at_least_coeffs, index_set, "u2") for v in moments]
-    exactly_terms = [_term(v, exactly_coeffs, index_set, "u2") for v in moments]
-    return (
-        certificate_from_terms(SIDE_UPPER, TARGET_AT_LEAST, r, d, 2, "u2", at_least_terms),
-        certificate_from_terms(SIDE_UPPER, TARGET_EXACTLY, r, d, 2, "u2", exactly_terms),
-    )
+    return family_pair(_U2, moments, n, r, d)
 
 
 def lower_l1(moments: MomentSet, n: int, r: int, d: int, target: str = TARGET_AT_LEAST) -> BoundCertificate:
@@ -122,32 +135,7 @@ def lower_l1(moments: MomentSet, n: int, r: int, d: int, target: str = TARGET_AT
     For the exactly target this family only exists at r = n, where the
     at-least and exactly probabilities coincide.
     """
-    _validate(moments, n, r, d)
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    if r - d < 1:
-        raise NotApplicableError(f"needs r - d >= 1, got r={r}, d={d}")
-    if target == TARGET_EXACTLY and r != n:
-        raise NotApplicableError(
-            f"the exactly target is available only at r = n, got r={r}, n={n}"
-        )
-    denominator = binomial(n, d + 1) * binomial(r - 1, d) - binomial(n, d) * binomial(r - 1, d + 1)
-    if denominator == 0:
-        raise DegenerateConfigurationError(
-            f"degenerate two-moment configuration at n={n}, r={r}, d={d}"
-        )
-    coefficients = (
-        rational(-binomial(r - 1, d + 1), denominator),
-        rational(binomial(r - 1, d), denominator),
-    )
-    index_set = (r - d, n - d + 1)
-    terms = [_term(v, coefficients, index_set, "l1") for v in moments]
-    return certificate_from_terms(SIDE_LOWER, target, r, d, 2, "l1", terms)
-
-
-def _l2_coefficients(d: int, m: int) -> tuple[Number, Number]:
-    scale = rational(d + 1, (m + d) * binomial(m + d - 1, d))
-    return (scale * m, -scale * d)
+    return family_certificate(_L1, moments, n, r, d, target)
 
 
 def lower_l2(
@@ -161,36 +149,7 @@ def lower_l2(
     and by evaluating the endpoint windows otherwise; pass ``m`` to force
     one window everywhere.  The exactly target has no window choice.
     """
-    r = d
-    _validate(moments, n, r, d)
-    if d < 1:
-        raise NotApplicableError("needs r = d >= 1; at d = 0 the bound is vacuous")
-    hi = n - d
-    if hi < 1:
-        raise NotApplicableError(f"needs n - d >= 1, got n={n}, d={d}")
-    if m is not None and not (1 <= m <= hi):
-        raise ValueError(f"need 1 <= m <= n-d = {hi}, got m={m}")
-    at_least_terms = []
-    for vector in moments:
-        s1, s2 = _pair(vector)
-        if m is not None:
-            candidates: tuple[int, ...] = (m,)
-        elif (s1 > 0) if vector.exact else (float(s1) > 0.0):
-            candidates = integer_bracket((d + 1) * s2, s1, 1, hi)
-        else:
-            candidates = (1, hi) if hi > 1 else (1,)
-        best = None
-        for candidate in candidates:
-            term = _term(vector, _l2_coefficients(d, candidate), (candidate, candidate + 1), "l2", candidate)
-            if best is None or term.value > best.value:
-                best = term
-        at_least_terms.append(best)
-    exactly_coeffs = (rational(1), rational(-(d + 1)))
-    exactly_terms = [_term(v, exactly_coeffs, (1, 2), "l2") for v in moments]
-    return (
-        certificate_from_terms(SIDE_LOWER, TARGET_AT_LEAST, r, d, 2, "l2", at_least_terms),
-        certificate_from_terms(SIDE_LOWER, TARGET_EXACTLY, r, d, 2, "l2", exactly_terms),
-    )
+    return family_pair(_L2, moments, n, d, d, m)
 
 
 def best_l2(
@@ -199,42 +158,7 @@ def best_l2(
     """The extremal applicable two-moment bound for the request.
 
     Upper side takes the minimum over {u1, u2}, lower side the maximum
-    over {l1, l2}, comparing raw values; ties keep the earlier family in
-    that order.  Raises when no family applies.
+    over {l1, l2}, comparing whole certificates; ties keep the earlier
+    family in that order.  Raises when no family applies.
     """
-    _validate(moments, n, r, d)
-    candidates: list[BoundCertificate] = []
-    if side == SIDE_UPPER:
-        try:
-            candidates.append(upper_u1(moments, n, r, d, target))
-        except NotApplicableError:
-            pass
-        try:
-            pair = upper_u2(moments, n, r, d)
-            candidates.append(pair[0] if target == TARGET_AT_LEAST else pair[1])
-        except NotApplicableError:
-            pass
-    elif side == SIDE_LOWER:
-        try:
-            candidates.append(lower_l1(moments, n, r, d, target))
-        except NotApplicableError:
-            pass
-        if r == d:
-            try:
-                pair = lower_l2(moments, n, d, m)
-                candidates.append(pair[0] if target == TARGET_AT_LEAST else pair[1])
-            except NotApplicableError:
-                pass
-    else:
-        raise ValueError(f"side must be one of ('upper', 'lower'), got {side!r}")
-    if not candidates:
-        raise NotApplicableError(
-            f"no two-moment {side} bound applies to target={target!r}, r={r}, d={d}, n={n}"
-        )
-    best = candidates[0]
-    for candidate in candidates[1:]:
-        if (side == SIDE_UPPER and candidate.value < best.value) or (
-            side == SIDE_LOWER and candidate.value > best.value
-        ):
-            best = candidate
-    return best
+    return best_certificate(FAMILY_ROWS, moments, n, r, d, target, side, m)

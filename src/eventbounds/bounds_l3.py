@@ -33,7 +33,7 @@ the bound), endpoint evaluation otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from .certificates import (
@@ -43,13 +43,12 @@ from .certificates import (
     TARGET_EXACTLY,
     TARGETS,
     BoundCertificate,
-    BoundTerm,
-    certificate_from_terms,
 )
 from .core import binomial
 from .errors import DegenerateConfigurationError, NotApplicableError
+from .families import Family, best_certificate, family_certificate, family_pair, window_candidates
 from .moments import MomentSet, MomentVector
-from .numerics import Number, dot_product, integer_bracket, rational
+from .numerics import Number, dot_product, rational
 
 FAMILIES = ("alpha", "beta", "gamma", "delta", "theta", "phi")
 
@@ -75,6 +74,52 @@ class CoefficientVector:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
 
 
+def _alpha_row(top: int, d: int, m: int) -> tuple[Number, Number, Number]:
+    """(m(m-1), -2(d+1)(m-1), (d+1)(d+2)) / (C(top, d) D), D = (top-d-m)(top-d-m+1)."""
+    delta = (top - d - m) * (top - d - m + 1)
+    if delta == 0:
+        raise DegenerateConfigurationError(f"window m={m} collides with the pivot {top - d}")
+    den = delta * binomial(top, d)
+    return (
+        rational(m * (m - 1), den),
+        rational(-2 * (d + 1) * (m - 1), den),
+        rational((d + 1) * (d + 2), den),
+    )
+
+
+def _window_row(top: int, d: int, m: int) -> tuple[Number, Number, Number]:
+    """The window (m, m+1) share of a row anchored at position top-d+1.
+
+    It is the whole high-window lower row (top = r-1); adding the alpha row
+    of the same top gives the gamma rows (top = r for ub3, n for lb3).
+    """
+    delta = (top - d - m) * (top - d - m + 1)
+    if delta == 0:
+        raise DegenerateConfigurationError(f"window m={m} collides with the pivot {top - d}")
+    c1 = binomial(m + d - 1, d) * delta
+    c2 = binomial(m + d, d) * delta
+    return (
+        rational(m * (top - d) * (top - d - m), c1)
+        - rational((m - 1) * (top - d) * (top - d - m + 1), c2),
+        (d + 1) * (
+            rational((top - d - m + 1) * (top - d + m - 2), c2)
+            - rational((top - d - m) * (top - d + m - 1), c1)
+        ),
+        (d + 1) * (d + 2) * (rational(top - d - m, c1) - rational(top - d - m + 1, c2)),
+    )
+
+
+def _gamma_row(top: int, d: int, m: int) -> tuple[Number, Number, Number]:
+    return tuple(w + a for w, a in zip(_window_row(top, d, m), _alpha_row(top, d, m)))
+
+
+def _delta1(n: int, r: int, d: int) -> int:
+    d1 = binomial(n, d + 2) * binomial(r, d + 1) - binomial(n, d + 1) * binomial(r, d + 2)
+    if d1 == 0:
+        raise DegenerateConfigurationError(f"degenerate configuration at n={n}, r={r}, d={d}")
+    return d1
+
+
 @lru_cache(maxsize=None)
 def upper_alpha(n: int, r: int, d: int, m: int) -> CoefficientVector:
     """Window coefficients for upper bounds; valid off the pivot positions.
@@ -85,20 +130,7 @@ def upper_alpha(n: int, r: int, d: int, m: int) -> CoefficientVector:
     """
     if not (0 <= d <= r <= n):
         raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={n}")
-    delta = (r - d - m) * (r - d - m + 1)
-    if delta == 0:
-        raise DegenerateConfigurationError(f"window m={m} collides with the pivot r-d={r - d}")
-    den = delta * binomial(r, d)
-    values = (
-        rational(m * (m - 1), den),
-        rational(-2 * (d + 1) * (m - 1), den),
-        rational((d + 1) * (d + 2), den),
-    )
-    return CoefficientVector(values=values, family="alpha", n=n, r=r, d=d, m=m)
-
-
-def _delta1(n: int, r: int, d: int) -> int:
-    return binomial(n, d + 2) * binomial(r, d + 1) - binomial(n, d + 1) * binomial(r, d + 2)
+    return CoefficientVector(values=_alpha_row(r, d, m), family="alpha", n=n, r=r, d=d, m=m)
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +139,6 @@ def upper_beta(n: int, r: int, d: int) -> CoefficientVector:
     if r - d < 1 or n - r < 1:
         raise ValueError(f"need r-d >= 1 and n-r >= 1, got r={r}, d={d}, n={n}")
     d1 = _delta1(n, r, d)
-    if d1 == 0:
-        raise DegenerateConfigurationError(f"degenerate configuration at n={n}, r={r}, d={d}")
     values = (
         rational(0),
         rational(binomial(n, d + 2) - binomial(r, d + 2), d1),
@@ -123,13 +153,7 @@ def upper_delta(n: int, r: int, d: int) -> CoefficientVector:
     if r - d < 1 or n - r < 1:
         raise ValueError(f"need r-d >= 1 and n-r >= 1, got r={r}, d={d}, n={n}")
     d1 = _delta1(n, r, d)
-    if d1 == 0:
-        raise DegenerateConfigurationError(f"degenerate configuration at n={n}, r={r}, d={d}")
-    values = (
-        rational(0),
-        rational(binomial(n, d + 2), d1),
-        rational(-binomial(n, d + 1), d1),
-    )
+    values = (rational(0), rational(binomial(n, d + 2), d1), rational(-binomial(n, d + 1), d1))
     return CoefficientVector(values=values, family="delta", n=n, r=r, d=d)
 
 
@@ -144,26 +168,7 @@ def upper_gamma(n: int, r: int, d: int, m: int) -> CoefficientVector:
         raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={n}")
     if m < r - d + 2 or m > n - d:
         raise ValueError(f"need r-d+2 <= m <= n-d, got m={m}, r={r}, d={d}, n={n}")
-    delta = (r - d - m) * (r - d - m + 1)
-    c1 = binomial(m + d - 1, d)
-    c2 = binomial(m + d, d)
-    c3 = binomial(r, d)
-    g1 = (
-        rational(m * (r - d) * (r - d - m), c1 * delta)
-        - rational((m - 1) * (r - d) * (r - d - m + 1), c2 * delta)
-        + rational(m * (m - 1), c3 * delta)
-    )
-    g2 = (d + 1) * (
-        -rational((r - d - m) * (r - d + m - 1), c1 * delta)
-        + rational((r - d - m + 1) * (r - d + m - 2), c2 * delta)
-        - rational(2 * (m - 1), c3 * delta)
-    )
-    g3 = (d + 1) * (d + 2) * (
-        rational(r - d - m, c1 * delta)
-        - rational(r - d - m + 1, c2 * delta)
-        + rational(1, c3 * delta)
-    )
-    return CoefficientVector(values=(g1, g2, g3), family="gamma", n=n, r=r, d=d, m=m)
+    return CoefficientVector(values=_gamma_row(r, d, m), family="gamma", n=n, r=r, d=d, m=m)
 
 
 @lru_cache(maxsize=None)
@@ -171,9 +176,7 @@ def lower_alpha(n: int, r: int, d: int) -> CoefficientVector:
     """Top-anchored lower coefficients; the exactly target uses r = n."""
     if r - d < 2:
         raise ValueError(f"need r-d >= 2, got r={r}, d={d}")
-    d2 = binomial(n, d + 2) * binomial(r - 1, d + 1) - binomial(n, d + 1) * binomial(r - 1, d + 2)
-    if d2 == 0:
-        raise DegenerateConfigurationError(f"degenerate configuration at n={n}, r={r}, d={d}")
+    d2 = _delta1(n, r - 1, d)
     values = (
         rational(0),
         rational(-binomial(r - 1, d + 2), d2),
@@ -190,23 +193,7 @@ def lower_beta(n: int, r: int, d: int, m: int) -> CoefficientVector:
     """
     if m < r - d + 1 or m > n - d:
         raise ValueError(f"need r-d+1 <= m <= n-d, got m={m}, r={r}, d={d}, n={n}")
-    d3 = (r - d - m - 1) * (r - d - m)
-    if d3 == 0:
-        raise DegenerateConfigurationError(f"window m={m} collides with the pivot r-d={r - d}")
-    c1 = binomial(m + d - 1, d)
-    c2 = binomial(m + d, d)
-    b1 = (
-        rational(m * (r - d - 1) * (r - d - m - 1), c1 * d3)
-        - rational((m - 1) * (r - d - 1) * (r - d - m), c2 * d3)
-    )
-    b2 = (d + 1) * (
-        -rational((r - d - m - 1) * (r - d + m - 2), c1 * d3)
-        + rational((r - d - m) * (r - d + m - 3), c2 * d3)
-    )
-    b3 = (d + 1) * (d + 2) * (
-        rational(r - d - m - 1, c1 * d3) - rational(r - d - m, c2 * d3)
-    )
-    return CoefficientVector(values=(b1, b2, b3), family="beta", n=n, r=r, d=d, m=m)
+    return CoefficientVector(values=_window_row(r - 1, d, m), family="beta", n=n, r=r, d=d, m=m)
 
 
 @lru_cache(maxsize=None)
@@ -233,26 +220,7 @@ def lower_gamma(n: int, d: int, m: int) -> CoefficientVector:
         raise ValueError(f"need n-d >= 2, got n={n}, d={d}")
     if m < 1 or m > n - d - 1:
         raise ValueError(f"need 1 <= m <= n-d-1, got m={m}, n={n}, d={d}")
-    delta = (n - d - m) * (n - d - m + 1)
-    c1 = binomial(m + d - 1, d)
-    c2 = binomial(m + d, d)
-    c3 = binomial(n, d)
-    g1 = (
-        rational(m * (n - d) * (n - d - m), c1 * delta)
-        - rational((m - 1) * (n - d) * (n - d - m + 1), c2 * delta)
-        + rational(m * (m - 1), c3 * delta)
-    )
-    g2 = (d + 1) * (
-        -rational((n - d - m) * (n - d + m - 1), c1 * delta)
-        + rational((n - d - m + 1) * (n - d + m - 2), c2 * delta)
-        - rational(2 * (m - 1), c3 * delta)
-    )
-    g3 = (d + 1) * (d + 2) * (
-        rational(n - d - m, c1 * delta)
-        - rational(n - d - m + 1, c2 * delta)
-        + rational(1, c3 * delta)
-    )
-    return CoefficientVector(values=(g1, g2, g3), family="gamma", n=n, r=d, d=d, m=m)
+    return CoefficientVector(values=_gamma_row(n, d, m), family="gamma", n=n, r=d, d=d, m=m)
 
 
 @lru_cache(maxsize=None)
@@ -264,12 +232,25 @@ def lower_phi(n: int, d: int) -> CoefficientVector:
     return CoefficientVector(values=values, family="phi", n=n, r=d, d=d, m=1)
 
 
-def _triple(vector: MomentVector) -> tuple[Number, Number, Number]:
-    return vector.values[0], vector.values[1], vector.values[2]
-
-
-def _positive(value: Number, exact: bool) -> bool:
-    return value > 0 if exact else float(value) > 0.0
+def _bracket(
+    rule: str, values: Sequence[Number], n: int, r: int, d: int, lo: int, hi: int
+) -> tuple[int, ...]:
+    """Candidate windows of one rule: the integer bracket when its sign
+    condition holds, the range endpoints otherwise."""
+    s1, s2, s3 = values
+    if rule == "mop":
+        den = (r - d) * s1 - (d + 1) * s2
+        num = (d + 1) * ((r - d - 1) * s2 - (d + 2) * s3)
+        if lo >= r - d + 2:
+            # High-range windows invert the quotient's sign condition.
+            den, num = -den, -num
+    elif rule == "mop1":
+        den = (d + 1) * s2 - (r - d - 1) * s1
+        num = (d + 1) * ((d + 2) * s3 - (r - d - 2) * s2)
+    else:
+        den = (n - d) * s1 - (d + 1) * s2
+        num = (d + 1) * ((n - d - 1) * s2 - (d + 2) * s3)
+    return window_candidates(num, den, lo, hi)
 
 
 def optimal_m(
@@ -301,139 +282,98 @@ def optimal_m(
     values = s.values[:3] if isinstance(s, MomentVector) else tuple(s)[:3]
     if len(values) != 3:
         raise ValueError("three moment orders are required to place a window")
-    s1, s2, s3 = values
-    exact = not any(isinstance(x, float) for x in values)
-    if rule == "mop":
-        lo = 1 if lo is None else lo
-        hi = r - d - 1 if hi is None else hi
-        minimize = True
-    elif rule == "mop1":
-        lo = r - d + 1 if lo is None else lo
-        hi = n - d if hi is None else hi
-        minimize = False
-    else:
-        lo = 1 if lo is None else lo
-        hi = n - d - 1 if hi is None else hi
-        minimize = False
+    family = {"mop": _UB1, "mop1": _LB2, "mop2": _LB3}[rule]
+    default_lo, default_hi = family.windows[TARGET_AT_LEAST](n, r, d)
+    lo = default_lo if lo is None else lo
+    hi = default_hi if hi is None else hi
     if lo > hi or lo < 1:
         raise NotApplicableError(f"empty window range [{lo}, {hi}] for rule {rule!r}")
-    if rule == "mop":
-        q = (r - d) * s1 - (d + 1) * s2
-        num = (d + 1) * ((r - d - 1) * s2 - (d + 2) * s3)
-        if lo >= r - d + 2:
-            # High-range windows invert the quotient's sign condition.
-            q, num = -q, -num
-        if _positive(q, exact):
-            candidates = integer_bracket(num, q, lo, hi)
-        else:
-            candidates = (lo, hi) if lo != hi else (lo,)
-        if summand is None:
-            summand = lambda m: dot_product(upper_alpha(n, r, d, m).values, values)
-    elif rule == "mop1":
-        den = (d + 1) * s2 - (r - d - 1) * s1
-        num = (d + 1) * ((d + 2) * s3 - (r - d - 2) * s2)
-        if _positive(den, exact):
-            candidates = integer_bracket(num, den, lo, hi)
-        else:
-            candidates = (lo, hi) if lo != hi else (lo,)
-        if summand is None:
-            summand = lambda m: dot_product(lower_beta(n, r, d, m).values, values)
-    else:
-        den = (n - d) * s1 - (d + 1) * s2
-        num = (d + 1) * ((n - d - 1) * s2 - (d + 2) * s3)
-        if _positive(den, exact):
-            candidates = integer_bracket(num, den, lo, hi)
-        else:
-            candidates = (lo, hi) if lo != hi else (lo,)
-        if summand is None:
-            summand = lambda m: dot_product(lower_gamma(n, d, m).values, values)
-    best_m = None
-    best_value = None
-    for candidate in candidates:
+    if summand is None:
+        summand = lambda m: dot_product(family.row(n, r, d, TARGET_AT_LEAST, m)[0], values)
+    minimize = family.side == SIDE_UPPER
+    best_m = best_value = None
+    for candidate in _bracket(rule, values, n, r, d, lo, hi):
         value = summand(candidate)
-        better = (
-            best_value is None
-            or (minimize and value < best_value)
-            or (not minimize and value > best_value)
-        )
-        if better:
+        if best_value is None or (value < best_value if minimize else value > best_value):
             best_m, best_value = candidate, value
     return best_m
 
 
-def _validate(moments: MomentSet, n: int, r: int, d: int) -> None:
-    if (moments.n, moments.d) != (n, d):
-        raise ValueError(
-            f"moment set is for (n={moments.n}, d={moments.d}), request says (n={n}, d={d})"
-        )
-    if moments.ell < 3:
-        raise ValueError(f"three moment orders required, moment set has ell={moments.ell}")
-    if not (0 <= d <= r <= n):
-        raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={n}")
+def _row(coefficients: CoefficientVector, *index_set: int):
+    return coefficients.values, index_set, coefficients.m
 
 
-def _term(vector: MomentVector, coeffs: CoefficientVector, index_set, formula_id: str) -> BoundTerm:
-    value = dot_product(coeffs.values, _triple(vector))
-    return BoundTerm(
-        j=vector.j,
-        coefficients=coeffs.values,
-        index_set=index_set,
-        value=value,
-        formula_id=formula_id,
-        m=coeffs.m,
-    )
+def _ub1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+    return _row(upper_alpha(n, r, d, m), m, m + 1, r - d + 1)
 
 
-def _ub1_term(vector: MomentVector, n: int, r: int, d: int, m: Optional[int]) -> BoundTerm:
-    window = m if m is not None else optimal_m("mop", vector, n, r, d)
-    coeffs = upper_alpha(n, r, d, window)
-    return _term(vector, coeffs, (window, window + 1, r - d + 1), "ub1")
+def _ub2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+    top = upper_beta if target == TARGET_AT_LEAST else upper_delta
+    return _row(top(n, r, d), 1, r - d + 1, n - d + 1)
 
 
-def _ub2_term(vector: MomentVector, n: int, r: int, d: int, target: str) -> BoundTerm:
-    coeffs = upper_beta(n, r, d) if target == TARGET_AT_LEAST else upper_delta(n, r, d)
-    return _term(vector, coeffs, (1, r - d + 1, n - d + 1), "ub2")
+def _ub3_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+    window = upper_gamma if target == TARGET_AT_LEAST else upper_alpha
+    return _row(window(n, r, d, m), r - d + 1, m, m + 1)
 
 
-def _ub3_term(vector: MomentVector, n: int, r: int, d: int, m: Optional[int], target: str) -> BoundTerm:
-    lo, hi = r - d + 2, n - d
-    values = _triple(vector)
-    if target == TARGET_AT_LEAST:
-        summand = lambda w: dot_product(upper_gamma(n, r, d, w).values, values)
-    else:
-        summand = lambda w: dot_product(upper_alpha(n, r, d, w).values, values)
-    window = m if m is not None else optimal_m("mop", vector, n, r, d, lo=lo, hi=hi, summand=summand)
-    if not (lo <= window <= hi):
-        raise ValueError(f"need {lo} <= m <= {hi}, got m={window}")
-    coeffs = (
-        upper_gamma(n, r, d, window)
-        if target == TARGET_AT_LEAST
-        else upper_alpha(n, r, d, window)
-    )
-    return _term(vector, coeffs, (r - d + 1, window, window + 1), "ub3")
+def _lb1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+    return _row(lower_alpha(n, r, d), 1, r - d, n - d + 1)
 
 
-def _lb1_term(vector: MomentVector, n: int, r: int, d: int) -> BoundTerm:
-    coeffs = lower_alpha(n, r, d)
-    return _term(vector, coeffs, (1, r - d, n - d + 1), "lb1")
-
-
-def _lb2_term(vector: MomentVector, n: int, r: int, d: int, m: Optional[int], target: str) -> BoundTerm:
+def _lb2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
     if target == TARGET_EXACTLY:
-        coeffs = lower_theta(n, r, d)
-        return _term(vector, coeffs, (r - d, r - d + 1, r - d + 2), "lb2")
-    window = m if m is not None else optimal_m("mop1", vector, n, r, d)
-    coeffs = lower_beta(n, r, d, window)
-    return _term(vector, coeffs, (r - d, window, window + 1), "lb2")
+        return _row(lower_theta(n, r, d), r - d, r - d + 1, r - d + 2)
+    return _row(lower_beta(n, r, d, m), r - d, m, m + 1)
 
 
-def _lb3_term(vector: MomentVector, n: int, d: int, m: Optional[int], target: str) -> BoundTerm:
+def _lb3_row(n: int, r: int, d: int, target: str, m: Optional[int]):
     if target == TARGET_EXACTLY:
-        coeffs = lower_phi(n, d)
-        return _term(vector, coeffs, (1, 2, n - d + 1), "lb3")
-    window = m if m is not None else optimal_m("mop2", vector, n, d, d)
-    coeffs = lower_gamma(n, d, window)
-    return _term(vector, coeffs, (window, window + 1, n - d + 1), "lb3")
+        return _row(lower_phi(n, d), 1, 2, n - d + 1)
+    return _row(lower_gamma(n, d, m), m, m + 1, n - d + 1)
+
+
+FAMILY_ROWS = (
+    Family(
+        "ub1", SIDE_UPPER, 3,
+        lambda n, r, d, target: r - d >= 2,
+        _ub1_row,
+        windows=dict.fromkeys(TARGETS, lambda n, r, d: (1, r - d - 1)),
+        pick=partial(_bracket, "mop"),
+    ),
+    Family(
+        "ub2", SIDE_UPPER, 3,
+        lambda n, r, d, target: r - d >= 1 and n - r >= 1,
+        _ub2_row,
+    ),
+    Family(
+        "ub3", SIDE_UPPER, 3,
+        lambda n, r, d, target: n - r >= 2,
+        _ub3_row,
+        windows=dict.fromkeys(TARGETS, lambda n, r, d: (r - d + 2, n - d)),
+        pick=partial(_bracket, "mop"),
+    ),
+    Family(
+        "lb1", SIDE_LOWER, 3,
+        lambda n, r, d, target: r - d >= 2 and (target == TARGET_AT_LEAST or r == n),
+        _lb1_row,
+    ),
+    Family(
+        "lb2", SIDE_LOWER, 3,
+        lambda n, r, d, target: r - d >= 1 and n - r >= 1,
+        _lb2_row,
+        windows={TARGET_AT_LEAST: lambda n, r, d: (r - d + 1, n - d)},
+        pick=partial(_bracket, "mop1"),
+    ),
+    Family(
+        "lb3", SIDE_LOWER, 3,
+        lambda n, r, d, target: r == d and n - d >= 2,
+        _lb3_row,
+        windows={TARGET_AT_LEAST: lambda n, r, d: (1, n - d - 1)},
+        pick=partial(_bracket, "mop2"),
+    ),
+)
+_UB1, _UB2, _UB3, _LB1, _LB2, _LB3 = FAMILY_ROWS
 
 
 def upper_ub1(
@@ -445,15 +385,7 @@ def upper_ub1(
     probabilities; ``target`` only labels the certificate.  The window is
     chosen per index tuple unless ``m`` pins it.
     """
-    _validate(moments, n, r, d)
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    if r - d < 2:
-        raise NotApplicableError(f"needs r - d >= 2, got r={r}, d={d}")
-    if m is not None and not (1 <= m <= r - d - 1):
-        raise ValueError(f"need 1 <= m <= r-d-1 = {r - d - 1}, got m={m}")
-    terms = [_ub1_term(v, n, r, d, m) for v in moments]
-    return certificate_from_terms(SIDE_UPPER, target, r, d, 3, "ub1", terms)
+    return family_certificate(_UB1, moments, n, r, d, target, m)
 
 
 def upper_ub2(moments: MomentSet, n: int, r: int, d: int) -> tuple[BoundCertificate, BoundCertificate]:
@@ -461,15 +393,7 @@ def upper_ub2(moments: MomentSet, n: int, r: int, d: int) -> tuple[BoundCertific
 
     Returns one certificate per target (at-least-r, exactly-r).
     """
-    _validate(moments, n, r, d)
-    if r - d < 1 or n - r < 1:
-        raise NotApplicableError(f"needs r-d >= 1 and n-r >= 1, got r={r}, d={d}, n={n}")
-    at_least_terms = [_ub2_term(v, n, r, d, TARGET_AT_LEAST) for v in moments]
-    exactly_terms = [_ub2_term(v, n, r, d, TARGET_EXACTLY) for v in moments]
-    return (
-        certificate_from_terms(SIDE_UPPER, TARGET_AT_LEAST, r, d, 3, "ub2", at_least_terms),
-        certificate_from_terms(SIDE_UPPER, TARGET_EXACTLY, r, d, 3, "ub2", exactly_terms),
-    )
+    return family_pair(_UB2, moments, n, r, d)
 
 
 def upper_ub3(
@@ -481,18 +405,7 @@ def upper_ub3(
     two targets when chosen automatically, since each target evaluates its
     own coefficient family.
     """
-    _validate(moments, n, r, d)
-    if n - r < 2:
-        raise NotApplicableError(f"needs n - r >= 2, got r={r}, n={n}")
-    lo, hi = r - d + 2, n - d
-    if m is not None and not (lo <= m <= hi):
-        raise ValueError(f"need {lo} <= m <= {hi}, got m={m}")
-    at_least_terms = [_ub3_term(v, n, r, d, m, TARGET_AT_LEAST) for v in moments]
-    exactly_terms = [_ub3_term(v, n, r, d, m, TARGET_EXACTLY) for v in moments]
-    return (
-        certificate_from_terms(SIDE_UPPER, TARGET_AT_LEAST, r, d, 3, "ub3", at_least_terms),
-        certificate_from_terms(SIDE_UPPER, TARGET_EXACTLY, r, d, 3, "ub3", exactly_terms),
-    )
+    return tuple(family_certificate(_UB3, moments, n, r, d, target, m) for target in TARGETS)
 
 
 def lower_lb1(moments: MomentSet, n: int, r: int, d: int) -> tuple[BoundCertificate, BoundCertificate]:
@@ -502,14 +415,9 @@ def lower_lb1(moments: MomentSet, n: int, r: int, d: int) -> tuple[BoundCertific
     only exactly target this family reaches; its certificate carries
     r = n regardless of the requested r).
     """
-    _validate(moments, n, r, d)
-    if r - d < 2:
-        raise NotApplicableError(f"needs r - d >= 2, got r={r}, d={d}")
-    at_least_terms = [_lb1_term(v, n, r, d) for v in moments]
-    exactly_terms = [_lb1_term(v, n, n, d) for v in moments]
     return (
-        certificate_from_terms(SIDE_LOWER, TARGET_AT_LEAST, r, d, 3, "lb1", at_least_terms),
-        certificate_from_terms(SIDE_LOWER, TARGET_EXACTLY, n, d, 3, "lb1", exactly_terms),
+        family_certificate(_LB1, moments, n, r, d, TARGET_AT_LEAST),
+        family_certificate(_LB1, moments, n, n, d, TARGET_EXACTLY),
     )
 
 
@@ -522,18 +430,7 @@ def lower_lb2(
     window choice; the exactly target uses the fixed window next to the
     pivot.
     """
-    _validate(moments, n, r, d)
-    if r - d < 1 or n - r < 1:
-        raise NotApplicableError(f"needs r-d >= 1 and n-r >= 1, got r={r}, d={d}, n={n}")
-    lo, hi = r - d + 1, n - d
-    if m is not None and not (lo <= m <= hi):
-        raise ValueError(f"need {lo} <= m <= {hi}, got m={m}")
-    at_least_terms = [_lb2_term(v, n, r, d, m, TARGET_AT_LEAST) for v in moments]
-    exactly_terms = [_lb2_term(v, n, r, d, m, TARGET_EXACTLY) for v in moments]
-    return (
-        certificate_from_terms(SIDE_LOWER, TARGET_AT_LEAST, r, d, 3, "lb2", at_least_terms),
-        certificate_from_terms(SIDE_LOWER, TARGET_EXACTLY, r, d, 3, "lb2", exactly_terms),
-    )
+    return family_pair(_LB2, moments, n, r, d, m)
 
 
 def lower_lb3(
@@ -544,49 +441,7 @@ def lower_lb3(
     Returns one certificate per target.  Only the at-least target has a
     window choice; the exactly target uses the fixed window 1.
     """
-    r = d
-    _validate(moments, n, r, d)
-    if n - d < 2:
-        raise NotApplicableError(f"needs n - d >= 2, got n={n}, d={d}")
-    lo, hi = 1, n - d - 1
-    if m is not None and not (lo <= m <= hi):
-        raise ValueError(f"need {lo} <= m <= {hi}, got m={m}")
-    at_least_terms = [_lb3_term(v, n, d, m, TARGET_AT_LEAST) for v in moments]
-    exactly_terms = [_lb3_term(v, n, d, m, TARGET_EXACTLY) for v in moments]
-    return (
-        certificate_from_terms(SIDE_LOWER, TARGET_AT_LEAST, r, d, 3, "lb3", at_least_terms),
-        certificate_from_terms(SIDE_LOWER, TARGET_EXACTLY, r, d, 3, "lb3", exactly_terms),
-    )
-
-
-def _applicable_upper_builders(n: int, r: int, d: int, target: str):
-    builders = []
-    if r - d >= 2:
-        builders.append(lambda v: _ub1_term(v, n, r, d, None))
-    if r - d >= 1 and n - r >= 1:
-        builders.append(lambda v: _ub2_term(v, n, r, d, target))
-    if n - r >= 2:
-        builders.append(lambda v: _ub3_term(v, n, r, d, None, target))
-    return builders
-
-
-def _applicable_lower_builders(n: int, r: int, d: int, target: str):
-    builders = []
-    if target == TARGET_AT_LEAST:
-        if r - d >= 2:
-            builders.append(lambda v: _lb1_term(v, n, r, d))
-        if r - d >= 1 and n - r >= 1:
-            builders.append(lambda v: _lb2_term(v, n, r, d, None, target))
-        if r == d and n - d >= 2:
-            builders.append(lambda v: _lb3_term(v, n, d, None, target))
-    else:
-        if r == n and n - d >= 2:
-            builders.append(lambda v: _lb1_term(v, n, n, d))
-        if r - d >= 1 and n - r >= 1:
-            builders.append(lambda v: _lb2_term(v, n, r, d, None, target))
-        if r == d and n - d >= 2:
-            builders.append(lambda v: _lb3_term(v, n, d, None, target))
-    return builders
+    return family_pair(_LB3, moments, n, d, d, m)
 
 
 def upper_best_l3(
@@ -599,24 +454,7 @@ def upper_best_l3(
     family may differ between index tuples.  Raises when no family
     applies.
     """
-    _validate(moments, n, r, d)
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    builders = _applicable_upper_builders(n, r, d, target)
-    if not builders:
-        raise NotApplicableError(
-            f"no three-moment upper bound applies at r={r}, d={d}, n={n}"
-        )
-    terms = []
-    for vector in moments:
-        candidates = [build(vector) for build in builders]
-        best = candidates[0]
-        for candidate in candidates[1:]:
-            if candidate.value < best.value:
-                best = candidate
-        terms.append(best)
-    formula = terms[0].formula_id if len(builders) == 1 else "ub-min"
-    return certificate_from_terms(SIDE_UPPER, target, r, d, 3, formula, terms)
+    return best_certificate(FAMILY_ROWS, moments, n, r, d, target, SIDE_UPPER, per_tuple=True)
 
 
 def lower_best_l3(
@@ -628,21 +466,4 @@ def lower_best_l3(
     Families enter only where their own preconditions hold.  Raises when
     no family applies.
     """
-    _validate(moments, n, r, d)
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    builders = _applicable_lower_builders(n, r, d, target)
-    if not builders:
-        raise NotApplicableError(
-            f"no three-moment lower bound applies to target={target!r}, r={r}, d={d}, n={n}"
-        )
-    terms = []
-    for vector in moments:
-        candidates = [build(vector) for build in builders]
-        best = candidates[0]
-        for candidate in candidates[1:]:
-            if candidate.value > best.value:
-                best = candidate
-        terms.append(best)
-    formula = terms[0].formula_id if len(builders) == 1 else "lb-max"
-    return certificate_from_terms(SIDE_LOWER, target, r, d, 3, formula, terms)
+    return best_certificate(FAMILY_ROWS, moments, n, r, d, target, SIDE_LOWER, per_tuple=True)

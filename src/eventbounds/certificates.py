@@ -11,16 +11,15 @@ actually asserted for a probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from .core import IndexTuple
 from .numerics import (
     Number,
     clamp01,
-    decode_number,
     encode_number,
-    rational,
+    to_number,
     zero,
 )
 
@@ -73,9 +72,9 @@ class BoundTerm:
     def from_payload(cls, payload: dict) -> "BoundTerm":
         return cls(
             j=IndexTuple.coerce(payload["j"]),
-            coefficients=tuple(decode_number(c) for c in payload["coefficients"]),
+            coefficients=tuple(to_number(c) for c in payload["coefficients"]),
             index_set=tuple(payload["index_set"]),
-            value=decode_number(payload["value"]),
+            value=to_number(payload["value"]),
             formula_id=payload["formula"],
             m=payload.get("m"),
         )
@@ -123,14 +122,6 @@ class BoundCertificate:
     def exact(self) -> bool:
         return not isinstance(self.value, float)
 
-    def relabeled(self, target: str) -> "BoundCertificate":
-        """The same numeric bound asserted for the other target.
-
-        Only meaningful for families whose value bounds both quantities at
-        once; callers are responsible for that applicability.
-        """
-        return replace(self, target=target)
-
     def to_payload(self) -> dict:
         payload = {
             "value": encode_number(self.value),
@@ -156,13 +147,13 @@ class BoundCertificate:
     def from_payload(cls, payload: dict) -> "BoundCertificate":
         coefficients = payload.get("coefficients")
         if coefficients is not None:
-            coefficients = tuple(decode_number(c) for c in coefficients)
+            coefficients = tuple(to_number(c) for c in coefficients)
         index_set = payload.get("index_set")
         if index_set is not None:
             index_set = tuple(index_set)
         return cls(
-            value=decode_number(payload["value"]),
-            clamped=decode_number(payload["clamped"]),
+            value=to_number(payload["value"]),
+            clamped=to_number(payload["clamped"]),
             side=payload["side"],
             target=payload["target"],
             r=payload["r"],

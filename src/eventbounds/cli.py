@@ -16,14 +16,13 @@ import json
 import sys
 from typing import Optional
 
-from .certificates import SIDES, TARGET_AT_LEAST, TARGETS, BoundRequest, BoundTerm, certificate_from_terms
+from .certificates import SIDES, TARGET_AT_LEAST, TARGETS, BoundRequest
 from .conditional import PartitionField, conditional_bound, expectation_aggregate
 from .core import EventSystem, exact_occurrence
-from .dispatch import evaluate_request
-from .engine import search_index_sets, target_vector
+from .dispatch import check_positions, evaluate_request, request_grid, search_bound
 from .errors import EventBoundsError, InputFormatError, NotApplicableError
-from .moments import MomentSet, MomentVector, moment_matrix, moment_set
-from .numerics import DEFAULT_TOLERANCE, Number, encode_number, exactify
+from .moments import MomentSet, MomentVector, moment_set
+from .numerics import DEFAULT_TOLERANCE, Number, difference, encode_number, exactify
 from .verification import run_all
 
 EXIT_OK = 0
@@ -65,12 +64,6 @@ def _load_moments(args: argparse.Namespace) -> MomentSet:
     return MomentSet(n=loaded.n, d=loaded.d, ell=loaded.ell, vectors=vectors)
 
 
-def _difference(a: Number, b: Number) -> Number:
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) - float(b)
-    return a - b
-
-
 def _cell(value: object) -> object:
     encoded = encode_number(value) if not isinstance(value, (str, int, bool)) else value
     return encoded
@@ -105,8 +98,8 @@ def _truth(occurrence, r: int, target: str) -> Number:
 
 def _gap(certificate, truth: Number) -> Number:
     if certificate.side == "upper":
-        return _difference(certificate.clamped, truth)
-    return _difference(truth, certificate.clamped)
+        return difference(certificate.clamped, truth)
+    return difference(truth, certificate.clamped)
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
@@ -125,23 +118,30 @@ def cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
-    request = _request_from(args)
-    payload: dict = {}
+def _source(args: argparse.Namespace, request: BoundRequest) -> tuple[Optional[EventSystem], MomentSet]:
+    """The input system (None for moment input) and a moment set serving the request."""
     if args.input:
         system = _load_system(args)
-        moments = moment_set(system, request.d, request.ell)
-        certificate = evaluate_request(moments, request, args.tolerance)
+        check_positions(system.n, request.d, request.ell)
+        return system, moment_set(system, request.d, request.ell)
+    moments = _load_moments(args)
+    if moments.d != request.d:
+        raise InputFormatError(f"moment file has d={moments.d}, request says d={request.d}")
+    check_positions(moments.n, moments.d, request.ell)
+    return None, moments
+
+
+def cmd_bound(args: argparse.Namespace) -> int:
+    request = _request_from(args)
+    system, moments = _source(args, request)
+    certificate = evaluate_request(moments, request, args.tolerance)
+    payload: dict = {"certificate": certificate.to_payload()}
+    exact_cells = ["", ""]
+    if system is not None:
         truth = _truth(exact_occurrence(system), request.r, request.target)
-        payload["certificate"] = certificate.to_payload()
         payload["exact"] = encode_number(truth)
         payload["gap"] = encode_number(_gap(certificate, truth))
         exact_cells = [truth, _gap(certificate, truth)]
-    else:
-        moments = _load_moments(args)
-        certificate = evaluate_request(moments, request, args.tolerance)
-        payload["certificate"] = certificate.to_payload()
-        exact_cells = ["", ""]
     row = [
         certificate.side,
         certificate.target,
@@ -160,99 +160,52 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     system = _load_system(args)
     occurrence = exact_occurrence(system)
-    n = system.n
     entries = []
-    for d in range(0, n):
-        moments = moment_set(system, d, min(3, n - d + 1))
-        windows = [(2, moments.restricted(2))]
-        if moments.ell >= 3:
-            windows.append((3, moments))
-        for r in range(max(d, 1), n + 1):
-            for ell, window in windows:
-                for target in TARGETS:
-                    truth = _truth(occurrence, r, target)
-                    for side in SIDES:
-                        request = BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
-                        try:
-                            certificate = evaluate_request(window, request, args.tolerance)
-                        except NotApplicableError:
-                            continue
-                        entries.append(
-                            {
-                                "r": r,
-                                "d": d,
-                                "ell": ell,
-                                "side": side,
-                                "target": target,
-                                "formula": certificate.formula_id,
-                                "value": encode_number(certificate.value),
-                                "clamped": encode_number(certificate.clamped),
-                                "exact": encode_number(truth),
-                                "gap": encode_number(_gap(certificate, truth)),
-                            }
-                        )
+    for window, request in request_grid(system):
+        try:
+            certificate = evaluate_request(window, request, args.tolerance)
+        except NotApplicableError:
+            continue
+        truth = _truth(occurrence, request.r, request.target)
+        entries.append(
+            {
+                "r": request.r,
+                "d": request.d,
+                "ell": request.ell,
+                "side": request.side,
+                "target": request.target,
+                "formula": certificate.formula_id,
+                "value": encode_number(certificate.value),
+                "clamped": encode_number(certificate.clamped),
+                "exact": encode_number(truth),
+                "gap": encode_number(_gap(certificate, truth)),
+            }
+        )
     header = ["r", "d", "ell", "side", "target", "formula", "value", "clamped", "exact", "gap"]
     rows = [[entry[column] for column in header] for entry in entries]
-    _emit(args, {"n": n, "rows": entries}, (header, rows))
+    _emit(args, {"n": system.n, "rows": entries}, (header, rows))
     return EXIT_OK
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    if args.input:
-        system = _load_system(args)
-        if args.ell > system.n - args.d + 1:
-            raise NotApplicableError(
-                f"ell={args.ell} exceeds the {system.n - args.d + 1} moment "
-                f"positions at n={system.n}, d={args.d}"
-            )
-        moments = moment_set(system, args.d, args.ell)
-    else:
-        moments = _load_moments(args)
-        if moments.d != args.d:
-            raise InputFormatError(f"moment file has d={moments.d}, request says d={args.d}")
-        if args.ell > moments.n - moments.d + 1:
-            raise NotApplicableError(
-                f"ell={args.ell} exceeds the {moments.n - moments.d + 1} moment "
-                f"positions at n={moments.n}, d={moments.d}"
-            )
-        moments = moments if moments.ell == args.ell else moments.restricted(args.ell)
-    n, d = moments.n, moments.d
-    fmat = moment_matrix(n, d, args.ell)
-    v = target_vector(n, d, args.r, args.target)
-    terms, witnesses = [], []
-    for vector in moments:
-        result = search_index_sets(fmat, v, vector, args.side, tolerance=args.tolerance)
-        if result.best is None:
-            raise NotApplicableError(
-                f"no {args.side}-feasible index set at ell={args.ell} "
-                f"for target={args.target!r}, r={args.r}, d={d}, n={n}"
-            )
-        best = result.best
-        terms.append(
-            BoundTerm(
-                j=vector.j,
-                coefficients=best.coefficients,
-                index_set=best.index_set,
-                value=best.value,
-                formula_id="search",
-            )
-        )
-        witnesses.append(
-            {"j": list(vector.j), "value": encode_number(best.value), **best.witness.to_payload()}
-        )
-    certificate = certificate_from_terms(
-        args.side, args.target, args.r, d, args.ell, "search", terms
-    )
-    attained = all(entry["nonnegative"] for entry in witnesses)
+    request = _request_from(args)
+    _, moments = _source(args, request)
+    if moments.ell != request.ell:
+        moments = moments.restricted(request.ell)
+    certificate, bests = search_bound(moments, request, args.tolerance)
+    witnesses = [
+        {"j": list(term.j), "value": encode_number(best.value), **best.witness.to_payload()}
+        for term, best in zip(certificate.terms, bests)
+    ]
     payload = {
         "side": args.side,
         "target": args.target,
         "r": args.r,
-        "d": d,
+        "d": moments.d,
         "ell": args.ell,
         "value": encode_number(certificate.value),
         "clamped": encode_number(certificate.clamped),
-        "attained": attained,
+        "attained": all(entry["nonnegative"] for entry in witnesses),
         "witnesses": witnesses,
     }
     rows = [
@@ -307,6 +260,8 @@ def cmd_conditional(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = run_all(args.trials, args.n_max, args.seed, args.tolerance)
+    for report in reports:
+        print(f"{report.line()} in {report.elapsed:.2f} s", file=sys.stderr)
     payload = {
         "seed": args.seed,
         "trials": args.trials,

@@ -20,7 +20,7 @@ from .core import EventSystem, normalize
 from .dispatch import evaluate_request
 from .errors import DegenerateMeasureError, InputFormatError
 from .moments import MomentSet, moment_set
-from .numerics import DEFAULT_TOLERANCE, Number, clamp01, dot_product, encode_number
+from .numerics import DEFAULT_TOLERANCE, Number, clamp01, difference, dot_product, encode_number
 
 
 @dataclass(frozen=True)
@@ -293,17 +293,9 @@ def expectation_aggregate(
                 "the unconditional certificate must answer the same side, target, r, d"
             )
         if first.side == "upper":
-            margin = (
-                unconditional.clamped - value
-                if not isinstance(value, float) and not isinstance(unconditional.clamped, float)
-                else float(unconditional.clamped) - float(value)
-            )
+            margin = difference(unconditional.clamped, value)
         else:
-            margin = (
-                value - unconditional.clamped
-                if not isinstance(value, float) and not isinstance(unconditional.clamped, float)
-                else float(value) - float(unconditional.clamped)
-            )
+            margin = difference(value, unconditional.clamped)
     return AggregatedBound(
         value=value,
         clamped=clamp01(value),

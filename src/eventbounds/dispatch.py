@@ -8,11 +8,12 @@ request without one gets the best applicable bound for its moment order.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from . import bounds_l2, bounds_l3
 from .certificates import (
-    SIDE_LOWER,
-    SIDE_UPPER,
-    TARGET_AT_LEAST,
+    SIDES,
+    TARGETS,
     BoundCertificate,
     BoundRequest,
     BoundTerm,
@@ -21,35 +22,68 @@ from .certificates import (
 from .core import EventSystem
 from .engine import search_index_sets, solve_coefficients, target_vector
 from .errors import NotApplicableError
+from .families import best_certificate, family_certificate
 from .moments import MomentSet, moment_matrix, moment_set
 from .numerics import DEFAULT_TOLERANCE, dot_product
 
-_L2_FORMULAS = {"u1", "u2", "l1", "l2"}
-_L3_FORMULAS = {"ub1", "ub2", "ub3", "lb1", "lb2", "lb3"}
-_UPPER_FORMULAS = {"u1", "u2", "ub1", "ub2", "ub3"}
-_WINDOWED_FORMULAS = {"l2", "ub1", "ub3", "lb2", "lb3"}
+#: Every closed-form family by name, in tie-breaking order.
+FAMILY_TABLE = {family.name: family for family in bounds_l2.FAMILY_ROWS + bounds_l3.FAMILY_ROWS}
 
-FORMULAS = tuple(sorted(_L2_FORMULAS | _L3_FORMULAS)) + ("search", "jordan")
+#: The closed-form families of each moment order, and whether best-of
+#: requests at that order pick a family per index tuple.
+_BEST_OF = {2: (bounds_l2.FAMILY_ROWS, False), 3: (bounds_l3.FAMILY_ROWS, True)}
+
+FORMULAS = tuple(sorted(FAMILY_TABLE)) + ("search", "jordan")
 
 
-def _search(moments: MomentSet, request: BoundRequest, tolerance: float) -> BoundCertificate:
-    n, d = moments.n, moments.d
-    positions = n - d + 1
-    if request.ell > positions:
+def check_positions(n: int, d: int, ell: int) -> None:
+    """Reject d outside 0..n, and more moment orders than the n-d+1 positions."""
+    if not (0 <= d <= n):
+        raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
+    if ell > n - d + 1:
         raise NotApplicableError(
-            f"ell={request.ell} exceeds the {positions} moment positions at n={n}, d={d}"
+            f"ell={ell} exceeds the {n - d + 1} moment positions at n={n}, d={d}"
         )
+
+
+def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]]:
+    """Every best-of request at ell 2 and 3 for the system, with its moment set.
+
+    Ordered by d, r, ell, target, side; r runs from max(d, 1) to n.
+    """
+    n = system.n
+    for d in range(0, n):
+        moments = moment_set(system, d, min(3, n - d + 1))
+        windows = [(2, moments.restricted(2))]
+        if moments.ell >= 3:
+            windows.append((3, moments))
+        for r in range(max(d, 1), n + 1):
+            for ell, window in windows:
+                for target in TARGETS:
+                    for side in SIDES:
+                        yield window, BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
+
+
+def search_bound(
+    moments: MomentSet, request: BoundRequest, tolerance: float = DEFAULT_TOLERANCE
+) -> tuple[BoundCertificate, tuple[BoundCertificate, ...]]:
+    """The index-set search's certificate, and each tuple's best result.
+
+    The per-tuple results carry the sharpness witness of their index set.
+    """
+    n, d = moments.n, moments.d
+    check_positions(n, d, request.ell)
     fmat = moment_matrix(n, d, request.ell)
     v = target_vector(n, d, request.r, request.target)
-    terms = []
+    terms, bests = [], []
     for vector in moments:
-        result = search_index_sets(fmat, v, vector, request.side, tolerance=tolerance)
-        if result.best is None:
+        best = search_index_sets(fmat, v, vector, request.side, tolerance=tolerance).best
+        if best is None:
             raise NotApplicableError(
                 f"no {request.side}-feasible index set at ell={request.ell} "
                 f"for target={request.target!r}, r={request.r}, d={d}, n={n}"
             )
-        best = result.best
+        bests.append(best)
         terms.append(
             BoundTerm(
                 j=vector.j,
@@ -59,9 +93,10 @@ def _search(moments: MomentSet, request: BoundRequest, tolerance: float) -> Boun
                 formula_id="search",
             )
         )
-    return certificate_from_terms(
+    certificate = certificate_from_terms(
         request.side, request.target, request.r, d, request.ell, "search", terms
     )
+    return certificate, tuple(bests)
 
 
 def _jordan(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
@@ -110,74 +145,37 @@ def evaluate_request(
             f"request needs ell={request.ell} moment orders, set has {moments.ell}"
         )
     working = moments if moments.ell == request.ell else moments.restricted(request.ell)
-    formula = request.formula
+    formula, target, side, m = request.formula, request.target, request.side, request.m
     if formula in ("search", "jordan"):
-        if request.m is not None:
+        if m is not None:
             raise ValueError(f"formula {formula!r} has no window parameter m")
-        return _search(working, request, tolerance) if formula == "search" else _jordan(working, request)
+        if formula == "search":
+            return search_bound(working, request, tolerance)[0]
+        return _jordan(working, request)
     if formula is None:
-        if request.ell == 2:
-            return bounds_l2.best_l2(working, n, r, d, request.target, request.side, request.m)
-        if request.ell == 3:
-            if request.m is not None:
-                raise ValueError(
-                    "the combined three-moment bound picks windows per index tuple; "
-                    "name a formula to pin m"
-                )
-            if request.side == SIDE_UPPER:
-                return bounds_l3.upper_best_l3(working, n, r, d, request.target)
-            return bounds_l3.lower_best_l3(working, n, r, d, request.target)
-        if request.m is not None:
-            raise ValueError("m applies only to the closed-form windowed families")
-        return _search(working, request, tolerance)
-    if formula not in _L2_FORMULAS | _L3_FORMULAS:
-        raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
-    expected_side = SIDE_UPPER if formula in _UPPER_FORMULAS else SIDE_LOWER
-    if request.side != expected_side:
-        raise ValueError(
-            f"formula {formula!r} produces {expected_side} bounds, request says {request.side}"
-        )
-    expected_ell = 2 if formula in _L2_FORMULAS else 3
-    if request.ell != expected_ell:
-        raise ValueError(f"formula {formula!r} uses ell={expected_ell}, request says {request.ell}")
-    target, m = request.target, request.m
-    if m is not None and formula not in _WINDOWED_FORMULAS:
-        raise ValueError(f"formula {formula!r} has no window parameter m")
-    if formula == "u1":
-        return bounds_l2.upper_u1(working, n, r, d, target)
-    if formula == "u2":
-        pair = bounds_l2.upper_u2(working, n, r, d)
-    elif formula == "l1":
-        return bounds_l2.lower_l1(working, n, r, d, target)
-    elif formula == "l2":
-        if r != d:
-            raise NotApplicableError(f"formula 'l2' needs r = d, got r={r}, d={d}")
-        if m is not None and target != TARGET_AT_LEAST:
-            raise ValueError("the exactly target of 'l2' has a fixed window")
-        pair = bounds_l2.lower_l2(working, n, d, m)
-    elif formula == "ub1":
-        return bounds_l3.upper_ub1(working, n, r, d, m, target)
-    elif formula == "ub2":
-        pair = bounds_l3.upper_ub2(working, n, r, d)
-    elif formula == "ub3":
-        pair = bounds_l3.upper_ub3(working, n, r, d, m)
-    elif formula == "lb1":
-        pair = bounds_l3.lower_lb1(working, n, r, d)
-        if target != TARGET_AT_LEAST and r != n:
-            raise NotApplicableError(
-                f"formula 'lb1' reaches the exactly target only at r = n, got r={r}, n={n}"
+        if request.ell not in _BEST_OF:
+            if m is not None:
+                raise ValueError("m applies only to the closed-form windowed families")
+            return search_bound(working, request, tolerance)[0]
+        families, per_tuple = _BEST_OF[request.ell]
+        if per_tuple and m is not None:
+            raise ValueError(
+                "the combined three-moment bound picks windows per index tuple; "
+                "name a formula to pin m"
             )
-    elif formula == "lb2":
-        if m is not None and target != TARGET_AT_LEAST:
-            raise ValueError("the exactly target of 'lb2' has a fixed window")
-        pair = bounds_l3.lower_lb2(working, n, r, d, m)
-    else:
-        if r != d:
-            raise NotApplicableError(f"formula 'lb3' needs r = d, got r={r}, d={d}")
-        if m is not None and target != TARGET_AT_LEAST:
-            raise ValueError("the exactly target of 'lb3' has a fixed window")
-        pair = bounds_l3.lower_lb3(working, n, d, m)
-    return pair[0] if target == TARGET_AT_LEAST else pair[1]
+        return best_certificate(families, working, n, r, d, target, side, m, per_tuple)
+    family = FAMILY_TABLE.get(formula)
+    if family is None:
+        raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
+    if side != family.side:
+        raise ValueError(
+            f"formula {formula!r} produces {family.side} bounds, request says {side}"
+        )
+    if request.ell != family.ell:
+        raise ValueError(f"formula {formula!r} uses ell={family.ell}, request says {request.ell}")
+    if m is not None and target != "at-least" and (formula == "lb2" or (formula in ("l2", "lb3") and r == d)):  # QUIRK
+        raise ValueError("QUIRK fixed window")
+    return family_certificate(family, working, n, r, d, target, m)
 
 
 def bound_for_system(

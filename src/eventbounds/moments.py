@@ -43,10 +43,10 @@ from .numerics import (
     Number,
     all_exact,
     close,
-    decode_number,
     dot_product,
     encode_number,
     rational,
+    to_number,
     zero,
 )
 
@@ -347,7 +347,7 @@ class MomentSet:
         try:
             for record in entries:
                 j = IndexTuple.coerce(record["j"])
-                values = tuple(decode_number(x) for x in record["values"])
+                values = tuple(to_number(x) for x in record["values"])
                 vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
             ordered = sorted(vectors, key=lambda v: v.j.indices)
             return cls(n=n, d=d, ell=ell, vectors=tuple(ordered))

@@ -108,11 +108,6 @@ def encode_number(value: Number) -> object:
     return str(value)
 
 
-def decode_number(value: object) -> Number:
-    """Inverse of :func:`encode_number` (also accepts bare ints)."""
-    return to_number(value)
-
-
 def zero(exact: bool) -> Number:
     return rational(0) if exact else 0.0
 
@@ -212,15 +207,18 @@ def integer_bracket(numerator: Number, denominator: Number, lo: int, hi: int) ->
     return tuple(clamped)
 
 
+def difference(a: Number, b: Number) -> Number:
+    """a - b, exact for rationals, in float when either is a float."""
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a) - float(b)
+    return a - b
+
+
 def leq(a: Number, b: Number, tolerance: float = DEFAULT_TOLERANCE) -> bool:
     """a <= b, exactly for rationals, within tolerance when a float is involved."""
     if isinstance(a, float) or isinstance(b, float):
         return float(a) <= float(b) + tolerance
     return a <= b
-
-
-def geq(a: Number, b: Number, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    return leq(b, a, tolerance)
 
 
 def close(a: Number, b: Number, tolerance: float = DEFAULT_TOLERANCE) -> bool:

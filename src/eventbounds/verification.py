@@ -16,9 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import bounds_l2, bounds_l3
+from . import bounds_l2
 from .certificates import (
-    SIDE_LOWER,
     SIDE_UPPER,
     SIDES,
     TARGET_AT_LEAST,
@@ -33,7 +32,7 @@ from .conditional import (
     expectation_aggregate,
 )
 from .core import EventSystem, exact_occurrence, normalize
-from .dispatch import evaluate_request
+from .dispatch import FAMILY_TABLE, evaluate_request, request_grid
 from .engine import (
     Feasibility,
     check_feasibility,
@@ -43,6 +42,7 @@ from .engine import (
     witness_system,
 )
 from .errors import NotApplicableError
+from .families import family_certificate
 from .moments import moment_matrix, moment_set, verify_decomposition, z_vector
 from .numerics import DEFAULT_TOLERANCE, dot_product, encode_number, leq, rational
 
@@ -68,6 +68,13 @@ class SuiteReport:
 
 def _rng(seed: int, suite: str, trial: int) -> random.Random:
     return random.Random(f"{seed}:{suite}:{trial}")
+
+
+def _trials(suite: str, trials: int, n_max: int, seed: int):
+    """Each trial's RNG and its random exact system of 2..n_max events."""
+    for trial in range(trials):
+        rng = _rng(seed, suite, trial)
+        yield rng, random_system(rng, rng.randint(2, n_max))
 
 
 def random_system(
@@ -137,52 +144,37 @@ def suite_sandwich(
     """
     start = time.perf_counter()
     checks, failures = 0, []
-    for trial in range(trials):
-        rng = _rng(seed, "sandwich", trial)
-        n = rng.randint(2, n_max)
-        base = random_system(rng, n)
+    for _, base in _trials("sandwich", trials, n_max, seed):
+        n = base.n
         variants = [base] + ([floatize(base)] if include_float else [])
         for system in variants:
             occurrence = exact_occurrence(system)
-            for d in range(0, n):
-                moments = moment_set(system, d, min(3, n - d + 1))
-                windows = [(2, moments.restricted(2))]
-                if moments.ell >= 3:
-                    windows.append((3, moments))
-                for r in range(max(d, 1), n + 1):
-                    truths = {
-                        TARGET_AT_LEAST: occurrence.at_least(r),
-                        TARGET_EXACTLY: occurrence.p[r],
-                    }
-                    for ell, window in windows:
-                        for target, truth in truths.items():
-                            for side in SIDES:
-                                request = BoundRequest(
-                                    r=r, d=d, ell=ell, side=side, target=target
-                                )
-                                try:
-                                    certificate = evaluate_request(window, request, tolerance)
-                                except NotApplicableError:
-                                    continue
-                                checks += 1
-                                if side == SIDE_UPPER:
-                                    ok = leq(truth, certificate.clamped, tolerance)
-                                else:
-                                    ok = leq(certificate.clamped, truth, tolerance)
-                                if not ok:
-                                    failures.append(
-                                        _describe(
-                                            system,
-                                            suite="sandwich",
-                                            r=r,
-                                            d=d,
-                                            ell=ell,
-                                            side=side,
-                                            target=target,
-                                            bound=encode_number(certificate.clamped),
-                                            exact=encode_number(truth),
-                                        )
-                                    )
+            for window, request in request_grid(system):
+                try:
+                    certificate = evaluate_request(window, request, tolerance)
+                except NotApplicableError:
+                    continue
+                checks += 1
+                r, target = request.r, request.target
+                truth = occurrence.at_least(r) if target == TARGET_AT_LEAST else occurrence.p[r]
+                if request.side == SIDE_UPPER:
+                    ok = leq(truth, certificate.clamped, tolerance)
+                else:
+                    ok = leq(certificate.clamped, truth, tolerance)
+                if not ok:
+                    failures.append(
+                        _describe(
+                            system,
+                            suite="sandwich",
+                            r=r,
+                            d=request.d,
+                            ell=request.ell,
+                            side=request.side,
+                            target=target,
+                            bound=encode_number(certificate.clamped),
+                            exact=encode_number(truth),
+                        )
+                    )
     return _finish("sandwich", trials, checks, failures, start)
 
 
@@ -193,10 +185,8 @@ def suite_decomposition(
     masses over d-tuples, for every 0 <= d <= r <= n."""
     start = time.perf_counter()
     checks, failures = 0, []
-    for trial in range(trials):
-        rng = _rng(seed, "decomposition", trial)
-        n = rng.randint(2, n_max)
-        system = random_system(rng, n)
+    for _, system in _trials("decomposition", trials, n_max, seed):
+        n = system.n
         for d in range(0, n + 1):
             for r in range(d, n + 1):
                 report = verify_decomposition(system, r, d)
@@ -222,97 +212,45 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
     per index tuple, for every windowed family."""
     start = time.perf_counter()
     checks, failures = 0, []
-    for trial in range(trials):
-        rng = _rng(seed, "optimal-m", trial)
-        n = rng.randint(2, n_max)
-        system = random_system(rng, n)
-
-        def record(family: str, r: int, d: int, bad_positions: list[int]) -> None:
-            for position in bad_positions:
-                failures.append(
-                    _describe(system, suite="optimal-m", family=family, r=r, d=d, j=position)
-                )
-
+    windowed = [family for family in FAMILY_TABLE.values() if family.windows]
+    for _, system in _trials("optimal-m", trials, n_max, seed):
+        n = system.n
         for d in range(0, n):
             moments = moment_set(system, d, min(3, n - d + 1))
-            if 1 <= d < n:
-                pair = moments.restricted(2)
-                auto = bounds_l2.lower_l2(pair, n, d)[0]
-                fixed = [bounds_l2.lower_l2(pair, n, d, m)[0] for m in range(1, n - d + 1)]
-                checks += len(auto.terms)
-                record("l2", d, d, _window_sweep(auto.terms, fixed, minimize=False))
-            for r in range(max(d, 1), n + 1):
-                if r - d >= 2:
-                    auto = bounds_l3.upper_ub1(moments, n, r, d)
-                    fixed = [
-                        bounds_l3.upper_ub1(moments, n, r, d, m) for m in range(1, r - d)
-                    ]
-                    checks += len(auto.terms)
-                    record("ub1", r, d, _window_sweep(auto.terms, fixed, minimize=True))
-                if n - r >= 2:
-                    autos = bounds_l3.upper_ub3(moments, n, r, d)
-                    sweeps = [
-                        bounds_l3.upper_ub3(moments, n, r, d, m)
-                        for m in range(r - d + 2, n - d + 1)
-                    ]
-                    for pick in (0, 1):
-                        checks += len(autos[pick].terms)
-                        record(
-                            "ub3",
-                            r,
-                            d,
-                            _window_sweep(
-                                autos[pick].terms, [s[pick] for s in sweeps], minimize=True
-                            ),
-                        )
-                if r - d >= 1 and n - r >= 1:
-                    auto = bounds_l3.lower_lb2(moments, n, r, d)[0]
-                    fixed = [
-                        bounds_l3.lower_lb2(moments, n, r, d, m)[0]
-                        for m in range(r - d + 1, n - d + 1)
-                    ]
-                    checks += len(auto.terms)
-                    record("lb2", r, d, _window_sweep(auto.terms, fixed, minimize=False))
-            if n - d >= 2:
-                auto = bounds_l3.lower_lb3(moments, n, d)[0]
-                fixed = [
-                    bounds_l3.lower_lb3(moments, n, d, m)[0] for m in range(1, n - d)
-                ]
-                checks += len(auto.terms)
-                record("lb3", d, d, _window_sweep(auto.terms, fixed, minimize=False))
+            for family in windowed:
+                if family.ell > moments.ell:
+                    continue
+                for r in range(d, n + 1):
+                    for target, window in family.windows.items():
+                        if not family.applies(n, r, d, target):
+                            continue
+                        auto = family_certificate(family, moments, n, r, d, target)
+                        lo, hi = window(n, r, d)
+                        fixed = [
+                            family_certificate(family, moments, n, r, d, target, m)
+                            for m in range(lo, hi + 1)
+                        ]
+                        minimize = family.side == SIDE_UPPER
+                        checks += len(auto.terms)
+                        for position in _window_sweep(auto.terms, fixed, minimize):
+                            failures.append(
+                                _describe(
+                                    system, suite="optimal-m", family=family.name,
+                                    r=r, d=d, j=position,
+                                )
+                            )
     return _finish("optimal-m", trials, checks, failures, start)
 
 
 def _closed_form_certificates(moments, n: int, r: int, d: int) -> list:
-    certificates = []
-
-    def attempt(thunk) -> None:
-        try:
-            result = thunk()
-        except NotApplicableError:
-            return
-        if isinstance(result, tuple):
-            certificates.extend(result)
-        else:
-            certificates.append(result)
-
-    pair = moments.restricted(2)
-    attempt(lambda: bounds_l2.upper_u1(pair, n, r, d, TARGET_AT_LEAST))
-    attempt(lambda: bounds_l2.upper_u1(pair, n, r, d, TARGET_EXACTLY))
-    attempt(lambda: bounds_l2.upper_u2(pair, n, r, d))
-    attempt(lambda: bounds_l2.lower_l1(pair, n, r, d, TARGET_AT_LEAST))
-    attempt(lambda: bounds_l2.lower_l1(pair, n, r, d, TARGET_EXACTLY))
-    if r == d:
-        attempt(lambda: bounds_l2.lower_l2(pair, n, d))
-    if moments.ell >= 3:
-        attempt(lambda: bounds_l3.upper_ub1(moments, n, r, d))
-        attempt(lambda: bounds_l3.upper_ub2(moments, n, r, d))
-        attempt(lambda: bounds_l3.upper_ub3(moments, n, r, d))
-        attempt(lambda: bounds_l3.lower_lb1(moments, n, r, d))
-        attempt(lambda: bounds_l3.lower_lb2(moments, n, r, d))
-        if r == d:
-            attempt(lambda: bounds_l3.lower_lb3(moments, n, d))
-    return certificates
+    """Every family's certificate at (r, d) for each target it applies to."""
+    return [
+        family_certificate(family, moments, n, r, d, target)
+        for family in FAMILY_TABLE.values()
+        if family.ell <= moments.ell
+        for target in TARGETS
+        if family.applies(n, r, d, target)
+    ]
 
 
 def suite_engine_agreement(
@@ -322,10 +260,8 @@ def suite_engine_agreement(
     and the index-set search is at least as tight as the closed forms."""
     start = time.perf_counter()
     checks, failures = 0, []
-    for trial in range(trials):
-        rng = _rng(seed, "engine-agreement", trial)
-        n = rng.randint(2, n_max)
-        system = random_system(rng, n)
+    for rng, system in _trials("engine-agreement", trials, n_max, seed):
+        n = system.n
         d = rng.randint(0, n - 1)
         r = rng.randint(max(d, 1), n)
         moments = moment_set(system, d, min(3, n - d + 1))
@@ -391,10 +327,8 @@ def suite_witness_closure(
     and attains the bound exactly."""
     start = time.perf_counter()
     checks, failures = 0, []
-    for trial in range(trials):
-        rng = _rng(seed, "witness-closure", trial)
-        n = rng.randint(2, n_max)
-        system = random_system(rng, n)
+    for rng, system in _trials("witness-closure", trials, n_max, seed):
+        n = system.n
         d = rng.randint(0, n - 1)
         ell = rng.choice((2, 3))
         if ell > n - d + 1:
@@ -439,10 +373,8 @@ def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteRepo
     all r and all d with at least two moment positions."""
     start = time.perf_counter()
     checks, failures = 0, []
-    for trial in range(trials):
-        rng = _rng(seed, "jordan", trial)
-        n = rng.randint(2, n_max)
-        system = random_system(rng, n)
+    for _, system in _trials("jordan", trials, n_max, seed):
+        n = system.n
         occurrence = exact_occurrence(system)
         for d in range(0, n):
             positions = n - d + 1
@@ -487,10 +419,8 @@ def suite_conditional(
     weight-averaged bound brackets the unconditional oracle."""
     start = time.perf_counter()
     checks, failures = 0, []
-    for trial in range(trials):
-        rng = _rng(seed, "conditional", trial)
-        n = rng.randint(2, n_max)
-        system = random_system(rng, n)
+    for rng, system in _trials("conditional", trials, n_max, seed):
+        n = system.n
         partition = random_partition(rng, n)
         occurrence = exact_occurrence(system)
         for _ in range(requests_per_trial):
@@ -548,10 +478,8 @@ def suite_classical(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteR
     probabilities, and the matching lower bound is that sum over n."""
     start = time.perf_counter()
     checks, failures = 0, []
-    for trial in range(trials):
-        rng = _rng(seed, "classical", trial)
-        n = rng.randint(2, n_max)
-        system = random_system(rng, n)
+    for _, system in _trials("classical", trials, n_max, seed):
+        n = system.n
         mean = sum(
             weight * bin(mask).count("1") for mask, weight in system.weights.items()
         )
