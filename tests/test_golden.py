@@ -74,13 +74,17 @@ def golden_outcomes() -> dict[str, list[str]]:
     return groups
 
 
-def _encode(groups: dict[str, list[str]]) -> dict:
-    table: dict[str, int] = {}
-    encoded = {
-        key: [table.setdefault(outcome, len(table)) for outcome in outcomes]
+def _encode(groups: dict[str, list[str]]) -> str:
+    """One group per line, outcomes as indices into a sorted outcome table."""
+    table = sorted({outcome for outcomes in groups.values() for outcome in outcomes})
+    index = {outcome: i for i, outcome in enumerate(table)}
+    lines = [f'{{"outcomes": {json.dumps(table)},', '"groups": {']
+    lines += [
+        f"{json.dumps(key)}: {json.dumps([index[o] for o in outcomes])},"
         for key, outcomes in groups.items()
-    }
-    return {"outcomes": list(table), "groups": encoded}
+    ]
+    lines[-1] = lines[-1].rstrip(",")
+    return "\n".join(lines) + "\n}}\n"
 
 
 def _decode(payload: dict) -> dict[str, list[str]]:
@@ -102,4 +106,4 @@ def test_certificates_match_the_golden_fixture():
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(_encode(golden_outcomes()), separators=(",", ":")) + "\n")
+    FIXTURE.write_text(_encode(golden_outcomes()))
