@@ -173,8 +173,6 @@ def evaluate_request(
         )
     if request.ell != family.ell:
         raise ValueError(f"formula {formula!r} uses ell={family.ell}, request says {request.ell}")
-    if m is not None and target != "at-least" and (formula == "lb2" or (formula in ("l2", "lb3") and r == d)):  # QUIRK
-        raise ValueError("QUIRK fixed window")
     return family_certificate(family, working, n, r, d, target, m)
 
 

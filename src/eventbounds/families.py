@@ -170,11 +170,8 @@ def best_certificate(
         raise NotApplicableError(
             f"no {ell}-moment {side} bound applies to target={target!r}, r={r}, d={d}, n={n}"
         )
-    for f in applicable:  # QUIRK
-        if m is not None and f.windows:
-            lo, hi = next(iter(f.windows.values()))(n, r, d)
-            if not lo <= m <= hi:
-                raise ValueError("QUIRK range")
+    if m is not None and not any(target in family.windows for family in applicable):
+        raise ValueError("m applies only to the closed-form windowed families")
     pinned = [m if target in family.windows else None for family in applicable]
     for family, window in zip(applicable, pinned):
         _check(family, n, r, d, target, window)

@@ -322,6 +322,43 @@ class TestExitCodes:
         assert code == EXIT_NOT_APPLICABLE
         assert "not applicable" in err
 
+    def test_window_on_fixed_two_moment_families(self, capsys, files):
+        code, _, err = run(
+            capsys,
+            [
+                "bound",
+                "--input", files["system"],
+                "--r", "2", "--d", "0", "--ell", "2",
+                "--side", "upper",
+                "--m", "99",
+            ],
+        )
+        assert code == EXIT_INPUT
+        assert "windowed families" in err
+
+    def test_window_on_the_fixed_exactly_target_of_l2(self, capsys, files):
+        code, _, err = run(
+            capsys,
+            [
+                "bound",
+                "--input", files["system"],
+                "--r", "1", "--d", "1", "--ell", "2",
+                "--side", "lower",
+                "--target", "exactly",
+                "--m", "2",
+            ],
+        )
+        assert code == EXIT_INPUT
+        assert "windowed families" in err
+
+    def test_too_many_orders_is_not_applicable(self, capsys, files):
+        code, _, err = run(
+            capsys,
+            ["bound", "--input", files["system"], "--r", "1", "--d", "0", "--ell", "5"],
+        )
+        assert code == EXIT_NOT_APPLICABLE
+        assert "not applicable" in err
+
     def test_bad_request_values(self, capsys, files):
         code, _, err = run(
             capsys,

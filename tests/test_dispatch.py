@@ -154,6 +154,16 @@ class TestRoutingErrors:
                 BoundRequest(r=1, d=1, ell=2, side="lower", target="exactly", m=1, formula="l2"),
             )
 
+    def test_applicability_is_checked_before_the_window(self, d1_l3):
+        for formula in ("lb2", "lb3"):
+            with pytest.raises(NotApplicableError):
+                evaluate_request(
+                    d1_l3,
+                    BoundRequest(
+                        r=3, d=1, ell=3, side="lower", target="exactly", m=2, formula=formula
+                    ),
+                )
+
     def test_l2_needs_r_equal_d(self, d0_l4):
         with pytest.raises(NotApplicableError):
             evaluate_request(
