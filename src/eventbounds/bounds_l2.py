@@ -36,11 +36,7 @@ from .core import binomial
 from .errors import DegenerateConfigurationError
 from .families import Family, best_certificate, family_certificate, family_pair, window_candidates
 from .moments import MomentSet
-from .numerics import Number, rational
-
-
-def _u1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    return (rational(0), rational(1, binomial(r, d + 1))), (1, r - d + 1), None
+from .numerics import rational
 
 
 def _determinant(n: int, r: int, d: int) -> int:
@@ -76,14 +72,10 @@ def _l1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
     return coefficients, (r - d, n - d + 1), None
 
 
-def _l2_coefficients(d: int, m: int) -> tuple[Number, Number]:
-    scale = rational(d + 1, (m + d) * binomial(m + d - 1, d))
-    return (scale * m, -scale * d)
-
-
 def _l2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
     if target == TARGET_AT_LEAST:
-        return _l2_coefficients(d, m), (m, m + 1), m
+        scale = rational(d + 1, (m + d) * binomial(m + d - 1, d))
+        return (scale * m, -scale * d), (m, m + 1), m
     return (rational(1), rational(-(d + 1))), (1, 2), None
 
 
@@ -94,17 +86,23 @@ def _l2_windows(values, n: int, r: int, d: int, lo: int, hi: int) -> tuple[int, 
 
 
 FAMILY_ROWS = (
-    Family("u1", SIDE_UPPER, 2, lambda n, r, d, target: r - d >= 1, _u1_row),
-    Family("u2", SIDE_UPPER, 2, lambda n, r, d, target: n - r >= 1, _u2_row),
+    Family(
+        "u1", SIDE_UPPER, 2,
+        applies=lambda n, r, d, target: r - d >= 1,
+        row=lambda n, r, d, target, m: (
+            (rational(0), rational(1, binomial(r, d + 1))), (1, r - d + 1), None
+        ),
+    ),
+    Family("u2", SIDE_UPPER, 2, applies=lambda n, r, d, target: n - r >= 1, row=_u2_row),
     Family(
         "l1", SIDE_LOWER, 2,
-        lambda n, r, d, target: r - d >= 1 and (target == TARGET_AT_LEAST or r == n),
-        _l1_row,
+        applies=lambda n, r, d, target: r - d >= 1 and (target == TARGET_AT_LEAST or r == n),
+        row=_l1_row,
     ),
     Family(
         "l2", SIDE_LOWER, 2,
-        lambda n, r, d, target: r == d >= 1 and n - d >= 1,
-        _l2_row,
+        applies=lambda n, r, d, target: r == d >= 1 and n - d >= 1,
+        row=_l2_row,
         windows={TARGET_AT_LEAST: lambda n, r, d: (1, n - d)},
         pick=_l2_windows,
     ),

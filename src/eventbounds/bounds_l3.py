@@ -303,72 +303,56 @@ def _row(coefficients: CoefficientVector, *index_set: int):
     return coefficients.values, index_set, coefficients.m
 
 
-def _ub1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    return _row(upper_alpha(n, r, d, m), m, m + 1, r - d + 1)
-
-
-def _ub2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    top = upper_beta if target == TARGET_AT_LEAST else upper_delta
-    return _row(top(n, r, d), 1, r - d + 1, n - d + 1)
-
-
-def _ub3_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    window = upper_gamma if target == TARGET_AT_LEAST else upper_alpha
-    return _row(window(n, r, d, m), r - d + 1, m, m + 1)
-
-
-def _lb1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    return _row(lower_alpha(n, r, d), 1, r - d, n - d + 1)
-
-
-def _lb2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    if target == TARGET_EXACTLY:
-        return _row(lower_theta(n, r, d), r - d, r - d + 1, r - d + 2)
-    return _row(lower_beta(n, r, d, m), r - d, m, m + 1)
-
-
-def _lb3_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    if target == TARGET_EXACTLY:
-        return _row(lower_phi(n, d), 1, 2, n - d + 1)
-    return _row(lower_gamma(n, d, m), m, m + 1, n - d + 1)
-
-
 FAMILY_ROWS = (
     Family(
         "ub1", SIDE_UPPER, 3,
-        lambda n, r, d, target: r - d >= 2,
-        _ub1_row,
+        applies=lambda n, r, d, target: r - d >= 2,
+        row=lambda n, r, d, target, m: _row(upper_alpha(n, r, d, m), m, m + 1, r - d + 1),
         windows=dict.fromkeys(TARGETS, lambda n, r, d: (1, r - d - 1)),
         pick=partial(_bracket, "mop"),
     ),
     Family(
         "ub2", SIDE_UPPER, 3,
-        lambda n, r, d, target: r - d >= 1 and n - r >= 1,
-        _ub2_row,
+        applies=lambda n, r, d, target: r - d >= 1 and n - r >= 1,
+        row=lambda n, r, d, target, m: _row(
+            (upper_beta if target == TARGET_AT_LEAST else upper_delta)(n, r, d),
+            1, r - d + 1, n - d + 1,
+        ),
     ),
     Family(
         "ub3", SIDE_UPPER, 3,
-        lambda n, r, d, target: n - r >= 2,
-        _ub3_row,
+        applies=lambda n, r, d, target: n - r >= 2,
+        row=lambda n, r, d, target, m: _row(
+            (upper_gamma if target == TARGET_AT_LEAST else upper_alpha)(n, r, d, m),
+            r - d + 1, m, m + 1,
+        ),
         windows=dict.fromkeys(TARGETS, lambda n, r, d: (r - d + 2, n - d)),
         pick=partial(_bracket, "mop"),
     ),
     Family(
         "lb1", SIDE_LOWER, 3,
-        lambda n, r, d, target: r - d >= 2 and (target == TARGET_AT_LEAST or r == n),
-        _lb1_row,
+        applies=lambda n, r, d, target: r - d >= 2 and (target == TARGET_AT_LEAST or r == n),
+        row=lambda n, r, d, target, m: _row(lower_alpha(n, r, d), 1, r - d, n - d + 1),
     ),
     Family(
         "lb2", SIDE_LOWER, 3,
-        lambda n, r, d, target: r - d >= 1 and n - r >= 1,
-        _lb2_row,
+        applies=lambda n, r, d, target: r - d >= 1 and n - r >= 1,
+        row=lambda n, r, d, target, m: (
+            _row(lower_beta(n, r, d, m), r - d, m, m + 1)
+            if target == TARGET_AT_LEAST
+            else _row(lower_theta(n, r, d), r - d, r - d + 1, r - d + 2)
+        ),
         windows={TARGET_AT_LEAST: lambda n, r, d: (r - d + 1, n - d)},
         pick=partial(_bracket, "mop1"),
     ),
     Family(
         "lb3", SIDE_LOWER, 3,
-        lambda n, r, d, target: r == d and n - d >= 2,
-        _lb3_row,
+        applies=lambda n, r, d, target: r == d and n - d >= 2,
+        row=lambda n, r, d, target, m: (
+            _row(lower_gamma(n, d, m), m, m + 1, n - d + 1)
+            if target == TARGET_AT_LEAST
+            else _row(lower_phi(n, d), 1, 2, n - d + 1)
+        ),
         windows={TARGET_AT_LEAST: lambda n, r, d: (1, n - d - 1)},
         pick=partial(_bracket, "mop2"),
     ),

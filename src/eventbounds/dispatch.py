@@ -20,11 +20,11 @@ from .certificates import (
     certificate_from_terms,
 )
 from .core import EventSystem
-from .engine import search_index_sets, solve_coefficients, target_vector
+from .engine import jordan_exact, search_index_sets, solve_coefficients, target_vector
 from .errors import NotApplicableError
 from .families import best_certificate, family_certificate
 from .moments import MomentSet, moment_matrix, moment_set
-from .numerics import DEFAULT_TOLERANCE, dot_product
+from .numerics import DEFAULT_TOLERANCE
 
 #: Every closed-form family by name, in tie-breaking order.
 FAMILY_TABLE = {family.name: family for family in bounds_l2.FAMILY_ROWS + bounds_l3.FAMILY_ROWS}
@@ -101,27 +101,24 @@ def search_bound(
 
 def _jordan(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
     n, d = moments.n, moments.d
-    positions = n - d + 1
-    if request.ell != positions:
-        raise NotApplicableError(
-            f"exact evaluation needs ell = n-d+1 = {positions}, got ell={request.ell}"
-        )
-    fmat = moment_matrix(n, d, positions)
+    check_positions(n, d, request.ell)
+    fmat = moment_matrix(n, d, request.ell)
     v = target_vector(n, d, request.r, request.target)
-    full = tuple(range(1, positions + 1))
+    values = [jordan_exact(fmat, v, vector) for vector in moments]
+    full = tuple(range(1, fmat.positions + 1))
     a = solve_coefficients(fmat, full, v)
     terms = [
         BoundTerm(
             j=vector.j,
             coefficients=a,
             index_set=full,
-            value=dot_product(a, vector.values),
+            value=value,
             formula_id="jordan",
         )
-        for vector in moments
+        for vector, value in zip(moments, values)
     ]
     return certificate_from_terms(
-        request.side, request.target, request.r, d, positions, "jordan", terms
+        request.side, request.target, request.r, d, request.ell, "jordan", terms
     )
 
 

@@ -101,7 +101,14 @@ def _terms(
     if window is None:
         coefficients, index_set, recorded = family.row(n, r, d, target, m)
         return [
-            BoundTerm(vector.j, coefficients, index_set, dot_product(coefficients, vector.values[:ell]), name, recorded)
+            BoundTerm(
+                vector.j,
+                coefficients,
+                index_set,
+                dot_product(coefficients, vector.values[:ell]),
+                name,
+                recorded,
+            )
             for vector in moments
         ]
     lo, hi = window(n, r, d)
@@ -172,12 +179,11 @@ def best_certificate(
         )
     if m is not None and not any(target in family.windows for family in applicable):
         raise ValueError("m applies only to the closed-form windowed families")
-    pinned = [m if target in family.windows else None for family in applicable]
-    for family, window in zip(applicable, pinned):
-        _check(family, n, r, d, target, window)
+    pins = [m if target in family.windows else None for family in applicable]
+    for family, pin in zip(applicable, pins):
+        _check(family, n, r, d, target, pin)
     columns = [
-        _terms(family, moments, n, r, d, target, window)
-        for family, window in zip(applicable, pinned)
+        _terms(family, moments, n, r, d, target, pin) for family, pin in zip(applicable, pins)
     ]
     minimize = side == SIDE_UPPER
     if not per_tuple:

@@ -10,8 +10,7 @@ A value's mode is decided by its type: ``float`` means float mode, anything
 rational means exact mode.  Exact values are created through
 :func:`rational`, which is backed by ``gmpy2.mpq`` when gmpy2 is installed
 and by ``fractions.Fraction`` otherwise.  The two backends hash, compare
-and print identically, so they interoperate; gmpy2 is purely a speedup
-(roughly 3x on the rational hot path, see benchmarks/).
+and print identically, so they interoperate; gmpy2 is purely a speedup.
 
 One caveat drives the helpers below: multiplying a gmpy2 rational by a
 float yields a gmpy2 ``mpfr``, not a ``float``.  Mixed-mode arithmetic must
@@ -25,8 +24,8 @@ import os
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-#: Set EVENTBOUNDS_BACKEND=fractions (or =gmpy2) to pin the backend; the
-#: benchmark script uses this to compare both in otherwise identical runs.
+#: Set EVENTBOUNDS_BACKEND=fractions (or =gmpy2) to pin the backend, for
+#: example to compare both in otherwise identical runs.
 _FORCED_BACKEND = os.environ.get("EVENTBOUNDS_BACKEND")
 
 try:  # pragma: no cover - exercised indirectly via either backend
@@ -110,10 +109,6 @@ def encode_number(value: Number) -> object:
 
 def zero(exact: bool) -> Number:
     return rational(0) if exact else 0.0
-
-
-def one(exact: bool) -> Number:
-    return rational(1) if exact else 1.0
 
 
 def clamp01(value: Number) -> Number:
