@@ -39,17 +39,20 @@ from .moments import MomentSet
 from .numerics import rational
 
 
-def _determinant(n: int, r: int, d: int) -> int:
-    denominator = binomial(n, d + 1) * binomial(r, d) - binomial(n, d) * binomial(r, d + 1)
-    if denominator == 0:
+def two_moment_minor(n: int, r: int, d: int) -> int:
+    """C(n, d+1) C(r, d) - C(n, d) C(r, d+1), the denominator of the bases
+    anchored at occurrence levels r and n; the three-moment families use it
+    at d + 1.  Raises when it vanishes."""
+    minor = binomial(n, d + 1) * binomial(r, d) - binomial(n, d) * binomial(r, d + 1)
+    if minor == 0:
         raise DegenerateConfigurationError(
             f"degenerate two-moment configuration at n={n}, r={r}, d={d}"
         )
-    return denominator
+    return minor
 
 
 def _u2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    denominator = _determinant(n, r, d)
+    denominator = two_moment_minor(n, r, d)
     if target == TARGET_AT_LEAST:
         coefficients = (
             rational(binomial(n, d + 1) - binomial(r, d + 1), denominator),
@@ -64,7 +67,7 @@ def _u2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
 
 
 def _l1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    denominator = _determinant(n, r - 1, d)
+    denominator = two_moment_minor(n, r - 1, d)
     coefficients = (
         rational(-binomial(r - 1, d + 1), denominator),
         rational(binomial(r - 1, d), denominator),

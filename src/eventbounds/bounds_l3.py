@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
+from .bounds_l2 import two_moment_minor
 from .certificates import (
     SIDE_LOWER,
     SIDE_UPPER,
@@ -113,13 +114,6 @@ def _gamma_row(top: int, d: int, m: int) -> tuple[Number, Number, Number]:
     return tuple(w + a for w, a in zip(_window_row(top, d, m), _alpha_row(top, d, m)))
 
 
-def _delta1(n: int, r: int, d: int) -> int:
-    d1 = binomial(n, d + 2) * binomial(r, d + 1) - binomial(n, d + 1) * binomial(r, d + 2)
-    if d1 == 0:
-        raise DegenerateConfigurationError(f"degenerate configuration at n={n}, r={r}, d={d}")
-    return d1
-
-
 @lru_cache(maxsize=None)
 def upper_alpha(n: int, r: int, d: int, m: int) -> CoefficientVector:
     """Window coefficients for upper bounds; valid off the pivot positions.
@@ -138,7 +132,7 @@ def upper_beta(n: int, r: int, d: int) -> CoefficientVector:
     """Coefficients of the top-anchored upper bound for the at-least target."""
     if r - d < 1 or n - r < 1:
         raise ValueError(f"need r-d >= 1 and n-r >= 1, got r={r}, d={d}, n={n}")
-    d1 = _delta1(n, r, d)
+    d1 = two_moment_minor(n, r, d + 1)
     values = (
         rational(0),
         rational(binomial(n, d + 2) - binomial(r, d + 2), d1),
@@ -152,7 +146,7 @@ def upper_delta(n: int, r: int, d: int) -> CoefficientVector:
     """Coefficients of the top-anchored upper bound for the exactly target."""
     if r - d < 1 or n - r < 1:
         raise ValueError(f"need r-d >= 1 and n-r >= 1, got r={r}, d={d}, n={n}")
-    d1 = _delta1(n, r, d)
+    d1 = two_moment_minor(n, r, d + 1)
     values = (rational(0), rational(binomial(n, d + 2), d1), rational(-binomial(n, d + 1), d1))
     return CoefficientVector(values=values, family="delta", n=n, r=r, d=d)
 
@@ -176,7 +170,7 @@ def lower_alpha(n: int, r: int, d: int) -> CoefficientVector:
     """Top-anchored lower coefficients; the exactly target uses r = n."""
     if r - d < 2:
         raise ValueError(f"need r-d >= 2, got r={r}, d={d}")
-    d2 = _delta1(n, r - 1, d)
+    d2 = two_moment_minor(n, r - 1, d + 1)
     values = (
         rational(0),
         rational(-binomial(r - 1, d + 2), d2),

@@ -20,7 +20,7 @@ from .certificates import (
     certificate_from_terms,
 )
 from .core import EventSystem
-from .engine import jordan_exact, search_index_sets, solve_coefficients, target_vector
+from .engine import bound_value, jordan_coefficients, search_index_sets, target_vector
 from .errors import NotApplicableError
 from .families import best_certificate, family_certificate
 from .moments import MomentSet, moment_matrix, moment_set
@@ -104,18 +104,17 @@ def _jordan(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
     check_positions(n, d, request.ell)
     fmat = moment_matrix(n, d, request.ell)
     v = target_vector(n, d, request.r, request.target)
-    values = [jordan_exact(fmat, v, vector) for vector in moments]
+    a = jordan_coefficients(fmat, v)
     full = tuple(range(1, fmat.positions + 1))
-    a = solve_coefficients(fmat, full, v)
     terms = [
         BoundTerm(
             j=vector.j,
             coefficients=a,
             index_set=full,
-            value=value,
+            value=bound_value(vector, a),
             formula_id="jordan",
         )
-        for vector, value in zip(moments, values)
+        for vector in moments
     ]
     return certificate_from_terms(
         request.side, request.target, request.r, d, request.ell, "jordan", terms

@@ -10,9 +10,12 @@ feasibility.  The vector z* supported on i with F_i z*_i = s has the same
 moments, and when z* is nonnegative it is an occurrence vector attaining
 the bound, which is the sharpness witness.
 
-This module solves those small dense systems exactly, checks feasibility,
-enumerates index sets, and handles the full-order case ell = n-d+1 where
-the bound collapses to an exact identity (the Jordan-formula case).
+This module solves those small dense systems exactly (fraction-free, on
+integers), checks feasibility, tabulates the dual-feasible index sets once
+per shape (n, d, ell, target vector, side) for the index-set search,
+tests moments for a nonnegative occurrence vector, and handles the
+full-order case ell = n-d+1 where the bound collapses to an exact identity
+(the Jordan-formula case).
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .certificates import (
-    SIDE_LOWER,
     SIDE_UPPER,
     SIDES,
     TARGET_AT_LEAST,
@@ -33,8 +36,14 @@ from .certificates import (
     BoundCertificate,
 )
 from .core import EventSystem, IndexTuple, binomial
-from .errors import DegenerateConfigurationError, DegenerateMeasureError, NotApplicableError, ResourceLimitError
-from .moments import MomentMatrix, MomentVector
+from .errors import (
+    DegenerateConfigurationError,
+    DegenerateMeasureError,
+    InfeasibleMomentsError,
+    NotApplicableError,
+    ResourceLimitError,
+)
+from .moments import MomentMatrix, MomentSet, MomentVector, moment_matrix
 from .numerics import (
     DEFAULT_TOLERANCE,
     Number,
@@ -62,15 +71,16 @@ class TargetVector:
     v: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", tuple(self.v))
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
         if not (0 <= self.d <= self.r <= self.n):
             raise ValueError(
                 f"need 0 <= d <= r <= n, got d={self.d}, r={self.r}, n={self.n}"
             )
-        if len(self.v) != self.n - self.d + 1 or any(x not in (0, 1) for x in self.v):
+        v = tuple(self.v)
+        if len(v) != self.n - self.d + 1 or any(x not in (0, 1) for x in v):
             raise ValueError("target vector must be 0/1 of length n-d+1")
+        object.__setattr__(self, "v", tuple(int(x) for x in v))
 
 
 def target_vector(n: int, d: int, r: int, target: str = TARGET_AT_LEAST) -> TargetVector:
@@ -107,27 +117,14 @@ class Feasibility(enum.Enum):
         return self in (Feasibility.UPPER_FEASIBLE, Feasibility.EQUALITY)
 
 
-def _solve_linear(rows: Sequence[Sequence[Number]], rhs: Sequence[Number], exact: bool):
-    """Solve a small dense linear system by Gauss-Jordan elimination.
-
-    Exact mode pivots on the first nonzero entry; float mode uses partial
-    pivoting.  Raises on a singular matrix.
-    """
+def _solve_float(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> tuple[float, ...]:
+    """Solve a small dense linear system in floats by Gauss-Jordan elimination
+    with partial pivoting.  Raises on a singular matrix."""
     size = len(rows)
-    if any(len(row) != size for row in rows) or len(rhs) != size:
-        raise ValueError("linear system must be square with matching right-hand side")
-    if exact:
-        mat = [[rational(x) for x in row] + [rational(b)] for row, b in zip(rows, rhs)]
-    else:
-        mat = [[float(x) for x in row] + [float(b)] for row, b in zip(rows, rhs)]
+    mat = [[float(x) for x in row] + [float(b)] for row, b in zip(rows, rhs)]
     for col in range(size):
-        if exact:
-            pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        else:
-            pivot = max(range(col, size), key=lambda r: abs(mat[r][col]))
-            if abs(mat[pivot][col]) < 1e-300:
-                pivot = None
-        if pivot is None:
+        pivot = max(range(col, size), key=lambda r: abs(mat[r][col]))
+        if abs(mat[pivot][col]) < 1e-300:
             raise DegenerateConfigurationError("singular linear system")
         mat[col], mat[pivot] = mat[pivot], mat[col]
         head = mat[col][col]
@@ -139,12 +136,61 @@ def _solve_linear(rows: Sequence[Sequence[Number]], rhs: Sequence[Number], exact
     return tuple(mat[r][size] for r in range(size))
 
 
-@lru_cache(maxsize=65536)
-def _cached_coefficient_solve(
-    rows: tuple[tuple[int, ...], ...], index_set: tuple[int, ...], rhs: tuple[int, ...]
-) -> tuple:
-    system_rows = [[rows[k][i - 1] for k in range(len(rows))] for i in index_set]
-    return _solve_linear(system_rows, rhs, exact=True)
+def solve_integer(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """Solve an integer system by fraction-free (Bareiss) elimination.
+
+    Returns (N, den) with den = |det| > 0 and solution x_k = N_k / den.
+    Forward elimination divides each update exactly by the previous pivot
+    and leaves +-det as the last pivot; back substitution then yields
+    det * x_k, again by exact division.  No rational is ever built.
+    Raises on a singular matrix.
+    """
+    size = len(rows)
+    if any(len(row) != size for row in rows) or len(rhs) != size:
+        raise ValueError("linear system must be square with matching right-hand side")
+    mat = [[*row, b] for row, b in zip(rows, rhs)]
+    previous = 1
+    for col in range(size):
+        pivot = col
+        while not mat[pivot][col]:
+            pivot += 1
+            if pivot == size:
+                raise DegenerateConfigurationError("singular linear system")
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        head = mat[col]
+        h = head[col]
+        for r in range(col + 1, size):
+            row = mat[r]
+            factor = row[col]
+            mat[r] = [0] * (col + 1) + [
+                (h * x - factor * y) // previous for x, y in zip(row[col + 1:], head[col + 1:])
+            ]
+        previous = h
+    numerators = [0] * size
+    for k in range(size - 1, -1, -1):
+        row = mat[k]
+        total = previous * row[size]
+        for j in range(k + 1, size):
+            total -= row[j] * numerators[j]
+        numerators[k] = total // row[k]
+    if previous < 0:
+        return tuple(-x for x in numerators), -previous
+    return tuple(numerators), previous
+
+
+def _over_common_denominator(values: Sequence[Number]) -> tuple[list[int], int]:
+    """Exact values as integer numerators over their least common denominator."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[Number]) -> tuple:
+    """Exact rational solution of an integer system with a rational right-hand side."""
+    scaled, scale = _over_common_denominator(rhs)
+    numerators, den = solve_integer(rows, scaled)
+    return tuple(rational(x, den * scale) for x in numerators)
 
 
 def _check_index_set(fmat: MomentMatrix, index_set: Sequence[int]) -> tuple[int, ...]:
@@ -179,10 +225,10 @@ def solve_coefficients(
             f"target vector must have {fmat.positions} components, got {len(components)}"
         )
     rhs = tuple(components[i - 1] for i in index_set)
+    system_rows = [fmat.column(i) for i in index_set]
     if all_exact(rhs):
-        return _cached_coefficient_solve(fmat.rows, index_set, rhs)
-    system_rows = [[fmat.rows[k][i - 1] for k in range(fmat.ell)] for i in index_set]
-    return _solve_linear(system_rows, rhs, exact=False)
+        return _solve_exact(system_rows, rhs)
+    return _solve_float(system_rows, rhs)
 
 
 def check_feasibility(
@@ -260,7 +306,7 @@ def sharpness_witness(
         raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")
     exact = all_exact(values)
     system_rows = [[fmat.rows[k][i - 1] for i in index_set] for k in range(fmat.ell)]
-    solution = _solve_linear(system_rows, values, exact=exact)
+    solution = _solve_exact(system_rows, values) if exact else _solve_float(system_rows, values)
     z = [rational(0) if exact else 0.0] * fmat.positions
     for position, entry in zip(index_set, solution):
         z[position - 1] = entry
@@ -269,6 +315,60 @@ def sharpness_witness(
     else:
         nonnegative = all(float(entry) >= -tolerance for entry in solution)
     return SharpnessWitness(z=tuple(z), index_set=index_set, nonnegative=nonnegative)
+
+
+def has_nonnegative_solution(
+    fmat: MomentMatrix,
+    s: "MomentVector | Sequence[Number]",
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> bool:
+    """True when some z >= 0 has F z = s.
+
+    A basic solution of {F z = s, z >= 0} is supported on ell positions,
+    and any ell columns of F are independent, so such a z exists exactly
+    when some index set gives a nonnegative sharpness witness.  Index sets
+    are tried in lexicographic order up to the first nonnegative one;
+    exact moments are solved on integers, float moments through
+    :func:`sharpness_witness` with the given tolerance.
+    """
+    values = s.values if isinstance(s, MomentVector) else tuple(s)
+    if len(values) != fmat.ell:
+        raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")
+    index_sets = itertools.combinations(range(1, fmat.positions + 1), fmat.ell)
+    if not all_exact(values):
+        return any(
+            sharpness_witness(fmat, index_set, values, tolerance).nonnegative
+            for index_set in index_sets
+        )
+    moments, _ = _over_common_denominator(values)
+    for index_set in index_sets:
+        rows = [[row[i - 1] for i in index_set] for row in fmat.rows]
+        numerators, _ = solve_integer(rows, moments)
+        if all(x >= 0 for x in numerators):
+            return True
+    return False
+
+
+def check_realizable(moments: MomentSet, tolerance: float = DEFAULT_TOLERANCE) -> None:
+    """Reject moments that no distribution can have, tuple by tuple.
+
+    Each tuple's first min(ell, 3) orders must admit a nonnegative
+    occurrence vector (:func:`has_nonnegative_solution`).  The test is
+    complete for those orders, so at ell <= 3 it accepts exactly the
+    moment vectors some distribution has; at ell >= 4 it is only a
+    necessary condition.  Consistency across tuples is not checked.
+    """
+    orders = min(moments.ell, 3, moments.n - moments.d + 1)
+    if orders < 2:
+        return
+    fmat = moment_matrix(moments.n, moments.d, orders)
+    for vector in moments:
+        values = vector.values[:orders]
+        if not has_nonnegative_solution(fmat, values, tolerance):
+            raise InfeasibleMomentsError(
+                f"no distribution has the moments {[encode_number(x) for x in values]} "
+                f"at j={list(vector.j)}: no occurrence vector z >= 0 gives them"
+            )
 
 
 @dataclass(frozen=True)
@@ -286,20 +386,29 @@ class SearchResult:
     feasible: tuple[tuple[int, ...], ...]
 
 
-def search_index_sets(
+@dataclass(frozen=True, slots=True)
+class DualBasis:
+    """A side-feasible index set with its coefficients a = numerators / den."""
+
+    index_set: tuple[int, ...]
+    numerators: tuple[int, ...]
+    den: int
+
+
+def dual_bases(
     fmat: MomentMatrix,
-    v: TargetVector,
-    s: "MomentVector | Sequence[Number]",
+    v: "TargetVector | Sequence[int]",
     side: str,
     max_combinations: int = 1_000_000,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> SearchResult:
-    """Exhaustively enumerate index sets and keep the best feasible bound.
+) -> tuple[DualBasis, ...]:
+    """Every index set whose dual solution is feasible for the side.
 
-    Upper side keeps the smallest s . a over upper-feasible sets, lower
-    side the largest over lower-feasible ones; ties go to the
-    lexicographically first index set.  The enumeration is guarded by
-    ``max_combinations``.
+    Feasibility depends only on the shape (F, v, side), never on the
+    moments, so the table is built once per shape and cached.  Each set is
+    solved on integers (:func:`solve_integer`) and b = F^T a is compared
+    with v through the sign of N . F_i - v_i den.  Sets come in
+    lexicographic order.  The enumeration is guarded by
+    ``max_combinations``, checked before any solve.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -308,43 +417,105 @@ def search_index_sets(
         raise ResourceLimitError(
             f"{total} index sets exceed the enumeration cap of {max_combinations}"
         )
-    values = s.values if isinstance(s, MomentVector) else tuple(s)
-    feasible: list[tuple[int, ...]] = []
-    best_value: Optional[Number] = None
-    best_set: Optional[tuple[int, ...]] = None
-    best_coeffs: Optional[tuple[Number, ...]] = None
+    components = _target_components(v)
+    if len(components) != fmat.positions or not all(
+        isinstance(x, int) and x in (0, 1) for x in components
+    ):
+        raise ValueError(f"target vector must be {fmat.positions} integers 0 or 1, got {components}")
+    return _basis_table(fmat, components, side)
+
+
+@lru_cache(maxsize=32)
+def _basis_table(
+    fmat: MomentMatrix, v: tuple[int, ...], side: str
+) -> tuple[DualBasis, ...]:
+    columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
+    checks = list(zip(columns, v))
+    upper = side == SIDE_UPPER
+    # a = 0 solves every set whose targets are all zero; b = 0 is then
+    # feasible for the lower side, and for the upper side only if v = 0.
+    zero_feasible = not upper or not any(v)
+    zeros = (0,) * fmat.ell
+    table = []
     for index_set in itertools.combinations(range(1, fmat.positions + 1), fmat.ell):
-        a = solve_coefficients(fmat, index_set, v)
-        feas = check_feasibility(fmat, a, v, tolerance)
-        ok = feas.allows_upper if side == SIDE_UPPER else feas.allows_lower
-        if not ok:
+        rhs = [v[i - 1] for i in index_set]
+        if not any(rhs):
+            if zero_feasible:
+                table.append(DualBasis(index_set, zeros, 1))
             continue
-        feasible.append(index_set)
-        value = bound_value(values, a)
-        better = (
-            best_value is None
-            or (side == SIDE_UPPER and value < best_value)
-            or (side == SIDE_LOWER and value > best_value)
-        )
-        if better:
-            best_value, best_set, best_coeffs = value, index_set, a
-    best = None
-    if best_set is not None:
-        witness = sharpness_witness(fmat, best_set, values, tolerance)
-        best = BoundCertificate(
-            value=best_value,
-            clamped=clamp01(best_value),
+        numerators, den = solve_integer([columns[i - 1] for i in index_set], rhs)
+        for column, target in checks:
+            gap = sum(map(operator.mul, numerators, column)) - target * den
+            if gap < 0 if upper else gap > 0:
+                break
+        else:
+            table.append(DualBasis(index_set, numerators, den))
+    return tuple(table)
+
+
+def search_index_sets(
+    fmat: MomentMatrix,
+    v: TargetVector,
+    s: "MomentVector | Sequence[Number]",
+    side: str,
+    max_combinations: int = 1_000_000,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> SearchResult:
+    """Keep the best bound over the side-feasible index sets.
+
+    Upper side keeps the smallest s . a over upper-feasible sets, lower
+    side the largest over lower-feasible ones; ties go to the
+    lexicographically first index set.  The feasible sets come from the
+    shape's :func:`dual_bases` table.  Exact moments are compared on
+    integers, N . S over a common moment denominator cross-multiplied by
+    den; float moments by the float dot product.  Only the winner becomes
+    rational coefficients, a value and a sharpness witness.
+    """
+    table = dual_bases(fmat, v, side, max_combinations)
+    values = s.values if isinstance(s, MomentVector) else tuple(s)
+    if len(values) != fmat.ell:
+        raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")
+    upper = side == SIDE_UPPER
+    best: Optional[DualBasis] = None
+    if all_exact(values):
+        moments, _ = _over_common_denominator(values)
+        best_key = best_den = 0
+        for basis in table:
+            key = sum(map(operator.mul, basis.numerators, moments))
+            if best is None or (
+                key * best_den < best_key * basis.den
+                if upper
+                else key * best_den > best_key * basis.den
+            ):
+                best, best_key, best_den = basis, key, basis.den
+    else:
+        # N_k / den rounds to the same float as a_k does, so each key equals
+        # the float dot product of a and s that bound_value computes.
+        moments = [float(x) for x in values]
+        best_float = 0.0
+        for basis in table:
+            key = sum(map(operator.mul, [x / basis.den for x in basis.numerators], moments))
+            if best is None or (key < best_float if upper else key > best_float):
+                best, best_float = basis, key
+    certificate = None
+    if best is not None:
+        coefficients = tuple(rational(x, best.den) for x in best.numerators)
+        value = bound_value(values, coefficients)
+        certificate = BoundCertificate(
+            value=value,
+            clamped=clamp01(value),
             side=side,
             target=v.target,
             r=v.r,
             d=fmat.d,
             ell=fmat.ell,
             formula_id="search",
-            coefficients=best_coeffs,
-            index_set=best_set,
-            witness=witness,
+            coefficients=coefficients,
+            index_set=best.index_set,
+            witness=sharpness_witness(fmat, best.index_set, values, tolerance),
         )
-    return SearchResult(side=side, best=best, feasible=tuple(feasible))
+    feasible = tuple(basis.index_set for basis in table)
+    return SearchResult(side=side, best=certificate, feasible=feasible)
 
 
 def witness_system(
@@ -392,8 +563,8 @@ def witness_system(
     return EventSystem(n=n, weights=weights)
 
 
-def jordan_exact(fmat: MomentMatrix, v: TargetVector, s: "MomentVector | Sequence[Number]") -> Number:
-    """Exact value of Z from the full-order moment system.
+def jordan_coefficients(fmat: MomentMatrix, v: TargetVector) -> tuple[Number, ...]:
+    """The coefficients a with s . a = Z for every moment vector s.
 
     Requires ell = n-d+1 so the moment matrix is square.  The matrix is
     unitriangular in its leading block, hence invertible, and both
@@ -404,6 +575,9 @@ def jordan_exact(fmat: MomentMatrix, v: TargetVector, s: "MomentVector | Sequenc
         raise NotApplicableError(
             f"exact evaluation needs ell = n-d+1 = {fmat.positions}, got ell={fmat.ell}"
         )
-    full = tuple(range(1, fmat.positions + 1))
-    a = solve_coefficients(fmat, full, v)
-    return bound_value(s, a)
+    return solve_coefficients(fmat, tuple(range(1, fmat.positions + 1)), v)
+
+
+def jordan_exact(fmat: MomentMatrix, v: TargetVector, s: "MomentVector | Sequence[Number]") -> Number:
+    """Exact value of Z from the full-order moment system (:func:`jordan_coefficients`)."""
+    return bound_value(s, jordan_coefficients(fmat, v))

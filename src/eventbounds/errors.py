@@ -34,3 +34,7 @@ class ResourceLimitError(EventBoundsError):
 
 class InputFormatError(EventBoundsError):
     """An input file or payload does not match the documented format."""
+
+
+class InfeasibleMomentsError(InputFormatError):
+    """The moments are not those of any probability distribution."""

@@ -329,9 +329,12 @@ class MomentSet:
 
         ``{"n": int, "d": int, "ell": int, "s": [{"j": [ints],
         "values": [numbers]}, ...]}``.  Every index tuple of order d must
-        appear exactly once; values are validated for nonnegativity and
-        s_1 <= 1 only, since no underlying system is available.
+        appear exactly once; values must be nonnegative with s_1 <= 1, and
+        each tuple's first min(ell, 3) orders must be those of some
+        distribution (:func:`eventbounds.engine.check_realizable`; a
+        necessary condition only at ell >= 4, and per tuple).
         """
+        from .engine import check_realizable  # the engine imports this module
         if not isinstance(payload, dict):
             raise InputFormatError("moment payload must be a JSON object")
         try:
@@ -350,11 +353,13 @@ class MomentSet:
                 values = tuple(to_number(x) for x in record["values"])
                 vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
             ordered = sorted(vectors, key=lambda v: v.j.indices)
-            return cls(n=n, d=d, ell=ell, vectors=tuple(ordered))
+            moments = cls(n=n, d=d, ell=ell, vectors=tuple(ordered))
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"malformed moment record: {exc}") from None
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
+        check_realizable(moments)
+        return moments
 
 
 def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:

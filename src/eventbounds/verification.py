@@ -380,19 +380,18 @@ def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteRepo
             positions = n - d + 1
             moments = moment_set(system, d, positions)
             fmat = moment_matrix(n, d, positions)
-            full = tuple(range(1, positions + 1))
             for r in range(max(d, 1), n + 1):
                 truths = {
                     TARGET_AT_LEAST: occurrence.at_least(r),
                     TARGET_EXACTLY: occurrence.p[r],
                 }
                 for target, truth in truths.items():
-                    v = target_vector(n, d, r, target)
-                    feasibility = check_feasibility(fmat, solve_coefficients(fmat, full, v), v)
                     request = BoundRequest(
                         r=r, d=d, ell=positions, side=SIDE_UPPER, target=target, formula="jordan"
                     )
                     certificate = evaluate_request(moments, request)
+                    v = target_vector(n, d, r, target)
+                    feasibility = check_feasibility(fmat, certificate.coefficients, v)
                     checks += 1
                     if certificate.value != truth or feasibility is not Feasibility.EQUALITY:
                         failures.append(

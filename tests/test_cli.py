@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -386,3 +388,32 @@ class TestExitCodes:
         )
         assert code == EXIT_INPUT
         assert "error:" in err
+
+    def test_moments_no_distribution_has_are_rejected(self, capsys, tmp_path):
+        # s_2 = 1/10 puts the mean count at 1/10, yet s_3 = 9/10 would need
+        # E[count (count - 1) / 2] = 9/10: no distribution on 0..3 has both.
+        path = tmp_path / "infeasible.json"
+        payload = {"n": 3, "d": 0, "ell": 3, "s": [{"j": [], "values": ["1", "1/10", "9/10"]}]}
+        path.write_text(json.dumps(payload))
+        for side in ("upper", "lower"):
+            code, out, err = run(
+                capsys, ["bound", "--moments", str(path), "--r", "2", "--side", side]
+            )
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "no distribution has the moments" in err
+
+    def test_enumeration_cap_fails_fast(self, capsys, tmp_path):
+        # Binomial(60, 1/2) moments at ell = 5: C(61, 5) = 5,949,147 index
+        # sets, above the cap of 10^6.
+        values = [str(Fraction(comb(60, k - 1), 2 ** (k - 1))) for k in range(1, 6)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 60, "d": 0, "ell": 5, "s": [{"j": [], "values": values}]}))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["bound", "--moments", str(path), "--r", "30", "--ell", "5"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "5949147 index sets exceed the enumeration cap of 1000000" in err

@@ -1,18 +1,24 @@
 """Dual solves, feasibility, index-set search, and sharpness witnesses."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from eventbounds import engine
+from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS
 from eventbounds.core import EventSystem, exact_occurrence
 from eventbounds.engine import (
     Feasibility,
     check_feasibility,
     bound_value,
+    dual_bases,
+    has_nonnegative_solution,
     jordan_exact,
     search_index_sets,
     sharpness_witness,
     solve_coefficients,
+    solve_integer,
     target_vector,
     witness_system,
 )
@@ -104,6 +110,94 @@ class TestSearch:
         with pytest.raises(ResourceLimitError):
             search_index_sets(fmat, v, (1, 1, 1), "upper")
 
+    def test_float_moments_pick_the_same_set(self):
+        result = search_index_sets(F32, V1, (1.0, 1.5), "upper")
+        assert result.best.index_set == (2, 3)
+        assert result.best.value == 1.0
+        assert isinstance(result.best.value, float)
+        assert result.feasible == ((1, 2), (2, 3), (2, 4), (3, 4))
+
+    def test_cap_is_checked_before_any_solve(self, monkeypatch):
+        def no_solve(rows, rhs):
+            raise AssertionError("solved an index set above the cap")
+
+        monkeypatch.setattr(engine, "solve_integer", no_solve)
+        fmat = moment_matrix(60, 0, 5)
+        v = target_vector(60, 0, 30)
+        with pytest.raises(ResourceLimitError, match="5949147 index sets exceed"):
+            dual_bases(fmat, v, "upper")
+        with pytest.raises(ResourceLimitError, match="5949147 index sets exceed"):
+            search_index_sets(fmat, v, (1, 30, 435, 4060, 27405), "lower")
+
+
+def _reference_solve(rows, rhs):
+    """Gauss-Jordan on Fractions, pivoting on the first nonzero entry."""
+    size = len(rows)
+    mat = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if mat[r][col] != 0)
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        mat[col] = [x / mat[col][col] for x in mat[col]]
+        for r in range(size):
+            if r != col and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+    return tuple(mat[r][size] for r in range(size))
+
+
+class TestBasisTable:
+    def test_integer_solve_matches_fractions(self):
+        rows = [[2, -1, 0], [0, 0, 3], [1, 4, 1]]
+        numerators, den = solve_integer(rows, [1, 0, 2])
+        assert den > 0
+        assert tuple(Fraction(x, den) for x in numerators) == _reference_solve(rows, [1, 0, 2])
+        with pytest.raises(DegenerateConfigurationError):
+            solve_integer([[1, 2], [2, 4]], [1, 1])
+
+    def test_table_equals_per_set_solve_and_feasibility(self):
+        """Every shape with n <= 6: the table lists exactly the side-feasible
+        sets, in lexicographic order, with the per-set coefficients."""
+        shapes = 0
+        for n in range(1, 7):
+            for d in range(n):
+                for ell in range(2, n - d + 2):
+                    fmat = moment_matrix(n, d, ell)
+                    sets = list(itertools.combinations(range(1, n - d + 2), ell))
+                    for r in range(d, n + 1):
+                        for target in TARGETS:
+                            v = target_vector(n, d, r, target)
+                            solved = {
+                                index_set: _reference_solve(
+                                    [fmat.column(i) for i in index_set],
+                                    [v.v[i - 1] for i in index_set],
+                                )
+                                for index_set in sets
+                            }
+                            feasibility = {
+                                index_set: check_feasibility(fmat, a, v)
+                                for index_set, a in solved.items()
+                            }
+                            for side in SIDES:
+                                shapes += 1
+                                expected = [
+                                    (index_set, solved[index_set])
+                                    for index_set in sets
+                                    if (
+                                        feasibility[index_set].allows_upper
+                                        if side == SIDE_UPPER
+                                        else feasibility[index_set].allows_lower
+                                    )
+                                ]
+                                got = [
+                                    (
+                                        basis.index_set,
+                                        tuple(Fraction(x, basis.den) for x in basis.numerators),
+                                    )
+                                    for basis in dual_bases(fmat, v, side)
+                                ]
+                                assert got == expected, (n, d, ell, r, target, side)
+        assert shapes == 1008
+
 
 class TestWitness:
     def test_attaining_witness_on_fair_three(self):
@@ -142,6 +236,21 @@ class TestWitness:
         assert reproduced.values == moments.vector((2,)).values
         attained = sum(x * y for x, y in zip(z_vector(induced, (2,)).entries, v.v))
         assert attained == result.best.value
+
+
+class TestNonnegativeSolution:
+    def test_fair_three_holds_on_every_index_set(self):
+        fmat = moment_matrix(3, 0, 3)
+        s = moment_set(fair(3), 0, 3).vector(()).values
+        for index_set in itertools.combinations(range(1, 5), 3):
+            assert sharpness_witness(fmat, index_set, s).nonnegative
+        assert has_nonnegative_solution(fmat, s)
+
+    def test_moments_no_distribution_has(self):
+        fmat = moment_matrix(3, 0, 3)
+        bad = (Fraction(1), Fraction(1, 10), Fraction(9, 10))
+        assert not has_nonnegative_solution(fmat, bad)
+        assert not has_nonnegative_solution(fmat, tuple(float(x) for x in bad))
 
 
 class TestJordan:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eventbounds.core import EventSystem, IndexTuple, binomial, normalize
-from eventbounds.errors import InputFormatError
+from eventbounds.errors import InfeasibleMomentsError, InputFormatError
 from eventbounds.moments import (
     MomentSet,
     MomentVector,
@@ -180,6 +180,24 @@ class TestMomentSetPayload:
         payload["s"].reverse()
         moments = MomentSet.from_payload(payload)
         assert [v.j.indices for v in moments] == [(1,), (2,), (3,)]
+
+    def test_moments_no_distribution_has_are_rejected(self):
+        payload = {"n": 3, "d": 0, "ell": 3, "s": [{"j": [], "values": ["1", "1/10", "9/10"]}]}
+        with pytest.raises(InfeasibleMomentsError, match="j=\\[\\]"):
+            MomentSet.from_payload(payload)
+        payload["s"][0]["values"] = [1.0, 0.1, 0.9]
+        with pytest.raises(InputFormatError, match="no distribution"):
+            MomentSet.from_payload(payload)
+
+    def test_each_tuple_is_checked(self):
+        payload = moment_set(fair(4), 1, 3).to_payload()
+        assert len(MomentSet.from_payload(payload)) == 4
+        # tuple (3,): s_2 = 3/4 asks E[(count - 1); event 3 occurs] = 3/2,
+        # but s_3 = 0 allows at most one other event with event 3, so that
+        # expectation is at most P(event 3) = 1/2
+        payload["s"][2]["values"] = ["1/2", "3/4", "0"]
+        with pytest.raises(InfeasibleMomentsError, match="j=\\[3\\]"):
+            MomentSet.from_payload(payload)
 
 
 class TestDecomposition:
