@@ -21,12 +21,13 @@ full-order case ell = n-d+1 where the bound collapses to an exact identity
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .certificates import (
     SIDE_UPPER,
@@ -327,9 +328,11 @@ def has_nonnegative_solution(
     A basic solution of {F z = s, z >= 0} is supported on ell positions,
     and any ell columns of F are independent, so such a z exists exactly
     when some index set gives a nonnegative sharpness witness.  Index sets
-    are tried in lexicographic order up to the first nonnegative one;
-    exact moments are solved on integers, float moments through
-    :func:`sharpness_witness` with the given tolerance.
+    are tried in lexicographic order up to the first nonnegative one.
+    Float moments go through :func:`sharpness_witness` with the given
+    tolerance.  Exact moments only need the signs of the integer
+    numerators, so they skip building the witness's rationals, which
+    halves the check's cost.
     """
     values = s.values if isinstance(s, MomentVector) else tuple(s)
     if len(values) != fmat.ell:
@@ -354,9 +357,11 @@ def check_realizable(moments: MomentSet, tolerance: float = DEFAULT_TOLERANCE) -
 
     Each tuple's first min(ell, 3) orders must admit a nonnegative
     occurrence vector (:func:`has_nonnegative_solution`).  The test is
-    complete for those orders, so at ell <= 3 it accepts exactly the
-    moment vectors some distribution has; at ell >= 4 it is only a
-    necessary condition.  Consistency across tuples is not checked.
+    complete for those orders, so at ell <= 3 and d >= 1 it accepts
+    exactly the moment vectors some distribution has; at ell >= 4 it is
+    only a necessary condition.  At d = 0, s_1 = P(Omega) must be 1, which
+    is not enforced: moments with s_1 < 1 there pass.  Consistency across
+    tuples is not checked.
     """
     orders = min(moments.ell, 3, moments.n - moments.d + 1)
     if orders < 2:
@@ -371,6 +376,45 @@ def check_realizable(moments: MomentSet, tolerance: float = DEFAULT_TOLERANCE) -
             )
 
 
+@dataclass(frozen=True, slots=True)
+class DualBasis:
+    """A side-feasible index set with its coefficients a = numerators / den."""
+
+    index_set: tuple[int, ...]
+    numerators: tuple[int, ...]
+    den: int
+
+
+@dataclass(frozen=True)
+class BasisTable:
+    """The side-feasible index sets of one shape (F, v, side).
+
+    A set whose targets are all zero solves to a = 0, which is always
+    lower-feasible and upper-feasible only when v = 0.  On the lower side
+    such sets are nearly all sets, so they are not stored one by one: every
+    ell-subset of ``zero_positions`` is feasible with value 0, where
+    ``zero_positions`` lists the positions with v_i = 0 when a = 0 is
+    feasible for the side and is empty otherwise.  ``bases`` holds the
+    other feasible sets in lexicographic order, plus the first zero set,
+    which stands for all of them in a search: they share the value 0 and
+    ties go to the first.
+    """
+
+    ell: int
+    bases: tuple[DualBasis, ...]
+    zero_positions: tuple[int, ...]
+
+    def __iter__(self) -> Iterator[DualBasis]:
+        """Every feasible set in lexicographic order, zero sets made on demand."""
+        zeros = (0,) * self.ell
+        rest = itertools.islice(itertools.combinations(self.zero_positions, self.ell), 1, None)
+        return heapq.merge(
+            self.bases,
+            (DualBasis(index_set, zeros, 1) for index_set in rest),
+            key=operator.attrgetter("index_set"),
+        )
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of enumerating index sets for one side.
@@ -383,16 +427,11 @@ class SearchResult:
 
     side: str
     best: Optional[BoundCertificate]
-    feasible: tuple[tuple[int, ...], ...]
+    table: BasisTable = field(repr=False)
 
-
-@dataclass(frozen=True, slots=True)
-class DualBasis:
-    """A side-feasible index set with its coefficients a = numerators / den."""
-
-    index_set: tuple[int, ...]
-    numerators: tuple[int, ...]
-    den: int
+    @property
+    def feasible(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(basis.index_set for basis in self.table)
 
 
 def dual_bases(
@@ -400,15 +439,14 @@ def dual_bases(
     v: "TargetVector | Sequence[int]",
     side: str,
     max_combinations: int = 1_000_000,
-) -> tuple[DualBasis, ...]:
-    """Every index set whose dual solution is feasible for the side.
+) -> BasisTable:
+    """The table of index sets whose dual solution is feasible for the side.
 
     Feasibility depends only on the shape (F, v, side), never on the
     moments, so the table is built once per shape and cached.  Each set is
     solved on integers (:func:`solve_integer`) and b = F^T a is compared
-    with v through the sign of N . F_i - v_i den.  Sets come in
-    lexicographic order.  The enumeration is guarded by
-    ``max_combinations``, checked before any solve.
+    with v through the sign of N . F_i - v_i den.  The enumeration is
+    guarded by ``max_combinations``, checked before any solve.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -426,22 +464,20 @@ def dual_bases(
 
 
 @lru_cache(maxsize=32)
-def _basis_table(
-    fmat: MomentMatrix, v: tuple[int, ...], side: str
-) -> tuple[DualBasis, ...]:
+def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTable:
     columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
     checks = list(zip(columns, v))
     upper = side == SIDE_UPPER
-    # a = 0 solves every set whose targets are all zero; b = 0 is then
-    # feasible for the lower side, and for the upper side only if v = 0.
-    zero_feasible = not upper or not any(v)
-    zeros = (0,) * fmat.ell
-    table = []
+    zero_positions = ()
+    if not upper or not any(v):
+        zero_positions = tuple(i for i in range(1, fmat.positions + 1) if not v[i - 1])
+    first_zero = next(itertools.combinations(zero_positions, fmat.ell), None)
+    bases = []
     for index_set in itertools.combinations(range(1, fmat.positions + 1), fmat.ell):
         rhs = [v[i - 1] for i in index_set]
         if not any(rhs):
-            if zero_feasible:
-                table.append(DualBasis(index_set, zeros, 1))
+            if index_set == first_zero:
+                bases.append(DualBasis(index_set, (0,) * fmat.ell, 1))
             continue
         numerators, den = solve_integer([columns[i - 1] for i in index_set], rhs)
         for column, target in checks:
@@ -449,8 +485,8 @@ def _basis_table(
             if gap < 0 if upper else gap > 0:
                 break
         else:
-            table.append(DualBasis(index_set, numerators, den))
-    return tuple(table)
+            bases.append(DualBasis(index_set, numerators, den))
+    return BasisTable(fmat.ell, tuple(bases), zero_positions)
 
 
 def search_index_sets(
@@ -466,7 +502,8 @@ def search_index_sets(
     Upper side keeps the smallest s . a over upper-feasible sets, lower
     side the largest over lower-feasible ones; ties go to the
     lexicographically first index set.  The feasible sets come from the
-    shape's :func:`dual_bases` table.  Exact moments are compared on
+    shape's :func:`dual_bases` table, whose stored bases are all a search
+    needs.  Exact moments are compared on
     integers, N . S over a common moment denominator cross-multiplied by
     den; float moments by the float dot product.  Only the winner becomes
     rational coefficients, a value and a sharpness witness.
@@ -480,7 +517,7 @@ def search_index_sets(
     if all_exact(values):
         moments, _ = _over_common_denominator(values)
         best_key = best_den = 0
-        for basis in table:
+        for basis in table.bases:
             key = sum(map(operator.mul, basis.numerators, moments))
             if best is None or (
                 key * best_den < best_key * basis.den
@@ -493,7 +530,7 @@ def search_index_sets(
         # the float dot product of a and s that bound_value computes.
         moments = [float(x) for x in values]
         best_float = 0.0
-        for basis in table:
+        for basis in table.bases:
             key = sum(map(operator.mul, [x / basis.den for x in basis.numerators], moments))
             if best is None or (key < best_float if upper else key > best_float):
                 best, best_float = basis, key
@@ -514,8 +551,7 @@ def search_index_sets(
             index_set=best.index_set,
             witness=sharpness_witness(fmat, best.index_set, values, tolerance),
         )
-    feasible = tuple(basis.index_set for basis in table)
-    return SearchResult(side=side, best=certificate, feasible=feasible)
+    return SearchResult(side=side, best=certificate, table=table)
 
 
 def witness_system(

@@ -198,6 +198,14 @@ class TestBasisTable:
                                 assert got == expected, (n, d, ell, r, target, side)
         assert shapes == 1008
 
+    def test_zero_sets_are_listed_not_stored(self):
+        """On the lower side nearly every set has all targets zero; the
+        table stores only the first of them and lists the rest on demand."""
+        table = dual_bases(moment_matrix(30, 0, 3), target_vector(30, 0, 30), "lower")
+        assert len(table.bases) == 2
+        assert table.bases[0].index_set == (1, 2, 3)
+        assert len(list(table)) == 4061
+
 
 class TestWitness:
     def test_attaining_witness_on_fair_three(self):
