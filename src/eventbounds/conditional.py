@@ -16,11 +16,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import BoundCertificate, BoundRequest
-from .core import EventSystem, normalize
+from .core import EventSystem, ExactWeights, normalize
 from .dispatch import evaluate_request
 from .errors import DegenerateMeasureError, InputFormatError
 from .moments import MomentSet, moment_set
-from .numerics import DEFAULT_TOLERANCE, Number, clamp01, difference, dot_product, encode_number
+from .numerics import (
+    DEFAULT_TOLERANCE,
+    Number,
+    clamp01,
+    difference,
+    dot_product,
+    encode_number,
+    rational,
+)
 
 
 @dataclass(frozen=True)
@@ -37,18 +45,19 @@ class PartitionField:
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("a partition needs at least one block")
-        seen: set[int] = set()
+        size = 1 << self.n
+        seen = bytearray(size)
         for index, block in enumerate(blocks):
             if not block:
                 raise ValueError(f"block {index} is empty")
             for atom in block:
-                if not isinstance(atom, int) or atom < 0 or atom >= (1 << self.n):
+                if not isinstance(atom, int) or atom < 0 or atom >= size:
                     raise ValueError(f"atom mask {atom!r} out of range for n={self.n}")
-                if atom in seen:
+                if seen[atom]:
                     raise ValueError(f"atom {atom} appears in more than one block")
-                seen.add(atom)
-        if len(seen) != (1 << self.n):
-            missing = next(a for a in range(1 << self.n) if a not in seen)
+                seen[atom] = 1
+        missing = seen.find(0)
+        if missing >= 0:
             raise ValueError(f"blocks do not cover all atoms; atom {missing} is missing")
 
     @classmethod
@@ -94,7 +103,7 @@ class PartitionField:
                 )
             n = atoms.bit_length() - 1
         try:
-            return cls(n=n, blocks=tuple(tuple(b) for b in raw))
+            return cls(n=n, blocks=tuple(raw))
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
 
@@ -102,14 +111,23 @@ class PartitionField:
 def block_system(sys: EventSystem, partition: PartitionField, index: int) -> Optional[EventSystem]:
     """The renormalized restriction of the system to one block.
 
+    Its ``total`` is the block's weight.  An exact system is restricted on
+    its integer numerators: the block's numerators over their sum.
     Returns None when the block carries no mass.
     """
     if partition.n != sys.n:
         raise ValueError(f"partition is over n={partition.n}, system has n={sys.n}")
-    restricted = {a: sys.weights[a] for a in partition.blocks[index] if a in sys.weights}
+    if not sys.exact:
+        restricted = {a: sys.weights[a] for a in partition.blocks[index] if a in sys.weights}
+        return normalize(sys.n, restricted) if restricted else None
+    numerators, denominator = sys.integerized()
+    restricted = {a: numerators[a] for a in partition.blocks[index] if a in numerators}
     if not restricted:
         return None
-    return normalize(sys.n, restricted)
+    mass = sum(restricted.values())
+    return EventSystem(
+        n=sys.n, weights=ExactWeights(restricted, mass), total=rational(mass, denominator)
+    )
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,68 @@ def enumerate_index_tuples(n: int, d: int) -> list[IndexTuple]:
     return [IndexTuple(combo) for combo in itertools.combinations(range(1, n + 1), d)]
 
 
+class ExactWeights(Mapping):
+    """Read-only view of exact atom weights: integer numerators over one denominator.
+
+    Maps atom masks, in increasing order, to ``numerator / denominator`` as
+    exact rationals.  The rationals are built on access and never stored,
+    so a system of many atoms keeps only its integers.
+    """
+
+    __slots__ = ("_numerators", "_denominator")
+
+    def __init__(self, numerators: Mapping[int, int], denominator: int) -> None:
+        self._numerators = numerators
+        self._denominator = denominator
+
+    def __getitem__(self, mask: int) -> Number:
+        return rational(self._numerators[mask], self._denominator)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._numerators)
+
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+    def __contains__(self, mask: object) -> bool:
+        return mask in self._numerators
+
+    def __repr__(self) -> str:
+        return f"ExactWeights({len(self)} atoms over {self._denominator})"
+
+
+def _exact_weights(n: int, numerators: Mapping[int, int], denominator: int) -> ExactWeights:
+    """Checked, gcd-reduced, mask-ordered exact weights summing to one."""
+    limit = 1 << n
+    kept: dict[int, int] = {}
+    for mask, numerator in numerators.items():
+        if not isinstance(mask, int) or mask < 0 or mask >= limit:
+            raise ValueError(f"atom mask {mask!r} out of range for n={n}")
+        if numerator < 0:
+            raise ValueError(f"negative weight {rational(numerator, denominator)!r} at atom {mask}")
+        if numerator:
+            kept[mask] = numerator
+    if not kept:
+        raise DegenerateMeasureError("measure has zero total mass")
+    mass = sum(kept.values())
+    if mass != denominator:
+        raise ValueError(f"normalized weights must sum to 1, got {rational(mass, denominator)}")
+    divisor = math.gcd(denominator, *kept.values())
+    if divisor > 1:
+        kept = {mask: numerator // divisor for mask, numerator in kept.items()}
+        denominator //= divisor
+    return ExactWeights(dict(sorted(kept.items())), denominator)
+
+
+def _common_denominator(weights: Mapping[int, Number]) -> tuple[dict[int, int], int]:
+    """Exact weights as integer numerators over the lcm of their denominators."""
+    denominator = math.lcm(*(int(w.denominator) for w in weights.values()))
+    numerators = {
+        mask: int(w.numerator) * (denominator // int(w.denominator)) for mask, w in weights.items()
+    }
+    return numerators, denominator
+
+
 @dataclass(frozen=True, repr=False)
 class EventSystem:
     """A normalized measure over the atoms of n events.
@@ -131,7 +193,13 @@ class EventSystem:
     ``weights`` maps atom bitmasks to strictly positive normalized weights
     (atoms of weight zero are omitted); the weights sum to one.  ``total``
     records the mass the measure had before normalization, so bounds on the
-    normalized system can be scaled back to the original measure.
+    normalized system can be scaled back to the measure.
+
+    An exact system stores its weights once, as integer numerators over one
+    common denominator (:meth:`integerized`); ``weights`` is then a read-only
+    :class:`ExactWeights` view that yields the rationals in mask order.
+    Passing such a view in (as :func:`normalize` and block conditioning do)
+    builds the system on integers alone.
     """
 
     n: int
@@ -147,31 +215,35 @@ class EventSystem:
                 f"n={self.n} exceeds the explicit-atom cap of {MAX_EVENTS} events; "
                 "supply moments directly for larger systems"
             )
-        cleaned: dict[int, Number] = {}
-        for mask, weight in self.weights.items():
-            if not isinstance(mask, int) or mask < 0 or mask >= (1 << self.n):
-                raise ValueError(f"atom mask {mask!r} out of range for n={self.n}")
-            if isinstance(weight, float):
-                if weight < -DEFAULT_TOLERANCE:
-                    raise ValueError(f"negative weight {weight!r} at atom {mask}")
-                weight = max(weight, 0.0)
-            elif weight < 0:
-                raise ValueError(f"negative weight {weight!r} at atom {mask}")
-            if weight != 0:
-                cleaned[mask] = weight
-        if not cleaned:
-            raise DegenerateMeasureError("measure has zero total mass")
-        exact = all_exact(cleaned.values()) and not isinstance(self.total, float)
-        if exact:
-            cleaned = {mask: rational(w) for mask, w in sorted(cleaned.items())}
+        exact_total = not isinstance(self.total, float)
+        if isinstance(self.weights, ExactWeights) and exact_total:
+            weights = _exact_weights(self.n, self.weights._numerators, self.weights._denominator)
         else:
-            cleaned = {mask: float(w) for mask, w in sorted(cleaned.items())}
-        mass = sum(cleaned.values())
-        if not close(mass, 1, DEFAULT_TOLERANCE):
-            raise ValueError(f"normalized weights must sum to 1, got {mass}")
+            cleaned: dict[int, Number] = {}
+            for mask, weight in self.weights.items():
+                if not isinstance(mask, int) or mask < 0 or mask >= (1 << self.n):
+                    raise ValueError(f"atom mask {mask!r} out of range for n={self.n}")
+                if isinstance(weight, float):
+                    if weight < -DEFAULT_TOLERANCE:
+                        raise ValueError(f"negative weight {weight!r} at atom {mask}")
+                    weight = max(weight, 0.0)
+                elif weight < 0:
+                    raise ValueError(f"negative weight {weight!r} at atom {mask}")
+                if weight != 0:
+                    cleaned[mask] = weight
+            if not cleaned:
+                raise DegenerateMeasureError("measure has zero total mass")
+            if all_exact(cleaned.values()) and exact_total:
+                weights = _exact_weights(self.n, *_common_denominator(cleaned))
+            else:
+                weights = MappingProxyType({mask: float(w) for mask, w in sorted(cleaned.items())})
+                mass = sum(weights.values())
+                if not close(mass, 1, DEFAULT_TOLERANCE):
+                    raise ValueError(f"normalized weights must sum to 1, got {mass}")
+        exact = isinstance(weights, ExactWeights)
         if (self.total <= 0) if exact else (float(self.total) <= 0.0):
             raise DegenerateMeasureError(f"total mass must be positive, got {self.total}")
-        object.__setattr__(self, "weights", MappingProxyType(cleaned))
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "total", rational(self.total) if exact else float(self.total))
         object.__setattr__(self, "exact", exact)
 
@@ -185,17 +257,15 @@ class EventSystem:
             return float(value) * float(self.total)
         return value * self.total
 
-    def integerized(self) -> tuple[dict[int, int], int]:
-        """Weights as integer numerators over one common denominator.
+    def integerized(self) -> tuple[Mapping[int, int], int]:
+        """Weights as integer numerators over their lowest common denominator.
 
-        Only valid in exact mode; used by moment accumulation so that the
-        inner loops run on plain integers.
+        Only valid in exact mode.  Returns the stored integers, read-only
+        and in mask order; their gcd with the denominator is one.
         """
         if not self.exact:
             raise ValueError("integerized() requires an exact-mode system")
-        denominator = math.lcm(*(int(w.denominator) for w in self.weights.values()))
-        numerators = {mask: int(w * denominator) for mask, w in self.weights.items()}
-        return numerators, denominator
+        return MappingProxyType(self.weights._numerators), self.weights._denominator
 
     def to_payload(self) -> dict:
         return {
@@ -238,7 +308,7 @@ class EventSystem:
             weights[mask] = weight
         try:
             if payload.get("normalize", False):
-                return normalize(n, weights)
+                return _normalize_numbers(n, weights)
             return cls(n=n, weights=weights)
         except (ValueError, DegenerateMeasureError) as exc:
             raise InputFormatError(str(exc)) from None
@@ -251,22 +321,37 @@ def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
     the normalized system can be scaled back to the measure via
     :meth:`EventSystem.denormalize`.
     """
-    coerced = {mask: to_number(w) for mask, w in weights.items()}
-    exact = all_exact(coerced.values())
-    positive = {m: w for m, w in coerced.items() if (float(w) > 0 if not exact else w > 0)}
-    if any((float(w) < -DEFAULT_TOLERANCE if not exact else w < 0) for w in coerced.values()):
-        bad = [m for m, w in coerced.items() if (float(w) < 0 if not exact else w < 0)]
+    return _normalize_numbers(n, {mask: to_number(w) for mask, w in weights.items()})
+
+
+def _normalize_numbers(n: int, coerced: Mapping[int, Number]) -> EventSystem:
+    """:func:`normalize` for weights already in package arithmetic.
+
+    Exact weights are divided on integers: the numerators over the lcm of
+    the denominators become the numerators of the normalized system, over
+    their sum.
+    """
+    if all_exact(coerced.values()):
+        numerators, denominator = _common_denominator(coerced)
+        bad = next((m for m, w in numerators.items() if w < 0), None)
+        if bad is not None:
+            raise ValueError(f"negative weight at atom {bad}")
+        positive = {m: w for m, w in numerators.items() if w}
+        if not positive:
+            raise DegenerateMeasureError("cannot normalize a measure with zero total mass")
+        mass = sum(positive.values())
+        return EventSystem(
+            n=n, weights=ExactWeights(positive, mass), total=rational(mass, denominator)
+        )
+    positive = {m: w for m, w in coerced.items() if float(w) > 0}
+    if any(float(w) < -DEFAULT_TOLERANCE for w in coerced.values()):
+        bad = [m for m, w in coerced.items() if float(w) < 0]
         raise ValueError(f"negative weight at atom {bad[0]}")
     if not positive:
         raise DegenerateMeasureError("cannot normalize a measure with zero total mass")
-    total = sum(positive.values())
-    if exact:
-        scaled = {m: rational(w) / total for m, w in positive.items()}
-    else:
-        ftotal = float(total)
-        scaled = {m: float(w) / ftotal for m, w in positive.items()}
-        total = ftotal
-    return EventSystem(n=n, weights=scaled, total=total)
+    ftotal = float(sum(positive.values()))
+    scaled = {m: float(w) / ftotal for m, w in positive.items()}
+    return EventSystem(n=n, weights=scaled, total=ftotal)
 
 
 @dataclass(frozen=True)
@@ -299,23 +384,41 @@ class OccurrenceDistribution:
         return sum(self.p[r:])
 
 
+def atom_masses(sys: EventSystem) -> tuple[Mapping[int, Number], int]:
+    """Atom weights to sum over, and what to divide the sums by.
+
+    The integer numerators and their common denominator in exact mode, so
+    that sums over atoms are int sums; the float weights and 1 in float mode.
+    """
+    if sys.exact:
+        return sys.integerized()
+    return sys.weights, 1
+
+
+def _probability(sys: EventSystem, total: Number, denominator: int) -> Number:
+    """A sum over :func:`atom_masses` as a probability of the system."""
+    return rational(total, denominator) if sys.exact else float(total)
+
+
 def exact_occurrence(sys: EventSystem) -> OccurrenceDistribution:
     """Exact distribution of the occurrence count, by enumeration."""
-    buckets: list[Number] = [zero(sys.exact)] * (sys.n + 1)
-    for mask, weight in sys.weights.items():
-        buckets[mask.bit_count()] += weight
-    return OccurrenceDistribution(tuple(buckets))
+    masses, denominator = atom_masses(sys)
+    buckets: list[Number] = [0] * (sys.n + 1)
+    for mask, mass in masses.items():
+        buckets[mask.bit_count()] += mass
+    return OccurrenceDistribution(tuple(_probability(sys, b, denominator) for b in buckets))
 
 
 def exact_at_least(sys: EventSystem, r: int) -> Number:
     """Exact P(at least r of the n events occur), for 1 <= r <= n."""
     if not isinstance(r, int) or r < 1 or r > sys.n:
         raise ValueError(f"need 1 <= r <= {sys.n}, got r={r!r}")
-    total = zero(sys.exact)
-    for mask, weight in sys.weights.items():
+    masses, denominator = atom_masses(sys)
+    total: Number = 0
+    for mask, mass in masses.items():
         if mask.bit_count() >= r:
-            total += weight
-    return total
+            total += mass
+    return _probability(sys, total, denominator)
 
 
 def exact_joint(sys: EventSystem, i: int, j: "IndexTuple | Iterable[int]") -> Number:
@@ -328,11 +431,12 @@ def exact_joint(sys: EventSystem, i: int, j: "IndexTuple | Iterable[int]") -> Nu
     j = IndexTuple.coerce(j)
     j.validate_for(sys.n)
     jmask = j.mask
-    total = zero(sys.exact)
-    for mask, weight in sys.weights.items():
+    masses, denominator = atom_masses(sys)
+    total: Number = 0
+    for mask, mass in masses.items():
         if mask.bit_count() == i and (mask & jmask) == jmask:
-            total += weight
-    return total
+            total += mass
+    return _probability(sys, total, denominator)
 
 
 def permute_events(sys: EventSystem, permutation: Sequence[int]) -> EventSystem:

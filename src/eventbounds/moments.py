@@ -31,6 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .core import (
     EventSystem,
     IndexTuple,
+    atom_masses,
     binomial,
     enumerate_index_tuples,
     exact_joint,
@@ -47,7 +48,6 @@ from .numerics import (
     encode_number,
     rational,
     to_number,
-    zero,
 )
 
 
@@ -145,6 +145,31 @@ def z_vector(sys: EventSystem, j: IndexTuple | Iterable[int]) -> ZVector:
     return ZVector(j=j, n=sys.n, d=d, entries=entries)
 
 
+def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int, ...], list]:
+    """Per index tuple of order d, the weight of its atoms at each occurrence level.
+
+    ``table[j][i]`` sums the weights of the atoms with exactly i events
+    that contain every event of j, for i = 0..n: one add per atom and
+    d-subset of its events, atoms in the order of ``weights``.
+    """
+    table: dict[tuple[int, ...], list] = {
+        t.indices: [0] * (n + 1) for t in enumerate_index_tuples(n, d)
+    }
+    if d == 0:
+        levels = table[()]
+        for mask, weight in weights.items():
+            levels[mask.bit_count()] += weight
+        return table
+    for mask, weight in weights.items():
+        count = mask.bit_count()
+        if count < d:
+            continue
+        bits = [k for k, bit in enumerate(reversed(bin(mask)), 1) if bit == "1"]
+        for combo in itertools.combinations(bits, d):
+            table[combo][count] += weight
+    return table
+
+
 @dataclass(frozen=True)
 class MomentVector:
     """The moments s_1(j)..s_ell(j) attached to one index tuple j."""
@@ -207,8 +232,9 @@ def moments_via_factorial(sys: EventSystem, j: IndexTuple | Iterable[int], ell: 
     if ell < 2 or ell > sys.n - d + 1:
         raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
     jmask = j.mask
-    sums = [zero(sys.exact) for _ in range(ell)]
-    for mask, weight in sys.weights.items():
+    weights, denominator = atom_masses(sys)
+    sums = [0] * ell
+    for mask, weight in weights.items():
         if (mask & jmask) != jmask:
             continue
         count = mask.bit_count()
@@ -219,7 +245,7 @@ def moments_via_factorial(sys: EventSystem, j: IndexTuple | Iterable[int], ell: 
     dfact = math.factorial(d)
     if sys.exact:
         values = tuple(
-            sums[k] * rational(dfact, math.factorial(k + d)) for k in range(ell)
+            rational(sums[k] * dfact, math.factorial(k + d) * denominator) for k in range(ell)
         )
     else:
         values = tuple(float(sums[k]) * dfact / math.factorial(k + d) for k in range(ell))
@@ -241,20 +267,25 @@ def moments_via_subsets(sys: EventSystem, j: IndexTuple | Iterable[int], ell: in
         raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
     jmask = j.mask
     others = [k for k in range(1, sys.n + 1) if not (jmask >> (k - 1) & 1)]
+    weights, denominator = atom_masses(sys)
     values = []
     dfact = math.factorial(d)
     for k in range(1, ell + 1):
-        total = zero(sys.exact)
+        total = 0
         for subset in itertools.combinations(others, k - 1):
             smask = jmask
             for index in subset:
                 smask |= 1 << (index - 1)
-            for mask, weight in sys.weights.items():
+            for mask, weight in weights.items():
                 if (mask & smask) == smask:
                     total += weight
         if sys.exact:
-            scale = rational(math.factorial(k - 1) * dfact, math.factorial(k + d - 1))
-            values.append(total * scale)
+            values.append(
+                rational(
+                    total * math.factorial(k - 1) * dfact,
+                    math.factorial(k + d - 1) * denominator,
+                )
+            )
         else:
             scale = math.factorial(k - 1) * dfact / math.factorial(k + d - 1)
             values.append(float(total) * scale)
@@ -365,24 +396,38 @@ class MomentSet:
 def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     """All moment vectors of order d for the system, batched.
 
-    One pass over the atoms feeds integer accumulators (exact mode) or
-    float accumulators; values agree exactly with
+    Exact mode sums the integer numerators per index tuple and occurrence
+    level (:func:`_level_sums`), then applies the falling factorials once
+    per tuple and level; only the final values become rationals.  Float
+    mode accumulates per atom and order.  Values agree exactly with
     :func:`moments_via_factorial` applied per index tuple.
     """
     if d < 0 or d > sys.n:
         raise ValueError(f"need 0 <= d <= n, got n={sys.n}, d={d}")
     if ell < 2 or ell > sys.n - d + 1:
         raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
-    tuples = enumerate_index_tuples(sys.n, d)
-    accumulators: dict[tuple[int, ...], list] = {
-        t.indices: [0] * ell for t in tuples
-    }
+    n = sys.n
+    tuples = enumerate_index_tuples(n, d)
+    dfact = math.factorial(d)
     if sys.exact:
-        weights, denominator = sys.integerized()
-    else:
-        weights, denominator = dict(sys.weights), 1
+        numerators, denominator = sys.integerized()
+        table = _level_sums(numerators, n, d)
+        factors = [
+            [(i, falling_factorial(i - d, k)) for i in range(d + k, n + 1)] for k in range(ell)
+        ]
+        scales = [math.factorial(k + d) * denominator for k in range(ell)]
+        vectors = []
+        for t in tuples:
+            levels = table[t.indices]
+            values = tuple(
+                rational(sum(f * levels[i] for i, f in factors[k]) * dfact, scales[k])
+                for k in range(ell)
+            )
+            vectors.append(MomentVector(j=t, n=n, d=d, ell=ell, values=values))
+        return MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
+    accumulators: dict[tuple[int, ...], list] = {t.indices: [0] * ell for t in tuples}
     factor_cache: dict[int, tuple[int, ...]] = {}
-    for mask, weight in weights.items():
+    for mask, weight in sys.weights.items():
         count = mask.bit_count()
         if count < d:
             continue
@@ -390,27 +435,18 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
         if factors is None:
             factors = tuple(falling_factorial(count - d, k) for k in range(ell))
             factor_cache[count] = factors
-        bits = tuple(k for k in range(1, sys.n + 1) if mask >> (k - 1) & 1)
+        bits = tuple(k for k in range(1, n + 1) if mask >> (k - 1) & 1)
         for combo in itertools.combinations(bits, d):
             row = accumulators[combo]
             for k in range(ell):
                 if factors[k]:
                     row[k] += weight * factors[k]
-    dfact = math.factorial(d)
     vectors = []
     for t in tuples:
         row = accumulators[t.indices]
-        if sys.exact:
-            values = tuple(
-                rational(row[k] * dfact, math.factorial(k + d) * denominator)
-                for k in range(ell)
-            )
-        else:
-            values = tuple(
-                float(row[k]) * dfact / math.factorial(k + d) for k in range(ell)
-            )
-        vectors.append(MomentVector(j=t, n=sys.n, d=d, ell=ell, values=values))
-    return MomentSet(n=sys.n, d=d, ell=ell, vectors=tuple(vectors))
+        values = tuple(float(row[k]) * dfact / math.factorial(k + d) for k in range(ell))
+        vectors.append(MomentVector(j=t, n=n, d=d, ell=ell, values=values))
+    return MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
 
 
 @dataclass(frozen=True)
@@ -447,20 +483,8 @@ def verify_decomposition(sys: EventSystem, r: int, d: int, tolerance: float = DE
     # order d and every occurrence level i, then the decomposed sides sum
     # over j.  The per-j accumulation is deliberate: summing per atom with
     # a combinatorial factor would assume the identity under test.
-    if sys.exact:
-        weights, denominator = sys.integerized()
-    else:
-        weights, denominator = dict(sys.weights), 1
-    joint: dict[tuple[int, ...], list] = {
-        t.indices: [0] * (sys.n + 1) for t in enumerate_index_tuples(sys.n, d)
-    }
-    for mask, weight in weights.items():
-        count = mask.bit_count()
-        if count < d:
-            continue
-        bits = tuple(k for k in range(1, sys.n + 1) if mask >> (k - 1) & 1)
-        for combo in itertools.combinations(bits, d):
-            joint[combo][count] += weight
+    weights, denominator = atom_masses(sys)
+    joint = _level_sums(weights, sys.n, d)
     if sys.exact:
         exactly_decomposed = sum(
             (rational(levels[r], binomial(r, d) * denominator) for levels in joint.values()),

@@ -34,7 +34,8 @@ try:  # pragma: no cover - exercised indirectly via either backend
     from gmpy2 import mpq as _mpq
 
     RATIONAL_BACKEND = "gmpy2"
-    _RATIONAL_TYPES = (Fraction, type(_mpq(0)))
+    _EXACT_TYPE = type(_mpq(0))
+    _RATIONAL_TYPES = (Fraction, _EXACT_TYPE)
 
     def rational(numerator: object = 0, denominator: object = 1):
         """Exact rational number (gmpy2 backend)."""
@@ -44,6 +45,7 @@ except ImportError:  # pragma: no cover
     if _FORCED_BACKEND == "gmpy2":
         raise
     RATIONAL_BACKEND = "fractions"
+    _EXACT_TYPE = Fraction
     _RATIONAL_TYPES = (Fraction,)
 
     def rational(numerator: object = 0, denominator: object = 1):
@@ -74,18 +76,20 @@ def to_number(value: object) -> Number:
 
     ints and rationals become exact rationals; floats stay floats; strings
     are parsed as exact rationals ("3/8", "3", "0.375" are all accepted).
+    A value already in the backend's rational type is returned as is.
     """
+    if isinstance(value, str):
+        try:
+            parsed = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse {value!r} as a rational number") from exc
+        return parsed if _EXACT_TYPE is Fraction else rational(parsed)
     if isinstance(value, bool):
         raise ValueError(f"boolean {value!r} is not a number")
-    if isinstance(value, float):
+    if isinstance(value, float) or type(value) is _EXACT_TYPE:
         return value
     if isinstance(value, int) or isinstance(value, _RATIONAL_TYPES):
         return rational(value)
-    if isinstance(value, str):
-        try:
-            return rational(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse {value!r} as a rational number") from exc
     raise ValueError(f"unsupported numeric value {value!r}")
 
 

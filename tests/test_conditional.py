@@ -67,6 +67,22 @@ class TestPartitionField:
         with pytest.raises(ValueError, match="out of range"):
             PartitionField(n=1, blocks=((0, 1, 2),))
 
+    @pytest.mark.parametrize(
+        "n, blocks, message",
+        [
+            (1, ((0, 1.0),), "atom mask 1.0 out of range for n=1"),
+            (1, ((0, -1, 1),), "atom mask -1 out of range for n=1"),
+            (2, ((0, 1), (3, 1, 2)), "atom 1 appears in more than one block"),
+            (2, ((0, 0, 1, 2, 3),), "atom 0 appears in more than one block"),
+            (2, ((3, 0), (1,)), "blocks do not cover all atoms; atom 2 is missing"),
+            (2, ((0, 1, 2, 3), ()), "block 1 is empty"),
+        ],
+    )
+    def test_each_check_keeps_its_message(self, n, blocks, message):
+        with pytest.raises(ValueError) as caught:
+            PartitionField(n=n, blocks=blocks)
+        assert str(caught.value) == message
+
     def test_payload_round_trip(self, by_third_event):
         rebuilt = PartitionField.from_payload(by_third_event.to_payload())
         assert rebuilt == by_third_event

@@ -159,6 +159,84 @@ class TestEventSystem:
         assert system.total == 4
 
 
+class TestIntegerRepresentation:
+    """Exact systems keep integer numerators over one common denominator."""
+
+    WEIGHTS = {0: Fraction(1, 6), 3: Fraction(1, 3), 5: Fraction(1, 2)}
+
+    def test_integerized_is_gcd_reduced_after_normalize(self):
+        assert normalize(2, {0: 2, 3: 2}).integerized() == ({0: 1, 3: 1}, 2)
+        assert normalize(2, {0: Fraction(4, 6), 3: Fraction(2, 6)}).integerized() == (
+            {0: 2, 3: 1},
+            3,
+        )
+
+    def test_integerized_is_read_only(self):
+        numerators, _ = fair(2).integerized()
+        with pytest.raises(TypeError):
+            numerators[0] = 2
+
+    def test_direct_normalized_and_block_systems_agree(self):
+        from eventbounds.conditional import PartitionField, block_system
+
+        direct = EventSystem(n=3, weights=self.WEIGHTS)
+        scaled = normalize(3, {mask: 2 * w for mask, w in self.WEIGHTS.items()})
+        halved = {mask: w / 2 for mask, w in self.WEIGHTS.items()}
+        parent = EventSystem(n=3, weights={**halved, 6: Fraction(1, 2)})
+        others = tuple(a for a in range(8) if a != 6)
+        block = block_system(parent, PartitionField(n=3, blocks=(others, (6,))), 0)
+        assert (direct.total, scaled.total, block.total) == (1, 2, Fraction(1, 2))
+        for system in (scaled, block):
+            assert system.exact
+            assert system.weights == direct.weights
+            assert dict(system.weights) == dict(direct.weights) == self.WEIGHTS
+            assert system.integerized() == direct.integerized() == ({0: 1, 3: 2, 5: 3}, 6)
+        assert normalize(3, halved) == block
+
+    def test_weights_keep_the_mapping_contract(self):
+        system = normalize(3, {5: 3, 0: 1, 3: 2})
+        weights = system.weights
+        assert len(weights) == 3
+        assert 3 in weights and 1 not in weights and "3" not in weights
+        assert list(weights) == [0, 3, 5]
+        assert list(weights.items()) == [
+            (0, Fraction(1, 6)),
+            (3, Fraction(1, 3)),
+            (5, Fraction(1, 2)),
+        ]
+        assert dict(weights) == {0: Fraction(1, 6), 3: Fraction(1, 3), 5: Fraction(1, 2)}
+        assert weights == {0: Fraction(1, 6), 3: Fraction(1, 3), 5: Fraction(1, 2)}
+        assert all(type(w) is Fraction for w in weights.values())
+        assert weights.get(1) is None
+        with pytest.raises(KeyError):
+            weights[1]
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("3", Fraction(3)),
+            ("0.375", Fraction(3, 8)),
+            ("1/3", Fraction(1, 3)),
+            ("+1/2", Fraction(1, 2)),
+            (" 1/2 ", Fraction(1, 2)),
+            ("1e-3", Fraction(1, 1000)),
+            ("1_0/3", Fraction(10, 3)),
+        ],
+    )
+    def test_weight_strings_parse_as_before(self, text, value):
+        payload = {"n": 2, "normalize": True, "weights": {"0": text, "3": "1"}}
+        system = EventSystem.from_payload(payload)
+        assert system.total == value + 1
+        assert dict(system.weights) == {0: value / (value + 1), 3: 1 / (value + 1)}
+
+    @pytest.mark.parametrize("text", ["1/0", "1/-2", "1 / 2", "", "0x10", True, None])
+    def test_bad_weight_strings_are_input_errors(self, text):
+        for normalized in (True, False):
+            payload = {"n": 1, "normalize": normalized, "weights": {"0": text, "1": "1"}}
+            with pytest.raises(InputFormatError, match="bad weight for mask '0'"):
+                EventSystem.from_payload(payload)
+
+
 class TestOracle:
     def test_fair_three_distribution(self):
         occurrence = exact_occurrence(fair(3))

@@ -1,12 +1,13 @@
 """Moment matrices, moment vectors, and the decomposition identities."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eventbounds.core import EventSystem, IndexTuple, binomial, normalize
+from eventbounds.core import EventSystem, IndexTuple, binomial, enumerate_index_tuples, normalize
 from eventbounds.errors import InfeasibleMomentsError, InputFormatError
 from eventbounds.moments import (
     MomentSet,
@@ -115,6 +116,23 @@ class TestMomentRoutes:
             for vector in batched:
                 direct = moments_via_factorial(system, vector.j, ell)
                 assert vector.values == direct.values
+
+    def test_batched_set_matches_per_tuple_route_at_high_orders(self):
+        # Wider than the hypothesis test above: d up to 4 and ell up to 5,
+        # so every falling factorial of order 3 and 4 is exercised.
+        rng = random.Random(20201)
+        for n in (8, 9, 10):
+            masks = rng.sample(range(1 << n), 200)
+            system = normalize(n, {m: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for m in masks})
+            for d in range(0, 5):
+                top = min(5, n - d + 1)
+                direct = [
+                    moments_via_factorial(system, j, top).values
+                    for j in enumerate_index_tuples(n, d)
+                ]
+                for ell in range(2, top + 1):
+                    batched = moment_set(system, d, ell)
+                    assert [v.values for v in batched] == [values[:ell] for values in direct]
 
     def test_first_moment_is_the_pinned_probability(self):
         system = EventSystem(
