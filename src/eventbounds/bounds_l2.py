@@ -24,6 +24,7 @@ argument is the full moment set of that order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from .certificates import (
@@ -34,7 +35,14 @@ from .certificates import (
 )
 from .core import binomial
 from .errors import DegenerateConfigurationError
-from .families import Family, best_certificate, family_certificate, family_pair, window_candidates
+from .families import (
+    Family,
+    Row,
+    best_certificate,
+    family_certificate,
+    family_pair,
+    window_candidates,
+)
 from .moments import MomentSet
 from .numerics import rational
 
@@ -51,9 +59,20 @@ def two_moment_minor(n: int, r: int, d: int) -> int:
     return minor
 
 
-def _u2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+# Each row is cached under the arguments it depends on, so its integer and
+# float forms are built once.
+_ROW_CACHE = 1024
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _u1_row(r: int, d: int) -> Row:
+    return Row.of((rational(0), rational(1, binomial(r, d + 1))), (1, r - d + 1))
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _u2_row(n: int, r: int, d: int, at_least: bool) -> Row:
     denominator = two_moment_minor(n, r, d)
-    if target == TARGET_AT_LEAST:
+    if at_least:
         coefficients = (
             rational(binomial(n, d + 1) - binomial(r, d + 1), denominator),
             rational(binomial(r, d) - binomial(n, d), denominator),
@@ -63,23 +82,26 @@ def _u2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
             rational(binomial(n, d + 1), denominator),
             rational(-binomial(n, d), denominator),
         )
-    return coefficients, (r - d + 1, n - d + 1), None
+    return Row.of(coefficients, (r - d + 1, n - d + 1))
 
 
-def _l1_row(n: int, r: int, d: int, target: str, m: Optional[int]):
+@lru_cache(maxsize=_ROW_CACHE)
+def _l1_row(n: int, r: int, d: int) -> Row:
     denominator = two_moment_minor(n, r - 1, d)
     coefficients = (
         rational(-binomial(r - 1, d + 1), denominator),
         rational(binomial(r - 1, d), denominator),
     )
-    return coefficients, (r - d, n - d + 1), None
+    return Row.of(coefficients, (r - d, n - d + 1))
 
 
-def _l2_row(n: int, r: int, d: int, target: str, m: Optional[int]):
-    if target == TARGET_AT_LEAST:
+@lru_cache(maxsize=_ROW_CACHE)
+def _l2_row(d: int, m: Optional[int]) -> Row:
+    """The window (m, m+1) row of the at-least target, or the exactly row for m = None."""
+    if m is not None:
         scale = rational(d + 1, (m + d) * binomial(m + d - 1, d))
-        return (scale * m, -scale * d), (m, m + 1), m
-    return (rational(1), rational(-(d + 1))), (1, 2), None
+        return Row.of((scale * m, -scale * d), (m, m + 1), m)
+    return Row.of((rational(1), rational(-(d + 1))), (1, 2))
 
 
 def _l2_windows(values, n: int, r: int, d: int, lo: int, hi: int) -> tuple[int, ...]:
@@ -92,20 +114,22 @@ FAMILY_ROWS = (
     Family(
         "u1", SIDE_UPPER, 2,
         applies=lambda n, r, d, target: r - d >= 1,
-        row=lambda n, r, d, target, m: (
-            (rational(0), rational(1, binomial(r, d + 1))), (1, r - d + 1), None
-        ),
+        row=lambda n, r, d, target, m: _u1_row(r, d),
     ),
-    Family("u2", SIDE_UPPER, 2, applies=lambda n, r, d, target: n - r >= 1, row=_u2_row),
+    Family(
+        "u2", SIDE_UPPER, 2,
+        applies=lambda n, r, d, target: n - r >= 1,
+        row=lambda n, r, d, target, m: _u2_row(n, r, d, target == TARGET_AT_LEAST),
+    ),
     Family(
         "l1", SIDE_LOWER, 2,
         applies=lambda n, r, d, target: r - d >= 1 and (target == TARGET_AT_LEAST or r == n),
-        row=_l1_row,
+        row=lambda n, r, d, target, m: _l1_row(n, r, d),
     ),
     Family(
         "l2", SIDE_LOWER, 2,
         applies=lambda n, r, d, target: r == d >= 1 and n - d >= 1,
-        row=_l2_row,
+        row=lambda n, r, d, target, m: _l2_row(d, m if target == TARGET_AT_LEAST else None),
         windows={TARGET_AT_LEAST: lambda n, r, d: (1, n - d)},
         pick=_l2_windows,
     ),

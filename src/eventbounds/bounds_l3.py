@@ -32,7 +32,7 @@ the bound), endpoint evaluation otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
@@ -47,18 +47,32 @@ from .certificates import (
 )
 from .core import binomial
 from .errors import DegenerateConfigurationError, NotApplicableError
-from .families import Family, best_certificate, family_certificate, family_pair, window_candidates
+from .families import (
+    Family,
+    Row,
+    best_certificate,
+    best_window,
+    family_certificate,
+    family_pair,
+    vector_form,
+    window_candidates,
+)
 from .moments import MomentSet, MomentVector
-from .numerics import Number, dot_product, rational
+from .numerics import Number, all_exact, over_common_denominator, rational
 
 FAMILIES = ("alpha", "beta", "gamma", "delta", "theta", "phi")
 
 M_RULES = ("mop", "mop1", "mop2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoefficientVector:
-    """Three rational coefficients applied to (s_1, s_2, s_3), with provenance."""
+    """Three rational coefficients applied to (s_1, s_2, s_3), with provenance.
+
+    ``numerators`` over ``den`` and ``floats`` are the same coefficients as
+    integers over one positive denominator and as floats, built once here
+    for the family rows.
+    """
 
     values: tuple[Number, Number, Number]
     family: str
@@ -66,6 +80,9 @@ class CoefficientVector:
     r: int
     d: int
     m: Optional[int] = None
+    numerators: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+    floats: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
@@ -73,6 +90,12 @@ class CoefficientVector:
             raise ValueError(f"expected three coefficients, got {len(self.values)}")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if not all_exact(self.values):
+            raise ValueError(f"coefficients must be exact rationals, got {self.values}")
+        numerators, den = over_common_denominator(self.values)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "floats", tuple(map(float, self.values)))
 
 
 def _alpha_row(top: int, d: int, m: int) -> tuple[Number, Number, Number]:
@@ -282,19 +305,21 @@ def optimal_m(
     hi = default_hi if hi is None else hi
     if lo > hi or lo < 1:
         raise NotApplicableError(f"empty window range [{lo}, {hi}] for rule {rule!r}")
+    form = vector_form(values)
     if summand is None:
-        summand = lambda m: dot_product(family.row(n, r, d, TARGET_AT_LEAST, m)[0], values)
+        return best_window(family, form, n, r, d, TARGET_AT_LEAST, lo, hi, {})[1].m
     minimize = family.side == SIDE_UPPER
     best_m = best_value = None
-    for candidate in _bracket(rule, values, n, r, d, lo, hi):
+    for candidate in _bracket(rule, form[0], n, r, d, lo, hi):
         value = summand(candidate)
         if best_value is None or (value < best_value if minimize else value > best_value):
             best_m, best_value = candidate, value
     return best_m
 
 
-def _row(coefficients: CoefficientVector, *index_set: int):
-    return coefficients.values, index_set, coefficients.m
+def _row(coefficients: CoefficientVector, *index_set: int) -> Row:
+    c = coefficients
+    return Row(c.values, index_set, c.m, c.numerators, c.den, c.floats)
 
 
 FAMILY_ROWS = (

@@ -32,7 +32,7 @@ TARGET_EXACTLY = "exactly"
 TARGETS = (TARGET_AT_LEAST, TARGET_EXACTLY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundTerm:
     """One index tuple's contribution to a bound.
 
@@ -176,19 +176,22 @@ def certificate_from_terms(
     formula_id: str,
     terms: Sequence[BoundTerm],
     witness: Any = None,
+    value: Optional[Number] = None,
 ) -> BoundCertificate:
     """Assemble a certificate by summing per-tuple contributions.
 
     Top-level coefficients, index set and m are filled in when they agree
-    across all terms.
+    across all terms.  A caller that has already summed the term values
+    passes the sum as ``value``.
     """
     terms = tuple(terms)
     if not terms:
         raise ValueError("a certificate needs at least one term")
-    exact = not any(isinstance(t.value, float) for t in terms)
-    value: Number = zero(exact)
-    for term in terms:
-        value = value + term.value if exact else value + float(term.value)
+    if value is None:
+        exact = not any(isinstance(t.value, float) for t in terms)
+        value = zero(exact)
+        for term in terms:
+            value = value + term.value if exact else value + float(term.value)
     shared_coeffs = terms[0].coefficients if all(
         t.coefficients == terms[0].coefficients for t in terms
     ) else None

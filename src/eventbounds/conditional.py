@@ -12,8 +12,8 @@ every positive-weight block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from .certificates import BoundCertificate, BoundRequest
 from .core import EventSystem, ExactWeights, normalize
@@ -37,6 +37,8 @@ class PartitionField:
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
+    #: Per atom mask, one plus the index of its block.
+    _owner: bytearray | memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -46,19 +48,21 @@ class PartitionField:
         if not blocks:
             raise ValueError("a partition needs at least one block")
         size = 1 << self.n
-        seen = bytearray(size)
-        for index, block in enumerate(blocks):
+        owner = bytearray(size) if len(blocks) < 256 else memoryview(bytearray(4 * size)).cast("I")
+        for index, block in enumerate(blocks, 1):
             if not block:
-                raise ValueError(f"block {index} is empty")
+                raise ValueError(f"block {index - 1} is empty")
             for atom in block:
                 if not isinstance(atom, int) or atom < 0 or atom >= size:
                     raise ValueError(f"atom mask {atom!r} out of range for n={self.n}")
-                if seen[atom]:
+                if owner[atom]:
                     raise ValueError(f"atom {atom} appears in more than one block")
-                seen[atom] = 1
-        missing = seen.find(0)
-        if missing >= 0:
+                owner[atom] = index
+        # The atoms are distinct and in range, so they cover all when they are 2^n.
+        if sum(map(len, blocks)) < size:
+            missing = next(atom for atom in range(size) if not owner[atom])
             raise ValueError(f"blocks do not cover all atoms; atom {missing} is missing")
+        object.__setattr__(self, "_owner", owner)
 
     @classmethod
     def trivial(cls, n: int) -> "PartitionField":
@@ -75,10 +79,14 @@ class PartitionField:
         return cls(n=n, blocks=(inside, outside))
 
     def block_of(self, atom: int) -> int:
-        for index, block in enumerate(self.blocks):
-            if atom in block:
-                return index
+        if isinstance(atom, int) and 0 <= atom < len(self._owner):
+            return self._owner[atom] - 1
         raise ValueError(f"atom {atom!r} is not in the partition")
+
+    def restrict(self, masses: Mapping[int, Number], index: int) -> dict[int, Number]:
+        """The entries of ``masses`` whose atoms lie in block ``index``, in order."""
+        owner, label = self._owner, range(len(self.blocks))[index] + 1
+        return {atom: mass for atom, mass in masses.items() if owner[atom] == label}
 
     def to_payload(self) -> dict:
         return {"blocks": [list(block) for block in self.blocks]}
@@ -118,10 +126,10 @@ def block_system(sys: EventSystem, partition: PartitionField, index: int) -> Opt
     if partition.n != sys.n:
         raise ValueError(f"partition is over n={partition.n}, system has n={sys.n}")
     if not sys.exact:
-        restricted = {a: sys.weights[a] for a in partition.blocks[index] if a in sys.weights}
+        restricted = partition.restrict(sys.weights, index)
         return normalize(sys.n, restricted) if restricted else None
     numerators, denominator = sys.integerized()
-    restricted = {a: numerators[a] for a in partition.blocks[index] if a in numerators}
+    restricted = partition.restrict(numerators, index)
     if not restricted:
         return None
     mass = sum(restricted.values())

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DegenerateMeasureError, InputFormatError
 from .numerics import (
@@ -33,6 +33,7 @@ from .numerics import (
     close,
     exactify,
     encode_number,
+    over_common_denominator,
     rational,
     to_number,
     zero,
@@ -179,11 +180,8 @@ def _exact_weights(n: int, numerators: Mapping[int, int], denominator: int) -> E
 
 def _common_denominator(weights: Mapping[int, Number]) -> tuple[dict[int, int], int]:
     """Exact weights as integer numerators over the lcm of their denominators."""
-    denominator = math.lcm(*(int(w.denominator) for w in weights.values()))
-    numerators = {
-        mask: int(w.numerator) * (denominator // int(w.denominator)) for mask, w in weights.items()
-    }
-    return numerators, denominator
+    numerators, denominator = over_common_denominator(tuple(weights.values()))
+    return dict(zip(weights, numerators)), denominator
 
 
 @dataclass(frozen=True, repr=False)
@@ -293,25 +291,62 @@ class EventSystem:
             raise InputFormatError(f'"n" must be an integer, got {n!r}')
         if not isinstance(raw, dict):
             raise InputFormatError('"weights" must be an object of mask -> weight')
-        weights: dict[int, Number] = {}
+        # Exact weights are kept as (numerator, denominator) pairs, float
+        # weights as floats.
+        weights: dict[int, object] = {}
+        exact = True
         for key, value in raw.items():
             try:
                 mask = int(key, 10) if isinstance(key, str) else int(key)
             except (TypeError, ValueError):
                 raise InputFormatError(f"malformed mask key {key!r}") from None
-            try:
-                weight = to_number(value)
-            except ValueError as exc:
-                raise InputFormatError(f"bad weight for mask {key!r}: {exc}") from None
-            if force_exact:
-                weight = exactify(weight)
-            weights[mask] = weight
+            pair = _plain_ratio(value) if isinstance(value, str) else None
+            if pair is None:
+                try:
+                    weight = to_number(value)
+                except ValueError as exc:
+                    raise InputFormatError(f"bad weight for mask {key!r}: {exc}") from None
+                if force_exact:
+                    weight = exactify(weight)
+                if isinstance(weight, float):
+                    exact = False
+                    weights[mask] = weight
+                    continue
+                pair = int(weight.numerator), int(weight.denominator)
+            weights[mask] = pair
+        normalized = payload.get("normalize", False)
         try:
-            if payload.get("normalize", False):
-                return _normalize_numbers(n, weights)
-            return cls(n=n, weights=weights)
+            if exact:
+                denominator = math.lcm(*{b for _, b in weights.values()})
+                numerators = {mask: a * (denominator // b) for mask, (a, b) in weights.items()}
+                if normalized:
+                    return _normalize_integers(n, numerators, denominator)
+                return cls(n=n, weights=ExactWeights(numerators, denominator))
+            numbers = {
+                mask: w if isinstance(w, float) else rational(*w) for mask, w in weights.items()
+            }
+            if normalized:
+                return _normalize_numbers(n, numbers)
+            return cls(n=n, weights=numbers)
         except (ValueError, DegenerateMeasureError) as exc:
             raise InputFormatError(str(exc)) from None
+
+
+def _plain_ratio(text: str) -> Optional[tuple[int, int]]:
+    """(a, b) for a weight string "a" or "a/b" of ASCII digits with b != 0.
+
+    Every other string returns None and is left to :func:`to_number`, which
+    accepts or rejects it as ``Fraction`` does.
+    """
+    numerator, slash, denominator = text.partition("/")
+    if not (numerator.isascii() and numerator.isdigit()):
+        return None
+    if not slash:
+        return int(numerator), 1
+    if not (denominator.isascii() and denominator.isdigit()):
+        return None
+    b = int(denominator)
+    return (int(numerator), b) if b else None
 
 
 def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
@@ -332,17 +367,7 @@ def _normalize_numbers(n: int, coerced: Mapping[int, Number]) -> EventSystem:
     their sum.
     """
     if all_exact(coerced.values()):
-        numerators, denominator = _common_denominator(coerced)
-        bad = next((m for m, w in numerators.items() if w < 0), None)
-        if bad is not None:
-            raise ValueError(f"negative weight at atom {bad}")
-        positive = {m: w for m, w in numerators.items() if w}
-        if not positive:
-            raise DegenerateMeasureError("cannot normalize a measure with zero total mass")
-        mass = sum(positive.values())
-        return EventSystem(
-            n=n, weights=ExactWeights(positive, mass), total=rational(mass, denominator)
-        )
+        return _normalize_integers(n, *_common_denominator(coerced))
     positive = {m: w for m, w in coerced.items() if float(w) > 0}
     if any(float(w) < -DEFAULT_TOLERANCE for w in coerced.values()):
         bad = [m for m, w in coerced.items() if float(w) < 0]
@@ -352,6 +377,20 @@ def _normalize_numbers(n: int, coerced: Mapping[int, Number]) -> EventSystem:
     ftotal = float(sum(positive.values()))
     scaled = {m: float(w) / ftotal for m, w in positive.items()}
     return EventSystem(n=n, weights=scaled, total=ftotal)
+
+
+def _normalize_integers(n: int, numerators: Mapping[int, int], denominator: int) -> EventSystem:
+    """Exact weights numerators/denominator divided by their total, on integers."""
+    bad = next((m for m, w in numerators.items() if w < 0), None)
+    if bad is not None:
+        raise ValueError(f"negative weight at atom {bad}")
+    positive = {m: w for m, w in numerators.items() if w}
+    if not positive:
+        raise DegenerateMeasureError("cannot normalize a measure with zero total mass")
+    mass = sum(positive.values())
+    return EventSystem(
+        n=n, weights=ExactWeights(positive, mass), total=rational(mass, denominator)
+    )
 
 
 @dataclass(frozen=True)

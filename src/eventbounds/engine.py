@@ -52,6 +52,7 @@ from .numerics import (
     clamp01,
     dot_product,
     encode_number,
+    over_common_denominator,
     rational,
 )
 
@@ -181,15 +182,9 @@ def solve_integer(
     return tuple(numerators), previous
 
 
-def _over_common_denominator(values: Sequence[Number]) -> tuple[list[int], int]:
-    """Exact values as integer numerators over their least common denominator."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
-
-
 def _solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[Number]) -> tuple:
     """Exact rational solution of an integer system with a rational right-hand side."""
-    scaled, scale = _over_common_denominator(rhs)
+    scaled, scale = over_common_denominator(rhs)
     numerators, den = solve_integer(rows, scaled)
     return tuple(rational(x, den * scale) for x in numerators)
 
@@ -343,7 +338,7 @@ def has_nonnegative_solution(
             sharpness_witness(fmat, index_set, values, tolerance).nonnegative
             for index_set in index_sets
         )
-    moments, _ = _over_common_denominator(values)
+    moments, _ = over_common_denominator(values)
     for index_set in index_sets:
         rows = [[row[i - 1] for i in index_set] for row in fmat.rows]
         numerators, _ = solve_integer(rows, moments)
@@ -515,7 +510,7 @@ def search_index_sets(
     upper = side == SIDE_UPPER
     best: Optional[DualBasis] = None
     if all_exact(values):
-        moments, _ = _over_common_denominator(values)
+        moments, _ = over_common_denominator(values)
         best_key = best_den = 0
         for basis in table.bases:
             key = sum(map(operator.mul, basis.numerators, moments))

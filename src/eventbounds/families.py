@@ -12,8 +12,10 @@ closed form reads them through this module.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .certificates import (
     SIDE_UPPER,
@@ -27,7 +29,7 @@ from .certificates import (
 )
 from .errors import NotApplicableError
 from .moments import MomentSet
-from .numerics import Number, dot_product, integer_bracket
+from .numerics import Number, all_exact, integer_bracket, over_common_denominator, rational
 
 #: Labels of the per-tuple combinations that mix more than one family.
 MIXED_LABELS = {"upper": "ub-min", "lower": "lb-max"}
@@ -38,12 +40,15 @@ class Family:
     """One closed-form bound family.
 
     ``applies(n, r, d, target)`` says where the family exists, and
-    ``row(n, r, d, target, m)`` returns its coefficients, index set and the
-    window recorded on the term.  ``windows`` maps each target that has a
-    window choice to its range ``(n, r, d) -> (lo, hi)``; a target missing
-    from it uses a fixed row, and a family with no windows at all takes no
-    ``m``.  ``pick(values, n, r, d, lo, hi)`` proposes the candidate windows
-    for one moment vector, in increasing order.
+    ``row(n, r, d, target, m)`` returns its :class:`Row`: coefficients,
+    index set and the window recorded on the term.  The coefficient
+    functions behind the rows cache them, so each row's forms are built
+    once.  ``windows`` maps each target that has a window choice to its
+    range ``(n, r, d) -> (lo, hi)``; a target missing from it uses a fixed
+    row, and a family with no windows at all takes no ``m``.
+    ``pick(values, n, r, d, lo, hi)`` proposes the candidate windows for
+    one moment vector, in increasing order; it gets integer numerators
+    for exact moments, which leave every bracket unchanged.
     """
 
     name: str
@@ -92,39 +97,164 @@ def _check(family: Family, n: int, r: int, d: int, target: str, m: Optional[int]
             raise ValueError(f"need {lo} <= m <= {hi}, got m={m}")
 
 
-def _terms(
-    family: Family, moments: MomentSet, n: int, r: int, d: int, target: str, m: Optional[int]
-) -> list[BoundTerm]:
-    """One term per index tuple; windows are chosen per tuple unless pinned."""
-    ell, name = family.ell, family.name
+class Row:
+    """One family row, in the three forms evaluation needs.
+
+    ``coefficients`` are the exact rationals the certificate records;
+    ``numerators`` are the same row as integers over the positive ``den``;
+    ``floats`` holds ``float(c)`` per coefficient, for float moments.  A
+    row unpacks as ``(coefficients, index_set, m)``.
+    """
+
+    __slots__ = ("coefficients", "index_set", "m", "numerators", "den", "floats")
+
+    def __init__(
+        self,
+        coefficients: tuple,
+        index_set: tuple[int, ...],
+        m: Optional[int],
+        numerators: tuple[int, ...],
+        den: int,
+        floats: tuple[float, ...],
+    ) -> None:
+        self.coefficients = coefficients
+        self.index_set = index_set
+        self.m = m
+        self.numerators = numerators
+        self.den = den
+        self.floats = floats
+
+    def __iter__(self):
+        return iter((self.coefficients, self.index_set, self.m))
+
+    @classmethod
+    def of(
+        cls, coefficients: Sequence[Number], index_set: Sequence[int], m: Optional[int] = None
+    ) -> "Row":
+        """The row of exact ``coefficients``, its other two forms computed here."""
+        coefficients = tuple(coefficients)
+        numerators, den = over_common_denominator(coefficients)
+        floats = tuple(map(float, coefficients))
+        return cls(coefficients, tuple(index_set), m, numerators, den, floats)
+
+
+def _moment_forms(moments: MomentSet, ell: int) -> tuple[list[tuple], bool]:
+    """Per index tuple, (values for window picks, values for dot products, D),
+    and whether every tuple is exact.
+
+    Exact tuples give their integer numerators twice over the positive
+    moment denominator D, which cancels from every window bracket and every
+    comparison of one tuple; an exact set shares one D.  Float tuples give
+    their values as they are for the picks, their floats for the dot
+    products, and D = None.
+    """
+    if moments.exact:
+        rows, denominator = moments.integerized()
+        if len(rows[0]) != ell:
+            rows = [row[:ell] for row in rows]
+        return [(row, row, denominator) for row in rows], True
+    forms = []
+    for vector in moments:
+        values = vector.values
+        exact = vector.exact if len(values) == ell else all_exact(values[:ell])
+        forms.append(vector_form(values[:ell], exact))
+    return forms, all(form[2] for form in forms)
+
+
+def vector_form(values: Sequence[Number], exact: Optional[bool] = None) -> tuple:
+    """One tuple's :func:`_moment_forms` entry, over its own denominator."""
+    if exact if exact is not None else all_exact(values):
+        row, denominator = over_common_denominator(values)
+        return row, row, denominator
+    return values, tuple(map(float, values)), None
+
+
+def _key(row: Row, form: tuple):
+    """The term's comparison key: for an exact tuple the integer numerator of
+    its value over row.den * D, for a float one the float value, in
+    dot_product's order of operations."""
+    a = row.numerators if form[2] else row.floats
+    b = form[1]
+    if len(b) == 2:
+        return a[0] * b[0] + a[1] * b[1]
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _beats(key, row: Row, best_key, best_row: Row, exact, minimize: bool) -> bool:
+    """Strictly better: smaller when minimizing, larger otherwise."""
+    if exact:
+        key, best_key = key * best_row.den, best_key * row.den
+    return key < best_key if minimize else key > best_key
+
+
+def _value(key, row: Row, form: tuple) -> Number:
+    return rational(key, row.den * form[2]) if form[2] else key
+
+
+def _choices(
+    family: Family, forms: list, n: int, r: int, d: int, target: str, m: Optional[int]
+) -> list[tuple]:
+    """Per index tuple, (key, row) of the family; windows chosen per tuple unless pinned.
+
+    Candidate windows are compared on their keys, and ties keep the
+    smallest window.
+    """
     window = family.windows.get(target) if m is None else None
     if window is None:
-        coefficients, index_set, recorded = family.row(n, r, d, target, m)
-        return [
-            BoundTerm(
-                vector.j,
-                coefficients,
-                index_set,
-                dot_product(coefficients, vector.values[:ell]),
-                name,
-                recorded,
-            )
-            for vector in moments
-        ]
+        row = family.row(n, r, d, target, m)
+        return [(_key(row, form), row) for form in forms]
     lo, hi = window(n, r, d)
+    rows: dict[int, Row] = {}
+    return [best_window(family, form, n, r, d, target, lo, hi, rows) for form in forms]
+
+
+def best_window(
+    family: Family, form: tuple, n: int, r: int, d: int, target: str, lo: int, hi: int, rows: dict
+) -> tuple:
+    """(key, row) of the best window in [lo, hi] for one tuple's form.
+
+    The family's pick proposes the candidates; upper families keep the
+    smallest key, lower ones the largest, and ties keep the smallest
+    window.  ``rows`` memoizes the candidate rows by window, across the
+    tuples of one request.
+    """
     minimize = family.side == SIDE_UPPER
-    terms = []
-    for vector in moments:
-        values = vector.values[:ell]
-        best = None
-        for candidate in family.pick(values, n, r, d, lo, hi):
-            coefficients, index_set, recorded = family.row(n, r, d, target, candidate)
-            value = dot_product(coefficients, values)
-            if best is None or (value < best[0] if minimize else value > best[0]):
-                best = (value, coefficients, index_set, recorded)
-        value, coefficients, index_set, recorded = best
-        terms.append(BoundTerm(vector.j, coefficients, index_set, value, name, recorded))
-    return terms
+    best_key = best_row = None
+    for candidate in family.pick(form[0], n, r, d, lo, hi):
+        row = rows.get(candidate)
+        if row is None:
+            row = rows[candidate] = family.row(n, r, d, target, candidate)
+        key = _key(row, form)
+        if best_row is None or _beats(key, row, best_key, best_row, form[2], minimize):
+            best_key, best_row = key, row
+    return best_key, best_row
+
+
+def _total(choices: list[tuple], forms: list, exact: bool) -> Number:
+    """The sum of the term values: on integers when every tuple is exact,
+    else in float, term by term, as certificate_from_terms sums."""
+    if exact:
+        dens = [row.den * form[2] for (_, row), form in zip(choices, forms)]
+        common = math.lcm(*set(dens))
+        numerator = sum(key * (common // den) for (key, _), den in zip(choices, dens))
+        return rational(numerator, common)
+    total = 0.0
+    for (key, row), form in zip(choices, forms):
+        total = total + float(_value(key, row, form))
+    return total
+
+
+def _certificate(
+    side: str, target: str, r: int, d: int, ell: int, label: str,
+    moments: MomentSet, forms: list, choices: list[tuple], names: Iterable[str], total: Number,
+) -> BoundCertificate:
+    """The certificate of one (key, row) choice per index tuple, by family
+    name, with the :func:`_total` of the choices."""
+    terms = [
+        BoundTerm(vector.j, row.coefficients, row.index_set, _value(key, row, form), name, row.m)
+        for vector, form, (key, row), name in zip(moments, forms, choices, names)
+    ]
+    return certificate_from_terms(side, target, r, d, ell, label, terms, value=total)
 
 
 def family_certificate(
@@ -133,8 +263,12 @@ def family_certificate(
     """The family's certificate for one target, window pinned to ``m`` if given."""
     _validate(moments, n, r, d, family.ell, target)
     _check(family, n, r, d, target, m)
-    terms = _terms(family, moments, n, r, d, target, m)
-    return certificate_from_terms(family.side, target, r, d, family.ell, family.name, terms)
+    forms, exact = _moment_forms(moments, family.ell)
+    choices = _choices(family, forms, n, r, d, target, m)
+    return _certificate(
+        family.side, target, r, d, family.ell, family.name, moments, forms,
+        choices, itertools.repeat(family.name), _total(choices, forms, exact),
+    )
 
 
 def family_pair(
@@ -182,27 +316,39 @@ def best_certificate(
     pins = [m if target in family.windows else None for family in applicable]
     for family, pin in zip(applicable, pins):
         _check(family, n, r, d, target, pin)
+    forms, exact = _moment_forms(moments, ell)
     columns = [
-        _terms(family, moments, n, r, d, target, pin) for family, pin in zip(applicable, pins)
+        _choices(family, forms, n, r, d, target, pin) for family, pin in zip(applicable, pins)
     ]
     minimize = side == SIDE_UPPER
     if not per_tuple:
-        return _extremum(
-            [
-                certificate_from_terms(side, target, r, d, ell, family.name, terms)
-                for family, terms in zip(applicable, columns)
-            ],
-            minimize,
+        totals = [(_total(choices, forms, exact), None) for choices in columns]
+        best = _extremum(totals, minimize)
+        name = applicable[best].name
+        return _certificate(
+            side, target, r, d, ell, name, moments, forms,
+            columns[best], itertools.repeat(name), totals[best][0],
         )
-    chosen = [_extremum(candidates, minimize) for candidates in zip(*columns)]
+    chosen, names = [], []
+    for form, candidates in zip(forms, zip(*columns)):
+        best = _extremum(candidates, minimize, form[2])
+        chosen.append(candidates[best])
+        names.append(applicable[best].name)
     label = applicable[0].name if len(applicable) == 1 else MIXED_LABELS[side]
-    return certificate_from_terms(side, target, r, d, ell, label, chosen)
+    return _certificate(
+        side, target, r, d, ell, label, moments, forms, chosen, names, _total(chosen, forms, exact)
+    )
 
 
-def _extremum(candidates, minimize: bool):
-    """The first candidate with the smallest (or largest) value."""
-    best = candidates[0]
-    for candidate in candidates[1:]:
-        if candidate.value < best.value if minimize else candidate.value > best.value:
-            best = candidate
+def _extremum(candidates: Sequence[tuple], minimize: bool, exact=None) -> int:
+    """The position of the first smallest (or largest) (key, row) candidate.
+
+    With ``exact`` set the keys are integer numerators over their rows'
+    denominators, compared by cross-multiplication; otherwise the keys are
+    compared as they are.
+    """
+    best = 0
+    for position in range(1, len(candidates)):
+        if _beats(*candidates[position], *candidates[best], exact, minimize):
+            best = position
     return best

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     EventSystem,
@@ -46,6 +47,7 @@ from .numerics import (
     close,
     dot_product,
     encode_number,
+    over_common_denominator,
     rational,
     to_number,
 )
@@ -200,8 +202,9 @@ class MomentVector:
         elif s1 > 1:
             raise ValueError(f"s_1 = {s1} exceeds 1")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
+        """True when every value is an int or exact rational; found once."""
         return all_exact(self.values)
 
     def truncated(self, ell: int) -> "MomentVector":
@@ -306,6 +309,7 @@ class MomentSet:
     d: int
     ell: int
     vectors: tuple[MomentVector, ...]
+    _integers: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", tuple(self.vectors))
@@ -320,9 +324,30 @@ class MomentSet:
             if (vector.n, vector.d) != (self.n, self.d) or vector.ell < self.ell:
                 raise ValueError("moment vector parameters disagree with the set")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
+        """True when every vector is exact; found once, or known from the source."""
         return all(v.exact for v in self.vectors)
+
+    def integerized(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Exact moments as integer numerators over one common denominator.
+
+        Only valid for an exact set.  Returns one row of ``ell`` numerators
+        per index tuple, in the order of ``vectors``, and the positive
+        denominator D they share: s_k(j) = rows[j][k-1] / D.  D need not be
+        the least common denominator.  Built once: :func:`moment_set` hands
+        over the integers it summed; other sets find D on first use.
+        """
+        if not self.exact:
+            raise ValueError("integerized() requires an exact moment set")
+        if self._integers is None:
+            ell = self.ell
+            flat, denominator = over_common_denominator(
+                [x for v in self.vectors for x in v.values[:ell]]
+            )
+            rows = tuple(flat[k : k + ell] for k in range(0, len(flat), ell))
+            object.__setattr__(self, "_integers", (rows, denominator))
+        return self._integers
 
     def vector(self, j: IndexTuple | Iterable[int]) -> MomentVector:
         j = IndexTuple.coerce(j)
@@ -338,10 +363,20 @@ class MomentSet:
         return len(self.vectors)
 
     def restricted(self, ell: int) -> "MomentSet":
-        """The same set truncated to the first ell moment orders."""
-        return MomentSet(
+        """The same set truncated to the first ell moment orders.
+
+        An integer form already built is truncated along, over the same
+        denominator.
+        """
+        restricted = MomentSet(
             n=self.n, d=self.d, ell=ell, vectors=tuple(v.truncated(ell) for v in self.vectors)
         )
+        if self._integers is not None:
+            rows, denominator = self._integers
+            integers = (tuple(row[:ell] for row in rows), denominator)
+            object.__setattr__(restricted, "_integers", integers)
+            object.__setattr__(restricted, "exact", True)
+        return restricted
 
     def to_payload(self) -> dict:
         return {
@@ -398,7 +433,8 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
 
     Exact mode sums the integer numerators per index tuple and occurrence
     level (:func:`_level_sums`), then applies the falling factorials once
-    per tuple and level; only the final values become rationals.  Float
+    per tuple and level; only the final values become rationals, and the
+    set keeps the integers as its :meth:`MomentSet.integerized` form.  Float
     mode accumulates per atom and order.  Values agree exactly with
     :func:`moments_via_factorial` applied per index tuple.
     """
@@ -412,19 +448,25 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     if sys.exact:
         numerators, denominator = sys.integerized()
         table = _level_sums(numerators, n, d)
+        # s_k = d! sum_i f_k(i) levels[i] / ((k+d)! den), over D = (ell-1+d)! den.
+        top = math.factorial(ell - 1 + d)
         factors = [
-            [(i, falling_factorial(i - d, k)) for i in range(d + k, n + 1)] for k in range(ell)
+            [(i, falling_factorial(i - d, k) * dfact * (top // math.factorial(k + d)))
+             for i in range(d + k, n + 1)]
+            for k in range(ell)
         ]
-        scales = [math.factorial(k + d) * denominator for k in range(ell)]
-        vectors = []
+        common = top * denominator
+        vectors, rows = [], []
         for t in tuples:
             levels = table[t.indices]
-            values = tuple(
-                rational(sum(f * levels[i] for i, f in factors[k]) * dfact, scales[k])
-                for k in range(ell)
-            )
+            row = tuple(sum(f * levels[i] for i, f in factors[k]) for k in range(ell))
+            rows.append(row)
+            values = tuple(rational(x, common) for x in row)
             vectors.append(MomentVector(j=t, n=n, d=d, ell=ell, values=values))
-        return MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
+        moments = MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
+        object.__setattr__(moments, "_integers", (tuple(rows), common))
+        object.__setattr__(moments, "exact", True)
+        return moments
     accumulators: dict[tuple[int, ...], list] = {t.indices: [0] * ell for t in tuples}
     factor_cache: dict[int, tuple[int, ...]] = {}
     for mask, weight in sys.weights.items():
@@ -446,7 +488,9 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
         row = accumulators[t.indices]
         values = tuple(float(row[k]) * dfact / math.factorial(k + d) for k in range(ell))
         vectors.append(MomentVector(j=t, n=n, d=d, ell=ell, values=values))
-    return MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
+    moments = MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
+    object.__setattr__(moments, "exact", False)
+    return moments
 
 
 @dataclass(frozen=True)

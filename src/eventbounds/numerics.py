@@ -20,6 +20,7 @@ and friends do.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -93,6 +94,13 @@ def to_number(value: object) -> Number:
     raise ValueError(f"unsupported numeric value {value!r}")
 
 
+def over_common_denominator(values: Sequence[Number]) -> tuple[tuple[int, ...], int]:
+    """Exact values as integer numerators over their least common denominator."""
+    denominator = math.lcm(*(int(x.denominator) for x in values))
+    numerators = tuple(int(x.numerator) * (denominator // int(x.denominator)) for x in values)
+    return numerators, denominator
+
+
 def exactify(value: Number) -> Number:
     """Convert a float to the exact rational with the same decimal text.
 
@@ -132,8 +140,10 @@ _ZERO = rational(0)
 def dot_product(coefficients: Sequence[Number], values: Sequence[Number]) -> Number:
     """Scalar product that keeps exact mode exact and float mode float.
 
-    Unrolled for lengths two and three, the only sizes the closed-form
-    bound families use; this function dominates bulk verification runs.
+    Unrolled for lengths two and three, the usual moment orders.  The
+    closed-form families evaluate their cached float rows in this same
+    order of operations (``families``), so their float values agree bit
+    for bit with this function's.
     """
     k = len(coefficients)
     if k != len(values):
@@ -174,36 +184,34 @@ def dot_product(coefficients: Sequence[Number], values: Sequence[Number]) -> Num
     return sum(float(c) * float(v) for c, v in zip(coefficients, values))
 
 
-def _floor(q: Number) -> int:
-    if isinstance(q, float):
-        import math
-
-        return math.floor(q)
-    return int(q.numerator // q.denominator)
-
-
 def integer_bracket(numerator: Number, denominator: Number, lo: int, hi: int) -> tuple[int, ...]:
     """Integers m in [lo, hi] satisfying m-1 <= numerator/denominator <= m.
 
     Requires denominator > 0 and lo <= hi.  When the quotient is itself an
     integer t, both t and t+1 satisfy the bracket and both are returned
     (after clamping); otherwise the single admissible integer is returned.
-    A quotient outside [lo-1, hi+1] clamps to the nearest endpoint.
+    A quotient outside [lo-1, hi+1] clamps to the nearest endpoint.  Exact
+    arguments (ints or rationals) are bracketed by floor division, with no
+    rational quotient.
     """
     if lo > hi:
         raise ValueError(f"empty bracket range [{lo}, {hi}]")
     if isinstance(numerator, float) or isinstance(denominator, float):
         if float(denominator) <= 0.0:
             raise ValueError("bracket denominator must be positive")
-        quotient: Number = float(numerator) / float(denominator)
+        quotient = float(numerator) / float(denominator)
+        floor_q = math.floor(quotient)
+        integral = quotient == floor_q
     else:
         if denominator <= 0:
             raise ValueError("bracket denominator must be positive")
-        quotient = rational(numerator) / rational(denominator)
-    floor_q = _floor(quotient)
-    candidates = [floor_q, floor_q + 1] if quotient == floor_q else [floor_q + 1]
-    clamped = sorted({min(hi, max(lo, m)) for m in candidates})
-    return tuple(clamped)
+        floor_q, remainder = divmod(numerator, denominator)
+        floor_q, integral = int(floor_q), remainder == 0
+    above = min(hi, max(lo, floor_q + 1))
+    if not integral:
+        return (above,)
+    below = min(hi, max(lo, floor_q))
+    return (below,) if below == above else (below, above)
 
 
 def difference(a: Number, b: Number) -> Number:

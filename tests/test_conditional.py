@@ -1,6 +1,7 @@
 """Partition handling, blockwise bounds, and expectation aggregation."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,10 @@ from eventbounds.conditional import (
     conditional_moments,
     expectation_aggregate,
 )
-from eventbounds.core import EventSystem, exact_occurrence
+from eventbounds.core import EventSystem, exact_occurrence, normalize
 from eventbounds.dispatch import bound_for_system
 from eventbounds.errors import DegenerateMeasureError, InputFormatError
+from eventbounds.verification import floatize, random_partition, random_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -118,6 +120,39 @@ class TestBlockSystem:
     def test_partition_must_match_the_system(self, fair3):
         with pytest.raises(ValueError, match="n="):
             block_system(fair3, PartitionField.trivial(2), 0)
+
+    def test_blocks_match_a_scan_of_the_partition(self):
+        rng = random.Random("conditional:blocks")
+        for n in (2, 4, 6):
+            for _ in range(3):
+                exact = random_system(rng, n)
+                partition = random_partition(rng, n, max_blocks=5)
+                for atom in range(1 << n):
+                    owner = [k for k, block in enumerate(partition.blocks) if atom in block]
+                    assert [partition.block_of(atom)] == owner
+                for system in (exact, floatize(exact)):
+                    for index, block in enumerate(partition.blocks):
+                        scanned = {a: system.weights[a] for a in block if a in system.weights}
+                        conditioned = block_system(system, partition, index)
+                        if not scanned:
+                            assert conditioned is None
+                            continue
+                        reference = normalize(n, scanned)
+                        assert conditioned.total == reference.total
+                        assert list(conditioned.weights.items()) == list(reference.weights.items())
+
+    def test_many_blocks(self):
+        singletons = PartitionField(n=9, blocks=[(atom,) for atom in range(512)])
+        assert [singletons.block_of(atom) for atom in range(512)] == list(range(512))
+        with pytest.raises(ValueError, match="atom 300 is missing"):
+            PartitionField(n=9, blocks=[(atom,) for atom in range(512) if atom != 300])
+        with pytest.raises(ValueError, match="atom 7 appears in more than one block"):
+            PartitionField(n=9, blocks=[(atom,) for atom in range(512)] + [(7,)])
+
+    def test_block_of_rejects_atoms_outside_the_space(self, by_third_event):
+        for atom in (-1, 8, "3"):
+            with pytest.raises(ValueError, match="not in the partition"):
+                by_third_event.block_of(atom)
 
 
 class TestConditionalMoments:

@@ -16,6 +16,7 @@ from eventbounds.core import (
     exact_occurrence,
     falling_factorial,
     normalize,
+    _plain_ratio,
     permute_events,
 )
 from eventbounds.errors import DegenerateMeasureError, InputFormatError
@@ -221,6 +222,8 @@ class TestIntegerRepresentation:
             (" 1/2 ", Fraction(1, 2)),
             ("1e-3", Fraction(1, 1000)),
             ("1_0/3", Fraction(10, 3)),
+            ("007/3", Fraction(7, 3)),
+            ("\u0663/\u0664", Fraction(3, 4)),  # Arabic-Indic digits, as Fraction reads them
         ],
     )
     def test_weight_strings_parse_as_before(self, text, value):
@@ -229,12 +232,28 @@ class TestIntegerRepresentation:
         assert system.total == value + 1
         assert dict(system.weights) == {0: value / (value + 1), 3: 1 / (value + 1)}
 
-    @pytest.mark.parametrize("text", ["1/0", "1/-2", "1 / 2", "", "0x10", True, None])
+    @pytest.mark.parametrize(
+        "text", ["1/0", "1/-2", "1 / 2", "", "0x10", True, None, "\u00b2", "3/", "/3", "0/0"]
+    )
     def test_bad_weight_strings_are_input_errors(self, text):
         for normalized in (True, False):
             payload = {"n": 1, "normalize": normalized, "weights": {"0": text, "1": "1"}}
             with pytest.raises(InputFormatError, match="bad weight for mask '0'"):
                 EventSystem.from_payload(payload)
+
+    @pytest.mark.parametrize("text", ["0/5", "0", "00"])
+    def test_zero_weight_strings_drop_their_atom(self, text):
+        for normalized in (True, False):
+            payload = {"n": 2, "normalize": normalized, "weights": {"0": text, "3": "1"}}
+            system = EventSystem.from_payload(payload)
+            assert system.total == 1
+            assert dict(system.weights) == {3: Fraction(1)}
+
+    @given(st.text(alphabet="0123456789/ +-._e\u0663\u00b2", max_size=8))
+    def test_plain_ratio_agrees_with_fraction(self, text):
+        pair = _plain_ratio(text)
+        if pair is not None:
+            assert Fraction(*pair) == Fraction(text)
 
 
 class TestOracle:

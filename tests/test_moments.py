@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from eventbounds.core import EventSystem, IndexTuple, binomial, enumerate_index_tuples, normalize
 from eventbounds.errors import InfeasibleMomentsError, InputFormatError
+from eventbounds.numerics import all_exact
 from eventbounds.moments import (
     MomentSet,
     MomentVector,
@@ -236,3 +237,56 @@ class TestDecomposition:
     def test_rejects_d_above_r(self):
         with pytest.raises(ValueError):
             verify_decomposition(fair(3), 1, 2)
+
+
+class TestIntegerForm:
+    """One integer form per exact set: rows of numerators over one denominator."""
+
+    @staticmethod
+    def assert_form_matches(moments):
+        rows, denominator = moments.integerized()
+        assert isinstance(denominator, int) and denominator > 0
+        assert len(rows) == len(moments)
+        for row, vector in zip(rows, moments):
+            assert all(type(x) is int for x in row)
+            assert tuple(Fraction(x, denominator) for x in row) == vector.values[: moments.ell]
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_moment_set_restricted_and_payload_forms_equal_the_values(self, d):
+        system = normalize(4, {0: 1, 3: 2, 5: 3, 14: 5, 15: 7})
+        moments = moment_set(system, d, 3)
+        self.assert_form_matches(moments)
+        self.assert_form_matches(moments.restricted(2))
+        self.assert_form_matches(moment_set(system, d, 3).restricted(2))  # no form built yet
+        parsed = MomentSet.from_payload(moments.to_payload())
+        self.assert_form_matches(parsed)
+        self.assert_form_matches(parsed.restricted(2))
+
+    def test_float_sets_have_no_integer_form(self):
+        moments = moment_set(normalize(3, {0: 0.25, 7: 0.75}), 1, 2)
+        assert not moments.exact
+        with pytest.raises(ValueError, match="exact"):
+            moments.integerized()
+
+    def test_exact_agrees_with_all_exact_on_mixed_inputs(self):
+        j = IndexTuple(())
+        cases = [
+            (Fraction(1), Fraction(1, 2), Fraction(1, 4)),
+            (1, Fraction(1, 2), 0),
+            (1.0, Fraction(1, 2), Fraction(1, 4)),
+            (Fraction(1), 0.5, Fraction(1, 4)),
+            (Fraction(1), Fraction(1, 2), 0.25),
+            (1.0, 0.5, 0.25),
+        ]
+        for values in cases:
+            vector = MomentVector(j=j, n=3, d=0, ell=3, values=values)
+            assert vector.exact == all_exact(values)
+            assert vector.truncated(2).exact == all_exact(values[:2])
+        d1 = [IndexTuple((k,)) for k in (1, 2, 3)]
+        for first in cases:
+            vectors = [MomentVector(j=t, n=3, d=1, ell=2, values=first[:2]) for t in d1[:1]] + [
+                MomentVector(j=t, n=3, d=1, ell=2, values=(Fraction(1, 2), Fraction(1, 4)))
+                for t in d1[1:]
+            ]
+            moments = MomentSet(n=3, d=1, ell=2, vectors=vectors)
+            assert moments.exact == all_exact(v for vector in vectors for v in vector.values)
