@@ -7,100 +7,55 @@ P(at least r events occur) and P(exactly r events occur), together with
 machine-checkable certificates and sharpness witnesses.
 """
 
-from .bounds_l2 import best_l2, lower_l1, lower_l2, upper_u1, upper_u2
-from .bounds_l3 import (
-    CoefficientVector,
-    lower_alpha,
-    lower_best_l3,
-    lower_beta,
-    lower_gamma,
-    lower_lb1,
-    lower_lb2,
-    lower_lb3,
-    lower_phi,
-    lower_theta,
-    optimal_m,
-    upper_alpha,
-    upper_best_l3,
-    upper_beta,
-    upper_delta,
-    upper_gamma,
-    upper_ub1,
-    upper_ub2,
-    upper_ub3,
-)
-from .certificates import (
-    SIDE_LOWER,
-    SIDE_UPPER,
-    SIDES,
-    TARGET_AT_LEAST,
-    TARGET_EXACTLY,
-    TARGETS,
-    BoundCertificate,
-    BoundRequest,
-    BoundTerm,
-    certificate_from_terms,
-)
-from .conditional import (
-    AggregatedBound,
-    BlockBound,
-    BlockMoments,
-    ConditionalMomentSet,
-    PartitionField,
-    block_system,
-    conditional_bound,
-    conditional_moments,
-    expectation_aggregate,
-)
-from .core import (
-    EventSystem,
-    IndexTuple,
-    OccurrenceDistribution,
-    binomial,
-    enumerate_index_tuples,
-    exact_at_least,
-    exact_joint,
-    exact_occurrence,
-    normalize,
-)
-from .dispatch import FORMULAS, bound_for_system, evaluate_request
-from .engine import (
-    Feasibility,
-    SearchResult,
-    SharpnessWitness,
-    TargetVector,
-    bound_value,
-    check_feasibility,
-    jordan_exact,
-    search_index_sets,
-    sharpness_witness,
-    solve_coefficients,
-    target_vector,
-    witness_system,
-)
-from .errors import (
-    DegenerateConfigurationError,
-    DegenerateMeasureError,
-    EventBoundsError,
-    InfeasibleMomentsError,
-    InputFormatError,
-    NotApplicableError,
-    ResourceLimitError,
-)
-from .moments import (
-    DecompositionReport,
-    MomentMatrix,
-    MomentSet,
-    MomentVector,
-    ZVector,
-    moment_matrix,
-    moment_set,
-    moments_from_system,
-    verify_decomposition,
-    z_vector,
-)
-from .numerics import RATIONAL_BACKEND, rational
-from .verification import SuiteReport, random_partition, random_system, run_all
+# Every export by source module.  Nothing is imported until first use
+# (PEP 562), so importing one submodule, say ``eventbounds.engine``, loads
+# only what that submodule needs.
+_EXPORTS = {
+    "bounds_l2": ("best_l2", "lower_l1", "lower_l2", "upper_u1", "upper_u2"),
+    "bounds_l3": (
+        "CoefficientVector", "lower_alpha", "lower_best_l3", "lower_beta",
+        "lower_gamma", "lower_lb1", "lower_lb2", "lower_lb3", "lower_phi",
+        "lower_theta", "optimal_m", "upper_alpha", "upper_best_l3", "upper_beta",
+        "upper_delta", "upper_gamma", "upper_ub1", "upper_ub2", "upper_ub3",
+    ),
+    "certificates": (
+        "SIDE_LOWER", "SIDE_UPPER", "SIDES", "TARGET_AT_LEAST", "TARGET_EXACTLY",
+        "TARGETS", "BoundCertificate", "BoundRequest", "BoundTerm",
+        "certificate_from_terms",
+    ),
+    "conditional": (
+        "AggregatedBound", "BlockBound", "BlockMoments", "ConditionalMomentSet",
+        "PartitionField", "block_system", "conditional_bound", "conditional_moments",
+        "expectation_aggregate",
+    ),
+    "core": (
+        "EventSystem", "IndexTuple", "OccurrenceDistribution", "binomial",
+        "enumerate_index_tuples", "exact_at_least", "exact_joint", "exact_occurrence",
+        "normalize",
+    ),
+    "dispatch": ("FORMULAS", "bound_for_system", "evaluate_request"),
+    "engine": (
+        "Feasibility", "SearchResult", "SharpnessWitness", "TargetVector",
+        "bound_value", "check_feasibility", "jordan_exact", "search_index_sets",
+        "sharpness_witness", "solve_coefficients", "target_vector", "witness_system",
+    ),
+    "errors": (
+        "DegenerateConfigurationError", "DegenerateMeasureError", "EventBoundsError",
+        "InfeasibleMomentsError", "InputFormatError", "NotApplicableError",
+        "ResourceLimitError",
+    ),
+    "moments": (
+        "DecompositionReport", "MomentMatrix", "MomentSet", "MomentVector", "ZVector",
+        "moment_matrix", "moment_set", "moments_from_system", "verify_decomposition",
+        "z_vector",
+    ),
+    "numerics": ("RATIONAL_BACKEND", "rational"),
+    "verification": ("SuiteReport", "random_partition", "random_system", "run_all"),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+# The submodules that ``import eventbounds`` used to load eagerly; they stay
+# reachable as attributes.
+_SUBMODULES = (*_EXPORTS, "families")
 
 __version__ = "0.1.0"
 
@@ -196,3 +151,22 @@ __all__ = [
     "witness_system",
     "z_vector",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Import an export, or one of ``_SUBMODULES``, on first access."""
+    from importlib import import_module
+
+    if name in _SOURCES:
+        value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    hidden = {"_EXPORTS", "_SOURCES", "_SUBMODULES", "__getattr__", "__dir__"}
+    return sorted({*globals(), *__all__, *_SUBMODULES} - hidden)

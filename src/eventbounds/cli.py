@@ -23,7 +23,6 @@ from .dispatch import check_positions, evaluate_request, request_grid, search_bo
 from .errors import EventBoundsError, InputFormatError, NotApplicableError
 from .moments import MomentSet, MomentVector, moment_set
 from .numerics import DEFAULT_TOLERANCE, Number, difference, encode_number, exactify
-from .verification import run_all
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -259,6 +258,8 @@ def cmd_conditional(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_all  # only this command needs the suites
+
     reports = run_all(args.trials, args.n_max, args.seed, args.tolerance)
     for report in reports:
         print(f"{report.line()} in {report.elapsed:.2f} s", file=sys.stderr)

@@ -113,16 +113,22 @@ class IndexTuple:
         return f"IndexTuple{self.indices}"
 
 
+def index_tuple_indices(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The ``indices`` of :func:`enumerate_index_tuples`, without building
+    an :class:`IndexTuple` each: plain tuples in lexicographic order."""
+    if not isinstance(n, int) or not isinstance(d, int):
+        raise ValueError("n and d must be integers")
+    if n < 0 or d < 0 or d > n:
+        raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
+    return itertools.combinations(range(1, n + 1), d)
+
+
 def enumerate_index_tuples(n: int, d: int) -> list[IndexTuple]:
     """All strictly increasing d-tuples over 1..n, in lexicographic order.
 
     There are C(n, d) of them; d=0 yields the single empty tuple.
     """
-    if not isinstance(n, int) or not isinstance(d, int):
-        raise ValueError("n and d must be integers")
-    if n < 0 or d < 0 or d > n:
-        raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
-    return [IndexTuple(combo) for combo in itertools.combinations(range(1, n + 1), d)]
+    return [IndexTuple(combo) for combo in index_tuple_indices(n, d)]
 
 
 class ExactWeights(Mapping):

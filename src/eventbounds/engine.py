@@ -16,6 +16,16 @@ per shape (n, d, ell, target vector, side) for the index-set search,
 tests moments for a nonnegative occurrence vector, and handles the
 full-order case ell = n-d+1 where the bound collapses to an exact identity
 (the Jordan-formula case).
+
+The table is not built from all C(n-d+1, ell) index sets.  Read b = F^T a
+as a function of the position x > 0: b(x) = C(x+d-1, d) q(x) with q a
+polynomial of degree at most ell-1, so b has at most ell-1 roots, and
+b - 1 at most ell-1 at d = 0 and at most ell at d >= 1 (Rolle: the ell-th
+derivative of q - 1/C(x+d-1, d) never vanishes).  Feasibility pins the
+sign of b and of b - 1 at every position, and a left-to-right scan counts
+the roots those signs force.  Only the index sets whose counts fit both
+budgets are solved, and each is still checked (:func:`dual_bases`).  The
+enumeration cap limits the number of those candidates.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -384,30 +393,48 @@ class DualBasis:
 class BasisTable:
     """The side-feasible index sets of one shape (F, v, side).
 
-    A set whose targets are all zero solves to a = 0, which is always
-    lower-feasible and upper-feasible only when v = 0.  On the lower side
-    such sets are nearly all sets, so they are not stored one by one: every
+    Two kinds of set share one coefficient vector and are not stored one
+    by one.  A set whose targets are all zero solves to a = 0, which is
+    always lower-feasible and upper-feasible only when v = 0: every
     ell-subset of ``zero_positions`` is feasible with value 0, where
     ``zero_positions`` lists the positions with v_i = 0 when a = 0 is
-    feasible for the side and is empty otherwise.  ``bases`` holds the
-    other feasible sets in lexicographic order, plus the first zero set,
-    which stands for all of them in a search: they share the value 0 and
-    ties go to the first.
+    feasible for the side and is empty otherwise.  At d = 0 the first row
+    of F is all ones, so a set whose targets are all one solves to
+    a = e_1, which is always upper-feasible and lower-feasible only when
+    v is all ones: ``one_positions`` likewise lists the positions with
+    v_i = 1 when that holds, and is empty otherwise (and at d >= 1).
+    ``bases`` holds the other feasible sets in lexicographic order, plus
+    the first set of each range, which stands for all of its range in a
+    search: they share a value, and ties go to the first.  ``solved``
+    counts the candidate sets that were solved and checked to build the
+    table (see :func:`dual_bases`).
     """
 
     ell: int
     bases: tuple[DualBasis, ...]
     zero_positions: tuple[int, ...]
+    one_positions: tuple[int, ...]
+    solved: int
+
+    @property
+    def stored(self) -> int:
+        """The number of bases stored, range representatives included."""
+        return len(self.bases)
 
     def __iter__(self) -> Iterator[DualBasis]:
-        """Every feasible set in lexicographic order, zero sets made on demand."""
-        zeros = (0,) * self.ell
-        rest = itertools.islice(itertools.combinations(self.zero_positions, self.ell), 1, None)
+        """Every feasible set in lexicographic order, range sets made on demand."""
+        zero = (0,) * self.ell
         return heapq.merge(
             self.bases,
-            (DualBasis(index_set, zeros, 1) for index_set in rest),
+            self._rest(self.zero_positions, zero),
+            self._rest(self.one_positions, (1,) + zero[1:]),
             key=operator.attrgetter("index_set"),
         )
+
+    def _rest(self, positions: tuple[int, ...], a: tuple[int, ...]) -> Iterator[DualBasis]:
+        """The sets of one range after its first, which ``bases`` stores."""
+        rest = itertools.islice(itertools.combinations(positions, self.ell), 1, None)
+        return (DualBasis(index_set, a, 1) for index_set in rest)
 
 
 @dataclass(frozen=True)
@@ -429,6 +456,119 @@ class SearchResult:
         return tuple(basis.index_set for basis in self.table)
 
 
+# The sign that feasibility forces on P_c = b - c at one position.
+_FREE, _ZERO, _POSITIVE, _NEGATIVE, _NONNEGATIVE, _NONPOSITIVE = range(6)
+
+
+def _constraint(v_x: int, c: int, member: bool, upper: bool) -> int:
+    """The sign of P_c at a position with target v_x, in or out of the set."""
+    if member:  # b = v_x there
+        return _ZERO if v_x == c else (_POSITIVE if v_x > c else _NEGATIVE)
+    if v_x == c:
+        return _NONNEGATIVE if upper else _NONPOSITIVE
+    if upper and c == 0:  # b >= v_x = 1
+        return _POSITIVE
+    if not upper and c == 1:  # b <= v_x = 0
+        return _NEGATIVE
+    return _FREE
+
+
+def _scan(state: tuple[int, ...], constraint: int, cap: int) -> tuple[int, ...]:
+    """One position of the root-count scan of one function.
+
+    ``state`` holds the fewest roots counted so far, capped at ``cap``,
+    for each way the scan can stand: no strict sign yet, or last strict
+    sign + or - with an even or odd number of zeros since.  Each zero is
+    one root.  Between two strict signs the zeros must number an odd
+    count exactly when the sign changes, else one more root lies there.
+    """
+    if constraint == _FREE:
+        return state
+    none, pos_even, pos_odd, neg_even, neg_odd = state
+    if constraint in (_POSITIVE, _NEGATIVE):
+        best = [cap] * 5
+    else:
+        best = [none + 1, pos_odd + 1, pos_even + 1, neg_odd + 1, neg_even + 1]
+    if constraint in (_POSITIVE, _NONNEGATIVE):
+        best[1] = min(best[1], none, pos_even, pos_odd + 1, neg_even + 1, neg_odd)
+    if constraint in (_NEGATIVE, _NONPOSITIVE):
+        best[3] = min(best[3], none, neg_even, neg_odd + 1, pos_even + 1, pos_odd)
+    return tuple(min(x, cap) for x in best)
+
+
+class _Candidates:
+    """The index sets of one shape that the root-count bound allows.
+
+    Scans positions 1..N left to right, each in or out of the set, with
+    both functions' scan states (:func:`_scan`).  A prefix dies as soon
+    as either count exceeds its budget, since the counts only grow.  A
+    node is (members left, states) before a position; equal nodes share
+    their completions, so a forward pass finds every reachable node and
+    a backward pass counts each node's allowed completions.  ``count`` is
+    thus known before any set is listed, and iteration lists the allowed
+    sets in lexicographic order along live nodes only.
+    """
+
+    def __init__(self, v: tuple[int, ...], ell: int, d: int, upper: bool) -> None:
+        caps = (ell, ell if d == 0 else ell + 1)
+        memo: dict = {}
+
+        def step(left: int, state: tuple, constraints: tuple[int, int]) -> Optional[tuple]:
+            key = (state, constraints)
+            if key not in memo:
+                scanned = tuple(map(_scan, state, constraints, caps))
+                alive = all(min(s) < cap for s, cap in zip(scanned, caps))
+                memo[key] = scanned if alive else None
+            scanned = memo[key]
+            return None if scanned is None else (left, scanned)
+
+        positions = len(v)
+        self.start = (ell, tuple((0,) + (cap,) * 4 for cap in caps))
+        self.edges: list[dict] = []
+        nodes = {self.start}
+        for x, v_x in enumerate(v):
+            room = positions - x - 1
+            out, member = (tuple(_constraint(v_x, c, m, upper) for c in (0, 1)) for m in (False, True))
+            edges = {}
+            for node in nodes:
+                left, state = node
+                skip = step(left, state, out) if left <= room else None
+                take = step(left - 1, state, member) if 0 < left <= room + 1 else None
+                edges[node] = (skip, take)
+            self.edges.append(edges)
+            nodes = {child for pair in edges.values() for child in pair if child}
+        counts = dict.fromkeys(nodes, 1)
+        for x in range(positions - 1, -1, -1):
+            later, counts, live = counts, {}, {}
+            for node, (skip, take) in self.edges[x].items():
+                total = later.get(skip, 0) + later.get(take, 0)
+                if total:
+                    counts[node] = total
+                    live[node] = (skip if skip in later else None, take if take in later else None)
+            self.edges[x] = live
+        self.count: int = counts.get(self.start, 0)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        if not self.count:
+            return
+        stack = [(0, self.start, ())]
+        while stack:
+            x, node, members = stack.pop()
+            if not node[0]:  # no members left: one completion
+                yield members
+                continue
+            skip, take = self.edges[x][node]
+            if skip:
+                stack.append((x + 1, skip, members))
+            if take:
+                stack.append((x + 1, take, members + (x + 1,)))
+
+
+@lru_cache(maxsize=32)
+def _candidates(v: tuple[int, ...], ell: int, d: int, side: str) -> _Candidates:
+    return _Candidates(v, ell, d, side == SIDE_UPPER)
+
+
 def dual_bases(
     fmat: MomentMatrix,
     v: "TargetVector | Sequence[int]",
@@ -438,42 +578,64 @@ def dual_bases(
     """The table of index sets whose dual solution is feasible for the side.
 
     Feasibility depends only on the shape (F, v, side), never on the
-    moments, so the table is built once per shape and cached.  Each set is
-    solved on integers (:func:`solve_integer`) and b = F^T a is compared
-    with v through the sign of N . F_i - v_i den.  The enumeration is
-    guarded by ``max_combinations``, checked before any solve.
+    moments, so the table is built once per shape and cached.  Only the
+    index sets that a root-count bound allows are solved, each on
+    integers (:func:`solve_integer`), and b = F^T a is compared with v
+    through the sign of N . F_i - v_i den, so every stored set is checked.
+
+    The bound.  Let I have targets not all 0 and, at d = 0, not all 1
+    (those sets are the table's ranges).  Write b(x) = sum_k a_k
+    C(x+d-1, k+d-1) = C(x+d-1, d) q(x) with deg q <= ell-1, so P0 = b has
+    at most ell-1 roots in x > 0, counted with multiplicity.  P1 = b - 1
+    has at most ell-1 there at d = 0, and at most ell at d >= 1, by Rolle
+    on q - 1/C(x+d-1, d),
+    whose ell-th derivative never vanishes because 1/C(x+d-1, d) is
+    completely monotone.  If I is feasible, P_c is 0 on I where v = c and
+    has the sign of v - c on the rest of I; sigma P_c >= 0 at the other
+    positions with v = c (sigma = +1 on the upper side, -1 on the lower);
+    and P0 >= 1 (upper) or P1 <= -1 (lower) at the other positions with
+    v != c.  A scan counts the roots those signs force (:func:`_scan`),
+    and a set is a candidate only when both counts fit their budgets.
+
+    ``max_combinations`` caps the number of candidates, which is counted
+    before any solve.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    total = math.comb(fmat.positions, fmat.ell)
-    if total > max_combinations:
-        raise ResourceLimitError(
-            f"{total} index sets exceed the enumeration cap of {max_combinations}"
-        )
     components = _target_components(v)
     if len(components) != fmat.positions or not all(
         isinstance(x, int) and x in (0, 1) for x in components
     ):
         raise ValueError(f"target vector must be {fmat.positions} integers 0 or 1, got {components}")
+    total = _candidates(components, fmat.ell, fmat.d, side).count
+    if total > max_combinations:
+        raise ResourceLimitError(
+            f"{total} candidate index sets exceed the enumeration cap of {max_combinations}"
+        )
     return _basis_table(fmat, components, side)
 
 
 @lru_cache(maxsize=32)
 def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTable:
+    ell = fmat.ell
+    upper = side == SIDE_UPPER
+    zero = (0,) * ell
+    one = (1,) + zero[1:]
+    zero_positions = one_positions = ()
+    if not upper or not any(v):
+        zero_positions = tuple(i for i, x in enumerate(v, 1) if not x)
+    if fmat.d == 0 and (upper or all(v)):
+        one_positions = tuple(i for i, x in enumerate(v, 1) if x)
+    bases = [
+        DualBasis(index_set, a, 1)
+        for positions, a in ((zero_positions, zero), (one_positions, one))
+        for index_set in itertools.islice(itertools.combinations(positions, ell), 1)
+    ]
     columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
     checks = list(zip(columns, v))
-    upper = side == SIDE_UPPER
-    zero_positions = ()
-    if not upper or not any(v):
-        zero_positions = tuple(i for i in range(1, fmat.positions + 1) if not v[i - 1])
-    first_zero = next(itertools.combinations(zero_positions, fmat.ell), None)
-    bases = []
-    for index_set in itertools.combinations(range(1, fmat.positions + 1), fmat.ell):
+    candidates = _candidates(v, ell, fmat.d, side)
+    for index_set in candidates:
         rhs = [v[i - 1] for i in index_set]
-        if not any(rhs):
-            if index_set == first_zero:
-                bases.append(DualBasis(index_set, (0,) * fmat.ell, 1))
-            continue
         numerators, den = solve_integer([columns[i - 1] for i in index_set], rhs)
         for column, target in checks:
             gap = sum(map(operator.mul, numerators, column)) - target * den
@@ -481,7 +643,8 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
                 break
         else:
             bases.append(DualBasis(index_set, numerators, den))
-    return BasisTable(fmat.ell, tuple(bases), zero_positions)
+    bases.sort(key=operator.attrgetter("index_set"))
+    return BasisTable(ell, tuple(bases), zero_positions, one_positions, candidates.count)
 
 
 def search_index_sets(

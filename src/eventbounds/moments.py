@@ -36,6 +36,7 @@ from .core import (
     binomial,
     enumerate_index_tuples,
     exact_joint,
+    index_tuple_indices,
     exact_occurrence,
     falling_factorial,
 )
@@ -155,7 +156,7 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
     d-subset of its events, atoms in the order of ``weights``.
     """
     table: dict[tuple[int, ...], list] = {
-        t.indices: [0] * (n + 1) for t in enumerate_index_tuples(n, d)
+        indices: [0] * (n + 1) for indices in index_tuple_indices(n, d)
     }
     if d == 0:
         levels = table[()]
@@ -313,7 +314,7 @@ class MomentSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", tuple(self.vectors))
-        expected = [t.indices for t in enumerate_index_tuples(self.n, self.d)]
+        expected = list(index_tuple_indices(self.n, self.d))
         got = [v.j.indices for v in self.vectors]
         if got != expected:
             raise ValueError(

@@ -52,6 +52,14 @@ def files(tmp_path_factory):
     return {name: str(path) for name, path in paths.items()}
 
 
+def _binomial_60_moments(tmp_path, ell):
+    """A moment file of Binomial(60, 1/2) at d = 0: s_k = C(60, k-1) / 2^(k-1)."""
+    values = [str(Fraction(comb(60, k - 1), 2 ** (k - 1))) for k in range(1, ell + 1)]
+    path = tmp_path / f"binomial60-ell{ell}.json"
+    path.write_text(json.dumps({"n": 60, "d": 0, "ell": ell, "s": [{"j": [], "values": values}]}))
+    return path
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -404,16 +412,30 @@ class TestExitCodes:
             assert "no distribution has the moments" in err
 
     def test_enumeration_cap_fails_fast(self, capsys, tmp_path):
-        # Binomial(60, 1/2) moments at ell = 5: C(61, 5) = 5,949,147 index
-        # sets, above the cap of 10^6.
-        values = [str(Fraction(comb(60, k - 1), 2 ** (k - 1))) for k in range(1, 6)]
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"n": 60, "d": 0, "ell": 5, "s": [{"j": [], "values": values}]}))
+        # Binomial(60, 1/2) moments at ell = 6: the root-count bound leaves
+        # 2,413,456 candidate index sets at r = 30 on the upper side, above
+        # the cap of 10^6.
+        path = _binomial_60_moments(tmp_path, 6)
         start = time.perf_counter()
         code, out, err = run(
-            capsys, ["bound", "--moments", str(path), "--r", "30", "--ell", "5"]
+            capsys, ["bound", "--moments", str(path), "--r", "30", "--ell", "6"]
         )
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_INPUT
         assert out == ""
-        assert "5949147 index sets exceed the enumeration cap of 1000000" in err
+        assert "2413456 candidate index sets exceed the enumeration cap of 1000000" in err
+
+    def test_wide_moment_request_is_answered(self, capsys, tmp_path):
+        # n = 60, ell = 4 has C(61, 4) = 521,855 index sets, whose
+        # exhaustive table took tens of seconds to build per side.
+        path = _binomial_60_moments(tmp_path, 4)
+        tail = Fraction(sum(comb(60, i) for i in range(30, 61)), 2**60)
+        values = {}
+        for side in ("upper", "lower"):
+            code, out, _ = run(
+                capsys,
+                ["bound", "--moments", str(path), "--r", "30", "--ell", "4", "--side", side],
+            )
+            assert code == EXIT_OK
+            values[side] = Fraction(json.loads(out)["certificate"]["value"])
+        assert values["lower"] <= tail <= values["upper"]

@@ -1,6 +1,8 @@
 """Dual solves, feasibility, index-set search, and sharpness witnesses."""
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,9 @@ from eventbounds.moments import moment_matrix, moment_set, z_vector
 def fair(n):
     return EventSystem(n=n, weights={m: Fraction(1, 1 << n) for m in range(1 << n)})
 
+
+# Binomial(60, 1/2) moments at d = 0: s_k = C(60, k-1) / 2^(k-1).
+BINOMIAL_60 = tuple(Fraction(math.comb(60, k), 2**k) for k in range(7))
 
 F32 = moment_matrix(3, 0, 2)  # rows (1,1,1,1) and (0,1,2,3)
 V1 = target_vector(3, 0, 1)  # at-least one event: v = (0,1,1,1)
@@ -105,10 +110,11 @@ class TestSearch:
         assert result.best.value <= exact_occurrence(fair(3)).at_least(1)
 
     def test_enumeration_cap(self):
-        fmat = moment_matrix(220, 0, 3)
-        v = target_vector(220, 0, 10)
+        # The cap limits candidate sets: 2,413,456 at n=60, d=0, ell=6, r=30.
+        fmat = moment_matrix(60, 0, 6)
+        v = target_vector(60, 0, 30)
         with pytest.raises(ResourceLimitError):
-            search_index_sets(fmat, v, (1, 1, 1), "upper")
+            search_index_sets(fmat, v, BINOMIAL_60[:6], "upper")
 
     def test_float_moments_pick_the_same_set(self):
         result = search_index_sets(F32, V1, (1.0, 1.5), "upper")
@@ -122,12 +128,13 @@ class TestSearch:
             raise AssertionError("solved an index set above the cap")
 
         monkeypatch.setattr(engine, "solve_integer", no_solve)
-        fmat = moment_matrix(60, 0, 5)
+        fmat = moment_matrix(60, 0, 6)
         v = target_vector(60, 0, 30)
-        with pytest.raises(ResourceLimitError, match="5949147 index sets exceed"):
+        message = "2413456 candidate index sets exceed the enumeration cap of 1000000"
+        with pytest.raises(ResourceLimitError, match=message):
             dual_bases(fmat, v, "upper")
-        with pytest.raises(ResourceLimitError, match="5949147 index sets exceed"):
-            search_index_sets(fmat, v, (1, 30, 435, 4060, 27405), "lower")
+        with pytest.raises(ResourceLimitError, match=message):
+            search_index_sets(fmat, v, BINOMIAL_60[:6], "lower")
 
 
 def _reference_solve(rows, rhs):
@@ -143,6 +150,36 @@ def _reference_solve(rows, rhs):
                 factor = mat[r][col]
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
     return tuple(mat[r][size] for r in range(size))
+
+
+def _exhaustive_table(fmat, v, side):
+    """The table of every index set, each solved and checked, with the
+    all-zero sets (and at d = 0 the all-one sets) kept as ranges."""
+    ell, upper = fmat.ell, side == SIDE_UPPER
+    columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
+    zero = (0,) * ell
+    one = (1,) + zero[1:]
+    zero_positions = one_positions = ()
+    if not upper or not any(v):
+        zero_positions = tuple(i for i, x in enumerate(v, 1) if not x)
+    if fmat.d == 0 and (upper or all(v)):
+        one_positions = tuple(i for i, x in enumerate(v, 1) if x)
+    firsts = {
+        next(itertools.combinations(positions, ell), None): a
+        for positions, a in ((zero_positions, zero), (one_positions, one))
+    }
+    bases = []
+    for index_set in itertools.combinations(range(1, fmat.positions + 1), ell):
+        rhs = [v[i - 1] for i in index_set]
+        if not any(rhs) or (fmat.d == 0 and all(rhs)):
+            if index_set in firsts:
+                bases.append(engine.DualBasis(index_set, firsts[index_set], 1))
+            continue
+        numerators, den = solve_integer([columns[i - 1] for i in index_set], rhs)
+        gaps = [sum(map(operator.mul, numerators, c)) - t * den for c, t in zip(columns, v)]
+        if all(gap >= 0 if upper else gap <= 0 for gap in gaps):
+            bases.append(engine.DualBasis(index_set, numerators, den))
+    return tuple(bases), zero_positions, one_positions
 
 
 class TestBasisTable:
@@ -197,6 +234,56 @@ class TestBasisTable:
                                 ]
                                 assert got == expected, (n, d, ell, r, target, side)
         assert shapes == 1008
+
+    def test_table_equals_the_exhaustive_build(self):
+        """Every shape with n <= 10: the candidates of the root-count bound
+        give the table that solving every index set gives, ranges included."""
+        shapes = 0
+        for n in range(1, 11):
+            for d in range(n):
+                for ell in range(2, n - d + 2):
+                    fmat = moment_matrix(n, d, ell)
+                    for r in range(d, n + 1):
+                        for target in TARGETS:
+                            v = target_vector(n, d, r, target).v
+                            for side in SIDES:
+                                shapes += 1
+                                table = dual_bases(fmat, v, side)
+                                got = (table.bases, table.zero_positions, table.one_positions)
+                                assert got == _exhaustive_table(fmat, v, side), (
+                                    n, d, ell, r, target, side
+                                )
+        assert shapes == 5720
+
+    def test_wide_shapes_solve_few_candidates(self):
+        """The four n=60, d=0, ell=4 shapes that took seconds to tens of
+        seconds to build from all 521,855 index sets."""
+        fmat = moment_matrix(60, 0, 4)
+        counts = {}
+        for side, target, r in (
+            ("upper", "at-least", 6),
+            ("upper", "at-least", 30),
+            ("lower", "at-least", 30),
+            ("upper", "exactly", 30),
+        ):
+            table = dual_bases(fmat, target_vector(60, 0, r, target), side)
+            counts[side, target, r] = (table.solved, table.stored)
+        assert counts == {
+            ("upper", "at-least", 6): (1501, 63),
+            ("upper", "at-least", 30): (5101, 87),
+            ("lower", "at-least", 30): (5101, 88),
+            ("upper", "exactly", 30): (114, 114),
+        }
+
+    def test_one_sets_are_listed_not_stored(self):
+        """At d = 0 every set whose targets are all one solves to a = e_1;
+        on the upper side the table stores only the first of them."""
+        table = dual_bases(moment_matrix(30, 0, 3), target_vector(30, 0, 2), "upper")
+        assert table.one_positions == tuple(range(3, 32))
+        ones = [basis for basis in table if basis.index_set[0] >= 3]
+        assert len(ones) == math.comb(29, 3)
+        assert {(basis.numerators, basis.den) for basis in ones} == {((1, 0, 0), 1)}
+        assert [basis for basis in table.bases if basis.index_set[0] >= 3] == ones[:1]
 
     def test_zero_sets_are_listed_not_stored(self):
         """On the lower side nearly every set has all targets zero; the
