@@ -1,6 +1,6 @@
 """Cold build time of every dual basis table of one search shape family.
 
-For each r in 0..n, each target and each side, clears the engine's caches
+For each r in 0..n, each target and each side, clears the engine's table cache
 and times ``engine.dual_bases`` on the moment matrix (n, d, ell), then
 prints one line per table (candidates solved, bases stored, milliseconds)
 and a summary with the slowest build.  Run from the repository root:
@@ -31,7 +31,6 @@ def main() -> None:
         for target in TARGETS:
             v = engine.target_vector(args.n, args.d, r, target)
             for side in SIDES:
-                engine._candidates.cache_clear()
                 engine._basis_table.cache_clear()
                 start = time.perf_counter()
                 table = engine.dual_bases(fmat, v, side)

@@ -496,6 +496,13 @@ def _scan(state: tuple[int, ...], constraint: int, cap: int) -> tuple[int, ...]:
     return tuple(min(x, cap) for x in best)
 
 
+@lru_cache(maxsize=4096)
+def _step(states: tuple, constraints: tuple[int, int], caps: tuple[int, int]) -> Optional[tuple]:
+    """Both functions' scans one position on, or None once a count exceeds its budget."""
+    scanned = tuple(map(_scan, states, constraints, caps))
+    return scanned if all(min(s) < cap for s, cap in zip(scanned, caps)) else None
+
+
 class _Candidates:
     """The index sets of one shape that the root-count bound allows.
 
@@ -511,15 +518,9 @@ class _Candidates:
 
     def __init__(self, v: tuple[int, ...], ell: int, d: int, upper: bool) -> None:
         caps = (ell, ell if d == 0 else ell + 1)
-        memo: dict = {}
 
         def step(left: int, state: tuple, constraints: tuple[int, int]) -> Optional[tuple]:
-            key = (state, constraints)
-            if key not in memo:
-                scanned = tuple(map(_scan, state, constraints, caps))
-                alive = all(min(s) < cap for s, cap in zip(scanned, caps))
-                memo[key] = scanned if alive else None
-            scanned = memo[key]
+            scanned = _step(state, constraints, caps)
             return None if scanned is None else (left, scanned)
 
         positions = len(v)
@@ -564,11 +565,6 @@ class _Candidates:
                 stack.append((x + 1, take, members + (x + 1,)))
 
 
-@lru_cache(maxsize=32)
-def _candidates(v: tuple[int, ...], ell: int, d: int, side: str) -> _Candidates:
-    return _Candidates(v, ell, d, side == SIDE_UPPER)
-
-
 def dual_bases(
     fmat: MomentMatrix,
     v: "TargetVector | Sequence[int]",
@@ -588,9 +584,8 @@ def dual_bases(
     C(x+d-1, k+d-1) = C(x+d-1, d) q(x) with deg q <= ell-1, so P0 = b has
     at most ell-1 roots in x > 0, counted with multiplicity.  P1 = b - 1
     has at most ell-1 there at d = 0, and at most ell at d >= 1, by Rolle
-    on q - 1/C(x+d-1, d),
-    whose ell-th derivative never vanishes because 1/C(x+d-1, d) is
-    completely monotone.  If I is feasible, P_c is 0 on I where v = c and
+    on q - 1/C(x+d-1, d), whose ell-th derivative never vanishes because
+    1/C(x+d-1, d) is completely monotone.  If I is feasible, P_c is 0 on I where v = c and
     has the sign of v - c on the rest of I; sigma P_c >= 0 at the other
     positions with v = c (sigma = +1 on the upper side, -1 on the lower);
     and P0 >= 1 (upper) or P1 <= -1 (lower) at the other positions with
@@ -607,18 +602,21 @@ def dual_bases(
         isinstance(x, int) and x in (0, 1) for x in components
     ):
         raise ValueError(f"target vector must be {fmat.positions} integers 0 or 1, got {components}")
-    total = _candidates(components, fmat.ell, fmat.d, side).count
-    if total > max_combinations:
-        raise ResourceLimitError(
-            f"{total} candidate index sets exceed the enumeration cap of {max_combinations}"
-        )
-    return _basis_table(fmat, components, side)
+    return _basis_table(fmat, components, side, max_combinations)
 
 
 @lru_cache(maxsize=32)
-def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTable:
+def _basis_table(
+    fmat: MomentMatrix, v: tuple[int, ...], side: str, max_combinations: int
+) -> BasisTable:
     ell = fmat.ell
     upper = side == SIDE_UPPER
+    candidates = _Candidates(v, ell, fmat.d, upper)
+    if candidates.count > max_combinations:
+        raise ResourceLimitError(
+            f"{candidates.count} candidate index sets exceed the enumeration cap "
+            f"of {max_combinations}"
+        )
     zero = (0,) * ell
     one = (1,) + zero[1:]
     zero_positions = one_positions = ()
@@ -627,13 +625,12 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
     if fmat.d == 0 and (upper or all(v)):
         one_positions = tuple(i for i, x in enumerate(v, 1) if x)
     bases = [
-        DualBasis(index_set, a, 1)
+        DualBasis(positions[:ell], a, 1)
         for positions, a in ((zero_positions, zero), (one_positions, one))
-        for index_set in itertools.islice(itertools.combinations(positions, ell), 1)
+        if len(positions) >= ell
     ]
     columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
     checks = list(zip(columns, v))
-    candidates = _candidates(v, ell, fmat.d, side)
     for index_set in candidates:
         rhs = [v[i - 1] for i in index_set]
         numerators, den = solve_integer([columns[i - 1] for i in index_set], rhs)
