@@ -473,7 +473,8 @@ def _constraint(v_x: int, c: int, member: bool, upper: bool) -> int:
     return _FREE
 
 
-def _scan(state: tuple[int, ...], constraint: int, cap: int) -> tuple[int, ...]:
+@lru_cache(maxsize=1024)
+def _scan(state: tuple[int, ...], constraint: int, cap: int) -> Optional[tuple[int, ...]]:
     """One position of the root-count scan of one function.
 
     ``state`` holds the fewest roots counted so far, capped at ``cap``,
@@ -481,6 +482,7 @@ def _scan(state: tuple[int, ...], constraint: int, cap: int) -> tuple[int, ...]:
     sign + or - with an even or odd number of zeros since.  Each zero is
     one root.  Between two strict signs the zeros must number an odd
     count exactly when the sign changes, else one more root lies there.
+    Returns None once every count reaches ``cap``, one over the budget.
     """
     if constraint == _FREE:
         return state
@@ -493,14 +495,7 @@ def _scan(state: tuple[int, ...], constraint: int, cap: int) -> tuple[int, ...]:
         best[1] = min(best[1], none, pos_even, pos_odd + 1, neg_even + 1, neg_odd)
     if constraint in (_NEGATIVE, _NONPOSITIVE):
         best[3] = min(best[3], none, neg_even, neg_odd + 1, pos_even + 1, pos_odd)
-    return tuple(min(x, cap) for x in best)
-
-
-@lru_cache(maxsize=4096)
-def _step(states: tuple, constraints: tuple[int, int], caps: tuple[int, int]) -> Optional[tuple]:
-    """Both functions' scans one position on, or None once a count exceeds its budget."""
-    scanned = tuple(map(_scan, states, constraints, caps))
-    return scanned if all(min(s) < cap for s, cap in zip(scanned, caps)) else None
+    return tuple(min(x, cap) for x in best) if min(best) < cap else None
 
 
 class _Candidates:
@@ -520,8 +515,9 @@ class _Candidates:
         caps = (ell, ell if d == 0 else ell + 1)
 
         def step(left: int, state: tuple, constraints: tuple[int, int]) -> Optional[tuple]:
-            scanned = _step(state, constraints, caps)
-            return None if scanned is None else (left, scanned)
+            p0 = _scan(state[0], constraints[0], caps[0])
+            p1 = _scan(state[1], constraints[1], caps[1])
+            return None if p0 is None or p1 is None else (left, (p0, p1))
 
         positions = len(v)
         self.start = (ell, tuple((0,) + (cap,) * 4 for cap in caps))

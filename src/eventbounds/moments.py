@@ -36,9 +36,9 @@ from .core import (
     binomial,
     enumerate_index_tuples,
     exact_joint,
-    index_tuple_indices,
     exact_occurrence,
     falling_factorial,
+    index_tuple_indices,
 )
 from .errors import InputFormatError
 from .numerics import (

@@ -182,6 +182,20 @@ class TestMomentSetPayload:
         assert pair.ell == 2
         assert pair.vector(()).values == moments.vector(()).values[:2]
 
+    def test_restricted_builds_no_index_tuple(self, monkeypatch):
+        moments = moment_set(fair(5), 2, 3)
+        built = []
+        original = IndexTuple.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(IndexTuple, "__post_init__", counting)
+        pair = moments.restricted(2)
+        assert [v.j for v in pair] == [v.j for v in moments]
+        assert built == []
+
     def test_missing_tuple_is_rejected(self):
         payload = moment_set(fair(3), 1, 2).to_payload()
         payload["s"] = payload["s"][:-1]
