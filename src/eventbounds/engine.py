@@ -473,6 +473,8 @@ def _constraint(v_x: int, c: int, member: bool, upper: bool) -> int:
     return _FREE
 
 
+# A step depends only on its three arguments, and every shape meets the
+# same few states, so one bounded cache serves all tables.
 @lru_cache(maxsize=1024)
 def _scan(state: tuple[int, ...], constraint: int, cap: int) -> Optional[tuple[int, ...]]:
     """One position of the root-count scan of one function.
