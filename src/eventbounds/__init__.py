@@ -11,13 +11,6 @@ machine-checkable certificates and sharpness witnesses.
 # (PEP 562), so importing one submodule, say ``eventbounds.engine``, loads
 # only what that submodule needs.
 _EXPORTS = {
-    "bounds_l2": ("best_l2", "lower_l1", "lower_l2", "upper_u1", "upper_u2"),
-    "bounds_l3": (
-        "CoefficientVector", "lower_alpha", "lower_best_l3", "lower_beta",
-        "lower_gamma", "lower_lb1", "lower_lb2", "lower_lb3", "lower_phi",
-        "lower_theta", "optimal_m", "upper_alpha", "upper_best_l3", "upper_beta",
-        "upper_delta", "upper_gamma", "upper_ub1", "upper_ub2", "upper_ub3",
-    ),
     "certificates": (
         "SIDE_LOWER", "SIDE_UPPER", "SIDES", "TARGET_AT_LEAST", "TARGET_EXACTLY",
         "TARGETS", "BoundCertificate", "BoundRequest", "BoundTerm",
@@ -55,102 +48,11 @@ _EXPORTS = {
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
 # The submodules that ``import eventbounds`` used to load eagerly; they stay
 # reachable as attributes.
-_SUBMODULES = (*_EXPORTS, "families")
+_SUBMODULES = (*_EXPORTS, "bounds_l2", "bounds_l3", "families")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregatedBound",
-    "BlockBound",
-    "BlockMoments",
-    "BoundCertificate",
-    "BoundRequest",
-    "BoundTerm",
-    "CoefficientVector",
-    "ConditionalMomentSet",
-    "DecompositionReport",
-    "DegenerateConfigurationError",
-    "DegenerateMeasureError",
-    "EventBoundsError",
-    "EventSystem",
-    "Feasibility",
-    "FORMULAS",
-    "IndexTuple",
-    "InfeasibleMomentsError",
-    "InputFormatError",
-    "MomentMatrix",
-    "MomentSet",
-    "MomentVector",
-    "NotApplicableError",
-    "OccurrenceDistribution",
-    "PartitionField",
-    "RATIONAL_BACKEND",
-    "ResourceLimitError",
-    "SearchResult",
-    "SharpnessWitness",
-    "SIDE_LOWER",
-    "SIDE_UPPER",
-    "SIDES",
-    "SuiteReport",
-    "TARGET_AT_LEAST",
-    "TARGET_EXACTLY",
-    "TARGETS",
-    "TargetVector",
-    "ZVector",
-    "best_l2",
-    "binomial",
-    "block_system",
-    "bound_for_system",
-    "bound_value",
-    "certificate_from_terms",
-    "check_feasibility",
-    "conditional_bound",
-    "conditional_moments",
-    "enumerate_index_tuples",
-    "evaluate_request",
-    "exact_at_least",
-    "exact_joint",
-    "exact_occurrence",
-    "expectation_aggregate",
-    "jordan_exact",
-    "lower_alpha",
-    "lower_best_l3",
-    "lower_beta",
-    "lower_gamma",
-    "lower_l1",
-    "lower_l2",
-    "lower_lb1",
-    "lower_lb2",
-    "lower_lb3",
-    "lower_phi",
-    "lower_theta",
-    "moment_matrix",
-    "moment_set",
-    "moments_from_system",
-    "normalize",
-    "optimal_m",
-    "random_partition",
-    "random_system",
-    "rational",
-    "run_all",
-    "search_index_sets",
-    "sharpness_witness",
-    "solve_coefficients",
-    "target_vector",
-    "upper_alpha",
-    "upper_best_l3",
-    "upper_beta",
-    "upper_delta",
-    "upper_gamma",
-    "upper_u1",
-    "upper_u2",
-    "upper_ub1",
-    "upper_ub2",
-    "upper_ub3",
-    "verify_decomposition",
-    "witness_system",
-    "z_vector",
-]
+__all__ = sorted(_SOURCES)
 
 
 def __getattr__(name: str) -> object:

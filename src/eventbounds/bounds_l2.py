@@ -18,8 +18,9 @@ Families and applicability (writing N = n - d + 1 for the position count):
   m in 1..n-d chosen per index tuple; the exactly target uses the fixed
   window m = 1.
 
-All bounds are sums over the index tuples of order d, so the ``moments``
-argument is the full moment set of that order.
+Every bound is a sum over the index tuples of order d.  The families are
+evaluated through :mod:`eventbounds.families`; requests reach them
+through :func:`eventbounds.dispatch.evaluate_request`.
 """
 
 from __future__ import annotations
@@ -27,23 +28,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .certificates import (
-    SIDE_LOWER,
-    SIDE_UPPER,
-    TARGET_AT_LEAST,
-    BoundCertificate,
-)
+from .certificates import SIDE_LOWER, SIDE_UPPER, TARGET_AT_LEAST
 from .core import binomial
 from .errors import DegenerateConfigurationError
-from .families import (
-    Family,
-    Row,
-    best_certificate,
-    family_certificate,
-    family_pair,
-    window_candidates,
-)
-from .moments import MomentSet
+from .families import Family, Row, window_candidates
 from .numerics import rational
 
 
@@ -134,56 +122,3 @@ FAMILY_ROWS = (
         pick=_l2_windows,
     ),
 )
-_U1, _U2, _L1, _L2 = FAMILY_ROWS
-
-
-def upper_u1(moments: MomentSet, n: int, r: int, d: int, target: str = TARGET_AT_LEAST) -> BoundCertificate:
-    """Upper bound from the second moment alone; needs r > d.
-
-    The value simultaneously bounds the at-least-r and the exactly-r
-    probability; ``target`` only labels the certificate.
-    """
-    return family_certificate(_U1, moments, n, r, d, target)
-
-
-def upper_u2(moments: MomentSet, n: int, r: int, d: int) -> tuple[BoundCertificate, BoundCertificate]:
-    """Upper bounds anchored at the top position; needs r < n.
-
-    Returns one certificate per target (at-least-r, exactly-r).
-    """
-    return family_pair(_U2, moments, n, r, d)
-
-
-def lower_l1(moments: MomentSet, n: int, r: int, d: int, target: str = TARGET_AT_LEAST) -> BoundCertificate:
-    """Lower bound anchored at the top position; needs r > d.
-
-    For the exactly target this family only exists at r = n, where the
-    at-least and exactly probabilities coincide.
-    """
-    return family_certificate(_L1, moments, n, r, d, target)
-
-
-def lower_l2(
-    moments: MomentSet, n: int, d: int, m: Optional[int] = None
-) -> tuple[BoundCertificate, BoundCertificate]:
-    """Lower bounds for the threshold r = d >= 1 from a sliding window.
-
-    Returns certificates for the at-least-d and exactly-d probabilities.
-    For the at-least target, the window position m is chosen per index
-    tuple by the bracket m-1 <= (d+1) s_2(j)/s_1(j) <= m when s_1(j) > 0
-    and by evaluating the endpoint windows otherwise; pass ``m`` to force
-    one window everywhere.  The exactly target has no window choice.
-    """
-    return family_pair(_L2, moments, n, d, d, m)
-
-
-def best_l2(
-    moments: MomentSet, n: int, r: int, d: int, target: str, side: str, m: Optional[int] = None
-) -> BoundCertificate:
-    """The extremal applicable two-moment bound for the request.
-
-    Upper side takes the minimum over {u1, u2}, lower side the maximum
-    over {l1, l2}, comparing whole certificates; ties keep the earlier
-    family in that order.  Raises when no family applies.
-    """
-    return best_certificate(FAMILY_ROWS, moments, n, r, d, target, side, m)

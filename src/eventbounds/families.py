@@ -5,9 +5,9 @@ request (n, r, d, target) it names an index set and gives the coefficient
 row that solves the dual system there.  A :class:`Family` states its side,
 its moment order, where it applies, and, for windowed families, the window
 range per target and the rule that proposes window candidates.  The rows
-themselves live next to their coefficient functions in ``bounds_l2`` and
-``bounds_l3``; everything that evaluates, combines, sweeps or verifies a
-closed form reads them through this module.
+themselves are built by cached builders in ``bounds_l2`` and ``bounds_l3``;
+everything that evaluates, combines, sweeps or verifies a closed form
+reads them through this module.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .certificates import (
     SIDE_UPPER,
     SIDES,
-    TARGET_AT_LEAST,
-    TARGET_EXACTLY,
     TARGETS,
     BoundCertificate,
     BoundTerm,
@@ -41,11 +39,12 @@ class Family:
 
     ``applies(n, r, d, target)`` says where the family exists, and
     ``row(n, r, d, target, m)`` returns its :class:`Row`: coefficients,
-    index set and the window recorded on the term.  The coefficient
-    functions behind the rows cache them, so each row's forms are built
-    once.  ``windows`` maps each target that has a window choice to its
-    range ``(n, r, d) -> (lo, hi)``; a target missing from it uses a fixed
-    row, and a family with no windows at all takes no ``m``.
+    index set and the window recorded on the term.  The builders behind
+    the rows cache them, so equal arguments give the same :class:`Row`,
+    whose forms are built once.  ``windows`` maps each target that has a
+    window choice to its range ``(n, r, d) -> (lo, hi)``; a target missing
+    from it uses a fixed row, and a family with no windows at all takes no
+    ``m``.
     ``pick(values, n, r, d, lo, hi)`` proposes the candidate windows for
     one moment vector, in increasing order; it gets integer numerators
     for exact moments, which leave every bracket unchanged.
@@ -155,18 +154,13 @@ def _moment_forms(moments: MomentSet, ell: int) -> tuple[list[tuple], bool]:
         return [(row, row, denominator) for row in rows], True
     forms = []
     for vector in moments:
-        values = vector.values
-        exact = vector.exact if len(values) == ell else all_exact(values[:ell])
-        forms.append(vector_form(values[:ell], exact))
+        values = vector.values[:ell]
+        if vector.exact if len(vector.values) == ell else all_exact(values):
+            row, denominator = over_common_denominator(values)
+            forms.append((row, row, denominator))
+        else:
+            forms.append((values, tuple(map(float, values)), None))
     return forms, all(form[2] for form in forms)
-
-
-def vector_form(values: Sequence[Number], exact: Optional[bool] = None) -> tuple:
-    """One tuple's :func:`_moment_forms` entry, over its own denominator."""
-    if exact if exact is not None else all_exact(values):
-        row, denominator = over_common_denominator(values)
-        return row, row, denominator
-    return values, tuple(map(float, values)), None
 
 
 def _key(row: Row, form: tuple):
@@ -268,16 +262,6 @@ def family_certificate(
     return _certificate(
         family.side, target, r, d, family.ell, family.name, moments, forms,
         choices, itertools.repeat(family.name), _total(choices, forms, exact),
-    )
-
-
-def family_pair(
-    family: Family, moments: MomentSet, n: int, r: int, d: int, m: Optional[int] = None
-) -> tuple[BoundCertificate, BoundCertificate]:
-    """The at-least certificate, window pinned to ``m`` if given, and the exactly one."""
-    return (
-        family_certificate(family, moments, n, r, d, TARGET_AT_LEAST, m),
-        family_certificate(family, moments, n, r, d, TARGET_EXACTLY),
     )
 
 

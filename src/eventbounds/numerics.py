@@ -7,64 +7,32 @@ Two arithmetic modes coexist throughout the package:
   tolerance (``DEFAULT_TOLERANCE`` unless overridden).
 
 A value's mode is decided by its type: ``float`` means float mode, anything
-rational means exact mode.  Exact values are created through
-:func:`rational`, which is backed by ``gmpy2.mpq`` when gmpy2 is installed
-and by ``fractions.Fraction`` otherwise.  The two backends hash, compare
-and print identically, so they interoperate; gmpy2 is purely a speedup.
-
-One caveat drives the helpers below: multiplying a gmpy2 rational by a
-float yields a gmpy2 ``mpfr``, not a ``float``.  Mixed-mode arithmetic must
-therefore convert rationals to float explicitly, which :func:`dot_product`
-and friends do.
+rational means exact mode.  Exact values are ``fractions.Fraction``s,
+created through :func:`rational`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-#: Set EVENTBOUNDS_BACKEND=fractions (or =gmpy2) to pin the backend, for
-#: example to compare both in otherwise identical runs.
-_FORCED_BACKEND = os.environ.get("EVENTBOUNDS_BACKEND")
+#: The exact rational type; recorded by benchmark runs.
+RATIONAL_BACKEND = "fractions"
 
-try:  # pragma: no cover - exercised indirectly via either backend
-    if _FORCED_BACKEND == "fractions":
-        raise ImportError("backend pinned to fractions")
-    from gmpy2 import mpq as _mpq
-
-    RATIONAL_BACKEND = "gmpy2"
-    _EXACT_TYPE = type(_mpq(0))
-    _RATIONAL_TYPES = (Fraction, _EXACT_TYPE)
-
-    def rational(numerator: object = 0, denominator: object = 1):
-        """Exact rational number (gmpy2 backend)."""
-        return _mpq(numerator, denominator)
-
-except ImportError:  # pragma: no cover
-    if _FORCED_BACKEND == "gmpy2":
-        raise
-    RATIONAL_BACKEND = "fractions"
-    _EXACT_TYPE = Fraction
-    _RATIONAL_TYPES = (Fraction,)
-
-    def rational(numerator: object = 0, denominator: object = 1):
-        """Exact rational number (fractions backend)."""
-        return Fraction(numerator, denominator)
-
+#: Exact rational number.
+rational = Fraction
 
 #: Absolute tolerance used for float-mode comparisons and validations.
 DEFAULT_TOLERANCE = 1e-9
 
 #: Values flowing through the package are either exact rationals or floats.
-#: The alias documents intent; gmpy2 rationals satisfy it by duck typing.
 Number = Union[Fraction, float]
 
 
 def is_rational(value: object) -> bool:
     """True for ints and exact rationals, False for floats and others."""
-    return isinstance(value, (int, *_RATIONAL_TYPES)) and not isinstance(value, bool)
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def all_exact(values: Iterable[object]) -> bool:
@@ -77,19 +45,18 @@ def to_number(value: object) -> Number:
 
     ints and rationals become exact rationals; floats stay floats; strings
     are parsed as exact rationals ("3/8", "3", "0.375" are all accepted).
-    A value already in the backend's rational type is returned as is.
+    A ``Fraction`` is returned as is.
     """
     if isinstance(value, str):
         try:
-            parsed = Fraction(value)
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {value!r} as a rational number") from exc
-        return parsed if _EXACT_TYPE is Fraction else rational(parsed)
     if isinstance(value, bool):
         raise ValueError(f"boolean {value!r} is not a number")
-    if isinstance(value, float) or type(value) is _EXACT_TYPE:
+    if isinstance(value, float) or type(value) is Fraction:
         return value
-    if isinstance(value, int) or isinstance(value, _RATIONAL_TYPES):
+    if isinstance(value, (int, Fraction)):
         return rational(value)
     raise ValueError(f"unsupported numeric value {value!r}")
 
@@ -108,8 +75,8 @@ def exactify(value: Number) -> Number:
     exact arithmetic on float-laden input files.
     """
     if isinstance(value, float):
-        return rational(Fraction(repr(value)))
-    return rational(value)
+        return Fraction(repr(value))
+    return Fraction(value)
 
 
 def encode_number(value: Number) -> object:

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import bounds_l2
 from .certificates import (
     SIDE_UPPER,
     SIDES,
@@ -483,8 +482,8 @@ def suite_classical(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteR
             weight * bin(mask).count("1") for mask, weight in system.weights.items()
         )
         moments = moment_set(system, 0, 2)
-        upper = bounds_l2.upper_u1(moments, n, 1, 0)
-        lower = bounds_l2.lower_l1(moments, n, 1, 0)
+        upper = family_certificate(FAMILY_TABLE["u1"], moments, n, 1, 0, TARGET_AT_LEAST)
+        lower = family_certificate(FAMILY_TABLE["l1"], moments, n, 1, 0, TARGET_AT_LEAST)
         checks += 2
         if upper.value != mean:
             failures.append(

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from eventbounds.bounds_l3 import lower_lb2, upper_ub2
 from eventbounds.certificates import BoundRequest
 from eventbounds.conditional import (
     PartitionField,
@@ -20,7 +19,7 @@ from eventbounds.conditional import (
     expectation_aggregate,
 )
 from eventbounds.core import EventSystem, exact_occurrence
-from eventbounds.dispatch import bound_for_system
+from eventbounds.dispatch import bound_for_system, evaluate_request
 from eventbounds.moments import moment_set
 from eventbounds.verification import (
     suite_classical,
@@ -62,8 +61,16 @@ def test_criterion_2_sharpness_fixture():
     system = EventSystem(n=3, weights={m: Fraction(1, 8) for m in range(8)})
     occurrence = exact_occurrence(system)
     moments = moment_set(system, 1, 3)
-    upper_pair = upper_ub2(moments, 3, 2, 1)
-    lower_pair = lower_lb2(moments, 3, 2, 1)
+    upper_pair, lower_pair = (
+        tuple(
+            evaluate_request(
+                moments,
+                BoundRequest(r=2, d=1, ell=3, side=side, target=target, formula=formula),
+            )
+            for target in ("at-least", "exactly")
+        )
+        for side, formula in (("upper", "ub2"), ("lower", "lb2"))
+    )
     values = (
         upper_pair[0].value,
         lower_pair[0].value,

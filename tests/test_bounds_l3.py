@@ -1,34 +1,39 @@
-"""Three-moment bound families: coefficients, windows, and combined bounds."""
+"""Three-moment bound families: coefficients, windows, and combined bounds.
+
+Each family is reached by a request naming it, as every caller reaches it,
+and its rows through ``Family.row``.
+"""
 
 from fractions import Fraction
 
 import pytest
 
-from eventbounds.bounds_l3 import (
-    lower_beta,
-    lower_best_l3,
-    lower_lb1,
-    lower_lb2,
-    lower_lb3,
-    lower_phi,
-    lower_theta,
-    optimal_m,
-    upper_alpha,
-    upper_best_l3,
-    upper_beta,
-    upper_delta,
-    upper_gamma,
-    upper_ub1,
-    upper_ub2,
-    upper_ub3,
-)
-from eventbounds.core import EventSystem, exact_occurrence
+from eventbounds import bounds_l3
+from eventbounds.certificates import BoundRequest
+from eventbounds.core import EventSystem, IndexTuple, exact_occurrence
+from eventbounds.dispatch import FAMILY_TABLE, evaluate_request
 from eventbounds.errors import DegenerateConfigurationError, NotApplicableError
-from eventbounds.moments import moment_set
+from eventbounds.moments import MomentSet, MomentVector, moment_set
 
 
 def fair(n):
     return EventSystem(n=n, weights={m: Fraction(1, 1 << n) for m in range(1 << n)})
+
+
+def family(moments, formula, r, target="at-least", m=None):
+    """The named family's certificate, window pinned to ``m`` if given."""
+    side = FAMILY_TABLE[formula].side
+    request = BoundRequest(r=r, d=moments.d, ell=3, side=side, target=target, m=m, formula=formula)
+    return evaluate_request(moments, request)
+
+
+def best(moments, r, target, side):
+    """The best applicable three-moment bound, picked per index tuple."""
+    return evaluate_request(moments, BoundRequest(r=r, d=moments.d, ell=3, side=side, target=target))
+
+
+def coefficients(formula, n, r, d, target="at-least", m=None):
+    return FAMILY_TABLE[formula].row(n, r, d, target, m).coefficients
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +51,14 @@ class TestCoefficientSigns:
         for n in range(3, 9):
             for r in range(1, n - 1):
                 for m in range(r + 2, n + 1):
-                    assert upper_gamma(n, r, 0, m).values == (1, 0, 0)
+                    assert coefficients("ub3", n, r, 0, m=m) == (1, 0, 0)
 
     def test_gamma_alternates_plus_minus_plus_for_positive_d(self):
         for n in range(3, 9):
             for d in range(1, n):
                 for r in range(d, n - 1):
                     for m in range(r - d + 2, n - d + 1):
-                        g1, g2, g3 = upper_gamma(n, r, d, m).values
+                        g1, g2, g3 = coefficients("ub3", n, r, d, m=m)
                         assert g1 > 0 and g2 < 0 and g3 > 0
 
     def test_lower_beta_alternates_minus_plus_minus(self):
@@ -61,55 +66,55 @@ class TestCoefficientSigns:
             for d in range(0, n):
                 for r in range(d + 2, n):
                     for m in range(r - d + 1, n - d + 1):
-                        b1, b2, b3 = lower_beta(n, r, d, m).values
+                        b1, b2, b3 = coefficients("lb2", n, r, d, m=m)
                         assert b1 < 0 and b2 > 0 and b3 < 0
 
     def test_alpha_rejects_pivot_windows(self):
         with pytest.raises(DegenerateConfigurationError):
-            upper_alpha(5, 3, 0, 3)
+            bounds_l3._alpha_row(3, 0, 3)
         with pytest.raises(DegenerateConfigurationError):
-            upper_alpha(5, 3, 0, 4)
+            bounds_l3._alpha_row(3, 0, 4)
 
     def test_fair_three_coefficient_fixtures(self):
-        assert upper_alpha(3, 2, 0, 1).values == (0, 0, 1)
-        assert upper_beta(3, 2, 1).values == (0, 1, -2)
-        assert upper_delta(3, 2, 1).values == (0, 1, -3)
-        assert lower_theta(3, 2, 1).values == (0, 1, -3)
-        assert lower_phi(3, 1).values == (1, -2, 3)
+        assert coefficients("ub1", 3, 2, 0, m=1) == (0, 0, 1)
+        assert coefficients("ub2", 3, 2, 1) == (0, 1, -2)
+        assert coefficients("ub2", 3, 2, 1, "exactly") == (0, 1, -3)
+        assert coefficients("lb2", 3, 2, 1, "exactly") == (0, 1, -3)
+        assert coefficients("lb3", 3, 1, 1, "exactly") == (1, -2, 3)
+
+    def test_fixed_windows_are_recorded(self):
+        lb2 = FAMILY_TABLE["lb2"].row(6, 4, 1, "exactly", None)
+        assert (lb2.index_set, lb2.m) == ((3, 4, 5), 4)
+        lb3 = FAMILY_TABLE["lb3"].row(6, 1, 1, "exactly", None)
+        assert (lb3.index_set, lb3.m) == ((1, 2, 6), 1)
 
 
 class TestOptimalM:
     def test_low_window_rule_brackets_the_ratio(self):
         s = (Fraction(1), Fraction(3, 2), Fraction(3, 4))
-        assert optimal_m("mop", s, 3, 2, 0) == 1
+        vector = MomentVector(j=IndexTuple(()), n=3, d=0, ell=3, values=s)
+        moments = MomentSet(n=3, d=0, ell=3, vectors=(vector,))
+        assert family(moments, "ub1", 2).terms[0].m == 1
 
-    def test_unknown_rule_is_rejected(self):
-        with pytest.raises(ValueError):
-            optimal_m("nope", (1, 1, 1), 5, 3, 0)
-
-    def test_empty_range_is_not_applicable(self):
+    def test_empty_range_is_not_applicable(self, fair3_d0):
         with pytest.raises(NotApplicableError):
-            optimal_m("mop", (1, 1, 1), 3, 1, 0)
-
-    def test_ties_resolve_to_the_smallest_window(self):
-        # all-equal summands force the endpoint fallback to compare equal
-        constant = lambda m: 0
-        assert optimal_m("mop", (1, 1, 1), 8, 5, 0, summand=constant) == 1
+            family(fair3_d0, "ub1", 1)
 
 
 class TestUpperFamilies:
     def test_ub1_fair_three(self, fair3_d0):
-        certificate = upper_ub1(fair3_d0, 3, 2, 0, m=1)
+        certificate = family(fair3_d0, "ub1", 2, m=1)
         assert certificate.value == Fraction(3, 4)
         assert certificate.coefficients == (0, 0, 1)
         assert certificate.index_set == (1, 2, 3)
 
     def test_ub1_needs_room_below_the_pivot(self, fair3_d1):
         with pytest.raises(NotApplicableError):
-            upper_ub1(fair3_d1, 3, 2, 1)
+            family(fair3_d1, "ub1", 2)
 
     def test_ub2_fair_three_is_sharp(self, fair3_d1):
-        at_least, exactly = upper_ub2(fair3_d1, 3, 2, 1)
+        at_least = family(fair3_d1, "ub2", 2)
+        exactly = family(fair3_d1, "ub2", 2, "exactly")
         occurrence = exact_occurrence(fair(3))
         assert at_least.value == occurrence.at_least(2) == Fraction(1, 2)
         assert exactly.value == occurrence.p[2] == Fraction(3, 8)
@@ -118,26 +123,29 @@ class TestUpperFamilies:
         assert at_least.index_set == (1, 2, 3)
 
     def test_ub2_needs_both_sides(self, fair3_d0):
-        with pytest.raises(NotApplicableError):
-            upper_ub2(fair3_d0, 3, 3, 0)
+        for target in ("at-least", "exactly"):
+            with pytest.raises(NotApplicableError):
+                family(fair3_d0, "ub2", 3, target)
 
     def test_ub3_needs_room_above_r(self, fair3_d0):
-        at_least, exactly = upper_ub3(fair3_d0, 3, 1, 0)
+        at_least = family(fair3_d0, "ub3", 1)
+        exactly = family(fair3_d0, "ub3", 1, "exactly")
         truth = exact_occurrence(fair(3))
         assert truth.at_least(1) <= at_least.clamped
         assert truth.p[1] <= exactly.clamped
         with pytest.raises(NotApplicableError):
-            upper_ub3(fair3_d0, 3, 2, 0)
+            family(fair3_d0, "ub3", 2)
 
     def test_best_upper_takes_the_minimum_per_tuple(self, fair3_d1):
-        best = upper_best_l3(fair3_d1, 3, 2, 1, "at-least")
-        assert best.value == Fraction(1, 2)
-        assert best.formula_id == "ub2"
+        chosen = best(fair3_d1, 2, "at-least", "upper")
+        assert chosen.value == Fraction(1, 2)
+        assert chosen.formula_id == "ub2"
 
 
 class TestLowerFamilies:
     def test_lb1_fair_three(self, fair3_d0):
-        at_least, exactly = lower_lb1(fair3_d0, 3, 2, 0)
+        at_least = family(fair3_d0, "lb1", 2)
+        exactly = family(fair3_d0, "lb1", 3, "exactly")
         assert at_least.value == Fraction(1, 4)
         assert at_least.coefficients == (0, 0, Fraction(1, 3))
         assert exactly.r == 3
@@ -145,10 +153,13 @@ class TestLowerFamilies:
 
     def test_lb1_needs_room_below_the_pivot(self, fair3_d0):
         with pytest.raises(NotApplicableError):
-            lower_lb1(fair3_d0, 3, 1, 0)
+            family(fair3_d0, "lb1", 1)
+        with pytest.raises(NotApplicableError):
+            family(fair3_d0, "lb1", 2, "exactly")
 
     def test_lb2_fair_three_is_sharp(self, fair3_d1):
-        at_least, exactly = lower_lb2(fair3_d1, 3, 2, 1, m=2)
+        at_least = family(fair3_d1, "lb2", 2, m=2)
+        exactly = family(fair3_d1, "lb2", 2, "exactly")
         assert at_least.value == Fraction(1, 2)
         assert at_least.coefficients == (0, 1, -2)
         assert exactly.value == Fraction(3, 8)
@@ -156,21 +167,22 @@ class TestLowerFamilies:
         assert exactly.m == 2
 
     def test_lb3_fair_three_exactly_uses_the_fixed_vector(self, fair3_d1):
-        at_least, exactly = lower_lb3(fair3_d1, 3, 1)
+        at_least = family(fair3_d1, "lb3", 1)
+        exactly = family(fair3_d1, "lb3", 1, "exactly")
         assert exactly.value == Fraction(3, 8)
         assert exactly.coefficients == (1, -2, 3)
         assert exactly.index_set == (1, 2, 3)
+        assert exactly.m == 1
         occurrence = exact_occurrence(fair(3))
         assert at_least.clamped <= occurrence.at_least(1)
 
     def test_lb3_needs_two_windows(self):
         moments = moment_set(fair(3), 2, 2)
         with pytest.raises(ValueError):
-            lower_lb3(moments, 3, 2)
+            family(moments, "lb3", 2)
 
     def test_best_lower_takes_the_maximum_per_tuple(self, fair3_d1):
-        best = lower_best_l3(fair3_d1, 3, 2, 1, "at-least")
-        assert best.value == Fraction(1, 2)
+        assert best(fair3_d1, 2, "at-least", "lower").value == Fraction(1, 2)
 
 
 class TestWindowSweeps:
@@ -185,17 +197,17 @@ class TestWindowSweeps:
             },
         )
         moments = moment_set(system, 0, 3)
-        auto = upper_ub1(moments, 5, 4, 0)
+        auto = family(moments, "ub1", 4)
         for position, term in enumerate(auto.terms):
             sweep = [
-                upper_ub1(moments, 5, 4, 0, m=m).terms[position].value
+                family(moments, "ub1", 4, m=m).terms[position].value
                 for m in range(1, 4)
             ]
             assert term.value == min(sweep)
-        auto = lower_lb2(moments, 5, 2, 0)[0]
+        auto = family(moments, "lb2", 2)
         for position, term in enumerate(auto.terms):
             sweep = [
-                lower_lb2(moments, 5, 2, 0, m=m)[0].terms[position].value
+                family(moments, "lb2", 2, m=m).terms[position].value
                 for m in range(3, 6)
             ]
             assert term.value == max(sweep)

@@ -9,8 +9,6 @@ from math import comb
 
 import pytest
 
-from eventbounds import bounds_l3
-from eventbounds.bounds_l3 import CoefficientVector
 from eventbounds.certificates import BoundCertificate
 from eventbounds.cli import (
     EXIT_INPUT,
@@ -290,15 +288,7 @@ class TestVerify:
         _, second, _ = run(capsys, ["verify", "--trials", "4", "--n-max", "4", "--seed", "5"])
         assert first == second
 
-    def test_failure_exits_4_with_reproducers(self, capsys, monkeypatch):
-        original = bounds_l3.upper_beta
-
-        def skewed(n, r, d):
-            true = original(n, r, d)
-            values = (true.values[0], true.values[1] - 1, true.values[2])
-            return CoefficientVector(values=values, family="beta", n=n, r=r, d=d)
-
-        monkeypatch.setattr(bounds_l3, "upper_beta", skewed)
+    def test_failure_exits_4_with_reproducers(self, capsys, skewed_ub2_row):
         code, out, err = run(
             capsys, ["verify", "--trials", "30", "--n-max", "6", "--seed", "7"]
         )

@@ -17,7 +17,7 @@ from eventbounds.certificates import SIDE_UPPER, SIDES, TARGET_AT_LEAST, TARGETS
 from eventbounds.core import EventSystem
 from eventbounds.dispatch import FAMILY_TABLE
 from eventbounds.engine import check_feasibility, solve_coefficients, target_vector
-from eventbounds import families
+from eventbounds import bounds_l2, bounds_l3, families
 from eventbounds.families import best_certificate, family_certificate
 from eventbounds.numerics import integer_bracket
 from eventbounds.moments import moment_matrix, moment_set
@@ -72,6 +72,25 @@ def test_integer_and_float_forms_equal_the_rational_row(name):
         assert all(type(x) is int for x in row.numerators), case
         assert row.floats == tuple(float(c) for c in row.coefficients), case
         assert family.row(n, r, d, target, m).numerators is row.numerators, case
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TABLE))
+def test_rows_are_cached(name):
+    family = FAMILY_TABLE[name]
+    for n, r, d, target, m in row_cases(family):
+        assert family.row(n, r, d, target, m) is family.row(n, r, d, target, m), (name, n, r, d, target, m)
+
+
+def test_row_caches_are_bounded():
+    builders = {
+        name: value
+        for module in (bounds_l2, bounds_l3)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert len(builders) == 10, sorted(builders)
+    for name, builder in builders.items():
+        assert builder.cache_info().maxsize is not None, name
 
 
 # ---------------------------------------------------------------------------

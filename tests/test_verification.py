@@ -3,10 +3,6 @@
 import json
 import random
 
-import pytest
-
-from eventbounds import bounds_l3
-from eventbounds.bounds_l3 import CoefficientVector
 from eventbounds.core import EventSystem
 from eventbounds.verification import (
     SuiteReport,
@@ -130,18 +126,7 @@ class TestRunAll:
 class TestMutationSensitivity:
     """A deliberately skewed coefficient must trip the suites."""
 
-    @pytest.fixture
-    def skewed_beta(self, monkeypatch):
-        original = bounds_l3.upper_beta
-
-        def skewed(n, r, d):
-            true = original(n, r, d)
-            values = (true.values[0], true.values[1] - 1, true.values[2])
-            return CoefficientVector(values=values, family="beta", n=n, r=r, d=d)
-
-        monkeypatch.setattr(bounds_l3, "upper_beta", skewed)
-
-    def test_sandwich_catches_it_with_a_reproducer(self, skewed_beta):
+    def test_sandwich_catches_it_with_a_reproducer(self, skewed_ub2_row):
         report = suite_sandwich(trials=30, n_max=6, seed=7)
         assert not report.passed
         assert report.failures
@@ -151,7 +136,7 @@ class TestMutationSensitivity:
         rebuilt = EventSystem.from_payload(payload)
         assert sum(rebuilt.weights.values()) == 1
 
-    def test_engine_agreement_catches_it(self, skewed_beta):
+    def test_engine_agreement_catches_it(self, skewed_ub2_row):
         report = suite_engine_agreement(trials=30, n_max=6, seed=7)
         assert not report.passed
 
