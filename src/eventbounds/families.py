@@ -155,7 +155,8 @@ def _moment_forms(moments: MomentSet, ell: int) -> tuple[list[tuple], bool]:
     forms = []
     for vector in moments:
         values = vector.values[:ell]
-        if vector.exact if len(vector.values) == ell else all_exact(values):
+        exact = vector.exact if len(vector.values) == ell else all_exact(values)
+        if exact:
             row, denominator = over_common_denominator(values)
             forms.append((row, row, denominator))
         else:

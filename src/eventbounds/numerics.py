@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-#: The exact rational type; recorded by benchmark runs.
+#: The exact rational type's name, which benchmark runs record.
 RATIONAL_BACKEND = "fractions"
 
 #: Exact rational number.

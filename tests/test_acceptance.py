@@ -61,16 +61,13 @@ def test_criterion_2_sharpness_fixture():
     system = EventSystem(n=3, weights={m: Fraction(1, 8) for m in range(8)})
     occurrence = exact_occurrence(system)
     moments = moment_set(system, 1, 3)
-    upper_pair, lower_pair = (
-        tuple(
-            evaluate_request(
-                moments,
-                BoundRequest(r=2, d=1, ell=3, side=side, target=target, formula=formula),
-            )
-            for target in ("at-least", "exactly")
-        )
-        for side, formula in (("upper", "ub2"), ("lower", "lb2"))
-    )
+
+    def bound(side, target, formula):
+        request = BoundRequest(r=2, d=1, ell=3, side=side, target=target, formula=formula)
+        return evaluate_request(moments, request)
+
+    upper_pair = (bound("upper", "at-least", "ub2"), bound("upper", "exactly", "ub2"))
+    lower_pair = (bound("lower", "at-least", "lb2"), bound("lower", "exactly", "lb2"))
     values = (
         upper_pair[0].value,
         lower_pair[0].value,

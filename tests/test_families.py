@@ -77,8 +77,8 @@ def test_integer_and_float_forms_equal_the_rational_row(name):
 @pytest.mark.parametrize("name", sorted(FAMILY_TABLE))
 def test_rows_are_cached(name):
     family = FAMILY_TABLE[name]
-    for n, r, d, target, m in row_cases(family):
-        assert family.row(n, r, d, target, m) is family.row(n, r, d, target, m), (name, n, r, d, target, m)
+    for case in row_cases(family):
+        assert family.row(*case) is family.row(*case), (name, *case)
 
 
 def test_row_caches_are_bounded():
