@@ -12,9 +12,10 @@ actually asserted for a probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .core import IndexTuple
+from .errors import NotApplicableError
 from .numerics import (
     Number,
     clamp01,
@@ -49,12 +50,6 @@ class BoundTerm:
     value: Number
     formula_id: str
     m: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if type(self.coefficients) is not tuple:
-            object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if type(self.index_set) is not tuple:
-            object.__setattr__(self, "index_set", tuple(self.index_set))
 
     def to_payload(self) -> dict:
         payload = {
@@ -175,7 +170,6 @@ def certificate_from_terms(
     ell: int,
     formula_id: str,
     terms: Sequence[BoundTerm],
-    witness: Any = None,
     value: Optional[Number] = None,
 ) -> BoundCertificate:
     """Assemble a certificate by summing per-tuple contributions.
@@ -212,7 +206,6 @@ def certificate_from_terms(
         index_set=shared_index,
         m=shared_m,
         terms=terms,
-        witness=witness,
     )
 
 
@@ -247,3 +240,16 @@ class BoundRequest:
             raise ValueError(f"ell must be at least 2, got {self.ell}")
         if self.m is not None and (not isinstance(self.m, int) or self.m < 1):
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
+
+    def check(self, n: int) -> None:
+        """Reject, in order, d > n (ValueError), more moment orders than the
+        n-d+1 positions (NotApplicableError) and r outside d..n (ValueError)."""
+        d, ell = self.d, self.ell
+        if d > n:
+            raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
+        if ell > n - d + 1:
+            raise NotApplicableError(
+                f"ell={ell} exceeds the {n - d + 1} moment positions at n={n}, d={d}"
+            )
+        if self.r > n or self.r < d:
+            raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={self.r}, n={n}")

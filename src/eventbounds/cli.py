@@ -19,7 +19,8 @@ from typing import Optional
 from .certificates import SIDES, TARGET_AT_LEAST, TARGETS, BoundRequest
 from .conditional import PartitionField, conditional_bound, expectation_aggregate
 from .core import EventSystem, exact_occurrence
-from .dispatch import check_positions, evaluate_request, request_grid, search_bound
+from .dispatch import evaluate_request, request_grid, search_bound
+from .engine import check_realizable
 from .errors import EventBoundsError, InputFormatError, NotApplicableError
 from .moments import MomentSet, MomentVector, moment_set
 from .numerics import DEFAULT_TOLERANCE, Number, difference, encode_number, exactify
@@ -60,7 +61,9 @@ def _load_moments(args: argparse.Namespace) -> MomentSet:
         )
         for vector in loaded
     )
-    return MomentSet(n=loaded.n, d=loaded.d, ell=loaded.ell, vectors=vectors)
+    exact = MomentSet(n=loaded.n, d=loaded.d, ell=loaded.ell, vectors=vectors)
+    check_realizable(exact)  # the float check above allowed a tolerance
+    return exact
 
 
 def _cell(value: object) -> object:
@@ -118,22 +121,22 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _source(args: argparse.Namespace, request: BoundRequest) -> tuple[Optional[EventSystem], MomentSet]:
-    """The input system (None for moment input) and a moment set serving the request."""
+    """The input system (None for moment input) and a moment set for the checked request."""
     if args.input:
         system = _load_system(args)
-        check_positions(system.n, request.d, request.ell)
+        request.check(system.n)
         return system, moment_set(system, request.d, request.ell)
     moments = _load_moments(args)
     if moments.d != request.d:
         raise InputFormatError(f"moment file has d={moments.d}, request says d={request.d}")
-    check_positions(moments.n, moments.d, request.ell)
+    request.check(moments.n)
     return None, moments
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     request = _request_from(args)
     system, moments = _source(args, request)
-    certificate = evaluate_request(moments, request, args.tolerance)
+    certificate = evaluate_request(moments, request)
     payload: dict = {"certificate": certificate.to_payload()}
     exact_cells = ["", ""]
     if system is not None:
@@ -162,7 +165,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     entries = []
     for window, request in request_grid(system):
         try:
-            certificate = evaluate_request(window, request, args.tolerance)
+            certificate = evaluate_request(window, request)
         except NotApplicableError:
             continue
         truth = _truth(occurrence, request.r, request.target)
@@ -225,10 +228,8 @@ def cmd_conditional(args: argparse.Namespace) -> int:
     system = _load_system(args)
     partition = PartitionField.from_payload(_load_json(args.partition), n=system.n)
     request = _request_from(args)
-    blocks = conditional_bound(system, partition, request, args.tolerance)
-    unconditional = evaluate_request(
-        moment_set(system, request.d, request.ell), request, args.tolerance
-    )
+    blocks = conditional_bound(system, partition, request)
+    unconditional = evaluate_request(moment_set(system, request.d, request.ell), request)
     aggregated = expectation_aggregate(blocks, unconditional)
     rows = [
         [

@@ -21,7 +21,6 @@ from .dispatch import evaluate_request
 from .errors import DegenerateMeasureError, InputFormatError
 from .moments import MomentSet, moment_set
 from .numerics import (
-    DEFAULT_TOLERANCE,
     Number,
     clamp01,
     difference,
@@ -212,10 +211,7 @@ class BlockBound:
 
 
 def conditional_bound(
-    sys: EventSystem,
-    partition: PartitionField,
-    request: BoundRequest,
-    tolerance: float = DEFAULT_TOLERANCE,
+    sys: EventSystem, partition: PartitionField, request: BoundRequest
 ) -> tuple[BlockBound, ...]:
     """Evaluate one request on every positive-weight block.
 
@@ -223,12 +219,13 @@ def conditional_bound(
     vary with the conditioning.  Applicability depends only on (n, r, d),
     hence is uniform across blocks.
     """
+    request.check(sys.n)
     conditioned = conditional_moments(sys, partition, request.d, request.ell)
     return tuple(
         BlockBound(
             index=block.index,
             weight=block.weight,
-            certificate=evaluate_request(block.moments, request, tolerance),
+            certificate=evaluate_request(block.moments, request),
         )
         for block in conditioned
     )

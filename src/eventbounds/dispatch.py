@@ -4,6 +4,8 @@ The closed forms cover only the first two or three moment orders; any
 other order, or an explicit request, goes through the index-set search.
 A request naming a formula gets exactly that family or an error; a
 request without one gets the best applicable bound for its moment order.
+Each entry checks its request once (:meth:`BoundRequest.check`); the
+functions behind it trust the request.
 """
 
 from __future__ import annotations
@@ -36,16 +38,6 @@ _BEST_OF = {2: (bounds_l2.FAMILY_ROWS, False), 3: (bounds_l3.FAMILY_ROWS, True)}
 FORMULAS = tuple(sorted(FAMILY_TABLE)) + ("search", "jordan")
 
 
-def check_positions(n: int, d: int, ell: int) -> None:
-    """Reject d outside 0..n, and more moment orders than the n-d+1 positions."""
-    if not (0 <= d <= n):
-        raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
-    if ell > n - d + 1:
-        raise NotApplicableError(
-            f"ell={ell} exceeds the {n - d + 1} moment positions at n={n}, d={d}"
-        )
-
-
 def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]]:
     """Every best-of request at ell 2 and 3 for the system, with its moment set.
 
@@ -69,10 +61,10 @@ def search_bound(
 ) -> tuple[BoundCertificate, tuple[BoundCertificate, ...]]:
     """The index-set search's certificate, and each tuple's best result.
 
-    The per-tuple results carry the sharpness witness of their index set.
+    The per-tuple results carry the sharpness witness of their index set,
+    whose nonnegativity allows ``tolerance`` on float moments.
     """
     n, d = moments.n, moments.d
-    check_positions(n, d, request.ell)
     fmat = moment_matrix(n, d, request.ell)
     v = target_vector(n, d, request.r, request.target)
     terms, bests = [], []
@@ -101,7 +93,6 @@ def search_bound(
 
 def _jordan(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
     n, d = moments.n, moments.d
-    check_positions(n, d, request.ell)
     fmat = moment_matrix(n, d, request.ell)
     v = target_vector(n, d, request.r, request.target)
     a = jordan_coefficients(fmat, v)
@@ -121,9 +112,7 @@ def _jordan(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
     )
 
 
-def evaluate_request(
-    moments: MomentSet, request: BoundRequest, tolerance: float = DEFAULT_TOLERANCE
-) -> BoundCertificate:
+def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
     """Evaluate a bound request against a moment set.
 
     Without a formula: the best applicable closed form at ell 2 or 3, the
@@ -131,50 +120,46 @@ def evaluate_request(
     (side and moment order must agree), "search" for the enumeration, or
     "jordan" for the exact full-order evaluation.
     """
-    n, r, d = moments.n, request.r, request.d
-    if moments.d != d:
-        raise ValueError(f"moment set has d={moments.d}, request asks for d={d}")
-    if not (0 <= d <= r <= n):
-        raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={n}")
+    if moments.d != request.d:
+        raise ValueError(f"moment set has d={moments.d}, request asks for d={request.d}")
     if request.ell > moments.ell:
         raise ValueError(
             f"request needs ell={request.ell} moment orders, set has {moments.ell}"
         )
+    request.check(moments.n)
     working = moments if moments.ell == request.ell else moments.restricted(request.ell)
-    formula, target, side, m = request.formula, request.target, request.side, request.m
+    formula, m = request.formula, request.m
     if formula in ("search", "jordan"):
         if m is not None:
             raise ValueError(f"formula {formula!r} has no window parameter m")
         if formula == "search":
-            return search_bound(working, request, tolerance)[0]
+            return search_bound(working, request)[0]
         return _jordan(working, request)
     if formula is None:
         if request.ell not in _BEST_OF:
             if m is not None:
                 raise ValueError("m applies only to the closed-form windowed families")
-            return search_bound(working, request, tolerance)[0]
+            return search_bound(working, request)[0]
         families, per_tuple = _BEST_OF[request.ell]
         if per_tuple and m is not None:
             raise ValueError(
                 "the combined three-moment bound picks windows per index tuple; "
                 "name a formula to pin m"
             )
-        return best_certificate(families, working, n, r, d, target, side, m, per_tuple)
+        return best_certificate(families, working, request, per_tuple)
     family = FAMILY_TABLE.get(formula)
     if family is None:
         raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
-    if side != family.side:
+    if request.side != family.side:
         raise ValueError(
-            f"formula {formula!r} produces {family.side} bounds, request says {side}"
+            f"formula {formula!r} produces {family.side} bounds, request says {request.side}"
         )
     if request.ell != family.ell:
         raise ValueError(f"formula {formula!r} uses ell={family.ell}, request says {request.ell}")
-    return family_certificate(family, working, n, r, d, target, m)
+    return family_certificate(family, working, request)
 
 
-def bound_for_system(
-    sys: EventSystem, request: BoundRequest, tolerance: float = DEFAULT_TOLERANCE
-) -> BoundCertificate:
+def bound_for_system(sys: EventSystem, request: BoundRequest) -> BoundCertificate:
     """Compute the request's moment set from the system, then evaluate it."""
-    moments = moment_set(sys, request.d, request.ell)
-    return evaluate_request(moments, request, tolerance)
+    request.check(sys.n)
+    return evaluate_request(moment_set(sys, request.d, request.ell), request)

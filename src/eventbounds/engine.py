@@ -65,6 +65,9 @@ from .numerics import (
     rational,
 )
 
+#: The enumeration cap: the most candidate index sets one table may solve.
+MAX_CANDIDATES = 1_000_000
+
 
 @dataclass(frozen=True)
 class TargetVector:
@@ -567,7 +570,6 @@ def dual_bases(
     fmat: MomentMatrix,
     v: "TargetVector | Sequence[int]",
     side: str,
-    max_combinations: int = 1_000_000,
 ) -> BasisTable:
     """The table of index sets whose dual solution is feasible for the side.
 
@@ -590,8 +592,8 @@ def dual_bases(
     v != c.  A scan counts the roots those signs force (:func:`_scan`),
     and a set is a candidate only when both counts fit their budgets.
 
-    ``max_combinations`` caps the number of candidates, which is counted
-    before any solve.
+    At most :data:`MAX_CANDIDATES` candidates are solved; their count is
+    checked before any solve.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -600,20 +602,18 @@ def dual_bases(
         isinstance(x, int) and x in (0, 1) for x in components
     ):
         raise ValueError(f"target vector must be {fmat.positions} integers 0 or 1, got {components}")
-    return _basis_table(fmat, components, side, max_combinations)
+    return _basis_table(fmat, components, side)
 
 
 @lru_cache(maxsize=32)
-def _basis_table(
-    fmat: MomentMatrix, v: tuple[int, ...], side: str, max_combinations: int
-) -> BasisTable:
+def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTable:
     ell = fmat.ell
     upper = side == SIDE_UPPER
     candidates = _Candidates(v, ell, fmat.d, upper)
-    if candidates.count > max_combinations:
+    if candidates.count > MAX_CANDIDATES:
         raise ResourceLimitError(
             f"{candidates.count} candidate index sets exceed the enumeration cap "
-            f"of {max_combinations}"
+            f"of {MAX_CANDIDATES}"
         )
     zero = (0,) * ell
     one = (1,) + zero[1:]
@@ -647,7 +647,6 @@ def search_index_sets(
     v: TargetVector,
     s: "MomentVector | Sequence[Number]",
     side: str,
-    max_combinations: int = 1_000_000,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> SearchResult:
     """Keep the best bound over the side-feasible index sets.
@@ -661,7 +660,7 @@ def search_index_sets(
     den; float moments by the float dot product.  Only the winner becomes
     rational coefficients, a value and a sharpness witness.
     """
-    table = dual_bases(fmat, v, side, max_combinations)
+    table = dual_bases(fmat, v, side)
     values = s.values if isinstance(s, MomentVector) else tuple(s)
     if len(values) != fmat.ell:
         raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")

@@ -19,9 +19,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .certificates import (
     SIDE_UPPER,
-    SIDES,
-    TARGETS,
     BoundCertificate,
+    BoundRequest,
     BoundTerm,
     certificate_from_terms,
 )
@@ -64,19 +63,6 @@ def window_candidates(numerator: Number, denominator: Number, lo: int, hi: int) 
     if denominator > 0:
         return integer_bracket(numerator, denominator, lo, hi)
     return (lo, hi) if lo != hi else (lo,)
-
-
-def _validate(moments: MomentSet, n: int, r: int, d: int, ell: int, target: str) -> None:
-    if (moments.n, moments.d) != (n, d):
-        raise ValueError(
-            f"moment set is for (n={moments.n}, d={moments.d}), request says (n={n}, d={d})"
-        )
-    if moments.ell < ell:
-        raise ValueError(f"{ell} moment orders required, moment set has ell={moments.ell}")
-    if not (0 <= d <= r <= n):
-        raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={n}")
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
 
 
 def _check(family: Family, n: int, r: int, d: int, target: str, m: Optional[int]) -> None:
@@ -253,10 +239,11 @@ def _certificate(
 
 
 def family_certificate(
-    family: Family, moments: MomentSet, n: int, r: int, d: int, target: str, m: Optional[int] = None
+    family: Family, moments: MomentSet, request: BoundRequest
 ) -> BoundCertificate:
-    """The family's certificate for one target, window pinned to ``m`` if given."""
-    _validate(moments, n, r, d, family.ell, target)
+    """The family's certificate for a checked request of its side and order,
+    window pinned to ``request.m`` if given."""
+    n, r, d, target, m = moments.n, request.r, moments.d, request.target, request.m
     _check(family, n, r, d, target, m)
     forms, exact = _moment_forms(moments, family.ell)
     choices = _choices(family, forms, n, r, d, target, m)
@@ -267,30 +254,22 @@ def family_certificate(
 
 
 def best_certificate(
-    families: Sequence[Family],
-    moments: MomentSet,
-    n: int,
-    r: int,
-    d: int,
-    target: str,
-    side: str,
-    m: Optional[int] = None,
-    per_tuple: bool = False,
+    families: Sequence[Family], moments: MomentSet, request: BoundRequest, per_tuple: bool = False
 ) -> BoundCertificate:
-    """The extremal bound over the applicable families of one side.
+    """The extremal bound over the applicable families of the request's side,
+    for a checked request of their moment order.
 
     Upper takes the minimum, lower the maximum; ties keep the earlier
     family in table order.  By default whole certificates are compared and
     the winner keeps its own label.  With ``per_tuple`` each index tuple
     takes its own best family, labelled ``ub-min``/``lb-max`` when more
-    than one family applies.  ``m`` pins the window of the applicable
-    windowed families; it is an error when none has a window for the
-    target.
+    than one family applies.  ``request.m`` pins the window of the
+    applicable windowed families; it is an error when none has a window
+    for the target.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    n, r, d, target, side = moments.n, request.r, moments.d, request.target, request.side
+    m = request.m
     ell = families[0].ell
-    _validate(moments, n, r, d, ell, target)
     applicable = [f for f in families if f.side == side and f.applies(n, r, d, target)]
     if not applicable:
         raise NotApplicableError(

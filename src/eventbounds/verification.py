@@ -41,11 +41,14 @@ from .engine import (
     witness_system,
 )
 from .errors import NotApplicableError
-from .families import family_certificate
 from .moments import moment_matrix, moment_set, verify_decomposition, z_vector
 from .numerics import DEFAULT_TOLERANCE, dot_product, encode_number, leq, rational
 
 MAX_REPORTED_FAILURES = 5
+#: The largest numerator and denominator of a random system's weights.
+MAX_VALUE = 9
+#: Requests drawn per trial of the conditional suite.
+CONDITIONAL_REQUESTS = 3
 
 
 @dataclass(frozen=True)
@@ -76,25 +79,18 @@ def _trials(suite: str, trials: int, n_max: int, seed: int):
         yield rng, random_system(rng, rng.randint(2, n_max))
 
 
-def random_system(
-    rng: random.Random,
-    n: int,
-    exact: bool = True,
-    max_support: int = 24,
-    max_value: int = 9,
-) -> EventSystem:
+def random_system(rng: random.Random, n: int, max_support: int = 24) -> EventSystem:
     """A random normalized system with small-denominator rational weights."""
     atoms = 1 << n
     size = rng.randint(1, min(atoms, max_support))
     weights = {}
     for atom in rng.sample(range(atoms), size):
-        numerator = rng.randint(0, max_value)
+        numerator = rng.randint(0, MAX_VALUE)
         if numerator:
-            weights[atom] = rational(numerator, rng.randint(1, max_value))
+            weights[atom] = rational(numerator, rng.randint(1, MAX_VALUE))
     if not weights:
         weights[rng.randrange(atoms)] = rational(1)
-    system = normalize(n, weights)
-    return system if exact else floatize(system)
+    return normalize(n, weights)
 
 
 def floatize(system: EventSystem) -> EventSystem:
@@ -134,23 +130,20 @@ def suite_sandwich(
     n_max: int = 8,
     seed: int = 42,
     tolerance: float = DEFAULT_TOLERANCE,
-    include_float: bool = True,
 ) -> SuiteReport:
     """Clamped lower <= exact <= clamped upper for every applicable request.
 
-    Exact systems are compared with zero tolerance; when ``include_float``
-    is set, the float copy of each system is checked within ``tolerance``.
+    Exact systems are compared with zero tolerance, and the float copy of
+    each system within ``tolerance``.
     """
     start = time.perf_counter()
     checks, failures = 0, []
     for _, base in _trials("sandwich", trials, n_max, seed):
-        n = base.n
-        variants = [base] + ([floatize(base)] if include_float else [])
-        for system in variants:
+        for system in (base, floatize(base)):
             occurrence = exact_occurrence(system)
             for window, request in request_grid(system):
                 try:
-                    certificate = evaluate_request(window, request, tolerance)
+                    certificate = evaluate_request(window, request)
                 except NotApplicableError:
                     continue
                 checks += 1
@@ -223,10 +216,10 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
                     for target, window in family.windows.items():
                         if not family.applies(n, r, d, target):
                             continue
-                        auto = family_certificate(family, moments, n, r, d, target)
+                        auto = _family_bound(family, moments, r, target)
                         lo, hi = window(n, r, d)
                         fixed = [
-                            family_certificate(family, moments, n, r, d, target, m)
+                            _family_bound(family, moments, r, target, m)
                             for m in range(lo, hi + 1)
                         ]
                         minimize = family.side == SIDE_UPPER
@@ -241,10 +234,19 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
     return _finish("optimal-m", trials, checks, failures, start)
 
 
+def _family_bound(family, moments, r: int, target: str, m: Optional[int] = None):
+    """The family's certificate at r for the target, window pinned to m if given."""
+    request = BoundRequest(
+        r=r, d=moments.d, ell=family.ell, side=family.side, target=target, m=m,
+        formula=family.name,
+    )
+    return evaluate_request(moments, request)
+
+
 def _closed_form_certificates(moments, n: int, r: int, d: int) -> list:
     """Every family's certificate at (r, d) for each target it applies to."""
     return [
-        family_certificate(family, moments, n, r, d, target)
+        _family_bound(family, moments, r, target)
         for family in FAMILY_TABLE.values()
         if family.ell <= moments.ell
         for target in TARGETS
@@ -407,12 +409,7 @@ def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteRepo
     return _finish("jordan", trials, checks, failures, start)
 
 
-def suite_conditional(
-    trials: int = 200,
-    n_max: int = 8,
-    seed: int = 42,
-    requests_per_trial: int = 3,
-) -> SuiteReport:
+def suite_conditional(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteReport:
     """Per-block certificates bracket the block-conditional oracle and the
     weight-averaged bound brackets the unconditional oracle."""
     start = time.perf_counter()
@@ -421,7 +418,7 @@ def suite_conditional(
         n = system.n
         partition = random_partition(rng, n)
         occurrence = exact_occurrence(system)
-        for _ in range(requests_per_trial):
+        for _ in range(CONDITIONAL_REQUESTS):
             d = rng.randint(0, n - 1)
             r = rng.randint(max(d, 1), n)
             ell = rng.choice((2, 3))
@@ -482,8 +479,8 @@ def suite_classical(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteR
             weight * bin(mask).count("1") for mask, weight in system.weights.items()
         )
         moments = moment_set(system, 0, 2)
-        upper = family_certificate(FAMILY_TABLE["u1"], moments, n, 1, 0, TARGET_AT_LEAST)
-        lower = family_certificate(FAMILY_TABLE["l1"], moments, n, 1, 0, TARGET_AT_LEAST)
+        upper = _family_bound(FAMILY_TABLE["u1"], moments, 1, TARGET_AT_LEAST)
+        lower = _family_bound(FAMILY_TABLE["l1"], moments, 1, TARGET_AT_LEAST)
         checks += 2
         if upper.value != mean:
             failures.append(

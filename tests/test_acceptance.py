@@ -51,7 +51,7 @@ def _suite_criterion(index: int, name: str, report) -> None:
 
 
 def test_criterion_1_sandwich():
-    report = suite_sandwich(trials=1000, n_max=N_MAX, seed=SEED, include_float=True)
+    report = suite_sandwich(trials=1000, n_max=N_MAX, seed=SEED)
     _suite_criterion(
         1, "clamped lower <= exact <= clamped upper, rational and float modes", report
     )

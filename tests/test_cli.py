@@ -401,6 +401,52 @@ class TestExitCodes:
             assert out == ""
             assert "no distribution has the moments" in err
 
+    def test_exact_arithmetic_checks_the_exact_moments(self, capsys, tmp_path):
+        # s_2 exceeds s_1 = 1 by 1e-12, within the float check's tolerance;
+        # as exact rationals no distribution on 0..3 has these moments.
+        float_path, text_path = tmp_path / "float.json", tmp_path / "text.json"
+        values = [1.0, 1.000000000001, 0.0]
+        for path, record in ((float_path, values), (text_path, [repr(x) for x in values])):
+            payload = {"n": 3, "d": 0, "ell": 3, "s": [{"j": [], "values": record}]}
+            path.write_text(json.dumps(payload))
+        for path, flags in ((float_path, ["--exact-arithmetic"]), (text_path, [])):
+            code, out, err = run(
+                capsys, ["bound", "--moments", str(path), "--r", "2", "--ell", "3", *flags]
+            )
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "no distribution has the moments" in err
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["bound", "--input", "system"],
+            ["bound", "--moments", "moments"],
+            ["witness", "--input", "system"],
+            ["conditional", "--input", "system", "--partition", "partition"],
+        ],
+        ids=["bound-input", "bound-moments", "witness-input", "conditional"],
+    )
+    @pytest.mark.parametrize(
+        "request_args, expected",
+        [
+            # n = 3; the moment file is at d = 1, so d = 1 there and d = 0 elsewhere.
+            ({"--ell": "5", "--r": "1"}, EXIT_NOT_APPLICABLE),
+            ({"--d": "4", "--r": "4", "--ell": "2"}, EXIT_INPUT),
+            ({"--r": "4", "--ell": "2"}, EXIT_INPUT),
+        ],
+        ids=["ell-above-positions", "d-above-n", "r-above-n"],
+    )
+    def test_request_exit_codes(self, capsys, files, source, request_args, expected):
+        argv = [files.get(word, word) for word in source]
+        request = {"--d": "1" if "--moments" in source else "0", **request_args}
+        for flag, value in request.items():
+            argv += [flag, value]
+        code, out, err = run(capsys, argv)
+        assert code == expected
+        assert out == ""
+        assert ("not applicable:" if expected == EXIT_NOT_APPLICABLE else "error:") in err
+
     def test_enumeration_cap_fails_fast(self, capsys, tmp_path):
         # Binomial(60, 1/2) moments at ell = 6: the root-count bound leaves
         # 2,413,456 candidate index sets at r = 30 on the upper side, above

@@ -18,7 +18,7 @@ from eventbounds.conditional import (
 )
 from eventbounds.core import EventSystem, exact_occurrence, normalize
 from eventbounds.dispatch import bound_for_system
-from eventbounds.errors import DegenerateMeasureError, InputFormatError
+from eventbounds.errors import DegenerateMeasureError, InputFormatError, NotApplicableError
 from eventbounds.verification import floatize, random_partition, random_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -188,6 +188,14 @@ class TestConditionalBound:
             conditioned = block_system(fair3, by_third_event, block.index)
             truth = exact_occurrence(conditioned).at_least(2)
             assert block.certificate.clamped >= truth
+
+    def test_too_many_orders_is_not_applicable(self, fair3, by_third_event):
+        # n - d + 1 = 4 moment positions at n = 3, d = 0.
+        request = BoundRequest(r=1, d=0, ell=5)
+        with pytest.raises(NotApplicableError, match="exceeds the 4 moment positions"):
+            conditional_bound(fair3, by_third_event, request)
+        with pytest.raises(NotApplicableError, match="exceeds the 4 moment positions"):
+            bound_for_system(fair3, request)
 
 
 class TestAggregation:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from eventbounds.certificates import SIDE_UPPER, SIDES, TARGET_AT_LEAST, TARGETS
+from eventbounds.certificates import SIDE_UPPER, SIDES, TARGET_AT_LEAST, TARGETS, BoundRequest
 from eventbounds.core import EventSystem
 from eventbounds.dispatch import FAMILY_TABLE
 from eventbounds.engine import check_feasibility, solve_coefficients, target_vector
@@ -256,7 +256,10 @@ def test_evaluation_matches_the_fraction_reference(monkeypatch):
             ties += _ties(moments, n, d)
             for family, r, target, m in _requests(moments, n, d):
                 expected = reference.terms(family, moments, n, r, d, target, m)
-                certificate = family_certificate(family, moments, n, r, d, target, m)
+                request = BoundRequest(
+                    r=r, d=d, ell=family.ell, side=family.side, target=target, m=m
+                )
+                certificate = family_certificate(family, moments, request)
                 _assert_matches(certificate, expected, [family.name] * len(expected))
                 checked += 1
             for ell, per_tuple in ((2, False), (3, True)):
@@ -270,7 +273,8 @@ def test_evaluation_matches_the_fraction_reference(monkeypatch):
                             expected = reference.best(*args, per_tuple)
                             if expected is None:
                                 continue
-                            certificate = best_certificate(*args, per_tuple=per_tuple)
+                            request = BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
+                            certificate = best_certificate(rows, moments, request, per_tuple)
                             _assert_matches(certificate, *expected)
                             checked += 1
     assert ties > 0

@@ -45,6 +45,23 @@ class TestGenerators:
         assert sum(len(block) for block in first.blocks) == 8
 
 
+class TestVerifyCounts:
+    def test_run_all_counts_are_pinned(self):
+        # The suites, trial counts and check counts of `verify --trials 50
+        # --n-max 6 --seed 42`; a change to any of them changes what verify checks.
+        reports = run_all(50, 6, 42)
+        assert [(r.name, r.passed, r.trials, r.checks) for r in reports] == [
+            ("sandwich", True, 50, 9912),
+            ("classical", True, 5, 10),
+            ("decomposition", True, 5, 94),
+            ("optimal-m", True, 10, 3682),
+            ("engine-agreement", True, 10, 448),
+            ("witness-closure", True, 10, 41),
+            ("jordan", True, 5, 108),
+            ("conditional", True, 10, 78),
+        ]
+
+
 class TestSuiteReport:
     def test_pass_line(self):
         report = SuiteReport(
