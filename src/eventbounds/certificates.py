@@ -251,5 +251,5 @@ class BoundRequest:
             raise NotApplicableError(
                 f"ell={ell} exceeds the {n - d + 1} moment positions at n={n}, d={d}"
             )
-        if self.r > n or self.r < d:
+        if not (d <= self.r <= n):
             raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={self.r}, n={n}")

@@ -208,9 +208,11 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
     for _, system in _trials("optimal-m", trials, n_max, seed):
         n = system.n
         for d in range(0, n):
-            moments = moment_set(system, d, min(3, n - d + 1))
+            full = moment_set(system, d, min(3, n - d + 1))
+            by_ell = {2: full.restricted(2), full.ell: full}
             for family in windowed:
-                if family.ell > moments.ell:
+                moments = by_ell.get(family.ell)
+                if moments is None:
                     continue
                 for r in range(d, n + 1):
                     for target, window in family.windows.items():
