@@ -12,7 +12,7 @@ actually asserted for a probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import IndexTuple
 from .errors import NotApplicableError
@@ -97,7 +97,6 @@ class BoundCertificate:
     index_set: Optional[tuple[int, ...]] = None
     m: Optional[int] = None
     terms: tuple[BoundTerm, ...] = ()
-    witness: Any = None
 
     def __post_init__(self) -> None:
         if self.side not in SIDES:

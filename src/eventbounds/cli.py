@@ -14,16 +14,17 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .certificates import SIDES, TARGET_AT_LEAST, TARGETS, BoundRequest
 from .conditional import PartitionField, conditional_bound, expectation_aggregate
 from .core import EventSystem, exact_occurrence
-from .dispatch import evaluate_request, request_grid, search_bound
-from .engine import check_realizable
+from .dispatch import evaluate_request, request_grid
+from .engine import check_realizable, sharpness_witness
 from .errors import EventBoundsError, InputFormatError, NotApplicableError
-from .moments import MomentSet, MomentVector, moment_set
-from .numerics import DEFAULT_TOLERANCE, Number, difference, encode_number, exactify
+from .moments import MomentSet, MomentVector, moment_matrix, moment_set
+from .numerics import Number, difference, encode_number, exactify
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -190,14 +191,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    request = _request_from(args)
+    request = replace(_request_from(args), formula="search")
     _, moments = _source(args, request)
-    if moments.ell != request.ell:
-        moments = moments.restricted(request.ell)
-    certificate, bests = search_bound(moments, request, args.tolerance)
+    certificate = evaluate_request(moments, request)
+    fmat = moment_matrix(moments.n, moments.d, request.ell)
     witnesses = [
-        {"j": list(term.j), "value": encode_number(best.value), **best.witness.to_payload()}
-        for term, best in zip(certificate.terms, bests)
+        {
+            "j": list(term.j),
+            "value": encode_number(term.value),
+            **sharpness_witness(fmat, term.index_set, vector.values[: request.ell]).to_payload(),
+        }
+        for term, vector in zip(certificate.terms, moments)
     ]
     payload = {
         "side": args.side,
@@ -261,7 +265,7 @@ def cmd_conditional(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verification import run_all  # only this command needs the suites
 
-    reports = run_all(args.trials, args.n_max, args.seed, args.tolerance)
+    reports = run_all(args.trials, args.n_max, args.seed)
     for report in reports:
         print(f"{report.line()} in {report.elapsed:.2f} s", file=sys.stderr)
     payload = {
@@ -300,7 +304,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="convert float inputs to the exact rationals their text denotes",
     )
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
 
 def _add_request(parser: argparse.ArgumentParser, with_m: bool = True) -> None:

@@ -242,7 +242,7 @@ class EventSystem:
             else:
                 weights = MappingProxyType({mask: float(w) for mask, w in sorted(cleaned.items())})
                 mass = sum(weights.values())
-                if not close(mass, 1, DEFAULT_TOLERANCE):
+                if not close(mass, 1):
                     raise ValueError(f"normalized weights must sum to 1, got {mass}")
         exact = isinstance(weights, ExactWeights)
         if (self.total <= 0) if exact else (float(self.total) <= 0.0):
@@ -415,7 +415,7 @@ class OccurrenceDistribution:
                     raise ValueError(f"negative probability {value}")
             elif value < 0:
                 raise ValueError(f"negative probability {value}")
-        if not close(sum(self.p), 1, DEFAULT_TOLERANCE):
+        if not close(sum(self.p), 1):
             raise ValueError(f"occurrence probabilities must sum to 1, got {sum(self.p)}")
 
     @property

@@ -26,7 +26,6 @@ from .engine import bound_value, jordan_coefficients, search_index_sets, target_
 from .errors import NotApplicableError
 from .families import best_certificate, family_certificate
 from .moments import MomentSet, moment_matrix, moment_set
-from .numerics import DEFAULT_TOLERANCE
 
 #: Every closed-form family by name, in tie-breaking order.
 FAMILY_TABLE = {family.name: family for family in bounds_l2.FAMILY_ROWS + bounds_l3.FAMILY_ROWS}
@@ -56,26 +55,19 @@ def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]
                         yield window, BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
 
 
-def search_bound(
-    moments: MomentSet, request: BoundRequest, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[BoundCertificate, tuple[BoundCertificate, ...]]:
-    """The index-set search's certificate, and each tuple's best result.
-
-    The per-tuple results carry the sharpness witness of their index set,
-    whose nonnegativity allows ``tolerance`` on float moments.
-    """
+def search_bound(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
+    """The index-set search's certificate: each tuple's best index set as a term."""
     n, d = moments.n, moments.d
     fmat = moment_matrix(n, d, request.ell)
     v = target_vector(n, d, request.r, request.target)
-    terms, bests = [], []
+    terms = []
     for vector in moments:
-        best = search_index_sets(fmat, v, vector, request.side, tolerance=tolerance).best
+        best = search_index_sets(fmat, v, vector, request.side).best
         if best is None:
             raise NotApplicableError(
                 f"no {request.side}-feasible index set at ell={request.ell} "
                 f"for target={request.target!r}, r={request.r}, d={d}, n={n}"
             )
-        bests.append(best)
         terms.append(
             BoundTerm(
                 j=vector.j,
@@ -85,10 +77,9 @@ def search_bound(
                 formula_id="search",
             )
         )
-    certificate = certificate_from_terms(
+    return certificate_from_terms(
         request.side, request.target, request.r, d, request.ell, "search", terms
     )
-    return certificate, tuple(bests)
 
 
 def _jordan(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
@@ -133,13 +124,13 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
         if m is not None:
             raise ValueError(f"formula {formula!r} has no window parameter m")
         if formula == "search":
-            return search_bound(working, request)[0]
+            return search_bound(working, request)
         return _jordan(working, request)
     if formula is None:
         if request.ell not in _BEST_OF:
             if m is not None:
                 raise ValueError("m applies only to the closed-form windowed families")
-            return search_bound(working, request)[0]
+            return search_bound(working, request)
         families, per_tuple = _BEST_OF[request.ell]
         if per_tuple and m is not None:
             raise ValueError(

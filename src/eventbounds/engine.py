@@ -243,19 +243,18 @@ def check_feasibility(
     fmat: MomentMatrix,
     a: Sequence[Number],
     v: "TargetVector | Sequence[int]",
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> Feasibility:
     """Compare b = F^T a with v componentwise.
 
     b >= v makes s . a an upper bound on Z, b <= v a lower bound, equality
     both.  Exact values compare exactly; if a carries floats, each
-    component check allows the given absolute slack.
+    component check allows ``DEFAULT_TOLERANCE`` of slack.
     """
     if len(a) != fmat.ell:
         raise ValueError(f"coefficient vector must have {fmat.ell} entries, got {len(a)}")
     components = _target_components(v)
     exact = all_exact(a)
-    slack = 0 if exact else tolerance
+    slack = 0 if exact else DEFAULT_TOLERANCE
     lower = upper = True
     for i in range(1, fmat.positions + 1):
         column = fmat.column(i)
@@ -305,9 +304,10 @@ def sharpness_witness(
     fmat: MomentMatrix,
     index_set: Sequence[int],
     s: "MomentVector | Sequence[Number]",
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> SharpnessWitness:
-    """Solve F_i z*_i = s and embed the solution in the full position range."""
+    """Solve F_i z*_i = s and embed the solution in the full position range.
+
+    Float entries count as nonnegative down to ``-DEFAULT_TOLERANCE``."""
     index_set = _check_index_set(fmat, index_set)
     values = s.values if isinstance(s, MomentVector) else tuple(s)
     if len(values) != fmat.ell:
@@ -321,25 +321,20 @@ def sharpness_witness(
     if exact:
         nonnegative = all(entry >= 0 for entry in solution)
     else:
-        nonnegative = all(float(entry) >= -tolerance for entry in solution)
+        nonnegative = all(float(entry) >= -DEFAULT_TOLERANCE for entry in solution)
     return SharpnessWitness(z=tuple(z), index_set=index_set, nonnegative=nonnegative)
 
 
-def has_nonnegative_solution(
-    fmat: MomentMatrix,
-    s: "MomentVector | Sequence[Number]",
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> bool:
+def has_nonnegative_solution(fmat: MomentMatrix, s: "MomentVector | Sequence[Number]") -> bool:
     """True when some z >= 0 has F z = s.
 
     A basic solution of {F z = s, z >= 0} is supported on ell positions,
     and any ell columns of F are independent, so such a z exists exactly
     when some index set gives a nonnegative sharpness witness.  Index sets
     are tried in lexicographic order up to the first nonnegative one.
-    Float moments go through :func:`sharpness_witness` with the given
-    tolerance.  Exact moments only need the signs of the integer
-    numerators, so they skip building the witness's rationals, which
-    halves the check's cost.
+    Float moments go through :func:`sharpness_witness`.  Exact moments
+    only need the signs of the integer numerators, so they skip building
+    the witness's rationals, which halves the check's cost.
     """
     values = s.values if isinstance(s, MomentVector) else tuple(s)
     if len(values) != fmat.ell:
@@ -347,7 +342,7 @@ def has_nonnegative_solution(
     index_sets = itertools.combinations(range(1, fmat.positions + 1), fmat.ell)
     if not all_exact(values):
         return any(
-            sharpness_witness(fmat, index_set, values, tolerance).nonnegative
+            sharpness_witness(fmat, index_set, values).nonnegative
             for index_set in index_sets
         )
     moments, _ = over_common_denominator(values)
@@ -359,7 +354,7 @@ def has_nonnegative_solution(
     return False
 
 
-def check_realizable(moments: MomentSet, tolerance: float = DEFAULT_TOLERANCE) -> None:
+def check_realizable(moments: MomentSet) -> None:
     """Reject moments that no distribution can have, tuple by tuple.
 
     Each tuple's first min(ell, 3) orders must admit a nonnegative
@@ -376,7 +371,7 @@ def check_realizable(moments: MomentSet, tolerance: float = DEFAULT_TOLERANCE) -
     fmat = moment_matrix(moments.n, moments.d, orders)
     for vector in moments:
         values = vector.values[:orders]
-        if not has_nonnegative_solution(fmat, values, tolerance):
+        if not has_nonnegative_solution(fmat, values):
             raise InfeasibleMomentsError(
                 f"no distribution has the moments {[encode_number(x) for x in values]} "
                 f"at j={list(vector.j)}: no occurrence vector z >= 0 gives them"
@@ -450,7 +445,6 @@ class SearchResult:
     feasible for the side, in lexicographic order.
     """
 
-    side: str
     best: Optional[BoundCertificate]
     table: BasisTable = field(repr=False)
 
@@ -643,11 +637,7 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
 
 
 def search_index_sets(
-    fmat: MomentMatrix,
-    v: TargetVector,
-    s: "MomentVector | Sequence[Number]",
-    side: str,
-    tolerance: float = DEFAULT_TOLERANCE,
+    fmat: MomentMatrix, v: TargetVector, s: "MomentVector | Sequence[Number]", side: str
 ) -> SearchResult:
     """Keep the best bound over the side-feasible index sets.
 
@@ -658,7 +648,8 @@ def search_index_sets(
     needs.  Exact moments are compared on
     integers, N . S over a common moment denominator cross-multiplied by
     den; float moments by the float dot product.  Only the winner becomes
-    rational coefficients, a value and a sharpness witness.
+    rational coefficients and a value; a caller that wants its sharpness
+    witness calls :func:`sharpness_witness` at its index set.
     """
     table = dual_bases(fmat, v, side)
     values = s.values if isinstance(s, MomentVector) else tuple(s)
@@ -701,9 +692,8 @@ def search_index_sets(
             formula_id="search",
             coefficients=coefficients,
             index_set=best.index_set,
-            witness=sharpness_witness(fmat, best.index_set, values, tolerance),
         )
-    return SearchResult(side=side, best=certificate, table=table)
+    return SearchResult(best=certificate, table=table)
 
 
 def witness_system(

@@ -510,14 +510,13 @@ class DecompositionReport:
     at_least_direct: Number
     at_least_decomposed: Number
     matched: bool
-    tolerance: float
 
 
-def verify_decomposition(sys: EventSystem, r: int, d: int, tolerance: float = DEFAULT_TOLERANCE) -> DecompositionReport:
+def verify_decomposition(sys: EventSystem, r: int, d: int) -> DecompositionReport:
     """Check the order-d decomposition identities at level r against the oracle.
 
     Requires 0 <= d <= r <= n.  In exact mode the comparison is exact; in
-    float mode it uses the given absolute tolerance.
+    float mode it allows ``DEFAULT_TOLERANCE``.
     """
     if not (0 <= d <= r <= sys.n):
         raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={sys.n}")
@@ -552,8 +551,8 @@ def verify_decomposition(sys: EventSystem, r: int, d: int, tolerance: float = DE
             for levels in joint.values()
             for i in range(r, sys.n + 1)
         )
-    matched = close(exactly_direct, exactly_decomposed, tolerance) and close(
-        at_least_direct, at_least_decomposed, tolerance
+    matched = close(exactly_direct, exactly_decomposed) and close(
+        at_least_direct, at_least_decomposed
     )
     return DecompositionReport(
         r=r,
@@ -563,5 +562,4 @@ def verify_decomposition(sys: EventSystem, r: int, d: int, tolerance: float = DE
         at_least_direct=at_least_direct,
         at_least_decomposed=at_least_decomposed,
         matched=matched,
-        tolerance=tolerance,
     )

@@ -3,8 +3,8 @@
 Two arithmetic modes coexist throughout the package:
 
 * exact mode: values are rational numbers and every comparison is exact;
-* float mode: values are 64-bit floats and comparisons allow an absolute
-  tolerance (``DEFAULT_TOLERANCE`` unless overridden).
+* float mode: values are 64-bit floats and comparisons allow the absolute
+  tolerance ``DEFAULT_TOLERANCE``, the package's one float slack.
 
 A value's mode is decided by its type: ``float`` means float mode, anything
 rational means exact mode.  Exact values are ``fractions.Fraction``s,
@@ -188,15 +188,15 @@ def difference(a: Number, b: Number) -> Number:
     return a - b
 
 
-def leq(a: Number, b: Number, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """a <= b, exactly for rationals, within tolerance when a float is involved."""
+def leq(a: Number, b: Number) -> bool:
+    """a <= b, exactly for rationals, within the tolerance when a float is involved."""
     if isinstance(a, float) or isinstance(b, float):
-        return float(a) <= float(b) + tolerance
+        return float(a) <= float(b) + DEFAULT_TOLERANCE
     return a <= b
 
 
-def close(a: Number, b: Number, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+def close(a: Number, b: Number) -> bool:
     """Equality, exact for rationals, absolute-tolerance for floats."""
     if isinstance(a, float) or isinstance(b, float):
-        return abs(float(a) - float(b)) <= tolerance
+        return abs(float(a) - float(b)) <= DEFAULT_TOLERANCE
     return a == b

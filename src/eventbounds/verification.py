@@ -36,13 +36,14 @@ from .engine import (
     Feasibility,
     check_feasibility,
     search_index_sets,
+    sharpness_witness,
     solve_coefficients,
     target_vector,
     witness_system,
 )
 from .errors import NotApplicableError
 from .moments import moment_matrix, moment_set, verify_decomposition, z_vector
-from .numerics import DEFAULT_TOLERANCE, dot_product, encode_number, leq, rational
+from .numerics import dot_product, encode_number, leq, rational
 
 MAX_REPORTED_FAILURES = 5
 #: The largest numerator and denominator of a random system's weights.
@@ -125,16 +126,11 @@ def _finish(
     )
 
 
-def suite_sandwich(
-    trials: int = 1000,
-    n_max: int = 8,
-    seed: int = 42,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> SuiteReport:
+def suite_sandwich(trials: int = 1000, n_max: int = 8, seed: int = 42) -> SuiteReport:
     """Clamped lower <= exact <= clamped upper for every applicable request.
 
     Exact systems are compared with zero tolerance, and the float copy of
-    each system within ``tolerance``.
+    each system within ``DEFAULT_TOLERANCE`` (:func:`leq`).
     """
     start = time.perf_counter()
     checks, failures = 0, []
@@ -150,9 +146,9 @@ def suite_sandwich(
                 r, target = request.r, request.target
                 truth = occurrence.at_least(r) if target == TARGET_AT_LEAST else occurrence.p[r]
                 if request.side == SIDE_UPPER:
-                    ok = leq(truth, certificate.clamped, tolerance)
+                    ok = leq(truth, certificate.clamped)
                 else:
-                    ok = leq(certificate.clamped, truth, tolerance)
+                    ok = leq(certificate.clamped, truth)
                 if not ok:
                     failures.append(
                         _describe(
@@ -346,7 +342,7 @@ def suite_witness_closure(
             result = search_index_sets(fmat, v, vector, side)
             if result.best is None:
                 continue
-            witness = result.best.witness
+            witness = sharpness_witness(fmat, result.best.index_set, vector)
             checks += 1
             context = dict(r=r, d=d, ell=ell, side=side, target=target, j=tuple(vector.j))
             if dot_product(witness.z, v.v) != result.best.value:
@@ -495,12 +491,7 @@ def suite_classical(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteR
     return _finish("classical", trials, checks, failures, start)
 
 
-def run_all(
-    trials: int = 1000,
-    n_max: int = 8,
-    seed: int = 42,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[SuiteReport]:
+def run_all(trials: int = 1000, n_max: int = 8, seed: int = 42) -> list[SuiteReport]:
     """Run every suite, scaling the heavier ones down from ``trials``.
 
     At the default 1000 trials the per-suite counts are: sandwich 1000,
@@ -510,7 +501,7 @@ def run_all(
     tenth = max(1, trials // 10)
     fifth = max(1, trials // 5)
     return [
-        suite_sandwich(trials, n_max, seed, tolerance),
+        suite_sandwich(trials, n_max, seed),
         suite_classical(tenth, n_max, seed),
         suite_decomposition(tenth, n_max, seed),
         suite_optimal_m(fifth, n_max, seed),

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -20,7 +21,7 @@ from eventbounds.cli import (
 from eventbounds.conditional import PartitionField
 from eventbounds.core import EventSystem
 from eventbounds.moments import moment_set
-from eventbounds.verification import floatize
+from eventbounds.verification import floatize, random_system
 
 
 def fair(n):
@@ -235,6 +236,21 @@ class TestWitness:
         assert code == EXIT_NOT_APPLICABLE
         assert "not applicable" in err
 
+    def test_float_witness_allows_the_fixed_slack(self, capsys, tmp_path):
+        # The float solve at j = (2, 6) gives z_1 of about -3.5e-18, which
+        # counts as nonnegative within numerics.DEFAULT_TOLERANCE.
+        rng = random.Random(0)
+        system = floatize(random_system(rng, rng.randint(3, 6)))
+        assert system.n == 6
+        path = tmp_path / "float-d2.json"
+        path.write_text(json.dumps(moment_set(system, 2, 2).to_payload()))
+        argv = ["witness", "--moments", str(path), "--r", "2", "--d", "2", "--ell", "2"]
+        code, out, _ = run(capsys, argv + ["--side", "lower"])
+        assert code == EXIT_OK
+        witness = next(w for w in json.loads(out)["witnesses"] if w["j"] == [2, 6])
+        assert -1e-9 < float(witness["z"][0]) < 0
+        assert witness["nonnegative"] is True
+
 
 class TestConditional:
     def test_aggregate_and_margin(self, capsys, files):
@@ -366,6 +382,24 @@ class TestExitCodes:
         )
         assert code == EXIT_INPUT
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--input", "system"],
+            ["bound", "--input", "system", "--r", "1"],
+            ["sweep", "--input", "system"],
+            ["witness", "--input", "system", "--r", "1"],
+            ["conditional", "--input", "system", "--partition", "partition", "--r", "1"],
+            ["verify", "--trials", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tolerance_is_not_an_option(self, files, argv):
+        # Float comparisons use one fixed slack, numerics.DEFAULT_TOLERANCE.
+        with pytest.raises(SystemExit) as excinfo:
+            main([files.get(word, word) for word in argv] + ["--tolerance", "1e-9"])
+        assert excinfo.value.code == 2
 
     def test_input_and_moments_are_mutually_exclusive(self, files):
         with pytest.raises(SystemExit) as excinfo:

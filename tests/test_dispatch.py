@@ -50,6 +50,17 @@ class TestDefaultRouting:
         assert cert.formula_id == "search"
         assert cert.value == exact_occurrence(fair3).at_least(1)
 
+    def test_the_search_builds_no_witness(self, d0_l4, fair3, monkeypatch):
+        # Sharpness witnesses are diagnostics: no bound value reads one.
+        def refuse(*args):
+            raise AssertionError("the bound path built a sharpness witness")
+
+        monkeypatch.setattr("eventbounds.engine.sharpness_witness", refuse)
+        for formula in ("search", None):
+            cert = evaluate_request(d0_l4, BoundRequest(r=1, d=0, ell=4, formula=formula))
+            assert cert.formula_id == "search"
+            assert cert.value == exact_occurrence(fair3).at_least(1)
+
     def test_restriction_to_the_requested_order(self, d0_l4):
         # the four-order set serves a two-order request through restriction
         cert = evaluate_request(d0_l4, BoundRequest(r=1, d=0, ell=2, side="lower"))

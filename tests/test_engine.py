@@ -324,7 +324,7 @@ class TestWitness:
         moments = moment_set(system, 1, 2)
         v = target_vector(3, 1, 2)
         result = search_index_sets(fmat, v, moments.vector((2,)), "upper")
-        witness = result.best.witness
+        witness = sharpness_witness(fmat, result.best.index_set, moments.vector((2,)))
         assert witness.nonnegative
         induced = witness_system(witness, (2,), 3, 1)
         reproduced = moment_set(induced, 1, 2).vector((2,))

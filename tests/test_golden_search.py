@@ -3,10 +3,10 @@
 For each golden system (see ``test_golden``), every d, r, ell from 2 to
 min(5, n-d+1), side and target, the fixture stores three outcomes of the
 ``formula="search"`` request: the sha256 of the certificate's canonical
-payload, of the per-tuple results of ``search_bound`` with their sharpness
-witnesses, and of the feasible index sets of the first tuple's search; or
-the exception class name when the call fails.  Two moment-only inputs, at
-ell 4 and 5, cover shapes no small system reaches.
+payload, of each tuple's best ``search_index_sets`` result with its
+``sharpness_witness``, and of the feasible index sets of the first tuple's
+search; or the exception class name when the call fails.  Two moment-only
+inputs, at ell 4 and 5, cover shapes no small system reaches.
 
 Regenerate the fixture (only when a change of outcome is intended) with
 
@@ -27,7 +27,7 @@ from test_golden import _decode, _encode, golden_systems
 
 from eventbounds.certificates import SIDES, TARGETS, BoundRequest
 from eventbounds.dispatch import evaluate_request, search_bound
-from eventbounds.engine import search_index_sets, target_vector
+from eventbounds.engine import search_index_sets, sharpness_witness, target_vector
 from eventbounds.moments import MomentSet, moment_matrix, moment_set
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_search.json"
@@ -70,10 +70,15 @@ def _outcomes(moments: MomentSet, request: BoundRequest) -> list[str]:
         outcomes.append(type(exc).__name__)
     window = moments.restricted(request.ell)
     try:
-        _, bests = search_bound(window, request)
-        outcomes.append(
-            _digest([[best.to_payload(), best.witness.to_payload()] for best in bests])
-        )
+        search_bound(window, request)  # its exception, if any, is the outcome
+        fmat = moment_matrix(moments.n, moments.d, request.ell)
+        v = target_vector(moments.n, moments.d, request.r, request.target)
+        pairs = []
+        for vector in window:
+            best = search_index_sets(fmat, v, vector, request.side).best
+            witness = sharpness_witness(fmat, best.index_set, vector)
+            pairs.append([best.to_payload(), witness.to_payload()])
+        outcomes.append(_digest(pairs))
     except Exception as exc:
         outcomes.append(type(exc).__name__)
     try:

@@ -1,8 +1,10 @@
 """The package namespace: every export resolves, and on first use only."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +49,28 @@ def test_every_export_resolves_to_its_module_attribute():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_export"):
         eventbounds.no_such_export
+
+
+def test_the_float_tolerance_is_no_parameter():
+    """Float comparisons use one slack, numerics.DEFAULT_TOLERANCE: no
+    function takes a tolerance and no class stores one."""
+    offenders = []
+    for path in sorted(Path(eventbounds.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                every = args.posonlyargs + args.args + args.kwonlyargs
+                names = [arg.arg for arg in every + [args.vararg, args.kwarg] if arg]
+            elif isinstance(node, ast.ClassDef):
+                names = [
+                    name.id
+                    for stmt in node.body
+                    if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                ]
+            else:
+                continue
+            if "tolerance" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"a tolerance parameter or field at {offenders}"
