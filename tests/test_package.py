@@ -1,4 +1,4 @@
-"""The package namespace: every export resolves, and on first use only."""
+"""The package: every export resolves on first use, and the float tolerance is one constant."""
 
 import ast
 import os
