@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .core import IndexTuple
 from .errors import NotApplicableError
 from .numerics import (
+    DEFAULT_TOLERANCE,
     Number,
     clamp01,
     encode_number,
@@ -108,8 +109,12 @@ class BoundCertificate:
         if self.index_set is not None:
             object.__setattr__(self, "index_set", tuple(self.index_set))
         object.__setattr__(self, "terms", tuple(self.terms))
-        bad = (float(self.clamped) < -1e-12) or (float(self.clamped) > 1 + 1e-12)
-        if bad:
+        clamped = self.clamped
+        if isinstance(clamped, float):
+            outside = clamped < -DEFAULT_TOLERANCE or clamped > 1 + DEFAULT_TOLERANCE
+        else:  # exactly: p/q with q > 0 lies in [0, 1] iff 0 <= p <= q
+            outside = not 0 <= clamped.numerator <= clamped.denominator
+        if outside:
             raise ValueError(f"clamped value {self.clamped} outside [0, 1]")
 
     @property

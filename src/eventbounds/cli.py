@@ -297,13 +297,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, reads_input: bool = True) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument(
-        "--exact-arithmetic",
-        action="store_true",
-        help="convert float inputs to the exact rationals their text denotes",
-    )
+    if reads_input:
+        parser.add_argument(
+            "--exact-arithmetic",
+            action="store_true",
+            help="convert float inputs to the exact rationals their text denotes",
+        )
 
 
 def _add_request(parser: argparse.ArgumentParser, with_m: bool = True) -> None:
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--trials", type=int, default=1000)
     verify_cmd.add_argument("--n-max", type=int, default=8, dest="n_max")
     verify_cmd.add_argument("--seed", type=int, default=42)
-    _add_common(verify_cmd)
+    _add_common(verify_cmd, reads_input=False)
     verify_cmd.set_defaults(handler=cmd_verify)
 
     return parser

@@ -1,13 +1,14 @@
 """The closed-form bound families as rows of one table, and their evaluator.
 
 Each family is one dual-feasible basis of the binomial-moment LP: for a
-request (n, r, d, target) it names an index set and gives the coefficient
-row that solves the dual system there.  A :class:`Family` states its side,
-its moment order, where it applies, and, for windowed families, the window
-range per target and the rule that proposes window candidates.  The rows
-themselves are built by cached builders in ``bounds_l2`` and ``bounds_l3``;
-everything that evaluates, combines, sweeps or verifies a closed form
-reads them through this module.
+request (n, r, d, target) it names an index set I, and its coefficient row
+a solves the dual system F_I^T a = v_I there.  A :class:`Family` states its
+side, its moment order, where it applies, its index set, and, for windowed
+families, the window range per target and the rule that proposes window
+candidates.  ``bounds_l2`` and ``bounds_l3`` state the families;
+:func:`solved_row` solves each index set once, and everything that
+evaluates, combines, sweeps or verifies a closed form reads the rows
+through this module.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .certificates import (
@@ -24,8 +26,9 @@ from .certificates import (
     BoundTerm,
     certificate_from_terms,
 )
+from .engine import solve_integer, target_vector
 from .errors import NotApplicableError
-from .moments import MomentSet
+from .moments import MomentSet, moment_matrix
 from .numerics import Number, all_exact, integer_bracket, over_common_denominator, rational
 
 #: Labels of the per-tuple combinations that mix more than one family.
@@ -38,12 +41,12 @@ class Family:
 
     ``applies(n, r, d, target)`` says where the family exists, and
     ``row(n, r, d, target, m)`` returns its :class:`Row`: coefficients,
-    index set and the window recorded on the term.  The builders behind
-    the rows cache them, so equal arguments give the same :class:`Row`,
-    whose forms are built once.  ``windows`` maps each target that has a
-    window choice to its range ``(n, r, d) -> (lo, hi)``; a target missing
-    from it uses a fixed row, and a family with no windows at all takes no
-    ``m``.
+    index set and the window recorded on the term.  Each ``row`` names its
+    index set to :func:`solved_row`, which caches the rows, so equal
+    arguments give the same :class:`Row`, whose forms are built once.
+    ``windows`` maps each target that has a window choice to its range
+    ``(n, r, d) -> (lo, hi)``; a target missing from it uses a fixed row,
+    and a family with no windows at all takes no ``m``.
     ``pick(values, n, r, d, lo, hi)`` proposes the candidate windows for
     one moment vector, in increasing order; it gets integer numerators
     for exact moments, which leave every bracket unchanged.
@@ -112,15 +115,26 @@ class Row:
     def __iter__(self):
         return iter((self.coefficients, self.index_set, self.m))
 
-    @classmethod
-    def of(
-        cls, coefficients: Sequence[Number], index_set: Sequence[int], m: Optional[int] = None
-    ) -> "Row":
-        """The row of exact ``coefficients``, its other two forms computed here."""
-        coefficients = tuple(coefficients)
-        numerators, den = over_common_denominator(coefficients)
-        floats = tuple(map(float, coefficients))
-        return cls(coefficients, tuple(index_set), m, numerators, den, floats)
+
+@lru_cache(maxsize=10240)
+def solved_row(
+    n: int, r: int, d: int, target: str, index_set: tuple[int, ...], m: Optional[int]
+) -> Row:
+    """The row a with F_I^T a = v_I at the index set I, window ``m`` recorded.
+
+    F is the moment matrix of order len(I) and v the request's target
+    vector; the solve runs on integers, and a singular subsystem (a
+    repeated position) raises DegenerateConfigurationError.  The cache
+    holds every family row of one n <= 20 (8,914 at n = 20).
+    """
+    fmat = moment_matrix(n, d, len(index_set))
+    v = target_vector(n, d, r, target).v
+    numerators, den = solve_integer(
+        [fmat.column(i) for i in index_set], [v[i - 1] for i in index_set]
+    )
+    coefficients = tuple(rational(x, den) for x in numerators)
+    numerators, den = over_common_denominator(coefficients)
+    return Row(coefficients, index_set, m, numerators, den, tuple(map(float, coefficients)))
 
 
 def _moment_forms(moments: MomentSet, ell: int) -> tuple[list[tuple], bool]:

@@ -3,20 +3,26 @@
 import pytest
 
 from eventbounds import bounds_l3
+from eventbounds.certificates import TARGET_AT_LEAST
 from eventbounds.families import Row
+from eventbounds.numerics import over_common_denominator
 
 
 @pytest.fixture
 def skewed_ub2_row(monkeypatch):
     """A deliberately wrong ub2 at-least row (second coefficient minus 1),
-    which the verification suites must catch."""
-    original = bounds_l3._ub2_row
+    which the verification suites must catch.  Every three-moment family
+    reads its row from ``bounds_l3.solved_row``, so named and best-of
+    requests both see the skew."""
+    original = bounds_l3.solved_row
 
-    def skewed(n, r, d, at_least):
-        row = original(n, r, d, at_least)
-        if not at_least:
+    def skewed(n, r, d, target, index_set, m):
+        row = original(n, r, d, target, index_set, m)
+        if target != TARGET_AT_LEAST or index_set != (1, r - d + 1, n - d + 1):
             return row
         c1, c2, c3 = row.coefficients
-        return Row.of((c1, c2 - 1, c3), row.index_set, row.m)
+        coefficients = (c1, c2 - 1, c3)
+        numerators, den = over_common_denominator(coefficients)
+        return Row(coefficients, index_set, m, numerators, den, tuple(map(float, coefficients)))
 
-    monkeypatch.setattr(bounds_l3, "_ub2_row", skewed)
+    monkeypatch.setattr(bounds_l3, "solved_row", skewed)

@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from eventbounds import bounds_l3
 from eventbounds.certificates import BoundRequest
 from eventbounds.core import EventSystem, IndexTuple, exact_occurrence
 from eventbounds.dispatch import FAMILY_TABLE, evaluate_request
 from eventbounds.errors import DegenerateConfigurationError, NotApplicableError
+from eventbounds.families import solved_row
 from eventbounds.moments import MomentSet, MomentVector, moment_set
 
 
@@ -70,10 +70,11 @@ class TestCoefficientSigns:
                         assert b1 < 0 and b2 > 0 and b3 < 0
 
     def test_alpha_rejects_pivot_windows(self):
+        # ub1's index set (m, m+1, r-d+1) at n=3, r=2, d=0 when a window repeats r-d+1 = 3
         with pytest.raises(DegenerateConfigurationError):
-            bounds_l3._alpha_row(3, 0, 3)
+            solved_row(3, 2, 0, "at-least", (2, 3, 3), 2)
         with pytest.raises(DegenerateConfigurationError):
-            bounds_l3._alpha_row(3, 0, 4)
+            solved_row(3, 2, 0, "at-least", (3, 4, 3), 3)
 
     def test_fair_three_coefficient_fixtures(self):
         assert coefficients("ub1", 3, 2, 0, m=1) == (0, 0, 1)

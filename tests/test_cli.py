@@ -144,6 +144,29 @@ class TestBound:
         assert rebuilt.value == Fraction(1, 2)
         assert rebuilt.formula_id == "ub2"
 
+    @pytest.mark.parametrize(
+        "clamped, accepted",
+        [
+            ("-1/10000000000000", False),
+            ("10000000000001/10000000000000", False),
+            (1 + 5e-10, True),
+            (1 + 2e-9, False),
+            (-2e-9, False),
+        ],
+    )
+    def test_clamped_must_lie_in_the_unit_interval(self, capsys, files, clamped, accepted):
+        # Exact values are checked exactly, floats with DEFAULT_TOLERANCE of slack.
+        _, out, _ = run(
+            capsys,
+            ["bound", "--input", files["system"], "--r", "2", "--d", "1", "--ell", "3"],
+        )
+        payload = dict(json.loads(out)["certificate"], clamped=clamped)
+        if accepted:
+            assert BoundCertificate.from_payload(payload).clamped == clamped
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                BoundCertificate.from_payload(payload)
+
     def test_window_flag_reaches_the_windowed_family(self, capsys, files):
         code, out, _ = run(
             capsys,
@@ -399,6 +422,12 @@ class TestExitCodes:
         # Float comparisons use one fixed slack, numerics.DEFAULT_TOLERANCE.
         with pytest.raises(SystemExit) as excinfo:
             main([files.get(word, word) for word in argv] + ["--tolerance", "1e-9"])
+        assert excinfo.value.code == 2
+
+    def test_verify_takes_no_exact_arithmetic_flag(self):
+        # The suites build their own systems, so there is no input to convert.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--trials", "1", "--exact-arithmetic"])
         assert excinfo.value.code == 2
 
     def test_input_and_moments_are_mutually_exclusive(self, files):

@@ -17,7 +17,7 @@ from eventbounds.certificates import SIDE_UPPER, SIDES, TARGET_AT_LEAST, TARGETS
 from eventbounds.core import EventSystem
 from eventbounds.dispatch import FAMILY_TABLE
 from eventbounds.engine import check_feasibility, solve_coefficients, target_vector
-from eventbounds import bounds_l2, bounds_l3, families
+from eventbounds import families
 from eventbounds.families import best_certificate, family_certificate
 from eventbounds.numerics import integer_bracket
 from eventbounds.moments import moment_matrix, moment_set
@@ -82,15 +82,12 @@ def test_rows_are_cached(name):
 
 
 def test_row_caches_are_bounded():
-    builders = {
-        name: value
-        for module in (bounds_l2, bounds_l3)
-        for name, value in vars(module).items()
-        if hasattr(value, "cache_info")
-    }
-    assert len(builders) == 10, sorted(builders)
-    for name, builder in builders.items():
-        assert builder.cache_info().maxsize is not None, name
+    assert families.solved_row.cache_info().maxsize is not None
+    for name, family in FAMILY_TABLE.items():
+        for n, r, d, target, m in row_cases(family):
+            row = family.row(n, r, d, target, m)
+            key = (n, r, d, target, row.index_set, row.m)
+            assert row is families.solved_row(*key), (name, *key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The package: every export resolves on first use, and the float tolerance is one constant."""
+"""The package: every export resolves on first use, the float tolerance is one
+constant, and the family coefficients have one source."""
 
 import ast
 import os
@@ -74,3 +75,25 @@ def test_the_float_tolerance_is_no_parameter():
             if "tolerance" in names:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"a tolerance parameter or field at {offenders}"
+
+
+def test_the_family_modules_state_index_sets_only():
+    """A family's coefficients come from one place, families.solved_row:
+    bounds_l2 and bounds_l3 use no rational arithmetic, binomial or
+    solver, and cache nothing."""
+    banned = {"rational", "Fraction", "binomial", "lru_cache", "cache"}
+    offenders = []
+    for name in ("bounds_l2", "bounds_l3"):
+        path = Path(eventbounds.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.alias):
+                word = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Attribute):
+                word = node.attr
+            elif isinstance(node, ast.Name):
+                word = node.id
+            else:
+                continue
+            if word in banned or word.startswith("solve_"):
+                offenders.append(f"{name}.py:{node.lineno} {word}")
+    assert not offenders, f"coefficient arithmetic or a cache at {offenders}"
