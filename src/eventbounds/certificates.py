@@ -12,7 +12,7 @@ actually asserted for a probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import IndexTuple
 from .errors import NotApplicableError
@@ -76,6 +76,52 @@ class BoundTerm:
         )
 
 
+class Terms(Sequence):
+    """Read-only view of a certificate's terms, built on first read.
+
+    ``build()`` returns the :class:`BoundTerm` of each index tuple; it runs
+    once, on the first iteration or index, and ``len`` is ``count`` without
+    building anything.  ``rows`` holds the distinct (coefficients,
+    index_set, m) of the terms, which is all :func:`certificate_from_terms`
+    reads to find the shared fields.  The view compares equal to, and
+    hashes like, the tuple of its terms.
+    """
+
+    __slots__ = ("_count", "_build", "_terms", "rows")
+
+    def __init__(self, count: int, build: Callable[[], Iterable[BoundTerm]], rows: Iterable) -> None:
+        self._count = count
+        self._build = build
+        self._terms: Optional[tuple[BoundTerm, ...]] = None
+        self.rows = rows
+
+    def _built(self) -> tuple[BoundTerm, ...]:
+        if self._terms is None:
+            self._terms = tuple(self._build())
+            self._build = None
+        return self._terms
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[BoundTerm]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Terms):
+            other = other._built()
+        return self._built() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """A computed bound and its provenance.
@@ -83,7 +129,8 @@ class BoundCertificate:
     ``value`` is the raw formula output, ``clamped`` its restriction to
     [0, 1].  When the coefficient vector, index set, or window position is
     the same for every index tuple, they are also exposed at the top level;
-    otherwise the per-tuple detail lives in ``terms``.
+    otherwise the per-tuple detail lives in ``terms``, a tuple or a
+    :class:`Terms` view.
     """
 
     value: Number
@@ -97,7 +144,7 @@ class BoundCertificate:
     coefficients: Optional[tuple[Number, ...]] = None
     index_set: Optional[tuple[int, ...]] = None
     m: Optional[int] = None
-    terms: tuple[BoundTerm, ...] = ()
+    terms: Sequence[BoundTerm] = ()
 
     def __post_init__(self) -> None:
         if self.side not in SIDES:
@@ -108,7 +155,8 @@ class BoundCertificate:
             object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if self.index_set is not None:
             object.__setattr__(self, "index_set", tuple(self.index_set))
-        object.__setattr__(self, "terms", tuple(self.terms))
+        if not isinstance(self.terms, Terms):
+            object.__setattr__(self, "terms", tuple(self.terms))
         clamped = self.clamped
         if isinstance(clamped, float):
             outside = clamped < -DEFAULT_TOLERANCE or clamped > 1 + DEFAULT_TOLERANCE
@@ -179,24 +227,25 @@ def certificate_from_terms(
     """Assemble a certificate by summing per-tuple contributions.
 
     Top-level coefficients, index set and m are filled in when they agree
-    across all terms.  A caller that has already summed the term values
-    passes the sum as ``value``.
+    across all terms; a :class:`Terms` view is kept as it is, and its
+    ``rows`` stand in for the terms there.  A caller that has already
+    summed the term values passes the sum as ``value``.
     """
-    terms = tuple(terms)
-    if not terms:
+    if isinstance(terms, Terms):
+        rows = terms.rows
+    else:
+        terms = tuple(terms)
+        rows = [(t.coefficients, t.index_set, t.m) for t in terms]
+    if not len(terms):
         raise ValueError("a certificate needs at least one term")
     if value is None:
         exact = not any(isinstance(t.value, float) for t in terms)
         value = zero(exact)
         for term in terms:
             value = value + term.value if exact else value + float(term.value)
-    shared_coeffs = terms[0].coefficients if all(
-        t.coefficients == terms[0].coefficients for t in terms
-    ) else None
-    shared_index = terms[0].index_set if all(
-        t.index_set == terms[0].index_set for t in terms
-    ) else None
-    shared_m = terms[0].m if all(t.m == terms[0].m for t in terms) else None
+    shared_coeffs, shared_index, shared_m = (
+        column[0] if all(x == column[0] for x in column) else None for column in zip(*rows)
+    )
     return BoundCertificate(
         value=value,
         clamped=clamp01(value),

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import DegenerateMeasureError, InputFormatError
 from .numerics import (
@@ -36,7 +36,6 @@ from .numerics import (
     over_common_denominator,
     rational,
     to_number,
-    zero,
 )
 
 #: Hard cap on the number of events for explicit-atom systems (2**20 atoms).
@@ -482,21 +481,3 @@ def exact_joint(sys: EventSystem, i: int, j: "IndexTuple | Iterable[int]") -> Nu
         if mask.bit_count() == i and (mask & jmask) == jmask:
             total += mass
     return _probability(sys, total, denominator)
-
-
-def permute_events(sys: EventSystem, permutation: Sequence[int]) -> EventSystem:
-    """Relabel events: old index k becomes permutation[k-1].
-
-    The occurrence distribution and every label-symmetric quantity are
-    invariant under this operation.
-    """
-    if sorted(permutation) != list(range(1, sys.n + 1)):
-        raise ValueError(f"not a permutation of 1..{sys.n}: {permutation!r}")
-    remapped: dict[int, Number] = {}
-    for mask, weight in sys.weights.items():
-        new_mask = 0
-        for k in range(1, sys.n + 1):
-            if mask >> (k - 1) & 1:
-                new_mask |= 1 << (permutation[k - 1] - 1)
-        remapped[new_mask] = remapped.get(new_mask, zero(sys.exact)) + weight
-    return EventSystem(n=sys.n, weights=remapped, total=sys.total)

@@ -101,15 +101,19 @@ def target_vector(n: int, d: int, r: int, target: str = TARGET_AT_LEAST) -> Targ
     """Build the target vector for at-least-r or exactly-r."""
     if not (0 <= d <= r <= n):
         raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={n}")
-    positions = n - d + 1
+    v = target_entries(d, r, target, range(1, n - d + 2))
+    return TargetVector(n=n, d=d, r=r, target=target, v=v)
+
+
+def target_entries(d: int, r: int, target: str, positions: Iterable[int]) -> tuple[int, ...]:
+    """The target vector's entries at the given positions: at-least-r is one
+    from position r-d+1 on, exactly-r only there."""
     pivot = r - d + 1
     if target == TARGET_AT_LEAST:
-        v = tuple(1 if u >= pivot else 0 for u in range(1, positions + 1))
-    elif target in TARGETS:
-        v = tuple(1 if u == pivot else 0 for u in range(1, positions + 1))
-    else:
-        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    return TargetVector(n=n, d=d, r=r, target=target, v=v)
+        return tuple(1 if u >= pivot else 0 for u in positions)
+    if target in TARGETS:
+        return tuple(1 if u == pivot else 0 for u in positions)
+    raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
 
 
 class Feasibility(enum.Enum):

@@ -24,12 +24,13 @@ from .certificates import (
     BoundCertificate,
     BoundRequest,
     BoundTerm,
+    Terms,
     certificate_from_terms,
 )
-from .engine import solve_integer, target_vector
+from .engine import solve_integer, target_entries
 from .errors import NotApplicableError
-from .moments import MomentSet, moment_matrix
-from .numerics import Number, all_exact, integer_bracket, over_common_denominator, rational
+from .moments import MomentSet, moment_column
+from .numerics import Number, integer_bracket, over_common_denominator, rational
 
 #: Labels of the per-tuple combinations that mix more than one family.
 MIXED_LABELS = {"upper": "ub-min", "lower": "lb-max"}
@@ -122,46 +123,19 @@ def solved_row(
 ) -> Row:
     """The row a with F_I^T a = v_I at the index set I, window ``m`` recorded.
 
-    F is the moment matrix of order len(I) and v the request's target
-    vector; the solve runs on integers, and a singular subsystem (a
-    repeated position) raises DegenerateConfigurationError.  The cache
-    holds every family row of one n <= 20 (8,914 at n = 20).
+    F_I holds the moment matrix columns of order len(I) at I, and v_I the
+    request's target entries there; the solve runs on integers, and a
+    singular subsystem (a repeated position) raises
+    DegenerateConfigurationError.  The cache holds every family row of one
+    n <= 20 (8,914 at n = 20).
     """
-    fmat = moment_matrix(n, d, len(index_set))
-    v = target_vector(n, d, r, target).v
+    ell = len(index_set)
     numerators, den = solve_integer(
-        [fmat.column(i) for i in index_set], [v[i - 1] for i in index_set]
+        [moment_column(d, ell, i) for i in index_set], target_entries(d, r, target, index_set)
     )
     coefficients = tuple(rational(x, den) for x in numerators)
     numerators, den = over_common_denominator(coefficients)
     return Row(coefficients, index_set, m, numerators, den, tuple(map(float, coefficients)))
-
-
-def _moment_forms(moments: MomentSet, ell: int) -> tuple[list[tuple], bool]:
-    """Per index tuple, (values for window picks, values for dot products, D),
-    and whether every tuple is exact.
-
-    Exact tuples give their integer numerators twice over the positive
-    moment denominator D, which cancels from every window bracket and every
-    comparison of one tuple; an exact set shares one D.  Float tuples give
-    their values as they are for the picks, their floats for the dot
-    products, and D = None.
-    """
-    if moments.exact:
-        rows, denominator = moments.integerized()
-        if len(rows[0]) != ell:
-            rows = [row[:ell] for row in rows]
-        return [(row, row, denominator) for row in rows], True
-    forms = []
-    for vector in moments:
-        values = vector.values[:ell]
-        exact = vector.exact if len(vector.values) == ell else all_exact(values)
-        if exact:
-            row, denominator = over_common_denominator(values)
-            forms.append((row, row, denominator))
-        else:
-            forms.append((values, tuple(map(float, values)), None))
-    return forms, all(form[2] for form in forms)
 
 
 def _key(row: Row, form: tuple):
@@ -187,7 +161,7 @@ def _value(key, row: Row, form: tuple) -> Number:
 
 
 def _choices(
-    family: Family, forms: list, n: int, r: int, d: int, target: str, m: Optional[int]
+    family: Family, forms: Sequence, n: int, r: int, d: int, target: str, m: Optional[int]
 ) -> list[tuple]:
     """Per index tuple, (key, row) of the family; windows chosen per tuple unless pinned.
 
@@ -225,7 +199,7 @@ def best_window(
     return best_key, best_row
 
 
-def _total(choices: list[tuple], forms: list, exact: bool) -> Number:
+def _total(choices: list[tuple], forms: Sequence, exact: bool) -> Number:
     """The sum of the term values: on integers when every tuple is exact,
     else in float, term by term, as certificate_from_terms sums."""
     if exact:
@@ -241,14 +215,18 @@ def _total(choices: list[tuple], forms: list, exact: bool) -> Number:
 
 def _certificate(
     side: str, target: str, r: int, d: int, ell: int, label: str,
-    moments: MomentSet, forms: list, choices: list[tuple], names: Iterable[str], total: Number,
+    moments: MomentSet, forms: Sequence, choices: list[tuple], names: Iterable[str], total: Number,
 ) -> BoundCertificate:
     """The certificate of one (key, row) choice per index tuple, by family
-    name, with the :func:`_total` of the choices."""
-    terms = [
-        BoundTerm(vector.j, row.coefficients, row.index_set, _value(key, row, form), name, row.m)
-        for vector, form, (key, row), name in zip(moments, forms, choices, names)
-    ]
+    name, with the :func:`_total` of the choices; its terms are built on
+    first read."""
+    def build() -> list[BoundTerm]:
+        return [
+            BoundTerm(vector.j, row.coefficients, row.index_set, _value(key, row, form), name, row.m)
+            for vector, form, (key, row), name in zip(moments, forms, choices, names)
+        ]
+
+    terms = Terms(len(choices), build, dict.fromkeys(row for _, row in choices))
     return certificate_from_terms(side, target, r, d, ell, label, terms, value=total)
 
 
@@ -259,7 +237,7 @@ def family_certificate(
     window pinned to ``request.m`` if given."""
     n, r, d, target, m = moments.n, request.r, moments.d, request.target, request.m
     _check(family, n, r, d, target, m)
-    forms, exact = _moment_forms(moments, family.ell)
+    forms, exact = moments.forms(family.ell)
     choices = _choices(family, forms, n, r, d, target, m)
     return _certificate(
         family.side, target, r, d, family.ell, family.name, moments, forms,
@@ -294,7 +272,7 @@ def best_certificate(
     pins = [m if target in family.windows else None for family in applicable]
     for family, pin in zip(applicable, pins):
         _check(family, n, r, d, target, pin)
-    forms, exact = _moment_forms(moments, ell)
+    forms, exact = moments.forms(ell)
     columns = [
         _choices(family, forms, n, r, d, target, pin) for family, pin in zip(applicable, pins)
     ]

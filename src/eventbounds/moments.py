@@ -10,13 +10,12 @@ maps z(j) to the normalized binomial moments s(j):
 
     s_k(j) = (d! / (k+d-1)!) * E[ (count - d) falling (k-1) ; all of j occur ].
 
-Three independent routes to s(j) are provided and tested for exact
-agreement: through F and z(j) (:func:`moments_from_system`), through the
-falling-factorial expectation above (:func:`moments_via_factorial`), and
-through sums of plain intersection probabilities over unordered index
-subsets (:func:`moments_via_subsets`).  :func:`moment_set` batches the
-factorial route over all j with integer accumulators and is the fast path
-used by the bound modules.
+:func:`moments_from_system` computes s(j) through F and z(j), and
+:func:`moment_set` batches the falling-factorial expectation above over
+all j with integer accumulators; it is the fast path used by the bound
+modules.  The tests hold both to two independent oracles, the factorial
+expectation per tuple and sums of plain intersection probabilities over
+unordered index subsets (``tests/oracles.py``).
 
 s_1(j) is the probability that all events of j occur; for d=0 it is 1.
 """
@@ -27,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import (
     EventSystem,
@@ -101,11 +100,13 @@ def moment_matrix(n: int, d: int, ell: int) -> MomentMatrix:
     positions = n - d + 1
     if ell < 2 or ell > positions:
         raise ValueError(f"need 2 <= ell <= n-d+1 = {positions}, got ell={ell}")
-    rows = tuple(
-        tuple(binomial(i + d - 1, k + d - 1) for i in range(1, positions + 1))
-        for k in range(1, ell + 1)
-    )
+    rows = tuple(zip(*(moment_column(d, ell, i) for i in range(1, positions + 1))))
     return MomentMatrix(n=n, d=d, ell=ell, rows=rows)
+
+
+def moment_column(d: int, ell: int, i: int) -> tuple[int, ...]:
+    """Column i of the moment matrix of order ell: C(i+d-1, k+d-1), k = 1..ell."""
+    return tuple(binomial(i + d - 1, k + d - 1) for k in range(1, ell + 1))
 
 
 @dataclass(frozen=True)
@@ -224,78 +225,6 @@ def moments_from_system(sys: EventSystem, j: IndexTuple | Iterable[int], ell: in
     return MomentVector(j=j, n=sys.n, d=j.d, ell=ell, values=values)
 
 
-def moments_via_factorial(sys: EventSystem, j: IndexTuple | Iterable[int], ell: int) -> MomentVector:
-    """Moments of j computed from falling-factorial expectations.
-
-    s_k(j) = (d!/(k+d-1)!) * sum over atoms containing j of
-    weight * (count - d) falling (k-1).
-    """
-    j = IndexTuple.coerce(j)
-    j.validate_for(sys.n)
-    d = j.d
-    if ell < 2 or ell > sys.n - d + 1:
-        raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
-    jmask = j.mask
-    weights, denominator = atom_masses(sys)
-    sums = [0] * ell
-    for mask, weight in weights.items():
-        if (mask & jmask) != jmask:
-            continue
-        count = mask.bit_count()
-        for k in range(ell):
-            factor = falling_factorial(count - d, k)
-            if factor:
-                sums[k] += weight * factor
-    dfact = math.factorial(d)
-    if sys.exact:
-        values = tuple(
-            rational(sums[k] * dfact, math.factorial(k + d) * denominator) for k in range(ell)
-        )
-    else:
-        values = tuple(float(sums[k]) * dfact / math.factorial(k + d) for k in range(ell))
-    return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=values)
-
-
-def moments_via_subsets(sys: EventSystem, j: IndexTuple | Iterable[int], ell: int) -> MomentVector:
-    """Moments of j as sums of intersection probabilities.
-
-    The order-k moment is (k-1)! * d!/(k+d-1)! times the sum, over all
-    unordered (k-1)-subsets U of indices outside j, of P(all events of
-    U and of j occur).  Using unordered subsets with the (k-1)! factor
-    avoids enumerating ordered tuples.
-    """
-    j = IndexTuple.coerce(j)
-    j.validate_for(sys.n)
-    d = j.d
-    if ell < 2 or ell > sys.n - d + 1:
-        raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
-    jmask = j.mask
-    others = [k for k in range(1, sys.n + 1) if not (jmask >> (k - 1) & 1)]
-    weights, denominator = atom_masses(sys)
-    values = []
-    dfact = math.factorial(d)
-    for k in range(1, ell + 1):
-        total = 0
-        for subset in itertools.combinations(others, k - 1):
-            smask = jmask
-            for index in subset:
-                smask |= 1 << (index - 1)
-            for mask, weight in weights.items():
-                if (mask & smask) == smask:
-                    total += weight
-        if sys.exact:
-            values.append(
-                rational(
-                    total * math.factorial(k - 1) * dfact,
-                    math.factorial(k + d - 1) * denominator,
-                )
-            )
-        else:
-            scale = math.factorial(k - 1) * dfact / math.factorial(k + d - 1)
-            values.append(float(total) * scale)
-    return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=tuple(values))
-
-
 @dataclass(frozen=True)
 class MomentSet:
     """The complete family of moment vectors over all index tuples of order d.
@@ -311,6 +240,7 @@ class MomentSet:
     ell: int
     vectors: tuple[MomentVector, ...]
     _integers: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", tuple(self.vectors))
@@ -349,6 +279,38 @@ class MomentSet:
             rows = tuple(flat[k : k + ell] for k in range(0, len(flat), ell))
             object.__setattr__(self, "_integers", (rows, denominator))
         return self._integers
+
+    def forms(self, ell: int) -> tuple[tuple[tuple, ...], bool]:
+        """Per index tuple, (values for window picks, values for dot products, D),
+        and whether every tuple is exact; built once per ell.
+
+        Exact tuples give their integer numerators twice over the positive
+        moment denominator D, which cancels from every window bracket and
+        every comparison of one tuple; an exact set shares one D
+        (:meth:`integerized`).  Float tuples give their values as they are
+        for the picks, their floats for the dot products, and D = None.
+        """
+        cached = self._forms.get(ell)
+        if cached is not None:
+            return cached
+        if self.exact:
+            rows, denominator = self.integerized()
+            if len(rows[0]) != ell:
+                rows = [row[:ell] for row in rows]
+            forms = tuple((row, row, denominator) for row in rows)
+        else:
+            built = []
+            for vector in self.vectors:
+                values = vector.values[:ell]
+                exact = vector.exact if len(vector.values) == ell else all_exact(values)
+                if exact:
+                    row, denominator = over_common_denominator(values)
+                    built.append((row, row, denominator))
+                else:
+                    built.append((values, tuple(map(float, values)), None))
+            forms = tuple(built)
+        cached = self._forms[ell] = (forms, all(form[2] for form in forms))
+        return cached
 
     def vector(self, j: IndexTuple | Iterable[int]) -> MomentVector:
         j = IndexTuple.coerce(j)
@@ -436,8 +398,7 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     level (:func:`_level_sums`), then applies the falling factorials once
     per tuple and level; only the final values become rationals, and the
     set keeps the integers as its :meth:`MomentSet.integerized` form.  Float
-    mode accumulates per atom and order.  Values agree exactly with
-    :func:`moments_via_factorial` applied per index tuple.
+    mode accumulates per atom and order.
     """
     if d < 0 or d > sys.n:
         raise ValueError(f"need 0 <= d <= n, got n={sys.n}, d={d}")

@@ -1,0 +1,108 @@
+"""Test-only oracles: independent routes to quantities the package computes.
+
+``moments_via_factorial`` and ``moments_via_subsets`` compute one tuple's
+moments from falling-factorial expectations and from sums of intersection
+probabilities; the tests hold :func:`eventbounds.moments.moment_set` and
+:func:`eventbounds.moments.moments_from_system` to them.  ``permute_events``
+relabels the events of a system, for symmetry checks.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Iterable, Sequence
+
+from eventbounds.core import EventSystem, IndexTuple, atom_masses, falling_factorial
+from eventbounds.moments import MomentVector
+from eventbounds.numerics import Number, rational, zero
+
+
+def moments_via_factorial(sys: EventSystem, j: IndexTuple | Iterable[int], ell: int) -> MomentVector:
+    """Moments of j computed from falling-factorial expectations.
+
+    s_k(j) = (d!/(k+d-1)!) * sum over atoms containing j of
+    weight * (count - d) falling (k-1).
+    """
+    j = IndexTuple.coerce(j)
+    j.validate_for(sys.n)
+    d = j.d
+    if ell < 2 or ell > sys.n - d + 1:
+        raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
+    jmask = j.mask
+    weights, denominator = atom_masses(sys)
+    sums = [0] * ell
+    for mask, weight in weights.items():
+        if (mask & jmask) != jmask:
+            continue
+        count = mask.bit_count()
+        for k in range(ell):
+            factor = falling_factorial(count - d, k)
+            if factor:
+                sums[k] += weight * factor
+    dfact = math.factorial(d)
+    if sys.exact:
+        values = tuple(
+            rational(sums[k] * dfact, math.factorial(k + d) * denominator) for k in range(ell)
+        )
+    else:
+        values = tuple(float(sums[k]) * dfact / math.factorial(k + d) for k in range(ell))
+    return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=values)
+
+
+def moments_via_subsets(sys: EventSystem, j: IndexTuple | Iterable[int], ell: int) -> MomentVector:
+    """Moments of j as sums of intersection probabilities.
+
+    The order-k moment is (k-1)! * d!/(k+d-1)! times the sum, over all
+    unordered (k-1)-subsets U of indices outside j, of P(all events of
+    U and of j occur).  Using unordered subsets with the (k-1)! factor
+    avoids enumerating ordered tuples.
+    """
+    j = IndexTuple.coerce(j)
+    j.validate_for(sys.n)
+    d = j.d
+    if ell < 2 or ell > sys.n - d + 1:
+        raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
+    jmask = j.mask
+    others = [k for k in range(1, sys.n + 1) if not (jmask >> (k - 1) & 1)]
+    weights, denominator = atom_masses(sys)
+    values = []
+    dfact = math.factorial(d)
+    for k in range(1, ell + 1):
+        total = 0
+        for subset in itertools.combinations(others, k - 1):
+            smask = jmask
+            for index in subset:
+                smask |= 1 << (index - 1)
+            for mask, weight in weights.items():
+                if (mask & smask) == smask:
+                    total += weight
+        if sys.exact:
+            values.append(
+                rational(
+                    total * math.factorial(k - 1) * dfact,
+                    math.factorial(k + d - 1) * denominator,
+                )
+            )
+        else:
+            scale = math.factorial(k - 1) * dfact / math.factorial(k + d - 1)
+            values.append(float(total) * scale)
+    return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=tuple(values))
+
+
+def permute_events(sys: EventSystem, permutation: Sequence[int]) -> EventSystem:
+    """Relabel events: old index k becomes permutation[k-1].
+
+    The occurrence distribution and every label-symmetric quantity are
+    invariant under this operation.
+    """
+    if sorted(permutation) != list(range(1, sys.n + 1)):
+        raise ValueError(f"not a permutation of 1..{sys.n}: {permutation!r}")
+    remapped: dict[int, Number] = {}
+    for mask, weight in sys.weights.items():
+        new_mask = 0
+        for k in range(1, sys.n + 1):
+            if mask >> (k - 1) & 1:
+                new_mask |= 1 << (permutation[k - 1] - 1)
+        remapped[new_mask] = remapped.get(new_mask, zero(sys.exact)) + weight
+    return EventSystem(n=sys.n, weights=remapped, total=sys.total)

@@ -17,9 +17,9 @@ from eventbounds.core import (
     falling_factorial,
     normalize,
     _plain_ratio,
-    permute_events,
 )
 from eventbounds.errors import DegenerateMeasureError, InputFormatError
+from oracles import permute_events
 
 
 def fair(n):

@@ -7,16 +7,28 @@ The integer and float forms evaluation uses must be the same row, and the
 certificates must equal those of a test-local evaluator on ``Fraction``s.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from eventbounds.certificates import SIDE_UPPER, SIDES, TARGET_AT_LEAST, TARGETS, BoundRequest
+from eventbounds.certificates import (
+    SIDE_UPPER,
+    SIDES,
+    TARGET_AT_LEAST,
+    TARGETS,
+    BoundCertificate,
+    BoundRequest,
+    BoundTerm,
+    Terms,
+    certificate_from_terms,
+)
 from eventbounds.core import EventSystem
 from eventbounds.dispatch import FAMILY_TABLE
 from eventbounds.engine import check_feasibility, solve_coefficients, target_vector
+from eventbounds.errors import NotApplicableError
 from eventbounds import families
 from eventbounds.families import best_certificate, family_certificate
 from eventbounds.numerics import integer_bracket
@@ -276,3 +288,99 @@ def test_evaluation_matches_the_fraction_reference(monkeypatch):
                             checked += 1
     assert ties > 0
     assert checked > 1000
+
+
+# ---------------------------------------------------------------------------
+# Certificate terms are built on first read.
+
+
+def _grid(systems):
+    """Every best-of certificate at ell 2 and 3 (ub-min/lb-max at 3) and every
+    named family's, with its moment set, each freshly evaluated and unread."""
+    for system in systems:
+        n = system.n
+        for d in range(n):
+            moments = moment_set(system, d, min(3, n - d + 1))
+            for family, r, target, m in _requests(moments, n, d):
+                request = BoundRequest(r=r, d=d, ell=family.ell, side=family.side, target=target, m=m)
+                yield moments, family_certificate(family, moments, request)
+            for ell in range(2, moments.ell + 1):
+                rows = [f for f in FAMILY_TABLE.values() if f.ell == ell]
+                for r in range(d, n + 1):
+                    for target in TARGETS:
+                        for side in SIDES:
+                            request = BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
+                            try:
+                                yield moments, best_certificate(rows, moments, request, ell == 3)
+                            except NotApplicableError:
+                                continue
+
+
+def _grid_systems():
+    rng = random.Random("families:lazy-terms")
+    for n in (3, 5):
+        system = random_system(rng, n)
+        yield system
+        yield floatize(system)
+
+
+def test_len_of_closed_form_terms_builds_no_term(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return BoundTerm(*args)
+
+    monkeypatch.setattr(families, "BoundTerm", spy)
+    certificates = list(_grid(_grid_systems()))
+    assert len(certificates) > 200
+    for moments, certificate in certificates:
+        assert isinstance(certificate.terms, Terms)
+        assert len(certificate.terms) == len(moments)
+        assert certificate.terms
+        certificate.clamped, certificate.value, certificate.coefficients, certificate.m
+    assert built == []
+    moments, certificate = certificates[-1]
+    assert [term.j for term in certificate.terms] == [vector.j for vector in moments]
+    assert len(built) == len(moments)
+    assert certificate.terms[0] is certificate.terms[0]
+    assert list(certificate.terms)[-1] is certificate.terms[-1]
+    assert len(built) == len(moments)
+
+
+def test_lazy_certificates_equal_the_eager_assembly():
+    labels = set()
+    shared = {"coefficients": 0, "index_set": 0, "m": 0}
+    count = 0
+    for exact in (True, False):
+        systems = [s for s in _grid_systems() if s.exact == exact]
+        for _, certificate in _grid(systems):
+            fields = (certificate.coefficients, certificate.index_set, certificate.m)
+            eager = certificate_from_terms(
+                certificate.side, certificate.target, certificate.r, certificate.d,
+                certificate.ell, certificate.formula_id, list(certificate.terms),
+            )
+            assert type(eager.terms) is tuple
+            assert (eager.coefficients, eager.index_set, eager.m) == fields
+            assert _same_number(eager.value, certificate.value)
+            assert eager == certificate and certificate == eager
+            assert hash(eager) == hash(certificate)
+            labels.add(certificate.formula_id)
+            count += 1
+            for name in shared:
+                shared[name] += getattr(certificate, name) is None
+    assert {"ub-min", "lb-max"} <= labels
+    assert all(0 < unshared < count for unshared in shared.values()), (shared, count)
+
+
+def test_lazy_certificates_round_trip_their_payloads():
+    for _, certificate in _grid(_grid_systems()):
+        fresh = BoundCertificate.from_payload(certificate.to_payload())
+        assert type(fresh.terms) is tuple
+        assert fresh == certificate
+        assert hash(fresh) == hash(certificate)
+    # compared before the view is built, from the tuple side
+    _, certificate = next(_grid(_grid_systems()))
+    payload = BoundCertificate.from_payload(json.loads(json.dumps(certificate.to_payload())))
+    _, unread = next(_grid(_grid_systems()))
+    assert payload == unread and hash(unread) == hash(payload)

@@ -16,11 +16,10 @@ from eventbounds.moments import (
     moment_matrix,
     moment_set,
     moments_from_system,
-    moments_via_factorial,
-    moments_via_subsets,
     verify_decomposition,
     z_vector,
 )
+from oracles import moments_via_factorial, moments_via_subsets
 
 
 def fair(n):
