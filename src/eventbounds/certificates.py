@@ -81,19 +81,19 @@ class Terms(Sequence):
 
     ``build()`` returns the :class:`BoundTerm` of each index tuple; it runs
     once, on the first iteration or index, and ``len`` is ``count`` without
-    building anything.  ``rows`` holds the distinct (coefficients,
-    index_set, m) of the terms, which is all :func:`certificate_from_terms`
-    reads to find the shared fields.  The view compares equal to, and
-    hashes like, the tuple of its terms.
+    building anything.  ``rows`` holds the distinct rows the terms take
+    their ``coefficients``, ``index_set`` and ``m`` from, which is all
+    :func:`certificate_from_terms` reads to find the shared fields.  The
+    view compares equal to, and hashes like, the tuple of its terms.
     """
 
-    __slots__ = ("_count", "_build", "_terms", "rows")
+    __slots__ = ("_count", "_build", "_terms", "_rows")
 
     def __init__(self, count: int, build: Callable[[], Iterable[BoundTerm]], rows: Iterable) -> None:
         self._count = count
         self._build = build
         self._terms: Optional[tuple[BoundTerm, ...]] = None
-        self.rows = rows
+        self._rows = rows
 
     def _built(self) -> tuple[BoundTerm, ...]:
         if self._terms is None:
@@ -228,14 +228,13 @@ def certificate_from_terms(
 
     Top-level coefficients, index set and m are filled in when they agree
     across all terms; a :class:`Terms` view is kept as it is, and its
-    ``rows`` stand in for the terms there.  A caller that has already
+    rows stand in for the terms there.  A caller that has already
     summed the term values passes the sum as ``value``.
     """
     if isinstance(terms, Terms):
-        rows = terms.rows
+        rows = terms._rows
     else:
-        terms = tuple(terms)
-        rows = [(t.coefficients, t.index_set, t.m) for t in terms]
+        rows = terms = tuple(terms)
     if not len(terms):
         raise ValueError("a certificate needs at least one term")
     if value is None:
@@ -243,9 +242,12 @@ def certificate_from_terms(
         value = zero(exact)
         for term in terms:
             value = value + term.value if exact else value + float(term.value)
-    shared_coeffs, shared_index, shared_m = (
-        column[0] if all(x == column[0] for x in column) else None for column in zip(*rows)
-    )
+    first = next(iter(rows))
+    shared_coeffs = first.coefficients if all(
+        t.coefficients == first.coefficients for t in rows
+    ) else None
+    shared_index = first.index_set if all(t.index_set == first.index_set for t in rows) else None
+    shared_m = first.m if all(t.m == first.m for t in rows) else None
     return BoundCertificate(
         value=value,
         clamped=clamp01(value),

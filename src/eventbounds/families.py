@@ -29,7 +29,7 @@ from .certificates import (
 )
 from .engine import solve_integer, target_entries
 from .errors import NotApplicableError
-from .moments import MomentSet, moment_column
+from .moments import MomentSet, moment_rows
 from .numerics import Number, integer_bracket, over_common_denominator, rational
 
 #: Labels of the per-tuple combinations that mix more than one family.
@@ -123,16 +123,14 @@ def solved_row(
 ) -> Row:
     """The row a with F_I^T a = v_I at the index set I, window ``m`` recorded.
 
-    F_I holds the moment matrix columns of order len(I) at I, and v_I the
-    request's target entries there; the solve runs on integers, and a
+    F_I holds the moment matrix of order len(I) at the positions I, and v_I
+    the request's target entries there; the solve runs on integers, and a
     singular subsystem (a repeated position) raises
     DegenerateConfigurationError.  The cache holds every family row of one
     n <= 20 (8,914 at n = 20).
     """
-    ell = len(index_set)
-    numerators, den = solve_integer(
-        [moment_column(d, ell, i) for i in index_set], target_entries(d, r, target, index_set)
-    )
+    columns = list(zip(*moment_rows(d, len(index_set), index_set)))
+    numerators, den = solve_integer(columns, target_entries(d, r, target, index_set))
     coefficients = tuple(rational(x, den) for x in numerators)
     numerators, den = over_common_denominator(coefficients)
     return Row(coefficients, index_set, m, numerators, den, tuple(map(float, coefficients)))

@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     EventSystem,
@@ -100,13 +100,16 @@ def moment_matrix(n: int, d: int, ell: int) -> MomentMatrix:
     positions = n - d + 1
     if ell < 2 or ell > positions:
         raise ValueError(f"need 2 <= ell <= n-d+1 = {positions}, got ell={ell}")
-    rows = tuple(zip(*(moment_column(d, ell, i) for i in range(1, positions + 1))))
+    rows = moment_rows(d, ell, range(1, positions + 1))
     return MomentMatrix(n=n, d=d, ell=ell, rows=rows)
 
 
-def moment_column(d: int, ell: int, i: int) -> tuple[int, ...]:
-    """Column i of the moment matrix of order ell: C(i+d-1, k+d-1), k = 1..ell."""
-    return tuple(binomial(i + d - 1, k + d - 1) for k in range(1, ell + 1))
+def moment_rows(d: int, ell: int, positions: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Rows k = 1..ell of the moment matrix at the given positions i:
+    the entries C(i+d-1, k+d-1)."""
+    return tuple(
+        tuple(binomial(i + d - 1, k + d - 1) for i in positions) for k in range(1, ell + 1)
+    )
 
 
 @dataclass(frozen=True)

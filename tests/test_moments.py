@@ -275,6 +275,22 @@ class TestIntegerForm:
         self.assert_form_matches(parsed)
         self.assert_form_matches(parsed.restricted(2))
 
+    def test_forms_are_built_once_per_set_and_order(self):
+        system = normalize(4, {0: 1, 3: 2, 5: 3, 14: 5, 15: 7})
+        for moments in (moment_set(system, 1, 3), moment_set(normalize(3, {0: 0.25, 7: 0.75}), 1, 3)):
+            for ell in (2, 3):
+                forms, exact = moments.forms(ell)
+                assert moments.forms(ell) is moments.forms(ell)
+                assert exact == moments.exact and len(forms) == len(moments)
+                assert moments.restricted(ell).forms(ell) == (forms, exact)
+                for (picks, dots, denominator), vector in zip(forms, moments):
+                    if exact:
+                        assert picks is dots
+                        assert tuple(Fraction(x, denominator) for x in dots) == vector.values[:ell]
+                    else:
+                        assert picks == vector.values[:ell] and denominator is None
+                        assert dots == tuple(float(x) for x in picks)
+
     def test_float_sets_have_no_integer_form(self):
         moments = moment_set(normalize(3, {0: 0.25, 7: 0.75}), 1, 2)
         assert not moments.exact
