@@ -28,8 +28,7 @@ _EXPORTS = {
     ),
     "dispatch": ("FORMULAS", "bound_for_system", "evaluate_request"),
     "engine": (
-        "Feasibility", "SearchResult", "SharpnessWitness", "TargetVector",
-        "bound_value", "check_feasibility", "jordan_exact", "search_index_sets",
+        "Feasibility", "SharpnessWitness", "TargetVector", "check_feasibility",
         "sharpness_witness", "solve_coefficients", "target_vector", "witness_system",
     ),
     "errors": (

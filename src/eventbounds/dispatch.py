@@ -13,18 +13,11 @@ from __future__ import annotations
 from typing import Iterator
 
 from . import bounds_l2, bounds_l3
-from .certificates import (
-    SIDES,
-    TARGETS,
-    BoundCertificate,
-    BoundRequest,
-    BoundTerm,
-    certificate_from_terms,
-)
+from .certificates import SIDES, TARGETS, BoundCertificate, BoundRequest
 from .core import EventSystem
-from .engine import bound_value, jordan_coefficients, search_index_sets, target_vector
+from .engine import dual_bases, target_vector
 from .errors import NotApplicableError
-from .families import best_certificate, family_certificate
+from .families import best_certificate, family_certificate, rows_certificate, solved_row
 from .moments import MomentSet, moment_matrix, moment_set
 
 #: Every closed-form family by name, in tie-breaking order.
@@ -56,51 +49,33 @@ def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]
 
 
 def search_bound(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
-    """The index-set search's certificate: each tuple's best index set as a term."""
+    """The index-set search's certificate: per tuple, the best row of the
+    shape's table of side-feasible index sets."""
     n, d = moments.n, moments.d
-    fmat = moment_matrix(n, d, request.ell)
-    v = target_vector(n, d, request.r, request.target)
-    terms = []
-    for vector in moments:
-        best = search_index_sets(fmat, v, vector, request.side).best
-        if best is None:
-            raise NotApplicableError(
-                f"no {request.side}-feasible index set at ell={request.ell} "
-                f"for target={request.target!r}, r={request.r}, d={d}, n={n}"
-            )
-        terms.append(
-            BoundTerm(
-                j=vector.j,
-                coefficients=best.coefficients,
-                index_set=best.index_set,
-                value=best.value,
-                formula_id="search",
-            )
-        )
-    return certificate_from_terms(
-        request.side, request.target, request.r, d, request.ell, "search", terms
+    table = dual_bases(
+        moment_matrix(n, d, request.ell), target_vector(n, d, request.r, request.target),
+        request.side,
     )
+    if not table.bases:
+        raise NotApplicableError(
+            f"no {request.side}-feasible index set at ell={request.ell} "
+            f"for target={request.target!r}, r={request.r}, d={d}, n={n}"
+        )
+    return rows_certificate(table.bases, moments, request, "search")
 
 
 def _jordan(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
-    n, d = moments.n, moments.d
-    fmat = moment_matrix(n, d, request.ell)
-    v = target_vector(n, d, request.r, request.target)
-    a = jordan_coefficients(fmat, v)
-    full = tuple(range(1, fmat.positions + 1))
-    terms = [
-        BoundTerm(
-            j=vector.j,
-            coefficients=a,
-            index_set=full,
-            value=bound_value(vector, a),
-            formula_id="jordan",
+    """The exact value at full order ell = n-d+1: the row solved at every
+    position makes b = v, so s . a is the target probability itself."""
+    positions = moments.n - moments.d + 1
+    if request.ell != positions:
+        raise NotApplicableError(
+            f"exact evaluation needs ell = n-d+1 = {positions}, got ell={request.ell}"
         )
-        for vector in moments
-    ]
-    return certificate_from_terms(
-        request.side, request.target, request.r, d, request.ell, "jordan", terms
+    row = solved_row(
+        moments.n, request.r, moments.d, request.target, tuple(range(1, positions + 1)), None
     )
+    return rows_certificate((row,), moments, request, "jordan")
 
 
 def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertificate:

@@ -12,10 +12,10 @@ the bound, which is the sharpness witness.
 
 This module solves those small dense systems exactly (fraction-free, on
 integers), checks feasibility, tabulates the dual-feasible index sets once
-per shape (n, d, ell, target vector, side) for the index-set search,
-tests moments for a nonnegative occurrence vector, and handles the
-full-order case ell = n-d+1 where the bound collapses to an exact identity
-(the Jordan-formula case).
+per shape (n, d, ell, target vector, side) as rows (:class:`Row`, the one
+dual row type), and tests moments for a nonnegative occurrence vector.  It
+evaluates no bound: ``families`` applies rows to moments, for the closed
+forms, the index-set search and the full-order (Jordan) case alike.
 
 The table is not built from all C(n-d+1, ell) index sets.  Read b = F^T a
 as a function of the position x > 0: b(x) = C(x+d-1, d) q(x) with q a
@@ -34,23 +34,16 @@ import enum
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .certificates import (
-    SIDE_UPPER,
-    SIDES,
-    TARGET_AT_LEAST,
-    TARGETS,
-    BoundCertificate,
-)
+from .certificates import SIDE_UPPER, SIDES, TARGET_AT_LEAST, TARGETS
 from .core import EventSystem, IndexTuple, binomial
 from .errors import (
     DegenerateConfigurationError,
     DegenerateMeasureError,
     InfeasibleMomentsError,
-    NotApplicableError,
     ResourceLimitError,
 )
 from .moments import MomentMatrix, MomentSet, MomentVector, moment_matrix
@@ -58,7 +51,6 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     Number,
     all_exact,
-    clamp01,
     dot_product,
     encode_number,
     over_common_denominator,
@@ -277,12 +269,6 @@ def check_feasibility(
     return Feasibility.LOWER_FEASIBLE if lower else Feasibility.UPPER_FEASIBLE
 
 
-def bound_value(s: "MomentVector | Sequence[Number]", a: Sequence[Number]) -> Number:
-    """The bound value: scalar product of the moments with the coefficients."""
-    values = s.values if isinstance(s, MomentVector) else tuple(s)
-    return dot_product(a, values)
-
-
 @dataclass(frozen=True)
 class SharpnessWitness:
     """A candidate occurrence vector with the observed moments.
@@ -382,13 +368,31 @@ def check_realizable(moments: MomentSet) -> None:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class DualBasis:
-    """A side-feasible index set with its coefficients a = numerators / den."""
+class Row:
+    """One dual row a, with F_I^T a = v_I at ``index_set`` I, in the three
+    forms evaluation needs.
 
-    index_set: tuple[int, ...]
-    numerators: tuple[int, ...]
-    den: int
+    ``numerators`` are the row as integers over the positive ``den``;
+    ``coefficients`` are the exact rationals a certificate records;
+    ``floats`` holds ``float(c)`` per coefficient, for float moments.
+    ``m`` is the window a closed-form family records, None elsewhere.  A
+    row unpacks as ``(coefficients, index_set, m)``.
+    """
+
+    __slots__ = ("coefficients", "index_set", "m", "numerators", "den", "floats")
+
+    def __init__(
+        self, index_set: tuple[int, ...], m: Optional[int], numerators: tuple[int, ...], den: int
+    ) -> None:
+        self.index_set = index_set
+        self.m = m
+        self.numerators = numerators
+        self.den = den
+        self.coefficients = tuple(rational(x, den) for x in numerators)
+        self.floats = tuple(map(float, self.coefficients))
+
+    def __iter__(self):
+        return iter((self.coefficients, self.index_set, self.m))
 
 
 @dataclass(frozen=True)
@@ -413,7 +417,7 @@ class BasisTable:
     """
 
     ell: int
-    bases: tuple[DualBasis, ...]
+    bases: tuple[Row, ...]
     zero_positions: tuple[int, ...]
     one_positions: tuple[int, ...]
     solved: int
@@ -423,7 +427,7 @@ class BasisTable:
         """The number of bases stored, range representatives included."""
         return len(self.bases)
 
-    def __iter__(self) -> Iterator[DualBasis]:
+    def __iter__(self) -> Iterator[Row]:
         """Every feasible set in lexicographic order, range sets made on demand."""
         zero = (0,) * self.ell
         return heapq.merge(
@@ -433,28 +437,10 @@ class BasisTable:
             key=operator.attrgetter("index_set"),
         )
 
-    def _rest(self, positions: tuple[int, ...], a: tuple[int, ...]) -> Iterator[DualBasis]:
+    def _rest(self, positions: tuple[int, ...], a: tuple[int, ...]) -> Iterator[Row]:
         """The sets of one range after its first, which ``bases`` stores."""
         rest = itertools.islice(itertools.combinations(positions, self.ell), 1, None)
-        return (DualBasis(index_set, a, 1) for index_set in rest)
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of enumerating index sets for one side.
-
-    ``best`` is None when no index set was feasible for the requested side,
-    which callers should treat as "no bound of this shape exists here".
-    ``feasible`` lists every index set whose coefficient vector was
-    feasible for the side, in lexicographic order.
-    """
-
-    best: Optional[BoundCertificate]
-    table: BasisTable = field(repr=False)
-
-    @property
-    def feasible(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(basis.index_set for basis in self.table)
+        return (Row(index_set, None, a, 1) for index_set in rest)
 
 
 # The sign that feasibility forces on P_c = b - c at one position.
@@ -621,7 +607,7 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
     if fmat.d == 0 and (upper or all(v)):
         one_positions = tuple(i for i, x in enumerate(v, 1) if x)
     bases = [
-        DualBasis(positions[:ell], a, 1)
+        Row(positions[:ell], None, a, 1)
         for positions, a in ((zero_positions, zero), (one_positions, one))
         if len(positions) >= ell
     ]
@@ -635,69 +621,9 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
             if gap < 0 if upper else gap > 0:
                 break
         else:
-            bases.append(DualBasis(index_set, numerators, den))
+            bases.append(Row(index_set, None, numerators, den))
     bases.sort(key=operator.attrgetter("index_set"))
     return BasisTable(ell, tuple(bases), zero_positions, one_positions, candidates.count)
-
-
-def search_index_sets(
-    fmat: MomentMatrix, v: TargetVector, s: "MomentVector | Sequence[Number]", side: str
-) -> SearchResult:
-    """Keep the best bound over the side-feasible index sets.
-
-    Upper side keeps the smallest s . a over upper-feasible sets, lower
-    side the largest over lower-feasible ones; ties go to the
-    lexicographically first index set.  The feasible sets come from the
-    shape's :func:`dual_bases` table, whose stored bases are all a search
-    needs.  Exact moments are compared on
-    integers, N . S over a common moment denominator cross-multiplied by
-    den; float moments by the float dot product.  Only the winner becomes
-    rational coefficients and a value; a caller that wants its sharpness
-    witness calls :func:`sharpness_witness` at its index set.
-    """
-    table = dual_bases(fmat, v, side)
-    values = s.values if isinstance(s, MomentVector) else tuple(s)
-    if len(values) != fmat.ell:
-        raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")
-    upper = side == SIDE_UPPER
-    best: Optional[DualBasis] = None
-    if all_exact(values):
-        moments, _ = over_common_denominator(values)
-        best_key = best_den = 0
-        for basis in table.bases:
-            key = sum(map(operator.mul, basis.numerators, moments))
-            if best is None or (
-                key * best_den < best_key * basis.den
-                if upper
-                else key * best_den > best_key * basis.den
-            ):
-                best, best_key, best_den = basis, key, basis.den
-    else:
-        # N_k / den rounds to the same float as a_k does, so each key equals
-        # the float dot product of a and s that bound_value computes.
-        moments = [float(x) for x in values]
-        best_float = 0.0
-        for basis in table.bases:
-            key = sum(map(operator.mul, [x / basis.den for x in basis.numerators], moments))
-            if best is None or (key < best_float if upper else key > best_float):
-                best, best_float = basis, key
-    certificate = None
-    if best is not None:
-        coefficients = tuple(rational(x, best.den) for x in best.numerators)
-        value = bound_value(values, coefficients)
-        certificate = BoundCertificate(
-            value=value,
-            clamped=clamp01(value),
-            side=side,
-            target=v.target,
-            r=v.r,
-            d=fmat.d,
-            ell=fmat.ell,
-            formula_id="search",
-            coefficients=coefficients,
-            index_set=best.index_set,
-        )
-    return SearchResult(best=certificate, table=table)
 
 
 def witness_system(
@@ -743,23 +669,3 @@ def witness_system(
     if leftover > 0:
         weights[0] = weights.get(0, rational(0) if exact else 0.0) + leftover
     return EventSystem(n=n, weights=weights)
-
-
-def jordan_coefficients(fmat: MomentMatrix, v: TargetVector) -> tuple[Number, ...]:
-    """The coefficients a with s . a = Z for every moment vector s.
-
-    Requires ell = n-d+1 so the moment matrix is square.  The matrix is
-    unitriangular in its leading block, hence invertible, and both
-    feasibility directions hold at the solution, so s . a is Z itself, not
-    merely a bound.
-    """
-    if fmat.ell != fmat.positions:
-        raise NotApplicableError(
-            f"exact evaluation needs ell = n-d+1 = {fmat.positions}, got ell={fmat.ell}"
-        )
-    return solve_coefficients(fmat, tuple(range(1, fmat.positions + 1)), v)
-
-
-def jordan_exact(fmat: MomentMatrix, v: TargetVector, s: "MomentVector | Sequence[Number]") -> Number:
-    """Exact value of Z from the full-order moment system (:func:`jordan_coefficients`)."""
-    return bound_value(s, jordan_coefficients(fmat, v))

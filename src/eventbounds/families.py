@@ -1,4 +1,5 @@
-"""The closed-form bound families as rows of one table, and their evaluator.
+"""The closed-form bound families as rows of one table, and the evaluator of
+every dual row.
 
 Each family is one dual-feasible basis of the binomial-moment LP: for a
 request (n, r, d, target) it names an index set I, and its coefficient row
@@ -8,13 +9,16 @@ families, the window range per target and the rule that proposes window
 candidates.  ``bounds_l2`` and ``bounds_l3`` state the families;
 :func:`solved_row` solves each index set once, and everything that
 evaluates, combines, sweeps or verifies a closed form reads the rows
-through this module.
+through this module.  The index-set search and the full-order (Jordan)
+case evaluate their rows here too (:func:`rows_certificate`), so every
+certificate comes from one path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -27,10 +31,10 @@ from .certificates import (
     Terms,
     certificate_from_terms,
 )
-from .engine import solve_integer, target_entries
+from .engine import Row, solve_integer, target_entries
 from .errors import NotApplicableError
 from .moments import MomentSet, moment_rows
-from .numerics import Number, integer_bracket, over_common_denominator, rational
+from .numerics import Number, integer_bracket, rational
 
 #: Labels of the per-tuple combinations that mix more than one family.
 MIXED_LABELS = {"upper": "ub-min", "lower": "lb-max"}
@@ -86,37 +90,6 @@ def _check(family: Family, n: int, r: int, d: int, target: str, m: Optional[int]
             raise ValueError(f"need {lo} <= m <= {hi}, got m={m}")
 
 
-class Row:
-    """One family row, in the three forms evaluation needs.
-
-    ``coefficients`` are the exact rationals the certificate records;
-    ``numerators`` are the same row as integers over the positive ``den``;
-    ``floats`` holds ``float(c)`` per coefficient, for float moments.  A
-    row unpacks as ``(coefficients, index_set, m)``.
-    """
-
-    __slots__ = ("coefficients", "index_set", "m", "numerators", "den", "floats")
-
-    def __init__(
-        self,
-        coefficients: tuple,
-        index_set: tuple[int, ...],
-        m: Optional[int],
-        numerators: tuple[int, ...],
-        den: int,
-        floats: tuple[float, ...],
-    ) -> None:
-        self.coefficients = coefficients
-        self.index_set = index_set
-        self.m = m
-        self.numerators = numerators
-        self.den = den
-        self.floats = floats
-
-    def __iter__(self):
-        return iter((self.coefficients, self.index_set, self.m))
-
-
 @lru_cache(maxsize=10240)
 def solved_row(
     n: int, r: int, d: int, target: str, index_set: tuple[int, ...], m: Optional[int]
@@ -131,9 +104,7 @@ def solved_row(
     """
     columns = list(zip(*moment_rows(d, len(index_set), index_set)))
     numerators, den = solve_integer(columns, target_entries(d, r, target, index_set))
-    coefficients = tuple(rational(x, den) for x in numerators)
-    numerators, den = over_common_denominator(coefficients)
-    return Row(coefficients, index_set, m, numerators, den, tuple(map(float, coefficients)))
+    return Row(index_set, m, numerators, den)
 
 
 def _key(row: Row, form: tuple):
@@ -144,7 +115,9 @@ def _key(row: Row, form: tuple):
     b = form[1]
     if len(b) == 2:
         return a[0] * b[0] + a[1] * b[1]
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    if len(b) == 3:
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return sum(map(operator.mul, a, b))
 
 
 def _beats(key, row: Row, best_key, best_row: Row, exact, minimize: bool) -> bool:
@@ -291,6 +264,28 @@ def best_certificate(
     label = applicable[0].name if len(applicable) == 1 else MIXED_LABELS[side]
     return _certificate(
         side, target, r, d, ell, label, moments, forms, chosen, names, _total(chosen, forms, exact)
+    )
+
+
+def rows_certificate(
+    rows: Sequence[Row], moments: MomentSet, request: BoundRequest, label: str
+) -> BoundCertificate:
+    """The certificate that takes, per index tuple, the extremal row among
+    ``rows`` for a checked request of their moment order, labelled ``label``.
+
+    Upper takes the minimum, lower the maximum; ties go to the first row.
+    The index-set search evaluates a shape's table this way, and the
+    full-order (Jordan) case its one row.
+    """
+    forms, exact = moments.forms(request.ell)
+    minimize = request.side == SIDE_UPPER
+    choices = []
+    for form in forms:
+        candidates = [(_key(row, form), row) for row in rows]
+        choices.append(candidates[_extremum(candidates, minimize, form[2])])
+    return _certificate(
+        request.side, request.target, request.r, moments.d, request.ell, label, moments, forms,
+        choices, itertools.repeat(label), _total(choices, forms, exact),
     )
 
 

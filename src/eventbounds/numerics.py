@@ -107,10 +107,10 @@ _ZERO = rational(0)
 def dot_product(coefficients: Sequence[Number], values: Sequence[Number]) -> Number:
     """Scalar product that keeps exact mode exact and float mode float.
 
-    Unrolled for lengths two and three, the usual moment orders.  The
-    closed-form families evaluate their cached float rows in this same
-    order of operations (``families``), so their float values agree bit
-    for bit with this function's.
+    Unrolled for lengths two and three, the usual moment orders.
+    ``families`` evaluates every cached float row (closed form, search or
+    full order) in this same order of operations, at any row length, so
+    its float values agree bit for bit with this function's.
     """
     k = len(coefficients)
     if k != len(values):

@@ -35,7 +35,6 @@ from .dispatch import FAMILY_TABLE, evaluate_request, request_grid
 from .engine import (
     Feasibility,
     check_feasibility,
-    search_index_sets,
     sharpness_witness,
     solve_coefficients,
     target_vector,
@@ -336,16 +335,18 @@ def suite_witness_closure(
         target = rng.choice(TARGETS)
         side = rng.choice(SIDES)
         moments = moment_set(system, d, ell)
+        request = BoundRequest(r=r, d=d, ell=ell, side=side, target=target, formula="search")
+        try:
+            certificate = evaluate_request(moments, request)
+        except NotApplicableError:  # no feasible index set for this shape
+            continue
         fmat = moment_matrix(n, d, ell)
         v = target_vector(n, d, r, target)
-        for vector in moments:
-            result = search_index_sets(fmat, v, vector, side)
-            if result.best is None:
-                continue
-            witness = sharpness_witness(fmat, result.best.index_set, vector)
+        for term, vector in zip(certificate.terms, moments):
+            witness = sharpness_witness(fmat, term.index_set, vector)
             checks += 1
             context = dict(r=r, d=d, ell=ell, side=side, target=target, j=tuple(vector.j))
-            if dot_product(witness.z, v.v) != result.best.value:
+            if dot_product(witness.z, v.v) != term.value:
                 failures.append(
                     _describe(system, suite="witness-closure", kind="identity", **context)
                 )
@@ -360,7 +361,7 @@ def suite_witness_closure(
                 )
                 continue
             attained = dot_product(z_vector(induced, vector.j).entries, v.v)
-            if attained != result.best.value:
+            if attained != term.value:
                 failures.append(
                     _describe(system, suite="witness-closure", kind="attained", **context)
                 )

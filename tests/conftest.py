@@ -4,7 +4,7 @@ import pytest
 
 from eventbounds import bounds_l3
 from eventbounds.certificates import TARGET_AT_LEAST
-from eventbounds.families import Row
+from eventbounds.engine import Row
 from eventbounds.numerics import over_common_denominator
 
 
@@ -21,8 +21,7 @@ def skewed_ub2_row(monkeypatch):
         if target != TARGET_AT_LEAST or index_set != (1, r - d + 1, n - d + 1):
             return row
         c1, c2, c3 = row.coefficients
-        coefficients = (c1, c2 - 1, c3)
-        numerators, den = over_common_denominator(coefficients)
-        return Row(coefficients, index_set, m, numerators, den, tuple(map(float, coefficients)))
+        numerators, den = over_common_denominator((c1, c2 - 1, c3))
+        return Row(index_set, m, numerators, den)
 
     monkeypatch.setattr(bounds_l3, "solved_row", skewed)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output shapes, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -326,6 +327,17 @@ class TestVerify:
         _, first, _ = run(capsys, ["verify", "--trials", "4", "--n-max", "4", "--seed", "5"])
         _, second, _ = run(capsys, ["verify", "--trials", "4", "--n-max", "4", "--seed", "5"])
         assert first == second
+
+    def test_stdout_is_pinned(self, capsys):
+        """The seed-42 report, byte for byte: every suite's trial and check
+        counts and verdicts (timings go to stderr)."""
+        code, out, _ = run(
+            capsys, ["verify", "--trials", "50", "--n-max", "6", "--seed", "42"]
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f3e4a8d6640f9c884899c5209ee6e820dd55227d8568ea6bec8279639de0b420"
+        )
 
     def test_failure_exits_4_with_reproducers(self, capsys, skewed_ub2_row):
         code, out, err = run(

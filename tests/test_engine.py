@@ -3,21 +3,20 @@
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
 
 from eventbounds import engine
-from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS
-from eventbounds.core import EventSystem, exact_occurrence
+from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS, BoundRequest
+from eventbounds.core import EventSystem, IndexTuple, exact_occurrence
+from eventbounds.dispatch import evaluate_request
 from eventbounds.engine import (
     Feasibility,
     check_feasibility,
-    bound_value,
     dual_bases,
     has_nonnegative_solution,
-    jordan_exact,
-    search_index_sets,
     sharpness_witness,
     solve_coefficients,
     solve_integer,
@@ -29,7 +28,8 @@ from eventbounds.errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from eventbounds.moments import moment_matrix, moment_set, z_vector
+from eventbounds.moments import MomentSet, MomentVector, moment_matrix, moment_set, z_vector
+from eventbounds.numerics import dot_product
 
 
 def fair(n):
@@ -42,6 +42,21 @@ BINOMIAL_60 = tuple(Fraction(math.comb(60, k), 2**k) for k in range(7))
 F32 = moment_matrix(3, 0, 2)  # rows (1,1,1,1) and (0,1,2,3)
 V1 = target_vector(3, 0, 1)  # at-least one event: v = (0,1,1,1)
 S = (Fraction(1), Fraction(3, 2))  # fair-3 moments at d=0, ell=2
+
+
+def single_tuple(n, values):
+    """The d = 0 moment set of n events with the given moments, unchecked."""
+    vector = MomentVector(j=IndexTuple(()), n=n, d=0, ell=len(values), values=values)
+    return MomentSet(n=n, d=0, ell=len(values), vectors=(vector,))
+
+
+def search(moments, r, side):
+    request = BoundRequest(r=r, d=0, ell=moments.ell, side=side, formula="search")
+    return evaluate_request(moments, request)
+
+
+def feasible(fmat, v, side):
+    return tuple(row.index_set for row in dual_bases(fmat, v, side))
 
 
 class TestTargetVector:
@@ -71,8 +86,8 @@ class TestSolveAndFeasibility:
             assert check_feasibility(F32, a, V1).allows_upper
 
     def test_bound_values(self):
-        assert bound_value(S, solve_coefficients(F32, (1, 2), V1)) == Fraction(3, 2)
-        assert bound_value(S, solve_coefficients(F32, (2, 4), V1)) == 1
+        assert dot_product(solve_coefficients(F32, (1, 2), V1), S) == Fraction(3, 2)
+        assert dot_product(solve_coefficients(F32, (2, 4), V1), S) == 1
 
     def test_full_index_set_reaches_equality(self):
         fmat = moment_matrix(3, 0, 4)
@@ -95,33 +110,29 @@ class TestSolveAndFeasibility:
 
 class TestSearch:
     def test_search_picks_the_tightest_upper(self):
-        result = search_index_sets(F32, V1, S, "upper")
-        assert result.best is not None
-        assert result.best.value == 1
+        certificate = search(single_tuple(3, S), 1, "upper")
+        assert certificate.value == 1
         # (2,3), (2,4) and (3,4) all reach 1; ties go to the lex-first set
-        assert result.best.index_set == (2, 3)
-        assert result.feasible == ((1, 2), (2, 3), (2, 4), (3, 4))
+        assert certificate.index_set == (2, 3)
+        assert feasible(F32, V1, "upper") == ((1, 2), (2, 3), (2, 4), (3, 4))
 
     def test_search_lower_side(self):
-        result = search_index_sets(F32, V1, S, "lower")
-        assert result.best is not None
-        assert result.best.index_set == (1, 4)
-        assert result.best.value == Fraction(1, 2)
-        assert result.best.value <= exact_occurrence(fair(3)).at_least(1)
+        certificate = search(single_tuple(3, S), 1, "lower")
+        assert certificate.index_set == (1, 4)
+        assert certificate.value == Fraction(1, 2)
+        assert certificate.value <= exact_occurrence(fair(3)).at_least(1)
 
     def test_enumeration_cap(self):
         # The cap limits candidate sets: 2,413,456 at n=60, d=0, ell=6, r=30.
-        fmat = moment_matrix(60, 0, 6)
-        v = target_vector(60, 0, 30)
         with pytest.raises(ResourceLimitError):
-            search_index_sets(fmat, v, BINOMIAL_60[:6], "upper")
+            search(single_tuple(60, BINOMIAL_60[:6]), 30, "upper")
 
     def test_float_moments_pick_the_same_set(self):
-        result = search_index_sets(F32, V1, (1.0, 1.5), "upper")
-        assert result.best.index_set == (2, 3)
-        assert result.best.value == 1.0
-        assert isinstance(result.best.value, float)
-        assert result.feasible == ((1, 2), (2, 3), (2, 4), (3, 4))
+        certificate = search(single_tuple(3, (1.0, 1.5)), 1, "upper")
+        assert certificate.index_set == (2, 3)
+        assert certificate.value == 1.0
+        assert isinstance(certificate.value, float)
+        assert feasible(F32, V1, "upper") == ((1, 2), (2, 3), (2, 4), (3, 4))
 
     def test_cap_is_checked_before_any_solve(self, monkeypatch):
         def no_solve(rows, rhs):
@@ -134,7 +145,7 @@ class TestSearch:
         with pytest.raises(ResourceLimitError, match=message):
             dual_bases(fmat, v, "upper")
         with pytest.raises(ResourceLimitError, match=message):
-            search_index_sets(fmat, v, BINOMIAL_60[:6], "lower")
+            search(single_tuple(60, BINOMIAL_60[:6]), 30, "lower")
 
 
 def _reference_solve(rows, rhs):
@@ -173,12 +184,12 @@ def _exhaustive_table(fmat, v, side):
         rhs = [v[i - 1] for i in index_set]
         if not any(rhs) or (fmat.d == 0 and all(rhs)):
             if index_set in firsts:
-                bases.append(engine.DualBasis(index_set, firsts[index_set], 1))
+                bases.append((index_set, firsts[index_set], 1))
             continue
         numerators, den = solve_integer([columns[i - 1] for i in index_set], rhs)
         gaps = [sum(map(operator.mul, numerators, c)) - t * den for c, t in zip(columns, v)]
         if all(gap >= 0 if upper else gap <= 0 for gap in gaps):
-            bases.append(engine.DualBasis(index_set, numerators, den))
+            bases.append((index_set, numerators, den))
     return tuple(bases), zero_positions, one_positions
 
 
@@ -249,7 +260,11 @@ class TestBasisTable:
                             for side in SIDES:
                                 shapes += 1
                                 table = dual_bases(fmat, v, side)
-                                got = (table.bases, table.zero_positions, table.one_positions)
+                                bases = tuple(
+                                    (row.index_set, row.numerators, row.den)
+                                    for row in table.bases
+                                )
+                                got = (bases, table.zero_positions, table.one_positions)
                                 assert got == _exhaustive_table(fmat, v, side), (
                                     n, d, ell, r, target, side
                                 )
@@ -323,14 +338,16 @@ class TestWitness:
         fmat = moment_matrix(3, 1, 2)
         moments = moment_set(system, 1, 2)
         v = target_vector(3, 1, 2)
-        result = search_index_sets(fmat, v, moments.vector((2,)), "upper")
-        witness = sharpness_witness(fmat, result.best.index_set, moments.vector((2,)))
+        certificate = evaluate_request(moments, BoundRequest(r=2, d=1, ell=2, formula="search"))
+        term = certificate.terms[1]
+        assert term.j == IndexTuple((2,))
+        witness = sharpness_witness(fmat, term.index_set, moments.vector((2,)))
         assert witness.nonnegative
         induced = witness_system(witness, (2,), 3, 1)
         reproduced = moment_set(induced, 1, 2).vector((2,))
         assert reproduced.values == moments.vector((2,)).values
         attained = sum(x * y for x, y in zip(z_vector(induced, (2,)).entries, v.v))
-        assert attained == result.best.value
+        assert attained == term.value
 
 
 class TestNonnegativeSolution:
@@ -352,14 +369,16 @@ class TestJordan:
     def test_reproduces_the_oracle_exactly(self):
         system = fair(3)
         occurrence = exact_occurrence(system)
-        fmat = moment_matrix(3, 0, 4)
-        s = moment_set(system, 0, 4).vector(())
-        assert jordan_exact(fmat, target_vector(3, 0, 1), s) == Fraction(7, 8)
-        assert jordan_exact(fmat, target_vector(3, 0, 2, "exactly"), s) == occurrence.p[2]
+        moments = moment_set(system, 0, 4)
+        at_least = BoundRequest(r=1, d=0, ell=4, formula="jordan")
+        exactly = BoundRequest(r=2, d=0, ell=4, target="exactly", formula="jordan")
+        assert evaluate_request(moments, at_least).value == Fraction(7, 8)
+        assert evaluate_request(moments, exactly).value == occurrence.p[2]
 
     def test_requires_the_full_order(self):
-        with pytest.raises(NotApplicableError):
-            jordan_exact(F32, V1, S)
+        message = "exact evaluation needs ell = n-d+1 = 4, got ell=2"
+        with pytest.raises(NotApplicableError, match=re.escape(message)):
+            evaluate_request(single_tuple(3, S), BoundRequest(r=1, d=0, ell=2, formula="jordan"))
 
 
 class TestLinearSolveEdgeCases:

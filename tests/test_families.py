@@ -26,7 +26,7 @@ from eventbounds.certificates import (
     certificate_from_terms,
 )
 from eventbounds.core import EventSystem
-from eventbounds.dispatch import FAMILY_TABLE
+from eventbounds.dispatch import FAMILY_TABLE, evaluate_request
 from eventbounds.engine import check_feasibility, solve_coefficients, target_vector
 from eventbounds.errors import NotApplicableError
 from eventbounds import families
@@ -295,11 +295,29 @@ def test_evaluation_matches_the_fraction_reference(monkeypatch):
 
 
 def _grid(systems):
-    """Every best-of certificate at ell 2 and 3 (ub-min/lb-max at 3) and every
-    named family's, with its moment set, each freshly evaluated and unread."""
+    """Every best-of certificate at ell 2 and 3 (ub-min/lb-max at 3), every
+    named family's, every index-set search's at ell 2 to 5 and every
+    full-order (Jordan) one, with its moment set, each freshly evaluated and
+    unread."""
     for system in systems:
         n = system.n
         for d in range(n):
+            full = moment_set(system, d, n - d + 1)
+            for r in range(d, n + 1):
+                for target in TARGETS:
+                    for side in SIDES:
+                        for ell in range(2, min(5, full.ell) + 1):
+                            request = BoundRequest(
+                                r=r, d=d, ell=ell, side=side, target=target, formula="search"
+                            )
+                            try:
+                                yield full, evaluate_request(full, request)
+                            except NotApplicableError:
+                                continue
+                        request = BoundRequest(
+                            r=r, d=d, ell=full.ell, side=side, target=target, formula="jordan"
+                        )
+                        yield full, evaluate_request(full, request)
             moments = moment_set(system, d, min(3, n - d + 1))
             for family, r, target, m in _requests(moments, n, d):
                 request = BoundRequest(r=r, d=d, ell=family.ell, side=family.side, target=target, m=m)
@@ -369,7 +387,7 @@ def test_lazy_certificates_equal_the_eager_assembly():
             count += 1
             for name in shared:
                 shared[name] += getattr(certificate, name) is None
-    assert {"ub-min", "lb-max"} <= labels
+    assert {"ub-min", "lb-max", "search", "jordan"} <= labels
     assert all(0 < unshared < count for unshared in shared.values()), (shared, count)
 
 

@@ -3,9 +3,9 @@
 For each golden system (see ``test_golden``), every d, r, ell from 2 to
 min(5, n-d+1), side and target, the fixture stores three outcomes of the
 ``formula="search"`` request: the sha256 of the certificate's canonical
-payload, of each tuple's best ``search_index_sets`` result with its
-``sharpness_witness``, and of the feasible index sets of the first tuple's
-search; or the exception class name when the call fails.  Two moment-only
+payload, of each tuple's term as a one-tuple certificate payload with its
+``sharpness_witness``, and of the feasible index sets of the shape's
+``dual_bases`` table; or the exception class name when the call fails.  Two moment-only
 inputs, at ell 4 and 5, cover shapes no small system reaches.
 
 Regenerate the fixture (only when a change of outcome is intended) with
@@ -25,10 +25,11 @@ from pathlib import Path
 
 from test_golden import _decode, _encode, golden_systems
 
-from eventbounds.certificates import SIDES, TARGETS, BoundRequest
+from eventbounds.certificates import SIDES, TARGETS, BoundCertificate, BoundRequest
 from eventbounds.dispatch import evaluate_request, search_bound
-from eventbounds.engine import search_index_sets, sharpness_witness, target_vector
+from eventbounds.engine import dual_bases, sharpness_witness, target_vector
 from eventbounds.moments import MomentSet, moment_matrix, moment_set
+from eventbounds.numerics import clamp01
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_search.json"
 
@@ -69,23 +70,23 @@ def _outcomes(moments: MomentSet, request: BoundRequest) -> list[str]:
     except Exception as exc:  # the class name is the recorded outcome
         outcomes.append(type(exc).__name__)
     window = moments.restricted(request.ell)
+    fmat = moment_matrix(moments.n, moments.d, request.ell)
+    v = target_vector(moments.n, moments.d, request.r, request.target)
     try:
-        search_bound(window, request)  # its exception, if any, is the outcome
-        fmat = moment_matrix(moments.n, moments.d, request.ell)
-        v = target_vector(moments.n, moments.d, request.r, request.target)
+        certificate = search_bound(window, request)
         pairs = []
-        for vector in window:
-            best = search_index_sets(fmat, v, vector, request.side).best
-            witness = sharpness_witness(fmat, best.index_set, vector)
+        for t, vector in zip(certificate.terms, window):
+            best = BoundCertificate(
+                t.value, clamp01(t.value), request.side, request.target, request.r,
+                moments.d, request.ell, "search", t.coefficients, t.index_set,
+            )
+            witness = sharpness_witness(fmat, t.index_set, vector)
             pairs.append([best.to_payload(), witness.to_payload()])
         outcomes.append(_digest(pairs))
     except Exception as exc:
         outcomes.append(type(exc).__name__)
     try:
-        fmat = moment_matrix(moments.n, moments.d, request.ell)
-        v = target_vector(moments.n, moments.d, request.r, request.target)
-        first = window.vectors[0]
-        outcomes.append(_digest(search_index_sets(fmat, v, first, request.side).feasible))
+        outcomes.append(_digest(tuple(row.index_set for row in dual_bases(fmat, v, request.side))))
     except Exception as exc:
         outcomes.append(type(exc).__name__)
     return outcomes

@@ -1,5 +1,6 @@
 """The package: every export resolves on first use, the float tolerance is one
-constant, and the family coefficients have one source."""
+constant, the family coefficients have one source, and certificates have
+one evaluator."""
 
 import ast
 import os
@@ -97,3 +98,20 @@ def test_the_family_modules_state_index_sets_only():
             if word in banned or word.startswith("solve_"):
                 offenders.append(f"{name}.py:{node.lineno} {word}")
     assert not offenders, f"coefficient arithmetic or a cache at {offenders}"
+
+
+def test_the_engine_and_dispatch_build_no_certificate():
+    """Evaluation lives in families: engine and dispatch construct no
+    BoundCertificate or BoundTerm, directly or through certificate_from_terms."""
+    banned = {"BoundCertificate", "BoundTerm", "certificate_from_terms"}
+    offenders = []
+    for name in ("engine", "dispatch"):
+        path = Path(eventbounds.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            word = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if word in banned:
+                offenders.append(f"{name}.py:{node.lineno} {word}")
+    assert not offenders, f"a certificate built outside families at {offenders}"
