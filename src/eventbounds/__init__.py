@@ -16,6 +16,7 @@ _EXPORTS = {
         "TARGETS", "BoundCertificate", "BoundRequest", "BoundTerm",
         "certificate_from_terms",
     ),
+    "checker": ("check_certificate",),
     "conditional": (
         "AggregatedBound", "BlockBound", "BlockMoments", "ConditionalMomentSet",
         "PartitionField", "block_system", "conditional_bound", "conditional_moments",
@@ -27,10 +28,7 @@ _EXPORTS = {
         "normalize",
     ),
     "dispatch": ("FORMULAS", "bound_for_system", "evaluate_request"),
-    "engine": (
-        "Feasibility", "SharpnessWitness", "TargetVector", "check_feasibility",
-        "sharpness_witness", "solve_coefficients", "target_vector", "witness_system",
-    ),
+    "engine": ("SharpnessWitness", "sharpness_witness", "target_vector", "witness_system"),
     "errors": (
         "DegenerateConfigurationError", "DegenerateMeasureError", "EventBoundsError",
         "InfeasibleMomentsError", "InputFormatError", "NotApplicableError",

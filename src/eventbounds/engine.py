@@ -11,11 +11,12 @@ moments, and when z* is nonnegative it is an occurrence vector attaining
 the bound, which is the sharpness witness.
 
 This module solves those small dense systems exactly (fraction-free, on
-integers), checks feasibility, tabulates the dual-feasible index sets once
-per shape (n, d, ell, target vector, side) as rows (:class:`Row`, the one
-dual row type), and tests moments for a nonnegative occurrence vector.  It
-evaluates no bound: ``families`` applies rows to moments, for the closed
-forms, the index-set search and the full-order (Jordan) case alike.
+integers), tabulates the dual-feasible index sets once per shape (n, d,
+ell, target vector, side) as rows (:class:`Row`, the one dual row type),
+checking feasibility only there, and tests moments for a nonnegative
+occurrence vector.  It evaluates no bound: ``families`` applies rows to
+moments, for the closed forms, the index-set search and the full-order
+(Jordan) case alike; ``checker`` re-checks certificates on its own.
 
 The table is not built from all C(n-d+1, ell) index sets.  Read b = F^T a
 as a function of the position x > 0: b(x) = C(x+d-1, d) q(x) with q a
@@ -30,7 +31,6 @@ enumeration cap limits the number of those candidates.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 import operator
@@ -51,7 +51,6 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     Number,
     all_exact,
-    dot_product,
     encode_number,
     over_common_denominator,
     rational,
@@ -61,40 +60,12 @@ from .numerics import (
 MAX_CANDIDATES = 1_000_000
 
 
-@dataclass(frozen=True)
-class TargetVector:
-    """The 0/1 vector selecting which occurrence levels count toward Z.
-
-    Position u (1-based, u = 1..n-d+1) refers to occurrence level u+d-1.
-    The at-least-r target is zeros followed by ones starting at position
-    r-d+1; the exactly-r target is a single one at that position.
-    """
-
-    n: int
-    d: int
-    r: int
-    target: str
-    v: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.target not in TARGETS:
-            raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if not (0 <= self.d <= self.r <= self.n):
-            raise ValueError(
-                f"need 0 <= d <= r <= n, got d={self.d}, r={self.r}, n={self.n}"
-            )
-        v = tuple(self.v)
-        if len(v) != self.n - self.d + 1 or any(x not in (0, 1) for x in v):
-            raise ValueError("target vector must be 0/1 of length n-d+1")
-        object.__setattr__(self, "v", tuple(int(x) for x in v))
-
-
-def target_vector(n: int, d: int, r: int, target: str = TARGET_AT_LEAST) -> TargetVector:
-    """Build the target vector for at-least-r or exactly-r."""
+def target_vector(n: int, d: int, r: int, target: str = TARGET_AT_LEAST) -> tuple[int, ...]:
+    """The 0/1 target vector v selecting the occurrence levels that count
+    toward Z: position u (1-based, u = 1..n-d+1) is level u+d-1."""
     if not (0 <= d <= r <= n):
         raise ValueError(f"need 0 <= d <= r <= n, got d={d}, r={r}, n={n}")
-    v = target_entries(d, r, target, range(1, n - d + 2))
-    return TargetVector(n=n, d=d, r=r, target=target, v=v)
+    return target_entries(d, r, target, range(1, n - d + 2))
 
 
 def target_entries(d: int, r: int, target: str, positions: Iterable[int]) -> tuple[int, ...]:
@@ -106,25 +77,6 @@ def target_entries(d: int, r: int, target: str, positions: Iterable[int]) -> tup
     if target in TARGETS:
         return tuple(1 if u == pivot else 0 for u in positions)
     raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-
-
-class Feasibility(enum.Enum):
-    """Outcome of comparing b = F^T a against the target vector v."""
-
-    LOWER_FEASIBLE = "lower-feasible"
-    UPPER_FEASIBLE = "upper-feasible"
-    EQUALITY = "equality"
-    INFEASIBLE = "infeasible"
-
-    @property
-    def allows_lower(self) -> bool:
-        """True when s . a is a valid lower bound (b <= v)."""
-        return self in (Feasibility.LOWER_FEASIBLE, Feasibility.EQUALITY)
-
-    @property
-    def allows_upper(self) -> bool:
-        """True when s . a is a valid upper bound (b >= v)."""
-        return self in (Feasibility.UPPER_FEASIBLE, Feasibility.EQUALITY)
 
 
 def _solve_float(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> tuple[float, ...]:
@@ -208,65 +160,6 @@ def _check_index_set(fmat: MomentMatrix, index_set: Sequence[int]) -> tuple[int,
     if any(a >= b for a, b in zip(index_set, index_set[1:])):
         raise ValueError(f"index set must be strictly increasing, got {index_set}")
     return index_set
-
-
-def _target_components(v: "TargetVector | Sequence[int]") -> tuple:
-    return tuple(v.v) if isinstance(v, TargetVector) else tuple(v)
-
-
-def solve_coefficients(
-    fmat: MomentMatrix, index_set: Sequence[int], v: "TargetVector | Sequence[int]"
-) -> tuple[Number, ...]:
-    """Solve the dual system: the coefficient vector a with (F^T a)_i = v_i.
-
-    The moment matrix is integer and its square subsystems on strictly
-    increasing index sets are invertible, so the solve is always exact.
-    """
-    index_set = _check_index_set(fmat, index_set)
-    components = _target_components(v)
-    if len(components) != fmat.positions:
-        raise ValueError(
-            f"target vector must have {fmat.positions} components, got {len(components)}"
-        )
-    rhs = tuple(components[i - 1] for i in index_set)
-    system_rows = [fmat.column(i) for i in index_set]
-    if all_exact(rhs):
-        return _solve_exact(system_rows, rhs)
-    return _solve_float(system_rows, rhs)
-
-
-def check_feasibility(
-    fmat: MomentMatrix,
-    a: Sequence[Number],
-    v: "TargetVector | Sequence[int]",
-) -> Feasibility:
-    """Compare b = F^T a with v componentwise.
-
-    b >= v makes s . a an upper bound on Z, b <= v a lower bound, equality
-    both.  Exact values compare exactly; if a carries floats, each
-    component check allows ``DEFAULT_TOLERANCE`` of slack.
-    """
-    if len(a) != fmat.ell:
-        raise ValueError(f"coefficient vector must have {fmat.ell} entries, got {len(a)}")
-    components = _target_components(v)
-    exact = all_exact(a)
-    slack = 0 if exact else DEFAULT_TOLERANCE
-    lower = upper = True
-    for i in range(1, fmat.positions + 1):
-        column = fmat.column(i)
-        b_i = dot_product(a, column)
-        target = components[i - 1]
-        if not exact:
-            b_i, target = float(b_i), float(target)
-        if b_i > target + slack:
-            lower = False
-        if b_i < target - slack:
-            upper = False
-        if not lower and not upper:
-            return Feasibility.INFEASIBLE
-    if lower and upper:
-        return Feasibility.EQUALITY
-    return Feasibility.LOWER_FEASIBLE if lower else Feasibility.UPPER_FEASIBLE
 
 
 @dataclass(frozen=True)
@@ -374,12 +267,15 @@ class Row:
 
     ``numerators`` are the row as integers over the positive ``den``;
     ``coefficients`` are the exact rationals a certificate records;
-    ``floats`` holds ``float(c)`` per coefficient, for float moments.
+    ``floats`` holds ``float(c)`` per coefficient, for float moments.  The
+    last two are built on first read, since a search table stores many rows
+    and reads few; as properties over private slots, they leave reads of
+    the other slots plain (a ``__getattr__`` hook would slow every read).
     ``m`` is the window a closed-form family records, None elsewhere.  A
     row unpacks as ``(coefficients, index_set, m)``.
     """
 
-    __slots__ = ("coefficients", "index_set", "m", "numerators", "den", "floats")
+    __slots__ = ("index_set", "m", "numerators", "den", "_coefficients", "_floats")
 
     def __init__(
         self, index_set: tuple[int, ...], m: Optional[int], numerators: tuple[int, ...], den: int
@@ -388,8 +284,19 @@ class Row:
         self.m = m
         self.numerators = numerators
         self.den = den
-        self.coefficients = tuple(rational(x, den) for x in numerators)
-        self.floats = tuple(map(float, self.coefficients))
+        self._coefficients = self._floats = None
+
+    @property
+    def coefficients(self) -> tuple:
+        if self._coefficients is None:
+            self._coefficients = tuple(rational(x, self.den) for x in self.numerators)
+        return self._coefficients
+
+    @property
+    def floats(self) -> tuple[float, ...]:
+        if self._floats is None:
+            self._floats = tuple(map(float, self.coefficients))
+        return self._floats
 
     def __iter__(self):
         return iter((self.coefficients, self.index_set, self.m))
@@ -552,7 +459,7 @@ class _Candidates:
 
 def dual_bases(
     fmat: MomentMatrix,
-    v: "TargetVector | Sequence[int]",
+    v: Sequence[int],
     side: str,
 ) -> BasisTable:
     """The table of index sets whose dual solution is feasible for the side.
@@ -581,7 +488,7 @@ def dual_bases(
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    components = _target_components(v)
+    components = tuple(v)
     if len(components) != fmat.positions or not all(
         isinstance(x, int) and x in (0, 1) for x in components
     ):

@@ -32,14 +32,8 @@ from .conditional import (
 )
 from .core import EventSystem, exact_occurrence, normalize
 from .dispatch import FAMILY_TABLE, evaluate_request, request_grid
-from .engine import (
-    Feasibility,
-    check_feasibility,
-    sharpness_witness,
-    solve_coefficients,
-    target_vector,
-    witness_system,
-)
+from .checker import check_certificate
+from .engine import sharpness_witness, target_vector, witness_system
 from .errors import NotApplicableError
 from .moments import moment_matrix, moment_set, verify_decomposition, z_vector
 from .numerics import dot_product, encode_number, leq, rational
@@ -254,8 +248,10 @@ def _closed_form_certificates(moments, n: int, r: int, d: int) -> list:
 def suite_engine_agreement(
     trials: int = 200, n_max: int = 8, seed: int = 42
 ) -> SuiteReport:
-    """Closed-form coefficients equal the engine solves at their index sets,
-    and the index-set search is at least as tight as the closed forms."""
+    """Every closed-form certificate passes :func:`check_certificate`, so each
+    row is side-feasible and solves F_I^T a = v_I at its index set I, which
+    makes it the engine's solve there; and the index-set search is at least
+    as tight as the closed forms."""
     start = time.perf_counter()
     checks, failures = 0, []
     for rng, system in _trials("engine-agreement", trials, n_max, seed):
@@ -264,22 +260,19 @@ def suite_engine_agreement(
         r = rng.randint(max(d, 1), n)
         moments = moment_set(system, d, min(3, n - d + 1))
         for certificate in _closed_form_certificates(moments, n, r, d):
-            fmat = moment_matrix(n, d, certificate.ell)
-            v = target_vector(n, d, certificate.r, certificate.target)
-            for term in certificate.terms:
-                solved = solve_coefficients(fmat, term.index_set, v)
-                checks += 1
-                if tuple(solved) != tuple(term.coefficients):
-                    failures.append(
-                        _describe(
-                            system,
-                            suite="engine-agreement",
-                            formula=term.formula_id,
-                            r=certificate.r,
-                            d=d,
-                            index_set=term.index_set,
-                        )
+            checks += len(certificate.terms)
+            problems = check_certificate(certificate, moments)
+            if problems:
+                failures.append(
+                    _describe(
+                        system,
+                        suite="engine-agreement",
+                        formula=certificate.formula_id,
+                        r=certificate.r,
+                        d=d,
+                        problem=json.dumps(problems[0]),
                     )
+                )
         for ell in (2, 3):
             if ell > n - d + 1:
                 continue
@@ -346,7 +339,7 @@ def suite_witness_closure(
             witness = sharpness_witness(fmat, term.index_set, vector)
             checks += 1
             context = dict(r=r, d=d, ell=ell, side=side, target=target, j=tuple(vector.j))
-            if dot_product(witness.z, v.v) != term.value:
+            if dot_product(witness.z, v) != term.value:
                 failures.append(
                     _describe(system, suite="witness-closure", kind="identity", **context)
                 )
@@ -360,7 +353,7 @@ def suite_witness_closure(
                     _describe(system, suite="witness-closure", kind="moments", **context)
                 )
                 continue
-            attained = dot_product(z_vector(induced, vector.j).entries, v.v)
+            attained = dot_product(z_vector(induced, vector.j).entries, v)
             if attained != term.value:
                 failures.append(
                     _describe(system, suite="witness-closure", kind="attained", **context)
@@ -370,7 +363,9 @@ def suite_witness_closure(
 
 def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteReport:
     """At full moment order the engine reproduces the oracle exactly for
-    all r and all d with at least two moment positions."""
+    all r and all d with at least two moment positions, and each
+    certificate passes :func:`check_certificate`: its index set is every
+    position, so b = F^T a equals v throughout."""
     start = time.perf_counter()
     checks, failures = 0, []
     for _, system in _trials("jordan", trials, n_max, seed):
@@ -379,7 +374,6 @@ def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteRepo
         for d in range(0, n):
             positions = n - d + 1
             moments = moment_set(system, d, positions)
-            fmat = moment_matrix(n, d, positions)
             for r in range(max(d, 1), n + 1):
                 truths = {
                     TARGET_AT_LEAST: occurrence.at_least(r),
@@ -390,10 +384,8 @@ def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteRepo
                         r=r, d=d, ell=positions, side=SIDE_UPPER, target=target, formula="jordan"
                     )
                     certificate = evaluate_request(moments, request)
-                    v = target_vector(n, d, r, target)
-                    feasibility = check_feasibility(fmat, certificate.coefficients, v)
                     checks += 1
-                    if certificate.value != truth or feasibility is not Feasibility.EQUALITY:
+                    if certificate.value != truth or check_certificate(certificate, moments):
                         failures.append(
                             _describe(
                                 system,

@@ -4,17 +4,21 @@
 moments from falling-factorial expectations and from sums of intersection
 probabilities; the tests hold :func:`eventbounds.moments.moment_set` and
 :func:`eventbounds.moments.moments_from_system` to them.  ``permute_events``
-relabels the events of a system, for symmetry checks.
+relabels the events of a system, for symmetry checks.  ``reference_solve``
+solves a small system on ``Fraction``s, and ``dual_gaps`` and
+``feasible_sides`` compare b = F^T a with a target vector v on
+``Fraction``s: the dual engine's and the checker's tests hold them to these.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from eventbounds.core import EventSystem, IndexTuple, atom_masses, falling_factorial
-from eventbounds.moments import MomentVector
+from eventbounds.moments import MomentMatrix, MomentVector
 from eventbounds.numerics import Number, rational, zero
 
 
@@ -106,3 +110,33 @@ def permute_events(sys: EventSystem, permutation: Sequence[int]) -> EventSystem:
                 new_mask |= 1 << (permutation[k - 1] - 1)
         remapped[new_mask] = remapped.get(new_mask, zero(sys.exact)) + weight
     return EventSystem(n=sys.n, weights=remapped, total=sys.total)
+
+
+def reference_solve(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> tuple[Fraction, ...]:
+    """Gauss-Jordan on Fractions, pivoting on the first nonzero entry."""
+    size = len(rows)
+    mat = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if mat[r][col] != 0)
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        mat[col] = [x / mat[col][col] for x in mat[col]]
+        for r in range(size):
+            if r != col and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+    return tuple(mat[r][size] for r in range(size))
+
+
+def dual_gaps(fmat: MomentMatrix, a: Sequence[Number], v: Sequence[int]) -> tuple[Fraction, ...]:
+    """b - v at every position, where b = F^T a, on Fractions."""
+    return tuple(
+        sum((Fraction(c) * Fraction(x) for c, x in zip(column, a)), Fraction(0)) - target
+        for column, target in zip(zip(*fmat.rows), v)
+    )
+
+
+def feasible_sides(fmat: MomentMatrix, a: Sequence[Number], v: Sequence[int]) -> set[str]:
+    """The sides s . a bounds Z on: upper when b >= v everywhere, lower when
+    b <= v; both at equality, neither when b crosses v."""
+    gaps = dual_gaps(fmat, a, v)
+    return {side for side, holds in (("upper", min(gaps) >= 0), ("lower", max(gaps) <= 0)) if holds}

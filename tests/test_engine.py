@@ -1,24 +1,28 @@
-"""Dual solves, feasibility, index-set search, and sharpness witnesses."""
+"""Dual solves, the basis tables, index-set search, and sharpness witnesses.
+
+Solves and feasibility are held to the Fraction oracles in ``oracles``."""
 
 import itertools
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from oracles import dual_gaps, feasible_sides, reference_solve
 
 from eventbounds import engine
 from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS, BoundRequest
 from eventbounds.core import EventSystem, IndexTuple, exact_occurrence
 from eventbounds.dispatch import evaluate_request
 from eventbounds.engine import (
-    Feasibility,
-    check_feasibility,
     dual_bases,
     has_nonnegative_solution,
     sharpness_witness,
-    solve_coefficients,
     solve_integer,
     target_vector,
     witness_system,
@@ -59,16 +63,22 @@ def feasible(fmat, v, side):
     return tuple(row.index_set for row in dual_bases(fmat, v, side))
 
 
+def solve(fmat, index_set, v):
+    """The reference dual solve: F_I^T a = v_I on Fractions."""
+    return reference_solve([fmat.column(i) for i in index_set], [v[i - 1] for i in index_set])
+
+
 class TestTargetVector:
     def test_at_least_is_a_step(self):
-        assert target_vector(3, 0, 2).v == (0, 0, 1, 1)
-        assert target_vector(3, 1, 2).v == (0, 1, 1)
+        assert target_vector(3, 0, 2) == (0, 0, 1, 1)
+        assert target_vector(3, 1, 2) == (0, 1, 1)
+        assert type(target_vector(3, 0, 2)) is tuple
 
     def test_exactly_is_an_indicator(self):
-        assert target_vector(3, 0, 2, "exactly").v == (0, 0, 1, 0)
+        assert target_vector(3, 0, 2, "exactly") == (0, 0, 1, 0)
 
     def test_at_least_d_is_all_ones(self):
-        assert target_vector(4, 2, 2).v == (1, 1, 1)
+        assert target_vector(4, 2, 2) == (1, 1, 1)
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
@@ -76,36 +86,45 @@ class TestTargetVector:
 
 
 class TestSolveAndFeasibility:
+    """The reference solves and b = F^T a checks, and the engine's integer
+    solve and index-set validation against them."""
+
     def test_known_solves(self):
-        assert solve_coefficients(F32, (1, 2), V1) == (0, 1)
-        assert solve_coefficients(F32, (2, 4), V1) == (1, 0)
+        assert solve(F32, (1, 2), V1) == (0, 1)
+        assert solve(F32, (2, 4), V1) == (1, 0)
+        for index_set, a in (((1, 2), (0, 1)), ((2, 4), (1, 0))):
+            rhs = [V1[i - 1] for i in index_set]
+            numerators, den = solve_integer([F32.column(i) for i in index_set], rhs)
+            assert tuple(Fraction(x, den) for x in numerators) == a
 
     def test_both_solves_are_upper_feasible(self):
         for index_set in ((1, 2), (2, 4)):
-            a = solve_coefficients(F32, index_set, V1)
-            assert check_feasibility(F32, a, V1).allows_upper
+            assert "upper" in feasible_sides(F32, solve(F32, index_set, V1), V1)
+        assert feasible(F32, V1, "upper")[:1] == ((1, 2),)
+        assert (2, 4) in feasible(F32, V1, "upper")
 
     def test_bound_values(self):
-        assert dot_product(solve_coefficients(F32, (1, 2), V1), S) == Fraction(3, 2)
-        assert dot_product(solve_coefficients(F32, (2, 4), V1), S) == 1
+        assert dot_product(solve(F32, (1, 2), V1), S) == Fraction(3, 2)
+        assert dot_product(solve(F32, (2, 4), V1), S) == 1
 
     def test_full_index_set_reaches_equality(self):
         fmat = moment_matrix(3, 0, 4)
-        a = solve_coefficients(fmat, (1, 2, 3, 4), target_vector(3, 0, 1))
-        assert check_feasibility(fmat, a, target_vector(3, 0, 1)) is Feasibility.EQUALITY
+        a = solve(fmat, (1, 2, 3, 4), target_vector(3, 0, 1))
+        assert dual_gaps(fmat, a, target_vector(3, 0, 1)) == (0, 0, 0, 0)
+        assert feasible_sides(fmat, a, target_vector(3, 0, 1)) == {"upper", "lower"}
 
     def test_infeasible_set_is_reported(self):
         # positions (1, 3) put b below v at position 2 and above at 4
-        a = solve_coefficients(F32, (1, 3), V1)
-        assert check_feasibility(F32, a, V1) is Feasibility.INFEASIBLE
+        a = solve(F32, (1, 3), V1)
+        gaps = dual_gaps(F32, a, V1)
+        assert gaps[1] < 0 < gaps[3]
+        assert feasible_sides(F32, a, V1) == set()
+        assert (1, 3) not in feasible(F32, V1, "upper") + feasible(F32, V1, "lower")
 
     def test_index_set_validation(self):
-        with pytest.raises(ValueError):
-            solve_coefficients(F32, (2, 1), V1)
-        with pytest.raises(ValueError):
-            solve_coefficients(F32, (1, 5), V1)
-        with pytest.raises(ValueError):
-            solve_coefficients(F32, (1, 2, 3), V1)
+        for index_set in ((2, 1), (1, 5), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                sharpness_witness(F32, index_set, S)
 
 
 class TestSearch:
@@ -148,21 +167,6 @@ class TestSearch:
             search(single_tuple(60, BINOMIAL_60[:6]), 30, "lower")
 
 
-def _reference_solve(rows, rhs):
-    """Gauss-Jordan on Fractions, pivoting on the first nonzero entry."""
-    size = len(rows)
-    mat = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if mat[r][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        mat[col] = [x / mat[col][col] for x in mat[col]]
-        for r in range(size):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    return tuple(mat[r][size] for r in range(size))
-
-
 def _exhaustive_table(fmat, v, side):
     """The table of every index set, each solved and checked, with the
     all-zero sets (and at d = 0 the all-one sets) kept as ranges."""
@@ -198,7 +202,7 @@ class TestBasisTable:
         rows = [[2, -1, 0], [0, 0, 3], [1, 4, 1]]
         numerators, den = solve_integer(rows, [1, 0, 2])
         assert den > 0
-        assert tuple(Fraction(x, den) for x in numerators) == _reference_solve(rows, [1, 0, 2])
+        assert tuple(Fraction(x, den) for x in numerators) == reference_solve(rows, [1, 0, 2])
         with pytest.raises(DegenerateConfigurationError):
             solve_integer([[1, 2], [2, 4]], [1, 1])
 
@@ -214,15 +218,9 @@ class TestBasisTable:
                     for r in range(d, n + 1):
                         for target in TARGETS:
                             v = target_vector(n, d, r, target)
-                            solved = {
-                                index_set: _reference_solve(
-                                    [fmat.column(i) for i in index_set],
-                                    [v.v[i - 1] for i in index_set],
-                                )
-                                for index_set in sets
-                            }
-                            feasibility = {
-                                index_set: check_feasibility(fmat, a, v)
+                            solved = {index_set: solve(fmat, index_set, v) for index_set in sets}
+                            sides = {
+                                index_set: feasible_sides(fmat, a, v)
                                 for index_set, a in solved.items()
                             }
                             for side in SIDES:
@@ -230,11 +228,7 @@ class TestBasisTable:
                                 expected = [
                                     (index_set, solved[index_set])
                                     for index_set in sets
-                                    if (
-                                        feasibility[index_set].allows_upper
-                                        if side == SIDE_UPPER
-                                        else feasibility[index_set].allows_lower
-                                    )
+                                    if side in sides[index_set]
                                 ]
                                 got = [
                                     (
@@ -256,7 +250,7 @@ class TestBasisTable:
                     fmat = moment_matrix(n, d, ell)
                     for r in range(d, n + 1):
                         for target in TARGETS:
-                            v = target_vector(n, d, r, target).v
+                            v = target_vector(n, d, r, target)
                             for side in SIDES:
                                 shapes += 1
                                 table = dual_bases(fmat, v, side)
@@ -309,12 +303,46 @@ class TestBasisTable:
         assert len(list(table)) == 4061
 
 
+    def test_a_cold_table_builds_no_fraction(self, monkeypatch):
+        """A table's rows leave their exact and float forms unset until read,
+        and a form read later equals the one built from the numerators."""
+        def no_fraction(*args):
+            raise AssertionError("built a Fraction for a row nobody read")
+
+        fmat, v = moment_matrix(12, 0, 4), target_vector(12, 0, 6)
+        engine._basis_table.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "rational", no_fraction)
+            table = dual_bases(fmat, v, "upper")
+        assert table.stored > 2
+        assert all(row._coefficients is row._floats is None for row in table.bases)
+        for row in table:
+            coefficients = tuple(Fraction(x, row.den) for x in row.numerators)
+            assert row.floats == tuple(float(c) for c in coefficients)
+            assert row.coefficients == coefficients
+            assert row.coefficients is row.coefficients
+
+    def test_table_build_times_script_runs(self):
+        """``scripts/table_build_times.py`` times every table of one shape family."""
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [
+                sys.executable, str(root / "scripts" / "table_build_times.py"),
+                "--n", "8", "--d", "0", "--ell", "3", "--quiet",
+            ],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert result.stdout.startswith("n=8 d=0 ell=3: 36 tables in "), result.stdout
+
+
 class TestWitness:
     def test_attaining_witness_on_fair_three(self):
         witness = sharpness_witness(F32, (2, 4), S)
         assert witness.nonnegative
         assert witness.z == (0, Fraction(3, 4), 0, Fraction(1, 4))
-        assert sum(x * y for x, y in zip(witness.z, V1.v)) == 1
+        assert sum(x * y for x, y in zip(witness.z, V1)) == 1
 
     def test_negative_witness_is_flagged(self):
         witness = sharpness_witness(F32, (1, 2), S)
@@ -346,7 +374,7 @@ class TestWitness:
         induced = witness_system(witness, (2,), 3, 1)
         reproduced = moment_set(induced, 1, 2).vector((2,))
         assert reproduced.values == moments.vector((2,)).values
-        attained = sum(x * y for x, y in zip(z_vector(induced, (2,)).entries, v.v))
+        attained = sum(x * y for x, y in zip(z_vector(induced, (2,)).entries, v))
         assert attained == term.value
 
 
@@ -388,9 +416,12 @@ class TestLinearSolveEdgeCases:
         # validation layer rejects them before the solver sees a singular
         # system
         with pytest.raises(ValueError):
-            solve_coefficients(fmat, (2, 2), target_vector(4, 0, 1))
+            sharpness_witness(fmat, (2, 2), S)
+        with pytest.raises(DegenerateConfigurationError):
+            solve_integer([fmat.column(2), fmat.column(2)], [1, 1])
 
     def test_float_target_uses_float_path(self):
-        a = solve_coefficients(F32, (1, 2), (0.0, 1.0, 1.0, 1.0))
-        assert a == (0.0, 1.0)
-        assert isinstance(a[0], float)
+        witness = sharpness_witness(F32, (1, 2), (1.0, 1.5))
+        assert witness.z == (-0.5, 1.5, 0.0, 0.0)
+        assert all(isinstance(x, float) for x in witness.z)
+        assert not witness.nonnegative

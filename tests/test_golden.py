@@ -5,7 +5,7 @@ request form (best-of and each named closed-form family) with every window
 m in {None, 1..n+1}, the fixture stores the sha256 of the certificate's
 canonical payload JSON, or the exception class name when the request
 fails.  The test recomputes every entry and names the first keys that
-differ.
+differ, and every certificate of the grid must pass ``check_certificate``.
 
 Regenerate the fixture (only when a change of outcome is intended) with
 
@@ -21,8 +21,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from eventbounds.certificates import SIDES, TARGETS, BoundRequest
+from eventbounds.checker import check_certificate
 from eventbounds.core import EventSystem
 from eventbounds.dispatch import evaluate_request
+from eventbounds.errors import NotApplicableError
 from eventbounds.moments import moment_set
 from eventbounds.verification import floatize, random_system
 
@@ -48,9 +50,9 @@ def _outcome(moments, request: BoundRequest) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def golden_outcomes() -> dict[str, list[str]]:
-    """Map "system d r ell side target formula" to outcomes over m = None, 1..n+1."""
-    groups: dict[str, list[str]] = {}
+def golden_requests():
+    """Each grid key "system d r ell side target formula", its moment set, and
+    its requests over m = None, 1..n+1."""
     for name, system in golden_systems().items():
         n = system.n
         for d in range(n):
@@ -61,17 +63,21 @@ def golden_outcomes() -> dict[str, list[str]]:
                         for target in TARGETS:
                             for formula in (None,) + NAMED:
                                 key = f"{name} {d} {r} {ell} {side} {target} {formula or 'best'}"
-                                groups[key] = [
-                                    _outcome(
-                                        moments,
-                                        BoundRequest(
-                                            r=r, d=d, ell=ell, side=side, target=target,
-                                            m=m, formula=formula,
-                                        ),
+                                yield key, moments, [
+                                    BoundRequest(
+                                        r=r, d=d, ell=ell, side=side, target=target,
+                                        m=m, formula=formula,
                                     )
                                     for m in (None, *range(1, n + 2))
                                 ]
-    return groups
+
+
+def golden_outcomes() -> dict[str, list[str]]:
+    """Map each grid key to its outcomes over m = None, 1..n+1."""
+    return {
+        key: [_outcome(moments, request) for request in requests]
+        for key, moments, requests in golden_requests()
+    }
 
 
 def _encode(groups: dict[str, list[str]]) -> str:
@@ -103,6 +109,19 @@ def test_certificates_match_the_golden_fixture():
         if want != got
     ]
     assert not differing, f"{len(differing)} outcomes differ, first: {differing[:5]}"
+
+
+def test_every_golden_certificate_passes_the_checker():
+    checked = 0
+    for key, moments, requests in golden_requests():
+        for request in requests:
+            try:
+                certificate = evaluate_request(moments, request)
+            except (NotApplicableError, ValueError):
+                continue
+            assert check_certificate(certificate, moments) == [], (key, request.m)
+            checked += 1
+    assert checked == 1874
 
 
 if __name__ == "__main__":

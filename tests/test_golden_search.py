@@ -6,7 +6,8 @@ min(5, n-d+1), side and target, the fixture stores three outcomes of the
 payload, of each tuple's term as a one-tuple certificate payload with its
 ``sharpness_witness``, and of the feasible index sets of the shape's
 ``dual_bases`` table; or the exception class name when the call fails.  Two moment-only
-inputs, at ell 4 and 5, cover shapes no small system reaches.
+inputs, at ell 4 and 5, cover shapes no small system reaches.  Every search
+certificate must also pass ``check_certificate``.
 
 Regenerate the fixture (only when a change of outcome is intended) with
 
@@ -26,8 +27,10 @@ from pathlib import Path
 from test_golden import _decode, _encode, golden_systems
 
 from eventbounds.certificates import SIDES, TARGETS, BoundCertificate, BoundRequest
+from eventbounds.checker import check_certificate
 from eventbounds.dispatch import evaluate_request, search_bound
 from eventbounds.engine import dual_bases, sharpness_witness, target_vector
+from eventbounds.errors import NotApplicableError
 from eventbounds.moments import MomentSet, moment_matrix, moment_set
 from eventbounds.numerics import clamp01
 
@@ -92,15 +95,14 @@ def _outcomes(moments: MomentSet, request: BoundRequest) -> list[str]:
     return outcomes
 
 
-def golden_search_outcomes() -> dict[str, list[str]]:
-    """Map "input d r ell side target" to [certificate, witnesses, feasible sets]."""
+def golden_search_requests():
+    """Each key "input d r ell side target", its moment set and its search request."""
     sources = []
     for name, system in golden_systems().items():
         n = system.n
         for d in range(n):
             sources.append((name, moment_set(system, d, min(MAX_ELL, n - d + 1))))
     sources += list(moment_only_inputs().items())
-    groups: dict[str, list[str]] = {}
     for name, moments in sources:
         n, d = moments.n, moments.d
         for r in range(d, n + 1):
@@ -110,8 +112,14 @@ def golden_search_outcomes() -> dict[str, list[str]]:
                         request = BoundRequest(
                             r=r, d=d, ell=ell, side=side, target=target, formula="search"
                         )
-                        groups[f"{name} {d} {r} {ell} {side} {target}"] = _outcomes(moments, request)
-    return groups
+                        yield f"{name} {d} {r} {ell} {side} {target}", moments, request
+
+
+def golden_search_outcomes() -> dict[str, list[str]]:
+    """Map each key to [certificate, witnesses, feasible sets]."""
+    return {
+        key: _outcomes(moments, request) for key, moments, request in golden_search_requests()
+    }
 
 
 def test_search_matches_the_golden_fixture():
@@ -125,6 +133,18 @@ def test_search_matches_the_golden_fixture():
         if want != got
     ]
     assert not differing, f"{len(differing)} outcomes differ, first: {differing[:5]}"
+
+
+def test_every_search_certificate_passes_the_checker():
+    checked = {}
+    for key, moments, request in golden_search_requests():
+        try:
+            certificate = evaluate_request(moments, request)
+        except NotApplicableError:
+            continue
+        assert check_certificate(certificate, moments) == [], key
+        checked[request.ell] = checked.get(request.ell, 0) + 1
+    assert checked == {2: 408, 3: 368, 4: 308, 5: 192}
 
 
 if __name__ == "__main__":

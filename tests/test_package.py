@@ -1,6 +1,6 @@
 """The package: every export resolves on first use, the float tolerance is one
-constant, the family coefficients have one source, and certificates have
-one evaluator."""
+constant, the family coefficients have one source, certificates have one
+evaluator, and the certificate checker shares no code with it."""
 
 import ast
 import os
@@ -115,3 +115,23 @@ def test_the_engine_and_dispatch_build_no_certificate():
             if word in banned:
                 offenders.append(f"{name}.py:{node.lineno} {word}")
     assert not offenders, f"a certificate built outside families at {offenders}"
+
+
+def test_the_checker_imports_no_solver_module():
+    """check_certificate re-derives feasibility from the moment matrix alone:
+    checker imports none of the modules that solve or evaluate rows, and
+    importing it loads none of them."""
+    solver = {"engine", "families", "bounds_l2", "bounds_l3", "dispatch"}
+    path = Path(eventbounds.__file__).parent / "checker.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            if node.module in (None, "eventbounds"):  # from . import engine
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert {"certificates", "moments", "numerics"} <= imported
+    assert not imported & solver, f"checker imports {sorted(imported & solver)}"
+    loaded = _modules_after("import eventbounds.checker")
+    assert not loaded & {f"eventbounds.{name}" for name in solver}, sorted(loaded)

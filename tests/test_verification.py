@@ -1,9 +1,18 @@
 """The randomized property suites: determinism, coverage, and teeth."""
 
+import dataclasses
 import json
 import random
+from fractions import Fraction
 
+import pytest
+
+from eventbounds.certificates import BoundRequest
+from eventbounds.checker import check_certificate
 from eventbounds.core import EventSystem
+from eventbounds.dispatch import evaluate_request
+from eventbounds.moments import moment_set
+from eventbounds.numerics import clamp01
 from eventbounds.verification import (
     SuiteReport,
     floatize,
@@ -159,3 +168,88 @@ class TestMutationSensitivity:
 
     def test_clean_run_recovers(self):
         assert suite_sandwich(trials=5, n_max=5, seed=7).passed
+
+
+@pytest.fixture
+def ub2_case():
+    """An exact ub2 certificate at r=3, d=1, ell=3 on a seeded n=5 system:
+    five terms, value 107567/152552 inside (0, 1), and b = F^T a above v
+    off its index set; and the moments it was made from."""
+    moments = moment_set(random_system(random.Random("checker"), 5), 1, 3)
+    certificate = evaluate_request(moments, BoundRequest(r=3, d=1, ell=3, formula="ub2"))
+    assert 0 < certificate.value < 1 and len(certificate.terms) == 5
+    assert check_certificate(certificate, moments) == []
+    return certificate, moments
+
+
+def _with_term_value(certificate, delta):
+    """The certificate with its first term's value moved by delta, and the
+    total and clamped moved along, so only that term is wrong."""
+    terms = list(certificate.terms)
+    terms[0] = dataclasses.replace(terms[0], value=terms[0].value + delta)
+    value = certificate.value + delta
+    return dataclasses.replace(certificate, terms=tuple(terms), value=value, clamped=clamp01(value))
+
+
+class TestCertificateChecker:
+    """check_certificate flags each defect by the check that owns it."""
+
+    def test_flags_a_skewed_row(self, skewed_ub2_row):
+        moments = moment_set(random_system(random.Random("checker"), 5), 1, 3)
+        for request in (
+            BoundRequest(r=3, d=1, ell=3, formula="ub2"),
+            BoundRequest(r=3, d=1, ell=3),
+        ):
+            certificate = evaluate_request(moments, request)
+            problems = check_certificate(certificate, moments)
+            assert len(problems) == 5, (request, problems)
+            assert all(": F^T a is below the target at" in p for p in problems), problems
+
+    def test_flags_a_swapped_side(self, ub2_case):
+        certificate, moments = ub2_case
+        problems = check_certificate(dataclasses.replace(certificate, side="lower"), moments)
+        assert len(problems) == 5
+        assert all(": F^T a is above the target at [2, 4]" in p for p in problems), problems
+
+    def test_flags_an_altered_term_value(self, ub2_case):
+        certificate, moments = ub2_case
+        altered = _with_term_value(certificate, Fraction(1, 7))
+        assert check_certificate(altered, moments) == [
+            f"term j=[1]: a . s is not its value {altered.terms[0].value}"
+        ]
+
+    def test_flags_an_altered_total(self, ub2_case):
+        certificate, moments = ub2_case
+        value = certificate.value + Fraction(1, 1000)
+        altered = dataclasses.replace(certificate, value=value, clamped=clamp01(value))
+        assert check_certificate(altered, moments) == [
+            f"the term values do not sum to the value {value}"
+        ]
+
+    def test_flags_an_altered_clamped(self, ub2_case):
+        certificate, moments = ub2_case
+        altered = dataclasses.replace(certificate, clamped=certificate.value / 2)
+        assert check_certificate(altered, moments) == [
+            f"clamped {certificate.value / 2} is not the value clipped to [0, 1]"
+        ]
+
+    def test_flags_an_exact_value_off_by_one_in_a_trillion(self, ub2_case):
+        certificate, moments = ub2_case
+        delta = Fraction(1, 10**12)
+        problems = check_certificate(_with_term_value(certificate, delta), moments)
+        assert problems and all("a . s is not its value" in p for p in problems)
+        # the same slip on float moments is within the float tolerance
+        floats = moment_set(floatize(random_system(random.Random("checker"), 5)), 1, 3)
+        certificate = evaluate_request(floats, BoundRequest(r=3, d=1, ell=3, formula="ub2"))
+        assert check_certificate(_with_term_value(certificate, 1e-12), floats) == []
+
+    def test_flags_a_moved_index_set_and_a_wrong_tuple(self, ub2_case):
+        certificate, moments = ub2_case
+        terms = list(certificate.terms)
+        terms[1] = dataclasses.replace(terms[1], index_set=(1, 2, 5))
+        terms[2] = dataclasses.replace(terms[2], j=terms[3].j)
+        problems = check_certificate(dataclasses.replace(certificate, terms=tuple(terms)), moments)
+        assert problems == [
+            "term j=[2]: F^T a is not the target on the index set [1, 2, 5]",
+            "term j=[4]: its moment vector is j=[3]",
+        ]
