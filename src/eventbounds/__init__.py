@@ -18,14 +18,12 @@ _EXPORTS = {
     ),
     "checker": ("check_certificate",),
     "conditional": (
-        "AggregatedBound", "BlockBound", "BlockMoments", "ConditionalMomentSet",
-        "PartitionField", "block_system", "conditional_bound", "conditional_moments",
-        "expectation_aggregate",
+        "AggregatedBound", "BlockBound", "PartitionField", "block_system",
+        "conditional_bound", "expectation_aggregate",
     ),
     "core": (
         "EventSystem", "IndexTuple", "OccurrenceDistribution", "binomial",
-        "enumerate_index_tuples", "exact_at_least", "exact_joint", "exact_occurrence",
-        "normalize",
+        "enumerate_index_tuples", "exact_joint", "exact_occurrence", "normalize",
     ),
     "dispatch": ("FORMULAS", "bound_for_system", "evaluate_request"),
     "engine": ("SharpnessWitness", "sharpness_witness", "target_vector", "witness_system"),

@@ -18,8 +18,8 @@ from typing import Mapping, Optional
 from .certificates import BoundCertificate, BoundRequest
 from .core import EventSystem, ExactWeights, normalize
 from .dispatch import evaluate_request
-from .errors import DegenerateMeasureError, InputFormatError
-from .moments import MomentSet, moment_set
+from .errors import InputFormatError
+from .moments import moment_set
 from .numerics import (
     Number,
     clamp01,
@@ -138,63 +138,6 @@ def block_system(sys: EventSystem, partition: PartitionField, index: int) -> Opt
 
 
 @dataclass(frozen=True)
-class BlockMoments:
-    """One positive-weight block: its weight, conditional system, moments."""
-
-    index: int
-    weight: Number
-    system: EventSystem
-    moments: MomentSet
-
-
-@dataclass(frozen=True)
-class ConditionalMomentSet:
-    """Per-block conditional moment sets for one pair (d, ell)."""
-
-    n: int
-    d: int
-    ell: int
-    partition: PartitionField
-    blocks: tuple[BlockMoments, ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise DegenerateMeasureError("no block carries positive mass")
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
-def conditional_moments(
-    sys: EventSystem, partition: PartitionField, d: int, ell: int
-) -> ConditionalMomentSet:
-    """Binomial moments of each block-conditional measure.
-
-    A block's conditional measure is its restriction divided by its
-    weight; zero-weight blocks are excluded.
-    """
-    if partition.n != sys.n:
-        raise ValueError(f"partition is over n={partition.n}, system has n={sys.n}")
-    blocks = []
-    for index in range(len(partition.blocks)):
-        conditioned = block_system(sys, partition, index)
-        if conditioned is None:
-            continue
-        weight = conditioned.total
-        blocks.append(
-            BlockMoments(
-                index=index,
-                weight=weight,
-                system=conditioned,
-                moments=moment_set(conditioned, d, ell),
-            )
-        )
-    return ConditionalMomentSet(
-        n=sys.n, d=d, ell=ell, partition=partition, blocks=tuple(blocks)
-    )
-
-
-@dataclass(frozen=True)
 class BlockBound:
     """A certificate valid for one block's conditional probability."""
 
@@ -220,15 +163,16 @@ def conditional_bound(
     hence is uniform across blocks.
     """
     request.check(sys.n)
-    conditioned = conditional_moments(sys, partition, request.d, request.ell)
-    return tuple(
-        BlockBound(
-            index=block.index,
-            weight=block.weight,
-            certificate=evaluate_request(block.moments, request),
-        )
-        for block in conditioned
-    )
+    if partition.n != sys.n:
+        raise ValueError(f"partition is over n={partition.n}, system has n={sys.n}")
+    blocks = []
+    for index in range(len(partition.blocks)):
+        conditioned = block_system(sys, partition, index)
+        if conditioned is None:  # a block of weight zero
+            continue
+        moments = moment_set(conditioned, request.d, request.ell)
+        blocks.append(BlockBound(index, conditioned.total, evaluate_request(moments, request)))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)

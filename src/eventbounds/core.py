@@ -8,8 +8,8 @@ events occurring on an atom is therefore ``popcount(mask)``.
 Everything downstream (moments, bounds, certificates) is checked against
 the oracle functions here, which work by direct enumeration:
 
-* :func:`exact_occurrence` -- the distribution of the occurrence count;
-* :func:`exact_at_least`   -- probability that at least ``r`` events occur;
+* :func:`exact_occurrence` -- the distribution of the occurrence count, whose
+  ``at_least(r)`` is the probability that at least ``r`` events occur;
 * :func:`exact_joint`      -- probability that exactly ``i`` events occur
   and all events of a given index tuple are among them.
 
@@ -451,18 +451,6 @@ def exact_occurrence(sys: EventSystem) -> OccurrenceDistribution:
     for mask, mass in masses.items():
         buckets[mask.bit_count()] += mass
     return OccurrenceDistribution(tuple(_probability(sys, b, denominator) for b in buckets))
-
-
-def exact_at_least(sys: EventSystem, r: int) -> Number:
-    """Exact P(at least r of the n events occur), for 1 <= r <= n."""
-    if not isinstance(r, int) or r < 1 or r > sys.n:
-        raise ValueError(f"need 1 <= r <= {sys.n}, got r={r!r}")
-    masses, denominator = atom_masses(sys)
-    total: Number = 0
-    for mask, mass in masses.items():
-        if mask.bit_count() >= r:
-            total += mass
-    return _probability(sys, total, denominator)
 
 
 def exact_joint(sys: EventSystem, i: int, j: "IndexTuple | Iterable[int]") -> Number:

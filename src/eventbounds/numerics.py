@@ -107,7 +107,6 @@ _ZERO = rational(0)
 def dot_product(coefficients: Sequence[Number], values: Sequence[Number]) -> Number:
     """Scalar product that keeps exact mode exact and float mode float.
 
-    Unrolled for lengths two and three, the usual moment orders.
     ``families`` evaluates every cached float row (closed form, search or
     full order) in this same order of operations, at any row length, so
     its float values agree bit for bit with this function's.
@@ -115,40 +114,12 @@ def dot_product(coefficients: Sequence[Number], values: Sequence[Number]) -> Num
     k = len(coefficients)
     if k != len(values):
         raise ValueError(f"length mismatch: {k} coefficients, {len(values)} values")
-    if k == 2:
-        c0, c1 = coefficients
-        v0, v1 = values
-        if (
-            isinstance(c0, float) or isinstance(c1, float)
-            or isinstance(v0, float) or isinstance(v1, float)
-        ):
-            return float(c0) * float(v0) + float(c1) * float(v1)
-        return _ZERO + c0 * v0 + c1 * v1
-    if k == 3:
-        c0, c1, c2 = coefficients
-        v0, v1, v2 = values
-        if (
-            isinstance(c0, float) or isinstance(c1, float) or isinstance(c2, float)
-            or isinstance(v0, float) or isinstance(v1, float) or isinstance(v2, float)
-        ):
-            return float(c0) * float(v0) + float(c1) * float(v1) + float(c2) * float(v2)
-        return _ZERO + c0 * v0 + c1 * v1 + c2 * v2
-    exact = True
-    for x in coefficients:
-        if isinstance(x, float):
-            exact = False
-            break
-    if exact:
-        for x in values:
-            if isinstance(x, float):
-                exact = False
-                break
-    if exact:
-        total = _ZERO
-        for c, v in zip(coefficients, values):
-            total += c * v
-        return total
-    return sum(float(c) * float(v) for c, v in zip(coefficients, values))
+    if any(isinstance(x, float) for x in (*coefficients, *values)):
+        return sum(float(c) * float(v) for c, v in zip(coefficients, values))
+    total = _ZERO
+    for c, v in zip(coefficients, values):
+        total += c * v
+    return total
 
 
 def integer_bracket(numerator: Number, denominator: Number, lo: int, hi: int) -> tuple[int, ...]:

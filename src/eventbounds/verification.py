@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from .certificates import (
     SIDE_UPPER,
     SIDES,
     TARGET_AT_LEAST,
-    TARGET_EXACTLY,
     TARGETS,
     BoundRequest,
 )
@@ -30,20 +29,19 @@ from .conditional import (
     conditional_bound,
     expectation_aggregate,
 )
-from .core import EventSystem, exact_occurrence, normalize
+from .core import EventSystem, OccurrenceDistribution, exact_occurrence, normalize
 from .dispatch import FAMILY_TABLE, evaluate_request, request_grid
 from .checker import check_certificate
 from .engine import sharpness_witness, target_vector, witness_system
 from .errors import NotApplicableError
 from .moments import moment_matrix, moment_set, verify_decomposition, z_vector
-from .numerics import dot_product, encode_number, leq, rational
+from .numerics import Number, dot_product, encode_number, leq, rational
 
 MAX_REPORTED_FAILURES = 5
 #: The largest numerator and denominator of a random system's weights.
 MAX_VALUE = 9
 #: Requests drawn per trial of the conditional suite.
 CONDITIONAL_REQUESTS = 3
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -60,17 +58,6 @@ class SuiteReport:
         status = "PASS" if self.passed else "FAIL"
         extra = f", {len(self.failures)} failing (first shown below)" if self.failures else ""
         return f"{status} {self.name}: {self.trials} trials, {self.checks} checks{extra}"
-
-
-def _rng(seed: int, suite: str, trial: int) -> random.Random:
-    return random.Random(f"{seed}:{suite}:{trial}")
-
-
-def _trials(suite: str, trials: int, n_max: int, seed: int):
-    """Each trial's RNG and its random exact system of 2..n_max events."""
-    for trial in range(trials):
-        rng = _rng(seed, suite, trial)
-        yield rng, random_system(rng, rng.randint(2, n_max))
 
 
 def random_system(rng: random.Random, n: int, max_support: int = 24) -> EventSystem:
@@ -101,14 +88,36 @@ def random_partition(rng: random.Random, n: int, max_blocks: int = 4) -> Partiti
     return PartitionField(n=n, blocks=tuple(tuple(g) for g in groups if g))
 
 
-def _describe(system: EventSystem, **fields: object) -> str:
-    parts = " ".join(f"{key}={value}" for key, value in fields.items())
-    return f"{parts} system={json.dumps(system.to_payload(), sort_keys=True)}"
+def _run(name: str, trials: int, n_max: int, seed: int, check: Callable) -> SuiteReport:
+    """Run ``check(rng, system)`` on each trial's RNG, ``Random(f"{seed}:{name}:{trial}")``,
+    and random exact system of 2..n_max events.
 
+    The check yields ``(checks made, failure fields or None)``.  A failure's
+    reproducer is ``suite=<name> key=value ... system=<json>``, showing the
+    trial's system unless the fields name another.  A check that raises is
+    one failing check, ``trial=<trial> error=<class> message=<json>``, and
+    the next trial runs.
+    """
+    start = time.perf_counter()
+    checks, failures = 0, []
 
-def _finish(
-    name: str, trials: int, checks: int, failures: list[str], start: float
-) -> SuiteReport:
+    def reproducer(fields: dict) -> str:
+        shown = fields.pop("system", system)
+        parts = " ".join(f"{key}={value}" for key, value in {"suite": name, **fields}.items())
+        return f"{parts} system={json.dumps(shown.to_payload(), sort_keys=True)}"
+
+    for trial in range(trials):
+        rng = random.Random(f"{seed}:{name}:{trial}")
+        system = random_system(rng, rng.randint(2, n_max))
+        try:
+            for made, fields in check(rng, system):
+                checks += made
+                if fields:
+                    failures.append(reproducer(fields))
+        except Exception as exc:
+            checks += 1
+            error = {"trial": trial, "error": type(exc).__name__, "message": json.dumps(str(exc))}
+            failures.append(reproducer(error))
     return SuiteReport(
         name=name,
         passed=not failures,
@@ -119,15 +128,24 @@ def _finish(
     )
 
 
+def _truth(occurrence: OccurrenceDistribution, r: int, target: str) -> Number:
+    """The oracle's probability that at least, or exactly, r events occur."""
+    return occurrence.at_least(r) if target == TARGET_AT_LEAST else occurrence.p[r]
+
+
+def _brackets(side: str, bound: Number, truth: Number) -> bool:
+    """Whether the bound lies on its side of the truth (:func:`leq`)."""
+    return leq(truth, bound) if side == SIDE_UPPER else leq(bound, truth)
+
+
 def suite_sandwich(trials: int = 1000, n_max: int = 8, seed: int = 42) -> SuiteReport:
     """Clamped lower <= exact <= clamped upper for every applicable request.
 
     Exact systems are compared with zero tolerance, and the float copy of
     each system within ``DEFAULT_TOLERANCE`` (:func:`leq`).
     """
-    start = time.perf_counter()
-    checks, failures = 0, []
-    for _, base in _trials("sandwich", trials, n_max, seed):
+
+    def check(rng, base):
         for system in (base, floatize(base)):
             occurrence = exact_occurrence(system)
             for window, request in request_grid(system):
@@ -135,28 +153,15 @@ def suite_sandwich(trials: int = 1000, n_max: int = 8, seed: int = 42) -> SuiteR
                     certificate = evaluate_request(window, request)
                 except NotApplicableError:
                     continue
-                checks += 1
-                r, target = request.r, request.target
-                truth = occurrence.at_least(r) if target == TARGET_AT_LEAST else occurrence.p[r]
-                if request.side == SIDE_UPPER:
-                    ok = leq(truth, certificate.clamped)
-                else:
-                    ok = leq(certificate.clamped, truth)
-                if not ok:
-                    failures.append(
-                        _describe(
-                            system,
-                            suite="sandwich",
-                            r=r,
-                            d=request.d,
-                            ell=request.ell,
-                            side=request.side,
-                            target=target,
-                            bound=encode_number(certificate.clamped),
-                            exact=encode_number(truth),
-                        )
-                    )
-    return _finish("sandwich", trials, checks, failures, start)
+                truth = _truth(occurrence, request.r, request.target)
+                ok = _brackets(request.side, certificate.clamped, truth)
+                yield 1, None if ok else dict(
+                    r=request.r, d=request.d, ell=request.ell, side=request.side,
+                    target=request.target, bound=encode_number(certificate.clamped),
+                    exact=encode_number(truth), system=system,
+                )
+
+    return _run("sandwich", trials, n_max, seed, check)
 
 
 def suite_decomposition(
@@ -164,37 +169,22 @@ def suite_decomposition(
 ) -> SuiteReport:
     """The at-least and exactly probabilities match their sums of joint
     masses over d-tuples, for every 0 <= d <= r <= n."""
-    start = time.perf_counter()
-    checks, failures = 0, []
-    for _, system in _trials("decomposition", trials, n_max, seed):
-        n = system.n
-        for d in range(0, n + 1):
-            for r in range(d, n + 1):
-                report = verify_decomposition(system, r, d)
-                checks += 1
-                if not report.matched:
-                    failures.append(_describe(system, suite="decomposition", r=r, d=d))
-    return _finish("decomposition", trials, checks, failures, start)
 
+    def check(rng, system):
+        for d in range(0, system.n + 1):
+            for r in range(d, system.n + 1):
+                matched = verify_decomposition(system, r, d).matched
+                yield 1, None if matched else dict(r=r, d=d)
 
-def _window_sweep(auto_terms, fixed_certs, minimize: bool) -> list[int]:
-    """Indices of terms whose automatic window misses the sweep extremum."""
-    bad = []
-    for position, term in enumerate(auto_terms):
-        sweep = [cert.terms[position].value for cert in fixed_certs]
-        extremum = min(sweep) if minimize else max(sweep)
-        if term.value != extremum:
-            bad.append(position)
-    return bad
+    return _run("decomposition", trials, n_max, seed, check)
 
 
 def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteReport:
     """Automatic window choices attain the extremum of a full window sweep,
     per index tuple, for every windowed family."""
-    start = time.perf_counter()
-    checks, failures = 0, []
     windowed = [family for family in FAMILY_TABLE.values() if family.windows]
-    for _, system in _trials("optimal-m", trials, n_max, seed):
+
+    def check(rng, system):
         n = system.n
         for d in range(0, n):
             full = moment_set(system, d, min(3, n - d + 1))
@@ -203,6 +193,7 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
                 moments = by_ell.get(family.ell)
                 if moments is None:
                     continue
+                extremum = min if family.side == SIDE_UPPER else max
                 for r in range(d, n + 1):
                     for target, window in family.windows.items():
                         if not family.applies(n, r, d, target):
@@ -213,16 +204,13 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
                             _family_bound(family, moments, r, target, m)
                             for m in range(lo, hi + 1)
                         ]
-                        minimize = family.side == SIDE_UPPER
-                        checks += len(auto.terms)
-                        for position in _window_sweep(auto.terms, fixed, minimize):
-                            failures.append(
-                                _describe(
-                                    system, suite="optimal-m", family=family.name,
-                                    r=r, d=d, j=position,
-                                )
+                        for j, term in enumerate(auto.terms):
+                            best = extremum(cert.terms[j].value for cert in fixed)
+                            yield 1, None if term.value == best else dict(
+                                family=family.name, r=r, d=d, j=j
                             )
-    return _finish("optimal-m", trials, checks, failures, start)
+
+    return _run("optimal-m", trials, n_max, seed, check)
 
 
 def _family_bound(family, moments, r: int, target: str, m: Optional[int] = None):
@@ -234,17 +222,6 @@ def _family_bound(family, moments, r: int, target: str, m: Optional[int] = None)
     return evaluate_request(moments, request)
 
 
-def _closed_form_certificates(moments, n: int, r: int, d: int) -> list:
-    """Every family's certificate at (r, d) for each target it applies to."""
-    return [
-        _family_bound(family, moments, r, target)
-        for family in FAMILY_TABLE.values()
-        if family.ell <= moments.ell
-        for target in TARGETS
-        if family.applies(n, r, d, target)
-    ]
-
-
 def suite_engine_agreement(
     trials: int = 200, n_max: int = 8, seed: int = 42
 ) -> SuiteReport:
@@ -252,26 +229,20 @@ def suite_engine_agreement(
     row is side-feasible and solves F_I^T a = v_I at its index set I, which
     makes it the engine's solve there; and the index-set search is at least
     as tight as the closed forms."""
-    start = time.perf_counter()
-    checks, failures = 0, []
-    for rng, system in _trials("engine-agreement", trials, n_max, seed):
+
+    def check(rng, system):
         n = system.n
         d = rng.randint(0, n - 1)
         r = rng.randint(max(d, 1), n)
         moments = moment_set(system, d, min(3, n - d + 1))
-        for certificate in _closed_form_certificates(moments, n, r, d):
-            checks += len(certificate.terms)
-            problems = check_certificate(certificate, moments)
-            if problems:
-                failures.append(
-                    _describe(
-                        system,
-                        suite="engine-agreement",
-                        formula=certificate.formula_id,
-                        r=certificate.r,
-                        d=d,
-                        problem=json.dumps(problems[0]),
-                    )
+        for family in FAMILY_TABLE.values():
+            for target in TARGETS:
+                if family.ell > moments.ell or not family.applies(n, r, d, target):
+                    continue
+                certificate = _family_bound(family, moments, r, target)
+                problems = check_certificate(certificate, moments)
+                yield len(certificate.terms), None if not problems else dict(
+                    formula=certificate.formula_id, r=r, d=d, problem=json.dumps(problems[0])
                 )
         for ell in (2, 3):
             if ell > n - d + 1:
@@ -283,31 +254,14 @@ def suite_engine_agreement(
                     closed = evaluate_request(moments, request)
                 except NotApplicableError:
                     continue
-                searched = evaluate_request(
-                    moments,
-                    BoundRequest(r=r, d=d, ell=ell, side=side, target=target, formula="search"),
+                searched = evaluate_request(moments, replace(request, formula="search"))
+                # exact systems: leq compares with zero tolerance
+                yield 1, None if _brackets(side, closed.value, searched.value) else dict(
+                    r=r, d=d, ell=ell, side=side, target=target,
+                    search=encode_number(searched.value), closed=encode_number(closed.value),
                 )
-                checks += 1
-                tight = (
-                    searched.value <= closed.value
-                    if side == SIDE_UPPER
-                    else searched.value >= closed.value
-                )
-                if not tight:
-                    failures.append(
-                        _describe(
-                            system,
-                            suite="engine-agreement",
-                            r=r,
-                            d=d,
-                            ell=ell,
-                            side=side,
-                            target=target,
-                            search=encode_number(searched.value),
-                            closed=encode_number(closed.value),
-                        )
-                    )
-    return _finish("engine-agreement", trials, checks, failures, start)
+
+    return _run("engine-agreement", trials, n_max, seed, check)
 
 
 def suite_witness_closure(
@@ -316,9 +270,8 @@ def suite_witness_closure(
     """Witness identities: z* . v always equals the bound value; every
     nonnegative witness induces a distribution that reproduces the moments
     and attains the bound exactly."""
-    start = time.perf_counter()
-    checks, failures = 0, []
-    for rng, system in _trials("witness-closure", trials, n_max, seed):
+
+    def check(rng, system):
         n = system.n
         d = rng.randint(0, n - 1)
         ell = rng.choice((2, 3))
@@ -332,33 +285,26 @@ def suite_witness_closure(
         try:
             certificate = evaluate_request(moments, request)
         except NotApplicableError:  # no feasible index set for this shape
-            continue
+            return
         fmat = moment_matrix(n, d, ell)
         v = target_vector(n, d, r, target)
         for term, vector in zip(certificate.terms, moments):
             witness = sharpness_witness(fmat, term.index_set, vector)
-            checks += 1
-            context = dict(r=r, d=d, ell=ell, side=side, target=target, j=tuple(vector.j))
+            kind = None
             if dot_product(witness.z, v) != term.value:
-                failures.append(
-                    _describe(system, suite="witness-closure", kind="identity", **context)
-                )
-                continue
-            if not witness.nonnegative:
-                continue
-            induced = witness_system(witness, vector.j, n, d)
-            reproduced = moment_set(induced, d, ell).vector(vector.j)
-            if tuple(reproduced.values) != tuple(vector.values):
-                failures.append(
-                    _describe(system, suite="witness-closure", kind="moments", **context)
-                )
-                continue
-            attained = dot_product(z_vector(induced, vector.j).entries, v)
-            if attained != term.value:
-                failures.append(
-                    _describe(system, suite="witness-closure", kind="attained", **context)
-                )
-    return _finish("witness-closure", trials, checks, failures, start)
+                kind = "identity"
+            elif witness.nonnegative:
+                induced = witness_system(witness, vector.j, n, d)
+                reproduced = moment_set(induced, d, ell).vector(vector.j)
+                if tuple(reproduced.values) != tuple(vector.values):
+                    kind = "moments"
+                elif dot_product(z_vector(induced, vector.j).entries, v) != term.value:
+                    kind = "attained"
+            yield 1, None if kind is None else dict(
+                kind=kind, r=r, d=d, ell=ell, side=side, target=target, j=tuple(vector.j)
+            )
+
+    return _run("witness-closure", trials, n_max, seed, check)
 
 
 def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteReport:
@@ -366,46 +312,34 @@ def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteRepo
     all r and all d with at least two moment positions, and each
     certificate passes :func:`check_certificate`: its index set is every
     position, so b = F^T a equals v throughout."""
-    start = time.perf_counter()
-    checks, failures = 0, []
-    for _, system in _trials("jordan", trials, n_max, seed):
+
+    def check(rng, system):
         n = system.n
         occurrence = exact_occurrence(system)
         for d in range(0, n):
             positions = n - d + 1
             moments = moment_set(system, d, positions)
             for r in range(max(d, 1), n + 1):
-                truths = {
-                    TARGET_AT_LEAST: occurrence.at_least(r),
-                    TARGET_EXACTLY: occurrence.p[r],
-                }
-                for target, truth in truths.items():
+                for target in TARGETS:
+                    truth = _truth(occurrence, r, target)
                     request = BoundRequest(
                         r=r, d=d, ell=positions, side=SIDE_UPPER, target=target, formula="jordan"
                     )
                     certificate = evaluate_request(moments, request)
-                    checks += 1
-                    if certificate.value != truth or check_certificate(certificate, moments):
-                        failures.append(
-                            _describe(
-                                system,
-                                suite="jordan",
-                                r=r,
-                                d=d,
-                                target=target,
-                                got=encode_number(certificate.value),
-                                exact=encode_number(truth),
-                            )
-                        )
-    return _finish("jordan", trials, checks, failures, start)
+                    ok = certificate.value == truth and not check_certificate(certificate, moments)
+                    yield 1, None if ok else dict(
+                        r=r, d=d, target=target, got=encode_number(certificate.value),
+                        exact=encode_number(truth),
+                    )
+
+    return _run("jordan", trials, n_max, seed, check)
 
 
 def suite_conditional(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteReport:
     """Per-block certificates bracket the block-conditional oracle and the
     weight-averaged bound brackets the unconditional oracle."""
-    start = time.perf_counter()
-    checks, failures = 0, []
-    for rng, system in _trials("conditional", trials, n_max, seed):
+
+    def check(rng, system):
         n = system.n
         partition = random_partition(rng, n)
         occurrence = exact_occurrence(system)
@@ -426,62 +360,33 @@ def suite_conditional(trials: int = 200, n_max: int = 8, seed: int = 42) -> Suit
             context = dict(r=r, d=d, ell=ell, side=side, target=target)
             for block in blocks:
                 conditioned = block_system(system, partition, block.index)
-                block_occurrence = exact_occurrence(conditioned)
-                truth = (
-                    block_occurrence.at_least(r)
-                    if target == TARGET_AT_LEAST
-                    else block_occurrence.p[r]
-                )
-                checks += 1
-                ok = (
-                    leq(truth, block.certificate.clamped)
-                    if side == SIDE_UPPER
-                    else leq(block.certificate.clamped, truth)
-                )
-                if not ok:
-                    failures.append(
-                        _describe(
-                            system, suite="conditional", kind="block", block=block.index, **context
-                        )
-                    )
+                truth = _truth(exact_occurrence(conditioned), r, target)
+                ok = _brackets(side, block.certificate.clamped, truth)
+                yield 1, None if ok else dict(kind="block", block=block.index, **context)
             aggregated = expectation_aggregate(blocks, unconditional)
-            truth = occurrence.at_least(r) if target == TARGET_AT_LEAST else occurrence.p[r]
-            checks += 1
-            ok = (
-                leq(truth, aggregated.clamped)
-                if side == SIDE_UPPER
-                else leq(aggregated.clamped, truth)
-            )
-            if not ok:
-                failures.append(
-                    _describe(system, suite="conditional", kind="aggregate", **context)
-                )
-    return _finish("conditional", trials, checks, failures, start)
+            ok = _brackets(side, aggregated.clamped, _truth(occurrence, r, target))
+            yield 1, None if ok else dict(kind="aggregate", **context)
+
+    return _run("conditional", trials, n_max, seed, check)
 
 
 def suite_classical(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteReport:
     """The first-moment upper bound at r=1, d=0 is the sum of the event
     probabilities, and the matching lower bound is that sum over n."""
-    start = time.perf_counter()
-    checks, failures = 0, []
-    for _, system in _trials("classical", trials, n_max, seed):
-        n = system.n
-        mean = sum(
-            weight * bin(mask).count("1") for mask, weight in system.weights.items()
-        )
+
+    def check(rng, system):
+        mean = sum(weight * mask.bit_count() for mask, weight in system.weights.items())
         moments = moment_set(system, 0, 2)
         upper = _family_bound(FAMILY_TABLE["u1"], moments, 1, TARGET_AT_LEAST)
         lower = _family_bound(FAMILY_TABLE["l1"], moments, 1, TARGET_AT_LEAST)
-        checks += 2
-        if upper.value != mean:
-            failures.append(
-                _describe(system, suite="classical", kind="union", got=encode_number(upper.value))
-            )
-        if lower.value * n != mean:
-            failures.append(
-                _describe(system, suite="classical", kind="mean", got=encode_number(lower.value))
-            )
-    return _finish("classical", trials, checks, failures, start)
+        yield 1, None if upper.value == mean else dict(
+            kind="union", got=encode_number(upper.value)
+        )
+        yield 1, None if lower.value * system.n == mean else dict(
+            kind="mean", got=encode_number(lower.value)
+        )
+
+    return _run("classical", trials, n_max, seed, check)
 
 
 def run_all(trials: int = 1000, n_max: int = 8, seed: int = 42) -> list[SuiteReport]:

@@ -1,8 +1,10 @@
 """Fixtures shared by the test modules."""
 
+from fractions import Fraction
+
 import pytest
 
-from eventbounds import bounds_l3
+from eventbounds import bounds_l3, engine
 from eventbounds.certificates import TARGET_AT_LEAST
 from eventbounds.engine import Row
 from eventbounds.numerics import over_common_denominator
@@ -25,3 +27,17 @@ def skewed_ub2_row(monkeypatch):
         return Row(index_set, m, numerators, den)
 
     monkeypatch.setattr(bounds_l3, "solved_row", skewed)
+
+
+@pytest.fixture
+def inflated_exact_solve(monkeypatch):
+    """A stand-in solver defect: every exact solve comes back with 1/7 added
+    to its first entry, so a sharpness witness can carry more than all the
+    mass and ``witness_system`` raises."""
+    original = engine._solve_exact
+
+    def inflated(rows, rhs):
+        first, *rest = original(rows, rhs)
+        return (first + Fraction(1, 7), *rest)
+
+    monkeypatch.setattr(engine, "_solve_exact", inflated)

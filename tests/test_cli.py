@@ -347,6 +347,20 @@ class TestVerify:
         assert json.loads(out)["passed"] is False
         assert "reproducer:" in err
 
+    def test_a_check_that_raises_is_a_failure_with_a_reproducer(
+        self, capsys, inflated_exact_solve
+    ):
+        code, out, err = run(
+            capsys, ["verify", "--trials", "20", "--n-max", "6", "--seed", "7"]
+        )
+        assert code == EXIT_VERIFY
+        suites = {suite["name"]: suite for suite in json.loads(out)["suites"]}
+        assert len(suites) == 8
+        first = suites["witness-closure"]["failures"][0]
+        assert first.startswith("suite=witness-closure trial=")
+        assert " error=DegenerateMeasureError message=" in first
+        assert f"reproducer: {first}" in err
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys, files):

@@ -9,16 +9,15 @@ import pytest
 
 from eventbounds.certificates import BoundRequest
 from eventbounds.conditional import (
-    ConditionalMomentSet,
     PartitionField,
     block_system,
     conditional_bound,
-    conditional_moments,
     expectation_aggregate,
 )
 from eventbounds.core import EventSystem, exact_occurrence, normalize
 from eventbounds.dispatch import bound_for_system
-from eventbounds.errors import DegenerateMeasureError, InputFormatError, NotApplicableError
+from eventbounds.moments import moment_set
+from eventbounds.errors import InputFormatError, NotApplicableError
 from eventbounds.verification import floatize, random_partition, random_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -157,22 +156,19 @@ class TestBlockSystem:
 
 class TestConditionalMoments:
     def test_per_block_first_moments(self, fair3, by_third_event):
-        conditioned = conditional_moments(fair3, by_third_event, 0, 2)
-        values = {block.index: block.moments.vector(()).values for block in conditioned}
+        values = {
+            index: moment_set(block_system(fair3, by_third_event, index), 0, 2).vector(()).values
+            for index in (0, 1)
+        }
         assert values[0] == (1, 2)
         assert values[1] == (1, 1)
 
     def test_zero_weight_blocks_are_dropped(self):
         system = EventSystem(n=2, weights={0: Fraction(1)})
         partition = PartitionField.from_event(2, 1)
-        conditioned = conditional_moments(system, partition, 0, 2)
-        assert [block.index for block in conditioned] == [1]
-
-    def test_no_blocks_is_degenerate(self):
-        with pytest.raises(DegenerateMeasureError):
-            ConditionalMomentSet(
-                n=2, d=0, ell=2, partition=PartitionField.trivial(2), blocks=()
-            )
+        blocks = conditional_bound(system, partition, BoundRequest(r=1, d=0, ell=2))
+        assert [block.index for block in blocks] == [1]
+        assert blocks[0].weight == 1
 
 
 class TestConditionalBound:

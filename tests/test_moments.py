@@ -1,5 +1,6 @@
 """Moment matrices, moment vectors, and the decomposition identities."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eventbounds.certificates import SIDES, BoundRequest
+from eventbounds.checker import check_certificate
 from eventbounds.core import EventSystem, IndexTuple, binomial, enumerate_index_tuples, normalize
+from eventbounds.dispatch import evaluate_request
 from eventbounds.errors import InfeasibleMomentsError, InputFormatError
 from eventbounds.numerics import all_exact
 from eventbounds.moments import (
@@ -19,6 +23,7 @@ from eventbounds.moments import (
     verify_decomposition,
     z_vector,
 )
+from eventbounds.verification import floatize, random_system
 from oracles import moments_via_factorial, moments_via_subsets
 
 
@@ -251,6 +256,21 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             verify_decomposition(fair(3), 1, 2)
 
+    def test_identity_holds_on_float_systems(self):
+        """The float branch: sums of float joint masses, within the tolerance."""
+        cases = 0
+        for k in range(20):
+            rng = random.Random(f"decomposition:float:{k}")
+            system = floatize(random_system(rng, rng.randint(2, 6)))
+            for d in range(0, system.n + 1):
+                for r in range(d, system.n + 1):
+                    report = verify_decomposition(system, r, d)
+                    assert report.matched, (k, r, d)
+                    assert isinstance(report.exactly_decomposed, float)
+                    assert isinstance(report.at_least_decomposed, float)
+                    cases += 1
+        assert cases == 272
+
 
 class TestIntegerForm:
     """One integer form per exact set: rows of numerators over one denominator."""
@@ -290,6 +310,23 @@ class TestIntegerForm:
                     else:
                         assert picks == vector.values[:ell] and denominator is None
                         assert dots == tuple(float(x) for x in picks)
+
+    def test_a_set_mixing_exact_and_float_tuples(self):
+        """Exact tuples of a mixed set keep integer forms and exact terms;
+        the float tuple gives a float term, and the total is a float."""
+        vectors = list(moment_set(fair(3), 1, 3))
+        vectors[1] = dataclasses.replace(vectors[1], values=tuple(map(float, vectors[1].values)))
+        mixed = MomentSet(n=3, d=1, ell=3, vectors=vectors)
+        forms, exact = mixed.forms(3)
+        assert not exact
+        assert [denominator for _, _, denominator in forms] == [24, None, 24]
+        for side in SIDES:
+            certificate = evaluate_request(mixed, BoundRequest(r=2, d=1, ell=3, side=side))
+            first, middle, last = (term.value for term in certificate.terms)
+            assert first == last == Fraction(1, 6) and type(first) is Fraction
+            assert type(middle) is float
+            assert type(certificate.value) is float and certificate.value == 0.5
+            assert check_certificate(certificate, mixed) == []
 
     def test_float_sets_have_no_integer_form(self):
         moments = moment_set(normalize(3, {0: 0.25, 7: 0.75}), 1, 2)

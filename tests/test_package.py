@@ -1,6 +1,7 @@
 """The package: every export resolves on first use, the float tolerance is one
 constant, the family coefficients have one source, certificates have one
-evaluator, and the certificate checker shares no code with it."""
+evaluator, the certificate checker shares no code with it, and the
+randomized suites have one runner."""
 
 import ast
 import os
@@ -135,3 +136,20 @@ def test_the_checker_imports_no_solver_module():
     assert not imported & solver, f"checker imports {sorted(imported & solver)}"
     loaded = _modules_after("import eventbounds.checker")
     assert not loaded & {f"eventbounds.{name}" for name in solver}, sorted(loaded)
+
+
+def test_only_the_runner_times_and_reports_a_suite():
+    """Inside verification, only _run calls time.perf_counter or builds a
+    SuiteReport, so every suite is counted, timed and reported one way."""
+    banned = {"perf_counter", "SuiteReport"}
+    path = Path(eventbounds.__file__).parent / "verification.py"
+    callers = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            word = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if word in banned:
+                callers.add(getattr(top, "name", f"line {top.lineno}"))
+    assert callers == {"_run"}, sorted(callers)

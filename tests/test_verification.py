@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from eventbounds import bounds_l2, bounds_l3, dispatch
 from eventbounds.certificates import BoundRequest
 from eventbounds.checker import check_certificate
 from eventbounds.core import EventSystem
 from eventbounds.dispatch import evaluate_request
-from eventbounds.moments import moment_set
+from eventbounds.engine import Row
+from eventbounds.moments import _level_sums, moment_set
 from eventbounds.numerics import clamp01
 from eventbounds.verification import (
     SuiteReport,
@@ -149,22 +151,71 @@ class TestRunAll:
         assert by_name["optimal-m"].trials == 4
 
 
+def _assert_caught(report, name):
+    """The suite failed, and its first reproducer names it and carries a
+    system that rebuilds."""
+    assert not report.passed
+    line = report.failures[0]
+    assert line.startswith(f"suite={name} ")
+    rebuilt = EventSystem.from_payload(json.loads(line.split(" system=", 1)[1]))
+    assert sum(rebuilt.weights.values()) == 1
+
+
+def _skewed(solved_row, index_set_at):
+    """``solved_row`` with the second coefficient of the row at the index
+    set ``index_set_at(n, r, d)`` lowered by one."""
+
+    def skewed(n, r, d, target, index_set, m):
+        row = solved_row(n, r, d, target, index_set, m)
+        if index_set != index_set_at(n, r, d):
+            return row
+        a, b, *rest = row.numerators
+        return Row(index_set, m, (a, b - row.den, *rest), row.den)
+
+    return skewed
+
+
 class TestMutationSensitivity:
-    """A deliberately skewed coefficient must trip the suites."""
+    """A deliberately broken piece of the package must trip its suite."""
 
     def test_sandwich_catches_it_with_a_reproducer(self, skewed_ub2_row):
-        report = suite_sandwich(trials=30, n_max=6, seed=7)
-        assert not report.passed
-        assert report.failures
-        line = report.failures[0]
-        assert "suite=sandwich" in line
-        payload = json.loads(line.split("system=", 1)[1])
-        rebuilt = EventSystem.from_payload(payload)
-        assert sum(rebuilt.weights.values()) == 1
+        _assert_caught(suite_sandwich(trials=30, n_max=6, seed=7), "sandwich")
 
     def test_engine_agreement_catches_it(self, skewed_ub2_row):
-        report = suite_engine_agreement(trials=30, n_max=6, seed=7)
-        assert not report.passed
+        _assert_caught(suite_engine_agreement(trials=30, n_max=6, seed=7), "engine-agreement")
+
+    def test_classical_catches_a_skewed_u1_row(self, monkeypatch):
+        skewed = _skewed(bounds_l2.solved_row, lambda n, r, d: (1, r - d + 1))
+        monkeypatch.setattr(bounds_l2, "solved_row", skewed)
+        _assert_caught(suite_classical(trials=20, n_max=6, seed=7), "classical")
+
+    def test_optimal_m_catches_a_window_rule_that_keeps_the_low_end(self, monkeypatch):
+        for module in (bounds_l2, bounds_l3):
+            monkeypatch.setattr(module, "window_candidates", lambda num, den, lo, hi: (lo,))
+        _assert_caught(suite_optimal_m(trials=10, n_max=6, seed=7), "optimal-m")
+
+    def test_jordan_catches_a_skewed_full_order_row(self, monkeypatch):
+        skewed = _skewed(dispatch.solved_row, lambda n, r, d: tuple(range(1, n - d + 2)))
+        monkeypatch.setattr(dispatch, "solved_row", skewed)
+        _assert_caught(suite_jordan(trials=5, n_max=6, seed=7), "jordan")
+
+    def test_witness_closure_reports_a_check_that_raises(self, inflated_exact_solve):
+        report = suite_witness_closure(trials=15, n_max=6, seed=7)
+        _assert_caught(report, "witness-closure")
+        assert any(" error=DegenerateMeasureError " in line for line in report.failures)
+
+    def test_decomposition_catches_an_extra_top_level_mass(self, monkeypatch):
+        def inflated(weights, n, d):
+            table = _level_sums(weights, n, d)
+            for levels in table.values():
+                levels[-1] += 1
+            return table
+
+        monkeypatch.setattr("eventbounds.moments._level_sums", inflated)
+        _assert_caught(suite_decomposition(trials=10, n_max=6, seed=7), "decomposition")
+
+    def test_conditional_catches_it(self, skewed_ub2_row):
+        _assert_caught(suite_conditional(trials=30, n_max=6, seed=7), "conditional")
 
     def test_clean_run_recovers(self):
         assert suite_sandwich(trials=5, n_max=5, seed=7).passed
