@@ -156,8 +156,19 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
     """Per index tuple of order d, the weight of its atoms at each occurrence level.
 
     ``table[j][i]`` sums the weights of the atoms with exactly i events
-    that contain every event of j, for i = 0..n: one add per atom and
-    d-subset of its events, atoms in the order of ``weights``.
+    that contain every event of j, for i = 0..n.
+
+    Integer weights (nonnegative, as every system's numerators are) are
+    summed packed: one int per level c and (d-1)-prefix p holds the sums
+    of all n events side by side, event k in the w-bit slot starting at
+    bit w(k-1), where w is the bit length of the total weight.  No slot
+    sum exceeds that total, so it fits in w bits and no slot carries into
+    the next.  An atom at level c adds weight * spread(mask), with
+    spread(mask) the sum of 2**(w(k-1)) over its events k (read from two
+    half-mask tables), once for each (d-1)-subset p of its events other
+    than the last: once per atom at d = 1.  Slot k > max(p) of that sum is
+    ``table[p + (k,)][c]``.  Float weights take one add per atom and
+    d-subset of its events; d = 0 one add per atom.
     """
     table: dict[tuple[int, ...], list] = {
         indices: [0] * (n + 1) for indices in index_tuple_indices(n, d)
@@ -167,13 +178,50 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
         for mask, weight in weights.items():
             levels[mask.bit_count()] += weight
         return table
+    half = (n + 1) // 2
+    low_mask = (1 << half) - 1
+    low_events = [()] * (1 << half)
+    for m in range(1, 1 << half):
+        low_events[m] = ((m & -m).bit_length(),) + low_events[m & (m - 1)]
+    high_events = [tuple(k + half for k in events) for events in low_events[: 1 << (n - half)]]
+    total = sum(weights.values())
+    if not isinstance(total, int):
+        for mask, weight in weights.items():
+            count = mask.bit_count()
+            if count < d:
+                continue
+            events = low_events[mask & low_mask] + high_events[mask >> half]
+            for combo in itertools.combinations(events, d):
+                table[combo][count] += weight
+        return table
+    width = max(total.bit_length(), 1)
+    low = [0] * (1 << half)
+    for m in range(1, 1 << half):
+        low[m] = low[m & (m - 1)] + (1 << width * (low_events[m][0] - 1))
+    high = [spread << width * half for spread in low[: 1 << (n - half)]]
+    sums = {prefix: [0] * (n + 1) for prefix in index_tuple_indices(n, d - 1)}
     for mask, weight in weights.items():
         count = mask.bit_count()
         if count < d:
             continue
-        bits = [k for k, bit in enumerate(reversed(bin(mask)), 1) if bit == "1"]
-        for combo in itertools.combinations(bits, d):
-            table[combo][count] += weight
+        packed = weight * (low[mask & low_mask] + high[mask >> half])
+        if d == 1:
+            sums[()][count] += packed
+            continue
+        events = low_events[mask & low_mask] + high_events[mask >> half]
+        for prefix in itertools.combinations(events[:-1], d - 1):
+            sums[prefix][count] += packed
+    slot = (1 << width) - 1
+    for prefix, levels in sums.items():
+        last = prefix[-1] if prefix else 0
+        for count, packed in enumerate(levels):
+            packed >>= width * last
+            k = last
+            while packed:
+                k += 1
+                if packed & slot:
+                    table[prefix + (k,)][count] = packed & slot
+                packed >>= width
     return table
 
 
@@ -400,8 +448,14 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     Exact mode sums the integer numerators per index tuple and occurrence
     level (:func:`_level_sums`), then applies the falling factorials once
     per tuple and level; only the final values become rationals, and the
-    set keeps the integers as its :meth:`MomentSet.integerized` form.  Float
-    mode accumulates per atom and order.
+    set keeps the integers as its :meth:`MomentSet.integerized` form.  For
+    d >= 1 those sums are packed: one int per level and (d-1)-prefix holds
+    every event's sum in its own slot of w bits, w the bit length of the
+    total numerator, and since no slot sum exceeds that total, no slot
+    carries into the next; each atom adds once per (d-1)-subset of its
+    events.  Float mode accumulates per atom and order (and float weights
+    reach :func:`_level_sums` only through :func:`verify_decomposition`,
+    which takes its plain per-subset loop).
     """
     if d < 0 or d > sys.n:
         raise ValueError(f"need 0 <= d <= n, got n={sys.n}, d={d}")

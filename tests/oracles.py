@@ -4,7 +4,9 @@
 moments from falling-factorial expectations and from sums of intersection
 probabilities; the tests hold :func:`eventbounds.moments.moment_set` and
 :func:`eventbounds.moments.moments_from_system` to them.  ``permute_events``
-relabels the events of a system, for symmetry checks.  ``reference_solve``
+relabels the events of a system, for symmetry checks.  ``level_sums_by_tuple``
+sums atom weights per index tuple and level, one tuple at a time; the tests
+hold :func:`eventbounds.moments._level_sums` to it.  ``reference_solve``
 solves a small system on ``Fraction``s, and ``dual_gaps`` and
 ``feasible_sides`` compare b = F^T a with a target vector v on
 ``Fraction``s: the dual engine's and the checker's tests hold them to these.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from eventbounds.core import EventSystem, IndexTuple, atom_masses, falling_factorial
 from eventbounds.moments import MomentMatrix, MomentVector
@@ -92,6 +94,21 @@ def moments_via_subsets(sys: EventSystem, j: IndexTuple | Iterable[int], ell: in
             scale = math.factorial(k - 1) * dfact / math.factorial(k + d - 1)
             values.append(float(total) * scale)
     return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=tuple(values))
+
+
+def level_sums_by_tuple(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int, ...], list]:
+    """For each index tuple j of order d and level i, the sum of the weights
+    of the atoms with i events whose mask contains j, atoms in the order of
+    ``weights``."""
+    table = {}
+    for j in itertools.combinations(range(1, n + 1), d):
+        jmask = sum(1 << (k - 1) for k in j)
+        levels = [0] * (n + 1)
+        for mask, weight in weights.items():
+            if (mask & jmask) == jmask:
+                levels[mask.bit_count()] += weight
+        table[j] = levels
+    return table
 
 
 def permute_events(sys: EventSystem, permutation: Sequence[int]) -> EventSystem:

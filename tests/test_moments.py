@@ -17,6 +17,7 @@ from eventbounds.numerics import all_exact
 from eventbounds.moments import (
     MomentSet,
     MomentVector,
+    _level_sums,
     moment_matrix,
     moment_set,
     moments_from_system,
@@ -24,7 +25,7 @@ from eventbounds.moments import (
     z_vector,
 )
 from eventbounds.verification import floatize, random_system
-from oracles import moments_via_factorial, moments_via_subsets
+from oracles import level_sums_by_tuple, moments_via_factorial, moments_via_subsets
 
 
 def fair(n):
@@ -124,12 +125,13 @@ class TestMomentRoutes:
 
     def test_batched_set_matches_per_tuple_route_at_high_orders(self):
         # Wider than the hypothesis test above: d up to 4 and ell up to 5,
-        # so every falling factorial of order 3 and 4 is exercised.
+        # so every falling factorial of order 3 and 4 is exercised; at
+        # n = 20 the events of one atom fall in both halves of its mask.
         rng = random.Random(20201)
-        for n in (8, 9, 10):
-            masks = rng.sample(range(1 << n), 200)
+        for n, atoms, top_d in ((8, 200, 4), (9, 200, 4), (10, 200, 4), (20, 300, 3)):
+            masks = rng.sample(range(1 << n), atoms)
             system = normalize(n, {m: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for m in masks})
-            for d in range(0, 5):
+            for d in range(0, top_d + 1):
                 top = min(5, n - d + 1)
                 direct = [
                     moments_via_factorial(system, j, top).values
@@ -235,6 +237,37 @@ class TestMomentSetPayload:
         payload["s"][2]["values"] = ["1/2", "3/4", "0"]
         with pytest.raises(InfeasibleMomentsError, match="j=\\[3\\]"):
             MomentSet.from_payload(payload)
+
+
+class TestLevelSums:
+    """Packed integer sums and the float loop, against the per-tuple oracle."""
+
+    @staticmethod
+    def assert_matches(weights, n, ds):
+        floats = {mask: float(weight) for mask, weight in weights.items()}
+        for d in ds:
+            assert _level_sums(weights, n, d) == level_sums_by_tuple(weights, n, d), (n, d)
+            assert _level_sums(floats, n, d) == level_sums_by_tuple(floats, n, d), (n, d)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_order_with_zero_and_large_weights(self, n):
+        rng = random.Random(f"level-sums:{n}")
+        masks = rng.sample(range(1 << n), min(1 << n, 120))
+        weights = {m: rng.choice((0, rng.randint(1, 9), rng.randint(0, 10**30))) for m in masks}
+        self.assert_matches(weights, n, range(n + 1))
+        self.assert_matches(dict.fromkeys(masks, 0), n, range(n + 1))
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_one_atom_with_all_the_mass_fills_its_slots(self, n):
+        for k in (1, 8, 64, 100):
+            for total in (2**k, 2**k - 1):
+                self.assert_matches({(1 << n) - 1: total}, n, range(n + 1))
+
+    def test_twenty_events_span_both_half_tables(self):
+        rng = random.Random("level-sums:20")
+        masks = rng.sample(range(1 << 20), 2000)
+        weights = {m: rng.choice((0, rng.randint(1, 9), rng.randint(0, 10**30))) for m in masks}
+        self.assert_matches(weights, 20, (1, 2, 3))
 
 
 class TestDecomposition:
