@@ -2,8 +2,12 @@
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +153,23 @@ class TestMomentRoutes:
         assert moments.vector((1, 2)).values[0] == 1
         assert moments.vector((1, 3)).values[0] == Fraction(1, 2)
         assert moments.vector((2, 3)).values[0] == Fraction(1, 2)
+
+    def test_moment_set_times_script_runs(self):
+        """``scripts/moment_set_times.py`` times ``moment_set`` once per d."""
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [
+                sys.executable, str(root / "scripts" / "moment_set_times.py"),
+                "--n", "6", "--atoms", "40", "--repeat", "1",
+            ],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        lines = result.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"n=6 atoms=40 d={d} ell=3" for d in (0, 1, 2)
+        ], result.stdout
 
 
 class TestMomentVectorValidation:
