@@ -1,0 +1,120 @@
+"""Digest of the ``sweep``, ``bound`` and ``conditional`` commands' outputs.
+
+Writes seeded inputs to a temporary directory: per seed, one random exact
+system of 3 to ``--n-max`` events and its float copy, each as a system
+file, as moment files at every d (up to 4 orders) and with one random
+partition.  Then runs, in-process, with and without
+``--exact-arithmetic`` and in JSON and CSV:
+
+* ``sweep --input`` on each system file;
+* ``bound --input`` at every d from 0 to n, r from 0 to n+1, ell 2, 3
+  and 4, both sides and targets;
+* ``bound --moments`` on each moment file at its d and at d+1, over the
+  same r, ell, sides and targets;
+* ``conditional`` at every d below n, r from 0 to n+1, ell 2 and 3, both
+  sides and targets.
+
+Prints one line per call (arguments, exit code, md5 of stdout, stderr),
+then the call count, the sha256 of the arguments, exit codes and stdout
+digests, and a second sha256 that also covers stderr.  Temporary paths
+are left out of both.  Two trees give equal summaries when every call
+agrees.  ``--stride K`` runs only every K-th call, for a quick check.
+Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/cli_outputs.py --seeds 4 --n-max 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import random
+import tempfile
+from pathlib import Path
+
+from eventbounds.cli import main as cli_main
+from eventbounds.moments import moment_set
+from eventbounds.verification import floatize, random_partition, random_system
+
+SIDES = ("upper", "lower")
+TARGETS = ("at-least", "exactly")
+FORMATS = ("json", "csv")
+FLAGS = ((), ("--exact-arithmetic",))
+
+
+def _write(path: Path, payload: object) -> str:
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _calls(root: Path, seed: int, n_max: int):
+    """Every argument list for one seed's inputs."""
+    rng = random.Random(seed)
+    n = rng.randint(3, n_max)
+    exact = random_system(rng, n)
+    partition = _write(root / f"partition-{seed}.json", random_partition(rng, n).to_payload())
+    for name, system in (("exact", exact), ("float", floatize(exact))):
+        source = _write(root / f"system-{seed}-{name}.json", system.to_payload())
+        for fmt, flags in itertools.product(FORMATS, FLAGS):
+            options = ["--format", fmt, *flags]
+            yield ["sweep", "--input", source, *options]
+            grid = itertools.product(range(n + 2), SIDES, TARGETS)
+            for r, side, target in grid:
+                request = ["--r", str(r), "--side", side, "--target", target, *options]
+                for d, ell in itertools.product(range(n + 1), (2, 3, 4)):
+                    yield ["bound", "--input", source, "--d", str(d), "--ell", str(ell), *request]
+                for d, ell in itertools.product(range(n), (2, 3)):
+                    yield [
+                        "conditional", "--input", source, "--partition", partition,
+                        "--d", str(d), "--ell", str(ell), *request,
+                    ]
+        for d in range(n):
+            moments = moment_set(system, d, min(4, n - d + 1))
+            path = _write(root / f"moments-{seed}-{name}-d{d}.json", moments.to_payload())
+            grid = itertools.product(
+                (d, d + 1), range(n + 2), (2, 3, 4), SIDES, TARGETS, FORMATS, FLAGS
+            )
+            for asked, r, ell, side, target, fmt, flags in grid:
+                yield [
+                    "bound", "--moments", path, "--d", str(asked), "--r", str(r),
+                    "--ell", str(ell), "--side", side, "--target", target, "--format", fmt,
+                    *flags,
+                ]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, default=4, help="seeded systems, seeds 0..N-1")
+    parser.add_argument("--n-max", type=int, default=5, dest="n_max")
+    parser.add_argument("--stride", type=int, default=1, help="run only every K-th call")
+    args = parser.parse_args()
+    outputs, everything = hashlib.sha256(), hashlib.sha256()
+    calls = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(args.seeds):
+            for argv in itertools.islice(_calls(Path(tmp), seed, args.n_max), 0, None, args.stride):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli_main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                key = " ".join(argv).replace(tmp + "/", "")
+                stdout_md5 = hashlib.md5(out.getvalue().encode()).hexdigest()
+                stderr = err.getvalue().replace(tmp + "/", "")
+                print(json.dumps([key, code, stdout_md5, stderr]))
+                outputs.update(json.dumps([key, code, stdout_md5]).encode())
+                everything.update(json.dumps([key, code, stdout_md5, stderr]).encode())
+                calls += 1
+    print(
+        f"{calls} calls, stdout and exit codes sha256 {outputs.hexdigest()}, "
+        f"with stderr {everything.hexdigest()}"
+    )
+
+
+if __name__ == "__main__":
+    main()

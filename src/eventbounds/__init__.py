@@ -33,9 +33,8 @@ _EXPORTS = {
         "ResourceLimitError",
     ),
     "moments": (
-        "DecompositionReport", "MomentMatrix", "MomentSet", "MomentVector", "ZVector",
-        "moment_matrix", "moment_set", "moments_from_system", "verify_decomposition",
-        "z_vector",
+        "DecompositionReport", "MomentMatrix", "MomentSet", "MomentVector", "moment_matrix",
+        "moment_set", "verify_decomposition",
     ),
     "numerics": ("RATIONAL_BACKEND", "rational"),
     "verification": ("SuiteReport", "random_partition", "random_system", "run_all"),

@@ -31,8 +31,8 @@ from .numerics import (
     Number,
     all_exact,
     close,
-    exactify,
     encode_number,
+    leq,
     over_common_denominator,
     rational,
     to_number,
@@ -226,13 +226,9 @@ class EventSystem:
             for mask, weight in self.weights.items():
                 if not isinstance(mask, int) or mask < 0 or mask >= (1 << self.n):
                     raise ValueError(f"atom mask {mask!r} out of range for n={self.n}")
-                if isinstance(weight, float):
-                    if weight < -DEFAULT_TOLERANCE:
-                        raise ValueError(f"negative weight {weight!r} at atom {mask}")
-                    weight = max(weight, 0.0)
-                elif weight < 0:
+                if not leq(0, weight):
                     raise ValueError(f"negative weight {weight!r} at atom {mask}")
-                if weight != 0:
+                if weight > 0:
                     cleaned[mask] = weight
             if not cleaned:
                 raise DegenerateMeasureError("measure has zero total mass")
@@ -277,13 +273,12 @@ class EventSystem:
         }
 
     @classmethod
-    def from_payload(cls, payload: object, force_exact: bool = False) -> "EventSystem":
+    def from_payload(cls, payload: object) -> "EventSystem":
         """Parse the event-system file format.
 
         ``{"n": int, "weights": {"<decimal mask>": number, ...}}`` with
         omitted masks meaning weight zero; an optional ``"normalize": true``
-        requests division by the total mass.  ``force_exact`` converts float
-        weights to the exact rationals their decimal text denotes.
+        requests division by the total mass.
         """
         if not isinstance(payload, dict):
             raise InputFormatError("event system payload must be a JSON object")
@@ -311,8 +306,6 @@ class EventSystem:
                     weight = to_number(value)
                 except ValueError as exc:
                     raise InputFormatError(f"bad weight for mask {key!r}: {exc}") from None
-                if force_exact:
-                    weight = exactify(weight)
                 if isinstance(weight, float):
                     exact = False
                     weights[mask] = weight
@@ -320,6 +313,8 @@ class EventSystem:
                 pair = int(weight.numerator), int(weight.denominator)
             weights[mask] = pair
         normalized = payload.get("normalize", False)
+        if not isinstance(normalized, bool):
+            raise InputFormatError(f'"normalize" must be true or false, got {normalized!r}')
         try:
             if exact:
                 denominator = math.lcm(*{b for _, b in weights.values()})
@@ -409,10 +404,7 @@ class OccurrenceDistribution:
         if not self.p:
             raise ValueError("occurrence distribution must have at least one entry")
         for value in self.p:
-            if isinstance(value, float):
-                if value < -DEFAULT_TOLERANCE:
-                    raise ValueError(f"negative probability {value}")
-            elif value < 0:
+            if not leq(0, value):
                 raise ValueError(f"negative probability {value}")
         if not close(sum(self.p), 1):
             raise ValueError(f"occurrence probabilities must sum to 1, got {sum(self.p)}")

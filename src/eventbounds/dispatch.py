@@ -38,14 +38,11 @@ def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]
     n = system.n
     for d in range(0, n):
         moments = moment_set(system, d, min(3, n - d + 1))
-        windows = [(2, moments.restricted(2))]
-        if moments.ell >= 3:
-            windows.append((3, moments))
         for r in range(max(d, 1), n + 1):
-            for ell, window in windows:
+            for ell in range(2, moments.ell + 1):
                 for target in TARGETS:
                     for side in SIDES:
-                        yield window, BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
+                        yield moments, BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
 
 
 def search_bound(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
@@ -84,7 +81,8 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
     Without a formula: the best applicable closed form at ell 2 or 3, the
     index-set search otherwise.  With a formula: that family exactly
     (side and moment order must agree), "search" for the enumeration, or
-    "jordan" for the exact full-order evaluation.
+    "jordan" for the exact full-order evaluation.  A set with more orders
+    than the request is read at its first ``request.ell``, with no copy.
     """
     if moments.d != request.d:
         raise ValueError(f"moment set has d={moments.d}, request asks for d={request.d}")
@@ -93,26 +91,25 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
             f"request needs ell={request.ell} moment orders, set has {moments.ell}"
         )
     request.check(moments.n)
-    working = moments if moments.ell == request.ell else moments.restricted(request.ell)
     formula, m = request.formula, request.m
     if formula in ("search", "jordan"):
         if m is not None:
             raise ValueError(f"formula {formula!r} has no window parameter m")
         if formula == "search":
-            return search_bound(working, request)
-        return _jordan(working, request)
+            return search_bound(moments, request)
+        return _jordan(moments, request)
     if formula is None:
         if request.ell not in _BEST_OF:
             if m is not None:
                 raise ValueError("m applies only to the closed-form windowed families")
-            return search_bound(working, request)
+            return search_bound(moments, request)
         families, per_tuple = _BEST_OF[request.ell]
         if per_tuple and m is not None:
             raise ValueError(
                 "the combined three-moment bound picks windows per index tuple; "
                 "name a formula to pin m"
             )
-        return best_certificate(families, working, request, per_tuple)
+        return best_certificate(families, moments, request, per_tuple)
     family = FAMILY_TABLE.get(formula)
     if family is None:
         raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
@@ -122,7 +119,7 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
         )
     if request.ell != family.ell:
         raise ValueError(f"formula {formula!r} uses ell={family.ell}, request says {request.ell}")
-    return family_certificate(family, working, request)
+    return family_certificate(family, moments, request)
 
 
 def bound_for_system(sys: EventSystem, request: BoundRequest) -> BoundCertificate:

@@ -47,14 +47,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .moments import MomentMatrix, MomentSet, MomentVector, moment_matrix
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    Number,
-    all_exact,
-    encode_number,
-    over_common_denominator,
-    rational,
-)
+from .numerics import Number, all_exact, encode_number, leq, over_common_denominator, rational
 
 #: The enumeration cap: the most candidate index sets one table may solve.
 MAX_CANDIDATES = 1_000_000
@@ -190,7 +183,7 @@ def sharpness_witness(
 ) -> SharpnessWitness:
     """Solve F_i z*_i = s and embed the solution in the full position range.
 
-    Float entries count as nonnegative down to ``-DEFAULT_TOLERANCE``."""
+    Entries count as nonnegative by :func:`leq`: floats down to the tolerance."""
     index_set = _check_index_set(fmat, index_set)
     values = s.values if isinstance(s, MomentVector) else tuple(s)
     if len(values) != fmat.ell:
@@ -201,10 +194,7 @@ def sharpness_witness(
     z = [rational(0) if exact else 0.0] * fmat.positions
     for position, entry in zip(index_set, solution):
         z[position - 1] = entry
-    if exact:
-        nonnegative = all(entry >= 0 for entry in solution)
-    else:
-        nonnegative = all(float(entry) >= -DEFAULT_TOLERANCE for entry in solution)
+    nonnegative = all(leq(0, entry) for entry in solution)
     return SharpnessWitness(z=tuple(z), index_set=index_set, nonnegative=nonnegative)
 
 
@@ -569,7 +559,7 @@ def witness_system(
         weights[mask] = weights.get(mask, rational(0) if exact else 0.0) + scaled
         total = total + scaled
     leftover = (1 - total) if exact else 1.0 - float(total)
-    if (leftover < 0) if exact else (float(leftover) < -DEFAULT_TOLERANCE):
+    if not leq(0, leftover):
         raise DegenerateMeasureError(
             f"witness mass exceeds one ({total}); the moments are not from a probability measure"
         )

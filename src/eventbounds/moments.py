@@ -10,12 +10,12 @@ maps z(j) to the normalized binomial moments s(j):
 
     s_k(j) = (d! / (k+d-1)!) * E[ (count - d) falling (k-1) ; all of j occur ].
 
-:func:`moments_from_system` computes s(j) through F and z(j), and
-:func:`moment_set` batches the falling-factorial expectation above over
-all j with integer accumulators; it is the fast path used by the bound
-modules.  The tests hold both to two independent oracles, the factorial
-expectation per tuple and sums of plain intersection probabilities over
-unordered index subsets (``tests/oracles.py``).
+:func:`moment_set` is the one route from a system to its moments: it
+batches the falling-factorial expectation above over all j with integer
+accumulators.  The tests hold it to three independent oracles, the
+factorial expectation per tuple, sums of plain intersection probabilities
+over unordered index subsets, and F applied to z(j) built from
+:func:`eventbounds.core.exact_joint` (``tests/oracles.py``).
 
 s_1(j) is the probability that all events of j occur; for d=0 it is 1.
 """
@@ -34,19 +34,17 @@ from .core import (
     atom_masses,
     binomial,
     enumerate_index_tuples,
-    exact_joint,
     exact_occurrence,
     falling_factorial,
     index_tuple_indices,
 )
 from .errors import InputFormatError
 from .numerics import (
-    DEFAULT_TOLERANCE,
     Number,
     all_exact,
     close,
-    dot_product,
     encode_number,
+    leq,
     over_common_denominator,
     rational,
     to_number,
@@ -110,46 +108,6 @@ def moment_rows(d: int, ell: int, positions: Sequence[int]) -> tuple[tuple[int, 
     return tuple(
         tuple(binomial(i + d - 1, k + d - 1) for i in positions) for k in range(1, ell + 1)
     )
-
-
-@dataclass(frozen=True)
-class ZVector:
-    """Occurrence probabilities pinned on j, scaled by 1/C(i+d-1, d).
-
-    Entry i (1-based, i = 1..n-d+1) is P(exactly i+d-1 events occur and all
-    of j occur) divided by C(i+d-1, d).  All entries are nonnegative, and
-    for d >= 1 the occurrence levels below d carry no mass by definition.
-    """
-
-    j: IndexTuple
-    n: int
-    d: int
-    entries: tuple[Number, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.j.d != self.d:
-            raise ValueError(f"index tuple order {self.j.d} does not match d={self.d}")
-        if len(self.entries) != self.n - self.d + 1:
-            raise ValueError("z vector length must be n-d+1")
-        for value in self.entries:
-            if isinstance(value, float):
-                if value < -DEFAULT_TOLERANCE:
-                    raise ValueError(f"negative z entry {value}")
-            elif value < 0:
-                raise ValueError(f"negative z entry {value}")
-
-
-def z_vector(sys: EventSystem, j: IndexTuple | Iterable[int]) -> ZVector:
-    """The z(j) vector of the system, by direct enumeration."""
-    j = IndexTuple.coerce(j)
-    j.validate_for(sys.n)
-    d = j.d
-    entries = tuple(
-        exact_joint(sys, i + d - 1, j) / binomial(i + d - 1, d)
-        for i in range(1, sys.n - d + 2)
-    )
-    return ZVector(j=j, n=sys.n, d=d, entries=entries)
 
 
 def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int, ...], list]:
@@ -243,17 +201,10 @@ class MomentVector:
         if self.ell != len(self.values):
             raise ValueError(f"expected {self.ell} moment values, got {len(self.values)}")
         for value in self.values:
-            if isinstance(value, float):
-                if value < -DEFAULT_TOLERANCE:
-                    raise ValueError(f"negative moment {value}")
-            elif value < 0:
+            if not leq(0, value):
                 raise ValueError(f"negative moment {value}")
-        s1 = self.values[0]
-        if isinstance(s1, float):
-            if s1 > 1.0 + DEFAULT_TOLERANCE:
-                raise ValueError(f"s_1 = {s1} exceeds 1")
-        elif s1 > 1:
-            raise ValueError(f"s_1 = {s1} exceeds 1")
+        if not leq(self.values[0], 1):
+            raise ValueError(f"s_1 = {self.values[0]} exceeds 1")
 
     @cached_property
     def exact(self) -> bool:
@@ -265,15 +216,6 @@ class MomentVector:
         if ell < 1 or ell > self.ell:
             raise ValueError(f"need 1 <= ell <= {self.ell}, got {ell}")
         return MomentVector(j=self.j, n=self.n, d=self.d, ell=ell, values=self.values[:ell])
-
-
-def moments_from_system(sys: EventSystem, j: IndexTuple | Iterable[int], ell: int) -> MomentVector:
-    """Moments of j computed as the moment matrix applied to z(j)."""
-    j = IndexTuple.coerce(j)
-    fmat = moment_matrix(sys.n, j.d, ell)
-    z = z_vector(sys, j)
-    values = tuple(dot_product(row, z.entries) for row in fmat.rows)
-    return MomentVector(j=j, n=sys.n, d=j.d, ell=ell, values=values)
 
 
 @dataclass(frozen=True)
@@ -429,8 +371,10 @@ class MomentSet:
         vectors = []
         try:
             for record in entries:
-                j = IndexTuple.coerce(record["j"])
-                values = tuple(to_number(x) for x in record["values"])
+                j, values = IndexTuple.coerce(record["j"]), record["values"]
+                if not isinstance(values, list):
+                    raise InputFormatError(f'"values" must be a list of numbers, got {values!r}')
+                values = tuple(to_number(x) for x in values)
                 vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
             ordered = sorted(vectors, key=lambda v: v.j.indices)
             moments = cls(n=n, d=d, ell=ell, vectors=tuple(ordered))

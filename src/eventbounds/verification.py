@@ -29,12 +29,19 @@ from .conditional import (
     conditional_bound,
     expectation_aggregate,
 )
-from .core import EventSystem, OccurrenceDistribution, exact_occurrence, normalize
+from .core import (
+    EventSystem,
+    OccurrenceDistribution,
+    binomial,
+    exact_joint,
+    exact_occurrence,
+    normalize,
+)
 from .dispatch import FAMILY_TABLE, evaluate_request, request_grid
 from .checker import check_certificate
 from .engine import sharpness_witness, target_vector, witness_system
 from .errors import NotApplicableError
-from .moments import moment_matrix, moment_set, verify_decomposition, z_vector
+from .moments import moment_matrix, moment_set, verify_decomposition
 from .numerics import Number, dot_product, encode_number, leq, rational
 
 MAX_REPORTED_FAILURES = 5
@@ -187,11 +194,9 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
     def check(rng, system):
         n = system.n
         for d in range(0, n):
-            full = moment_set(system, d, min(3, n - d + 1))
-            by_ell = {2: full.restricted(2), full.ell: full}
+            moments = moment_set(system, d, min(3, n - d + 1))
             for family in windowed:
-                moments = by_ell.get(family.ell)
-                if moments is None:
+                if family.ell > moments.ell:
                     continue
                 extremum = min if family.side == SIDE_UPPER else max
                 for r in range(d, n + 1):
@@ -298,7 +303,10 @@ def suite_witness_closure(
                 reproduced = moment_set(induced, d, ell).vector(vector.j)
                 if tuple(reproduced.values) != tuple(vector.values):
                     kind = "moments"
-                elif dot_product(z_vector(induced, vector.j).entries, v) != term.value:
+                elif sum(
+                    exact_joint(induced, u + d - 1, vector.j) / binomial(u + d - 1, d)
+                    for u, counts in enumerate(v, start=1) if counts
+                ) != term.value:
                     kind = "attained"
             yield 1, None if kind is None else dict(
                 kind=kind, r=r, d=d, ell=ell, side=side, target=target, j=tuple(vector.j)

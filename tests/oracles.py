@@ -2,8 +2,9 @@
 
 ``moments_via_factorial`` and ``moments_via_subsets`` compute one tuple's
 moments from falling-factorial expectations and from sums of intersection
-probabilities; the tests hold :func:`eventbounds.moments.moment_set` and
-:func:`eventbounds.moments.moments_from_system` to them.  ``permute_events``
+probabilities, and ``z_via_joint`` the occurrence vector z(j) that the
+moment matrix maps to them, from :func:`eventbounds.core.exact_joint`; the
+tests hold :func:`eventbounds.moments.moment_set` to them.  ``permute_events``
 relabels the events of a system, for symmetry checks.  ``level_sums_by_tuple``
 sums atom weights per index tuple and level, one tuple at a time; the tests
 hold :func:`eventbounds.moments._level_sums` to it.  ``reference_solve``
@@ -19,7 +20,14 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from eventbounds.core import EventSystem, IndexTuple, atom_masses, falling_factorial
+from eventbounds.core import (
+    EventSystem,
+    IndexTuple,
+    atom_masses,
+    binomial,
+    exact_joint,
+    falling_factorial,
+)
 from eventbounds.moments import MomentMatrix, MomentVector
 from eventbounds.numerics import Number, rational, zero
 
@@ -94,6 +102,15 @@ def moments_via_subsets(sys: EventSystem, j: IndexTuple | Iterable[int], ell: in
             scale = math.factorial(k - 1) * dfact / math.factorial(k + d - 1)
             values.append(float(total) * scale)
     return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=tuple(values))
+
+
+def z_via_joint(sys: EventSystem, j: IndexTuple | Iterable[int]) -> tuple[Number, ...]:
+    """z(j) by direct enumeration: entry u (u = 1..n-d+1) is P(exactly u+d-1
+    events occur and all of j occur) divided by C(u+d-1, d)."""
+    d = IndexTuple.coerce(j).d
+    return tuple(
+        exact_joint(sys, u + d - 1, j) / binomial(u + d - 1, d) for u in range(1, sys.n - d + 2)
+    )
 
 
 def level_sums_by_tuple(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int, ...], list]:

@@ -4,10 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,27 @@ class TestExact:
         )
         assert code == EXIT_OK
         assert json.loads(out)["p"] == ["1/8", "3/8", "3/8", "1/8"]
+
+    def test_exact_arithmetic_reads_float_literals_as_rationals(self, capsys, tmp_path):
+        # Each literal becomes the rational of its double: a literal longer
+        # than a double carries reads as the double's shortest text.
+        long_tenth = "0.1000000000000000055511151231257827"
+        for weights, p in (("0.375, 0.625", ["3/8", "5/8"]), (f"{long_tenth}, 0.9", ["1/10", "9/10"])):
+            first, second = weights.split(", ")
+            path = tmp_path / "system.json"
+            path.write_text(f'{{"n": 1, "weights": {{"0": {first}, "1": {second}}}}}')
+            code, out, _ = run(capsys, ["exact", "--input", str(path), "--exact-arithmetic"])
+            assert code == EXIT_OK
+            assert json.loads(out)["p"] == p
+
+    @pytest.mark.parametrize("literal", ["NaN", "1e400"])
+    def test_exact_arithmetic_rejects_literals_that_are_not_finite(self, capsys, tmp_path, literal):
+        path = tmp_path / "system.json"
+        path.write_text(f'{{"n": 1, "weights": {{"0": {literal}, "1": 1}}}}')
+        code, out, err = run(capsys, ["exact", "--input", str(path), "--exact-arithmetic"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "Invalid literal for Fraction" in err
 
 
 class TestBound:
@@ -490,6 +515,42 @@ class TestExitCodes:
             assert out == ""
             assert "no distribution has the moments" in err
 
+    def test_nan_weight_and_moment_are_input_errors(self, capsys, tmp_path):
+        system, moments = tmp_path / "system.json", tmp_path / "moments.json"
+        system.write_text('{"n": 1, "weights": {"0": NaN, "1": 1}}')
+        moments.write_text('{"n": 3, "d": 0, "ell": 2, "s": [{"j": [], "values": [1, NaN]}]}')
+        for argv, message in (
+            (["exact", "--input", str(system)], "negative weight nan at atom 0"),
+            (["bound", "--moments", str(moments), "--r", "1", "--ell", "2"], "negative moment nan"),
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert message in err
+
+    def test_moment_values_must_be_a_list(self, capsys, tmp_path):
+        # A string was read character by character: "10" as the moments (1, 0).
+        path = tmp_path / "moments.json"
+        records = [{"j": [k], "values": "10"} for k in (1, 2, 3)]
+        path.write_text(json.dumps({"n": 3, "d": 1, "ell": 2, "s": records}))
+        code, out, err = run(
+            capsys, ["bound", "--moments", str(path), "--r", "1", "--d", "1", "--ell", "2"]
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "\"values\" must be a list of numbers, got '10'" in err
+
+    def test_normalize_must_be_a_boolean(self, capsys, tmp_path):
+        # The string "false" is truthy, and these weights sum to 2.
+        path = tmp_path / "system.json"
+        for flag in ("false", "true", 0):
+            payload = {"n": 1, "weights": {"0": 1, "1": 1}, "normalize": flag}
+            path.write_text(json.dumps(payload))
+            code, out, err = run(capsys, ["exact", "--input", str(path)])
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert f"\"normalize\" must be true or false, got {flag!r}" in err
+
     def test_exact_arithmetic_checks_the_exact_moments(self, capsys, tmp_path):
         # s_2 exceeds s_1 = 1 by 1e-12, within the float check's tolerance;
         # as exact rationals no distribution on 0..3 has these moments.
@@ -564,3 +625,22 @@ class TestExitCodes:
             assert code == EXIT_OK
             values[side] = Fraction(json.loads(out)["certificate"]["value"])
         assert values["lower"] <= tail <= values["upper"]
+
+
+def test_cli_outputs_script_runs():
+    """``scripts/cli_outputs.py`` digests sweep, bound and conditional calls."""
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [
+            sys.executable, str(root / "scripts" / "cli_outputs.py"),
+            "--seeds", "1", "--n-max", "3", "--stride", "29",
+        ],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    *calls, summary = result.stdout.splitlines()
+    assert {json.loads(line)[0].split()[0] for line in calls} == {"sweep", "bound", "conditional"}
+    assert "--moments" in " ".join(json.loads(line)[0] for line in calls)
+    assert summary.startswith(f"{len(calls)} calls, stdout and exit codes sha256 ")
+    assert ", with stderr " in summary

@@ -146,12 +146,6 @@ class TestEventSystem:
         with pytest.raises(InputFormatError):
             EventSystem.from_payload([1, 2])
 
-    def test_from_payload_force_exact(self):
-        payload = {"n": 1, "weights": {"0": 0.375, "1": 0.625}}
-        system = EventSystem.from_payload(payload, force_exact=True)
-        assert system.exact
-        assert system.weights[0] == Fraction(3, 8)
-
     def test_from_payload_normalize_flag(self):
         payload = {"n": 2, "weights": {"0": "3", "3": "1"}, "normalize": True}
         system = EventSystem.from_payload(payload)

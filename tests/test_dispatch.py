@@ -1,14 +1,16 @@
 """Request routing: named formulas, best-of dispatch, search and exact modes."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from eventbounds.certificates import BoundRequest
+from eventbounds.certificates import SIDES, BoundRequest
+from eventbounds.cli import EXIT_OK, main
 from eventbounds.core import EventSystem, exact_occurrence
 from eventbounds.dispatch import FORMULAS, bound_for_system, evaluate_request
 from eventbounds.errors import NotApplicableError
-from eventbounds.moments import moment_set
+from eventbounds.moments import MomentSet, moment_set
 
 
 def fair(n):
@@ -240,3 +242,19 @@ class TestBoundForSystem:
         upper = bound_for_system(fair3, BoundRequest(r=2, d=0, ell=3, side="upper"))
         lower = bound_for_system(fair3, BoundRequest(r=2, d=0, ell=3, side="lower"))
         assert lower.clamped <= truth <= upper.clamped
+
+
+def test_no_restricted_copy_on_the_bound_path(monkeypatch, capsys, tmp_path, fair3, d1_l3):
+    """A set with more orders than the request is read as it is: neither
+    sweep nor an ell-2 request on a 3-order set truncates a copy."""
+
+    def refuse(self, ell):
+        raise AssertionError(f"restricted({ell}) called on the bound path")
+
+    monkeypatch.setattr(MomentSet, "restricted", refuse)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(fair3.to_payload()))
+    assert main(["sweep", "--input", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"]
+    for side in SIDES:
+        assert evaluate_request(d1_l3, BoundRequest(r=2, d=1, ell=2, side=side)).ell == 2

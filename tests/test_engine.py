@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import dual_gaps, feasible_sides, reference_solve
+from oracles import dual_gaps, feasible_sides, reference_solve, z_via_joint
 
 from eventbounds import engine
 from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS, BoundRequest
@@ -32,7 +32,7 @@ from eventbounds.errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from eventbounds.moments import MomentSet, MomentVector, moment_matrix, moment_set, z_vector
+from eventbounds.moments import MomentSet, MomentVector, moment_matrix, moment_set
 from eventbounds.numerics import dot_product
 
 
@@ -374,7 +374,7 @@ class TestWitness:
         induced = witness_system(witness, (2,), 3, 1)
         reproduced = moment_set(induced, 1, 2).vector((2,))
         assert reproduced.values == moments.vector((2,)).values
-        attained = sum(x * y for x, y in zip(z_vector(induced, (2,)).entries, v))
+        attained = sum(x * y for x, y in zip(z_via_joint(induced, (2,)), v))
         assert attained == term.value
 
 
