@@ -102,11 +102,11 @@ class TestExact:
         assert json.loads(out)["p"] == ["1/8", "3/8", "3/8", "1/8"]
 
     def test_exact_arithmetic_reads_float_literals_as_rationals(self, capsys, tmp_path):
-        # Each literal becomes the rational of its double: a literal longer
-        # than a double carries reads as the double's shortest text.
+        # Each literal becomes the rational of its double, so a literal with
+        # more digits than a double holds reads as the double's shortest text.
         long_tenth = "0.1000000000000000055511151231257827"
-        for weights, p in (("0.375, 0.625", ["3/8", "5/8"]), (f"{long_tenth}, 0.9", ["1/10", "9/10"])):
-            first, second = weights.split(", ")
+        cases = (("0.375", "0.625", ["3/8", "5/8"]), (long_tenth, "0.9", ["1/10", "9/10"]))
+        for first, second, p in cases:
             path = tmp_path / "system.json"
             path.write_text(f'{{"n": 1, "weights": {{"0": {first}, "1": {second}}}}}')
             code, out, _ = run(capsys, ["exact", "--input", str(path), "--exact-arithmetic"])
