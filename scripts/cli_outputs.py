@@ -12,9 +12,16 @@ partition.  Then runs, in-process, with and without
 * ``bound --moments`` on each moment file at its d and at d+1, over the
   same r, ell, sides and targets;
 * ``conditional`` at every d below n, r from 0 to n+1, ell 2 and 3, both
-  sides and targets.
+  sides and targets;
+* after the seeded calls, a fixed table of invalid files: event systems
+  (negative weights, zero mass, a mask out of range, a sum other than
+  one, two spellings of one mask; exact and float, with and without
+  ``"normalize"``) through ``bound --input`` and ``conditional``, and
+  moment files (ell 0, a negative moment, orders no distribution has, a
+  missing tuple) through ``bound --moments``.
 
-Prints one line per call (arguments, exit code, md5 of stdout, stderr),
+Prints one line per call (arguments, exit code, md5 of stdout, stderr;
+a call that raises records the exception's class in place of the code),
 then the call count, the sha256 of the arguments, exit codes and stdout
 digests, and a second sha256 that also covers stderr.  Temporary paths
 are left out of both.  Two trees give equal summaries when every call
@@ -86,6 +93,49 @@ def _calls(root: Path, seed: int, n_max: int):
                 ]
 
 
+#: Invalid event systems over n = 2: exact weights, then their float copies.
+BAD_SYSTEMS = {
+    "negative": ({"0": "3/2", "1": "-1/2"}, {"0": 1.5, "1": -0.5}),
+    "zero-mass": ({"0": "0", "3": "0"}, {"0": 0.0, "3": 0.0}),
+    "mask-out-of-range": ({"0": "1/2", "4": "1/2"}, {"0": 0.5, "4": 0.5}),
+    "sum-not-one": ({"0": "1/4", "3": "1/4"}, {"0": 0.25, "3": 0.25}),
+    "two-spellings": ({"0": "1/4", "1": "1/4", "01": "1/2"}, {"0": 0.25, "1": 0.25, "01": 0.5}),
+}
+
+#: Invalid moment files, each with the d to ask for.
+BAD_MOMENTS = {
+    "ell-zero": ({"n": 3, "d": 0, "ell": 0, "s": [{"j": [], "values": []}]}, 0),
+    "negative": ({"n": 3, "d": 0, "ell": 2, "s": [{"j": [], "values": ["1", "-1/2"]}]}, 0),
+    "infeasible": (
+        {"n": 3, "d": 0, "ell": 3, "s": [{"j": [], "values": ["1", "1/10", "9/10"]}]},
+        0,
+    ),
+    "missing-tuple": (
+        {"n": 3, "d": 1, "ell": 2, "s": [{"j": [k], "values": ["1/2", "1/4"]} for k in (1, 3)]},
+        1,
+    ),
+}
+
+
+def _invalid_calls(root: Path):
+    """Every argument list for the fixed table of invalid files."""
+    partition = _write(root / "partition-bad.json", {"blocks": [[0, 1], [2, 3]]})
+    request = ["--d", "0", "--r", "1", "--ell", "2"]
+    for name, systems in BAD_SYSTEMS.items():
+        for (kind, weights), normalize in itertools.product(
+            zip(("exact", "float"), systems), (False, True)
+        ):
+            payload = {"n": 2, "weights": weights, "normalize": normalize}
+            source = _write(root / f"bad-{name}-{kind}-{normalize}.json", payload)
+            for flags in FLAGS:
+                yield ["bound", "--input", source, *request, *flags]
+                yield ["conditional", "--input", source, "--partition", partition, *request, *flags]
+    for name, (payload, d) in BAD_MOMENTS.items():
+        path = _write(root / f"bad-moments-{name}.json", payload)
+        for flags in FLAGS:
+            yield ["bound", "--moments", path, "--d", str(d), "--r", "1", "--ell", "2", *flags]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=4, help="seeded systems, seeds 0..N-1")
@@ -95,21 +145,24 @@ def main() -> None:
     outputs, everything = hashlib.sha256(), hashlib.sha256()
     calls = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in range(args.seeds):
-            for argv in itertools.islice(_calls(Path(tmp), seed, args.n_max), 0, None, args.stride):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = cli_main(argv)
-                    except SystemExit as exc:
-                        code = exc.code
-                key = " ".join(argv).replace(tmp + "/", "")
-                stdout_md5 = hashlib.md5(out.getvalue().encode()).hexdigest()
-                stderr = err.getvalue().replace(tmp + "/", "")
-                print(json.dumps([key, code, stdout_md5, stderr]))
-                outputs.update(json.dumps([key, code, stdout_md5]).encode())
-                everything.update(json.dumps([key, code, stdout_md5, stderr]).encode())
-                calls += 1
+        every = [_calls(Path(tmp), seed, args.n_max) for seed in range(args.seeds)]
+        every.append(_invalid_calls(Path(tmp)))
+        for argv in itertools.chain(*(itertools.islice(c, 0, None, args.stride) for c in every)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # noqa: BLE001 -- a crash is an outcome too
+                    code = type(exc).__name__
+            key = " ".join(argv).replace(tmp + "/", "")
+            stdout_md5 = hashlib.md5(out.getvalue().encode()).hexdigest()
+            stderr = err.getvalue().replace(tmp + "/", "")
+            print(json.dumps([key, code, stdout_md5, stderr]))
+            outputs.update(json.dumps([key, code, stdout_md5]).encode())
+            everything.update(json.dumps([key, code, stdout_md5, stderr]).encode())
+            calls += 1
     print(
         f"{calls} calls, stdout and exit codes sha256 {outputs.hexdigest()}, "
         f"with stderr {everything.hexdigest()}"

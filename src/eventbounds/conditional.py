@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .certificates import BoundCertificate, BoundRequest
-from .core import EventSystem, ExactWeights, normalize
+from .core import EventSystem, _atom_count, _exact_weights, normalize
 from .dispatch import evaluate_request
 from .errors import InputFormatError
 from .moments import moment_set
@@ -26,7 +26,6 @@ from .numerics import (
     difference,
     dot_product,
     encode_number,
-    rational,
 )
 
 
@@ -40,13 +39,11 @@ class PartitionField:
     _owner: bytearray | memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"event count must be a positive integer, got {self.n!r}")
+        size = _atom_count(self.n)
         blocks = tuple(tuple(sorted(block)) for block in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("a partition needs at least one block")
-        size = 1 << self.n
         owner = bytearray(size) if len(blocks) < 256 else memoryview(bytearray(4 * size)).cast("I")
         for index, block in enumerate(blocks, 1):
             if not block:
@@ -131,10 +128,7 @@ def block_system(sys: EventSystem, partition: PartitionField, index: int) -> Opt
     restricted = partition.restrict(numerators, index)
     if not restricted:
         return None
-    mass = sum(restricted.values())
-    return EventSystem(
-        n=sys.n, weights=ExactWeights(restricted, mass), total=rational(mass, denominator)
-    )
+    return EventSystem(sys.n, *_exact_weights(sys.n, restricted, denominator, normalize=True))
 
 
 @dataclass(frozen=True)
@@ -163,8 +157,6 @@ def conditional_bound(
     hence is uniform across blocks.
     """
     request.check(sys.n)
-    if partition.n != sys.n:
-        raise ValueError(f"partition is over n={partition.n}, system has n={sys.n}")
     blocks = []
     for index in range(len(partition.blocks)):
         conditioned = block_system(sys, partition, index)

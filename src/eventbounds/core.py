@@ -135,7 +135,8 @@ class ExactWeights(Mapping):
 
     Maps atom masks, in increasing order, to ``numerator / denominator`` as
     exact rationals.  The rationals are built on access and never stored,
-    so a system of many atoms keeps only its integers.
+    so a system of many atoms keeps only its integers.  Only ``_exact_weights``
+    builds one, after every check, so a view is trusted by its type.
     """
 
     __slots__ = ("_numerators", "_denominator")
@@ -160,9 +161,12 @@ class ExactWeights(Mapping):
         return f"ExactWeights({len(self)} atoms over {self._denominator})"
 
 
-def _exact_weights(n: int, numerators: Mapping[int, int], denominator: int) -> ExactWeights:
-    """Checked, gcd-reduced, mask-ordered exact weights summing to one."""
-    limit = 1 << n
+def _exact_weights(
+    n: int, numerators: Mapping[int, int], denominator: int, normalize: bool = False
+) -> tuple[ExactWeights, Number]:
+    """Checked, gcd-reduced, mask-ordered exact weights and their total mass: the
+    numerators over ``denominator`` sum to one, or ``normalize`` divides by their sum."""
+    limit = _atom_count(n)
     kept: dict[int, int] = {}
     for mask, numerator in numerators.items():
         if not isinstance(mask, int) or mask < 0 or mask >= limit:
@@ -174,13 +178,24 @@ def _exact_weights(n: int, numerators: Mapping[int, int], denominator: int) -> E
     if not kept:
         raise DegenerateMeasureError("measure has zero total mass")
     mass = sum(kept.values())
-    if mass != denominator:
-        raise ValueError(f"normalized weights must sum to 1, got {rational(mass, denominator)}")
-    divisor = math.gcd(denominator, *kept.values())
-    if divisor > 1:
-        kept = {mask: numerator // divisor for mask, numerator in kept.items()}
-        denominator //= divisor
-    return ExactWeights(dict(sorted(kept.items())), denominator)
+    total = rational(mass, denominator)
+    if mass != denominator and not normalize:
+        raise ValueError(f"normalized weights must sum to 1, got {total}")
+    divisor = math.gcd(mass, *kept.values())
+    reduced = {mask: kept[mask] // divisor for mask in sorted(kept)}
+    return ExactWeights(reduced, mass // divisor), total
+
+
+def _atom_count(n: int) -> int:
+    """2**n, for an event count n within the explicit-atom cap."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"event count must be a positive integer, got {n!r}")
+    if n > MAX_EVENTS:
+        raise ValueError(
+            f"n={n} exceeds the explicit-atom cap of {MAX_EVENTS} events; "
+            "supply moments directly for larger systems"
+        )
+    return 1 << n
 
 
 def _common_denominator(weights: Mapping[int, Number]) -> tuple[dict[int, int], int]:
@@ -200,9 +215,9 @@ class EventSystem:
 
     An exact system stores its weights once, as integer numerators over one
     common denominator (:meth:`integerized`); ``weights`` is then a read-only
-    :class:`ExactWeights` view that yields the rationals in mask order.
-    Passing such a view in (as :func:`normalize` and block conditioning do)
-    builds the system on integers alone.
+    :class:`ExactWeights` view that yields the rationals in mask order.  A
+    view passed in with an exact ``total`` whose masks fit n is trusted by its
+    type, since only ``_exact_weights`` builds one; the rest go through it.
     """
 
     n: int
@@ -211,20 +226,15 @@ class EventSystem:
     exact: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"event count must be a positive integer, got {self.n!r}")
-        if self.n > MAX_EVENTS:
-            raise ValueError(
-                f"n={self.n} exceeds the explicit-atom cap of {MAX_EVENTS} events; "
-                "supply moments directly for larger systems"
-            )
+        atoms, weights = _atom_count(self.n), self.weights
         exact_total = not isinstance(self.total, float)
-        if isinstance(self.weights, ExactWeights) and exact_total:
-            weights = _exact_weights(self.n, self.weights._numerators, self.weights._denominator)
-        else:
+        trusted = exact_total and isinstance(weights, ExactWeights) and max(weights) < atoms
+        if exact_total and not trusted and all_exact(weights.values()):
+            weights = _exact_weights(self.n, *_common_denominator(weights))[0]
+        elif not trusted:
             cleaned: dict[int, Number] = {}
             for mask, weight in self.weights.items():
-                if not isinstance(mask, int) or mask < 0 or mask >= (1 << self.n):
+                if not isinstance(mask, int) or mask < 0 or mask >= atoms:
                     raise ValueError(f"atom mask {mask!r} out of range for n={self.n}")
                 if not leq(0, weight):
                     raise ValueError(f"negative weight {weight!r} at atom {mask}")
@@ -232,13 +242,10 @@ class EventSystem:
                     cleaned[mask] = weight
             if not cleaned:
                 raise DegenerateMeasureError("measure has zero total mass")
-            if all_exact(cleaned.values()) and exact_total:
-                weights = _exact_weights(self.n, *_common_denominator(cleaned))
-            else:
-                weights = MappingProxyType({mask: float(w) for mask, w in sorted(cleaned.items())})
-                mass = sum(weights.values())
-                if not close(mass, 1):
-                    raise ValueError(f"normalized weights must sum to 1, got {mass}")
+            weights = MappingProxyType({mask: float(w) for mask, w in sorted(cleaned.items())})
+            mass = sum(weights.values())
+            if not close(mass, 1):
+                raise ValueError(f"normalized weights must sum to 1, got {mass}")
         exact = isinstance(weights, ExactWeights)
         if (self.total <= 0) if exact else (float(self.total) <= 0.0):
             raise DegenerateMeasureError(f"total mass must be positive, got {self.total}")
@@ -312,6 +319,12 @@ class EventSystem:
                     continue
                 pair = int(weight.numerator), int(weight.denominator)
             weights[mask] = pair
+        if len(weights) < len(raw):  # two spellings of one mask, such as "1" and "01"
+            first: dict[int, object] = {}
+            for key in raw:
+                mask = int(key, 10) if isinstance(key, str) else int(key)
+                if first.setdefault(mask, key) != key:
+                    raise InputFormatError(f"keys {first[mask]!r} and {key!r} both name atom {mask}")
         normalized = payload.get("normalize", False)
         if not isinstance(normalized, bool):
             raise InputFormatError(f'"normalize" must be true or false, got {normalized!r}')
@@ -319,15 +332,11 @@ class EventSystem:
             if exact:
                 denominator = math.lcm(*{b for _, b in weights.values()})
                 numerators = {mask: a * (denominator // b) for mask, (a, b) in weights.items()}
-                if normalized:
-                    return _normalize_integers(n, numerators, denominator)
-                return cls(n=n, weights=ExactWeights(numerators, denominator))
+                return cls(n, *_exact_weights(n, numerators, denominator, normalized))
             numbers = {
                 mask: w if isinstance(w, float) else rational(*w) for mask, w in weights.items()
             }
-            if normalized:
-                return _normalize_numbers(n, numbers)
-            return cls(n=n, weights=numbers)
+            return normalize(n, numbers) if normalized else cls(n=n, weights=numbers)
         except (ValueError, DegenerateMeasureError) as exc:
             raise InputFormatError(str(exc)) from None
 
@@ -356,18 +365,9 @@ def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
     the normalized system can be scaled back to the measure via
     :meth:`EventSystem.denormalize`.
     """
-    return _normalize_numbers(n, {mask: to_number(w) for mask, w in weights.items()})
-
-
-def _normalize_numbers(n: int, coerced: Mapping[int, Number]) -> EventSystem:
-    """:func:`normalize` for weights already in package arithmetic.
-
-    Exact weights are divided on integers: the numerators over the lcm of
-    the denominators become the numerators of the normalized system, over
-    their sum.
-    """
+    coerced = {mask: to_number(w) for mask, w in weights.items()}
     if all_exact(coerced.values()):
-        return _normalize_integers(n, *_common_denominator(coerced))
+        return EventSystem(n, *_exact_weights(n, *_common_denominator(coerced), normalize=True))
     positive = {m: w for m, w in coerced.items() if float(w) > 0}
     if any(float(w) < -DEFAULT_TOLERANCE for w in coerced.values()):
         bad = [m for m, w in coerced.items() if float(w) < 0]
@@ -377,20 +377,6 @@ def _normalize_numbers(n: int, coerced: Mapping[int, Number]) -> EventSystem:
     ftotal = float(sum(positive.values()))
     scaled = {m: float(w) / ftotal for m, w in positive.items()}
     return EventSystem(n=n, weights=scaled, total=ftotal)
-
-
-def _normalize_integers(n: int, numerators: Mapping[int, int], denominator: int) -> EventSystem:
-    """Exact weights numerators/denominator divided by their total, on integers."""
-    bad = next((m for m, w in numerators.items() if w < 0), None)
-    if bad is not None:
-        raise ValueError(f"negative weight at atom {bad}")
-    positive = {m: w for m, w in numerators.items() if w}
-    if not positive:
-        raise DegenerateMeasureError("cannot normalize a measure with zero total mass")
-    mass = sum(positive.values())
-    return EventSystem(
-        n=n, weights=ExactWeights(positive, mass), total=rational(mass, denominator)
-    )
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,8 @@ class MomentVector:
         if self.j.d != self.d:
             raise ValueError(f"index tuple order {self.j.d} does not match d={self.d}")
         self.j.validate_for(self.n)
+        if self.ell < 1:
+            raise ValueError(f"need ell >= 1, got ell={self.ell}")
         if self.ell != len(self.values):
             raise ValueError(f"expected {self.ell} moment values, got {len(self.values)}")
         for value in self.values:
@@ -237,9 +239,9 @@ class MomentSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", tuple(self.vectors))
-        expected = list(index_tuple_indices(self.n, self.d))
-        got = [v.j.indices for v in self.vectors]
-        if got != expected:
+        pairs = zip(self.vectors, index_tuple_indices(self.n, self.d))  # no list of C(n, d)
+        misplaced = any(v.j.indices != indices for v, indices in pairs)
+        if misplaced or len(self.vectors) != math.comb(self.n, self.d):
             raise ValueError(
                 "moment set must contain every index tuple of order d exactly once, "
                 "in lexicographic order"
@@ -376,8 +378,7 @@ class MomentSet:
                     raise InputFormatError(f'"values" must be a list of numbers, got {values!r}')
                 values = tuple(to_number(x) for x in values)
                 vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
-            ordered = sorted(vectors, key=lambda v: v.j.indices)
-            moments = cls(n=n, d=d, ell=ell, vectors=tuple(ordered))
+            moments = cls(n=n, d=d, ell=ell, vectors=sorted(vectors, key=lambda v: v.j.indices))
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"malformed moment record: {exc}") from None
         except ValueError as exc:

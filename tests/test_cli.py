@@ -551,6 +551,39 @@ class TestExitCodes:
             assert out == ""
             assert f"\"normalize\" must be true or false, got {flag!r}" in err
 
+    def test_two_spellings_of_one_mask_are_rejected(self, capsys, tmp_path):
+        # "1" and "01" both name atom 1; one of the two weights was dropped.
+        path = tmp_path / "system.json"
+        payload = {"n": 1, "weights": {"0": 1, "1": 1, "01": 3}, "normalize": True}
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, ["exact", "--input", str(path)])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "keys '1' and '01' both name atom 1" in err
+
+    def test_zero_moment_orders_are_rejected(self, capsys, tmp_path):
+        # ell = 0 with no values ended in an IndexError traceback.
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps({"n": 3, "d": 0, "ell": 0, "s": [{"j": [], "values": []}]}))
+        code, out, err = run(capsys, ["bound", "--moments", str(path), "--r", "1", "--ell", "2"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "need ell >= 1, got ell=0" in err
+
+    def test_missing_tuples_fail_fast_at_large_n(self, capsys, tmp_path):
+        # C(10^6, 3) index tuples are never listed: one record is too few.
+        path = tmp_path / "moments.json"
+        record = {"j": [1, 2, 3], "values": ["1/2", "1/4"]}
+        path.write_text(json.dumps({"n": 10**6, "d": 3, "ell": 2, "s": [record]}))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["bound", "--moments", str(path), "--r", "4", "--d", "3", "--ell", "2"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "moment set must contain every index tuple of order d exactly once" in err
+
     def test_exact_arithmetic_checks_the_exact_moments(self, capsys, tmp_path):
         # s_2 exceeds s_1 = 1 by 1e-12, within the float check's tolerance;
         # as exact rationals no distribution on 0..3 has these moments.

@@ -186,6 +186,51 @@ class TestIntegerRepresentation:
             assert dict(system.weights) == dict(direct.weights) == self.WEIGHTS
             assert system.integerized() == direct.integerized() == ({0: 1, 3: 2, 5: 3}, 6)
         assert normalize(3, halved) == block
+        for normalized, system in ((False, direct), (True, scaled)):
+            text = {str(mask): str(system.total * w) for mask, w in self.WEIGHTS.items()}
+            parsed = EventSystem.from_payload({"n": 3, "normalize": normalized, "weights": text})
+            assert (parsed.integerized(), parsed.total) == (system.integerized(), system.total)
+
+    @pytest.mark.parametrize(
+        "n, weights, error, normalizable",
+        [
+            (2, {0: Fraction(1, 2), 4: Fraction(1, 2)}, ValueError, True),
+            (1, {0: Fraction(3, 2), 1: Fraction(-1, 2)}, ValueError, True),
+            (2, {0: 0, 1: Fraction(0)}, DegenerateMeasureError, True),
+            # Weights summing to 1/2 are bad only when they are not normalized.
+            (2, {0: Fraction(1, 2)}, ValueError, False),
+        ],
+        ids=["mask-out-of-range", "negative-weight", "zero-mass", "sum-not-one"],
+    )
+    def test_every_route_rejects_bad_weights_alike(self, n, weights, error, normalizable):
+        """The constructor and normalize raise one class and message, which
+        from_payload, with "normalize" false and true, raises as InputFormatError."""
+        text = {str(mask): str(w) for mask, w in weights.items()}
+        routes = [(False, lambda: EventSystem(n=n, weights=weights))]
+        if normalizable:
+            routes.append((True, lambda: normalize(n, weights)))
+        for normalized, build in routes:
+            with pytest.raises(error) as built:
+                build()
+            with pytest.raises(InputFormatError) as parsed:
+                EventSystem.from_payload({"n": n, "normalize": normalized, "weights": text})
+            assert str(parsed.value) == str(built.value)
+
+    def test_a_view_is_trusted_only_where_its_masks_fit(self):
+        system = normalize(3, {0: 1, 7: 1})
+        assert EventSystem(n=3, weights=system.weights).integerized() == ({0: 1, 7: 1}, 2)
+        with pytest.raises(ValueError, match="atom mask 7 out of range for n=1"):
+            EventSystem(n=1, weights=system.weights)
+
+    def test_messages_of_the_one_check(self):
+        for build in (
+            lambda: normalize(1, {0: -1, 1: 2}),
+            lambda: EventSystem(n=1, weights={0: -1, 1: 2}),
+        ):
+            with pytest.raises(ValueError, match=r"^negative weight Fraction\(-1, 1\) at atom 0$"):
+                build()
+        with pytest.raises(DegenerateMeasureError, match="^measure has zero total mass$"):
+            normalize(2, {0: 0})
 
     def test_weights_keep_the_mapping_contract(self):
         system = normalize(3, {5: 3, 0: 1, 3: 2})

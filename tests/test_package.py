@@ -1,7 +1,7 @@
 """The package: every export resolves on first use, the float tolerance is one
 constant, the family coefficients have one source, certificates have one
-evaluator, the certificate checker shares no code with it, and the
-randomized suites have one runner."""
+evaluator, the certificate checker shares no code with it, the randomized
+suites have one runner, and exact weights have one builder."""
 
 import ast
 import os
@@ -116,6 +116,23 @@ def test_the_engine_and_dispatch_build_no_certificate():
             if word in banned:
                 offenders.append(f"{name}.py:{node.lineno} {word}")
     assert not offenders, f"a certificate built outside families at {offenders}"
+
+
+def test_exact_weights_have_one_builder():
+    """Exact weights are checked in one place: every ExactWeights in the
+    package is constructed inside core._exact_weights."""
+    built, inside = [], set()
+    for path in sorted(Path(eventbounds.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_exact_weights":
+                inside.update((path.name, line) for line in range(node.lineno, node.end_lineno + 1))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                word = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if word == "ExactWeights":
+                    built.append((path.name, node.lineno))
+    offenders = [f"{name}:{line}" for name, line in built if (name, line) not in inside]
+    assert built and not offenders, f"an ExactWeights built outside _exact_weights at {offenders}"
 
 
 def test_the_checker_imports_no_solver_module():
