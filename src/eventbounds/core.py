@@ -216,8 +216,8 @@ class EventSystem:
     An exact system stores its weights once, as integer numerators over one
     common denominator (:meth:`integerized`); ``weights`` is then a read-only
     :class:`ExactWeights` view that yields the rationals in mask order.  A
-    view passed in with an exact ``total`` whose masks fit n is trusted by its
-    type, since only ``_exact_weights`` builds one; the rest go through it.
+    view passed in with an exact ``total`` whose masks fit n is trusted, as
+    only ``_exact_weights`` builds one; other exact weights are built by it.
     """
 
     n: int
