@@ -9,6 +9,9 @@ partition.  Then runs, in-process, with and without
 * ``sweep --input`` on each system file;
 * ``bound --input`` at every d from 0 to n, r from 0 to n+1, ell 2, 3
   and 4, both sides and targets;
+* ``bound --input`` in JSON, with and without ``--exact-arithmetic``, at
+  every d, r, side and target as above, ell 2 and 3, and ``--m`` from 0
+  to n-d+2, so that every window rule and range check is reached;
 * ``bound --moments`` on each moment file at its d and at d+1, over the
   same r, ell, sides and targets;
 * ``conditional`` at every d below n, r from 0 to n+1, ell 2 and 3, both
@@ -18,7 +21,8 @@ partition.  Then runs, in-process, with and without
   one, two spellings of one mask; exact and float, with and without
   ``"normalize"``) through ``bound --input`` and ``conditional``, and
   moment files (ell 0, a negative moment, orders no distribution has, a
-  missing tuple) through ``bound --moments``.
+  missing tuple) through ``bound --moments``, and a partition with a JSON
+  boolean as an atom mask through ``conditional``.
 
 Prints one line per call (arguments, exit code, md5 of stdout, stderr;
 a call that raises records the exception's class in place of the code),
@@ -79,6 +83,15 @@ def _calls(root: Path, seed: int, n_max: int):
                         "conditional", "--input", source, "--partition", partition,
                         "--d", str(d), "--ell", str(ell), *request,
                     ]
+        for flags in FLAGS:
+            grid = itertools.product(range(n + 1), range(n + 2), (2, 3), SIDES, TARGETS)
+            for d, r, ell, side, target in grid:
+                for m in range(n - d + 3):
+                    yield [
+                        "bound", "--input", source, "--d", str(d), "--r", str(r),
+                        "--ell", str(ell), "--side", side, "--target", target, "--m", str(m),
+                        *flags,
+                    ]
         for d in range(n):
             moments = moment_set(system, d, min(4, n - d + 1))
             path = _write(root / f"moments-{seed}-{name}-d{d}.json", moments.to_payload())
@@ -130,6 +143,9 @@ def _invalid_calls(root: Path):
             for flags in FLAGS:
                 yield ["bound", "--input", source, *request, *flags]
                 yield ["conditional", "--input", source, "--partition", partition, *request, *flags]
+    system = _write(root / "system-n2.json", {"n": 2, "weights": {"0": "1/2", "3": "1/2"}})
+    boolean = _write(root / "partition-boolean-atom.json", {"blocks": [[0, True], [2, 3]]})
+    yield ["conditional", "--input", system, "--partition", boolean, *request]
     for name, (payload, d) in BAD_MOMENTS.items():
         path = _write(root / f"bad-moments-{name}.json", payload)
         for flags in FLAGS:

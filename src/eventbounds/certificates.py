@@ -293,8 +293,9 @@ class BoundRequest:
             raise ValueError(f"r and d must be nonnegative, got r={self.r}, d={self.d}")
         if self.ell < 2:
             raise ValueError(f"ell must be at least 2, got {self.ell}")
-        if self.m is not None and (not isinstance(self.m, int) or self.m < 1):
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        m = self.m
+        if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
+            raise ValueError(f"m must be a positive integer, got {m!r}")
 
     def check(self, n: int) -> None:
         """Reject, in order, d > n (ValueError), more moment orders than the

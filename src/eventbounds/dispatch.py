@@ -5,7 +5,10 @@ other order, or an explicit request, goes through the index-set search.
 A request naming a formula gets exactly that family or an error; a
 request without one gets the best applicable bound for its moment order.
 Each entry checks its request once (:meth:`BoundRequest.check`); the
-functions behind it trust the request.
+functions behind it trust the request.  Which families serve a request,
+with every ``m`` rule and window range, is decided in one place,
+:func:`_closed_forms`; :func:`evaluate_request` states the order in
+which the checks raise.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .certificates import SIDES, TARGETS, BoundCertificate, BoundRequest
 from .core import EventSystem
 from .engine import dual_bases, target_vector
 from .errors import NotApplicableError
-from .families import best_certificate, family_certificate, rows_certificate, solved_row
+from .families import evaluate, family_source, row_source, solved_row
 from .moments import MomentSet, moment_matrix, moment_set
 
 #: Every closed-form family by name, in tie-breaking order.
@@ -45,34 +48,63 @@ def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]
                         yield moments, BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
 
 
-def search_bound(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
-    """The index-set search's certificate: per tuple, the best row of the
-    shape's table of side-feasible index sets."""
-    n, d = moments.n, moments.d
-    table = dual_bases(
-        moment_matrix(n, d, request.ell), target_vector(n, d, request.r, request.target),
-        request.side,
-    )
-    if not table.bases:
-        raise NotApplicableError(
-            f"no {request.side}-feasible index set at ell={request.ell} "
-            f"for target={request.target!r}, r={request.r}, d={d}, n={n}"
-        )
-    return rows_certificate(table.bases, moments, request, "search")
-
-
-def _jordan(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
-    """The exact value at full order ell = n-d+1: the row solved at every
-    position makes b = v, so s . a is the target probability itself."""
-    positions = moments.n - moments.d + 1
-    if request.ell != positions:
-        raise NotApplicableError(
-            f"exact evaluation needs ell = n-d+1 = {positions}, got ell={request.ell}"
-        )
-    row = solved_row(
-        moments.n, request.r, moments.d, request.target, tuple(range(1, positions + 1)), None
-    )
-    return rows_certificate((row,), moments, request, "jordan")
+def _closed_forms(n: int, request: BoundRequest) -> tuple[tuple, bool]:
+    """The closed-form families that serve a checked request, each with the
+    window ``m`` pins in it (None for a free or fixed window), and whether
+    they combine per index tuple; no family for the search and Jordan
+    routes.  Raises in the order :func:`evaluate_request` states."""
+    r, d, side, target = request.r, request.d, request.side, request.target
+    formula, m = request.formula, request.m
+    if formula in ("search", "jordan") or formula is None and request.ell not in _BEST_OF:
+        if m is not None:
+            raise ValueError(
+                f"formula {formula!r} has no window parameter m" if formula
+                else "m applies only to the closed-form windowed families"
+            )
+        return (), True
+    if formula is None:
+        families, per_tuple = _BEST_OF[request.ell]
+        if per_tuple and m is not None:
+            raise ValueError(
+                "the combined three-moment bound picks windows per index tuple; "
+                "name a formula to pin m"
+            )
+        families = [f for f in families if f.side == side and f.applies(n, r, d, target)]
+        if not families:
+            raise NotApplicableError(
+                f"no {request.ell}-moment {side} bound applies to target={target!r}, "
+                f"r={r}, d={d}, n={n}"
+            )
+        if m is not None and not any(target in family.windows for family in families):
+            raise ValueError("m applies only to the closed-form windowed families")
+    else:
+        family = FAMILY_TABLE.get(formula)
+        if family is None:
+            raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
+        if side != family.side:
+            raise ValueError(
+                f"formula {formula!r} produces {family.side} bounds, request says {side}"
+            )
+        if request.ell != family.ell:
+            raise ValueError(
+                f"formula {formula!r} uses ell={family.ell}, request says {request.ell}"
+            )
+        if m is not None and not family.windows:
+            raise ValueError(f"formula {formula!r} has no window parameter m")
+        if not family.applies(n, r, d, target):
+            raise NotApplicableError(
+                f"formula {formula!r} does not apply to target={target!r} at r={r}, d={d}, n={n}"
+            )
+        if m is not None and target not in family.windows:
+            raise ValueError(f"the {target} target of {formula!r} has a fixed window")
+        families, per_tuple = (family,), True
+    selected = tuple((family, m if target in family.windows else None) for family in families)
+    for family, pin in selected:
+        if pin is not None:
+            lo, hi = family.windows[target](n, r, d)
+            if not lo <= pin <= hi:
+                raise ValueError(f"need {lo} <= m <= {hi}, got m={m}")
+    return selected, per_tuple
 
 
 def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
@@ -83,6 +115,17 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
     (side and moment order must agree), "search" for the enumeration, or
     "jordan" for the exact full-order evaluation.  A set with more orders
     than the request is read at its first ``request.ell``, with no copy.
+
+    Checks raise in this order (ValueError unless NotApplicableError is
+    named): the set's d and orders against the request;
+    :meth:`BoundRequest.check`; ``m`` on a route without windows (search,
+    Jordan, a best-of beyond ell 3 or at ell 3).  Then best-of: no family
+    of the side applies (NotApplicableError), ``m`` with no windowed
+    target among those that do.  Named: an unknown name, the side, the
+    order, ``m`` on a family without windows, applicability
+    (NotApplicableError), ``m`` on a fixed window.  Then a pinned ``m``
+    outside its range.  Last, no side-feasible index set for the search,
+    or an order other than n-d+1 for Jordan (NotApplicableError).
     """
     if moments.d != request.d:
         raise ValueError(f"moment set has d={moments.d}, request asks for d={request.d}")
@@ -90,36 +133,32 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
         raise ValueError(
             f"request needs ell={request.ell} moment orders, set has {moments.ell}"
         )
-    request.check(moments.n)
-    formula, m = request.formula, request.m
-    if formula in ("search", "jordan"):
-        if m is not None:
-            raise ValueError(f"formula {formula!r} has no window parameter m")
-        if formula == "search":
-            return search_bound(moments, request)
-        return _jordan(moments, request)
-    if formula is None:
-        if request.ell not in _BEST_OF:
-            if m is not None:
-                raise ValueError("m applies only to the closed-form windowed families")
-            return search_bound(moments, request)
-        families, per_tuple = _BEST_OF[request.ell]
-        if per_tuple and m is not None:
-            raise ValueError(
-                "the combined three-moment bound picks windows per index tuple; "
-                "name a formula to pin m"
+    n, d, r, target, side = moments.n, moments.d, request.r, request.target, request.side
+    request.check(n)
+    selected, per_tuple = _closed_forms(n, request)
+    if selected:
+        sources = [family_source(family, n, r, d, target, pin) for family, pin in selected]
+        labels = [family.name for family, _ in selected]
+    elif request.formula == "jordan":
+        # At full order the row solved at every position makes b = v, so
+        # s . a is the target probability itself.
+        positions = n - d + 1
+        if request.ell != positions:
+            raise NotApplicableError(
+                f"exact evaluation needs ell = n-d+1 = {positions}, got ell={request.ell}"
             )
-        return best_certificate(families, moments, request, per_tuple)
-    family = FAMILY_TABLE.get(formula)
-    if family is None:
-        raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
-    if request.side != family.side:
-        raise ValueError(
-            f"formula {formula!r} produces {family.side} bounds, request says {request.side}"
-        )
-    if request.ell != family.ell:
-        raise ValueError(f"formula {formula!r} uses ell={family.ell}, request says {request.ell}")
-    return family_certificate(family, moments, request)
+        row = solved_row(n, r, d, target, tuple(range(1, positions + 1)), None)
+        sources, labels = [row_source((row,), side)], ["jordan"]
+    else:
+        fmat, v = moment_matrix(n, d, request.ell), target_vector(n, d, r, target)
+        table = dual_bases(fmat, v, side)
+        if not table.bases:
+            raise NotApplicableError(
+                f"no {side}-feasible index set at ell={request.ell} "
+                f"for target={target!r}, r={r}, d={d}, n={n}"
+            )
+        sources, labels = [row_source(table.bases, side)], ["search"]
+    return evaluate(sources, labels, moments, request, per_tuple)
 
 
 def bound_for_system(sys: EventSystem, request: BoundRequest) -> BoundCertificate:

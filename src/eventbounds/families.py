@@ -1,5 +1,5 @@
-"""The closed-form bound families as rows of one table, and the evaluator of
-every dual row.
+"""The closed-form bound families as rows of one table, and the one evaluator
+of every dual row.
 
 Each family is one dual-feasible basis of the binomial-moment LP: for a
 request (n, r, d, target) it names an index set I, and its coefficient row
@@ -9,9 +9,17 @@ families, the window range per target and the rule that proposes window
 candidates.  ``bounds_l2`` and ``bounds_l3`` state the families;
 :func:`solved_row` solves each index set once, and everything that
 evaluates, combines, sweeps or verifies a closed form reads the rows
-through this module.  The index-set search and the full-order (Jordan)
-case evaluate their rows here too (:func:`rows_certificate`), so every
-certificate comes from one path.
+through this module.
+
+A *source* maps one index tuple's moment form to its (key, row) choice:
+a family's fixed or pinned row, the best of the windows its ``pick``
+proposes (:func:`family_source`), or the best row of a row set, which is
+how the index-set search and the full-order (Jordan) row are read
+(:func:`row_source`).  :func:`evaluate` combines the sources of one
+request into its certificate, so every certificate comes from one path.
+Nothing here checks a request: which families serve it, and in which
+order its checks raise, is decided once, in
+:func:`eventbounds.dispatch.evaluate_request`.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .certificates import (
     SIDE_UPPER,
@@ -32,7 +40,6 @@ from .certificates import (
     certificate_from_terms,
 )
 from .engine import Row, solve_integer, target_entries
-from .errors import NotApplicableError
 from .moments import MomentSet, moment_rows
 from .numerics import Number, integer_bracket, rational
 
@@ -71,23 +78,6 @@ def window_candidates(numerator: Number, denominator: Number, lo: int, hi: int) 
     if denominator > 0:
         return integer_bracket(numerator, denominator, lo, hi)
     return (lo, hi) if lo != hi else (lo,)
-
-
-def _check(family: Family, n: int, r: int, d: int, target: str, m: Optional[int]) -> None:
-    """Applicability first (NotApplicableError), then the window (ValueError)."""
-    if m is not None and not family.windows:
-        raise ValueError(f"formula {family.name!r} has no window parameter m")
-    if not family.applies(n, r, d, target):
-        raise NotApplicableError(
-            f"formula {family.name!r} does not apply to target={target!r} at r={r}, d={d}, n={n}"
-        )
-    if m is not None:
-        window = family.windows.get(target)
-        if window is None:
-            raise ValueError(f"the {target} target of {family.name!r} has a fixed window")
-        lo, hi = window(n, r, d)
-        if not (lo <= m <= hi):
-            raise ValueError(f"need {lo} <= m <= {hi}, got m={m}")
 
 
 @lru_cache(maxsize=10240)
@@ -131,45 +121,6 @@ def _value(key, row: Row, form: tuple) -> Number:
     return rational(key, row.den * form[2]) if form[2] else key
 
 
-def _choices(
-    family: Family, forms: Sequence, n: int, r: int, d: int, target: str, m: Optional[int]
-) -> list[tuple]:
-    """Per index tuple, (key, row) of the family; windows chosen per tuple unless pinned.
-
-    Candidate windows are compared on their keys, and ties keep the
-    smallest window.
-    """
-    window = family.windows.get(target) if m is None else None
-    if window is None:
-        row = family.row(n, r, d, target, m)
-        return [(_key(row, form), row) for form in forms]
-    lo, hi = window(n, r, d)
-    rows: dict[int, Row] = {}
-    return [best_window(family, form, n, r, d, target, lo, hi, rows) for form in forms]
-
-
-def best_window(
-    family: Family, form: tuple, n: int, r: int, d: int, target: str, lo: int, hi: int, rows: dict
-) -> tuple:
-    """(key, row) of the best window in [lo, hi] for one tuple's form.
-
-    The family's pick proposes the candidates; upper families keep the
-    smallest key, lower ones the largest, and ties keep the smallest
-    window.  ``rows`` memoizes the candidate rows by window, across the
-    tuples of one request.
-    """
-    minimize = family.side == SIDE_UPPER
-    best_key = best_row = None
-    for candidate in family.pick(form[0], n, r, d, lo, hi):
-        row = rows.get(candidate)
-        if row is None:
-            row = rows[candidate] = family.row(n, r, d, target, candidate)
-        key = _key(row, form)
-        if best_row is None or _beats(key, row, best_key, best_row, form[2], minimize):
-            best_key, best_row = key, row
-    return best_key, best_row
-
-
 def _total(choices: list[tuple], forms: Sequence, exact: bool) -> Number:
     """The sum of the term values: on integers when every tuple is exact,
     else in float, term by term, as certificate_from_terms sums."""
@@ -184,13 +135,76 @@ def _total(choices: list[tuple], forms: Sequence, exact: bool) -> Number:
     return total
 
 
-def _certificate(
-    side: str, target: str, r: int, d: int, ell: int, label: str,
-    moments: MomentSet, forms: Sequence, choices: list[tuple], names: Iterable[str], total: Number,
+def row_source(rows: Sequence[Row], side: str) -> Callable:
+    """The source that takes per form the (key, row) of the extremal row in
+    ``rows``, ties the first: the index-set search's table, or one fixed row
+    (a family's, or the full-order Jordan row), read with no comparison."""
+    if len(rows) == 1:
+        (row,) = rows
+        return lambda form: (_key(row, form), row)
+    minimize = side == SIDE_UPPER
+
+    def choose(form: tuple) -> tuple:
+        candidates = [(_key(row, form), row) for row in rows]
+        return candidates[_extremum(candidates, minimize, form[2])]
+
+    return choose
+
+
+def family_source(
+    family: Family, n: int, r: int, d: int, target: str, m: Optional[int]
+) -> Callable:
+    """The family's source: its row at the pinned window ``m``, its fixed row,
+    or, for a free window range, per form the (key, row) of the best window
+    ``pick`` proposes; ties keep the smallest, and each row is solved once."""
+    window = family.windows.get(target) if m is None else None
+    if window is None:
+        return row_source((family.row(n, r, d, target, m),), family.side)
+    lo, hi = window(n, r, d)
+    minimize, pick, rows = family.side == SIDE_UPPER, family.pick, {}
+
+    def choose(form: tuple) -> tuple:
+        best_key = best_row = None
+        for candidate in pick(form[0], n, r, d, lo, hi):
+            row = rows.get(candidate)
+            if row is None:
+                row = rows[candidate] = family.row(n, r, d, target, candidate)
+            key = _key(row, form)
+            if best_row is None or _beats(key, row, best_key, best_row, form[2], minimize):
+                best_key, best_row = key, row
+        return best_key, best_row
+
+    return choose
+
+
+def evaluate(
+    sources: Sequence[Callable], labels: Sequence[str], moments: MomentSet,
+    request: BoundRequest, per_tuple: bool,
 ) -> BoundCertificate:
-    """The certificate of one (key, row) choice per index tuple, by family
-    name, with the :func:`_total` of the choices; its terms are built on
-    first read."""
+    """The certificate of a checked request from its sources, one label each.
+
+    Upper takes the minimum, lower the maximum, and ties keep the earlier
+    source.  With ``per_tuple`` each index tuple takes its own best source,
+    and more than one source is labelled ``ub-min``/``lb-max``; otherwise
+    whole certificates are compared and the winner keeps its label.  The
+    terms are built on first read.
+    """
+    forms, exact = moments.forms(request.ell)
+    columns = [list(map(source, forms)) for source in sources]
+    minimize = request.side == SIDE_UPPER
+    if per_tuple and len(columns) > 1:
+        choices, names = [], []
+        for form, candidates in zip(forms, zip(*columns)):
+            best = _extremum(candidates, minimize, form[2])
+            choices.append(candidates[best])
+            names.append(labels[best])
+        label, total = MIXED_LABELS[request.side], _total(choices, forms, exact)
+    else:
+        totals = [(_total(choices, forms, exact), None) for choices in columns]
+        best = _extremum(totals, minimize)
+        label, choices, total = labels[best], columns[best], totals[best][0]
+        names = itertools.repeat(label)
+
     def build() -> list[BoundTerm]:
         return [
             BoundTerm(vector.j, row.coefficients, row.index_set, _value(key, row, form), name, row.m)
@@ -198,94 +212,8 @@ def _certificate(
         ]
 
     terms = Terms(len(choices), build, dict.fromkeys(row for _, row in choices))
-    return certificate_from_terms(side, target, r, d, ell, label, terms, value=total)
-
-
-def family_certificate(
-    family: Family, moments: MomentSet, request: BoundRequest
-) -> BoundCertificate:
-    """The family's certificate for a checked request of its side and order,
-    window pinned to ``request.m`` if given."""
-    n, r, d, target, m = moments.n, request.r, moments.d, request.target, request.m
-    _check(family, n, r, d, target, m)
-    forms, exact = moments.forms(family.ell)
-    choices = _choices(family, forms, n, r, d, target, m)
-    return _certificate(
-        family.side, target, r, d, family.ell, family.name, moments, forms,
-        choices, itertools.repeat(family.name), _total(choices, forms, exact),
-    )
-
-
-def best_certificate(
-    families: Sequence[Family], moments: MomentSet, request: BoundRequest, per_tuple: bool = False
-) -> BoundCertificate:
-    """The extremal bound over the applicable families of the request's side,
-    for a checked request of their moment order.
-
-    Upper takes the minimum, lower the maximum; ties keep the earlier
-    family in table order.  By default whole certificates are compared and
-    the winner keeps its own label.  With ``per_tuple`` each index tuple
-    takes its own best family, labelled ``ub-min``/``lb-max`` when more
-    than one family applies.  ``request.m`` pins the window of the
-    applicable windowed families; it is an error when none has a window
-    for the target.
-    """
-    n, r, d, target, side = moments.n, request.r, moments.d, request.target, request.side
-    m = request.m
-    ell = families[0].ell
-    applicable = [f for f in families if f.side == side and f.applies(n, r, d, target)]
-    if not applicable:
-        raise NotApplicableError(
-            f"no {ell}-moment {side} bound applies to target={target!r}, r={r}, d={d}, n={n}"
-        )
-    if m is not None and not any(target in family.windows for family in applicable):
-        raise ValueError("m applies only to the closed-form windowed families")
-    pins = [m if target in family.windows else None for family in applicable]
-    for family, pin in zip(applicable, pins):
-        _check(family, n, r, d, target, pin)
-    forms, exact = moments.forms(ell)
-    columns = [
-        _choices(family, forms, n, r, d, target, pin) for family, pin in zip(applicable, pins)
-    ]
-    minimize = side == SIDE_UPPER
-    if not per_tuple:
-        totals = [(_total(choices, forms, exact), None) for choices in columns]
-        best = _extremum(totals, minimize)
-        name = applicable[best].name
-        return _certificate(
-            side, target, r, d, ell, name, moments, forms,
-            columns[best], itertools.repeat(name), totals[best][0],
-        )
-    chosen, names = [], []
-    for form, candidates in zip(forms, zip(*columns)):
-        best = _extremum(candidates, minimize, form[2])
-        chosen.append(candidates[best])
-        names.append(applicable[best].name)
-    label = applicable[0].name if len(applicable) == 1 else MIXED_LABELS[side]
-    return _certificate(
-        side, target, r, d, ell, label, moments, forms, chosen, names, _total(chosen, forms, exact)
-    )
-
-
-def rows_certificate(
-    rows: Sequence[Row], moments: MomentSet, request: BoundRequest, label: str
-) -> BoundCertificate:
-    """The certificate that takes, per index tuple, the extremal row among
-    ``rows`` for a checked request of their moment order, labelled ``label``.
-
-    Upper takes the minimum, lower the maximum; ties go to the first row.
-    The index-set search evaluates a shape's table this way, and the
-    full-order (Jordan) case its one row.
-    """
-    forms, exact = moments.forms(request.ell)
-    minimize = request.side == SIDE_UPPER
-    choices = []
-    for form in forms:
-        candidates = [(_key(row, form), row) for row in rows]
-        choices.append(candidates[_extremum(candidates, minimize, form[2])])
-    return _certificate(
-        request.side, request.target, request.r, moments.d, request.ell, label, moments, forms,
-        choices, itertools.repeat(label), _total(choices, forms, exact),
+    return certificate_from_terms(
+        request.side, request.target, request.r, moments.d, request.ell, label, terms, value=total
     )
 
 

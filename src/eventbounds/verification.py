@@ -201,9 +201,10 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
                 extremum = min if family.side == SIDE_UPPER else max
                 for r in range(d, n + 1):
                     for target, window in family.windows.items():
-                        if not family.applies(n, r, d, target):
+                        try:
+                            auto = _family_bound(family, moments, r, target)
+                        except NotApplicableError:
                             continue
-                        auto = _family_bound(family, moments, r, target)
                         lo, hi = window(n, r, d)
                         fixed = [
                             _family_bound(family, moments, r, target, m)
@@ -241,10 +242,13 @@ def suite_engine_agreement(
         r = rng.randint(max(d, 1), n)
         moments = moment_set(system, d, min(3, n - d + 1))
         for family in FAMILY_TABLE.values():
+            if family.ell > moments.ell:
+                continue
             for target in TARGETS:
-                if family.ell > moments.ell or not family.applies(n, r, d, target):
+                try:
+                    certificate = _family_bound(family, moments, r, target)
+                except NotApplicableError:
                     continue
-                certificate = _family_bound(family, moments, r, target)
                 problems = check_certificate(certificate, moments)
                 yield len(certificate.terms), None if not problems else dict(
                     formula=certificate.formula_id, r=r, d=d, problem=json.dumps(problems[0])

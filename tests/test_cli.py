@@ -551,6 +551,22 @@ class TestExitCodes:
             assert out == ""
             assert f"\"normalize\" must be true or false, got {flag!r}" in err
 
+    def test_boolean_atom_masks_are_rejected(self, capsys, tmp_path):
+        # true was read as atom 1, as JSON booleans are Python ints.
+        system, partition = tmp_path / "system.json", tmp_path / "partition.json"
+        system.write_text(json.dumps(fair(2).to_payload()))
+        for atom in ("true", "false"):
+            other = 1 if atom == "false" else 0
+            partition.write_text(f'{{"blocks": [[{other}, {atom}], [2, 3]]}}')
+            code, out, err = run(
+                capsys,
+                ["conditional", "--input", str(system), "--partition", str(partition),
+                 "--r", "1", "--ell", "2"],
+            )
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert f"atom mask {atom.title()} out of range for n=2" in err
+
     def test_two_spellings_of_one_mask_are_rejected(self, capsys, tmp_path):
         # "1" and "01" both name atom 1; one of the two weights was dropped.
         path = tmp_path / "system.json"

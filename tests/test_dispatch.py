@@ -228,6 +228,14 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             BoundRequest(r=1, d=0, ell=2, m=0)
 
+    def test_a_boolean_window_is_rejected(self, fair3):
+        # m=True passed as window 1, and the payload wrote "m": true.
+        for m in (True, False):
+            with pytest.raises(ValueError, match=f"m must be a positive integer, got {m}"):
+                BoundRequest(r=1, d=1, ell=2, side="lower", m=m)
+        pinned = BoundRequest(r=1, d=1, ell=2, side="lower", m=1)
+        assert evaluate_request(moment_set(fair3, 1, 2), pinned).to_payload()["m"] == 1
+
 
 class TestBoundForSystem:
     def test_matches_the_two_step_route(self, fair3):

@@ -31,7 +31,6 @@ from eventbounds.dispatch import FAMILY_TABLE, evaluate_request
 from eventbounds.engine import target_vector
 from eventbounds.errors import NotApplicableError
 from eventbounds import families
-from eventbounds.families import best_certificate, family_certificate
 from eventbounds.numerics import integer_bracket
 from eventbounds.moments import moment_matrix, moment_set
 from eventbounds.verification import floatize, random_system
@@ -266,9 +265,10 @@ def test_evaluation_matches_the_fraction_reference(monkeypatch):
             for family, r, target, m in _requests(moments, n, d):
                 expected = reference.terms(family, moments, n, r, d, target, m)
                 request = BoundRequest(
-                    r=r, d=d, ell=family.ell, side=family.side, target=target, m=m
+                    r=r, d=d, ell=family.ell, side=family.side, target=target, m=m,
+                    formula=family.name,
                 )
-                certificate = family_certificate(family, moments, request)
+                certificate = evaluate_request(moments, request)
                 _assert_matches(certificate, expected, [family.name] * len(expected))
                 checked += 1
             for ell, per_tuple in ((2, False), (3, True)):
@@ -283,7 +283,7 @@ def test_evaluation_matches_the_fraction_reference(monkeypatch):
                             if expected is None:
                                 continue
                             request = BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
-                            certificate = best_certificate(rows, moments, request, per_tuple)
+                            certificate = evaluate_request(moments, request)
                             _assert_matches(certificate, *expected)
                             checked += 1
     assert ties > 0
@@ -320,16 +320,18 @@ def _grid(systems):
                         yield full, evaluate_request(full, request)
             moments = moment_set(system, d, min(3, n - d + 1))
             for family, r, target, m in _requests(moments, n, d):
-                request = BoundRequest(r=r, d=d, ell=family.ell, side=family.side, target=target, m=m)
-                yield moments, family_certificate(family, moments, request)
+                request = BoundRequest(
+                    r=r, d=d, ell=family.ell, side=family.side, target=target, m=m,
+                    formula=family.name,
+                )
+                yield moments, evaluate_request(moments, request)
             for ell in range(2, moments.ell + 1):
-                rows = [f for f in FAMILY_TABLE.values() if f.ell == ell]
                 for r in range(d, n + 1):
                     for target in TARGETS:
                         for side in SIDES:
                             request = BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
                             try:
-                                yield moments, best_certificate(rows, moments, request, ell == 3)
+                                yield moments, evaluate_request(moments, request)
                             except NotApplicableError:
                                 continue
 

@@ -28,7 +28,7 @@ from test_golden import _decode, _encode, golden_systems
 
 from eventbounds.certificates import SIDES, TARGETS, BoundCertificate, BoundRequest
 from eventbounds.checker import check_certificate
-from eventbounds.dispatch import evaluate_request, search_bound
+from eventbounds.dispatch import evaluate_request
 from eventbounds.engine import dual_bases, sharpness_witness, target_vector
 from eventbounds.errors import NotApplicableError
 from eventbounds.moments import MomentSet, moment_matrix, moment_set
@@ -76,7 +76,7 @@ def _outcomes(moments: MomentSet, request: BoundRequest) -> list[str]:
     fmat = moment_matrix(moments.n, moments.d, request.ell)
     v = target_vector(moments.n, moments.d, request.r, request.target)
     try:
-        certificate = search_bound(window, request)
+        certificate = evaluate_request(window, request)
         pairs = []
         for t, vector in zip(certificate.terms, window):
             best = BoundCertificate(

@@ -1,7 +1,8 @@
 """The package: every export resolves on first use, the float tolerance is one
 constant, the family coefficients have one source, certificates have one
 evaluator, the certificate checker shares no code with it, the randomized
-suites have one runner, and exact weights have one builder."""
+suites have one runner, exact weights have one builder, and which family
+applies where is read in one place."""
 
 import ast
 import os
@@ -133,6 +134,23 @@ def test_exact_weights_have_one_builder():
                     built.append((path.name, node.lineno))
     offenders = [f"{name}:{line}" for name, line in built if (name, line) not in inside]
     assert built and not offenders, f"an ExactWeights built outside _exact_weights at {offenders}"
+
+
+def test_applicability_has_one_reader():
+    """Which family applies where is decided in one place: in src/, the
+    attribute applies is read only inside dispatch._closed_forms."""
+    reads, inside = [], set()
+    for path in sorted(Path(eventbounds.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_closed_forms":
+                if path.name == "dispatch.py":
+                    inside.update(range(node.lineno, node.end_lineno + 1))
+            elif isinstance(node, ast.Attribute) and node.attr == "applies":
+                reads.append((path.name, node.lineno))
+    offenders = [
+        f"{name}:{line}" for name, line in reads if name != "dispatch.py" or line not in inside
+    ]
+    assert reads and not offenders, f"applies read outside dispatch._closed_forms at {offenders}"
 
 
 def test_the_checker_imports_no_solver_module():
