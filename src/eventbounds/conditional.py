@@ -49,7 +49,7 @@ class PartitionField:
             if not block:
                 raise ValueError(f"block {index - 1} is empty")
             for atom in block:
-                if isinstance(atom, bool) or not isinstance(atom, int) or not 0 <= atom < size:
+                if type(atom) is not int or atom < 0 or atom >= size:
                     raise ValueError(f"atom mask {atom!r} out of range for n={self.n}")
                 if owner[atom]:
                     raise ValueError(f"atom {atom} appears in more than one block")

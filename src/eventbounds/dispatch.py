@@ -7,8 +7,9 @@ request without one gets the best applicable bound for its moment order.
 Each entry checks its request once (:meth:`BoundRequest.check`); the
 functions behind it trust the request.  Which families serve a request,
 with every ``m`` rule and window range, is decided in one place,
-:func:`_closed_forms`; :func:`evaluate_request` states the order in
-which the checks raise.
+:func:`_closed_forms`.  Applicability is checked before the window, but
+``m`` on a route or on a named family that has no window for any target
+is rejected first; :func:`evaluate_request` gives the whole order.
 """
 
 from __future__ import annotations
