@@ -1,4 +1,4 @@
-"""Digest of the ``sweep``, ``bound`` and ``conditional`` commands' outputs.
+"""Digest of the ``exact``, ``sweep``, ``bound`` and ``conditional`` commands' outputs.
 
 Writes seeded inputs to a temporary directory: per seed, one random exact
 system of 3 to ``--n-max`` events and its float copy, each as a system
@@ -6,7 +6,7 @@ file, as moment files at every d (up to 4 orders) and with one random
 partition.  Then runs, in-process, with and without
 ``--exact-arithmetic`` and in JSON and CSV:
 
-* ``sweep --input`` on each system file;
+* ``exact --input`` and ``sweep --input`` on each system file;
 * ``bound --input`` at every d from 0 to n, r from 0 to n+1, ell 2, 3
   and 4, both sides and targets;
 * ``bound --input`` in JSON, with and without ``--exact-arithmetic``, at
@@ -18,11 +18,13 @@ partition.  Then runs, in-process, with and without
   sides and targets;
 * after the seeded calls, a fixed table of invalid files: event systems
   (negative weights, zero mass, a mask out of range, a sum other than
-  one, two spellings of one mask; exact and float, with and without
-  ``"normalize"``) through ``bound --input`` and ``conditional``, and
-  moment files (ell 0, a negative moment, orders no distribution has, a
-  missing tuple) through ``bound --moments``, and a partition with a JSON
-  boolean as an atom mask through ``conditional``.
+  one, two spellings of one mask, each exact and float; and a float
+  file whose first negative weight lies within the float tolerance and
+  whose second does not), with and without ``"normalize"``, through
+  ``bound --input`` and ``conditional``; moment files (ell 0, a negative
+  moment, orders no distribution has, a missing tuple) through ``bound
+  --moments``; and a partition with a JSON boolean as an atom mask
+  through ``conditional``.
 
 Prints one line per call (arguments, exit code, md5 of stdout, stderr;
 a call that raises records the exception's class in place of the code),
@@ -72,6 +74,7 @@ def _calls(root: Path, seed: int, n_max: int):
         source = _write(root / f"system-{seed}-{name}.json", system.to_payload())
         for fmt, flags in itertools.product(FORMATS, FLAGS):
             options = ["--format", fmt, *flags]
+            yield ["exact", "--input", source, *options]
             yield ["sweep", "--input", source, *options]
             grid = itertools.product(range(n + 2), SIDES, TARGETS)
             for r, side, target in grid:
@@ -106,13 +109,15 @@ def _calls(root: Path, seed: int, n_max: int):
                 ]
 
 
-#: Invalid event systems over n = 2: exact weights, then their float copies.
+#: Invalid event systems over n = 2: exact weights, then their float copies
+#: (None where a case has only one of them).
 BAD_SYSTEMS = {
     "negative": ({"0": "3/2", "1": "-1/2"}, {"0": 1.5, "1": -0.5}),
     "zero-mass": ({"0": "0", "3": "0"}, {"0": 0.0, "3": 0.0}),
     "mask-out-of-range": ({"0": "1/2", "4": "1/2"}, {"0": 0.5, "4": 0.5}),
     "sum-not-one": ({"0": "1/4", "3": "1/4"}, {"0": 0.25, "3": 0.25}),
     "two-spellings": ({"0": "1/4", "1": "1/4", "01": "1/2"}, {"0": 0.25, "1": 0.25, "01": 0.5}),
+    "negative-past-tolerance": (None, {"0": -1e-12, "1": -0.5, "2": 1.5}),
 }
 
 #: Invalid moment files, each with the d to ask for.
@@ -138,6 +143,8 @@ def _invalid_calls(root: Path):
         for (kind, weights), normalize in itertools.product(
             zip(("exact", "float"), systems), (False, True)
         ):
+            if weights is None:
+                continue
             payload = {"n": 2, "weights": weights, "normalize": normalize}
             source = _write(root / f"bad-{name}-{kind}-{normalize}.json", payload)
             for flags in FLAGS:

@@ -122,6 +122,20 @@ class Terms(Sequence):
         return repr(self._built())
 
 
+def header_payload(bound) -> dict:
+    """The header fields of a certificate or an aggregated bound, in payload order."""
+    return {
+        "value": encode_number(bound.value),
+        "clamped": encode_number(bound.clamped),
+        "side": bound.side,
+        "target": bound.target,
+        "r": bound.r,
+        "d": bound.d,
+        "ell": bound.ell,
+        "formula": bound.formula_id,
+    }
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """A computed bound and its provenance.
@@ -170,16 +184,7 @@ class BoundCertificate:
         return not isinstance(self.value, float)
 
     def to_payload(self) -> dict:
-        payload = {
-            "value": encode_number(self.value),
-            "clamped": encode_number(self.clamped),
-            "side": self.side,
-            "target": self.target,
-            "r": self.r,
-            "d": self.d,
-            "ell": self.ell,
-            "formula": self.formula_id,
-        }
+        payload = header_payload(self)
         if self.coefficients is not None:
             payload["coefficients"] = [encode_number(c) for c in self.coefficients]
         if self.index_set is not None:

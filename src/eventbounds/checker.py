@@ -19,12 +19,14 @@ from .numerics import all_exact, clamp01, close, dot_product, over_common_denomi
 def check_certificate(certificate: BoundCertificate, moments: MomentSet) -> list[str]:
     """The problems found in the certificate for these moments, or [] when it holds.
 
-    Per term: b = F^T a meets the side at every position and equals v on
-    the term's index set of ell positions, so a is the row solved there;
-    the term's j is its moment vector's; a . s is its value.  The values
-    sum to ``value``, and ``clamped`` is ``value`` clipped to [0, 1].  Rows
-    must be exact and are checked once each, on integers; values compare
-    exactly, or within ``DEFAULT_TOLERANCE`` where a float takes part.
+    A top-level coefficient row, index set or m, when given, is every
+    term's.  Per term: b = F^T a meets the side at every position and
+    equals v on the term's index set of ell positions, so a is the row
+    solved there; the term's j is its moment vector's; a . s is its
+    value.  The values sum to ``value``, and ``clamped`` is ``value``
+    clipped to [0, 1].  Rows must be exact and are checked once each, on
+    integers; values compare exactly, or within ``DEFAULT_TOLERANCE``
+    where a float takes part.
     """
     d, ell, terms = certificate.d, certificate.ell, certificate.terms
     if (d, len(terms)) != (moments.d, len(moments)) or ell > moments.ell:
@@ -36,7 +38,13 @@ def check_certificate(certificate: BoundCertificate, moments: MomentSet) -> list
     else:
         v = [int(u == pivot) for u in range(1, len(columns) + 1)]
     upper = certificate.side == SIDE_UPPER
-    rows, problems = {}, []
+    problems = [
+        f"the top-level field {name!r} is not every term's"
+        for name in ("coefficients", "index_set", "m")
+        if getattr(certificate, name) is not None
+        and any(getattr(term, name) != getattr(certificate, name) for term in terms)
+    ]
+    rows = {}
     for term, vector in zip(terms, moments):
         # The terms of one row share its coefficient tuple, and the
         # certificate keeps every term alive, so the tuple's id names the row.

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from .certificates import SIDES, TARGET_AT_LEAST, TARGETS, BoundRequest
+from .certificates import SIDES, TARGET_AT_LEAST, TARGETS, BoundRequest, header_payload
 from .conditional import PartitionField, conditional_bound, expectation_aggregate
 from .core import EventSystem, exact_occurrence
 from .dispatch import evaluate_request, request_grid
@@ -33,8 +33,9 @@ EXIT_VERIFY = 4
 
 
 def _load_json(path: str, exact: bool = False) -> object:
-    """The file's JSON; with ``exact``, every float literal is read as the
-    exact rational of its double, and one that is not finite (NaN, 1e400) fails."""
+    """The file's JSON; with ``exact``, every float literal is read as the exact
+    rational of its double's shortest decimal text (0.10000000000000001 is 1/10),
+    and one that is not finite (NaN, 1e400) fails."""
     hook = (lambda text: exactify(float(text))) if exact else None
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -53,18 +54,13 @@ def _load_moments(args: argparse.Namespace) -> MomentSet:
     return MomentSet.from_payload(_load_json(args.moments, args.exact_arithmetic))
 
 
-def _cell(value: object) -> object:
-    encoded = encode_number(value) if not isinstance(value, (str, int, bool)) else value
-    return encoded
-
-
-def _emit(args: argparse.Namespace, payload: object, table: Optional[tuple] = None) -> None:
-    if args.format == "csv" and table is not None:
-        header, rows = table
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(cell) for cell in row])
+def _emit(args: argparse.Namespace, payload: object, header: list[str], rows: list[dict]) -> None:
+    """Print the payload as JSON, or as CSV with one line per row: the row's
+    fields named in ``header``, each empty where the row has none."""
+    if args.format == "csv":
+        writer = csv.DictWriter(sys.stdout, header, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -101,9 +97,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
             encode_number(occurrence.at_least(r)) for r in range(1, system.n + 1)
         ],
     }
-    rows = [["p", i, value] for i, value in enumerate(occurrence.p)]
-    rows += [["P", r, occurrence.at_least(r)] for r in range(1, system.n + 1)]
-    _emit(args, payload, (["quantity", "index", "value"], rows))
+    rows = [{"quantity": "p", "index": i, "value": v} for i, v in enumerate(payload["p"])]
+    rows += [
+        {"quantity": "P", "index": r, "value": v} for r, v in enumerate(payload["at_least"], 1)
+    ]
+    _emit(args, payload, ["quantity", "index", "value"], rows)
     return EXIT_OK
 
 
@@ -125,30 +123,19 @@ def cmd_bound(args: argparse.Namespace) -> int:
     system, moments = _source(args, request)
     certificate = evaluate_request(moments, request)
     payload: dict = {"certificate": certificate.to_payload()}
-    exact_cells = ["", ""]
     if system is not None:
         truth = _truth(exact_occurrence(system), request.r, request.target)
         payload["exact"] = encode_number(truth)
         payload["gap"] = encode_number(_gap(certificate, truth))
-        exact_cells = [truth, _gap(certificate, truth)]
-    row = [
-        certificate.side,
-        certificate.target,
-        certificate.r,
-        certificate.d,
-        certificate.ell,
-        certificate.formula_id,
-        certificate.value,
-        certificate.clamped,
-    ] + exact_cells
     header = ["side", "target", "r", "d", "ell", "formula", "value", "clamped", "exact", "gap"]
-    _emit(args, payload, (header, [row]))
+    _emit(args, payload, header, [{**payload["certificate"], **payload}])
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     system = _load_system(args)
     occurrence = exact_occurrence(system)
+    header = ["r", "d", "ell", "side", "target", "formula", "value", "clamped", "exact", "gap"]
     entries = []
     for window, request in request_grid(system):
         try:
@@ -156,23 +143,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except NotApplicableError:
             continue
         truth = _truth(occurrence, request.r, request.target)
-        entries.append(
-            {
-                "r": request.r,
-                "d": request.d,
-                "ell": request.ell,
-                "side": request.side,
-                "target": request.target,
-                "formula": certificate.formula_id,
-                "value": encode_number(certificate.value),
-                "clamped": encode_number(certificate.clamped),
-                "exact": encode_number(truth),
-                "gap": encode_number(_gap(certificate, truth)),
-            }
-        )
-    header = ["r", "d", "ell", "side", "target", "formula", "value", "clamped", "exact", "gap"]
-    rows = [[entry[column] for column in header] for entry in entries]
-    _emit(args, {"n": system.n, "rows": entries}, (header, rows))
+        fields = header_payload(certificate)
+        fields["exact"] = encode_number(truth)
+        fields["gap"] = encode_number(_gap(certificate, truth))
+        entries.append({column: fields[column] for column in header})
+    _emit(args, {"n": system.n, "rows": entries}, header, entries)
     return EXIT_OK
 
 
@@ -201,16 +176,10 @@ def cmd_witness(args: argparse.Namespace) -> int:
         "witnesses": witnesses,
     }
     rows = [
-        [
-            " ".join(str(k) for k in entry["j"]),
-            " ".join(str(i) for i in entry["index_set"]),
-            entry["value"],
-            " ".join(str(z) for z in entry["z"]),
-            entry["nonnegative"],
-        ]
+        {**entry, **{key: " ".join(map(str, entry[key])) for key in ("j", "index_set", "z")}}
         for entry in witnesses
     ]
-    _emit(args, payload, (["j", "index_set", "value", "z", "nonnegative"], rows))
+    _emit(args, payload, ["j", "index_set", "value", "z", "nonnegative"], rows)
     return EXIT_OK
 
 
@@ -220,31 +189,11 @@ def cmd_conditional(args: argparse.Namespace) -> int:
     request = _request_from(args)
     blocks = conditional_bound(system, partition, request)
     unconditional = evaluate_request(moment_set(system, request.d, request.ell), request)
-    aggregated = expectation_aggregate(blocks, unconditional)
-    rows = [
-        [
-            "block",
-            block.index,
-            block.weight,
-            block.certificate.value,
-            block.certificate.clamped,
-            block.certificate.formula_id,
-        ]
-        for block in blocks
-    ]
-    rows.append(["aggregate", "", 1, aggregated.value, aggregated.clamped, aggregated.formula_id])
-    rows.append(
-        [
-            "unconditional",
-            "",
-            1,
-            unconditional.value,
-            unconditional.clamped,
-            unconditional.formula_id,
-        ]
-    )
-    header = ["kind", "block", "weight", "value", "clamped", "formula"]
-    _emit(args, aggregated.to_payload(), (header, rows))
+    payload = expectation_aggregate(blocks, unconditional).to_payload()
+    rows = [{"kind": "block", **block, **block["certificate"]} for block in payload["blocks"]]
+    rows.append({"kind": "aggregate", "weight": 1, **payload})
+    rows.append({"kind": "unconditional", "weight": 1, **payload["unconditional"]})
+    _emit(args, payload, ["kind", "block", "weight", "value", "clamped", "formula"], rows)
     return EXIT_OK
 
 
@@ -271,10 +220,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "passed": all(report.passed for report in reports),
     }
     rows = [
-        [report.name, report.passed, report.trials, report.checks, len(report.failures)]
-        for report in reports
+        {**suite, "suite": suite["name"], "failures": len(suite["failures"])}
+        for suite in payload["suites"]
     ]
-    _emit(args, payload, (["suite", "passed", "trials", "checks", "failures"], rows))
+    _emit(args, payload, ["suite", "passed", "trials", "checks", "failures"], rows)
     if not payload["passed"]:
         for report in reports:
             for failure in report.failures:
@@ -289,7 +238,10 @@ def _add_common(parser: argparse.ArgumentParser, reads_input: bool = True) -> No
         parser.add_argument(
             "--exact-arithmetic",
             action="store_true",
-            help="convert float inputs to the exact rationals their text denotes",
+            help=(
+                "read each float literal as the exact rational of its double's "
+                "shortest decimal text, so 0.10000000000000001 is 1/10"
+            ),
         )
 
 

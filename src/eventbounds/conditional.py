@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .certificates import BoundCertificate, BoundRequest
+from .certificates import BoundCertificate, BoundRequest, header_payload
 from .core import EventSystem, _atom_count, _exact_weights, normalize
 from .dispatch import evaluate_request
 from .errors import InputFormatError
@@ -191,17 +191,8 @@ class AggregatedBound:
     margin: Optional[Number] = None
 
     def to_payload(self) -> dict:
-        payload = {
-            "value": encode_number(self.value),
-            "clamped": encode_number(self.clamped),
-            "side": self.side,
-            "target": self.target,
-            "r": self.r,
-            "d": self.d,
-            "ell": self.ell,
-            "formula": self.formula_id,
-            "blocks": [block.to_payload() for block in self.blocks],
-        }
+        payload = header_payload(self)
+        payload["blocks"] = [block.to_payload() for block in self.blocks]
         if self.unconditional is not None:
             payload["unconditional"] = self.unconditional.to_payload()
         if self.margin is not None:

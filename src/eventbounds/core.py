@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import DegenerateMeasureError, InputFormatError
 from .numerics import (
-    DEFAULT_TOLERANCE,
     Number,
     all_exact,
     close,
@@ -369,9 +368,9 @@ def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
     if all_exact(coerced.values()):
         return EventSystem(n, *_exact_weights(n, *_common_denominator(coerced), normalize=True))
     positive = {m: w for m, w in coerced.items() if float(w) > 0}
-    if any(float(w) < -DEFAULT_TOLERANCE for w in coerced.values()):
-        bad = [m for m, w in coerced.items() if float(w) < 0]
-        raise ValueError(f"negative weight at atom {bad[0]}")
+    bad = next((m for m, w in coerced.items() if not leq(0, w)), None)
+    if bad is not None:
+        raise ValueError(f"negative weight {coerced[bad]!r} at atom {bad}")
     if not positive:
         raise DegenerateMeasureError("cannot normalize a measure with zero total mass")
     ftotal = float(sum(positive.values()))

@@ -387,6 +387,67 @@ class TestVerify:
         assert f"reproducer: {first}" in err
 
 
+def _csv_rows(payload, command):
+    """Per CSV line, the JSON object whose fields its columns name."""
+    if command == "exact":
+        p = [{"quantity": "p", "index": i, "value": v} for i, v in enumerate(payload["p"])]
+        at_least = enumerate(payload["at_least"], 1)
+        return p + [{"quantity": "P", "index": r, "value": v} for r, v in at_least]
+    if command == "bound":
+        extra = {"exact": payload.get("exact", ""), "gap": payload.get("gap", "")}
+        return [{**payload["certificate"], **extra}]
+    if command == "sweep":
+        return payload["rows"]
+    if command == "witness":
+        return payload["witnesses"]
+    if command == "conditional":
+        blocks = [{"kind": "block", **b, **b["certificate"]} for b in payload["blocks"]]
+        summary = [("aggregate", payload), ("unconditional", payload["unconditional"])]
+        return blocks + [{"kind": k, "block": "", "weight": 1, **c} for k, c in summary]
+    assert command == "verify"
+    return [
+        {**suite, "suite": suite["name"], "failures": len(suite["failures"])}
+        for suite in payload["suites"]
+    ]
+
+
+def _as_text(value):
+    return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--input", "system"],
+        ["exact", "--input", "float_system"],
+        ["bound", "--input", "system", "--r", "2", "--d", "1", "--ell", "3"],
+        ["bound", "--input", "float_system", "--r", "1", "--ell", "2", "--side", "lower"],
+        ["bound", "--moments", "moments", "--r", "2", "--d", "1", "--ell", "3"],
+        ["bound", "--moments", "float_moments", "--r", "1", "--d", "1", "--ell", "2"],
+        ["sweep", "--input", "system"],
+        ["sweep", "--input", "float_system"],
+        ["witness", "--input", "system", "--r", "2", "--d", "0", "--ell", "3"],
+        ["witness", "--moments", "float_moments", "--r", "2", "--d", "1", "--ell", "2"],
+        ["conditional", "--input", "system", "--partition", "partition", "--r", "2", "--ell", "2"],
+        ["conditional", "--input", "float_system", "--partition", "partition", "--r", "1"],
+        ["verify", "--trials", "4", "--n-max", "4", "--seed", "5"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_csv_is_the_json_projection(capsys, files, argv):
+    """Every CSV cell is, as text, the JSON field its column names: lists
+    joined by spaces, and the row's JSON object per command in ``_csv_rows``."""
+    argv = [files.get(arg, arg) for arg in argv]
+    json_code, json_out, _ = run(capsys, argv)
+    csv_code, csv_out, _ = run(capsys, argv + ["--format", "csv"])
+    assert json_code == csv_code == EXIT_OK
+    header, *lines = csv.reader(io.StringIO(csv_out))
+    objects = _csv_rows(json.loads(json_out), argv[0])
+    assert len(lines) == len(objects) > 0
+    for line, obj in zip(lines, objects):
+        assert line == [_as_text(obj[column]) for column in header]
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys, files):
         code, _, err = run(capsys, ["exact", "--input", files["system"] + ".nope"])
@@ -677,7 +738,7 @@ class TestExitCodes:
 
 
 def test_cli_outputs_script_runs():
-    """``scripts/cli_outputs.py`` digests sweep, bound and conditional calls."""
+    """``scripts/cli_outputs.py`` digests exact, sweep, bound and conditional calls."""
     root = Path(__file__).resolve().parent.parent
     path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
@@ -689,7 +750,8 @@ def test_cli_outputs_script_runs():
         capture_output=True, text=True, check=True, timeout=120,
     )
     *calls, summary = result.stdout.splitlines()
-    assert {json.loads(line)[0].split()[0] for line in calls} == {"sweep", "bound", "conditional"}
+    commands = {json.loads(line)[0].split()[0] for line in calls}
+    assert commands == {"exact", "sweep", "bound", "conditional"}
     assert "--moments" in " ".join(json.loads(line)[0] for line in calls)
     assert summary.startswith(f"{len(calls)} calls, stdout and exit codes sha256 ")
     assert ", with stderr " in summary

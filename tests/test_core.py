@@ -132,6 +132,20 @@ class TestEventSystem:
         with pytest.raises(DegenerateMeasureError):
             normalize(2, {0: 0})
 
+    def test_normalize_names_the_first_weight_below_the_tolerance(self):
+        """A float weight within the tolerance below zero passes; normalize and
+        a file with "normalize" name the one that fails, as the constructor does."""
+        weights = {0: -1e-12, 1: -0.5, 2: 1.5}
+        payload = {"n": 2, "weights": {str(m): w for m, w in weights.items()}, "normalize": True}
+        message = r"^negative weight -0\.5 at atom 1$"
+        for error, build in (
+            (ValueError, lambda: normalize(2, weights)),
+            (ValueError, lambda: EventSystem(n=2, weights=weights)),
+            (InputFormatError, lambda: EventSystem.from_payload(payload)),
+        ):
+            with pytest.raises(error, match=message):
+                build()
+
     def test_payload_round_trip(self):
         system = EventSystem(n=3, weights={0: Fraction(1, 8), 7: Fraction(7, 8)})
         again = EventSystem.from_payload(system.to_payload())

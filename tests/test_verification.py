@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from eventbounds import bounds_l2, bounds_l3, dispatch
-from eventbounds.certificates import BoundRequest
+from eventbounds.certificates import BoundCertificate, BoundRequest
 from eventbounds.checker import check_certificate
 from eventbounds.core import EventSystem
 from eventbounds.dispatch import evaluate_request
@@ -301,6 +301,23 @@ class TestCertificateChecker:
         terms[2] = dataclasses.replace(terms[2], j=terms[3].j)
         problems = check_certificate(dataclasses.replace(certificate, terms=tuple(terms)), moments)
         assert problems == [
+            "the top-level field 'index_set' is not every term's",
             "term j=[2]: F^T a is not the target on the index set [1, 2, 5]",
             "term j=[4]: its moment vector is j=[3]",
         ]
+
+    def test_flags_top_level_fields_that_are_not_every_terms(self):
+        """A certificate read from a file is checked on its top-level
+        coefficients, index set and m as well as on its terms."""
+        fair3 = EventSystem(n=3, weights={mask: Fraction(1, 8) for mask in range(8)})
+        u2 = BoundRequest(r=1, d=0, ell=2, formula="u2")
+        l2 = BoundRequest(r=1, d=1, ell=2, side="lower", formula="l2")
+        cases = ((u2, {"coefficients": ["7", "7"], "index_set": [2, 3]}), (l2, {"m": 99}))
+        for request, altered in cases:
+            moments = moment_set(fair3, request.d, request.ell)
+            payload = evaluate_request(moments, request).to_payload()
+            assert check_certificate(BoundCertificate.from_payload(payload), moments) == []
+            payload.update(altered)
+            assert check_certificate(BoundCertificate.from_payload(payload), moments) == [
+                f"the top-level field {name!r} is not every term's" for name in altered
+            ]
