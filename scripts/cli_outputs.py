@@ -23,8 +23,14 @@ partition.  Then runs, in-process, with and without
   whose second does not), with and without ``"normalize"``, through
   ``bound --input`` and ``conditional``; moment files (ell 0, a negative
   moment, orders no distribution has, a missing tuple) through ``bound
-  --moments``; and a partition with a JSON boolean as an atom mask
-  through ``conditional``.
+  --moments``; and partitions with a JSON boolean, a string and a null
+  as an atom mask through ``conditional``;
+* then a fixed table of event-system files on either side of the bulk
+  parse of plain ratios, valid and invalid (``"a/b"``, ``"a"`` and mixed
+  weights, signed, spaced and non-ASCII ratios, a zero denominator,
+  unusual keys, a float among strings, ``true``, ``null``, a non-bool
+  ``"normalize"``, non-finite floats and a float total that overflows),
+  through ``bound --input`` and ``conditional``.
 
 Prints one line per call (arguments, exit code, md5 of stdout, stderr;
 a call that raises records the exception's class in place of the code),
@@ -135,6 +141,29 @@ BAD_MOMENTS = {
 }
 
 
+#: Event-system files on either side of the bulk parse: (n, weights, "normalize").
+BOUNDARY_SYSTEMS = {
+    "ratios": (2, {"0": "1/4", "3": "3/4"}, False),
+    "integers": (2, {"0": "1", "3": "3"}, True),
+    "mixed": (2, {"0": "2", "3": "3/1"}, True),
+    "zero-over-five": (2, {"0": "0/5", "3": "1"}, False),
+    "zero-denominator": (2, {"0": "1/0", "3": "1"}, True),
+    "plus-sign": (2, {"0": "+1/2", "3": "1/2"}, False),
+    "arabic-indic": (2, {"0": "\u0663/6", "3": "1/2"}, False),
+    "space-in-ratio": (2, {"0": "1 /2", "3": "1/2"}, False),
+    "key-space": (2, {" 2": "1/2", "1": "1/2"}, False),
+    "key-underscore": (4, {"1_0": "1/2", "1": "1/2"}, False),
+    "two-spellings": (2, {"1": "1/2", "01": "1/2"}, False),
+    "float-and-string": (2, {"0": 0.25, "3": "3/4"}, False),
+    "true": (2, {"0": True, "3": "1"}, False),
+    "null": (2, {"0": None, "3": "1"}, False),
+    "normalize-not-bool": (2, {"0": "1/2", "3": "1/2"}, 1),
+    "nan": (2, {"1": float("nan"), "2": 0.5, "3": 0.5}, False),
+    "infinity": (2, {"1": float("inf"), "2": 0.5}, True),
+    "total-overflows": (2, {"1": 1e308, "2": 1e308, "3": 1e308}, True),
+}
+
+
 def _invalid_calls(root: Path):
     """Every argument list for the fixed table of invalid files."""
     partition = _write(root / "partition-bad.json", {"blocks": [[0, 1], [2, 3]]})
@@ -151,12 +180,23 @@ def _invalid_calls(root: Path):
                 yield ["bound", "--input", source, *request, *flags]
                 yield ["conditional", "--input", source, "--partition", partition, *request, *flags]
     system = _write(root / "system-n2.json", {"n": 2, "weights": {"0": "1/2", "3": "1/2"}})
-    boolean = _write(root / "partition-boolean-atom.json", {"blocks": [[0, True], [2, 3]]})
-    yield ["conditional", "--input", system, "--partition", boolean, *request]
+    for name, blocks in (
+        ("boolean", [[0, True], [2, 3]]),
+        ("string", [[0, "x"], [1, 2, 3]]),
+        ("null", [[0, None], [1, 2, 3]]),
+    ):
+        bad = _write(root / f"partition-{name}-atom.json", {"blocks": blocks})
+        yield ["conditional", "--input", system, "--partition", bad, *request]
     for name, (payload, d) in BAD_MOMENTS.items():
         path = _write(root / f"bad-moments-{name}.json", payload)
         for flags in FLAGS:
             yield ["bound", "--moments", path, "--d", str(d), "--r", "1", "--ell", "2", *flags]
+    for name, (n, weights, normalize) in BOUNDARY_SYSTEMS.items():
+        payload = {"n": n, "weights": weights, "normalize": normalize}
+        source = _write(root / f"boundary-{name}.json", payload)
+        for flags in FLAGS:
+            yield ["bound", "--input", source, *request, *flags]
+            yield ["conditional", "--input", source, "--partition", partition, *request, *flags]
 
 
 def main() -> None:

@@ -40,7 +40,11 @@ class PartitionField:
 
     def __post_init__(self) -> None:
         size = _atom_count(self.n)
-        blocks = tuple(tuple(sorted(block)) for block in self.blocks)
+        try:
+            blocks = tuple(tuple(sorted(block)) for block in self.blocks)
+        except TypeError:  # an atom that does not compare with the others' ints
+            atom = next(a for block in self.blocks for a in block if type(a) is not int)
+            raise ValueError(f"atom mask {atom!r} out of range for n={self.n}") from None
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("a partition needs at least one block")

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
@@ -235,8 +237,7 @@ class EventSystem:
             for mask, weight in self.weights.items():
                 if not isinstance(mask, int) or mask < 0 or mask >= atoms:
                     raise ValueError(f"atom mask {mask!r} out of range for n={self.n}")
-                if not leq(0, weight):
-                    raise ValueError(f"negative weight {weight!r} at atom {mask}")
+                _check_weight(mask, weight)
                 if weight > 0:
                     cleaned[mask] = weight
             if not cleaned:
@@ -285,6 +286,14 @@ class EventSystem:
         ``{"n": int, "weights": {"<decimal mask>": number, ...}}`` with
         omitted masks meaning weight zero; an optional ``"normalize": true``
         requests division by the total mass.
+
+        A file whose weights are all strings ``"a"`` or ``"a/b"`` of ASCII
+        digits with b != 0, whose keys read with ``int`` as distinct masks
+        and whose ``"normalize"`` is a bool is parsed in bulk by
+        :func:`_plain_ratios`.  Every other file takes the per-weight loop,
+        which reads each weight with :func:`to_number` and alone raises the
+        format errors.  Both routes end in :func:`_exact_weights` (or the
+        float checks), so they give the same system and the same errors.
         """
         if not isinstance(payload, dict):
             raise InputFormatError("event system payload must be a JSON object")
@@ -297,64 +306,78 @@ class EventSystem:
             raise InputFormatError(f'"n" must be an integer, got {n!r}')
         if not isinstance(raw, dict):
             raise InputFormatError('"weights" must be an object of mask -> weight')
-        # Exact weights are kept as (numerator, denominator) pairs, float
-        # weights as floats.
-        weights: dict[int, object] = {}
-        exact = True
-        for key, value in raw.items():
-            try:
-                mask = int(key, 10) if isinstance(key, str) else int(key)
-            except (TypeError, ValueError):
-                raise InputFormatError(f"malformed mask key {key!r}") from None
-            pair = _plain_ratio(value) if isinstance(value, str) else None
-            if pair is None:
+        normalized = payload.get("normalize", False)
+        plain = _plain_ratios(raw) if isinstance(normalized, bool) else None
+        if plain is None:
+            weights: dict[int, Number] = {}
+            for key, value in raw.items():
                 try:
-                    weight = to_number(value)
+                    mask = int(key, 10) if isinstance(key, str) else int(key)
+                except (TypeError, ValueError):
+                    raise InputFormatError(f"malformed mask key {key!r}") from None
+                try:
+                    weights[mask] = to_number(value)
                 except ValueError as exc:
                     raise InputFormatError(f"bad weight for mask {key!r}: {exc}") from None
-                if isinstance(weight, float):
-                    exact = False
-                    weights[mask] = weight
-                    continue
-                pair = int(weight.numerator), int(weight.denominator)
-            weights[mask] = pair
-        if len(weights) < len(raw):  # two spellings of one mask, such as "1" and "01"
-            first: dict[int, object] = {}
-            for key in raw:
-                mask = int(key, 10) if isinstance(key, str) else int(key)
-                if first.setdefault(mask, key) != key:
-                    raise InputFormatError(f"keys {first[mask]!r} and {key!r} both name atom {mask}")
-        normalized = payload.get("normalize", False)
-        if not isinstance(normalized, bool):
-            raise InputFormatError(f'"normalize" must be true or false, got {normalized!r}')
+            if len(weights) < len(raw):  # two spellings of one mask, such as "1" and "01"
+                first: dict[int, object] = {}
+                for key in raw:
+                    mask = int(key, 10) if isinstance(key, str) else int(key)
+                    if first.setdefault(mask, key) != key:
+                        raise InputFormatError(
+                            f"keys {first[mask]!r} and {key!r} both name atom {mask}"
+                        )
+            if not isinstance(normalized, bool):
+                raise InputFormatError(f'"normalize" must be true or false, got {normalized!r}')
         try:
-            if exact:
-                denominator = math.lcm(*{b for _, b in weights.values()})
-                numerators = {mask: a * (denominator // b) for mask, (a, b) in weights.items()}
-                return cls(n, *_exact_weights(n, numerators, denominator, normalized))
-            numbers = {
-                mask: w if isinstance(w, float) else rational(*w) for mask, w in weights.items()
-            }
-            return normalize(n, numbers) if normalized else cls(n=n, weights=numbers)
+            if plain is not None:
+                return cls(n, *_exact_weights(n, *plain, normalized))
+            return normalize(n, weights) if normalized else cls(n=n, weights=weights)
         except (ValueError, DegenerateMeasureError) as exc:
             raise InputFormatError(str(exc)) from None
 
 
-def _plain_ratio(text: str) -> Optional[tuple[int, int]]:
-    """(a, b) for a weight string "a" or "a/b" of ASCII digits with b != 0.
+#: Comma-joined weight strings "a" or "a/b" of ASCII digits.
+_PLAIN_RATIOS = re.compile(r"[0-9]+(?:/[0-9]+)?(?:,[0-9]+(?:/[0-9]+)?)*")
 
-    Every other string returns None and is left to :func:`to_number`, which
-    accepts or rejects it as ``Fraction`` does.
+
+def _plain_ratios(raw: Mapping[object, object]) -> Optional[tuple[dict[int, int], int]]:
+    """Integer numerators per mask over the lcm of the denominators, when every
+    value is a string "a" or "a/b" of ASCII digits with b != 0 and every key
+    reads with ``int`` as a distinct mask; None for any other file.
+
+    The passes run in C: one join, one regex match, one split read by
+    ``map(int, ...)``.  Only the per-weight loop of ``from_payload`` raises.
     """
-    numerator, slash, denominator = text.partition("/")
-    if not (numerator.isascii() and numerator.isdigit()):
+    try:
+        text = ",".join(raw.values())
+        masks = list(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
         return None
-    if not slash:
-        return int(numerator), 1
-    if not (denominator.isascii() and denominator.isdigit()):
+    if text.count(",") != len(raw) - 1 or not _PLAIN_RATIOS.fullmatch(text):
+        return None  # a value holding a comma, or one that is not a plain ratio
+    if len(set(masks)) < len(masks):
         return None
-    b = int(denominator)
-    return (int(numerator), b) if b else None
+    if text.count("/") < len(raw):
+        text = ",".join(v if "/" in v else v + "/1" for v in raw.values())
+    try:
+        numbers = list(map(int, text.replace("/", ",").split(",")))
+    except ValueError:  # more digits than int() reads
+        return None
+    numerators, denominators = numbers[::2], numbers[1::2]
+    if 0 in denominators:
+        return None
+    denominator = math.lcm(*set(denominators))
+    scales = map(operator.floordiv, itertools.repeat(denominator), denominators)
+    return dict(zip(masks, map(operator.mul, numerators, scales))), denominator
+
+
+def _check_weight(mask: int, weight: Number) -> None:
+    """Reject a non-finite float weight, then a negative weight."""
+    if isinstance(weight, float) and not math.isfinite(weight):
+        raise ValueError(f"weight {weight!r} at atom {mask} is not finite")
+    if not leq(0, weight):
+        raise ValueError(f"negative weight {weight!r} at atom {mask}")
 
 
 def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
@@ -367,13 +390,14 @@ def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
     coerced = {mask: to_number(w) for mask, w in weights.items()}
     if all_exact(coerced.values()):
         return EventSystem(n, *_exact_weights(n, *_common_denominator(coerced), normalize=True))
+    for mask, weight in coerced.items():
+        _check_weight(mask, weight)
     positive = {m: w for m, w in coerced.items() if float(w) > 0}
-    bad = next((m for m, w in coerced.items() if not leq(0, w)), None)
-    if bad is not None:
-        raise ValueError(f"negative weight {coerced[bad]!r} at atom {bad}")
     if not positive:
         raise DegenerateMeasureError("cannot normalize a measure with zero total mass")
     ftotal = float(sum(positive.values()))
+    if math.isinf(ftotal):
+        raise ValueError("the weights' total mass overflows a float")
     scaled = {m: float(w) / ftotal for m, w in positive.items()}
     return EventSystem(n=n, weights=scaled, total=ftotal)
 

@@ -125,8 +125,14 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
     spread(mask) the sum of 2**(w(k-1)) over its events k (read from two
     half-mask tables), once for each (d-1)-subset p of its events other
     than the last: once per atom at d = 1.  Slot k > max(p) of that sum is
-    ``table[p + (k,)][c]``.  Float weights take one add per atom and
-    d-subset of its events; d = 0 one add per atom.
+    ``table[p + (k,)][c]``.  At d = 2 the atoms are grouped first: each
+    adds weight * spread(mask) once to the group of its low-half mask and
+    level c and once to that of its high-half mask and level c, and each
+    nonzero group's sum is then added to prefix (a,) at level c once per
+    event a of its half mask.  Every atom containing a lies in exactly
+    one group of a's half that has a, so prefix (a,) gets the same sum.
+    Float weights take one add per atom and d-subset of its events; d = 0
+    one add per atom.
     """
     table: dict[tuple[int, ...], list] = {
         indices: [0] * (n + 1) for indices in index_tuple_indices(n, d)
@@ -158,17 +164,36 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
         low[m] = low[m & (m - 1)] + (1 << width * (low_events[m][0] - 1))
     high = [spread << width * half for spread in low[: 1 << (n - half)]]
     sums = {prefix: [0] * (n + 1) for prefix in index_tuple_indices(n, d - 1)}
-    for mask, weight in weights.items():
-        count = mask.bit_count()
-        if count < d:
-            continue
-        packed = weight * (low[mask & low_mask] + high[mask >> half])
-        if d == 1:
-            sums[()][count] += packed
-            continue
-        events = low_events[mask & low_mask] + high_events[mask >> half]
-        for prefix in itertools.combinations(events[:-1], d - 1):
-            sums[prefix][count] += packed
+    if d == 2:
+        stride = n + 1
+        low_groups, high_groups = [0] * (stride << half), [0] * (stride << (n - half))
+        for mask, weight in weights.items():
+            count = mask.bit_count()
+            if count < 2:
+                continue
+            lo, hi = mask & low_mask, mask >> half
+            packed = weight * (low[lo] + high[hi])
+            low_groups[lo * stride + count] += packed
+            high_groups[hi * stride + count] += packed
+        by_event = [None, *sums.values()]
+        for groups, events_of in ((low_groups, low_events), (high_groups, high_events)):
+            for index, packed in enumerate(groups):
+                if packed:
+                    group, count = divmod(index, stride)
+                    for a in events_of[group]:
+                        by_event[a][count] += packed
+    else:
+        for mask, weight in weights.items():
+            count = mask.bit_count()
+            if count < d:
+                continue
+            packed = weight * (low[mask & low_mask] + high[mask >> half])
+            if d == 1:
+                sums[()][count] += packed
+                continue
+            events = low_events[mask & low_mask] + high_events[mask >> half]
+            for prefix in itertools.combinations(events[:-1], d - 1):
+                sums[prefix][count] += packed
     slot = (1 << width) - 1
     for prefix, levels in sums.items():
         last = prefix[-1] if prefix else 0
@@ -398,9 +423,11 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     every event's sum in its own slot of w bits, w the bit length of the
     total numerator, and since no slot sum exceeds that total, no slot
     carries into the next; each atom adds once per (d-1)-subset of its
-    events.  Float mode accumulates per atom and order (and float weights
-    reach :func:`_level_sums` only through :func:`verify_decomposition`,
-    which takes its plain per-subset loop).
+    events, except at d = 2, where it adds once to each of two groups,
+    by low- and high-half mask and level, and each group's sum is added
+    once per event of its half mask.  Float mode accumulates per atom and
+    order (and float weights reach :func:`_level_sums` only through
+    :func:`verify_decomposition`, which takes its plain per-subset loop).
     """
     if d < 0 or d > sys.n:
         raise ValueError(f"need 0 <= d <= n, got n={sys.n}, d={d}")

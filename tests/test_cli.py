@@ -581,7 +581,7 @@ class TestExitCodes:
         system.write_text('{"n": 1, "weights": {"0": NaN, "1": 1}}')
         moments.write_text('{"n": 3, "d": 0, "ell": 2, "s": [{"j": [], "values": [1, NaN]}]}')
         for argv, message in (
-            (["exact", "--input", str(system)], "negative weight nan at atom 0"),
+            (["exact", "--input", str(system)], "weight nan at atom 0 is not finite"),
             (["bound", "--moments", str(moments), "--r", "1", "--ell", "2"], "negative moment nan"),
         ):
             code, out, err = run(capsys, argv)

@@ -72,6 +72,9 @@ class TestPartitionField:
         "n, blocks, message",
         [
             (1, ((0, 1.0),), "atom mask 1.0 out of range for n=1"),
+            (2, ((0, "x"), (1, 2, 3)), "atom mask 'x' out of range for n=2"),
+            (2, ((0, None), (1, 2, 3)), "atom mask None out of range for n=2"),
+            (2, ((0, 1), (2, 3.5, None)), "atom mask 3.5 out of range for n=2"),
             (1, ((0, -1, 1),), "atom mask -1 out of range for n=1"),
             (2, ((0, 1), (3, 1, 2)), "atom 1 appears in more than one block"),
             (2, ((0, 0, 1, 2, 3),), "atom 0 appears in more than one block"),
@@ -95,6 +98,11 @@ class TestPartitionField:
     def test_payload_rejects_non_power_of_two(self):
         with pytest.raises(InputFormatError, match="atom space"):
             PartitionField.from_payload({"blocks": [[0, 1, 2, 3, 4, 5]]})
+
+    @pytest.mark.parametrize("atom", ["x", None])
+    def test_payload_names_an_atom_that_is_not_a_number(self, atom):
+        with pytest.raises(InputFormatError, match=f"^atom mask {atom!r} out of range for n=2$"):
+            PartitionField.from_payload({"blocks": [[0, atom], [1, 2, 3]]}, n=2)
 
     def test_payload_rejects_bad_shapes(self):
         with pytest.raises(InputFormatError):

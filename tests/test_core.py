@@ -1,6 +1,7 @@
 """Event systems, index tuples, and the enumeration oracle."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from eventbounds.core import (
     exact_occurrence,
     falling_factorial,
     normalize,
-    _plain_ratio,
+    _plain_ratios,
 )
 from eventbounds.errors import DegenerateMeasureError, InputFormatError
 from oracles import permute_events
@@ -301,11 +302,74 @@ class TestIntegerRepresentation:
             assert system.total == 1
             assert dict(system.weights) == {3: Fraction(1)}
 
-    @given(st.text(alphabet="0123456789/ +-._e\u0663\u00b2", max_size=8))
-    def test_plain_ratio_agrees_with_fraction(self, text):
-        pair = _plain_ratio(text)
-        if pair is not None:
-            assert Fraction(*pair) == Fraction(text)
+    @given(st.lists(st.text(alphabet="0123456789/ +-._e,\u0663\u00b2", max_size=8), max_size=4))
+    def test_plain_ratio_agrees_with_fraction(self, texts):
+        """The bulk parse takes every file of plain ratios, reads each as
+        ``Fraction`` does, and takes no other file."""
+        raw = {str(mask): text for mask, text in enumerate(texts)}
+        plain = all(re.fullmatch(r"[0-9]+(/[0-9]*[1-9][0-9]*)?", t) for t in texts)
+        parsed = _plain_ratios(raw)
+        assert (parsed is not None) == (plain and bool(texts))
+        if parsed is not None:
+            numerators, denominator = parsed
+            assert list(numerators) == list(range(len(texts)))
+            for mask, text in enumerate(texts):
+                assert Fraction(numerators[mask], denominator) == Fraction(text)
+
+    HALVES = ({0: Fraction(1, 2), 3: Fraction(1, 2)}, 1, True)
+
+    @pytest.mark.parametrize(
+        "n, weights, normalized, outcome",
+        [
+            (2, {"0": "1/4", "3": "3/4"}, False, ({0: Fraction(1, 4), 3: Fraction(3, 4)}, 1, True)),
+            (2, {"0": "1", "3": "3"}, True, ({0: Fraction(1, 4), 3: Fraction(3, 4)}, 4, True)),
+            (2, {"0": "2", "3": "3/1"}, True, ({0: Fraction(2, 5), 3: Fraction(3, 5)}, 5, True)),
+            (2, {"0": "0/5", "3": "1"}, False, ({3: Fraction(1)}, 1, True)),
+            (2, {"0": "1/0", "3": "1"}, True,
+             "bad weight for mask '0': cannot parse '1/0' as a rational number"),
+            (2, {"0": "+1/2", "3": "1/2"}, False, HALVES),
+            (2, {"0": "\u0663/6", "3": "1/2"}, False, HALVES),
+            (2, {"0": "1 /2", "3": "1/2"}, False,
+             "bad weight for mask '0': cannot parse '1 /2' as a rational number"),
+            (2, {" 2": "1/2", "1": "1/2"}, False,
+             ({1: Fraction(1, 2), 2: Fraction(1, 2)}, 1, True)),
+            (4, {"1_0": "1/2", "1": "1/2"}, False,
+             ({1: Fraction(1, 2), 10: Fraction(1, 2)}, 1, True)),
+            (2, {"1": "1/2", "01": "1/2"}, False, "keys '1' and '01' both name atom 1"),
+            (2, {"0": "2/4", "3": "1/2"}, True, HALVES),
+            (2, {"0": "1/4", "3": "3/4", "7": "0"}, False, "atom mask 7 out of range for n=2"),
+            (2, {"0": "1/4", "3": "1/4"}, False, "normalized weights must sum to 1, got 1/2"),
+            (2, {"0": "0", "3": "0/2"}, True, "measure has zero total mass"),
+            (2, {"0": 0.25, "3": "3/4"}, False, ({0: 0.25, 3: 0.75}, 1.0, False)),
+            (2, {"0": True, "3": "1"}, False,
+             "bad weight for mask '0': boolean True is not a number"),
+            (2, {"0": None, "3": "1"}, False,
+             "bad weight for mask '0': unsupported numeric value None"),
+            (2, {"0": "1/2", "3": "1/2"}, 1, '"normalize" must be true or false, got 1'),
+            (2, {"1": math.nan, "2": 0.5, "3": 0.5}, False, "weight nan at atom 1 is not finite"),
+            (2, {"1": math.inf, "2": 0.5}, True, "weight inf at atom 1 is not finite"),
+            (2, {"1": 1e308, "2": 1e308, "3": 1e308}, True,
+             "the weights' total mass overflows a float"),
+        ],
+        ids=[
+            "a/b", "a", "mixed", "0/5", "1/0", "+1/2", "arabic-indic", "1 /2", "key-space",
+            "key-underscore", "two-spellings", "unreduced", "mask-out-of-range", "sum-not-one",
+            "zero-mass", "float-and-string", "true", "null", "normalize-not-bool", "nan",
+            "infinity-normalized", "total-overflows",
+        ],
+    )
+    def test_ingest_boundary(self, n, weights, normalized, outcome):
+        """Each file's system, or its exact error, on either side of the bulk parse."""
+        payload = {"n": n, "normalize": normalized, "weights": weights}
+        if isinstance(outcome, str):
+            with pytest.raises(InputFormatError) as error:
+                EventSystem.from_payload(payload)
+            assert str(error.value) == outcome
+        else:
+            system = EventSystem.from_payload(payload)
+            assert (dict(system.weights), system.total, system.exact) == outcome
+            kind = Fraction if system.exact else float
+            assert all(type(w) is kind for w in system.weights.values())
 
 
 class TestOracle:

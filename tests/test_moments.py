@@ -153,7 +153,7 @@ class TestMomentRoutes:
         assert moments.vector((2, 3)).values[0] == Fraction(1, 2)
 
     def test_moment_set_times_script_runs(self):
-        """``scripts/moment_set_times.py`` times ``moment_set`` once per d."""
+        """``scripts/moment_set_times.py`` times ingest once and ``moment_set`` once per d."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
@@ -165,7 +165,7 @@ class TestMomentRoutes:
             capture_output=True, text=True, check=True, timeout=120,
         )
         lines = result.stdout.splitlines()
-        assert [line.split(":")[0] for line in lines] == [
+        assert [line.split(":")[0] for line in lines] == ["n=6 atoms=40 ingest"] + [
             f"n=6 atoms=40 d={d} ell=3" for d in (0, 1, 2)
         ], result.stdout
 
