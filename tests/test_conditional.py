@@ -72,14 +72,14 @@ class TestPartitionField:
         "n, blocks, message",
         [
             (1, ((0, 1.0),), "atom mask 1.0 out of range for n=1"),
-            (2, ((0, "x"), (1, 2, 3)), "atom mask 'x' out of range for n=2"),
-            (2, ((0, None), (1, 2, 3)), "atom mask None out of range for n=2"),
-            (2, ((0, 1), (2, 3.5, None)), "atom mask 3.5 out of range for n=2"),
             (1, ((0, -1, 1),), "atom mask -1 out of range for n=1"),
             (2, ((0, 1), (3, 1, 2)), "atom 1 appears in more than one block"),
             (2, ((0, 0, 1, 2, 3),), "atom 0 appears in more than one block"),
             (2, ((3, 0), (1,)), "blocks do not cover all atoms; atom 2 is missing"),
             (2, ((0, 1, 2, 3), ()), "block 1 is empty"),
+            (2, ((0, "x"), (1, 2, 3)), "atom mask 'x' out of range for n=2"),
+            (2, ((0, None), (1, 2, 3)), "atom mask None out of range for n=2"),
+            (2, ((0, 1), (2, 3.5, None)), "atom mask 3.5 out of range for n=2"),
         ],
     )
     def test_each_check_keeps_its_message(self, n, blocks, message):
