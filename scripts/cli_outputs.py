@@ -30,7 +30,12 @@ partition.  Then runs, in-process, with and without
   weights, signed, spaced and non-ASCII ratios, a zero denominator,
   unusual keys, a float among strings, ``true``, ``null``, a non-bool
   ``"normalize"``, non-finite floats and a float total that overflows),
-  through ``bound --input`` and ``conditional``.
+  through ``bound --input`` and ``conditional``;
+* last, a fixed n = 8 exact system with 192 weighted atoms and its float
+  copy, through ``conditional`` in JSON on two partitions: 256 singleton
+  blocks (more than 255, so block numbers take 4 bytes each) and the 16
+  blocks of the sigma-field of events 1..4, at d 0 and 1, r from 1 to n,
+  ell 2 and 3, both sides.
 
 Prints one line per call (arguments, exit code, md5 of stdout, stderr;
 a call that raises records the exception's class in place of the code),
@@ -53,9 +58,11 @@ import itertools
 import json
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from eventbounds.cli import main as cli_main
+from eventbounds.core import normalize
 from eventbounds.moments import moment_set
 from eventbounds.verification import floatize, random_partition, random_system
 
@@ -199,6 +206,28 @@ def _invalid_calls(root: Path):
             yield ["conditional", "--input", source, "--partition", partition, *request, *flags]
 
 
+def _many_block_calls(root: Path):
+    """Every argument list for the fixed many-block systems."""
+    n = 8
+    rng = random.Random("cli_outputs:many-blocks")
+    masks = sorted(rng.sample(range(1 << n), 192))
+    exact = normalize(n, {m: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for m in masks})
+    partitions = {
+        "singletons": [[atom] for atom in range(1 << n)],
+        "events-1-4": [[atom for atom in range(1 << n) if atom & 15 == low] for low in range(16)],
+    }
+    for name, system in (("exact", exact), ("float", floatize(exact))):
+        source = _write(root / f"many-blocks-{name}.json", system.to_payload())
+        for label, blocks in partitions.items():
+            partition = _write(root / f"partition-{label}.json", {"blocks": blocks})
+            grid = itertools.product((0, 1), range(1, n + 1), (2, 3), SIDES)
+            for d, r, ell, side in grid:
+                yield [
+                    "conditional", "--input", source, "--partition", partition, "--d", str(d),
+                    "--r", str(r), "--ell", str(ell), "--side", side, "--format", "json",
+                ]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=4, help="seeded systems, seeds 0..N-1")
@@ -210,6 +239,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         every = [_calls(Path(tmp), seed, args.n_max) for seed in range(args.seeds)]
         every.append(_invalid_calls(Path(tmp)))
+        every.append(_many_block_calls(Path(tmp)))
         for argv in itertools.chain(*(itertools.islice(c, 0, None, args.stride) for c in every)):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

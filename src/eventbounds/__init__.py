@@ -18,7 +18,7 @@ _EXPORTS = {
     ),
     "checker": ("check_certificate",),
     "conditional": (
-        "AggregatedBound", "BlockBound", "PartitionField", "block_system",
+        "AggregatedBound", "BlockBound", "PartitionField", "block_systems",
         "conditional_bound", "expectation_aggregate",
     ),
     "core": (

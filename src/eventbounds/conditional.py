@@ -13,10 +13,10 @@ every positive-weight block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterator, Optional
 
 from .certificates import BoundCertificate, BoundRequest, header_payload
-from .core import EventSystem, _atom_count, _exact_weights, normalize
+from .core import EventSystem, _atom_count, _exact_weights, atom_masses, normalize
 from .dispatch import evaluate_request
 from .errors import InputFormatError
 from .moments import moment_set
@@ -64,75 +64,47 @@ class PartitionField:
             raise ValueError(f"blocks do not cover all atoms; atom {missing} is missing")
         object.__setattr__(self, "_owner", owner)
 
-    @classmethod
-    def trivial(cls, n: int) -> "PartitionField":
-        return cls(n=n, blocks=(tuple(range(1 << n)),))
-
-    @classmethod
-    def from_event(cls, n: int, k: int) -> "PartitionField":
-        """The two-block partition generated by event k (1-based)."""
-        if not (1 <= k <= n):
-            raise ValueError(f"event index must be in 1..{n}, got {k}")
-        bit = 1 << (k - 1)
-        inside = tuple(a for a in range(1 << n) if a & bit)
-        outside = tuple(a for a in range(1 << n) if not a & bit)
-        return cls(n=n, blocks=(inside, outside))
-
-    def block_of(self, atom: int) -> int:
-        if isinstance(atom, int) and 0 <= atom < len(self._owner):
-            return self._owner[atom] - 1
-        raise ValueError(f"atom {atom!r} is not in the partition")
-
-    def restrict(self, masses: Mapping[int, Number], index: int) -> dict[int, Number]:
-        """The entries of ``masses`` whose atoms lie in block ``index``, in order."""
-        owner, label = self._owner, range(len(self.blocks))[index] + 1
-        return {atom: mass for atom, mass in masses.items() if owner[atom] == label}
-
     def to_payload(self) -> dict:
         return {"blocks": [list(block) for block in self.blocks]}
 
     @classmethod
-    def from_payload(cls, payload: object, n: Optional[int] = None) -> "PartitionField":
-        """Parse ``{"blocks": [[atom masks], ...]}``.
-
-        The event count is inferred from the atom count (which must be a
-        power of two) unless given.
-        """
+    def from_payload(cls, payload: object, n: int) -> "PartitionField":
+        """Parse ``{"blocks": [[atom masks], ...]}`` over n events."""
         if not isinstance(payload, dict):
             raise InputFormatError("partition payload must be a JSON object")
         raw = payload.get("blocks")
         if not isinstance(raw, list) or not all(isinstance(b, list) for b in raw):
             raise InputFormatError('"blocks" must be a list of lists of atom masks')
-        atoms = sum(len(b) for b in raw)
-        if n is None:
-            if atoms < 2 or atoms & (atoms - 1):
-                raise InputFormatError(
-                    f"{atoms} atoms do not form a full atom space of any n"
-                )
-            n = atoms.bit_length() - 1
         try:
             return cls(n=n, blocks=tuple(raw))
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
 
 
-def block_system(sys: EventSystem, partition: PartitionField, index: int) -> Optional[EventSystem]:
-    """The renormalized restriction of the system to one block.
+def block_systems(
+    sys: EventSystem, partition: PartitionField
+) -> Iterator[tuple[int, EventSystem]]:
+    """Each positive-weight block's index and renormalized system, in block order.
 
-    Its ``total`` is the block's weight.  An exact system is restricted on
-    its integer numerators: the block's numerators over their sum.
-    Returns None when the block carries no mass.
+    One pass over the system's atoms groups them by block, through the
+    partition's owner table and in mask order; the block systems are then
+    built one at a time.  A block system's ``total`` is the block's
+    weight.  An exact system is restricted on its integer numerators: the
+    block's numerators over their sum.
     """
     if partition.n != sys.n:
         raise ValueError(f"partition is over n={partition.n}, system has n={sys.n}")
-    if not sys.exact:
-        restricted = partition.restrict(sys.weights, index)
-        return normalize(sys.n, restricted) if restricted else None
-    numerators, denominator = sys.integerized()
-    restricted = partition.restrict(numerators, index)
-    if not restricted:
-        return None
-    return EventSystem(sys.n, *_exact_weights(sys.n, restricted, denominator, normalize=True))
+    masses, denominator = atom_masses(sys)
+    owner, groups = partition._owner, {}
+    for atom, mass in masses.items():
+        groups.setdefault(owner[atom], {})[atom] = mass
+    for label in sorted(groups):
+        group = groups.pop(label)
+        if sys.exact:
+            weights = _exact_weights(sys.n, group, denominator, normalize=True)
+            yield label - 1, EventSystem(sys.n, *weights)
+        else:
+            yield label - 1, normalize(sys.n, group)
 
 
 @dataclass(frozen=True)
@@ -162,10 +134,7 @@ def conditional_bound(
     """
     request.check(sys.n)
     blocks = []
-    for index in range(len(partition.blocks)):
-        conditioned = block_system(sys, partition, index)
-        if conditioned is None:  # a block of weight zero
-            continue
+    for index, conditioned in block_systems(sys, partition):
         moments = moment_set(conditioned, request.d, request.ell)
         blocks.append(BlockBound(index, conditioned.total, evaluate_request(moments, request)))
     return tuple(blocks)
@@ -179,7 +148,11 @@ class AggregatedBound:
     of the clamped block values bounds the unconditional probability from
     the same side.  When the unconditional certificate is attached,
     ``margin`` is how much the aggregation sharpened it (nonnegative
-    means at least as tight); the sharpening is possible, not guaranteed.
+    means at least as tight).  For ``formula="search"`` on exact moments
+    it is never negative: the sharp bound is concave (upper) or convex
+    (lower) in the moments, and the unconditional moments are the
+    block-weighted mean of the block moments.  The best-of closed forms
+    carry no such guarantee.
     """
 
     value: Number

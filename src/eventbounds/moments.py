@@ -147,7 +147,9 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
     low_events = [()] * (1 << half)
     for m in range(1, 1 << half):
         low_events[m] = ((m & -m).bit_length(),) + low_events[m & (m - 1)]
-    high_events = [tuple(k + half for k in events) for events in low_events[: 1 << (n - half)]]
+    high_events = [()] * (1 << (n - half))
+    for m in range(1, 1 << (n - half)):
+        high_events[m] = ((m & -m).bit_length() + half,) + high_events[m & (m - 1)]
     total = sum(weights.values())
     if not isinstance(total, int):
         for mask, weight in weights.items():

@@ -25,11 +25,12 @@ from .certificates import (
 )
 from .conditional import (
     PartitionField,
-    block_system,
+    block_systems,
     conditional_bound,
     expectation_aggregate,
 )
 from .core import (
+    MAX_EVENTS,
     EventSystem,
     OccurrenceDistribution,
     binomial,
@@ -97,7 +98,8 @@ def random_partition(rng: random.Random, n: int, max_blocks: int = 4) -> Partiti
 
 def _run(name: str, trials: int, n_max: int, seed: int, check: Callable) -> SuiteReport:
     """Run ``check(rng, system)`` on each trial's RNG, ``Random(f"{seed}:{name}:{trial}")``,
-    and random exact system of 2..n_max events.
+    and random exact system of 2..n_max events.  Fewer than one trial, or an
+    ``n_max`` outside 2..``MAX_EVENTS``, is a ValueError before any trial.
 
     The check yields ``(checks made, failure fields or None)``.  A failure's
     reproducer is ``suite=<name> key=value ... system=<json>``, showing the
@@ -105,6 +107,10 @@ def _run(name: str, trials: int, n_max: int, seed: int, check: Callable) -> Suit
     one failing check, ``trial=<trial> error=<class> message=<json>``, and
     the next trial runs.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 2 <= n_max <= MAX_EVENTS:
+        raise ValueError(f"n_max must be in 2..{MAX_EVENTS}, got {n_max}")
     start = time.perf_counter()
     checks, failures = 0, []
 
@@ -354,6 +360,7 @@ def suite_conditional(trials: int = 200, n_max: int = 8, seed: int = 42) -> Suit
     def check(rng, system):
         n = system.n
         partition = random_partition(rng, n)
+        conditioned = dict(block_systems(system, partition))
         occurrence = exact_occurrence(system)
         for _ in range(CONDITIONAL_REQUESTS):
             d = rng.randint(0, n - 1)
@@ -371,8 +378,7 @@ def suite_conditional(trials: int = 200, n_max: int = 8, seed: int = 42) -> Suit
                 continue
             context = dict(r=r, d=d, ell=ell, side=side, target=target)
             for block in blocks:
-                conditioned = block_system(system, partition, block.index)
-                truth = _truth(exact_occurrence(conditioned), r, target)
+                truth = _truth(exact_occurrence(conditioned[block.index]), r, target)
                 ok = _brackets(side, block.certificate.clamped, truth)
                 yield 1, None if ok else dict(kind="block", block=block.index, **context)
             aggregated = expectation_aggregate(blocks, unconditional)

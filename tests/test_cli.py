@@ -51,7 +51,8 @@ def files(tmp_path_factory):
     paths["float_moments"].write_text(
         json.dumps(moment_set(floatize(fair3), 1, 2).to_payload())
     )
-    paths["partition"].write_text(json.dumps(PartitionField.from_event(3, 3).to_payload()))
+    by_third_event = PartitionField(n=3, blocks=((4, 5, 6, 7), (0, 1, 2, 3)))
+    paths["partition"].write_text(json.dumps(by_third_event.to_payload()))
     paths["broken"].write_text("{not json")
     return {name: str(path) for name, path in paths.items()}
 
@@ -363,6 +364,19 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f3e4a8d6640f9c884899c5209ee6e820dd55227d8568ea6bec8279639de0b420"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "-3", "--n-max", "4"], "trials must be at least 1, got -3"),
+            (["--trials", "0"], "trials must be at least 1, got 0"),
+            (["--trials", "1", "--n-max", "1"], "n_max must be in 2..20, got 1"),
+            (["--trials", "1", "--n-max", "21"], "n_max must be in 2..20, got 21"),
+        ],
+    )
+    def test_a_run_it_cannot_make_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, ["verify", *argv])
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
 
     def test_failure_exits_4_with_reproducers(self, capsys, skewed_ub2_row):
         code, out, err = run(

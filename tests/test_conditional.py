@@ -1,5 +1,6 @@
 """Partition handling, blockwise bounds, and expectation aggregation."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from eventbounds.certificates import BoundRequest
+from eventbounds.certificates import SIDES, TARGETS, BoundRequest
 from eventbounds.conditional import (
     PartitionField,
-    block_system,
+    block_systems,
     conditional_bound,
     expectation_aggregate,
 )
@@ -34,20 +35,15 @@ def fair3():
 
 @pytest.fixture(scope="module")
 def by_third_event():
-    return PartitionField.from_event(3, 3)
+    """σ(A_3): the atoms that contain event 3, then those that do not."""
+    return PartitionField(n=3, blocks=((4, 5, 6, 7), (0, 1, 2, 3)))
+
+
+#: σ(A_1) over two events, in the same order.
+BY_FIRST_OF_TWO = PartitionField(n=2, blocks=((1, 3), (0, 2)))
 
 
 class TestPartitionField:
-    def test_trivial_partition(self):
-        partition = PartitionField.trivial(2)
-        assert partition.blocks == ((0, 1, 2, 3),)
-
-    def test_from_event_splits_on_the_bit(self):
-        partition = PartitionField.from_event(3, 3)
-        assert partition.blocks == ((4, 5, 6, 7), (0, 1, 2, 3))
-        assert partition.block_of(5) == 0
-        assert partition.block_of(2) == 1
-
     def test_blocks_are_sorted_on_construction(self):
         partition = PartitionField(n=2, blocks=((3, 0), (2, 1)))
         assert partition.blocks == ((0, 3), (1, 2))
@@ -88,16 +84,8 @@ class TestPartitionField:
         assert str(caught.value) == message
 
     def test_payload_round_trip(self, by_third_event):
-        rebuilt = PartitionField.from_payload(by_third_event.to_payload())
+        rebuilt = PartitionField.from_payload(by_third_event.to_payload(), n=3)
         assert rebuilt == by_third_event
-
-    def test_payload_infers_n_from_the_atom_count(self):
-        partition = PartitionField.from_payload({"blocks": [[0, 1, 2, 3]]})
-        assert partition.n == 2
-
-    def test_payload_rejects_non_power_of_two(self):
-        with pytest.raises(InputFormatError, match="atom space"):
-            PartitionField.from_payload({"blocks": [[0, 1, 2, 3, 4, 5]]})
 
     @pytest.mark.parametrize("atom", ["x", None])
     def test_payload_names_an_atom_that_is_not_a_number(self, atom):
@@ -106,27 +94,45 @@ class TestPartitionField:
 
     def test_payload_rejects_bad_shapes(self):
         with pytest.raises(InputFormatError):
-            PartitionField.from_payload([[0, 1]])
+            PartitionField.from_payload([[0, 1]], n=1)
         with pytest.raises(InputFormatError):
-            PartitionField.from_payload({"blocks": "everything"})
+            PartitionField.from_payload({"blocks": "everything"}, n=1)
+
+
+def _scanned_blocks(system, partition):
+    """The reference for ``block_systems``: each block's atoms found by a
+    scan of its own masks, renormalized, for the blocks that carry mass."""
+    blocks = []
+    for index, block in enumerate(partition.blocks):
+        scanned = {a: system.weights[a] for a in block if a in system.weights}
+        if scanned:
+            blocks.append((index, normalize(system.n, scanned)))
+    return blocks
+
+
+def _assert_same_blocks(got, expected):
+    assert [index for index, _ in got] == [index for index, _ in expected]
+    for (_, conditioned), (_, reference) in zip(got, expected):
+        assert conditioned.exact == reference.exact
+        assert conditioned.total == reference.total
+        assert list(conditioned.weights.items()) == list(reference.weights.items())
 
 
 class TestBlockSystem:
     def test_renormalizes_and_records_the_weight(self, fair3, by_third_event):
-        conditioned = block_system(fair3, by_third_event, 0)
+        conditioned = dict(block_systems(fair3, by_third_event))[0]
         assert conditioned.total == Fraction(1, 2)
         assert sum(conditioned.weights.values()) == 1
         assert set(conditioned.weights) == {4, 5, 6, 7}
 
     def test_massless_block_is_none(self):
         system = EventSystem(n=2, weights={0: Fraction(1)})
-        partition = PartitionField.from_event(2, 1)
-        assert block_system(system, partition, 0) is None
-        assert block_system(system, partition, 1) is not None
+        blocks = list(block_systems(system, BY_FIRST_OF_TWO))
+        assert [index for index, _ in blocks] == [1]
 
     def test_partition_must_match_the_system(self, fair3):
-        with pytest.raises(ValueError, match="n="):
-            block_system(fair3, PartitionField.trivial(2), 0)
+        with pytest.raises(ValueError, match="^partition is over n=2, system has n=3$"):
+            list(block_systems(fair3, PartitionField(n=2, blocks=((0, 1, 2, 3),))))
 
     def test_blocks_match_a_scan_of_the_partition(self):
         rng = random.Random("conditional:blocks")
@@ -134,47 +140,36 @@ class TestBlockSystem:
             for _ in range(3):
                 exact = random_system(rng, n)
                 partition = random_partition(rng, n, max_blocks=5)
-                for atom in range(1 << n):
-                    owner = [k for k, block in enumerate(partition.blocks) if atom in block]
-                    assert [partition.block_of(atom)] == owner
                 for system in (exact, floatize(exact)):
-                    for index, block in enumerate(partition.blocks):
-                        scanned = {a: system.weights[a] for a in block if a in system.weights}
-                        conditioned = block_system(system, partition, index)
-                        if not scanned:
-                            assert conditioned is None
-                            continue
-                        reference = normalize(n, scanned)
-                        assert conditioned.total == reference.total
-                        assert list(conditioned.weights.items()) == list(reference.weights.items())
+                    got = list(block_systems(system, partition))
+                    _assert_same_blocks(got, _scanned_blocks(system, partition))
 
     def test_many_blocks(self):
+        # 512 blocks: the owner table holds 4-byte block numbers.
         singletons = PartitionField(n=9, blocks=[(atom,) for atom in range(512)])
-        assert [singletons.block_of(atom) for atom in range(512)] == list(range(512))
+        exact = random_system(random.Random("conditional:many"), 9, max_support=200)
+        for system in (exact, floatize(exact)):
+            got = list(block_systems(system, singletons))
+            assert [index for index, _ in got] == list(system.weights)
+            _assert_same_blocks(got, _scanned_blocks(system, singletons))
         with pytest.raises(ValueError, match="atom 300 is missing"):
             PartitionField(n=9, blocks=[(atom,) for atom in range(512) if atom != 300])
         with pytest.raises(ValueError, match="atom 7 appears in more than one block"):
             PartitionField(n=9, blocks=[(atom,) for atom in range(512)] + [(7,)])
 
-    def test_block_of_rejects_atoms_outside_the_space(self, by_third_event):
-        for atom in (-1, 8, "3"):
-            with pytest.raises(ValueError, match="not in the partition"):
-                by_third_event.block_of(atom)
-
 
 class TestConditionalMoments:
     def test_per_block_first_moments(self, fair3, by_third_event):
         values = {
-            index: moment_set(block_system(fair3, by_third_event, index), 0, 2).vector(()).values
-            for index in (0, 1)
+            index: moment_set(conditioned, 0, 2).vector(()).values
+            for index, conditioned in block_systems(fair3, by_third_event)
         }
         assert values[0] == (1, 2)
         assert values[1] == (1, 1)
 
     def test_zero_weight_blocks_are_dropped(self):
         system = EventSystem(n=2, weights={0: Fraction(1)})
-        partition = PartitionField.from_event(2, 1)
-        blocks = conditional_bound(system, partition, BoundRequest(r=1, d=0, ell=2))
+        blocks = conditional_bound(system, BY_FIRST_OF_TWO, BoundRequest(r=1, d=0, ell=2))
         assert [block.index for block in blocks] == [1]
         assert blocks[0].weight == 1
 
@@ -188,9 +183,9 @@ class TestConditionalBound:
 
     def test_each_block_bounds_its_conditional_truth(self, fair3, by_third_event):
         request = BoundRequest(r=2, d=0, ell=2, side="upper", formula="u1")
+        conditioned = dict(block_systems(fair3, by_third_event))
         for block in conditional_bound(fair3, by_third_event, request):
-            conditioned = block_system(fair3, by_third_event, block.index)
-            truth = exact_occurrence(conditioned).at_least(2)
+            truth = exact_occurrence(conditioned[block.index]).at_least(2)
             assert block.certificate.clamped >= truth
 
     def test_too_many_orders_is_not_applicable(self, fair3, by_third_event):
@@ -252,6 +247,30 @@ class TestAggregation:
         assert payload["margin"] == "0"
         assert len(payload["blocks"]) == 2
         assert payload["unconditional"]["formula"] == "u1"
+
+
+class TestSharpAggregation:
+    def test_search_margin_is_never_negative(self):
+        """The sharp bound is concave (upper) or convex (lower) in the
+        moments, and the unconditional moments are the block-weighted mean
+        of the block moments, so aggregating the sharp block bounds never
+        loosens the sharp unconditional bound.  Exact, zero tolerance."""
+        rng = random.Random("conditional:margin")
+        margins = []
+        for n in (n for n in range(2, 8) for _ in range(2)):
+            system, partition = random_system(rng, n), random_partition(rng, n)
+            for d, ell, side, target in itertools.product(range(n), (2, 3, 4), SIDES, TARGETS):
+                if ell > n - d + 1:
+                    continue
+                for r in range(max(d, 1), n + 1):
+                    request = BoundRequest(r, d, ell, side, target, formula="search")
+                    blocks = conditional_bound(system, partition, request)
+                    unconditional = bound_for_system(system, request)
+                    margin = expectation_aggregate(blocks, unconditional).margin
+                    assert margin >= 0, (n, request)
+                    margins.append(margin)
+        # Every request ran, and aggregation sometimes strictly sharpens.
+        assert len(margins) == 2168 and any(margin > 0 for margin in margins)
 
 
 class TestStrictImprovementFixture:

@@ -186,14 +186,14 @@ class TestIntegerRepresentation:
             numerators[0] = 2
 
     def test_direct_normalized_and_block_systems_agree(self):
-        from eventbounds.conditional import PartitionField, block_system
+        from eventbounds.conditional import PartitionField, block_systems
 
         direct = EventSystem(n=3, weights=self.WEIGHTS)
         scaled = normalize(3, {mask: 2 * w for mask, w in self.WEIGHTS.items()})
         halved = {mask: w / 2 for mask, w in self.WEIGHTS.items()}
         parent = EventSystem(n=3, weights={**halved, 6: Fraction(1, 2)})
         others = tuple(a for a in range(8) if a != 6)
-        block = block_system(parent, PartitionField(n=3, blocks=(others, (6,))), 0)
+        block = dict(block_systems(parent, PartitionField(n=3, blocks=(others, (6,)))))[0]
         assert (direct.total, scaled.total, block.total) == (1, 2, Fraction(1, 2))
         for system in (scaled, block):
             assert system.exact

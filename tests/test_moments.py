@@ -153,21 +153,22 @@ class TestMomentRoutes:
         assert moments.vector((2, 3)).values[0] == Fraction(1, 2)
 
     def test_moment_set_times_script_runs(self):
-        """``scripts/moment_set_times.py`` times ingest once and ``moment_set`` once per d."""
+        """``scripts/moment_set_times.py`` times ingest once, ``moment_set`` once per d
+        and ``conditional_bound`` once per block count."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
             [
                 sys.executable, str(root / "scripts" / "moment_set_times.py"),
-                "--n", "6", "--atoms", "40", "--repeat", "1",
+                "--n", "8", "--atoms", "40", "--repeat", "1",
             ],
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
             capture_output=True, text=True, check=True, timeout=120,
         )
         lines = result.stdout.splitlines()
-        assert [line.split(":")[0] for line in lines] == ["n=6 atoms=40 ingest"] + [
-            f"n=6 atoms=40 d={d} ell=3" for d in (0, 1, 2)
-        ], result.stdout
+        assert [line.split(":")[0] for line in lines] == ["n=8 atoms=40 ingest"] + [
+            f"n=8 atoms=40 d={d} ell=3" for d in (0, 1, 2)
+        ] + [f"n=8 atoms=40 blocks={blocks} d=1 ell=3" for blocks in (2, 16, 256)], result.stdout
 
 
 class TestMomentVectorValidation:

@@ -73,6 +73,30 @@ class TestVerifyCounts:
         ]
 
 
+class TestRunArguments:
+    @pytest.mark.parametrize(
+        "trials, n_max, message",
+        [
+            (0, 6, "trials must be at least 1, got 0"),
+            (-3, 4, "trials must be at least 1, got -3"),
+            (5, 1, "n_max must be in 2..20, got 1"),
+            (5, 21, "n_max must be in 2..20, got 21"),
+        ],
+    )
+    def test_rejects_a_run_it_cannot_make(self, monkeypatch, trials, n_max, message):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("eventbounds.verification.random_system", no_trial)
+        with pytest.raises(ValueError) as caught:
+            run_all(trials, n_max, 42)
+        assert str(caught.value) == message
+
+    def test_accepts_the_ends_of_the_range(self):
+        assert suite_classical(trials=1, n_max=2, seed=3).trials == 1
+        assert suite_classical(trials=1, n_max=20, seed=3).passed
+
+
 class TestSuiteReport:
     def test_pass_line(self):
         report = SuiteReport(
