@@ -35,7 +35,13 @@ partition.  Then runs, in-process, with and without
   copy, through ``conditional`` in JSON on two partitions: 256 singleton
   blocks (more than 255, so block numbers take 4 bytes each) and the 16
   blocks of the sigma-field of events 1..4, at d 0 and 1, r from 1 to n,
-  ell 2 and 3, both sides.
+  ell 2 and 3, both sides;
+* after those, with and without ``--exact-arithmetic``, through ``bound
+  --moments``: n = 3 moment files whose one record has a malformed
+  ``j`` (a boolean, a float, a string, an index of 0 or beyond n, the
+  wrong order, a tuple twice, a decreasing pair), and n = 5 files with a
+  NaN or infinite moment (NaN at s_1 and s_2, Infinity at s_2 and s_4),
+  the latter on both sides.
 
 Prints one line per call (arguments, exit code, md5 of stdout, stderr;
 a call that raises records the exception's class in place of the code),
@@ -228,6 +234,48 @@ def _many_block_calls(root: Path):
                 ]
 
 
+#: Moment files whose record at ``place`` has a malformed "j": (d, place, j).
+BAD_J = {
+    "bool": (1, 0, [True]),
+    "float": (1, 0, [1.0]),
+    "beyond-n": (1, 2, [4]),
+    "zero": (1, 0, [0]),
+    "string": (1, 0, "1"),
+    "order-2": (1, 0, [1, 2]),
+    "twice": (1, 1, [1]),
+    "decreasing": (2, 1, [2, 1]),
+}
+
+#: Moment files over n = 5 at d = 0, ell = 4 with one value not finite: (order, value).
+NON_FINITE = {
+    "nan-s1": (1, float("nan")),
+    "nan-s2": (2, float("nan")),
+    "infinity-s2": (2, float("inf")),
+    "infinity-s4": (4, float("inf")),
+}
+
+
+def _moment_file_calls(root: Path):
+    """Every argument list for the malformed-j and non-finite moment files."""
+    system = normalize(3, {mask: 1 for mask in range(8)})
+    for name, (d, place, j) in BAD_J.items():
+        payload = moment_set(system, d, 2).to_payload()
+        payload["s"][place]["j"] = j
+        path = _write(root / f"bad-j-{name}.json", payload)
+        for flags in FLAGS:
+            yield ["bound", "--moments", path, "--d", str(d), "--r", "2", "--ell", "2", *flags]
+    for name, (order, value) in NON_FINITE.items():
+        values = [1.0, 0.5, 0.2, 0.05]
+        values[order - 1] = value
+        payload = {"n": 5, "d": 0, "ell": 4, "s": [{"j": [], "values": values}]}
+        path = _write(root / f"non-finite-{name}.json", payload)
+        for side, flags in itertools.product(SIDES, FLAGS):
+            yield [
+                "bound", "--moments", path, "--d", "0", "--r", "2", "--ell", "4",
+                "--side", side, *flags,
+            ]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=4, help="seeded systems, seeds 0..N-1")
@@ -240,6 +288,7 @@ def main() -> None:
         every = [_calls(Path(tmp), seed, args.n_max) for seed in range(args.seeds)]
         every.append(_invalid_calls(Path(tmp)))
         every.append(_many_block_calls(Path(tmp)))
+        every.append(_moment_file_calls(Path(tmp)))
         for argv in itertools.chain(*(itertools.islice(c, 0, None, args.stride) for c in every)):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

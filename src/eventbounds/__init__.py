@@ -22,8 +22,8 @@ _EXPORTS = {
         "conditional_bound", "expectation_aggregate",
     ),
     "core": (
-        "EventSystem", "IndexTuple", "OccurrenceDistribution", "binomial",
-        "enumerate_index_tuples", "exact_joint", "exact_occurrence", "normalize",
+        "EventSystem", "OccurrenceDistribution", "binomial", "exact_joint",
+        "exact_occurrence", "normalize",
     ),
     "dispatch": ("FORMULAS", "bound_for_system", "evaluate_request"),
     "engine": ("SharpnessWitness", "sharpness_witness", "target_vector", "witness_system"),

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import IndexTuple
 from .errors import NotApplicableError
 from .numerics import (
     DEFAULT_TOLERANCE,
@@ -34,6 +33,15 @@ TARGET_EXACTLY = "exactly"
 TARGETS = (TARGET_AT_LEAST, TARGET_EXACTLY)
 
 
+class TermTuple(tuple):
+    """A term's index tuple: a plain tuple of ints whose attribute
+    ``indices`` is the same tuple, which the search-moments check of
+    ``perfbench/worker.py`` reads."""
+
+    __slots__ = ()
+    indices = property(tuple)
+
+
 @dataclass(frozen=True, slots=True)
 class BoundTerm:
     """One index tuple's contribution to a bound.
@@ -45,16 +53,19 @@ class BoundTerm:
     combined bound picks different families for different tuples.
     """
 
-    j: IndexTuple
+    j: tuple[int, ...]
     coefficients: tuple[Number, ...]
     index_set: tuple[int, ...]
     value: Number
     formula_id: str
     m: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "j", TermTuple(self.j))
+
     def to_payload(self) -> dict:
         payload = {
-            "j": list(self.j.indices),
+            "j": list(self.j),
             "coefficients": [encode_number(c) for c in self.coefficients],
             "index_set": list(self.index_set),
             "value": encode_number(self.value),
@@ -67,7 +78,7 @@ class BoundTerm:
     @classmethod
     def from_payload(cls, payload: dict) -> "BoundTerm":
         return cls(
-            j=IndexTuple.coerce(payload["j"]),
+            j=payload["j"],
             coefficients=tuple(to_number(c) for c in payload["coefficients"]),
             index_set=tuple(payload["index_set"]),
             value=to_number(payload["value"]),

@@ -52,11 +52,11 @@ def check_certificate(certificate: BoundCertificate, moments: MomentSet) -> list
         if key not in rows:
             rows[key] = _check_row(term.coefficients, term.index_set, columns, v, upper)
         problem, integers = rows[key]
-        where = f"term j={list(term.j.indices)}"
+        where = f"term j={list(term.j)}"
         if problem:
             problems.append(f"{where}: {problem}")
         if term.j != vector.j:
-            problems.append(f"{where}: its moment vector is j={list(vector.j.indices)}")
+            problems.append(f"{where}: its moment vector is j={list(vector.j)}")
         values, value = vector.values[:ell], term.value
         if integers is None or isinstance(value, float) or not vector.exact:
             agrees = close(dot_product(term.coefficients, values), value)

@@ -77,10 +77,6 @@ def _request_from(args: argparse.Namespace) -> BoundRequest:
     )
 
 
-def _truth(occurrence, r: int, target: str) -> Number:
-    return occurrence.at_least(r) if target == TARGET_AT_LEAST else occurrence.p[r]
-
-
 def _gap(certificate, truth: Number) -> Number:
     if certificate.side == "upper":
         return difference(certificate.clamped, truth)
@@ -124,7 +120,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     certificate = evaluate_request(moments, request)
     payload: dict = {"certificate": certificate.to_payload()}
     if system is not None:
-        truth = _truth(exact_occurrence(system), request.r, request.target)
+        truth = exact_occurrence(system).probability(request.r, request.target)
         payload["exact"] = encode_number(truth)
         payload["gap"] = encode_number(_gap(certificate, truth))
     header = ["side", "target", "r", "d", "ell", "formula", "value", "clamped", "exact", "gap"]
@@ -142,7 +138,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             certificate = evaluate_request(window, request)
         except NotApplicableError:
             continue
-        truth = _truth(occurrence, request.r, request.target)
+        truth = occurrence.probability(request.r, request.target)
         fields = header_payload(certificate)
         fields["exact"] = encode_number(truth)
         fields["gap"] = encode_number(_gap(certificate, truth))

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
+from .certificates import TARGET_AT_LEAST
 from .errors import DegenerateMeasureError, InputFormatError
 from .numerics import (
     Number,
@@ -62,73 +63,14 @@ def falling_factorial(u: int, v: int) -> int:
     return math.perm(u, v)
 
 
-@dataclass(frozen=True, order=True)
-class IndexTuple:
-    """A strictly increasing tuple of event indices (1-based).
-
-    The empty tuple is allowed and denotes "no events pinned"; its order
-    ``d`` is zero.  Index tuples are ordered lexicographically.
-    """
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        indices = tuple(self.indices)
-        object.__setattr__(self, "indices", indices)
-        for value in indices:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"index tuple entries must be integers >= 1, got {value!r}")
-        if any(a >= b for a, b in zip(indices, indices[1:])):
-            raise ValueError(f"index tuple must be strictly increasing, got {indices}")
-
-    @classmethod
-    def coerce(cls, value: "IndexTuple | Iterable[int]") -> "IndexTuple":
-        if isinstance(value, IndexTuple):
-            return value
-        return cls(tuple(value))
-
-    @property
-    def d(self) -> int:
-        return len(self.indices)
-
-    @property
-    def mask(self) -> int:
-        """Bitmask with bit k-1 set for each member index k."""
-        m = 0
-        for k in self.indices:
-            m |= 1 << (k - 1)
-        return m
-
-    def validate_for(self, n: int) -> None:
-        if self.indices and self.indices[-1] > n:
-            raise ValueError(f"index tuple {self.indices} exceeds event count n={n}")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __repr__(self) -> str:
-        return f"IndexTuple{self.indices}"
-
-
 def index_tuple_indices(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """The ``indices`` of :func:`enumerate_index_tuples`, without building
-    an :class:`IndexTuple` each: plain tuples in lexicographic order."""
+    """All index tuples of order d over events 1..n: the C(n, d) strictly
+    increasing tuples of ints, in lexicographic order; d = 0 yields ``()``."""
     if not isinstance(n, int) or not isinstance(d, int):
         raise ValueError("n and d must be integers")
     if n < 0 or d < 0 or d > n:
         raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
     return itertools.combinations(range(1, n + 1), d)
-
-
-def enumerate_index_tuples(n: int, d: int) -> list[IndexTuple]:
-    """All strictly increasing d-tuples over 1..n, in lexicographic order.
-
-    There are C(n, d) of them; d=0 yields the single empty tuple.
-    """
-    return [IndexTuple(combo) for combo in index_tuple_indices(n, d)]
 
 
 class ExactWeights(Mapping):
@@ -428,6 +370,10 @@ class OccurrenceDistribution:
             raise ValueError(f"need 0 <= r <= {self.n}, got r={r!r}")
         return sum(self.p[r:])
 
+    def probability(self, r: int, target: str) -> Number:
+        """P(at least r events occur), or P(exactly r) for the exactly target."""
+        return self.at_least(r) if target == TARGET_AT_LEAST else self.p[r]
+
 
 def atom_masses(sys: EventSystem) -> tuple[Mapping[int, Number], int]:
     """Atom weights to sum over, and what to divide the sums by.
@@ -454,19 +400,27 @@ def exact_occurrence(sys: EventSystem) -> OccurrenceDistribution:
     return OccurrenceDistribution(tuple(_probability(sys, b, denominator) for b in buckets))
 
 
-def exact_joint(sys: EventSystem, i: int, j: "IndexTuple | Iterable[int]") -> Number:
+def exact_joint(sys: EventSystem, i: int, j: Iterable[int]) -> Number:
     """Exact P(exactly i events occur, all events of j among them).
 
     Zero whenever i < d, since fewer events occur than j pins.
     """
     if not isinstance(i, int) or i < 0 or i > sys.n:
         raise ValueError(f"need 0 <= i <= {sys.n}, got i={i!r}")
-    j = IndexTuple.coerce(j)
-    j.validate_for(sys.n)
-    jmask = j.mask
+    jmask = event_mask(j, sys.n)
     masses, denominator = atom_masses(sys)
     total: Number = 0
     for mask, mass in masses.items():
         if mask.bit_count() == i and (mask & jmask) == jmask:
             total += mass
     return _probability(sys, total, denominator)
+
+
+def event_mask(j: Iterable[int], n: int) -> int:
+    """The atom mask with bit k-1 set for each event k of index tuple j, all in 1..n."""
+    mask = 0
+    for k in j:
+        if not 1 <= k <= n:
+            raise ValueError(f"index tuple entry {k!r} is outside events 1..{n}")
+        mask |= 1 << (k - 1)
+    return mask

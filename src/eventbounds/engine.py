@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .certificates import SIDE_UPPER, SIDES, TARGET_AT_LEAST, TARGETS
-from .core import EventSystem, IndexTuple, binomial
+from .core import EventSystem, binomial, event_mask
 from .errors import (
     DegenerateConfigurationError,
     DegenerateMeasureError,
@@ -524,7 +524,7 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
 
 
 def witness_system(
-    witness: SharpnessWitness, j: "IndexTuple | Iterable[int]", n: int, d: int
+    witness: SharpnessWitness, j: Iterable[int], n: int, d: int
 ) -> EventSystem:
     """Realize a nonnegative witness as an event system with the same moments.
 
@@ -539,12 +539,11 @@ def witness_system(
     """
     if not witness.nonnegative:
         raise ValueError("only a nonnegative witness describes a distribution")
-    j = IndexTuple.coerce(j)
-    j.validate_for(n)
-    if j.d != d:
-        raise ValueError(f"index tuple has {j.d} entries, expected d={d}")
+    j = tuple(j)
+    if len(j) != d:
+        raise ValueError(f"index tuple has {len(j)} entries, expected d={d}")
     exact = all_exact(witness.z)
-    base = j.mask
+    base = event_mask(j, n)
     other_bits = [b for b in range(n) if not (base >> b) & 1]
     weights: dict[int, Number] = {}
     total: Number = rational(0) if exact else 0.0

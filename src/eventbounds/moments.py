@@ -30,10 +30,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     EventSystem,
-    IndexTuple,
     atom_masses,
     binomial,
-    enumerate_index_tuples,
     exact_occurrence,
     falling_factorial,
     index_tuple_indices,
@@ -53,7 +51,8 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """The binomial moment matrix F for parameters (n, d, ell).
+    """The binomial moment matrix F for parameters (n, d, ell), built by
+    :func:`moment_matrix`, which checks them.
 
     Rows are indexed by moment order k = 1..ell, columns by position
     i = 1..n-d+1.  The leading square block is unitriangular: entries vanish
@@ -65,18 +64,6 @@ class MomentMatrix:
     d: int
     ell: int
     rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        positions = self.n - self.d + 1
-        if self.d < 0 or self.d > self.n:
-            raise ValueError(f"need 0 <= d <= n, got n={self.n}, d={self.d}")
-        if self.ell < 2 or self.ell > positions:
-            raise ValueError(
-                f"need 2 <= ell <= n-d+1 = {positions}, got ell={self.ell}"
-            )
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        if len(self.rows) != self.ell or any(len(row) != positions for row in self.rows):
-            raise ValueError("moment matrix shape does not match (ell, n-d+1)")
 
     @property
     def positions(self) -> int:
@@ -114,7 +101,8 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
     """Per index tuple of order d, the weight of its atoms at each occurrence level.
 
     ``table[j][i]`` sums the weights of the atoms with exactly i events
-    that contain every event of j, for i = 0..n.
+    that contain every event of j, for i = 0..n; the keys are in the
+    lexicographic order of :func:`index_tuple_indices`.
 
     Integer weights (nonnegative, as every system's numerators are) are
     summed packed: one int per level c and (d-1)-prefix p holds the sums
@@ -212,9 +200,13 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
 
 @dataclass(frozen=True)
 class MomentVector:
-    """The moments s_1(j)..s_ell(j) attached to one index tuple j."""
+    """The moments s_1(j)..s_ell(j) attached to one index tuple j.
 
-    j: IndexTuple
+    j is a plain tuple of ints; the :class:`MomentSet` holding the vector
+    checks that it is the index tuple of order d expected at its place.
+    """
+
+    j: tuple[int, ...]
     n: int
     d: int
     ell: int
@@ -222,14 +214,13 @@ class MomentVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
-        if self.j.d != self.d:
-            raise ValueError(f"index tuple order {self.j.d} does not match d={self.d}")
-        self.j.validate_for(self.n)
         if self.ell < 1:
             raise ValueError(f"need ell >= 1, got ell={self.ell}")
         if self.ell != len(self.values):
             raise ValueError(f"expected {self.ell} moment values, got {len(self.values)}")
         for value in self.values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"moment {value!r} is not finite")
             if not leq(0, value):
                 raise ValueError(f"negative moment {value}")
         if not leq(self.values[0], 1):
@@ -266,13 +257,17 @@ class MomentSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", tuple(self.vectors))
-        pairs = zip(self.vectors, index_tuple_indices(self.n, self.d))  # no list of C(n, d)
-        misplaced = any(v.j.indices != indices for v, indices in pairs)
-        if misplaced or len(self.vectors) != math.comb(self.n, self.d):
-            raise ValueError(
-                "moment set must contain every index tuple of order d exactly once, "
-                "in lexicographic order"
-            )
+        # The C(n, d) tuples are walked lazily up to the first mismatch, so
+        # a file that lacks tuples fails at once even for a large n.
+        pairs = itertools.zip_longest(self.vectors, index_tuple_indices(self.n, self.d))
+        for place, (vector, expected) in enumerate(pairs, 1):
+            if vector is None or vector.j != expected:
+                found = "no record" if vector is None else f"j={list(vector.j)}"
+                wanted = "none" if expected is None else f"j={list(expected)}"
+                raise ValueError(
+                    "moment set must contain every index tuple of order d exactly once, "
+                    f"in lexicographic order: place {place} has {found}, expected {wanted}"
+                )
         for vector in self.vectors:
             if (vector.n, vector.d) != (self.n, self.d) or vector.ell < self.ell:
                 raise ValueError("moment vector parameters disagree with the set")
@@ -334,8 +329,8 @@ class MomentSet:
         cached = self._forms[ell] = (forms, all(form[2] for form in forms))
         return cached
 
-    def vector(self, j: IndexTuple | Iterable[int]) -> MomentVector:
-        j = IndexTuple.coerce(j)
+    def vector(self, j: Iterable[int]) -> MomentVector:
+        j = tuple(j)
         for vector in self.vectors:
             if vector.j == j:
                 return vector
@@ -369,7 +364,7 @@ class MomentSet:
             "d": self.d,
             "ell": self.ell,
             "s": [
-                {"j": list(v.j.indices), "values": [encode_number(x) for x in v.values]}
+                {"j": list(v.j), "values": [encode_number(x) for x in v.values]}
                 for v in self.vectors
             ],
         }
@@ -379,10 +374,12 @@ class MomentSet:
         """Parse the moment file format.
 
         ``{"n": int, "d": int, "ell": int, "s": [{"j": [ints],
-        "values": [numbers]}, ...]}``.  Every index tuple of order d must
-        appear exactly once; values must be nonnegative with s_1 <= 1, and
-        each tuple's first min(ell, 3) orders must be those of some
-        distribution (:func:`eventbounds.engine.check_realizable`; a
+        "values": [numbers]}, ...]}``.  Each record's j is checked here, and
+        only here, to be a list of JSON integers (not booleans, floats or
+        rationals); the set then requires the js to be every index tuple of
+        order d exactly once.  Values must be finite and nonnegative with
+        s_1 <= 1, and each tuple's first min(ell, 3) orders must be those of
+        some distribution (:func:`eventbounds.engine.check_realizable`; a
         necessary condition only at ell >= 4, and per tuple).
         """
         from .engine import check_realizable  # the engine imports this module
@@ -399,13 +396,17 @@ class MomentSet:
             raise InputFormatError('"s" must be a list of moment records')
         vectors = []
         try:
-            for record in entries:
-                j, values = IndexTuple.coerce(record["j"]), record["values"]
+            for index, record in enumerate(entries):
+                j, values = record["j"], record["values"]
+                if not isinstance(j, list) or any(type(k) is not int for k in j):
+                    raise InputFormatError(
+                        f'moment record s[{index}]: "j" must be a list of integers, got {j!r}'
+                    )
                 if not isinstance(values, list):
                     raise InputFormatError(f'"values" must be a list of numbers, got {values!r}')
                 values = tuple(to_number(x) for x in values)
-                vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
-            moments = cls(n=n, d=d, ell=ell, vectors=sorted(vectors, key=lambda v: v.j.indices))
+                vectors.append(MomentVector(j=tuple(j), n=n, d=d, ell=ell, values=values))
+            moments = cls(n=n, d=d, ell=ell, vectors=sorted(vectors, key=lambda v: v.j))
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"malformed moment record: {exc}") from None
         except ValueError as exc:
@@ -436,7 +437,6 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     if ell < 2 or ell > sys.n - d + 1:
         raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
     n = sys.n
-    tuples = enumerate_index_tuples(n, d)
     dfact = math.factorial(d)
     if sys.exact:
         numerators, denominator = sys.integerized()
@@ -450,17 +450,16 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
         ]
         common = top * denominator
         vectors, rows = [], []
-        for t in tuples:
-            levels = table[t.indices]
+        for j, levels in table.items():
             row = tuple(sum(f * levels[i] for i, f in factors[k]) for k in range(ell))
             rows.append(row)
             values = tuple(rational(x, common) for x in row)
-            vectors.append(MomentVector(j=t, n=n, d=d, ell=ell, values=values))
+            vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
         moments = MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
         object.__setattr__(moments, "_integers", (tuple(rows), common))
         object.__setattr__(moments, "exact", True)
         return moments
-    accumulators: dict[tuple[int, ...], list] = {t.indices: [0] * ell for t in tuples}
+    accumulators = {j: [0] * ell for j in index_tuple_indices(n, d)}
     factor_cache: dict[int, tuple[int, ...]] = {}
     for mask, weight in sys.weights.items():
         count = mask.bit_count()
@@ -477,10 +476,9 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
                 if factors[k]:
                     row[k] += weight * factors[k]
     vectors = []
-    for t in tuples:
-        row = accumulators[t.indices]
+    for j, row in accumulators.items():
         values = tuple(float(row[k]) * dfact / math.factorial(k + d) for k in range(ell))
-        vectors.append(MomentVector(j=t, n=n, d=d, ell=ell, values=values))
+        vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
     moments = MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
     object.__setattr__(moments, "exact", False)
     return moments

@@ -32,7 +32,6 @@ from .conditional import (
 from .core import (
     MAX_EVENTS,
     EventSystem,
-    OccurrenceDistribution,
     binomial,
     exact_joint,
     exact_occurrence,
@@ -141,11 +140,6 @@ def _run(name: str, trials: int, n_max: int, seed: int, check: Callable) -> Suit
     )
 
 
-def _truth(occurrence: OccurrenceDistribution, r: int, target: str) -> Number:
-    """The oracle's probability that at least, or exactly, r events occur."""
-    return occurrence.at_least(r) if target == TARGET_AT_LEAST else occurrence.p[r]
-
-
 def _brackets(side: str, bound: Number, truth: Number) -> bool:
     """Whether the bound lies on its side of the truth (:func:`leq`)."""
     return leq(truth, bound) if side == SIDE_UPPER else leq(bound, truth)
@@ -166,7 +160,7 @@ def suite_sandwich(trials: int = 1000, n_max: int = 8, seed: int = 42) -> SuiteR
                     certificate = evaluate_request(window, request)
                 except NotApplicableError:
                     continue
-                truth = _truth(occurrence, request.r, request.target)
+                truth = occurrence.probability(request.r, request.target)
                 ok = _brackets(request.side, certificate.clamped, truth)
                 yield 1, None if ok else dict(
                     r=request.r, d=request.d, ell=request.ell, side=request.side,
@@ -339,7 +333,7 @@ def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteRepo
             moments = moment_set(system, d, positions)
             for r in range(max(d, 1), n + 1):
                 for target in TARGETS:
-                    truth = _truth(occurrence, r, target)
+                    truth = occurrence.probability(r, target)
                     request = BoundRequest(
                         r=r, d=d, ell=positions, side=SIDE_UPPER, target=target, formula="jordan"
                     )
@@ -378,11 +372,11 @@ def suite_conditional(trials: int = 200, n_max: int = 8, seed: int = 42) -> Suit
                 continue
             context = dict(r=r, d=d, ell=ell, side=side, target=target)
             for block in blocks:
-                truth = _truth(exact_occurrence(conditioned[block.index]), r, target)
+                truth = exact_occurrence(conditioned[block.index]).probability(r, target)
                 ok = _brackets(side, block.certificate.clamped, truth)
                 yield 1, None if ok else dict(kind="block", block=block.index, **context)
             aggregated = expectation_aggregate(blocks, unconditional)
-            ok = _brackets(side, aggregated.clamped, _truth(occurrence, r, target))
+            ok = _brackets(side, aggregated.clamped, occurrence.probability(r, target))
             yield 1, None if ok else dict(kind="aggregate", **context)
 
     return _run("conditional", trials, n_max, seed, check)

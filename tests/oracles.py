@@ -22,9 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 from eventbounds.core import (
     EventSystem,
-    IndexTuple,
     atom_masses,
     binomial,
+    event_mask,
     exact_joint,
     falling_factorial,
 )
@@ -32,18 +32,17 @@ from eventbounds.moments import MomentMatrix, MomentVector
 from eventbounds.numerics import Number, rational, zero
 
 
-def moments_via_factorial(sys: EventSystem, j: IndexTuple | Iterable[int], ell: int) -> MomentVector:
+def moments_via_factorial(sys: EventSystem, j: Iterable[int], ell: int) -> MomentVector:
     """Moments of j computed from falling-factorial expectations.
 
     s_k(j) = (d!/(k+d-1)!) * sum over atoms containing j of
     weight * (count - d) falling (k-1).
     """
-    j = IndexTuple.coerce(j)
-    j.validate_for(sys.n)
-    d = j.d
+    j = tuple(j)
+    d = len(j)
     if ell < 2 or ell > sys.n - d + 1:
         raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
-    jmask = j.mask
+    jmask = event_mask(j, sys.n)
     weights, denominator = atom_masses(sys)
     sums = [0] * ell
     for mask, weight in weights.items():
@@ -64,7 +63,7 @@ def moments_via_factorial(sys: EventSystem, j: IndexTuple | Iterable[int], ell: 
     return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=values)
 
 
-def moments_via_subsets(sys: EventSystem, j: IndexTuple | Iterable[int], ell: int) -> MomentVector:
+def moments_via_subsets(sys: EventSystem, j: Iterable[int], ell: int) -> MomentVector:
     """Moments of j as sums of intersection probabilities.
 
     The order-k moment is (k-1)! * d!/(k+d-1)! times the sum, over all
@@ -72,12 +71,11 @@ def moments_via_subsets(sys: EventSystem, j: IndexTuple | Iterable[int], ell: in
     U and of j occur).  Using unordered subsets with the (k-1)! factor
     avoids enumerating ordered tuples.
     """
-    j = IndexTuple.coerce(j)
-    j.validate_for(sys.n)
-    d = j.d
+    j = tuple(j)
+    d = len(j)
     if ell < 2 or ell > sys.n - d + 1:
         raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
-    jmask = j.mask
+    jmask = event_mask(j, sys.n)
     others = [k for k in range(1, sys.n + 1) if not (jmask >> (k - 1) & 1)]
     weights, denominator = atom_masses(sys)
     values = []
@@ -104,10 +102,11 @@ def moments_via_subsets(sys: EventSystem, j: IndexTuple | Iterable[int], ell: in
     return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=tuple(values))
 
 
-def z_via_joint(sys: EventSystem, j: IndexTuple | Iterable[int]) -> tuple[Number, ...]:
+def z_via_joint(sys: EventSystem, j: Iterable[int]) -> tuple[Number, ...]:
     """z(j) by direct enumeration: entry u (u = 1..n-d+1) is P(exactly u+d-1
     events occur and all of j occur) divided by C(u+d-1, d)."""
-    d = IndexTuple.coerce(j).d
+    j = tuple(j)
+    d = len(j)
     return tuple(
         exact_joint(sys, u + d - 1, j) / binomial(u + d - 1, d) for u in range(1, sys.n - d + 2)
     )

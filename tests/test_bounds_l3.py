@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from eventbounds.certificates import BoundRequest
-from eventbounds.core import EventSystem, IndexTuple, exact_occurrence
+from eventbounds.core import EventSystem, exact_occurrence
 from eventbounds.dispatch import FAMILY_TABLE, evaluate_request
 from eventbounds.errors import DegenerateConfigurationError, NotApplicableError
 from eventbounds.families import solved_row
@@ -93,7 +93,7 @@ class TestCoefficientSigns:
 class TestOptimalM:
     def test_low_window_rule_brackets_the_ratio(self):
         s = (Fraction(1), Fraction(3, 2), Fraction(3, 4))
-        vector = MomentVector(j=IndexTuple(()), n=3, d=0, ell=3, values=s)
+        vector = MomentVector(j=(), n=3, d=0, ell=3, values=s)
         moments = MomentSet(n=3, d=0, ell=3, vectors=(vector,))
         assert family(moments, "ub1", 2).terms[0].m == 1
 

@@ -596,7 +596,7 @@ class TestExitCodes:
         moments.write_text('{"n": 3, "d": 0, "ell": 2, "s": [{"j": [], "values": [1, NaN]}]}')
         for argv, message in (
             (["exact", "--input", str(system)], "weight nan at atom 0 is not finite"),
-            (["bound", "--moments", str(moments), "--r", "1", "--ell", "2"], "negative moment nan"),
+            (["bound", "--moments", str(moments), "--r", "1", "--ell", "2"], "moment nan is not finite"),
         ):
             code, out, err = run(capsys, argv)
             assert code == EXIT_INPUT

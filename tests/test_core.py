@@ -9,12 +9,12 @@ from hypothesis import given, strategies as st
 
 from eventbounds.core import (
     EventSystem,
-    IndexTuple,
     binomial,
-    enumerate_index_tuples,
+    event_mask,
     exact_joint,
     exact_occurrence,
     falling_factorial,
+    index_tuple_indices,
     normalize,
     _plain_ratios,
 )
@@ -45,44 +45,41 @@ class TestCombinatorics:
                 assert falling_factorial(u, v) == math.perm(u, v)
 
 
-class TestIndexTuple:
-    def test_coerce_and_properties(self):
-        j = IndexTuple.coerce([1, 3, 4])
-        assert j.d == 3
-        assert j.mask == 0b1101
-        assert list(j) == [1, 3, 4]
+class TestTuplesOfEventIndices:
+    """An index tuple is a plain tuple of ints; functions that take one take
+    any iterable of ints and mask its events."""
 
-    def test_empty_tuple_is_order_zero(self):
-        j = IndexTuple(())
-        assert j.d == 0
-        assert j.mask == 0
+    def test_any_iterable_of_ints_is_a_j(self):
+        assert event_mask([1, 3, 4], 4) == 0b1101
+        system = fair(4)
+        for i in range(5):
+            assert exact_joint(system, i, [1, 3]) == exact_joint(system, i, (1, 3))
+            assert exact_joint(system, i, iter((1, 3))) == exact_joint(system, i, (1, 3))
 
-    def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            IndexTuple((2, 2))
-        with pytest.raises(ValueError):
-            IndexTuple((3, 1))
+    def test_the_empty_tuple_pins_no_event(self):
+        assert event_mask((), 3) == 0
+        system = EventSystem(n=3, weights={0: Fraction(1, 4), 5: Fraction(1, 4), 7: Fraction(1, 2)})
+        occurrence = exact_occurrence(system)
+        assert [exact_joint(system, i, ()) for i in range(4)] == list(occurrence.p)
 
-    def test_rejects_bad_entries(self):
-        with pytest.raises(ValueError):
-            IndexTuple((0, 1))
-        with pytest.raises(ValueError):
-            IndexTuple((True, 2))
-
-    def test_validate_for_bounds_the_largest_index(self):
-        IndexTuple((1, 4)).validate_for(4)
-        with pytest.raises(ValueError):
-            IndexTuple((1, 5)).validate_for(4)
+    def test_entries_outside_1_to_n_are_rejected(self):
+        assert event_mask((1, 4), 4) == 0b1001
+        for j in ((1, 5), (0, 1)):
+            with pytest.raises(ValueError, match="outside events 1..4"):
+                event_mask(j, 4)
+            with pytest.raises(ValueError, match="outside events 1..4"):
+                exact_joint(fair(4), 2, j)
 
     def test_enumeration_is_lexicographic_and_complete(self):
-        tuples = enumerate_index_tuples(4, 2)
+        tuples = list(index_tuple_indices(4, 2))
         assert len(tuples) == binomial(4, 2)
         assert tuples == sorted(tuples)
-        assert tuples[0] == IndexTuple((1, 2))
-        assert tuples[-1] == IndexTuple((3, 4))
+        assert tuples[0] == (1, 2)
+        assert tuples[-1] == (3, 4)
+        assert all(type(j) is tuple and all(type(k) is int for k in j) for j in tuples)
 
     def test_enumeration_order_zero(self):
-        assert enumerate_index_tuples(5, 0) == [IndexTuple(())]
+        assert list(index_tuple_indices(5, 0)) == [()]
 
 
 class TestEventSystem:

@@ -17,7 +17,7 @@ from oracles import dual_gaps, feasible_sides, reference_solve, z_via_joint
 
 from eventbounds import engine
 from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS, BoundRequest
-from eventbounds.core import EventSystem, IndexTuple, exact_occurrence
+from eventbounds.core import EventSystem, exact_occurrence
 from eventbounds.dispatch import evaluate_request
 from eventbounds.engine import (
     dual_bases,
@@ -50,7 +50,7 @@ S = (Fraction(1), Fraction(3, 2))  # fair-3 moments at d=0, ell=2
 
 def single_tuple(n, values):
     """The d = 0 moment set of n events with the given moments, unchecked."""
-    vector = MomentVector(j=IndexTuple(()), n=n, d=0, ell=len(values), values=values)
+    vector = MomentVector(j=(), n=n, d=0, ell=len(values), values=values)
     return MomentSet(n=n, d=0, ell=len(values), vectors=(vector,))
 
 
@@ -368,7 +368,7 @@ class TestWitness:
         v = target_vector(3, 1, 2)
         certificate = evaluate_request(moments, BoundRequest(r=2, d=1, ell=2, formula="search"))
         term = certificate.terms[1]
-        assert term.j == IndexTuple((2,))
+        assert term.j == (2,)
         witness = sharpness_witness(fmat, term.index_set, moments.vector((2,)))
         assert witness.nonnegative
         induced = witness_system(witness, (2,), 3, 1)
@@ -376,6 +376,10 @@ class TestWitness:
         assert reproduced.values == moments.vector((2,)).values
         attained = sum(x * y for x, y in zip(z_via_joint(induced, (2,)), v))
         assert attained == term.value
+        assert witness_system(witness, [2], 3, 1) == induced
+        for j, message in (((4,), "outside events 1..3"), ((1, 2), "expected d=1")):
+            with pytest.raises(ValueError, match=message):
+                witness_system(witness, j, 3, 1)
 
 
 class TestNonnegativeSolution:

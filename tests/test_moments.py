@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from eventbounds.certificates import SIDES, BoundRequest
 from eventbounds.checker import check_certificate
-from eventbounds.core import EventSystem, IndexTuple, binomial, enumerate_index_tuples, normalize
+from eventbounds.cli import EXIT_INPUT, main as cli_main
+from eventbounds.core import EventSystem, binomial, index_tuple_indices, normalize
 from eventbounds.dispatch import evaluate_request
 from eventbounds.errors import InfeasibleMomentsError, InputFormatError
 from eventbounds.numerics import all_exact
@@ -137,7 +139,7 @@ class TestMomentRoutes:
                 top = min(5, n - d + 1)
                 direct = [
                     moments_via_factorial(system, j, top).values
-                    for j in enumerate_index_tuples(n, d)
+                    for j in index_tuple_indices(n, d)
                 ]
                 for ell in range(2, top + 1):
                     batched = moment_set(system, d, ell)
@@ -175,18 +177,18 @@ class TestMomentVectorValidation:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             MomentVector(
-                j=IndexTuple(()), n=2, d=0, ell=2, values=(Fraction(1), Fraction(-1))
+                j=(), n=2, d=0, ell=2, values=(Fraction(1), Fraction(-1))
             )
 
     def test_rejects_s1_above_one(self):
         with pytest.raises(ValueError):
             MomentVector(
-                j=IndexTuple(()), n=2, d=0, ell=2, values=(Fraction(3, 2), Fraction(1))
+                j=(), n=2, d=0, ell=2, values=(Fraction(3, 2), Fraction(1))
             )
 
     def test_truncated_keeps_leading_orders(self):
         vector = MomentVector(
-            j=IndexTuple(()), n=3, d=0, ell=3,
+            j=(), n=3, d=0, ell=3,
             values=(Fraction(1), Fraction(3, 2), Fraction(3, 4)),
         )
         assert vector.truncated(2).values == (Fraction(1), Fraction(3, 2))
@@ -208,19 +210,67 @@ class TestMomentSetPayload:
         assert pair.ell == 2
         assert pair.vector(()).values == moments.vector(()).values[:2]
 
-    def test_restricted_builds_no_index_tuple(self, monkeypatch):
-        moments = moment_set(fair(5), 2, 3)
-        built = []
-        original = IndexTuple.__post_init__
+    @pytest.mark.parametrize(
+        "d, place, j, message",
+        [
+            (1, 0, [True], 's[0]: "j" must be a list of integers, got [True]'),
+            (1, 0, [1.0], 's[0]: "j" must be a list of integers, got [1.0]'),
+            (1, 0, "1", 's[0]: "j" must be a list of integers, got \'1\''),
+            (1, 2, [4], "place 3 has j=[4], expected j=[3]"),
+            (1, 0, [0], "place 1 has j=[0], expected j=[1]"),
+            (1, 0, [1, 2], "place 1 has j=[1, 2], expected j=[1]"),
+            (1, 1, [1], "place 2 has j=[1], expected j=[2]"),
+            (2, 1, [2, 1], "place 2 has j=[2, 1], expected j=[1, 3]"),
+        ],
+        ids=["bool", "float", "string", "beyond-n", "zero", "order-2", "twice", "decreasing"],
+    )
+    def test_malformed_j_is_rejected(self, capsys, tmp_path, d, place, j, message):
+        """A record's j is checked where the file is read, and the error names
+        the record; the CLI exits 2 with that message."""
+        payload = moment_set(fair(3), d, 2).to_payload()
+        payload["s"][place]["j"] = j
+        with pytest.raises(InputFormatError) as raised:
+            MomentSet.from_payload(payload)
+        assert message in str(raised.value)
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps(payload))
+        argv = ["bound", "--moments", str(path), "--d", str(d), "--r", "2", "--ell", "2"]
+        flags = [[], ["--exact-arithmetic"]] if j == [1.0] else [[]]
+        for extra in flags:
+            assert cli_main([*argv, *extra]) == EXIT_INPUT
+            out, err = capsys.readouterr()
+            assert out == ""
+            expected = message.replace("1.0", "Fraction(1, 1)") if extra else message
+            assert expected in err
 
-        def counting(self):
-            built.append(self)
-            original(self)
+    def test_every_j_is_a_plain_tuple_of_ints(self):
+        for n, d in ((1, 0), (3, 1), (4, 2), (5, 3)):
+            for system in (fair(n), floatize(fair(n))):
+                built = moment_set(system, d, 2)
+                read = MomentSet.from_payload(built.to_payload())
+                for moments in (built, read, built.restricted(2)):
+                    js = [v.j for v in moments]
+                    assert js == list(index_tuple_indices(n, d))
+                    assert all(type(j) is tuple for j in js)
+                    assert all(type(k) is int for j in js for k in j)
 
-        monkeypatch.setattr(IndexTuple, "__post_init__", counting)
-        pair = moments.restricted(2)
-        assert [v.j for v in pair] == [v.j for v in moments]
-        assert built == []
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_non_finite_values_are_rejected(self, capsys, tmp_path, value, order):
+        """A NaN or infinite moment is rejected before the sign check; an
+        infinite s_4 once printed bounds of -Infinity and Infinity with exit 0."""
+        values = [1.0, 0.5, 0.2, 0.05]
+        values[order - 1] = value
+        payload = {"n": 5, "d": 0, "ell": 4, "s": [{"j": [], "values": values}]}
+        with pytest.raises(InputFormatError, match=f"moment {value!r} is not finite"):
+            MomentSet.from_payload(payload)
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps(payload))
+        for side in SIDES:
+            argv = ["bound", "--moments", str(path), "--r", "2", "--ell", "4", "--side", side]
+            assert cli_main(argv) == EXIT_INPUT
+            out, err = capsys.readouterr()
+            assert out == "" and "is not finite" in err
 
     def test_missing_tuple_is_rejected(self):
         payload = moment_set(fair(3), 1, 2).to_payload()
@@ -238,7 +288,7 @@ class TestMomentSetPayload:
         payload = moment_set(fair(3), 1, 2).to_payload()
         payload["s"].reverse()
         moments = MomentSet.from_payload(payload)
-        assert [v.j.indices for v in moments] == [(1,), (2,), (3,)]
+        assert [v.j for v in moments] == [(1,), (2,), (3,)]
 
     def test_moments_no_distribution_has_are_rejected(self):
         payload = {"n": 3, "d": 0, "ell": 3, "s": [{"j": [], "values": ["1", "1/10", "9/10"]}]}
@@ -388,7 +438,7 @@ class TestIntegerForm:
             moments.integerized()
 
     def test_exact_agrees_with_all_exact_on_mixed_inputs(self):
-        j = IndexTuple(())
+        j = ()
         cases = [
             (Fraction(1), Fraction(1, 2), Fraction(1, 4)),
             (1, Fraction(1, 2), 0),
@@ -401,7 +451,7 @@ class TestIntegerForm:
             vector = MomentVector(j=j, n=3, d=0, ell=3, values=values)
             assert vector.exact == all_exact(values)
             assert vector.truncated(2).exact == all_exact(values[:2])
-        d1 = [IndexTuple((k,)) for k in (1, 2, 3)]
+        d1 = [(k,) for k in (1, 2, 3)]
         for first in cases:
             vectors = [MomentVector(j=t, n=3, d=1, ell=2, values=first[:2]) for t in d1[:1]] + [
                 MomentVector(j=t, n=3, d=1, ell=2, values=(Fraction(1, 2), Fraction(1, 4)))
