@@ -36,7 +36,8 @@ TARGETS = (TARGET_AT_LEAST, TARGET_EXACTLY)
 class TermTuple(tuple):
     """A term's index tuple: a plain tuple of ints whose attribute
     ``indices`` is the same tuple, which the search-moments check of
-    ``perfbench/worker.py`` reads."""
+    ``perfbench/worker.py`` reads.  Terms built by the evaluator share their
+    moment vector's (:attr:`eventbounds.moments.MomentVector.term_j`)."""
 
     __slots__ = ()
     indices = property(tuple)
@@ -60,9 +61,6 @@ class BoundTerm:
     formula_id: str
     m: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "j", TermTuple(self.j))
-
     def to_payload(self) -> dict:
         payload = {
             "j": list(self.j),
@@ -78,7 +76,7 @@ class BoundTerm:
     @classmethod
     def from_payload(cls, payload: dict) -> "BoundTerm":
         return cls(
-            j=payload["j"],
+            j=TermTuple(payload["j"]),
             coefficients=tuple(to_number(c) for c in payload["coefficients"]),
             index_set=tuple(payload["index_set"]),
             value=to_number(payload["value"]),

@@ -207,7 +207,7 @@ def evaluate(
 
     def build() -> list[BoundTerm]:
         return [
-            BoundTerm(vector.j, row.coefficients, row.index_set, _value(key, row, form), name, row.m)
+            BoundTerm(vector.term_j, row.coefficients, row.index_set, _value(key, row, form), name, row.m)
             for vector, form, (key, row), name in zip(moments, forms, choices, names)
         ]
 

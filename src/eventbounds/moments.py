@@ -36,6 +36,7 @@ from .core import (
     falling_factorial,
     index_tuple_indices,
 )
+from .certificates import TermTuple
 from .errors import InputFormatError
 from .numerics import (
     Number,
@@ -230,6 +231,11 @@ class MomentVector:
     def exact(self) -> bool:
         """True when every value is an int or exact rational; found once."""
         return all_exact(self.values)
+
+    @cached_property
+    def term_j(self) -> TermTuple:
+        """j as the terms of every certificate on this vector hold it, built once."""
+        return TermTuple(self.j)
 
     def truncated(self, ell: int) -> "MomentVector":
         """The same moments cut down to the first ell orders."""

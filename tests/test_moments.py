@@ -254,6 +254,13 @@ class TestMomentSetPayload:
                     assert all(type(j) is tuple for j in js)
                     assert all(type(k) is int for j in js for k in j)
 
+    def test_terms_share_their_vectors_j(self):
+        moments = moment_set(fair(4), 1, 3)
+        certificate = evaluate_request(moments, BoundRequest(r=2, d=1, ell=3))
+        for term, vector in zip(certificate.terms, moments):
+            assert term.j is vector.term_j and term.j == vector.j
+            assert term.j.indices == vector.j  # read by perfbench's search-moments check
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_non_finite_values_are_rejected(self, capsys, tmp_path, value, order):
