@@ -39,7 +39,7 @@ def main() -> None:
                 if not args.quiet:
                     print(
                         f"r={r:3d} {target:8s} {side:5s} solved={table.solved:6d} "
-                        f"stored={table.stored:6d} {elapsed * 1e3:8.1f} ms"
+                        f"stored={len(table.bases):6d} {elapsed * 1e3:8.1f} ms"
                     )
     slowest = max(builds)
     print(

@@ -58,7 +58,7 @@ def check_certificate(certificate: BoundCertificate, moments: MomentSet) -> list
         if term.j != vector.j:
             problems.append(f"{where}: its moment vector is j={list(vector.j)}")
         values, value = vector.values[:ell], term.value
-        if integers is None or isinstance(value, float) or not vector.exact:
+        if integers is None or isinstance(value, float) or not all_exact(values):
             agrees = close(dot_product(term.coefficients, values), value)
         else:
             agrees = _exact_dot(integers, values, value)

@@ -261,8 +261,7 @@ class Row:
     last two are built on first read, since a search table stores many rows
     and reads few; as properties over private slots, they leave reads of
     the other slots plain (a ``__getattr__`` hook would slow every read).
-    ``m`` is the window a closed-form family records, None elsewhere.  A
-    row unpacks as ``(coefficients, index_set, m)``.
+    ``m`` is the window a closed-form family records, None elsewhere.
     """
 
     __slots__ = ("index_set", "m", "numerators", "den", "_coefficients", "_floats")
@@ -287,9 +286,6 @@ class Row:
         if self._floats is None:
             self._floats = tuple(map(float, self.coefficients))
         return self._floats
-
-    def __iter__(self):
-        return iter((self.coefficients, self.index_set, self.m))
 
 
 @dataclass(frozen=True)
@@ -318,11 +314,6 @@ class BasisTable:
     zero_positions: tuple[int, ...]
     one_positions: tuple[int, ...]
     solved: int
-
-    @property
-    def stored(self) -> int:
-        """The number of bases stored, range representatives included."""
-        return len(self.bases)
 
     def __iter__(self) -> Iterator[Row]:
         """Every feasible set in lexicographic order, range sets made on demand."""

@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     EventSystem,
@@ -70,10 +70,6 @@ class MomentMatrix:
     def positions(self) -> int:
         """Number of columns, n - d + 1."""
         return self.n - self.d + 1
-
-    def entry(self, k: int, i: int) -> int:
-        """Entry at row k, column i (both 1-based)."""
-        return self.rows[k - 1][i - 1]
 
     def column(self, i: int) -> tuple[int, ...]:
         return tuple(row[i - 1] for row in self.rows)
@@ -204,7 +200,8 @@ class MomentVector:
     """The moments s_1(j)..s_ell(j) attached to one index tuple j.
 
     j is a plain tuple of ints; the :class:`MomentSet` holding the vector
-    checks that it is the index tuple of order d expected at its place.
+    checks that it is an index tuple of order d, and that no other vector
+    of the set has it.
     """
 
     j: tuple[int, ...]
@@ -228,11 +225,6 @@ class MomentVector:
             raise ValueError(f"s_1 = {self.values[0]} exceeds 1")
 
     @cached_property
-    def exact(self) -> bool:
-        """True when every value is an int or exact rational; found once."""
-        return all_exact(self.values)
-
-    @cached_property
     def term_j(self) -> TermTuple:
         """j as the terms of every certificate on this vector hold it, built once."""
         return TermTuple(self.j)
@@ -251,88 +243,62 @@ class MomentSet:
     This is what the bound modules consume.  It can come from an event
     system (:func:`moment_set`) or straight from a file
     (:meth:`MomentSet.from_payload`) when only intersection probabilities
-    are known; in the latter case the event count is not capped.
+    are known; in the latter case the event count is not capped.  The
+    vectors may come in any order, and the set holds them in the
+    lexicographic order of j.
     """
 
     n: int
     d: int
     ell: int
     vectors: tuple[MomentVector, ...]
-    _integers: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", tuple(self.vectors))
+        n, d, vectors = self.n, self.d, tuple(self.vectors)
+        order = sorted(range(len(vectors)), key=lambda i: vectors[i].j)
         # The C(n, d) tuples are walked lazily up to the first mismatch, so
-        # a file that lacks tuples fails at once even for a large n.
-        pairs = itertools.zip_longest(self.vectors, index_tuple_indices(self.n, self.d))
-        for place, (vector, expected) in enumerate(pairs, 1):
-            if vector is None or vector.j != expected:
-                found = "no record" if vector is None else f"j={list(vector.j)}"
-                wanted = "none" if expected is None else f"j={list(expected)}"
-                raise ValueError(
-                    "moment set must contain every index tuple of order d exactly once, "
-                    f"in lexicographic order: place {place} has {found}, expected {wanted}"
-                )
-        for vector in self.vectors:
-            if (vector.n, vector.d) != (self.n, self.d) or vector.ell < self.ell:
-                raise ValueError("moment vector parameters disagree with the set")
-
-    @cached_property
-    def exact(self) -> bool:
-        """True when every vector is exact; found once, or known from the source."""
-        return all(v.exact for v in self.vectors)
-
-    def integerized(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Exact moments as integer numerators over one common denominator.
-
-        Only valid for an exact set.  Returns one row of ``ell`` numerators
-        per index tuple, in the order of ``vectors``, and the positive
-        denominator D they share: s_k(j) = rows[j][k-1] / D.  D need not be
-        the least common denominator.  Built once: :func:`moment_set` hands
-        over the integers it summed; other sets find D on first use.
-        """
-        if not self.exact:
-            raise ValueError("integerized() requires an exact moment set")
-        if self._integers is None:
-            ell = self.ell
-            flat, denominator = over_common_denominator(
-                [x for v in self.vectors for x in v.values[:ell]]
+        # a file that lacks tuples fails at once even for a large n.  A
+        # vector is named s[i] by its place in ``vectors``, a file's order.
+        pairs = itertools.zip_longest(order, index_tuple_indices(n, d))
+        for place, (i, expected) in enumerate(pairs):
+            if i is not None and vectors[i].j == expected:
+                continue
+            k = next((k for k, v in enumerate(vectors) if not _is_index_tuple(v.j, n, d)), None)
+            if k is not None:
+                found = f"s[{k}] has j={list(vectors[k].j)}, not {d} increasing indices in 1..{n}"
+            elif place and i is not None and vectors[i].j == vectors[order[place - 1]].j:
+                found = f"s[{i}] repeats the j={list(vectors[i].j)} of s[{order[place - 1]}]"
+            else:
+                found = f"no record has j={list(expected)}"
+            raise ValueError(
+                f"moment set must contain every index tuple of order d exactly once: {found}"
             )
-            rows = tuple(flat[k : k + ell] for k in range(0, len(flat), ell))
-            object.__setattr__(self, "_integers", (rows, denominator))
-        return self._integers
+        object.__setattr__(self, "vectors", tuple(vectors[i] for i in order))
+        for vector in vectors:
+            if (vector.n, vector.d) != (n, d) or vector.ell < self.ell:
+                raise ValueError("moment vector parameters disagree with the set")
 
     def forms(self, ell: int) -> tuple[tuple[tuple, ...], bool]:
         """Per index tuple, (values for window picks, values for dot products, D),
         and whether every tuple is exact; built once per ell.
 
-        Exact tuples give their integer numerators twice over the positive
-        moment denominator D, which cancels from every window bracket and
-        every comparison of one tuple; an exact set shares one D
-        (:meth:`integerized`).  Float tuples give their values as they are
+        Each tuple's form is built from its first ell values (:func:`_form`):
+        exact tuples give their integer numerators twice over a positive
+        denominator D, which cancels from every window bracket and every
+        comparison of one tuple; float tuples give their values as they are
         for the picks, their floats for the dot products, and D = None.
+        When the forms at the set's full order are all exact (:func:`moment_set`
+        hands over the integers it summed as those forms), they are sliced.
         """
         cached = self._forms.get(ell)
-        if cached is not None:
-            return cached
-        if self.exact:
-            rows, denominator = self.integerized()
-            if len(rows[0]) != ell:
-                rows = [row[:ell] for row in rows]
-            forms = tuple((row, row, denominator) for row in rows)
-        else:
-            built = []
-            for vector in self.vectors:
-                values = vector.values[:ell]
-                exact = vector.exact if len(vector.values) == ell else all_exact(values)
-                if exact:
-                    row, denominator = over_common_denominator(values)
-                    built.append((row, row, denominator))
-                else:
-                    built.append((values, tuple(map(float, values)), None))
-            forms = tuple(built)
-        cached = self._forms[ell] = (forms, all(form[2] for form in forms))
+        if cached is None:
+            full = self._forms.get(self.ell)
+            if full is not None and full[1]:
+                forms = tuple((row := form[0][:ell], row, form[2]) for form in full[0])
+            else:
+                forms = tuple(_form(vector.values[:ell]) for vector in self.vectors)
+            cached = self._forms[ell] = (forms, all(form[2] for form in forms))
         return cached
 
     def vector(self, j: Iterable[int]) -> MomentVector:
@@ -349,19 +315,12 @@ class MomentSet:
         return len(self.vectors)
 
     def restricted(self, ell: int) -> "MomentSet":
-        """The same set truncated to the first ell moment orders.
-
-        An integer form already built is truncated along, over the same
-        denominator.
-        """
+        """The same set truncated to the first ell moment orders, sharing
+        this set's forms at ell."""
         restricted = MomentSet(
             n=self.n, d=self.d, ell=ell, vectors=tuple(v.truncated(ell) for v in self.vectors)
         )
-        if self._integers is not None:
-            rows, denominator = self._integers
-            integers = (tuple(row[:ell] for row in rows), denominator)
-            object.__setattr__(restricted, "_integers", integers)
-            object.__setattr__(restricted, "exact", True)
+        restricted._forms[ell] = self.forms(ell)
         return restricted
 
     def to_payload(self) -> dict:
@@ -383,10 +342,12 @@ class MomentSet:
         "values": [numbers]}, ...]}``.  Each record's j is checked here, and
         only here, to be a list of JSON integers (not booleans, floats or
         rationals); the set then requires the js to be every index tuple of
-        order d exactly once.  Values must be finite and nonnegative with
-        s_1 <= 1, and each tuple's first min(ell, 3) orders must be those of
-        some distribution (:func:`eventbounds.engine.check_realizable`; a
-        necessary condition only at ell >= 4, and per tuple).
+        order d exactly once, naming a record by its place s[i] in the file
+        or the first index tuple that has none.  Values must be finite and
+        nonnegative with s_1 <= 1, and each tuple's first min(ell, 3) orders
+        must be those of some distribution
+        (:func:`eventbounds.engine.check_realizable`; a necessary condition
+        only at ell >= 4, and per tuple).
         """
         from .engine import check_realizable  # the engine imports this module
         if not isinstance(payload, dict):
@@ -412,7 +373,7 @@ class MomentSet:
                     raise InputFormatError(f'"values" must be a list of numbers, got {values!r}')
                 values = tuple(to_number(x) for x in values)
                 vectors.append(MomentVector(j=tuple(j), n=n, d=d, ell=ell, values=values))
-            moments = cls(n=n, d=d, ell=ell, vectors=sorted(vectors, key=lambda v: v.j))
+            moments = cls(n=n, d=d, ell=ell, vectors=vectors)
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"malformed moment record: {exc}") from None
         except ValueError as exc:
@@ -427,7 +388,7 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     Exact mode sums the integer numerators per index tuple and occurrence
     level (:func:`_level_sums`), then applies the falling factorials once
     per tuple and level; only the final values become rationals, and the
-    set keeps the integers as its :meth:`MomentSet.integerized` form.  For
+    set keeps the integers as its :meth:`MomentSet.forms` at ell.  For
     d >= 1 those sums are packed: one int per level and (d-1)-prefix holds
     every event's sum in its own slot of w bits, w the bit length of the
     total numerator, and since no slot sum exceeds that total, no slot
@@ -455,15 +416,14 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
             for k in range(ell)
         ]
         common = top * denominator
-        vectors, rows = [], []
+        vectors, forms = [], []
         for j, levels in table.items():
             row = tuple(sum(f * levels[i] for i, f in factors[k]) for k in range(ell))
-            rows.append(row)
+            forms.append((row, row, common))
             values = tuple(rational(x, common) for x in row)
             vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
         moments = MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
-        object.__setattr__(moments, "_integers", (tuple(rows), common))
-        object.__setattr__(moments, "exact", True)
+        moments._forms[ell] = (tuple(forms), True)
         return moments
     accumulators = {j: [0] * ell for j in index_tuple_indices(n, d)}
     factor_cache: dict[int, tuple[int, ...]] = {}
@@ -485,9 +445,21 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     for j, row in accumulators.items():
         values = tuple(float(row[k]) * dfact / math.factorial(k + d) for k in range(ell))
         vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
-    moments = MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
-    object.__setattr__(moments, "exact", False)
-    return moments
+    return MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
+
+
+def _is_index_tuple(j: tuple[int, ...], n: int, d: int) -> bool:
+    """Whether j is d increasing indices in 1..n."""
+    return len(j) == d and all(0 < a < b for a, b in zip(j, j[1:] + (n + 1,)))
+
+
+def _form(values: tuple[Number, ...]) -> tuple:
+    """One tuple's form: its integer numerators twice over their denominator
+    when its values are exact, else the values, their floats and None."""
+    if all_exact(values):
+        row, denominator = over_common_denominator(values)
+        return row, row, denominator
+    return values, tuple(map(float, values)), None
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from eventbounds.dispatch import FAMILY_TABLE, evaluate_request
 from eventbounds.engine import target_vector
 from eventbounds.errors import NotApplicableError
 from eventbounds import families
-from eventbounds.numerics import integer_bracket
+from eventbounds.numerics import all_exact, integer_bracket
 from eventbounds.moments import moment_matrix, moment_set
 from eventbounds.verification import floatize, random_system
 
@@ -57,7 +57,8 @@ def test_rows_are_the_engine_solution_and_feasible_for_their_side(name):
     cases = list(row_cases(family))
     assert cases
     for n, r, d, target, m in cases:
-        coefficients, index_set, _ = family.row(n, r, d, target, m)
+        row = family.row(n, r, d, target, m)
+        coefficients, index_set = row.coefficients, row.index_set
         fmat = moment_matrix(n, d, family.ell)
         v = target_vector(n, d, r, target)
         case = (name, n, r, d, target, m)
@@ -176,7 +177,10 @@ class Reference:
                 values = vector.values[: family.ell]
                 candidates = (m,) if window is None else family.pick(values, n, r, d, *window(n, r, d))
                 rows = [family.row(n, r, d, target, c) for c in candidates]
-                scored = [(_reference_dot(c, values), tuple(c), tuple(i), w) for c, i, w in rows]
+                scored = [
+                    (_reference_dot(row.coefficients, values), row.coefficients, row.index_set, row.m)
+                    for row in rows
+                ]
                 best = _first_best([t[0] for t in scored], family.side == SIDE_UPPER)
                 terms.append(scored[best])
             return terms
@@ -250,7 +254,7 @@ def _ties(moments, n, d):
             window = family.windows[target](n, r, d)
             for vector in moments:
                 values = vector.values[: family.ell]
-                count += vector.exact and len(family.pick(values, n, r, d, *window)) == 2
+                count += all_exact(values) and len(family.pick(values, n, r, d, *window)) == 2
     return count
 
 

@@ -53,14 +53,14 @@ class TestMomentMatrix:
         assert fmat.positions == 4
         for k in range(1, 4):
             for i in range(1, 5):
-                assert fmat.entry(k, i) == binomial(i + 1, k + 1)
+                assert fmat.rows[k - 1][i - 1] == binomial(i + 1, k + 1)
 
     def test_leading_block_is_unitriangular(self):
         fmat = moment_matrix(6, 1, 4)
         for k in range(1, 5):
-            assert fmat.entry(k, k) == 1
+            assert fmat.rows[k - 1][k - 1] == 1
             for i in range(1, k):
-                assert fmat.entry(k, i) == 0
+                assert fmat.rows[k - 1][i - 1] == 0
 
     def test_first_row_all_ones_at_d0(self):
         fmat = moment_matrix(4, 0, 2)
@@ -91,7 +91,7 @@ class TestZVector:
                 s = moments_via_factorial(system, j, fmat.ell)
                 for k in range(1, fmat.ell + 1):
                     assert sum(
-                        fmat.entry(k, i + 1) * z[i]
+                        fmat.rows[k - 1][i] * z[i]
                         for i in range(fmat.positions)
                     ) == s.values[k - 1]
 
@@ -216,19 +216,31 @@ class TestMomentSetPayload:
             (1, 0, [True], 's[0]: "j" must be a list of integers, got [True]'),
             (1, 0, [1.0], 's[0]: "j" must be a list of integers, got [1.0]'),
             (1, 0, "1", 's[0]: "j" must be a list of integers, got \'1\''),
-            (1, 2, [4], "place 3 has j=[4], expected j=[3]"),
-            (1, 0, [0], "place 1 has j=[0], expected j=[1]"),
-            (1, 0, [1, 2], "place 1 has j=[1, 2], expected j=[1]"),
-            (1, 1, [1], "place 2 has j=[1], expected j=[2]"),
-            (2, 1, [2, 1], "place 2 has j=[2, 1], expected j=[1, 3]"),
+            (1, 2, [4], "s[2] has j=[4], not 1 increasing indices in 1..3"),
+            (1, 0, [0], "s[0] has j=[0], not 1 increasing indices in 1..3"),
+            (1, 0, [1, 2], "s[0] has j=[1, 2], not 1 increasing indices in 1..3"),
+            (1, 1, [1], "s[1] repeats the j=[1] of s[0]"),
+            (2, 1, [2, 1], "s[1] has j=[2, 1], not 2 increasing indices in 1..3"),
+            (2, 0, [2, 1], "s[0] has j=[2, 1], not 2 increasing indices in 1..3"),
+            (2, 2, [2, 4], "s[2] has j=[2, 4], not 2 increasing indices in 1..3"),
+            (2, 2, [1, 2], "s[2] repeats the j=[1, 2] of s[0]"),
+            (2, 0, None, "exactly once: no record has j=[1, 2]"),
         ],
-        ids=["bool", "float", "string", "beyond-n", "zero", "order-2", "twice", "decreasing"],
+        ids=[
+            "bool", "float", "string", "beyond-n", "zero", "order-2", "twice", "decreasing",
+            "decreasing-first", "beyond-n-at-d2", "twice-at-d2", "missing",
+        ],
     )
     def test_malformed_j_is_rejected(self, capsys, tmp_path, d, place, j, message):
         """A record's j is checked where the file is read, and the error names
-        the record; the CLI exits 2 with that message."""
+        the record by its place s[i] in the file, or, when every record is
+        an index tuple seen once, the first tuple with no record (j None
+        drops record s[place]); the CLI exits 2 with that message."""
         payload = moment_set(fair(3), d, 2).to_payload()
-        payload["s"][place]["j"] = j
+        if j is None:
+            del payload["s"][place]
+        else:
+            payload["s"][place]["j"] = j
         with pytest.raises(InputFormatError) as raised:
             MomentSet.from_payload(payload)
         assert message in str(raised.value)
@@ -383,15 +395,15 @@ class TestDecomposition:
 
 
 class TestIntegerForm:
-    """One integer form per exact set: rows of numerators over one denominator."""
+    """MomentSet.forms(ell): per exact tuple, integer numerators over a denominator."""
 
     @staticmethod
     def assert_form_matches(moments):
-        rows, denominator = moments.integerized()
-        assert isinstance(denominator, int) and denominator > 0
-        assert len(rows) == len(moments)
-        for row, vector in zip(rows, moments):
-            assert all(type(x) is int for x in row)
+        forms, exact = moments.forms(moments.ell)
+        assert exact and len(forms) == len(moments)
+        for (picks, row, denominator), vector in zip(forms, moments):
+            assert isinstance(denominator, int) and denominator > 0
+            assert picks is row and all(type(x) is int for x in row)
             assert tuple(Fraction(x, denominator) for x in row) == vector.values[: moments.ell]
 
     @pytest.mark.parametrize("d", [0, 1, 2])
@@ -411,7 +423,8 @@ class TestIntegerForm:
             for ell in (2, 3):
                 forms, exact = moments.forms(ell)
                 assert moments.forms(ell) is moments.forms(ell)
-                assert exact == moments.exact and len(forms) == len(moments)
+                assert exact == all_exact(x for v in moments for x in v.values[:ell])
+                assert len(forms) == len(moments)
                 assert moments.restricted(ell).forms(ell) == (forms, exact)
                 for (picks, dots, denominator), vector in zip(forms, moments):
                     if exact:
@@ -440,9 +453,9 @@ class TestIntegerForm:
 
     def test_float_sets_have_no_integer_form(self):
         moments = moment_set(normalize(3, {0: 0.25, 7: 0.75}), 1, 2)
-        assert not moments.exact
-        with pytest.raises(ValueError, match="exact"):
-            moments.integerized()
+        forms, exact = moments.forms(2)
+        assert not exact
+        assert [denominator for _, _, denominator in forms] == [None] * 3
 
     def test_exact_agrees_with_all_exact_on_mixed_inputs(self):
         j = ()
@@ -455,9 +468,10 @@ class TestIntegerForm:
             (1.0, 0.5, 0.25),
         ]
         for values in cases:
-            vector = MomentVector(j=j, n=3, d=0, ell=3, values=values)
-            assert vector.exact == all_exact(values)
-            assert vector.truncated(2).exact == all_exact(values[:2])
+            moments = MomentSet(n=3, d=0, ell=3, vectors=[MomentVector(j=j, n=3, d=0, ell=3, values=values)])
+            for ell in (1, 2, 3):
+                assert moments.forms(ell)[1] == all_exact(values[:ell])
+                assert moments.restricted(ell).forms(ell)[1] == all_exact(values[:ell])
         d1 = [(k,) for k in (1, 2, 3)]
         for first in cases:
             vectors = [MomentVector(j=t, n=3, d=1, ell=2, values=first[:2]) for t in d1[:1]] + [
@@ -465,4 +479,6 @@ class TestIntegerForm:
                 for t in d1[1:]
             ]
             moments = MomentSet(n=3, d=1, ell=2, vectors=vectors)
-            assert moments.exact == all_exact(v for vector in vectors for v in vector.values)
+            for ell in (1, 2):
+                expected = all_exact(v for vector in vectors for v in vector.values[:ell])
+                assert moments.forms(ell)[1] == expected

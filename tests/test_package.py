@@ -2,7 +2,8 @@
 constant, the family coefficients have one source, certificates have one
 evaluator, the certificate checker shares no code with it, the randomized
 suites have one runner, exact weights have one builder, and which family
-applies where is read in one place."""
+applies where is read in one place, and no object writes another's frozen
+fields."""
 
 import ast
 import os
@@ -151,6 +152,25 @@ def test_applicability_has_one_reader():
         f"{name}:{line}" for name, line in reads if name != "dispatch.py" or line not in inside
     ]
     assert reads and not offenders, f"applies read outside dispatch._closed_forms at {offenders}"
+
+
+def test_no_frozen_field_is_written_from_outside():
+    """object.__setattr__, which gets round a frozen dataclass, is called in
+    src/ only on self: no object writes another's fields."""
+    offenders = []
+    for path in sorted(Path(eventbounds.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                continue
+            func, first = node.func, node.args[0] if node.args else None
+            if (
+                func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object"
+                and not (isinstance(first, ast.Name) and first.id == "self")
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"object.__setattr__ on another object at {offenders}"
 
 
 def test_the_checker_imports_no_solver_module():
