@@ -468,7 +468,8 @@ class TestIntegerForm:
             (1.0, 0.5, 0.25),
         ]
         for values in cases:
-            moments = MomentSet(n=3, d=0, ell=3, vectors=[MomentVector(j=j, n=3, d=0, ell=3, values=values)])
+            vector = MomentVector(j=j, n=3, d=0, ell=3, values=values)
+            moments = MomentSet(n=3, d=0, ell=3, vectors=[vector])
             for ell in (1, 2, 3):
                 assert moments.forms(ell)[1] == all_exact(values[:ell])
                 assert moments.restricted(ell).forms(ell)[1] == all_exact(values[:ell])

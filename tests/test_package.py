@@ -1,7 +1,7 @@
 """The package: every export resolves on first use, the float tolerance is one
 constant, the family coefficients have one source, certificates have one
 evaluator, the certificate checker shares no code with it, the randomized
-suites have one runner, exact weights have one builder, and which family
+suites have one runner, exact weights have one builder, which family
 applies where is read in one place, and no object writes another's frozen
 fields."""
 
