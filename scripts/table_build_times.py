@@ -3,7 +3,9 @@
 For each r in 0..n, each target and each side, clears the engine's table cache
 and times ``engine.dual_bases`` on the moment matrix (n, d, ell), then
 prints one line per table (candidates solved, bases stored, milliseconds)
-and a summary with the slowest build.  Run from the repository root:
+and a summary: the total time, the candidates solved in all tables, the
+microseconds per candidate and the slowest build.  Run from the
+repository root:
 
     PYTHONPATH=src python3 scripts/table_build_times.py --n 60 --d 0 --ell 4
 """
@@ -35,17 +37,19 @@ def main() -> None:
                 start = time.perf_counter()
                 table = engine.dual_bases(fmat, v, side)
                 elapsed = time.perf_counter() - start
-                builds.append((elapsed, r, target, side))
+                builds.append((elapsed, r, target, side, table.solved))
                 if not args.quiet:
                     print(
                         f"r={r:3d} {target:8s} {side:5s} solved={table.solved:6d} "
                         f"stored={len(table.bases):6d} {elapsed * 1e3:8.1f} ms"
                     )
     slowest = max(builds)
+    seconds = sum(b[0] for b in builds)
+    solved = sum(b[4] for b in builds)
     print(
-        f"n={args.n} d={args.d} ell={args.ell}: {len(builds)} tables in "
-        f"{sum(b[0] for b in builds):.2f} s; slowest {slowest[0] * 1e3:.1f} ms "
-        f"(r={slowest[1]}, {slowest[2]}, {slowest[3]})"
+        f"n={args.n} d={args.d} ell={args.ell}: {len(builds)} tables in {seconds:.2f} s; "
+        f"solved={solved} at {seconds / max(solved, 1) * 1e6:.1f} us/candidate; "
+        f"slowest {slowest[0] * 1e3:.1f} ms (r={slowest[1]}, {slowest[2]}, {slowest[3]})"
     )
 
 

@@ -27,6 +27,12 @@ sign of b and of b - 1 at every position, and a left-to-right scan counts
 the roots those signs force.  Only the index sets whose counts fit both
 budgets are solved, and each is still checked (:func:`dual_bases`).  The
 enumeration cap limits the number of those candidates.
+
+The candidates come in lexicographic order and share one fraction-free
+elimination along their common prefixes (:func:`_prefix_solves`), with
+no row swaps: every leading minor of F_I^T is positive.  The check of b
+against v starts at the position that rejected the latest candidate;
+check order cannot change which sets pass.
 """
 
 from __future__ import annotations
@@ -447,9 +453,11 @@ def dual_bases(
 
     Feasibility depends only on the shape (F, v, side), never on the
     moments, so the table is built once per shape and cached.  Only the
-    index sets that a root-count bound allows are solved, each on
-    integers (:func:`solve_integer`), and b = F^T a is compared with v
-    through the sign of N . F_i - v_i den, so every stored set is checked.
+    index sets that a root-count bound allows are solved, on integers,
+    sharing the elimination along common prefixes (:func:`_prefix_solves`),
+    and b = F^T a is compared with v through the sign of
+    N . F_i - v_i den, rejecting positions first (moved to the front), so
+    every stored set is checked.
 
     The bound.  Let I have targets not all 0 and, at d = 0, not all 1
     (those sets are the table's ranges).  Write b(x) = sum_k a_k
@@ -501,17 +509,88 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
     ]
     columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
     checks = list(zip(columns, v))
-    for index_set in candidates:
-        rhs = [v[i - 1] for i in index_set]
-        numerators, den = solve_integer([columns[i - 1] for i in index_set], rhs)
-        for column, target in checks:
+    for index_set, numerators, den in _prefix_solves(columns, v, candidates):
+        for place, (column, target) in enumerate(checks):
             gap = sum(map(operator.mul, numerators, column)) - target * den
             if gap < 0 if upper else gap > 0:
+                checks.insert(0, checks.pop(place))
                 break
         else:
             bases.append(Row(index_set, None, numerators, den))
     bases.sort(key=operator.attrgetter("index_set"))
     return BasisTable(ell, tuple(bases), zero_positions, one_positions, candidates.count)
+
+
+def _prefix_solves(
+    columns: Sequence[Sequence[int]], v: Sequence[int], index_sets: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Solve F_I^T a = v_I for each index set I, sharing the elimination
+    along consecutive sets' common prefixes; yields (I, numerators, den)
+    as :func:`solve_integer` gives them.
+
+    Row k of the system is position I_k's column of F, with target v at
+    I_k.  Fraction-free (Bareiss) elimination without row swaps reduces
+    row k with rows 0..k-1 alone, so the reduced rows of the prefix, the
+    first ell-1 positions, serve every later set that shares them, and
+    only the rows from the first changed position on are reduced again.
+    Back substitution then solves the prefix's leading block for two
+    right-hand sides, the order-ell column and the targets, as integer
+    numerators R0 and R1 over its determinant D.  The last position, with
+    column c and target t, leaves one unknown: den = D c_ell - c . R0 (D
+    times the Schur complement, which is det F_I), the last numerator is
+    N = D t - c . R1, and the others are (R1 den - R0 N) / D, an exact
+    division.  In lexicographic order most sets change only their last
+    position and cost two dot products.
+
+    Pivot k is the leading minor of order k+1 of F_I^T: orders 1..k+1 at
+    I_0 < ... < I_k.  Divided by C(x+d-1, d) > 0 per row, those entries
+    are polynomials in x of degrees 0..k with positive leading
+    coefficients, a Vandermonde determinant times a positive constant.
+    So every pivot and ``den`` are positive, and the numerators are
+    :func:`solve_integer`'s.  A pivot that is not positive (a repeated
+    position, say) raises, naming the index set.
+    """
+    rows: list[list[int]] = []  # prefix row k's entries k..ell, reduced
+    last: tuple[int, ...] = (0,)  # no position is 0, so the first set shares nothing
+    for index_set in index_sets:
+        size = len(index_set) - 1
+        start = 0
+        while start < size and index_set[start] == last[start]:
+            start += 1
+        if start < size:
+            del rows[start:]
+            for k in range(start, size):
+                x = index_set[k] - 1
+                row = [*columns[x], v[x]]
+                previous = 1
+                for head in rows:
+                    h, factor = head[0], row[0]
+                    row = [(h * a - factor * b) // previous for a, b in zip(row[1:], head[1:])]
+                    previous = h
+                if row[0] <= 0:
+                    raise DegenerateConfigurationError(
+                        f"index set {index_set}: pivot {k + 1} is {row[0]}, not positive"
+                    )
+                rows.append(row)
+            prefix_den = rows[-1][0]
+            r0: list[int] = []
+            r1: list[int] = []
+            for row in reversed(rows):
+                tail = row[1:]
+                r0.insert(0, (prefix_den * row[-2] - sum(map(operator.mul, tail, r0))) // row[0])
+                r1.insert(0, (prefix_den * row[-1] - sum(map(operator.mul, tail, r1))) // row[0])
+        last = index_set
+        x = index_set[size] - 1
+        column = columns[x]
+        den = prefix_den * column[size] - sum(map(operator.mul, column, r0))
+        if den <= 0:
+            raise DegenerateConfigurationError(
+                f"index set {index_set}: determinant {den}, not positive"
+            )
+        final = prefix_den * v[x] - sum(map(operator.mul, column, r1))
+        numerators = [(b * den - a * final) // prefix_den for a, b in zip(r0, r1)]
+        numerators.append(final)
+        yield index_set, tuple(numerators), den
 
 
 def witness_system(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -94,6 +94,26 @@ def moment_rows(d: int, ell: int, positions: Sequence[int]) -> tuple[tuple[int, 
     )
 
 
+# Only n picks the tables, and a conditioned system's blocks share it.
+@lru_cache(maxsize=8)
+def _half_events(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The events of each low-half and each high-half mask of n events.
+
+    The low half is events 1..h, h = ceil(n/2), and entry m of each table
+    lists the events of mask m in increasing order, the high half's
+    shifted by h; each entry extends the entry of m without its lowest
+    bit.
+    """
+    half = (n + 1) // 2
+    tables = []
+    for offset, size in ((0, half), (half, n - half)):
+        events = [()] * (1 << size)
+        for m in range(1, 1 << size):
+            events[m] = ((m & -m).bit_length() + offset,) + events[m & (m - 1)]
+        tables.append(tuple(events))
+    return tables[0], tables[1]
+
+
 def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int, ...], list]:
     """Per index tuple of order d, the weight of its atoms at each occurrence level.
 
@@ -108,7 +128,9 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
     sum exceeds that total, so it fits in w bits and no slot carries into
     the next.  An atom at level c adds weight * spread(mask), with
     spread(mask) the sum of 2**(w(k-1)) over its events k (read from two
-    half-mask tables), once for each (d-1)-subset p of its events other
+    half-mask tables built per call, since they depend on w; each half
+    mask's events come from the per-n tables of :func:`_half_events`),
+    once for each (d-1)-subset p of its events other
     than the last: once per atom at d = 1.  Slot k > max(p) of that sum is
     ``table[p + (k,)][c]``.  At d = 2 the atoms are grouped first: each
     adds weight * spread(mask) once to the group of its low-half mask and
@@ -129,12 +151,7 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
         return table
     half = (n + 1) // 2
     low_mask = (1 << half) - 1
-    low_events = [()] * (1 << half)
-    for m in range(1, 1 << half):
-        low_events[m] = ((m & -m).bit_length(),) + low_events[m & (m - 1)]
-    high_events = [()] * (1 << (n - half))
-    for m in range(1, 1 << (n - half)):
-        high_events[m] = ((m & -m).bit_length() + half,) + high_events[m & (m - 1)]
+    low_events, high_events = _half_events(n)
     total = sum(weights.values())
     if not isinstance(total, int):
         for mask, weight in weights.items():
@@ -146,9 +163,10 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
                 table[combo][count] += weight
         return table
     width = max(total.bit_length(), 1)
-    low = [0] * (1 << half)
-    for m in range(1, 1 << half):
-        low[m] = low[m & (m - 1)] + (1 << width * (low_events[m][0] - 1))
+    low = [0]  # doubled once per low event: the masks with bit k come after those without
+    for k in range(half):
+        step = 1 << width * k
+        low += [spread + step for spread in low]
     high = [spread << width * half for spread in low[: 1 << (n - half)]]
     sums = {prefix: [0] * (n + 1) for prefix in index_tuple_indices(n, d - 1)}
     if d == 2:

@@ -160,6 +160,24 @@ def reference_solve(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> 
     return tuple(mat[r][size] for r in range(size))
 
 
+def determinant(rows: Sequence[Sequence[Number]]) -> Fraction:
+    """Gaussian elimination on Fractions, pivoting on the first nonzero entry."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        pivot = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for r in range(col + 1, len(mat)):
+            factor = mat[r][col] / mat[col][col]
+            mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+    return det
+
+
 def dual_gaps(fmat: MomentMatrix, a: Sequence[Number], v: Sequence[int]) -> tuple[Fraction, ...]:
     """b - v at every position, where b = F^T a, on Fractions."""
     return tuple(

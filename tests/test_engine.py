@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import dual_gaps, feasible_sides, reference_solve, z_via_joint
+from oracles import determinant, dual_gaps, feasible_sides, reference_solve, z_via_joint
 
 from eventbounds import engine
 from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS, BoundRequest
@@ -154,10 +154,11 @@ class TestSearch:
         assert feasible(F32, V1, "upper") == ((1, 2), (2, 3), (2, 4), (3, 4))
 
     def test_cap_is_checked_before_any_solve(self, monkeypatch):
-        def no_solve(rows, rhs):
+        def no_solve(*args):
             raise AssertionError("solved an index set above the cap")
 
         monkeypatch.setattr(engine, "solve_integer", no_solve)
+        monkeypatch.setattr(engine, "_prefix_solves", no_solve)
         fmat = moment_matrix(60, 0, 6)
         v = target_vector(60, 0, 30)
         message = "2413456 candidate index sets exceed the enumeration cap of 1000000"
@@ -284,6 +285,57 @@ class TestBasisTable:
             ("upper", "exactly", 30): (114, 114),
         }
 
+    def test_prefix_solves_equal_the_per_set_solve(self):
+        """Every root-count candidate of every shape with n <= 8, rejected
+        ones included: the shared elimination yields the numerators and
+        the denominator that solving the set alone gives."""
+        candidates = 0
+        for n in range(1, 9):
+            for d in range(n):
+                for ell in range(2, n - d + 2):
+                    fmat = moment_matrix(n, d, ell)
+                    columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
+                    for r in range(d, n + 1):
+                        for target in TARGETS:
+                            v = target_vector(n, d, r, target)
+                            for side in SIDES:
+                                index_sets = list(engine._Candidates(v, ell, d, side == SIDE_UPPER))
+                                expected = [
+                                    (index_set, *solve_integer(
+                                        [columns[i - 1] for i in index_set],
+                                        [v[i - 1] for i in index_set],
+                                    ))
+                                    for index_set in index_sets
+                                ]
+                                got = list(engine._prefix_solves(columns, v, index_sets))
+                                assert got == expected, (n, d, ell, r, target, side)
+                                candidates += len(index_sets)
+        assert candidates == 14234
+
+    def test_every_leading_minor_is_positive(self):
+        """The no-swap claim: at n <= 8, orders 1..k at any k increasing
+        positions have a positive determinant, so every pivot of the
+        shared elimination, and its final denominator, is positive."""
+        minors = 0
+        for n in range(1, 9):
+            for d in range(n):
+                fmat = moment_matrix(n, d, n - d + 1)
+                for k in range(1, fmat.positions + 1):
+                    for positions in itertools.combinations(range(1, fmat.positions + 1), k):
+                        assert determinant([fmat.column(i)[:k] for i in positions]) > 0
+                        minors += 1
+        assert minors == 1972
+
+    def test_a_repeated_position_raises(self):
+        """A singular system, a position repeated at the end or inside the
+        prefix, raises naming the set instead of dividing by zero."""
+        fmat = moment_matrix(4, 0, 3)
+        columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
+        v = target_vector(4, 0, 2)
+        for run, bad in ((((1, 2, 3), (1, 2, 2)), (1, 2, 2)), (((1, 2, 3), (2, 2, 3)), (2, 2, 3))):
+            with pytest.raises(DegenerateConfigurationError, match=re.escape(str(bad))):
+                list(engine._prefix_solves(columns, v, run))
+
     def test_one_sets_are_listed_not_stored(self):
         """At d = 0 every set whose targets are all one solves to a = e_1;
         on the upper side the table stores only the first of them."""
@@ -334,7 +386,9 @@ class TestBasisTable:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
             capture_output=True, text=True, check=True, timeout=120,
         )
-        assert result.stdout.startswith("n=8 d=0 ell=3: 36 tables in "), result.stdout
+        summary = result.stdout
+        assert summary.startswith("n=8 d=0 ell=3: 36 tables in "), summary
+        assert re.search(r"; solved=226 at \d+\.\d us/candidate; slowest ", summary), summary
 
 
 class TestWitness:
