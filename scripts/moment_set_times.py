@@ -4,11 +4,13 @@ Builds an n-event system of ``--atoms`` distinct atoms with weights a/b
 (a, b in 1..9, seeded) as the text of an event-system file with
 ``"normalize": true``.  Times its ingest, ``json.loads`` and
 ``EventSystem.from_payload``, then ``moments.moment_set`` at each d in
-``--ds`` and the given ell, then ``conditional_bound`` at d = 1 and the
-given ell (upper, at least r = 3) on the sigma-field of the first k
-events, 2^k blocks, for k = 1, 4 and 8 up to n; each best of
-``--repeat``.  Prints one line for ingest, one per d and one per k.  Run
-from the repository root:
+``--ds`` and the given ell, then ``MomentSet.from_payload`` on the
+system's d = 1 moment payload at the given ell (which includes the
+realizability check), then ``conditional_bound`` at d = 1 and the given
+ell (upper, at least r = 3) on the sigma-field of the first k events, 2^k
+blocks, for k = 1, 4 and 8 up to n; each best of ``--repeat``.  Prints
+one line for ingest, one per d, one for the moment file and one per k.
+Run from the repository root:
 
     PYTHONPATH=src python3 scripts/moment_set_times.py --n 20 --atoms 50000
 """
@@ -23,7 +25,7 @@ import time
 from eventbounds.certificates import BoundRequest
 from eventbounds.conditional import PartitionField, conditional_bound
 from eventbounds.core import EventSystem
-from eventbounds.moments import moment_set
+from eventbounds.moments import MomentSet, moment_set
 
 
 def _best(repeat: int, call) -> tuple[float, object]:
@@ -55,6 +57,12 @@ def main() -> None:
     for d in args.ds:
         seconds, _ = _best(args.repeat, lambda: moment_set(system, d, args.ell))
         print(f"{label} d={d} ell={args.ell}: moment_set {seconds:.3f} s (best of {args.repeat})")
+    payload = moment_set(system, 1, args.ell).to_payload()
+    seconds, _ = _best(args.repeat, lambda: MomentSet.from_payload(payload))
+    print(
+        f"{label} d=1 ell={args.ell} moment file: MomentSet.from_payload {seconds * 1e3:.2f} ms "
+        f"(best of {args.repeat})"
+    )
     request = BoundRequest(r=3, d=1, ell=args.ell)
     for k in (k for k in (1, 4, 8) if k <= args.n):
         blocks = [range(block, 1 << args.n, 1 << k) for block in range(1 << k)]

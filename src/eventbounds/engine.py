@@ -10,13 +10,16 @@ feasibility.  The vector z* supported on i with F_i z*_i = s has the same
 moments, and when z* is nonnegative it is an occurrence vector attaining
 the bound, which is the sharpness witness.
 
-This module solves those small dense systems exactly (fraction-free, on
-integers), tabulates the dual-feasible index sets once per shape (n, d,
-ell, target vector, side) as rows (:class:`Row`, the one dual row type),
-checking feasibility only there, and tests moments for a nonnegative
-occurrence vector.  It evaluates no bound: ``families`` applies rows to
-moments, for the closed forms, the index-set search and the full-order
-(Jordan) case alike; ``checker`` re-checks certificates on its own.
+This module has the one exact solver, a fraction-free elimination on
+integers (:func:`_prefix_solves`), which solves the search tables, the
+closed-form family rows and exact sharpness witnesses.  It tabulates the
+dual-feasible index sets once per shape (n, d, ell, target vector, side)
+as rows (:class:`Row`, the one dual row type), checking feasibility only
+there, and tests moments against the closed-form facets of the moment
+cone (:func:`check_realizable`).  It evaluates no bound: ``families``
+applies rows to moments, for the closed forms, the index-set search and
+the full-order (Jordan) case alike; ``checker`` re-checks certificates on
+its own.
 
 The table is not built from all C(n-d+1, ell) index sets.  Read b = F^T a
 as a function of the position x > 0: b(x) = C(x+d-1, d) q(x) with q a
@@ -52,8 +55,16 @@ from .errors import (
     InfeasibleMomentsError,
     ResourceLimitError,
 )
-from .moments import MomentMatrix, MomentSet, MomentVector, moment_matrix
-from .numerics import Number, all_exact, encode_number, leq, over_common_denominator, rational
+from .moments import MomentMatrix, MomentSet, MomentVector
+from .numerics import (
+    DEFAULT_TOLERANCE,
+    Number,
+    all_exact,
+    encode_number,
+    leq,
+    over_common_denominator,
+    rational,
+)
 
 #: The enumeration cap: the most candidate index sets one table may solve.
 MAX_CANDIDATES = 1_000_000
@@ -78,11 +89,11 @@ def target_entries(d: int, r: int, target: str, positions: Iterable[int]) -> tup
     raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
 
 
-def _solve_float(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> tuple[float, ...]:
-    """Solve a small dense linear system in floats by Gauss-Jordan elimination
-    with partial pivoting.  Raises on a singular matrix."""
-    size = len(rows)
-    mat = [[float(x) for x in row] + [float(b)] for row, b in zip(rows, rhs)]
+def _solve_float(columns: Sequence[Sequence[int]], values: Sequence[Number]) -> tuple[float, ...]:
+    """The z with F_I z = s in floats, F_I's columns given, by Gauss-Jordan
+    elimination with partial pivoting.  Raises on a singular matrix."""
+    size = len(columns)
+    mat = [[float(column[k]) for column in columns] + [float(b)] for k, b in enumerate(values)]
     for col in range(size):
         pivot = max(range(col, size), key=lambda r: abs(mat[r][col]))
         if abs(mat[pivot][col]) < 1e-300:
@@ -97,55 +108,18 @@ def _solve_float(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> tup
     return tuple(mat[r][size] for r in range(size))
 
 
-def solve_integer(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[tuple[int, ...], int]:
-    """Solve an integer system by fraction-free (Bareiss) elimination.
-
-    Returns (N, den) with den = |det| > 0 and solution x_k = N_k / den.
-    Forward elimination divides each update exactly by the previous pivot
-    and leaves +-det as the last pivot; back substitution then yields
-    det * x_k, again by exact division.  No rational is ever built.
-    Raises on a singular matrix.
-    """
-    size = len(rows)
-    if any(len(row) != size for row in rows) or len(rhs) != size:
-        raise ValueError("linear system must be square with matching right-hand side")
-    mat = [[*row, b] for row, b in zip(rows, rhs)]
-    previous = 1
-    for col in range(size):
-        pivot = col
-        while not mat[pivot][col]:
-            pivot += 1
-            if pivot == size:
-                raise DegenerateConfigurationError("singular linear system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        head = mat[col]
-        h = head[col]
-        for r in range(col + 1, size):
-            row = mat[r]
-            factor = row[col]
-            mat[r] = [0] * (col + 1) + [
-                (h * x - factor * y) // previous for x, y in zip(row[col + 1:], head[col + 1:])
-            ]
-        previous = h
-    numerators = [0] * size
-    for k in range(size - 1, -1, -1):
-        row = mat[k]
-        total = previous * row[size]
-        for j in range(k + 1, size):
-            total -= row[j] * numerators[j]
-        numerators[k] = total // row[k]
-    if previous < 0:
-        return tuple(-x for x in numerators), -previous
-    return tuple(numerators), previous
-
-
-def _solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[Number]) -> tuple:
-    """Exact rational solution of an integer system with a rational right-hand side."""
-    scaled, scale = over_common_denominator(rhs)
-    numerators, den = solve_integer(rows, scaled)
-    return tuple(rational(x, den * scale) for x in numerators)
+def _witness_exact(columns: Sequence[Sequence[int]], values: Sequence[Number]) -> tuple:
+    """The exact z with F_I z = s, F_I's columns given.  Entry p is s . a for
+    the a with F_I^T a = e_p, since a . F_I z = e_p . z; each a comes from
+    the one exact elimination, :func:`_prefix_solves`."""
+    moments, scale = over_common_denominator(values)
+    size = len(columns)
+    whole = (tuple(range(1, size + 1)),)
+    z = []
+    for p in range(size):
+        ((_, a, den),) = _prefix_solves(columns, [int(k == p) for k in range(size)], whole)
+        z.append(rational(sum(map(operator.mul, a, moments)), den * scale))
+    return tuple(z)
 
 
 def _check_index_set(fmat: MomentMatrix, index_set: Sequence[int]) -> tuple[int, ...]:
@@ -194,9 +168,9 @@ def sharpness_witness(
     values = s.values if isinstance(s, MomentVector) else tuple(s)
     if len(values) != fmat.ell:
         raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")
+    columns = [fmat.column(i) for i in index_set]
     exact = all_exact(values)
-    system_rows = [[fmat.rows[k][i - 1] for i in index_set] for k in range(fmat.ell)]
-    solution = _solve_exact(system_rows, values) if exact else _solve_float(system_rows, values)
+    solution = (_witness_exact if exact else _solve_float)(columns, values)
     z = [rational(0) if exact else 0.0] * fmat.positions
     for position, entry in zip(index_set, solution):
         z[position - 1] = entry
@@ -204,53 +178,47 @@ def sharpness_witness(
     return SharpnessWitness(z=tuple(z), index_set=index_set, nonnegative=nonnegative)
 
 
-def has_nonnegative_solution(fmat: MomentMatrix, s: "MomentVector | Sequence[Number]") -> bool:
-    """True when some z >= 0 has F z = s.
+def _facets(positions: int, d: int, orders: int) -> list[tuple[tuple[int, ...], int]]:
+    """The facet normals a of cone(F) at 2 or 3 orders, each with its scale.
 
-    A basic solution of {F z = s, z >= 0} is supported on ell positions,
-    and any ell columns of F are independent, so such a z exists exactly
-    when some index set gives a nonnegative sharpness witness.  Index sets
-    are tried in lexicographic order up to the first nonnegative one.
-    Float moments go through :func:`sharpness_witness`.  Exact moments
-    only need the signs of the integer numerators, so they skip building
-    the witness's rationals, which halves the check's cost.
+    Column x of F over C(x+d-1, d) > 0 is (1, y/(d+1), y(y-1)/((d+1)(d+2)))
+    with y = x-1: points on a line, or on a parabola, in convex position.
+    So cone(F) has two facets at 2 orders, where F_x . a is C(x+d-1, d)
+    times x-1 or N-x (N = ``positions``), and N at 3 orders, the polygon's
+    edges {i, i+1} and {1, N}, where it is C(x+d-1, d) times (x-i)(x-i-1)
+    or (x-1)(N-x).  Each is >= 0 at every position and zero on its facet.
+    The scale is the largest |F_x . a| / C(x+d-1, d) over the positions.
     """
-    values = s.values if isinstance(s, MomentVector) else tuple(s)
-    if len(values) != fmat.ell:
-        raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")
-    index_sets = itertools.combinations(range(1, fmat.positions + 1), fmat.ell)
-    if not all_exact(values):
-        return any(
-            sharpness_witness(fmat, index_set, values).nonnegative
-            for index_set in index_sets
-        )
-    moments, _ = over_common_denominator(values)
-    for index_set in index_sets:
-        rows = [[row[i - 1] for i in index_set] for row in fmat.rows]
-        numerators, _ = solve_integer(rows, moments)
-        if all(x >= 0 for x in numerators):
-            return True
-    return False
+    e, f = d + 1, (d + 1) * (d + 2)
+    if orders == 2:
+        return [((0, e), positions - 1), ((positions - 1, -e), positions - 1)]
+    return [
+        ((i * (i - 1), -2 * (i - 1) * e, f), max(i * (i - 1), (positions - i) * (positions - i - 1)))
+        for i in range(1, positions)
+    ] + [((0, (positions - 2) * e, -f), (positions - 1) ** 2 // 4)]
 
 
 def check_realizable(moments: MomentSet) -> None:
     """Reject moments that no distribution can have, tuple by tuple.
 
-    Each tuple's first min(ell, 3) orders must admit a nonnegative
-    occurrence vector (:func:`has_nonnegative_solution`).  The test is
-    complete for those orders, so at ell <= 3 and d >= 1 it accepts
-    exactly the moment vectors some distribution has; at ell >= 4 it is
-    only a necessary condition.  At d = 0, s_1 = P(Omega) must be 1, which
-    is not enforced: moments with s_1 < 1 there pass.  Consistency across
-    tuples is not checked.
+    Each tuple's first min(ell, 3) orders s must be F z for some z >= 0,
+    that is a . s >= 0 for every facet normal a of cone(F)
+    (:func:`_facets`), on the integer numerators of :meth:`MomentSet.forms`
+    when exact.  A float tuple may fall short of 0 by ``DEFAULT_TOLERANCE``
+    times the normal's scale.  The test is complete for those orders, so
+    at ell <= 3 and d >= 1 it accepts exactly the moment vectors some
+    distribution has; at ell >= 4 it is only a necessary condition.  At
+    d = 0, s_1 = P(Omega) must be 1, which is not enforced: moments with
+    s_1 < 1 there pass.  Consistency across tuples is not checked.
     """
     orders = min(moments.ell, 3, moments.n - moments.d + 1)
     if orders < 2:
         return
-    fmat = moment_matrix(moments.n, moments.d, orders)
-    for vector in moments:
-        values = vector.values[:orders]
-        if not has_nonnegative_solution(fmat, values):
+    facets = _facets(moments.n - moments.d + 1, moments.d, orders)
+    for vector, (_, s, den) in zip(moments, moments.forms(orders)[0]):
+        slack = 0 if den else DEFAULT_TOLERANCE
+        if any(sum(map(operator.mul, a, s)) < -slack * scale for a, scale in facets):
+            values = vector.values[:orders]
             raise InfeasibleMomentsError(
                 f"no distribution has the moments {[encode_number(x) for x in values]} "
                 f"at j={list(vector.j)}: no occurrence vector z >= 0 gives them"
@@ -526,7 +494,8 @@ def _prefix_solves(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Solve F_I^T a = v_I for each index set I, sharing the elimination
     along consecutive sets' common prefixes; yields (I, numerators, den)
-    as :func:`solve_integer` gives them.
+    with a = numerators / den.  The tables, the family rows
+    (``families.solved_row``) and exact witnesses all solve through it.
 
     Row k of the system is position I_k's column of F, with target v at
     I_k.  Fraction-free (Bareiss) elimination without row swaps reduces
@@ -546,8 +515,8 @@ def _prefix_solves(
     I_0 < ... < I_k.  Divided by C(x+d-1, d) > 0 per row, those entries
     are polynomials in x of degrees 0..k with positive leading
     coefficients, a Vandermonde determinant times a positive constant.
-    So every pivot and ``den`` are positive, and the numerators are
-    :func:`solve_integer`'s.  A pivot that is not positive (a repeated
+    So every pivot is positive, ``den`` is det F_I, and the numerators are
+    det F_I times the solution.  A pivot that is not positive (a repeated
     position, say) raises, naming the index set.
     """
     rows: list[list[int]] = []  # prefix row k's entries k..ell, reduced

@@ -39,7 +39,7 @@ from .certificates import (
     Terms,
     certificate_from_terms,
 )
-from .engine import Row, solve_integer, target_entries
+from .engine import Row, _prefix_solves, target_entries
 from .moments import MomentSet, moment_rows
 from .numerics import Number, integer_bracket, rational
 
@@ -87,13 +87,14 @@ def solved_row(
     """The row a with F_I^T a = v_I at the index set I, window ``m`` recorded.
 
     F_I holds the moment matrix of order len(I) at the positions I, and v_I
-    the request's target entries there; the solve runs on integers, and a
-    singular subsystem (a repeated position) raises
+    the request's target entries there; the solve is the search tables'
+    integer elimination, and a repeated position raises
     DegenerateConfigurationError.  The cache holds every family row of one
     n <= 20 (8,914 at n = 20).
     """
     columns = list(zip(*moment_rows(d, len(index_set), index_set)))
-    numerators, den = solve_integer(columns, target_entries(d, r, target, index_set))
+    v = target_entries(d, r, target, index_set)
+    ((_, numerators, den),) = _prefix_solves(columns, v, (tuple(range(1, len(index_set) + 1)),))
     return Row(index_set, m, numerators, den)
 
 

@@ -363,7 +363,7 @@ class MomentSet:
         order d exactly once, naming a record by its place s[i] in the file
         or the first index tuple that has none.  Values must be finite and
         nonnegative with s_1 <= 1, and each tuple's first min(ell, 3) orders
-        must be those of some distribution
+        must pass every closed-form facet of the moment cone
         (:func:`eventbounds.engine.check_realizable`; a necessary condition
         only at ell >= 4, and per tuple).
         """

@@ -31,13 +31,13 @@ def skewed_ub2_row(monkeypatch):
 
 @pytest.fixture
 def inflated_exact_solve(monkeypatch):
-    """A stand-in solver defect: every exact solve comes back with 1/7 added
-    to its first entry, so a sharpness witness can carry more than all the
-    mass and ``witness_system`` raises."""
-    original = engine._solve_exact
+    """A stand-in solver defect: every exact witness solve comes back with 1/7
+    added to its first entry, so a sharpness witness can carry more than all
+    the mass and ``witness_system`` raises."""
+    original = engine._witness_exact
 
-    def inflated(rows, rhs):
-        first, *rest = original(rows, rhs)
+    def inflated(columns, values):
+        first, *rest = original(columns, values)
         return (first + Fraction(1, 7), *rest)
 
-    monkeypatch.setattr(engine, "_solve_exact", inflated)
+    monkeypatch.setattr(engine, "_witness_exact", inflated)

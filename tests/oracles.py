@@ -8,9 +8,11 @@ tests hold :func:`eventbounds.moments.moment_set` to them.  ``permute_events``
 relabels the events of a system, for symmetry checks.  ``level_sums_by_tuple``
 sums atom weights per index tuple and level, one tuple at a time; the tests
 hold :func:`eventbounds.moments._level_sums` to it.  ``reference_solve``
-solves a small system on ``Fraction``s, and ``dual_gaps`` and
-``feasible_sides`` compare b = F^T a with a target vector v on
-``Fraction``s: the dual engine's and the checker's tests hold them to these.
+solves a small system on ``Fraction``s, ``integer_solve`` gives its
+solution as integer numerators over |det|, ``realizable`` asks whether
+some z >= 0 has the moments, and ``dual_gaps`` and ``feasible_sides``
+compare b = F^T a with a target vector v on ``Fraction``s: the dual
+engine's and the checker's tests hold them to these.
 """
 
 from __future__ import annotations
@@ -176,6 +178,46 @@ def determinant(rows: Sequence[Sequence[Number]]) -> Fraction:
             factor = mat[r][col] / mat[col][col]
             mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
     return det
+
+
+def integer_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """A nonsingular integer system's solution as integer numerators over
+    den = |det| (by Cramer's rule, det times each entry is an integer):
+    Gaussian elimination on Fractions, pivoting on the first nonzero entry,
+    then back substitution.  A singular system raises ValueError."""
+    size = len(rows)
+    mat = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular linear system")
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        head = mat[col]
+        det *= head[col]
+        for r in range(col + 1, size):
+            factor = mat[r][col] / head[col]
+            mat[r] = [x - factor * y for x, y in zip(mat[r], head)]
+    x = [Fraction(0)] * size
+    for k in range(size - 1, -1, -1):
+        row = mat[k]
+        x[k] = (row[size] - sum(row[j] * x[j] for j in range(k + 1, size))) / row[k]
+    numerators = [entry * abs(det) for entry in x]
+    assert all(entry.denominator == 1 for entry in numerators)
+    return tuple(int(entry) for entry in numerators), int(abs(det))
+
+
+def realizable(fmat: MomentMatrix, s: Sequence[Number]) -> bool:
+    """True when some z >= 0 has F z = s, on Fractions.  A basic solution of
+    {F z = s, z >= 0} is supported on ell positions, and any ell columns of
+    F are independent, so such a z exists exactly when some index set
+    solves to a nonnegative z."""
+    return any(
+        min(reference_solve([[row[i - 1] for i in index_set] for row in fmat.rows], s)) >= 0
+        for index_set in itertools.combinations(range(1, fmat.positions + 1), fmat.ell)
+    )
 
 
 def dual_gaps(fmat: MomentMatrix, a: Sequence[Number], v: Sequence[int]) -> tuple[Fraction, ...]:

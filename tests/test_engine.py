@@ -2,10 +2,12 @@
 
 Solves and feasibility are held to the Fraction oracles in ``oracles``."""
 
+import collections
 import itertools
 import math
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,22 +15,31 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import determinant, dual_gaps, feasible_sides, reference_solve, z_via_joint
+from oracles import (
+    determinant,
+    dual_gaps,
+    feasible_sides,
+    integer_solve,
+    realizable,
+    reference_solve,
+    z_via_joint,
+)
 
 from eventbounds import engine
 from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS, BoundRequest
 from eventbounds.core import EventSystem, exact_occurrence
 from eventbounds.dispatch import evaluate_request
+from eventbounds.core import index_tuple_indices
 from eventbounds.engine import (
+    check_realizable,
     dual_bases,
-    has_nonnegative_solution,
     sharpness_witness,
-    solve_integer,
     target_vector,
     witness_system,
 )
 from eventbounds.errors import (
     DegenerateConfigurationError,
+    InfeasibleMomentsError,
     NotApplicableError,
     ResourceLimitError,
 )
@@ -87,14 +98,16 @@ class TestTargetVector:
 
 class TestSolveAndFeasibility:
     """The reference solves and b = F^T a checks, and the engine's integer
-    solve and index-set validation against them."""
+    elimination and index-set validation against them."""
 
     def test_known_solves(self):
         assert solve(F32, (1, 2), V1) == (0, 1)
         assert solve(F32, (2, 4), V1) == (1, 0)
+        columns = [F32.column(i) for i in range(1, 5)]
         for index_set, a in (((1, 2), (0, 1)), ((2, 4), (1, 0))):
+            ((_, numerators, den),) = engine._prefix_solves(columns, V1, [index_set])
             rhs = [V1[i - 1] for i in index_set]
-            numerators, den = solve_integer([F32.column(i) for i in index_set], rhs)
+            assert (numerators, den) == integer_solve([columns[i - 1] for i in index_set], rhs)
             assert tuple(Fraction(x, den) for x in numerators) == a
 
     def test_both_solves_are_upper_feasible(self):
@@ -157,7 +170,6 @@ class TestSearch:
         def no_solve(*args):
             raise AssertionError("solved an index set above the cap")
 
-        monkeypatch.setattr(engine, "solve_integer", no_solve)
         monkeypatch.setattr(engine, "_prefix_solves", no_solve)
         fmat = moment_matrix(60, 0, 6)
         v = target_vector(60, 0, 30)
@@ -184,28 +196,32 @@ def _exhaustive_table(fmat, v, side):
         next(itertools.combinations(positions, ell), None): a
         for positions, a in ((zero_positions, zero), (one_positions, one))
     }
-    bases = []
+    bases, solved = [], []
     for index_set in itertools.combinations(range(1, fmat.positions + 1), ell):
         rhs = [v[i - 1] for i in index_set]
         if not any(rhs) or (fmat.d == 0 and all(rhs)):
             if index_set in firsts:
                 bases.append((index_set, firsts[index_set], 1))
-            continue
-        numerators, den = solve_integer([columns[i - 1] for i in index_set], rhs)
+        else:
+            solved.append(index_set)
+    for index_set, numerators, den in engine._prefix_solves(columns, v, solved):
         gaps = [sum(map(operator.mul, numerators, c)) - t * den for c, t in zip(columns, v)]
         if all(gap >= 0 if upper else gap <= 0 for gap in gaps):
             bases.append((index_set, numerators, den))
-    return tuple(bases), zero_positions, one_positions
+    return tuple(sorted(bases)), zero_positions, one_positions
 
 
 class TestBasisTable:
     def test_integer_solve_matches_fractions(self):
-        rows = [[2, -1, 0], [0, 0, 3], [1, 4, 1]]
-        numerators, den = solve_integer(rows, [1, 0, 2])
-        assert den > 0
-        assert tuple(Fraction(x, den) for x in numerators) == reference_solve(rows, [1, 0, 2])
-        with pytest.raises(DegenerateConfigurationError):
-            solve_integer([[1, 2], [2, 4]], [1, 1])
+        """The elimination on a system with positive leading minors (2, 9,
+        27) gives det times the Fraction solution over det."""
+        rows = [[2, -1, 0], [1, 4, 1], [0, 0, 3]]
+        ((_, numerators, den),) = engine._prefix_solves(rows, [1, 2, 0], [(1, 2, 3)])
+        assert (numerators, den) == integer_solve(rows, [1, 2, 0])
+        assert den == 27
+        assert tuple(Fraction(x, den) for x in numerators) == reference_solve(rows, [1, 2, 0])
+        with pytest.raises(ValueError, match="singular"):
+            integer_solve([[1, 2], [2, 4]], [1, 1])
 
     def test_table_equals_per_set_solve_and_feasibility(self):
         """Every shape with n <= 6: the table lists exactly the side-feasible
@@ -288,8 +304,9 @@ class TestBasisTable:
     def test_prefix_solves_equal_the_per_set_solve(self):
         """Every root-count candidate of every shape with n <= 8, rejected
         ones included: the shared elimination yields the numerators and
-        the denominator that solving the set alone gives."""
-        candidates = 0
+        the denominator that solving the set alone on Fractions gives
+        (each of the 4,785 distinct systems solved once)."""
+        candidates, reference = 0, {}
         for n in range(1, 9):
             for d in range(n):
                 for ell in range(2, n - d + 2):
@@ -300,17 +317,20 @@ class TestBasisTable:
                             v = target_vector(n, d, r, target)
                             for side in SIDES:
                                 index_sets = list(engine._Candidates(v, ell, d, side == SIDE_UPPER))
-                                expected = [
-                                    (index_set, *solve_integer(
-                                        [columns[i - 1] for i in index_set],
-                                        [v[i - 1] for i in index_set],
-                                    ))
-                                    for index_set in index_sets
-                                ]
+                                expected = []
+                                for index_set in index_sets:
+                                    system = (
+                                        tuple(columns[i - 1] for i in index_set),
+                                        tuple(v[i - 1] for i in index_set),
+                                    )
+                                    if system not in reference:
+                                        reference[system] = integer_solve(*system)
+                                    expected.append((index_set, *reference[system]))
                                 got = list(engine._prefix_solves(columns, v, index_sets))
                                 assert got == expected, (n, d, ell, r, target, side)
                                 candidates += len(index_sets)
         assert candidates == 14234
+        assert len(reference) == 4785
 
     def test_every_leading_minor_is_positive(self):
         """The no-swap claim: at n <= 8, orders 1..k at any k increasing
@@ -436,19 +456,107 @@ class TestWitness:
                 witness_system(witness, j, 3, 1)
 
 
+def _verdict(moments):
+    try:
+        check_realizable(moments)
+    except InfeasibleMomentsError:
+        return False
+    return True
+
+
 class TestNonnegativeSolution:
+    """``check_realizable``: the closed-form facets of the moment cone."""
+
     def test_fair_three_holds_on_every_index_set(self):
         fmat = moment_matrix(3, 0, 3)
-        s = moment_set(fair(3), 0, 3).vector(()).values
+        moments = moment_set(fair(3), 0, 3)
+        s = moments.vector(()).values
         for index_set in itertools.combinations(range(1, 5), 3):
             assert sharpness_witness(fmat, index_set, s).nonnegative
-        assert has_nonnegative_solution(fmat, s)
+        assert realizable(fmat, s)
+        check_realizable(moments)
+        check_realizable(single_tuple(3, tuple(float(x) for x in s)))
 
     def test_moments_no_distribution_has(self):
-        fmat = moment_matrix(3, 0, 3)
         bad = (Fraction(1), Fraction(1, 10), Fraction(9, 10))
-        assert not has_nonnegative_solution(fmat, bad)
-        assert not has_nonnegative_solution(fmat, tuple(float(x) for x in bad))
+        assert not realizable(moment_matrix(3, 0, 3), bad)
+        message = r"no distribution has the moments \['1', '1/10', '9/10'\] at j=\[\]: no occurrence"
+        with pytest.raises(InfeasibleMomentsError, match=message):
+            check_realizable(single_tuple(3, bad))
+        with pytest.raises(InfeasibleMomentsError, match=r"moments \[1.0, 0.1, 0.9\] at j=\[\]"):
+            check_realizable(single_tuple(3, tuple(float(x) for x in bad)))
+
+    def test_facet_normals(self):
+        """Every N <= 40, d <= 4, at 2 and 3 orders: the normals' zero sets
+        are the polygon's edges (the two end points at 2 orders), each
+        F^T a is >= 0 at every position and zero at exactly orders-1 of
+        them, and each scale is max_x F_x . a / C(x+d-1, d)."""
+        normals = 0
+        for positions in range(2, 41):
+            for d in range(5):
+                fmat = moment_matrix(positions + d - 1, d, min(3, positions))
+                for orders in range(2, fmat.ell + 1):
+                    zero_sets = set()
+                    for a, scale in engine._facets(positions, d, orders):
+                        b = [sum(map(operator.mul, a, fmat.column(x))) for x in range(1, positions + 1)]
+                        assert min(b) >= 0
+                        zeros = tuple(x for x, b_x in enumerate(b, 1) if not b_x)
+                        assert len(zeros) == orders - 1
+                        zero_sets.add(zeros)
+                        heights = (Fraction(b_x, math.comb(x + d - 1, d)) for x, b_x in enumerate(b, 1))
+                        assert scale == max(heights)
+                        normals += 1
+                    edges = {(1,), (positions,)} if orders == 2 else {
+                        *((i, i + 1) for i in range(1, positions)), (1, positions)
+                    }
+                    assert zero_sets == edges, (positions, d, orders)
+        assert normals == 4475
+
+    def test_verdict_equals_the_index_set_oracle(self):
+        """Every shape with n <= 8: a tuple passes exactly when some index set
+        gives z >= 0 for its first min(ell, 3) orders (``oracles.realizable``).
+        The tuples are F z, at every ell, for z >= 0 on all positions, on the
+        end points, on one position and on two neighbours, scaled to
+        s_1 = 1/2; and the same with one of those orders moved by +-1/97 or
+        to -1/97; exact and as floats.  ``MomentVector`` rejects a negative
+        moment before the check, so there the facets are read directly."""
+        rng = random.Random(25)
+        step = Fraction(1, 97)
+        shifts = (lambda x: x + step, lambda x: x - step, lambda x: -step)
+        oracle, verdicts = {}, collections.Counter()
+        for n in range(1, 9):
+            for d in range(n):
+                positions = n - d + 1
+                i = rng.randint(1, positions - 1)
+                supports = (
+                    range(1, positions + 1), (1, positions), (rng.randint(1, positions),), (i, i + 1)
+                )
+                scaled = []
+                for support in supports:
+                    z = [rng.randint(1, 9) if x in support else 0 for x in range(1, positions + 1)]
+                    full = [sum(map(operator.mul, row, z)) for row in moment_matrix(n, d, positions).rows]
+                    scaled.append([Fraction(x, 2 * full[0]) for x in full])
+                for ell, full in itertools.product(range(2, positions + 1), scaled):
+                    s, orders = full[:ell], min(ell, 3)
+                    moved = [s[:k] + [shift(s[k])] + s[k + 1:] for k in range(orders) for shift in shifts]
+                    facets = engine._facets(positions, d, orders)
+                    for values in [s] + moved:
+                        if min(values) < 0:
+                            assert any(sum(map(operator.mul, a, values)) < 0 for a, _ in facets)
+                            verdicts["negative"] += 1
+                            continue
+                        key = (n, d, tuple(values[:orders]))
+                        if key not in oracle:
+                            oracle[key] = realizable(moment_matrix(n, d, orders), key[2])
+                        for form in (values, [float(x) for x in values]):
+                            vectors = [
+                                MomentVector(j=j, n=n, d=d, ell=ell, values=form)
+                                for j in index_tuple_indices(n, d)
+                            ]
+                            moments = MomentSet(n=n, d=d, ell=ell, vectors=vectors)
+                            assert _verdict(moments) == oracle[key], (n, d, ell, form)
+                            verdicts[oracle[key]] += 1
+        assert verdicts == {True: 4586, False: 1388, "negative": 1381}
 
 
 class TestJordan:
@@ -475,8 +583,10 @@ class TestLinearSolveEdgeCases:
         # system
         with pytest.raises(ValueError):
             sharpness_witness(fmat, (2, 2), S)
-        with pytest.raises(DegenerateConfigurationError):
-            solve_integer([fmat.column(2), fmat.column(2)], [1, 1])
+        with pytest.raises(DegenerateConfigurationError, match=re.escape("(1, 2)")):
+            list(engine._prefix_solves([fmat.column(2), fmat.column(2)], [1, 1], [(1, 2)]))
+        with pytest.raises(ValueError, match="singular"):
+            integer_solve([fmat.column(2), fmat.column(2)], [1, 1])
 
     def test_float_target_uses_float_path(self):
         witness = sharpness_witness(F32, (1, 2), (1.0, 1.5))
