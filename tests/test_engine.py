@@ -27,9 +27,8 @@ from oracles import (
 
 from eventbounds import engine
 from eventbounds.certificates import SIDE_UPPER, SIDES, TARGETS, BoundRequest
-from eventbounds.core import EventSystem, exact_occurrence
+from eventbounds.core import EventSystem, exact_occurrence, index_tuple_indices
 from eventbounds.dispatch import evaluate_request
-from eventbounds.core import index_tuple_indices
 from eventbounds.engine import (
     check_realizable,
     dual_bases,
