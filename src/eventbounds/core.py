@@ -346,19 +346,12 @@ def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
 
 @dataclass(frozen=True)
 class OccurrenceDistribution:
-    """Distribution of the occurrence count: p[i] = P(exactly i events occur)."""
+    """Distribution of the occurrence count: p[i] = P(exactly i events occur).
+
+    A plain record: :func:`exact_occurrence`, its one builder, sums it from
+    a checked system, so nothing re-checks it."""
 
     p: tuple[Number, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(self.p))
-        if not self.p:
-            raise ValueError("occurrence distribution must have at least one entry")
-        for value in self.p:
-            if not leq(0, value):
-                raise ValueError(f"negative probability {value}")
-        if not close(sum(self.p), 1):
-            raise ValueError(f"occurrence probabilities must sum to 1, got {sum(self.p)}")
 
     @property
     def n(self) -> int:

@@ -55,7 +55,7 @@ from .errors import (
     InfeasibleMomentsError,
     ResourceLimitError,
 )
-from .moments import MomentMatrix, MomentSet, MomentVector
+from .moments import MomentMatrix, MomentSet
 from .numerics import (
     DEFAULT_TOLERANCE,
     Number,
@@ -159,13 +159,14 @@ class SharpnessWitness:
 def sharpness_witness(
     fmat: MomentMatrix,
     index_set: Sequence[int],
-    s: "MomentVector | Sequence[Number]",
+    values: Sequence[Number],
 ) -> SharpnessWitness:
-    """Solve F_i z*_i = s and embed the solution in the full position range.
+    """Solve F_i z*_i = s, for the moment values s, and embed the solution in
+    the full position range.
 
     Entries count as nonnegative by :func:`leq`: floats down to the tolerance."""
     index_set = _check_index_set(fmat, index_set)
-    values = s.values if isinstance(s, MomentVector) else tuple(s)
+    values = tuple(values)
     if len(values) != fmat.ell:
         raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")
     columns = [fmat.column(i) for i in index_set]

@@ -15,7 +15,9 @@ batches the falling-factorial expectation above over all j with integer
 accumulators.  The tests hold it to three independent oracles, the
 factorial expectation per tuple, sums of plain intersection probabilities
 over unordered index subsets, and F applied to z(j) built from
-:func:`eventbounds.core.exact_joint` (``tests/oracles.py``).
+:func:`eventbounds.core.exact_joint` (``tests/oracles.py``).  Moment
+values are checked once, where they enter from outside, in
+:meth:`MomentSet.from_payload`; :class:`MomentVector` is a plain record.
 
 s_1(j) is the probability that all events of j occur; for d=0 it is 1.
 """
@@ -215,43 +217,23 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
 
 @dataclass(frozen=True)
 class MomentVector:
-    """The moments s_1(j)..s_ell(j) attached to one index tuple j.
+    """The moments s_1(j)..s_ell(j) attached to one index tuple j: a plain
+    record, which nothing checks on construction.
 
     j is a plain tuple of ints; the :class:`MomentSet` holding the vector
     checks that it is an index tuple of order d, and that no other vector
-    of the set has it.
+    of the set has it.  The values are checked once, where a moment file
+    is read (:meth:`MomentSet.from_payload`); the sums :func:`moment_set`
+    builds from a checked system need no check.
     """
 
     j: tuple[int, ...]
-    n: int
-    d: int
-    ell: int
     values: tuple[Number, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.ell < 1:
-            raise ValueError(f"need ell >= 1, got ell={self.ell}")
-        if self.ell != len(self.values):
-            raise ValueError(f"expected {self.ell} moment values, got {len(self.values)}")
-        for value in self.values:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"moment {value!r} is not finite")
-            if not leq(0, value):
-                raise ValueError(f"negative moment {value}")
-        if not leq(self.values[0], 1):
-            raise ValueError(f"s_1 = {self.values[0]} exceeds 1")
 
     @cached_property
     def term_j(self) -> TermTuple:
         """j as the terms of every certificate on this vector hold it, built once."""
         return TermTuple(self.j)
-
-    def truncated(self, ell: int) -> "MomentVector":
-        """The same moments cut down to the first ell orders."""
-        if ell < 1 or ell > self.ell:
-            raise ValueError(f"need 1 <= ell <= {self.ell}, got {ell}")
-        return MomentVector(j=self.j, n=self.n, d=self.d, ell=ell, values=self.values[:ell])
 
 
 @dataclass(frozen=True)
@@ -293,9 +275,6 @@ class MomentSet:
                 f"moment set must contain every index tuple of order d exactly once: {found}"
             )
         object.__setattr__(self, "vectors", tuple(vectors[i] for i in order))
-        for vector in vectors:
-            if (vector.n, vector.d) != (n, d) or vector.ell < self.ell:
-                raise ValueError("moment vector parameters disagree with the set")
 
     def forms(self, ell: int) -> tuple[tuple[tuple, ...], bool]:
         """Per index tuple, (values for window picks, values for dot products, D),
@@ -335,9 +314,10 @@ class MomentSet:
     def restricted(self, ell: int) -> "MomentSet":
         """The same set truncated to the first ell moment orders, sharing
         this set's forms at ell."""
-        restricted = MomentSet(
-            n=self.n, d=self.d, ell=ell, vectors=tuple(v.truncated(ell) for v in self.vectors)
-        )
+        if ell < 1 or ell > self.ell:
+            raise ValueError(f"need 1 <= ell <= {self.ell}, got {ell}")
+        vectors = tuple(MomentVector(v.j, v.values[:ell]) for v in self.vectors)
+        restricted = MomentSet(n=self.n, d=self.d, ell=ell, vectors=vectors)
         restricted._forms[ell] = self.forms(ell)
         return restricted
 
@@ -361,11 +341,13 @@ class MomentSet:
         only here, to be a list of JSON integers (not booleans, floats or
         rationals); the set then requires the js to be every index tuple of
         order d exactly once, naming a record by its place s[i] in the file
-        or the first index tuple that has none.  Values must be finite and
+        or the first index tuple that has none.  This is the one place that
+        checks moment values: each record must hold ell values, finite and
         nonnegative with s_1 <= 1, and each tuple's first min(ell, 3) orders
         must pass every closed-form facet of the moment cone
         (:func:`eventbounds.engine.check_realizable`; a necessary condition
-        only at ell >= 4, and per tuple).
+        only at ell >= 4, and per tuple).  A set built in code, such as
+        :func:`moment_set`'s, is not value-checked.
         """
         from .engine import check_realizable  # the engine imports this module
         if not isinstance(payload, dict):
@@ -390,7 +372,18 @@ class MomentSet:
                 if not isinstance(values, list):
                     raise InputFormatError(f'"values" must be a list of numbers, got {values!r}')
                 values = tuple(to_number(x) for x in values)
-                vectors.append(MomentVector(j=tuple(j), n=n, d=d, ell=ell, values=values))
+                if ell < 1:
+                    raise ValueError(f"need ell >= 1, got ell={ell}")
+                if len(values) != ell:
+                    raise ValueError(f"expected {ell} moment values, got {len(values)}")
+                for value in values:
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ValueError(f"moment {value!r} is not finite")
+                    if not leq(0, value):
+                        raise ValueError(f"negative moment {value}")
+                if not leq(values[0], 1):
+                    raise ValueError(f"s_1 = {values[0]} exceeds 1")
+                vectors.append(MomentVector(tuple(j), values))
             moments = cls(n=n, d=d, ell=ell, vectors=vectors)
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"malformed moment record: {exc}") from None
@@ -439,7 +432,7 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
             row = tuple(sum(f * levels[i] for i, f in factors[k]) for k in range(ell))
             forms.append((row, row, common))
             values = tuple(rational(x, common) for x in row)
-            vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
+            vectors.append(MomentVector(j, values))
         moments = MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
         moments._forms[ell] = (tuple(forms), True)
         return moments
@@ -462,7 +455,7 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     vectors = []
     for j, row in accumulators.items():
         values = tuple(float(row[k]) * dfact / math.factorial(k + d) for k in range(ell))
-        vectors.append(MomentVector(j=j, n=n, d=d, ell=ell, values=values))
+        vectors.append(MomentVector(j, values))
     return MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
 
 

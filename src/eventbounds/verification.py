@@ -298,7 +298,7 @@ def suite_witness_closure(
         fmat = moment_matrix(n, d, ell)
         v = target_vector(n, d, r, target)
         for term, vector in zip(certificate.terms, moments):
-            witness = sharpness_witness(fmat, term.index_set, vector)
+            witness = sharpness_witness(fmat, term.index_set, vector.values)
             kind = None
             if dot_product(witness.z, v) != term.value:
                 kind = "identity"

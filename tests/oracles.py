@@ -62,7 +62,7 @@ def moments_via_factorial(sys: EventSystem, j: Iterable[int], ell: int) -> Momen
         )
     else:
         values = tuple(float(sums[k]) * dfact / math.factorial(k + d) for k in range(ell))
-    return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=values)
+    return MomentVector(j, values)
 
 
 def moments_via_subsets(sys: EventSystem, j: Iterable[int], ell: int) -> MomentVector:
@@ -101,7 +101,7 @@ def moments_via_subsets(sys: EventSystem, j: Iterable[int], ell: int) -> MomentV
         else:
             scale = math.factorial(k - 1) * dfact / math.factorial(k + d - 1)
             values.append(float(total) * scale)
-    return MomentVector(j=j, n=sys.n, d=d, ell=ell, values=tuple(values))
+    return MomentVector(j, tuple(values))
 
 
 def z_via_joint(sys: EventSystem, j: Iterable[int]) -> tuple[Number, ...]:

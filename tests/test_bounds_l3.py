@@ -93,7 +93,7 @@ class TestCoefficientSigns:
 class TestOptimalM:
     def test_low_window_rule_brackets_the_ratio(self):
         s = (Fraction(1), Fraction(3, 2), Fraction(3, 4))
-        vector = MomentVector(j=(), n=3, d=0, ell=3, values=s)
+        vector = MomentVector((), s)
         moments = MomentSet(n=3, d=0, ell=3, vectors=(vector,))
         assert family(moments, "ub1", 2).terms[0].m == 1
 

@@ -60,7 +60,7 @@ S = (Fraction(1), Fraction(3, 2))  # fair-3 moments at d=0, ell=2
 
 def single_tuple(n, values):
     """The d = 0 moment set of n events with the given moments, unchecked."""
-    vector = MomentVector(j=(), n=n, d=0, ell=len(values), values=values)
+    vector = MomentVector((), values)
     return MomentSet(n=n, d=0, ell=len(values), vectors=(vector,))
 
 
@@ -442,7 +442,7 @@ class TestWitness:
         certificate = evaluate_request(moments, BoundRequest(r=2, d=1, ell=2, formula="search"))
         term = certificate.terms[1]
         assert term.j == (2,)
-        witness = sharpness_witness(fmat, term.index_set, moments.vector((2,)))
+        witness = sharpness_witness(fmat, term.index_set, moments.vector((2,)).values)
         assert witness.nonnegative
         induced = witness_system(witness, (2,), 3, 1)
         reproduced = moment_set(induced, 1, 2).vector((2,))
@@ -517,8 +517,9 @@ class TestNonnegativeSolution:
         The tuples are F z, at every ell, for z >= 0 on all positions, on the
         end points, on one position and on two neighbours, scaled to
         s_1 = 1/2; and the same with one of those orders moved by +-1/97 or
-        to -1/97; exact and as floats.  ``MomentVector`` rejects a negative
-        moment before the check, so there the facets are read directly."""
+        to -1/97; exact and as floats.  ``MomentSet.from_payload`` rejects a
+        negative moment before the check, so there the facets are read
+        directly."""
         rng = random.Random(25)
         step = Fraction(1, 97)
         shifts = (lambda x: x + step, lambda x: x - step, lambda x: -step)
@@ -548,10 +549,7 @@ class TestNonnegativeSolution:
                         if key not in oracle:
                             oracle[key] = realizable(moment_matrix(n, d, orders), key[2])
                         for form in (values, [float(x) for x in values]):
-                            vectors = [
-                                MomentVector(j=j, n=n, d=d, ell=ell, values=form)
-                                for j in index_tuple_indices(n, d)
-                            ]
+                            vectors = [MomentVector(j, form) for j in index_tuple_indices(n, d)]
                             moments = MomentSet(n=n, d=d, ell=ell, vectors=vectors)
                             assert _verdict(moments) == oracle[key], (n, d, ell, form)
                             verdicts[oracle[key]] += 1

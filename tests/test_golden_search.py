@@ -83,7 +83,7 @@ def _outcomes(moments: MomentSet, request: BoundRequest) -> list[str]:
                 t.value, clamp01(t.value), request.side, request.target, request.r,
                 moments.d, request.ell, "search", t.coefficients, t.index_set,
             )
-            witness = sharpness_witness(fmat, t.index_set, vector)
+            witness = sharpness_witness(fmat, t.index_set, vector.values)
             pairs.append([best.to_payload(), witness.to_payload()])
         outcomes.append(_digest(pairs))
     except Exception as exc:

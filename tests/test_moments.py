@@ -173,27 +173,32 @@ class TestMomentRoutes:
         ] + ["n=8 atoms=40 d=1 ell=3 moment file"] + [f"n=8 atoms=40 blocks={blocks} d=1 ell=3" for blocks in (2, 16, 256)], result.stdout
 
 
-class TestMomentVectorValidation:
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            MomentVector(
-                j=(), n=2, d=0, ell=2, values=(Fraction(1), Fraction(-1))
-            )
-
-    def test_rejects_s1_above_one(self):
-        with pytest.raises(ValueError):
-            MomentVector(
-                j=(), n=2, d=0, ell=2, values=(Fraction(3, 2), Fraction(1))
-            )
-
-    def test_truncated_keeps_leading_orders(self):
-        vector = MomentVector(
-            j=(), n=3, d=0, ell=3,
-            values=(Fraction(1), Fraction(3, 2), Fraction(3, 4)),
-        )
-        assert vector.truncated(2).values == (Fraction(1), Fraction(3, 2))
-        with pytest.raises(ValueError):
-            vector.truncated(4)
+class TestMomentValueValidation:
+    @pytest.mark.parametrize(
+        "n, ell, values, message",
+        [
+            (2, 2, [1, -1], "negative moment -1"),
+            (2, 2, ["3/2", 1], "s_1 = 3/2 exceeds 1"),
+            (3, 3, [1, 0.5], "expected 3 moment values, got 2"),
+        ],
+        ids=["negative", "s1-above-one", "too-few-values"],
+    )
+    def test_values_are_checked_where_the_file_is_read(
+        self, capsys, tmp_path, n, ell, values, message
+    ):
+        """MomentSet.from_payload rejects the values with the message, and
+        bound --moments exits 2 with it; a MomentVector built in code is a
+        plain record that nothing checks."""
+        payload = {"n": n, "d": 0, "ell": ell, "s": [{"j": [], "values": values}]}
+        with pytest.raises(InputFormatError) as raised:
+            MomentSet.from_payload(payload)
+        assert str(raised.value) == message
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["bound", "--moments", str(path), "--r", "1", "--ell", "2"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert MomentVector((), tuple(values)).values == tuple(values)
 
 
 class TestMomentSetPayload:
@@ -209,6 +214,8 @@ class TestMomentSetPayload:
         pair = moments.restricted(2)
         assert pair.ell == 2
         assert pair.vector(()).values == moments.vector(()).values[:2]
+        with pytest.raises(ValueError, match="need 1 <= ell <= 3, got 4"):
+            moments.restricted(4)
 
     @pytest.mark.parametrize(
         "d, place, j, message",
@@ -468,16 +475,15 @@ class TestIntegerForm:
             (1.0, 0.5, 0.25),
         ]
         for values in cases:
-            vector = MomentVector(j=j, n=3, d=0, ell=3, values=values)
+            vector = MomentVector(j, values)
             moments = MomentSet(n=3, d=0, ell=3, vectors=[vector])
             for ell in (1, 2, 3):
                 assert moments.forms(ell)[1] == all_exact(values[:ell])
                 assert moments.restricted(ell).forms(ell)[1] == all_exact(values[:ell])
         d1 = [(k,) for k in (1, 2, 3)]
         for first in cases:
-            vectors = [MomentVector(j=t, n=3, d=1, ell=2, values=first[:2]) for t in d1[:1]] + [
-                MomentVector(j=t, n=3, d=1, ell=2, values=(Fraction(1, 2), Fraction(1, 4)))
-                for t in d1[1:]
+            vectors = [MomentVector(t, first[:2]) for t in d1[:1]] + [
+                MomentVector(t, (Fraction(1, 2), Fraction(1, 4))) for t in d1[1:]
             ]
             moments = MomentSet(n=3, d=1, ell=2, vectors=vectors)
             for ell in (1, 2):

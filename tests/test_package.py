@@ -1,9 +1,10 @@
 """The package: every export resolves on first use, the float tolerance is one
 constant, the family coefficients have one source, certificates have one
 evaluator, the certificate checker shares no code with it, the randomized
-suites have one runner, exact weights have one builder, which family
-applies where is read in one place, and no object writes another's frozen
-fields."""
+suites have one runner, exact weights have one builder, moment values are
+checked in one place, which family applies where is read in one place, no
+object writes another's frozen fields, and every module-level import is
+read."""
 
 import ast
 import os
@@ -137,6 +138,43 @@ def test_exact_weights_have_one_builder():
     assert built and not offenders, f"an ExactWeights built outside _exact_weights at {offenders}"
 
 
+def _text(node):
+    """A string constant's text, an f-string's with {} for each field."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return "".join(_text(part) if isinstance(part, ast.Constant) else "{}" for part in node.values)
+
+
+def test_moment_values_are_checked_in_one_place():
+    """A moment value is checked where a file is read: the four value
+    messages appear in src/ only inside MomentSet.from_payload, and the
+    records MomentVector and OccurrenceDistribution check nothing."""
+    messages = {
+        "expected {} moment values, got {}", "moment {} is not finite",
+        "negative moment {}", "s_1 = {} exceeds 1",
+    }
+    found, inside, records = [], set(), {}
+    for path in sorted(Path(eventbounds.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                methods = {getattr(item, "name", None): item for item in node.body}
+                records[node.name] = set(methods)
+                if node.name == "MomentSet":
+                    method = methods["from_payload"]
+                    lines = range(method.lineno, method.end_lineno + 1)
+                    inside.update((path.name, line) for line in lines)
+            elif isinstance(node, ast.JoinedStr) or (
+                isinstance(node, ast.Constant) and isinstance(node.value, str)
+            ):
+                if _text(node) in messages:
+                    found.append((path.name, node.lineno, _text(node)))
+    assert {text for _, _, text in found} == messages, found
+    offenders = [f"{name}:{line}" for name, line, _ in found if (name, line) not in inside]
+    assert not offenders, f"a moment-value message outside from_payload at {offenders}"
+    for name in ("MomentVector", "OccurrenceDistribution"):
+        assert "__post_init__" not in records[name], f"{name} checks its fields"
+
+
 def test_applicability_has_one_reader():
     """Which family applies where is decided in one place: in src/, the
     attribute applies is read only inside dispatch._closed_forms."""
@@ -208,3 +246,21 @@ def test_only_the_runner_times_and_reports_a_suite():
             if word in banned:
                 callers.add(getattr(top, "name", f"line {top.lineno}"))
     assert callers == {"_run"}, sorted(callers)
+
+
+def test_every_module_level_import_is_read():
+    """Each name a module of src/ imports at module level is read somewhere
+    in that module, so no dead import outlives the code that used it."""
+    offenders = []
+    for path in sorted(Path(eventbounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for top in tree.body:
+            if isinstance(top, ast.ImportFrom) and top.module == "__future__":
+                continue
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                for alias in top.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        offenders.append(f"{path.name}:{top.lineno} {name}")
+    assert not offenders, f"imports nothing reads at {offenders}"
