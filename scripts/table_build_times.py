@@ -4,6 +4,8 @@ For each r in 0..n, each target and each side, clears the engine's table cache
 and times ``engine.dual_bases`` on the moment matrix (n, d, ell), then
 prints one line per table (candidates solved, bases stored, milliseconds)
 and a summary: the total time, the candidates solved in all tables, the
+rejected ones among them (solved but not stored: a table stores each
+feasible set it solves, and one set per range, which is not solved), the
 microseconds per candidate and the slowest build.  Run from the
 repository root:
 
@@ -37,7 +39,12 @@ def main() -> None:
                 start = time.perf_counter()
                 table = engine.dual_bases(fmat, v, side)
                 elapsed = time.perf_counter() - start
-                builds.append((elapsed, r, target, side, table.solved))
+                ranges = sum(
+                    len(positions) >= args.ell
+                    for positions in (table.zero_positions, table.one_positions)
+                )
+                rejected = table.solved - (len(table.bases) - ranges)
+                builds.append((elapsed, r, target, side, table.solved, rejected))
                 if not args.quiet:
                     print(
                         f"r={r:3d} {target:8s} {side:5s} solved={table.solved:6d} "
@@ -46,9 +53,10 @@ def main() -> None:
     slowest = max(builds)
     seconds = sum(b[0] for b in builds)
     solved = sum(b[4] for b in builds)
+    rejected = sum(b[5] for b in builds)
     print(
         f"n={args.n} d={args.d} ell={args.ell}: {len(builds)} tables in {seconds:.2f} s; "
-        f"solved={solved} at {seconds / max(solved, 1) * 1e6:.1f} us/candidate; "
+        f"solved={solved} rejected={rejected} at {seconds / max(solved, 1) * 1e6:.1f} us/candidate; "
         f"slowest {slowest[0] * 1e3:.1f} ms (r={slowest[1]}, {slowest[2]}, {slowest[3]})"
     )
 

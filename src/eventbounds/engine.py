@@ -23,12 +23,17 @@ its own.
 
 The table is not built from all C(n-d+1, ell) index sets.  Read b = F^T a
 as a function of the position x > 0: b(x) = C(x+d-1, d) q(x) with q a
-polynomial of degree at most ell-1, so b has at most ell-1 roots, and
-b - 1 at most ell-1 at d = 0 and at most ell at d >= 1 (Rolle: the ell-th
-derivative of q - 1/C(x+d-1, d) never vanishes).  Feasibility pins the
-sign of b and of b - 1 at every position, and a left-to-right scan counts
-the roots those signs force.  Only the index sets whose counts fit both
-budgets are solved, and each is still checked (:func:`dual_bases`).  The
+polynomial of degree at most ell-1.  Feasibility pins b to an interval at
+every position, which forces signs on a few functions of b, and a
+left-to-right scan counts the roots those signs force.  At d >= 1 the
+functions are b, with at most ell-1 roots, and b - 1, with at most ell
+(Rolle: the ell-th derivative of q - 1/C(x+d-1, d) never vanishes).  At
+d = 0, b = q, and a set whose targets hold both 0 and 1 makes b
+nonconstant; the function is then b(x+1) - b(x), which is b' at a point of
+(x, x+1) by the mean value theorem, so its forced roots are roots of b',
+which has at most ell-2.  Only the index sets whose counts fit the budgets
+are solved, and each is still checked (:func:`dual_bases`); at d = 0 none
+has been rejected on any shape with n <= 12, a measured property.  The
 enumeration cap limits the number of those candidates.
 
 The candidates come in lexicographic order and share one fraction-free
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -306,21 +312,43 @@ class BasisTable:
         return (Row(index_set, None, a, 1) for index_set in rest)
 
 
-# The sign that feasibility forces on P_c = b - c at one position.
+# The sign that feasibility forces on a scanned function at one position.
 _FREE, _ZERO, _POSITIVE, _NEGATIVE, _NONNEGATIVE, _NONPOSITIVE = range(6)
 
 
-def _constraint(v_x: int, c: int, member: bool, upper: bool) -> int:
-    """The sign of P_c at a position with target v_x, in or out of the set."""
-    if member:  # b = v_x there
-        return _ZERO if v_x == c else (_POSITIVE if v_x > c else _NEGATIVE)
-    if v_x == c:
-        return _NONNEGATIVE if upper else _NONPOSITIVE
-    if upper and c == 0:  # b >= v_x = 1
+def _interval(v_x: int, member: bool, upper: bool) -> tuple[float, float]:
+    """The interval b takes at a position with target v_x if the set is
+    feasible: v_x on the set, else at least (upper) or at most (lower) v_x."""
+    if member:
+        return v_x, v_x
+    return (v_x, math.inf) if upper else (-math.inf, v_x)
+
+
+def _sign(lo: float, hi: float) -> int:
+    """The sign forced on a value known to lie in [lo, hi]."""
+    if lo > 0:
         return _POSITIVE
-    if not upper and c == 1:  # b <= v_x = 0
+    if hi < 0:
         return _NEGATIVE
-    return _FREE
+    if lo == 0:
+        return _ZERO if hi == 0 else _NONNEGATIVE
+    return _NONPOSITIVE if hi == 0 else _FREE
+
+
+@lru_cache(maxsize=64)
+def _forced(v_x: int, v_before: Optional[int], upper: bool, differences: bool) -> tuple:
+    """The signs feasibility forces at a position with target v_x, as
+    ``signs[member][previous member]``: of b and of b - 1 there, or with
+    ``differences`` of b(x) - b(x-1), where the previous position's target
+    is ``v_before`` (None at the first position, which has no difference).
+    """
+    here = [_interval(v_x, member, upper) for member in (False, True)]
+    if not differences:
+        return tuple((tuple(_sign(lo - c, hi - c) for c in (0, 1)),) * 2 for lo, hi in here)
+    if v_before is None:
+        return (((_FREE,),) * 2,) * 2
+    before = [_interval(v_before, member, upper) for member in (False, True)]
+    return tuple(tuple((_sign(lo - hi0, hi - lo0),) for lo0, hi0 in before) for lo, hi in here)
 
 
 # A step depends only on its three arguments, and every shape meets the
@@ -347,43 +375,61 @@ def _scan(state: tuple[int, ...], constraint: int, cap: int) -> Optional[tuple[i
         best[1] = min(best[1], none, pos_even, pos_odd + 1, neg_even + 1, neg_odd)
     if constraint in (_NEGATIVE, _NONPOSITIVE):
         best[3] = min(best[3], none, neg_even, neg_odd + 1, pos_even + 1, pos_odd)
-    return tuple(min(x, cap) for x in best) if min(best) < cap else None
+    return tuple([x if x < cap else cap for x in best]) if min(best) < cap else None
 
 
 class _Candidates:
     """The index sets of one shape that the root-count bound allows.
 
     Scans positions 1..N left to right, each in or out of the set, with
-    both functions' scan states (:func:`_scan`).  A prefix dies as soon
-    as either count exceeds its budget, since the counts only grow.  A
-    node is (members left, states) before a position; equal nodes share
-    their completions, so a forward pass finds every reachable node and
-    a backward pass counts each node's allowed completions.  ``count`` is
+    the scan state of each counted function (:func:`_scan`): b and b - 1
+    at d >= 1, b's first differences at d = 0 (see :func:`dual_bases`).
+    A prefix dies as soon as a count exceeds its budget, since the counts
+    only grow, or, at d = 0, once the positions left cannot give its
+    members both targets 0 and 1.  A node is (members left, states,
+    whether the previous position is a member, the targets seen among the
+    members as bits 1 << v) before a position; the last two stay False
+    and 0 at d >= 1, where nothing reads them.  Equal nodes share their
+    completions, so a forward pass finds every reachable node and a
+    backward pass counts each node's allowed completions.  ``count`` is
     thus known before any set is listed, and iteration lists the allowed
     sets in lexicographic order along live nodes only.
     """
 
     def __init__(self, v: tuple[int, ...], ell: int, d: int, upper: bool) -> None:
-        caps = (ell, ell if d == 0 else ell + 1)
-
-        def step(left: int, state: tuple, constraints: tuple[int, int]) -> Optional[tuple]:
-            p0 = _scan(state[0], constraints[0], caps[0])
-            p1 = _scan(state[1], constraints[1], caps[1])
-            return None if p0 is None or p1 is None else (left, (p0, p1))
-
+        caps = (ell, ell + 1) if d else (ell - 1,)
         positions = len(v)
-        self.start = (ell, tuple((0,) + (cap,) * 4 for cap in caps))
+        bits = [0] * (positions + 1)  # bits[x]: the target bits of v[x:]
+        for x in range(positions - 1, -1, -1):
+            bits[x] = bits[x + 1] | 1 << v[x]
+
+        signs = [_forced(v_x, v[x - 1] if x else None, upper, not d) for x, v_x in enumerate(v)]
+
+        def step(node: tuple, member: bool, x: int) -> Optional[tuple]:
+            """The node after position x, or None if no completion is allowed."""
+            left, states, previous, seen = node
+            left -= member
+            if not 0 <= left <= positions - x - 1:
+                return None
+            if not d:  # the members' targets must come to hold both 0 and 1
+                seen |= member << v[x]
+                missing = 0b11 & ~seen
+                if missing & ~bits[x + 1] or missing.bit_count() > left:
+                    return None
+            constraints = signs[x][member][previous]
+            first = _scan(states[0], constraints[0], caps[0])
+            if first is None:
+                return None
+            if not d:
+                return (left, (first,), member, seen)
+            second = _scan(states[1], constraints[1], caps[1])
+            return second and (left, (first, second), False, seen)
+
+        self.start = (ell, tuple((0,) + (cap,) * 4 for cap in caps), False, 0)
         self.edges: list[dict] = []
         nodes = {self.start}
-        for x, v_x in enumerate(v):
-            room = positions - x - 1
-            out, member = (tuple(_constraint(v_x, c, m, upper) for c in (0, 1)) for m in (False, True))
-            edges = {}
-            for node in nodes:
-                left, state = node
-                skip = step(left, state, out) if left <= room else None
-                take = step(left - 1, state, member) if 0 < left <= room + 1 else None
-                edges[node] = (skip, take)
+        for x in range(positions):
+            edges = {node: (step(node, False, x), step(node, True, x)) for node in nodes}
             self.edges.append(edges)
             nodes = {child for pair in edges.values() for child in pair if child}
         counts = dict.fromkeys(nodes, 1)
@@ -430,16 +476,28 @@ def dual_bases(
 
     The bound.  Let I have targets not all 0 and, at d = 0, not all 1
     (those sets are the table's ranges).  Write b(x) = sum_k a_k
-    C(x+d-1, k+d-1) = C(x+d-1, d) q(x) with deg q <= ell-1, so P0 = b has
-    at most ell-1 roots in x > 0, counted with multiplicity.  P1 = b - 1
-    has at most ell-1 there at d = 0, and at most ell at d >= 1, by Rolle
+    C(x+d-1, k+d-1) = C(x+d-1, d) q(x) with deg q <= ell-1.  If I is
+    feasible, b(x) = v_x on I, and b(x) >= v_x (upper) or <= v_x (lower)
+    elsewhere: an interval at every position, which forces a sign on each
+    scanned function (:func:`_forced`).  A scan counts the roots those
+    signs force (:func:`_scan`), and a set is a candidate only when every
+    count fits its budget.
+
+    At d >= 1 the functions are P0 = b, with at most ell-1 roots in x > 0
+    counted with multiplicity, and P1 = b - 1, with at most ell, by Rolle
     on q - 1/C(x+d-1, d), whose ell-th derivative never vanishes because
-    1/C(x+d-1, d) is completely monotone.  If I is feasible, P_c is 0 on I where v = c and
-    has the sign of v - c on the rest of I; sigma P_c >= 0 at the other
-    positions with v = c (sigma = +1 on the upper side, -1 on the lower);
-    and P0 >= 1 (upper) or P1 <= -1 (lower) at the other positions with
-    v != c.  A scan counts the roots those signs force (:func:`_scan`),
-    and a set is a candidate only when both counts fit their budgets.
+    1/C(x+d-1, d) is completely monotone.
+
+    At d = 0 the function is Db(x) = b(x+1) - b(x) at x = 1..N-1, and a
+    candidate's targets must hold both 0 and 1.  Then b = q is not
+    constant, so b' is a nonzero polynomial of degree at most ell-2.  By
+    the mean value theorem Db(x) = b'(xi_x) for some xi_x in (x, x+1),
+    and the xi_x increase strictly with x: a zero of Db is a root of b'
+    (Rolle), and a sign change of Db puts one between, so the scan's count
+    is at most the number of roots of b', and the budget is ell-2.  On
+    every d = 0 shape with n <= 12 the candidates are exactly the feasible
+    sets outside the ranges, so no solve is rejected; this is measured,
+    not proved, and every candidate is still checked.
 
     At most :data:`MAX_CANDIDATES` candidates are solved; their count is
     checked before any solve.

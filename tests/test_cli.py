@@ -57,11 +57,17 @@ def files(tmp_path_factory):
     return {name: str(path) for name, path in paths.items()}
 
 
-def _binomial_60_moments(tmp_path, ell):
-    """A moment file of Binomial(60, 1/2) at d = 0: s_k = C(60, k-1) / 2^(k-1)."""
-    values = [str(Fraction(comb(60, k - 1), 2 ** (k - 1))) for k in range(1, ell + 1)]
-    path = tmp_path / f"binomial60-ell{ell}.json"
-    path.write_text(json.dumps({"n": 60, "d": 0, "ell": ell, "s": [{"j": [], "values": values}]}))
+def _binomial_60_moments(tmp_path, ell, d=0):
+    """A moment file of Binomial(60, 1/2): s_k = C(60, k-1) / 2^(k-1) at
+    d = 0, and s_k = C(60, k) / (60 2^k) at every j = [i] at d = 1."""
+    if d:
+        values = [str(Fraction(comb(60, k), 60 * 2**k)) for k in range(1, ell + 1)]
+        records = [{"j": [i], "values": values} for i in range(1, 61)]
+    else:
+        values = [str(Fraction(comb(60, k - 1), 2 ** (k - 1))) for k in range(1, ell + 1)]
+        records = [{"j": [], "values": values}]
+    path = tmp_path / f"binomial60-d{d}-ell{ell}.json"
+    path.write_text(json.dumps({"n": 60, "d": d, "ell": ell, "s": records}))
     return path
 
 
@@ -722,33 +728,44 @@ class TestExitCodes:
         assert ("not applicable:" if expected == EXIT_NOT_APPLICABLE else "error:") in err
 
     def test_enumeration_cap_fails_fast(self, capsys, tmp_path):
-        # Binomial(60, 1/2) moments at ell = 6: the root-count bound leaves
-        # 2,413,456 candidate index sets at r = 30 on the upper side, above
-        # the cap of 10^6.
-        path = _binomial_60_moments(tmp_path, 6)
+        # Binomial(60, 1/2) moments at d = 1, ell = 6: the root-count bound
+        # leaves 3,074,736 candidate index sets at r = 30 on the upper side,
+        # above the cap of 10^6.
+        path = _binomial_60_moments(tmp_path, 6, d=1)
         start = time.perf_counter()
         code, out, err = run(
-            capsys, ["bound", "--moments", str(path), "--r", "30", "--ell", "6"]
+            capsys, ["bound", "--moments", str(path), "--r", "30", "--d", "1", "--ell", "6"]
         )
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_INPUT
         assert out == ""
-        assert "2413456 candidate index sets exceed the enumeration cap of 1000000" in err
+        assert "3074736 candidate index sets exceed the enumeration cap of 1000000" in err
 
     def test_wide_moment_request_is_answered(self, capsys, tmp_path):
         # n = 60, ell = 4 has C(61, 4) = 521,855 index sets, whose
         # exhaustive table took tens of seconds to build per side.
-        path = _binomial_60_moments(tmp_path, 4)
-        tail = Fraction(sum(comb(60, i) for i in range(30, 61)), 2**60)
-        values = {}
-        for side in ("upper", "lower"):
-            code, out, _ = run(
-                capsys,
-                ["bound", "--moments", str(path), "--r", "30", "--ell", "4", "--side", side],
-            )
-            assert code == EXIT_OK
-            values[side] = Fraction(json.loads(out)["certificate"]["value"])
-        assert values["lower"] <= tail <= values["upper"]
+        _brackets_the_binomial_tail(capsys, tmp_path, 4)
+
+    def test_six_orders_at_d0_are_answered_under_the_cap(self, capsys, tmp_path):
+        # At ell = 6 the candidates of b's value counts, 2,413,456, were
+        # over the cap; the difference count leaves the feasible sets only.
+        _brackets_the_binomial_tail(capsys, tmp_path, 6)
+
+
+def _brackets_the_binomial_tail(capsys, tmp_path, ell):
+    """Both sides of the r = 30 bound on Binomial(60, 1/2) moments exit 0
+    and bracket the tail P(at least 30)."""
+    path = _binomial_60_moments(tmp_path, ell)
+    tail = Fraction(sum(comb(60, i) for i in range(30, 61)), 2**60)
+    values = {}
+    for side in ("upper", "lower"):
+        code, out, _ = run(
+            capsys,
+            ["bound", "--moments", str(path), "--r", "30", "--ell", str(ell), "--side", side],
+        )
+        assert code == EXIT_OK
+        values[side] = Fraction(json.loads(out)["certificate"]["value"])
+    assert values["lower"] <= tail <= values["upper"]
 
 
 def test_cli_outputs_script_runs():

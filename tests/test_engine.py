@@ -52,6 +52,8 @@ def fair(n):
 
 # Binomial(60, 1/2) moments at d = 0: s_k = C(60, k-1) / 2^(k-1).
 BINOMIAL_60 = tuple(Fraction(math.comb(60, k), 2**k) for k in range(7))
+# Their d = 1 moments, at every j = (i,): s_k = C(60, k) / (60 2^k).
+BINOMIAL_60_D1 = tuple(Fraction(math.comb(60, k), 60 * 2**k) for k in range(1, 7))
 
 F32 = moment_matrix(3, 0, 2)  # rows (1,1,1,1) and (0,1,2,3)
 V1 = target_vector(3, 0, 1)  # at-least one event: v = (0,1,1,1)
@@ -65,8 +67,14 @@ def single_tuple(n, values):
 
 
 def search(moments, r, side):
-    request = BoundRequest(r=r, d=0, ell=moments.ell, side=side, formula="search")
+    request = BoundRequest(r=r, d=moments.d, ell=moments.ell, side=side, formula="search")
     return evaluate_request(moments, request)
+
+
+def binomial_60_d1():
+    """The d = 1, ell = 6 moment set of 60 independent fair events."""
+    vectors = tuple(MomentVector(j, BINOMIAL_60_D1) for j in index_tuple_indices(60, 1))
+    return MomentSet(n=60, d=1, ell=6, vectors=vectors)
 
 
 def feasible(fmat, v, side):
@@ -154,9 +162,9 @@ class TestSearch:
         assert certificate.value <= exact_occurrence(fair(3)).at_least(1)
 
     def test_enumeration_cap(self):
-        # The cap limits candidate sets: 2,413,456 at n=60, d=0, ell=6, r=30.
+        # The cap limits candidate sets: 3,074,736 at n=60, d=1, ell=6, r=30.
         with pytest.raises(ResourceLimitError):
-            search(single_tuple(60, BINOMIAL_60[:6]), 30, "upper")
+            search(binomial_60_d1(), 30, "upper")
 
     def test_float_moments_pick_the_same_set(self):
         certificate = search(single_tuple(3, (1.0, 1.5)), 1, "upper")
@@ -170,13 +178,13 @@ class TestSearch:
             raise AssertionError("solved an index set above the cap")
 
         monkeypatch.setattr(engine, "_prefix_solves", no_solve)
-        fmat = moment_matrix(60, 0, 6)
-        v = target_vector(60, 0, 30)
-        message = "2413456 candidate index sets exceed the enumeration cap of 1000000"
-        with pytest.raises(ResourceLimitError, match=message):
+        fmat = moment_matrix(60, 1, 6)
+        v = target_vector(60, 1, 30)
+        message = "{} candidate index sets exceed the enumeration cap of 1000000"
+        with pytest.raises(ResourceLimitError, match=message.format(3074736)):
             dual_bases(fmat, v, "upper")
-        with pytest.raises(ResourceLimitError, match=message):
-            search(single_tuple(60, BINOMIAL_60[:6]), 30, "lower")
+        with pytest.raises(ResourceLimitError, match=message.format(9974460)):
+            search(binomial_60_d1(), 30, "lower")
 
 
 def _exhaustive_table(fmat, v, side):
@@ -294,28 +302,33 @@ class TestBasisTable:
             table = dual_bases(fmat, target_vector(60, 0, r, target), side)
             counts[side, target, r] = (table.solved, len(table.bases))
         assert counts == {
-            ("upper", "at-least", 6): (1501, 63),
-            ("upper", "at-least", 30): (5101, 87),
-            ("lower", "at-least", 30): (5101, 88),
+            ("upper", "at-least", 6): (62, 63),
+            ("upper", "at-least", 30): (86, 87),
+            ("lower", "at-least", 30): (87, 88),
             ("upper", "exactly", 30): (114, 114),
         }
 
     def test_prefix_solves_equal_the_per_set_solve(self):
-        """Every root-count candidate of every shape with n <= 8, rejected
-        ones included: the shared elimination yields the numerators and
-        the denominator that solving the set alone on Fractions gives
-        (each of the 4,785 distinct systems solved once)."""
-        candidates, reference = 0, {}
+        """Every root-count candidate of every shape with n <= 8, and at
+        n <= 6 every index set in lexicographic order, rejected ones
+        included: the shared elimination yields the numerators and the
+        denominator that solving the set alone on Fractions gives (each
+        distinct system solved once)."""
+        solves, reference = 0, {}
         for n in range(1, 9):
             for d in range(n):
                 for ell in range(2, n - d + 2):
                     fmat = moment_matrix(n, d, ell)
                     columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
+                    every = list(itertools.combinations(range(1, fmat.positions + 1), ell))
                     for r in range(d, n + 1):
                         for target in TARGETS:
                             v = target_vector(n, d, r, target)
-                            for side in SIDES:
-                                index_sets = list(engine._Candidates(v, ell, d, side == SIDE_UPPER))
+                            runs = [
+                                list(engine._Candidates(v, ell, d, side == SIDE_UPPER))
+                                for side in SIDES
+                            ] + ([every] if n <= 6 else [])
+                            for index_sets in runs:
                                 expected = []
                                 for index_set in index_sets:
                                     system = (
@@ -326,10 +339,34 @@ class TestBasisTable:
                                         reference[system] = integer_solve(*system)
                                     expected.append((index_set, *reference[system]))
                                 got = list(engine._prefix_solves(columns, v, index_sets))
-                                assert got == expected, (n, d, ell, r, target, side)
-                                candidates += len(index_sets)
-        assert candidates == 14234
-        assert len(reference) == 4785
+                                assert got == expected, (n, d, ell, r, target, index_sets[:1])
+                                solves += len(index_sets)
+        assert solves == 15426
+        assert len(reference) == 4924
+
+    def test_candidates_at_d0_are_the_feasible_sets(self):
+        """Every d = 0 shape with n <= 9: the difference count with the
+        mixed-target rule lists exactly the feasible sets that are not in
+        a range, so no solve is rejected."""
+        shapes = 0
+        for n in range(1, 10):
+            for ell in range(2, n + 2):
+                fmat = moment_matrix(n, 0, ell)
+                for r in range(n + 1):
+                    for target in TARGETS:
+                        v = target_vector(n, 0, r, target)
+                        for side in SIDES:
+                            shapes += 1
+                            bases, _, _ = _exhaustive_table(fmat, v, side)
+                            mixed = [
+                                index_set
+                                for index_set, _, _ in bases
+                                if len({v[i - 1] for i in index_set}) == 2
+                            ]
+                            candidates = list(engine._Candidates(v, ell, 0, side == SIDE_UPPER))
+                            assert candidates == mixed, (n, ell, r, target, side)
+                            assert dual_bases(fmat, v, side).solved == len(mixed)
+        assert shapes == 1320
 
     def test_every_leading_minor_is_positive(self):
         """The no-swap claim: at n <= 8, orders 1..k at any k increasing
@@ -407,7 +444,7 @@ class TestBasisTable:
         )
         summary = result.stdout
         assert summary.startswith("n=8 d=0 ell=3: 36 tables in "), summary
-        assert re.search(r"; solved=226 at \d+\.\d us/candidate; slowest ", summary), summary
+        assert re.search(r"; solved=142 rejected=0 at \d+\.\d us/candidate; slowest ", summary), summary
 
 
 class TestWitness:
