@@ -21,20 +21,19 @@ applies rows to moments, for the closed forms, the index-set search and
 the full-order (Jordan) case alike; ``checker`` re-checks certificates on
 its own.
 
-The table is not built from all C(n-d+1, ell) index sets.  Read b = F^T a
-as a function of the position x > 0: b(x) = C(x+d-1, d) q(x) with q a
-polynomial of degree at most ell-1.  Feasibility pins b to an interval at
-every position, which forces signs on a few functions of b, and a
-left-to-right scan counts the roots those signs force.  At d >= 1 the
-functions are b, with at most ell-1 roots, and b - 1, with at most ell
-(Rolle: the ell-th derivative of q - 1/C(x+d-1, d) never vanishes).  At
-d = 0, b = q, and a set whose targets hold both 0 and 1 makes b
-nonconstant; the function is then b(x+1) - b(x), which is b' at a point of
-(x, x+1) by the mean value theorem, so its forced roots are roots of b',
-which has at most ell-2.  Only the index sets whose counts fit the budgets
-are solved, and each is still checked (:func:`dual_bases`); at d = 0 none
-has been rejected on any shape with n <= 12, a measured property.  The
-enumeration cap limits the number of those candidates.
+The table is not built from all C(n-d+1, ell) index sets.  At d = 0,
+b = F^T a is a polynomial in the position x of degree at most ell-1.
+Feasibility pins b to an interval at every position, which forces signs
+on b(x+1) - b(x), and a left-to-right scan counts the roots those signs
+force.  A set whose targets hold both 0 and 1 makes b nonconstant, and
+b(x+1) - b(x) is b' at a point of (x, x+1) by the mean value theorem, so
+its forced roots are roots of b', which has at most ell-2.  A shape at
+d >= 1 is the d = 0 shape of the same n with ell + d orders and its first
+d positions pinned into the set, so the one scan serves every d.  Only
+the index sets whose count fits the budget are solved, and each is still
+checked (:func:`dual_bases`); none has been rejected on any shape with
+n <= 12, a measured property.  The enumeration cap limits the number of
+those candidates.
 
 The candidates come in lexicographic order and share one fraction-free
 elimination along their common prefixes (:func:`_prefix_solves`), with
@@ -286,8 +285,9 @@ class BasisTable:
     ``bases`` holds the other feasible sets in lexicographic order, plus
     the first set of each range, which stands for all of its range in a
     search: they share a value, and ties go to the first.  ``solved``
-    counts the candidate sets that were solved and checked to build the
-    table (see :func:`dual_bases`).
+    counts the candidate sets solved and checked to build the table: at
+    every d, on every shape measured, the feasible sets outside the ranges
+    (see :func:`dual_bases`).
     """
 
     ell: int
@@ -336,19 +336,16 @@ def _sign(lo: float, hi: float) -> int:
 
 
 @lru_cache(maxsize=64)
-def _forced(v_x: int, v_before: Optional[int], upper: bool, differences: bool) -> tuple:
-    """The signs feasibility forces at a position with target v_x, as
-    ``signs[member][previous member]``: of b and of b - 1 there, or with
-    ``differences`` of b(x) - b(x-1), where the previous position's target
-    is ``v_before`` (None at the first position, which has no difference).
-    """
-    here = [_interval(v_x, member, upper) for member in (False, True)]
-    if not differences:
-        return tuple((tuple(_sign(lo - c, hi - c) for c in (0, 1)),) * 2 for lo, hi in here)
+def _forced(v_x: int, v_before: Optional[int], upper: bool) -> tuple:
+    """The signs feasibility forces on b(x) - b(x-1) at a position with
+    target v_x, as ``signs[member][previous member]``, where the previous
+    position's target is ``v_before`` (None at the first position, which
+    has no difference)."""
     if v_before is None:
-        return (((_FREE,),) * 2,) * 2
+        return ((_FREE,) * 2,) * 2
+    here = [_interval(v_x, member, upper) for member in (False, True)]
     before = [_interval(v_before, member, upper) for member in (False, True)]
-    return tuple(tuple((_sign(lo - hi0, hi - lo0),) for lo0, hi0 in before) for lo, hi in here)
+    return tuple(tuple(_sign(lo - hi0, hi - lo0) for lo0, hi0 in before) for lo, hi in here)
 
 
 # A step depends only on its three arguments, and every shape meets the
@@ -381,51 +378,47 @@ def _scan(state: tuple[int, ...], constraint: int, cap: int) -> Optional[tuple[i
 class _Candidates:
     """The index sets of one shape that the root-count bound allows.
 
-    Scans positions 1..N left to right, each in or out of the set, with
-    the scan state of each counted function (:func:`_scan`): b and b - 1
-    at d >= 1, b's first differences at d = 0 (see :func:`dual_bases`).
-    A prefix dies as soon as a count exceeds its budget, since the counts
-    only grow, or, at d = 0, once the positions left cannot give its
-    members both targets 0 and 1.  A node is (members left, states,
-    whether the previous position is a member, the targets seen among the
-    members as bits 1 << v) before a position; the last two stay False
-    and 0 at d >= 1, where nothing reads them.  Equal nodes share their
-    completions, so a forward pass finds every reachable node and a
-    backward pass counts each node's allowed completions.  ``count`` is
-    thus known before any set is listed, and iteration lists the allowed
-    sets in lexicographic order along live nodes only.
+    Scans the d = 0 shape with ell+d orders and targets (0,)*d + v, whose
+    first d positions are pinned into the set (see :func:`dual_bases`),
+    left to right, each position in or out of the set, with the scan state
+    of b's first differences (:func:`_scan`).  A prefix dies once it
+    leaves out a pinned position, once the count exceeds the budget, since
+    it only grows, or once the positions left cannot give its members both
+    targets 0 and 1.  A node is (members left, scan state, whether the
+    previous position is a member, the targets seen among the members as
+    bits 1 << v) before a position.  Equal nodes share their completions,
+    so a forward pass finds every reachable node and a backward pass counts
+    each node's allowed completions.  ``count`` is thus known before any
+    set is listed, and iteration lists the allowed sets in lexicographic
+    order along live nodes only, each member shifted back by d.
     """
 
     def __init__(self, v: tuple[int, ...], ell: int, d: int, upper: bool) -> None:
-        caps = (ell, ell + 1) if d else (ell - 1,)
+        self.d = d
+        v = (0,) * d + v
+        ell += d
+        cap = ell - 1
         positions = len(v)
         bits = [0] * (positions + 1)  # bits[x]: the target bits of v[x:]
         for x in range(positions - 1, -1, -1):
             bits[x] = bits[x + 1] | 1 << v[x]
 
-        signs = [_forced(v_x, v[x - 1] if x else None, upper, not d) for x, v_x in enumerate(v)]
+        signs = [_forced(v_x, v[x - 1] if x else None, upper) for x, v_x in enumerate(v)]
 
         def step(node: tuple, member: bool, x: int) -> Optional[tuple]:
             """The node after position x, or None if no completion is allowed."""
-            left, states, previous, seen = node
+            left, state, previous, seen = node
             left -= member
-            if not 0 <= left <= positions - x - 1:
+            if (x < d and not member) or not 0 <= left <= positions - x - 1:
                 return None
-            if not d:  # the members' targets must come to hold both 0 and 1
-                seen |= member << v[x]
-                missing = 0b11 & ~seen
-                if missing & ~bits[x + 1] or missing.bit_count() > left:
-                    return None
-            constraints = signs[x][member][previous]
-            first = _scan(states[0], constraints[0], caps[0])
-            if first is None:
+            seen |= member << v[x]  # the members' targets must come to hold both 0 and 1
+            missing = 0b11 & ~seen
+            if missing & ~bits[x + 1] or missing.bit_count() > left:
                 return None
-            if not d:
-                return (left, (first,), member, seen)
-            second = _scan(states[1], constraints[1], caps[1])
-            return second and (left, (first, second), False, seen)
+            state = _scan(state, signs[x][member][previous], cap)
+            return state and (left, state, member, seen)
 
-        self.start = (ell, tuple((0,) + (cap,) * 4 for cap in caps), False, 0)
+        self.start = (ell, (0,) + (cap,) * 4, False, 0)
         self.edges: list[dict] = []
         nodes = {self.start}
         for x in range(positions):
@@ -450,13 +443,13 @@ class _Candidates:
         while stack:
             x, node, members = stack.pop()
             if not node[0]:  # no members left: one completion
-                yield members
+                yield members[self.d:]
                 continue
             skip, take = self.edges[x][node]
             if skip:
                 stack.append((x + 1, skip, members))
             if take:
-                stack.append((x + 1, take, members + (x + 1,)))
+                stack.append((x + 1, take, members + (x + 1 - self.d,)))
 
 
 def dual_bases(
@@ -474,30 +467,35 @@ def dual_bases(
     N . F_i - v_i den, rejecting positions first (moved to the front), so
     every stored set is checked.
 
-    The bound.  Let I have targets not all 0 and, at d = 0, not all 1
-    (those sets are the table's ranges).  Write b(x) = sum_k a_k
-    C(x+d-1, k+d-1) = C(x+d-1, d) q(x) with deg q <= ell-1.  If I is
-    feasible, b(x) = v_x on I, and b(x) >= v_x (upper) or <= v_x (lower)
-    elsewhere: an interval at every position, which forces a sign on each
-    scanned function (:func:`_forced`).  A scan counts the roots those
-    signs force (:func:`_scan`), and a set is a candidate only when every
-    count fits its budget.
+    The bound at d = 0.  Let I have targets holding both 0 and 1 (the
+    other sets are the table's ranges).  Then b(x) = sum_k a_k C(x-1, k-1)
+    is a nonconstant polynomial of degree at most ell-1, so b' is a nonzero
+    polynomial of degree at most ell-2.  If I is feasible, b(x) = v_x on I,
+    and b(x) >= v_x (upper) or <= v_x (lower) elsewhere: an interval at
+    every position, which forces a sign on Db(x) = b(x+1) - b(x) at
+    x = 1..N-1 (:func:`_forced`).  By the mean value theorem
+    Db(x) = b'(xi_x) for some xi_x in (x, x+1), and the xi_x increase
+    strictly with x: a zero of Db is a root of b' (Rolle), and a sign
+    change of Db puts one between.  So the roots the signs force, counted
+    by a scan (:func:`_scan`), number at most ell-2, the budget.
 
-    At d >= 1 the functions are P0 = b, with at most ell-1 roots in x > 0
-    counted with multiplicity, and P1 = b - 1, with at most ell, by Rolle
-    on q - 1/C(x+d-1, d), whose ell-th derivative never vanishes because
-    1/C(x+d-1, d) is completely monotone.
+    At d >= 1, write position u as its level L = u+d-1.  Row k of F is
+    C(L, k+d-1) at levels d..n: the rows of orders d+1..d+ell of the
+    d = 0 shape of the same n with ell+d orders, whose positions are the
+    levels 0..n.  A row c of that shape has B(L) = sum_j c_{j+1} C(L, j),
+    triangular in c_1..c_d with a unit diagonal at L = 0..d-1.  So B
+    vanishes at levels 0..d-1 exactly when c_1..c_d = 0, and then B at
+    levels d..n is the b of a = (c_{d+1}, ..., c_{d+ell}): I is
+    side-feasible for (n, d, ell, v) exactly when {1..d} with I + d is for
+    (n, 0, ell+d, (0,)*d + v).  That set holds target 0, so it is never an
+    all-ones range, and its targets are all 0 exactly when I's are.  So
+    the candidates at d >= 1 are the d = 0 ones of that shape with the
+    first d positions pinned (:class:`_Candidates`).
 
-    At d = 0 the function is Db(x) = b(x+1) - b(x) at x = 1..N-1, and a
-    candidate's targets must hold both 0 and 1.  Then b = q is not
-    constant, so b' is a nonzero polynomial of degree at most ell-2.  By
-    the mean value theorem Db(x) = b'(xi_x) for some xi_x in (x, x+1),
-    and the xi_x increase strictly with x: a zero of Db is a root of b'
-    (Rolle), and a sign change of Db puts one between, so the scan's count
-    is at most the number of roots of b', and the budget is ell-2.  On
-    every d = 0 shape with n <= 12 the candidates are exactly the feasible
-    sets outside the ranges, so no solve is rejected; this is measured,
-    not proved, and every candidate is still checked.
+    On every shape with n <= 12 the candidates are exactly the feasible
+    sets outside the ranges, so no solve is rejected.  This is measured at
+    d = 0, not proved, and exactness at d >= 1 follows from it at ell+d
+    orders; every candidate is still checked.
 
     At most :data:`MAX_CANDIDATES` candidates are solved; their count is
     checked before any solve.

@@ -728,18 +728,18 @@ class TestExitCodes:
         assert ("not applicable:" if expected == EXIT_NOT_APPLICABLE else "error:") in err
 
     def test_enumeration_cap_fails_fast(self, capsys, tmp_path):
-        # Binomial(60, 1/2) moments at d = 1, ell = 6: the root-count bound
-        # leaves 3,074,736 candidate index sets at r = 30 on the upper side,
+        # Binomial(60, 1/2) moments at d = 1, ell = 11: the root-count bound
+        # leaves 3,162,510 candidate index sets at r = 30 on the upper side,
         # above the cap of 10^6.
-        path = _binomial_60_moments(tmp_path, 6, d=1)
+        path = _binomial_60_moments(tmp_path, 11, d=1)
         start = time.perf_counter()
         code, out, err = run(
-            capsys, ["bound", "--moments", str(path), "--r", "30", "--d", "1", "--ell", "6"]
+            capsys, ["bound", "--moments", str(path), "--r", "30", "--d", "1", "--ell", "11"]
         )
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_INPUT
         assert out == ""
-        assert "3074736 candidate index sets exceed the enumeration cap of 1000000" in err
+        assert "3162510 candidate index sets exceed the enumeration cap of 1000000" in err
 
     def test_wide_moment_request_is_answered(self, capsys, tmp_path):
         # n = 60, ell = 4 has C(61, 4) = 521,855 index sets, whose
@@ -751,17 +751,26 @@ class TestExitCodes:
         # over the cap; the difference count leaves the feasible sets only.
         _brackets_the_binomial_tail(capsys, tmp_path, 6)
 
+    def test_six_orders_at_d1_are_answered_under_the_cap(self, capsys, tmp_path):
+        # At d = 1, ell = 6 the candidates of b's and b - 1's value counts,
+        # 3,074,736 (upper) and 9,974,460 (lower), were over the cap; the
+        # difference count with the first level pinned leaves 2,972 and 2,672.
+        _brackets_the_binomial_tail(capsys, tmp_path, 6, d=1)
 
-def _brackets_the_binomial_tail(capsys, tmp_path, ell):
-    """Both sides of the r = 30 bound on Binomial(60, 1/2) moments exit 0
-    and bracket the tail P(at least 30)."""
-    path = _binomial_60_moments(tmp_path, ell)
+
+def _brackets_the_binomial_tail(capsys, tmp_path, ell, d=0):
+    """Both sides of the r = 30 bound on Binomial(60, 1/2) moments at d = 0
+    or d = 1 exit 0 and bracket the tail P(at least 30)."""
+    path = _binomial_60_moments(tmp_path, ell, d)
     tail = Fraction(sum(comb(60, i) for i in range(30, 61)), 2**60)
     values = {}
     for side in ("upper", "lower"):
         code, out, _ = run(
             capsys,
-            ["bound", "--moments", str(path), "--r", "30", "--ell", str(ell), "--side", side],
+            [
+                "bound", "--moments", str(path), "--r", "30", "--d", str(d),
+                "--ell", str(ell), "--side", side,
+            ],
         )
         assert code == EXIT_OK
         values[side] = Fraction(json.loads(out)["certificate"]["value"])

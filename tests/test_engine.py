@@ -53,7 +53,7 @@ def fair(n):
 # Binomial(60, 1/2) moments at d = 0: s_k = C(60, k-1) / 2^(k-1).
 BINOMIAL_60 = tuple(Fraction(math.comb(60, k), 2**k) for k in range(7))
 # Their d = 1 moments, at every j = (i,): s_k = C(60, k) / (60 2^k).
-BINOMIAL_60_D1 = tuple(Fraction(math.comb(60, k), 60 * 2**k) for k in range(1, 7))
+BINOMIAL_60_D1 = tuple(Fraction(math.comb(60, k), 60 * 2**k) for k in range(1, 12))
 
 F32 = moment_matrix(3, 0, 2)  # rows (1,1,1,1) and (0,1,2,3)
 V1 = target_vector(3, 0, 1)  # at-least one event: v = (0,1,1,1)
@@ -72,9 +72,9 @@ def search(moments, r, side):
 
 
 def binomial_60_d1():
-    """The d = 1, ell = 6 moment set of 60 independent fair events."""
+    """The d = 1, ell = 11 moment set of 60 independent fair events."""
     vectors = tuple(MomentVector(j, BINOMIAL_60_D1) for j in index_tuple_indices(60, 1))
-    return MomentSet(n=60, d=1, ell=6, vectors=vectors)
+    return MomentSet(n=60, d=1, ell=11, vectors=vectors)
 
 
 def feasible(fmat, v, side):
@@ -162,7 +162,7 @@ class TestSearch:
         assert certificate.value <= exact_occurrence(fair(3)).at_least(1)
 
     def test_enumeration_cap(self):
-        # The cap limits candidate sets: 3,074,736 at n=60, d=1, ell=6, r=30.
+        # The cap limits candidate sets: 3,162,510 at n=60, d=1, ell=11, r=30.
         with pytest.raises(ResourceLimitError):
             search(binomial_60_d1(), 30, "upper")
 
@@ -178,12 +178,12 @@ class TestSearch:
             raise AssertionError("solved an index set above the cap")
 
         monkeypatch.setattr(engine, "_prefix_solves", no_solve)
-        fmat = moment_matrix(60, 1, 6)
+        fmat = moment_matrix(60, 1, 11)
         v = target_vector(60, 1, 30)
         message = "{} candidate index sets exceed the enumeration cap of 1000000"
-        with pytest.raises(ResourceLimitError, match=message.format(3074736)):
+        with pytest.raises(ResourceLimitError, match=message.format(3162510)):
             dual_bases(fmat, v, "upper")
-        with pytest.raises(ResourceLimitError, match=message.format(9974460)):
+        with pytest.raises(ResourceLimitError, match=message.format(3128861)):
             search(binomial_60_d1(), 30, "lower")
 
 
@@ -341,32 +341,63 @@ class TestBasisTable:
                                 got = list(engine._prefix_solves(columns, v, index_sets))
                                 assert got == expected, (n, d, ell, r, target, index_sets[:1])
                                 solves += len(index_sets)
-        assert solves == 15426
-        assert len(reference) == 4924
+        assert solves == 11711
+        assert len(reference) == 4732
 
-    def test_candidates_at_d0_are_the_feasible_sets(self):
-        """Every d = 0 shape with n <= 9: the difference count with the
-        mixed-target rule lists exactly the feasible sets that are not in
-        a range, so no solve is rejected."""
+    def test_candidates_are_the_feasible_sets(self):
+        """Every shape with n <= 9: the candidates, the difference count on
+        the d = 0 shape with ell+d orders and the first d positions pinned,
+        are exactly the feasible sets that are not in a range, so no solve
+        is rejected."""
         shapes = 0
         for n in range(1, 10):
-            for ell in range(2, n + 2):
-                fmat = moment_matrix(n, 0, ell)
-                for r in range(n + 1):
-                    for target in TARGETS:
-                        v = target_vector(n, 0, r, target)
-                        for side in SIDES:
+            for d in range(n):
+                for ell in range(2, n - d + 2):
+                    fmat = moment_matrix(n, d, ell)
+                    for r in range(d, n + 1):
+                        for target in TARGETS:
+                            v = target_vector(n, d, r, target)
+                            for side in SIDES:
+                                shapes += 1
+                                bases, _, _ = _exhaustive_table(fmat, v, side)
+                                solved = [
+                                    index_set
+                                    for index_set, _, _ in bases
+                                    if any(v[i - 1] for i in index_set)
+                                    and (d or not all(v[i - 1] for i in index_set))
+                                ]
+                                upper = side == SIDE_UPPER
+                                candidates = list(engine._Candidates(v, ell, d, upper))
+                                assert candidates == solved, (n, d, ell, r, target, side)
+                                assert dual_bases(fmat, v, side).solved == len(solved)
+        assert shapes == 3960
+
+    def test_a_d_shape_is_the_d0_shape_with_its_first_d_levels_pinned(self):
+        """Every shape with n <= 7 and d >= 1, every index set I: the row of
+        {1..d} with I + d for (n, 0, ell+d, (0,)*d + v) is d zeros and then
+        I's row a for (n, d, ell, v), feasible for the same sides, so the
+        d-table is the pinned part of the d = 0 table.  Both come from the
+        per-set Fraction solve alone."""
+        shapes = 0
+        for n in range(2, 8):
+            for d in range(1, n):
+                for ell in range(2, n - d + 2):
+                    fmat, wide = moment_matrix(n, d, ell), moment_matrix(n, 0, ell + d)
+                    sets = list(itertools.combinations(range(1, n - d + 2), ell))
+                    for r in range(d, n + 1):
+                        for target in TARGETS:
+                            v = target_vector(n, d, r, target)
+                            pinned_v = (0,) * d + v
                             shapes += 1
-                            bases, _, _ = _exhaustive_table(fmat, v, side)
-                            mixed = [
-                                index_set
-                                for index_set, _, _ in bases
-                                if len({v[i - 1] for i in index_set}) == 2
-                            ]
-                            candidates = list(engine._Candidates(v, ell, 0, side == SIDE_UPPER))
-                            assert candidates == mixed, (n, ell, r, target, side)
-                            assert dual_bases(fmat, v, side).solved == len(mixed)
-        assert shapes == 1320
+                            for index_set in sets:
+                                a = solve(fmat, index_set, v)
+                                pinned = tuple(range(1, d + 1)) + tuple(i + d for i in index_set)
+                                c = solve(wide, pinned, pinned_v)
+                                where = (n, d, ell, r, target, index_set)
+                                assert c == (0,) * d + a, where
+                                sides = feasible_sides(fmat, a, v)
+                                assert feasible_sides(wide, c, pinned_v) == sides, where
+        assert shapes == 504
 
     def test_every_leading_minor_is_positive(self):
         """The no-swap claim: at n <= 8, orders 1..k at any k increasing
@@ -431,20 +462,23 @@ class TestBasisTable:
             assert row.coefficients is row.coefficients
 
     def test_table_build_times_script_runs(self):
-        """``scripts/table_build_times.py`` times every table of one shape family."""
+        """``scripts/table_build_times.py`` times every table of one shape
+        family; at d = 0 and at d = 1 no candidate is rejected."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        result = subprocess.run(
-            [
-                sys.executable, str(root / "scripts" / "table_build_times.py"),
-                "--n", "8", "--d", "0", "--ell", "3", "--quiet",
-            ],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
-            capture_output=True, text=True, check=True, timeout=120,
-        )
-        summary = result.stdout
-        assert summary.startswith("n=8 d=0 ell=3: 36 tables in "), summary
-        assert re.search(r"; solved=142 rejected=0 at \d+\.\d us/candidate; slowest ", summary), summary
+        for d, tables, solved in (("0", 36, 142), ("1", 32, 137)):
+            result = subprocess.run(
+                [
+                    sys.executable, str(root / "scripts" / "table_build_times.py"),
+                    "--n", "8", "--d", d, "--ell", "3", "--quiet",
+                ],
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+                capture_output=True, text=True, check=True, timeout=120,
+            )
+            summary = result.stdout
+            assert summary.startswith(f"n=8 d={d} ell=3: {tables} tables in "), summary
+            pattern = rf"; solved={solved} rejected=0 at \d+\.\d us/candidate; slowest "
+            assert re.search(pattern, summary), summary
 
 
 class TestWitness:
