@@ -5,15 +5,22 @@ other order, or an explicit request, goes through the index-set search.
 A request naming a formula gets exactly that family or an error; a
 request without one gets the best applicable bound for its moment order.
 Each entry checks its request once (:meth:`BoundRequest.check`); the
-functions behind it trust the request.  Which families serve a request,
-with every ``m`` rule and window range, is decided in one place,
+functions behind it trust the request.  Whether the closed forms serve a
+request is decided in one place, :func:`_closed_form_route`, and which
+families serve it, with every other ``m`` rule and window range, in
 :func:`_closed_forms`.  Applicability is checked before the window, but
 ``m`` on a route or on a named family that has no window for any target
 is rejected first; :func:`evaluate_request` gives the whole order.
+
+A closed-form request's plan, its families' sources and labels, is
+resolved once per (n, request) and process (:func:`_plan`), so a windowed
+source keeps its fetched rows; failures are not cached, and the search
+and Jordan routes do not use the plan.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 from . import bounds_l2, bounds_l3
@@ -33,6 +40,10 @@ _BEST_OF = {2: (bounds_l2.FAMILY_ROWS, False), 3: (bounds_l3.FAMILY_ROWS, True)}
 
 FORMULAS = tuple(sorted(FAMILY_TABLE)) + ("search", "jordan")
 
+#: Closed-form plans kept at once: one verify-small pass makes 1,036 and
+#: ``run_all(150, 8, 42)`` makes 2,893, so neither evicts one.
+MAX_PLANS = 4096
+
 
 def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]]:
     """Every best-of request at ell 2 and 3 for the system, with its moment set.
@@ -49,20 +60,27 @@ def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]
                         yield moments, BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
 
 
-def _closed_forms(n: int, request: BoundRequest) -> tuple[tuple, bool]:
-    """The closed-form families that serve a checked request, each with the
-    window ``m`` pins in it (None for a free or fixed window), and whether
-    they combine per index tuple; no family for the search and Jordan
-    routes.  Raises in the order :func:`evaluate_request` states."""
-    r, d, side, target = request.r, request.d, request.side, request.target
-    formula, m = request.formula, request.m
+def _closed_form_route(request: BoundRequest) -> bool:
+    """Whether the closed forms serve a checked request, not the search or
+    Jordan route; ``m`` on those two routes raises."""
+    formula = request.formula
     if formula in ("search", "jordan") or formula is None and request.ell not in _BEST_OF:
-        if m is not None:
+        if request.m is not None:
             raise ValueError(
                 f"formula {formula!r} has no window parameter m" if formula
                 else "m applies only to the closed-form windowed families"
             )
-        return (), True
+        return False
+    return True
+
+
+def _closed_forms(n: int, request: BoundRequest) -> tuple[tuple, bool]:
+    """The closed-form families that serve a checked closed-form request,
+    each with the window ``m`` pins in it (None for a free or fixed window),
+    and whether they combine per index tuple.  Raises in the order
+    :func:`evaluate_request` states."""
+    r, d, side, target = request.r, request.d, request.side, request.target
+    formula, m = request.formula, request.m
     if formula is None:
         families, per_tuple = _BEST_OF[request.ell]
         if per_tuple and m is not None:
@@ -108,6 +126,16 @@ def _closed_forms(n: int, request: BoundRequest) -> tuple[tuple, bool]:
     return selected, per_tuple
 
 
+@lru_cache(maxsize=MAX_PLANS)
+def _plan(n: int, request: BoundRequest) -> tuple[tuple, tuple, bool]:
+    """The sources, labels and ``per_tuple`` of a checked closed-form
+    request; a request that raises is not cached."""
+    selected, per_tuple = _closed_forms(n, request)
+    r, d, target = request.r, request.d, request.target
+    sources = tuple(family_source(family, n, r, d, target, pin) for family, pin in selected)
+    return sources, tuple(family.name for family, _ in selected), per_tuple
+
+
 def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
     """Evaluate a bound request against a moment set.
 
@@ -127,6 +155,9 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
     (NotApplicableError), ``m`` on a fixed window.  Then a pinned ``m``
     outside its range.  Last, no side-feasible index set for the search,
     or an order other than n-d+1 for Jordan (NotApplicableError).
+
+    A closed-form request's plan is resolved once per (n, request) and
+    process; failures are not cached, and search and Jordan do not use it.
     """
     if moments.d != request.d:
         raise ValueError(f"moment set has d={moments.d}, request asks for d={request.d}")
@@ -136,10 +167,8 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
         )
     n, d, r, target, side = moments.n, moments.d, request.r, request.target, request.side
     request.check(n)
-    selected, per_tuple = _closed_forms(n, request)
-    if selected:
-        sources = [family_source(family, n, r, d, target, pin) for family, pin in selected]
-        labels = [family.name for family, _ in selected]
+    if _closed_form_route(request):
+        sources, labels, per_tuple = _plan(n, request)
     elif request.formula == "jordan":
         # At full order the row solved at every position makes b = v, so
         # s . a is the target probability itself.
@@ -149,7 +178,7 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
                 f"exact evaluation needs ell = n-d+1 = {positions}, got ell={request.ell}"
             )
         row = solved_row(n, r, d, target, tuple(range(1, positions + 1)), None)
-        sources, labels = [row_source((row,), side)], ["jordan"]
+        sources, labels, per_tuple = [row_source((row,), side)], ["jordan"], True
     else:
         fmat, v = moment_matrix(n, d, request.ell), target_vector(n, d, r, target)
         table = dual_bases(fmat, v, side)
@@ -158,7 +187,7 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
                 f"no {side}-feasible index set at ell={request.ell} "
                 f"for target={target!r}, r={r}, d={d}, n={n}"
             )
-        sources, labels = [row_source(table.bases, side)], ["search"]
+        sources, labels, per_tuple = [row_source(table.bases, side)], ["search"], True
     return evaluate(sources, labels, moments, request, per_tuple)
 
 

@@ -4,14 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from eventbounds import bounds_l3, engine
+from eventbounds import bounds_l3, dispatch, engine
 from eventbounds.certificates import TARGET_AT_LEAST
 from eventbounds.engine import Row
 from eventbounds.numerics import over_common_denominator
 
 
 @pytest.fixture
-def skewed_ub2_row(monkeypatch):
+def fresh_plans():
+    """An empty closed-form plan cache before and after the test.  A plan
+    keeps the rows its sources fetched, so a test that patches a row
+    builder must neither read rows planned before it nor leave its own
+    behind for later tests."""
+    dispatch._plan.cache_clear()
+    yield
+    dispatch._plan.cache_clear()
+
+
+@pytest.fixture
+def skewed_ub2_row(monkeypatch, fresh_plans):
     """A deliberately wrong ub2 at-least row (second coefficient minus 1),
     which the verification suites must catch.  Every three-moment family
     reads its row from ``bounds_l3.solved_row``, so named and best-of

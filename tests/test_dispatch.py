@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from eventbounds import dispatch
 from eventbounds.certificates import SIDES, BoundRequest
 from eventbounds.cli import EXIT_OK, main
 from eventbounds.core import EventSystem, exact_occurrence
 from eventbounds.dispatch import FORMULAS, bound_for_system, evaluate_request
 from eventbounds.errors import NotApplicableError
 from eventbounds.moments import MomentSet, moment_set
+from test_golden import golden_requests
 
 
 def fair(n):
@@ -266,3 +268,58 @@ def test_no_restricted_copy_on_the_bound_path(monkeypatch, capsys, tmp_path, fai
     assert json.loads(capsys.readouterr().out)["rows"]
     for side in SIDES:
         assert evaluate_request(d1_l3, BoundRequest(r=2, d=1, ell=2, side=side)).ell == 2
+
+
+def _payload_or_error(moments, request) -> str:
+    """The certificate's canonical payload JSON, or the error's class and message."""
+    try:
+        certificate = evaluate_request(moments, request)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(certificate.to_payload(), sort_keys=True, separators=(",", ":"))
+
+
+class TestPlanCache:
+    """A closed-form request's plan is resolved once per (n, request) and
+    process; the cache changes no result, keeps no failure, and the search
+    and Jordan routes never touch it."""
+
+    def test_cold_warm_and_reversed_passes_agree(self, fresh_plans):
+        requests = [
+            (moments, request)
+            for _, moments, grid in golden_requests() for request in grid
+        ]
+        cold = [_payload_or_error(*pair) for pair in requests]
+        plans = dispatch._plan.cache_info().currsize
+        assert plans > 0
+        warm = [_payload_or_error(*pair) for pair in requests]
+        reversed_ = [_payload_or_error(*pair) for pair in reversed(requests)][::-1]
+        assert warm == cold
+        assert reversed_ == cold
+        assert dispatch._plan.cache_info().currsize == plans
+
+    @pytest.mark.parametrize("request_, error", [
+        (BoundRequest(r=1, d=0, ell=2, side="lower", target="exactly", formula="l1"),
+         NotApplicableError),
+        (BoundRequest(r=2, d=1, ell=3, side="lower", formula="lb2", m=9), ValueError),
+    ], ids=["not-applicable", "m-out-of-range"])
+    def test_a_failing_request_is_not_cached(self, d0_l4, d1_l3, fresh_plans, request_, error):
+        moments = d1_l3 if request_.d else d0_l4
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                evaluate_request(moments, request_)
+            messages.append(str(caught.value))
+            assert dispatch._plan.cache_info().currsize == 0
+        assert messages[0] == messages[1]
+
+    def test_search_and_jordan_leave_the_cache_untouched(self, d0_l4, fresh_plans):
+        evaluate_request(d0_l4, BoundRequest(r=1, d=0, ell=2))
+        before = dispatch._plan.cache_info()
+        for request in (
+            BoundRequest(r=1, d=0, ell=3, formula="search"),
+            BoundRequest(r=1, d=0, ell=4),
+            BoundRequest(r=1, d=0, ell=4, formula="jordan"),
+        ):
+            evaluate_request(d0_l4, request)
+        assert dispatch._plan.cache_info() == before

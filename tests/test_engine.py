@@ -480,6 +480,30 @@ class TestBasisTable:
             pattern = rf"; solved={solved} rejected=0 at \d+\.\d us/candidate; slowest "
             assert re.search(pattern, summary), summary
 
+    def test_closed_form_times_script_runs(self):
+        """``scripts/closed_form_times.py`` prints the planned and unplanned
+        closed-form cost per (ell, tuples), the fits, and the plan cache."""
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [
+                sys.executable, str(root / "scripts" / "closed_form_times.py"),
+                "--systems", "1", "--repeat", "1",
+            ],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        lines = result.stdout.splitlines()
+        assert lines[0].split() == ["ell", "tuples", "requests", "planned_us", "unplanned_us"]
+        assert re.fullmatch(r"\s+2\s+1\s+\d+\s+\d+\.\d\s+\d+\.\d", lines[1]), lines[1]
+        for ell in (2, 3):
+            for name in ("planned", "unplanned"):
+                pattern = rf"ell={ell} {name}: fixed -?\d+\.\d us \+ -?\d+\.\d\d us/tuple"
+                assert any(re.fullmatch(pattern, line) for line in lines), lines
+        assert re.fullmatch(
+            r"plans: CacheInfo\(hits=\d+, misses=(\d+), maxsize=4096, currsize=\1\)", lines[-1]
+        ), lines[-1]
+
 
 class TestWitness:
     def test_attaining_witness_on_fair_three(self):

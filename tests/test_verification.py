@@ -208,7 +208,7 @@ class TestMutationSensitivity:
     def test_engine_agreement_catches_it(self, skewed_ub2_row):
         _assert_caught(suite_engine_agreement(trials=30, n_max=6, seed=7), "engine-agreement")
 
-    def test_classical_catches_a_skewed_u1_row(self, monkeypatch):
+    def test_classical_catches_a_skewed_u1_row(self, monkeypatch, fresh_plans):
         skewed = _skewed(bounds_l2.solved_row, lambda n, r, d: (1, r - d + 1))
         monkeypatch.setattr(bounds_l2, "solved_row", skewed)
         _assert_caught(suite_classical(trials=20, n_max=6, seed=7), "classical")
@@ -218,7 +218,7 @@ class TestMutationSensitivity:
             monkeypatch.setattr(module, "window_candidates", lambda num, den, lo, hi: (lo,))
         _assert_caught(suite_optimal_m(trials=10, n_max=6, seed=7), "optimal-m")
 
-    def test_jordan_catches_a_skewed_full_order_row(self, monkeypatch):
+    def test_jordan_catches_a_skewed_full_order_row(self, monkeypatch, fresh_plans):
         skewed = _skewed(dispatch.solved_row, lambda n, r, d: tuple(range(1, n - d + 2)))
         monkeypatch.setattr(dispatch, "solved_row", skewed)
         _assert_caught(suite_jordan(trials=5, n_max=6, seed=7), "jordan")
