@@ -6,10 +6,12 @@ Builds an n-event system of ``--atoms`` distinct atoms with weights a/b
 ``EventSystem.from_payload``, then ``moments.moment_set`` at each d in
 ``--ds`` and the given ell, then ``MomentSet.from_payload`` on the
 system's d = 1 moment payload at the given ell (which includes the
-realizability check), then ``conditional_bound`` at d = 1 and the given
-ell (upper, at least r = 3) on the sigma-field of the first k events, 2^k
-blocks, for k = 1, 4 and 8 up to n; each best of ``--repeat``.  Prints
-one line for ingest, one per d, one for the moment file and one per k.
+realizability check), then, on the sigma-field of the first k events,
+2^k blocks, for k = 1, 4 and 8 up to n: ``json.loads`` and
+``PartitionField.from_payload`` of its partition file, and
+``conditional_bound`` at d = 1 and the given ell (upper, at least r = 3);
+each best of ``--repeat``.  Prints one line for ingest, one per d, one
+for the moment file and two per k.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/moment_set_times.py --n 20 --atoms 50000
@@ -65,8 +67,14 @@ def main() -> None:
     )
     request = BoundRequest(r=3, d=1, ell=args.ell)
     for k in (k for k in (1, 4, 8) if k <= args.n):
-        blocks = [range(block, 1 << args.n, 1 << k) for block in range(1 << k)]
-        partition = PartitionField(n=args.n, blocks=blocks)
+        blocks = [list(range(block, 1 << args.n, 1 << k)) for block in range(1 << k)]
+        partition_text = json.dumps({"blocks": blocks})
+        loads, raw = _best(args.repeat, lambda: json.loads(partition_text))
+        checks, partition = _best(args.repeat, lambda: PartitionField.from_payload(raw, args.n))
+        print(
+            f"{label} blocks={1 << k} partition file: json.loads {loads:.3f} s, "
+            f"PartitionField.from_payload {checks:.3f} s (best of {args.repeat})"
+        )
         seconds, _ = _best(args.repeat, lambda: conditional_bound(system, partition, request))
         print(
             f"{label} blocks={1 << k} d=1 ell={args.ell}: conditional_bound {seconds:.3f} s "

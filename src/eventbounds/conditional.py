@@ -12,6 +12,7 @@ every positive-weight block.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -27,6 +28,23 @@ from .numerics import (
     dot_product,
     encode_number,
 )
+
+
+def _first_fault(n: int, blocks: tuple[tuple[int, ...], ...]) -> str:
+    """The first fault of sorted blocks over n events, found atom by atom in
+    block order: an empty block, an atom that is not an int mask below 2^n,
+    an atom already seen, or else the least atom no block holds."""
+    seen = bytearray(1 << n)
+    for index, block in enumerate(blocks):
+        if not block:
+            return f"block {index} is empty"
+        for atom in block:
+            if type(atom) is not int or atom < 0 or atom >= len(seen):
+                return f"atom mask {atom!r} out of range for n={n}"
+            if seen[atom]:
+                return f"atom {atom} appears in more than one block"
+            seen[atom] = 1
+    return f"blocks do not cover all atoms; atom {seen.index(0)} is missing"
 
 
 @dataclass(frozen=True)
@@ -48,20 +66,22 @@ class PartitionField:
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("a partition needs at least one block")
+        # Whole-block passes in C: int atoms, in range by each sorted block's ends.
+        if not all(
+            block
+            and operator.countOf(map(type, block), int) == len(block)
+            and block[0] >= 0
+            and block[-1] < size
+            for block in blocks
+        ):
+            raise ValueError(_first_fault(self.n, blocks))
         owner = bytearray(size) if len(blocks) < 256 else memoryview(bytearray(4 * size)).cast("I")
         for index, block in enumerate(blocks, 1):
-            if not block:
-                raise ValueError(f"block {index - 1} is empty")
             for atom in block:
-                if type(atom) is not int or atom < 0 or atom >= size:
-                    raise ValueError(f"atom mask {atom!r} out of range for n={self.n}")
-                if owner[atom]:
-                    raise ValueError(f"atom {atom} appears in more than one block")
                 owner[atom] = index
-        # The atoms are distinct and in range, so they cover all when they are 2^n.
-        if sum(map(len, blocks)) < size:
-            missing = next(atom for atom in range(size) if not owner[atom])
-            raise ValueError(f"blocks do not cover all atoms; atom {missing} is missing")
+        # In-range atoms that number 2^n and leave no mask unowned are distinct and cover all.
+        if sum(map(len, blocks)) != size or 0 in owner:
+            raise ValueError(_first_fault(self.n, blocks))
         object.__setattr__(self, "_owner", owner)
 
     def to_payload(self) -> dict:

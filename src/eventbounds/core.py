@@ -108,7 +108,10 @@ def _exact_weights(
     n: int, numerators: Mapping[int, int], denominator: int, normalize: bool = False
 ) -> tuple[ExactWeights, Number]:
     """Checked, gcd-reduced, mask-ordered exact weights and their total mass: the
-    numerators over ``denominator`` sum to one, or ``normalize`` divides by their sum."""
+    numerators over ``denominator`` sum to one, or ``normalize`` divides by their sum.
+
+    The kept numerators are a fresh dict, so when their gcd with the mass is 1
+    and their masks already increase, that dict is the result, not a copy."""
     limit = _atom_count(n)
     kept: dict[int, int] = {}
     for mask, numerator in numerators.items():
@@ -125,6 +128,8 @@ def _exact_weights(
     if mass != denominator and not normalize:
         raise ValueError(f"normalized weights must sum to 1, got {total}")
     divisor = math.gcd(mass, *kept.values())
+    if divisor == 1 and all(map(operator.lt, kept, itertools.islice(kept, 1, None))):
+        return ExactWeights(kept, mass), total
     reduced = {mask: kept[mask] // divisor for mask in sorted(kept)}
     return ExactWeights(reduced, mass // divisor), total
 

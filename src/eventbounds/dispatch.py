@@ -46,9 +46,11 @@ MAX_PLANS = 4096
 
 
 def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]]:
-    """Every best-of request at ell 2 and 3 for the system, with its moment set.
+    """Every best-of request at ell 2 and 3 that a family serves for the
+    system, with its moment set.
 
-    Ordered by d, r, ell, target, side; r runs from max(d, 1) to n.
+    Ordered by d, r, ell, target, side; r runs from max(d, 1) to n.  Each
+    request's plan is resolved here, so a request no family serves is left out.
     """
     n = system.n
     for d in range(0, n):
@@ -57,7 +59,12 @@ def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]
             for ell in range(2, moments.ell + 1):
                 for target in TARGETS:
                     for side in SIDES:
-                        yield moments, BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
+                        request = BoundRequest(r=r, d=d, ell=ell, side=side, target=target)
+                        try:
+                            _plan(n, request)
+                        except NotApplicableError:
+                            continue
+                        yield moments, request
 
 
 def _closed_form_route(request: BoundRequest) -> bool:

@@ -12,7 +12,9 @@ solves a small system on ``Fraction``s, ``integer_solve`` gives its
 solution as integer numerators over |det|, ``realizable`` asks whether
 some z >= 0 has the moments, and ``dual_gaps`` and ``feasible_sides``
 compare b = F^T a with a target vector v on ``Fraction``s: the dual
-engine's and the checker's tests hold them to these.
+engine's and the checker's tests hold them to these.  ``partition_fault``
+scans a partition's atoms one by one for the message
+:class:`eventbounds.conditional.PartitionField` must raise.
 """
 
 from __future__ import annotations
@@ -233,3 +235,24 @@ def feasible_sides(fmat: MomentMatrix, a: Sequence[Number], v: Sequence[int]) ->
     b <= v; both at equality, neither when b crosses v."""
     gaps = dual_gaps(fmat, a, v)
     return {side for side, holds in (("upper", min(gaps) >= 0), ("lower", max(gaps) <= 0)) if holds}
+
+
+def partition_fault(n: int, blocks: Sequence[Sequence[object]]) -> str | None:
+    """The message a partition of the 2^n atoms into ``blocks`` must raise, or
+    None for a partition: one scan of every atom, block by block and in
+    sorted order within a block, names the first empty block, the first atom
+    that is not an int (bools included) in 0..2^n-1, or the first atom seen
+    before; after the scan, the least atom that no block holds."""
+    size = 1 << n
+    seen: set[int] = set()
+    for index, block in enumerate(blocks):
+        if not block:
+            return f"block {index} is empty"
+        for atom in sorted(block):
+            if isinstance(atom, bool) or not isinstance(atom, int) or not 0 <= atom < size:
+                return f"atom mask {atom!r} out of range for n={n}"
+            if atom in seen:
+                return f"atom {atom} appears in more than one block"
+            seen.add(atom)
+    missing = [atom for atom in range(size) if atom not in seen]
+    return f"blocks do not cover all atoms; atom {missing[0]} is missing" if missing else None

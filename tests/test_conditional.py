@@ -20,6 +20,7 @@ from eventbounds.dispatch import bound_for_system
 from eventbounds.moments import moment_set
 from eventbounds.errors import InputFormatError, NotApplicableError
 from eventbounds.verification import floatize, random_partition, random_system
+from oracles import partition_fault
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,12 +77,75 @@ class TestPartitionField:
             (2, ((0, "x"), (1, 2, 3)), "atom mask 'x' out of range for n=2"),
             (2, ((0, None), (1, 2, 3)), "atom mask None out of range for n=2"),
             (2, ((0, 1), (2, 3.5, None)), "atom mask 3.5 out of range for n=2"),
+            # A bool standing in for atom 1: the block counts still cover all four.
+            (2, ((0, True), (2, 3)), "atom mask True out of range for n=2"),
         ],
     )
     def test_each_check_keeps_its_message(self, n, blocks, message):
         with pytest.raises(ValueError) as caught:
             PartitionField(n=n, blocks=blocks)
         assert str(caught.value) == message
+
+    FAULTS = {
+        "bool": "atom mask ",
+        "float": "atom mask ",
+        "negative": "atom mask ",
+        "too-large": "atom mask ",
+        "duplicate-within": "appears in more than one block",
+        "duplicate-across": "appears in more than one block",
+        "missing": "is missing",
+        "empty": "is empty",
+    }
+
+    @staticmethod
+    def _with_fault(rng, n, blocks, fault):
+        """The blocks, shuffled within, with one fault of the named kind."""
+        blocks = [rng.sample(block, len(block)) for block in blocks]
+        block = rng.choice([b for b in blocks if len(b) > 1] if fault == "missing" else blocks)
+        place = rng.randrange(len(block))
+        if fault == "bool":
+            block[place] = rng.choice([True, False])
+        elif fault == "float":
+            block[place] = float(block[place])
+        elif fault == "negative":
+            block[place] = -rng.randint(1, 1 << n)
+        elif fault == "too-large":
+            block[place] = rng.randint(1 << n, 2 << n)
+        elif fault == "duplicate-within":
+            block.insert(place, block[rng.randrange(len(block))])
+        elif fault == "duplicate-across":
+            other = rng.choice([b for b in blocks if b is not block])
+            block.insert(place, rng.choice(other))
+        elif fault == "missing":
+            del block[place]
+        else:
+            blocks.insert(rng.randrange(len(blocks) + 1), [])
+        return blocks
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["byte-owners", "word-owners"])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_a_fault_gets_the_reference_scans_message(self, fault, wide):
+        """On seeded random partitions with one fault each, at both owner-table
+        widths (under 256 blocks, and 256 or more), the whole-block checks
+        raise what an atom-by-atom scan names."""
+        rng = random.Random(f"conditional:faults:{fault}:{wide}")
+        for _ in range(25):
+            n = rng.randint(9, 10) if wide else rng.randint(2, 8)
+            count = rng.randint(256, 300) if wide else rng.randint(2, min(1 << n, 255) - 1)
+            labels = [rng.randrange(count) for _ in range(1 << n)]
+            labels[:count] = range(count)  # every block gets an atom
+            rng.shuffle(labels)
+            blocks = [[] for _ in range(count)]
+            for atom, label in enumerate(labels):
+                blocks[label].append(atom)
+            assert partition_fault(n, blocks) is None
+            assert PartitionField(n=n, blocks=blocks).blocks == tuple(map(tuple, blocks))
+            faulty = self._with_fault(rng, n, blocks, fault)
+            expected = partition_fault(n, faulty)
+            assert expected is not None and self.FAULTS[fault] in expected
+            with pytest.raises(ValueError) as caught:
+                PartitionField(n=n, blocks=faulty)
+            assert str(caught.value) == expected
 
     def test_payload_round_trip(self, by_third_event):
         rebuilt = PartitionField.from_payload(by_third_event.to_payload(), n=3)

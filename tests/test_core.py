@@ -1,6 +1,7 @@
 """Event systems, index tuples, and the enumeration oracle."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from eventbounds.core import (
     falling_factorial,
     index_tuple_indices,
     normalize,
+    _exact_weights,
     _plain_ratios,
 )
 from eventbounds.errors import DegenerateMeasureError, InputFormatError
@@ -176,6 +178,33 @@ class TestIntegerRepresentation:
             {0: 2, 3: 1},
             3,
         )
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["mask-order", "shuffled"])
+    @pytest.mark.parametrize("common", [1, 6], ids=["gcd-1", "gcd-6"])
+    def test_exact_weights_are_mask_ordered_and_reduced(self, ordered, common):
+        """``_exact_weights`` gives what sorting and dividing by the gcd gives,
+        with its input in mask order or not and the gcd 1 or not, and keeps
+        none of the caller's mapping."""
+        rng = random.Random(f"core:exact-weights:{ordered}:{common}")
+        masks = sorted(rng.sample(range(1 << 6), 40))
+        if not ordered:
+            rng.shuffle(masks)
+        numerators = {mask: common * rng.randint(0, 9) for mask in masks}
+        numerators[masks[0]] = common * 7  # the kept numerators' gcd is then common
+        numerators[masks[1]] = 0
+        kept = {mask: numerator for mask, numerator in numerators.items() if numerator}
+        mass = sum(kept.values())
+        divisor = math.gcd(mass, *kept.values())
+        assert divisor == common
+        reference = {mask: kept[mask] // divisor for mask in sorted(kept)}
+        weights, total = _exact_weights(6, numerators, 3 * mass, normalize=True)
+        system = EventSystem(6, weights, total)
+        assert total == Fraction(1, 3)
+        assert list(system.integerized()[0].items()) == list(reference.items())
+        assert system.integerized()[1] == mass // divisor
+        numerators[masks[0]] += 1
+        numerators[masks[1]] = 5
+        assert list(system.integerized()[0].items()) == list(reference.items())
 
     def test_integerized_is_read_only(self):
         numerators, _ = fair(2).integerized()

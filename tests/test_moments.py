@@ -156,7 +156,8 @@ class TestMomentRoutes:
 
     def test_moment_set_times_script_runs(self):
         """``scripts/moment_set_times.py`` times ingest once, ``moment_set`` once per d,
-        ``MomentSet.from_payload`` once and ``conditional_bound`` once per block count."""
+        ``MomentSet.from_payload`` once, and the partition file's ``json.loads`` and
+        ``PartitionField.from_payload`` and ``conditional_bound`` once per block count."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
@@ -170,7 +171,10 @@ class TestMomentRoutes:
         lines = result.stdout.splitlines()
         assert [line.split(":")[0] for line in lines] == ["n=8 atoms=40 ingest"] + [
             f"n=8 atoms=40 d={d} ell=3" for d in (0, 1, 2)
-        ] + ["n=8 atoms=40 d=1 ell=3 moment file"] + [f"n=8 atoms=40 blocks={blocks} d=1 ell=3" for blocks in (2, 16, 256)], result.stdout
+        ] + ["n=8 atoms=40 d=1 ell=3 moment file"] + [
+            f"n=8 atoms=40 blocks={blocks} {what}"
+            for blocks in (2, 16, 256) for what in ("partition file", "d=1 ell=3")
+        ], result.stdout
 
 
 class TestMomentValueValidation:
