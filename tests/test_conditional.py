@@ -93,6 +93,8 @@ class TestPartitionField:
         "too-large": "atom mask ",
         "duplicate-within": "appears in more than one block",
         "duplicate-across": "appears in more than one block",
+        # An atom overwritten by another block's: the block sizes still sum to 2^n.
+        "duplicate-for-missing": "appears in more than one block",
         "missing": "is missing",
         "empty": "is empty",
     }
@@ -116,6 +118,8 @@ class TestPartitionField:
         elif fault == "duplicate-across":
             other = rng.choice([b for b in blocks if b is not block])
             block.insert(place, rng.choice(other))
+        elif fault == "duplicate-for-missing":
+            block[place] = rng.choice(rng.choice([b for b in blocks if b is not block]))
         elif fault == "missing":
             del block[place]
         else:
