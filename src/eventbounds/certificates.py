@@ -209,9 +209,6 @@ class BoundCertificate:
         coefficients = payload.get("coefficients")
         if coefficients is not None:
             coefficients = tuple(to_number(c) for c in coefficients)
-        index_set = payload.get("index_set")
-        if index_set is not None:
-            index_set = tuple(index_set)
         return cls(
             value=to_number(payload["value"]),
             clamped=to_number(payload["clamped"]),
@@ -222,7 +219,7 @@ class BoundCertificate:
             ell=payload["ell"],
             formula_id=payload["formula"],
             coefficients=coefficients,
-            index_set=index_set,
+            index_set=payload.get("index_set"),
             m=payload.get("m"),
             terms=tuple(BoundTerm.from_payload(t) for t in payload.get("terms", ())),
         )

@@ -50,10 +50,6 @@ def _load_system(args: argparse.Namespace) -> EventSystem:
     return EventSystem.from_payload(_load_json(args.input, args.exact_arithmetic))
 
 
-def _load_moments(args: argparse.Namespace) -> MomentSet:
-    return MomentSet.from_payload(_load_json(args.moments, args.exact_arithmetic))
-
-
 def _emit(args: argparse.Namespace, payload: object, header: list[str], rows: list[dict]) -> None:
     """Print the payload as JSON, or as CSV with one line per row: the row's
     fields named in ``header``, each empty where the row has none."""
@@ -107,7 +103,7 @@ def _source(args: argparse.Namespace, request: BoundRequest) -> tuple[Optional[E
         system = _load_system(args)
         request.check(system.n)
         return system, moment_set(system, request.d, request.ell)
-    moments = _load_moments(args)
+    moments = MomentSet.from_payload(_load_json(args.moments, args.exact_arithmetic))
     if moments.d != request.d:
         raise InputFormatError(f"moment file has d={moments.d}, request says d={request.d}")
     request.check(moments.n)

@@ -211,18 +211,9 @@ def expectation_aggregate(
     if not blocks:
         raise ValueError("nothing to aggregate: no block bounds given")
     first = blocks[0].certificate
-    for block in blocks[1:]:
-        cert = block.certificate
-        if (cert.side, cert.target, cert.r, cert.d, cert.ell) != (
-            first.side,
-            first.target,
-            first.r,
-            first.d,
-            first.ell,
-        ):
-            raise ValueError(
-                "mixed block certificates: aggregation needs one side, target, r, d, ell"
-            )
+    request = operator.attrgetter("side", "target", "r", "d", "ell")
+    if any(request(block.certificate) != request(first) for block in blocks[1:]):
+        raise ValueError("mixed block certificates: aggregation needs one side, target, r, d, ell")
     weights = [block.weight for block in blocks]
     values = [block.certificate.clamped for block in blocks]
     value = dot_product(weights, values)
@@ -230,15 +221,8 @@ def expectation_aggregate(
     formula_id = formula_ids.pop() if len(formula_ids) == 1 else "mixed"
     margin = None
     if unconditional is not None:
-        if (unconditional.side, unconditional.target, unconditional.r, unconditional.d) != (
-            first.side,
-            first.target,
-            first.r,
-            first.d,
-        ):
-            raise ValueError(
-                "the unconditional certificate must answer the same side, target, r, d"
-            )
+        if request(unconditional)[:4] != request(first)[:4]:
+            raise ValueError("the unconditional certificate must answer the same side, target, r, d")
         if first.side == "upper":
             margin = difference(unconditional.clamped, value)
         else:

@@ -184,12 +184,12 @@ class EventSystem:
             for mask, weight in self.weights.items():
                 if not isinstance(mask, int) or mask < 0 or mask >= atoms:
                     raise ValueError(f"atom mask {mask!r} out of range for n={self.n}")
-                _check_weight(mask, weight)
+                weight = _check_weight(mask, weight)
                 if weight > 0:
                     cleaned[mask] = weight
             if not cleaned:
                 raise DegenerateMeasureError("measure has zero total mass")
-            weights = MappingProxyType({mask: float(w) for mask, w in sorted(cleaned.items())})
+            weights = MappingProxyType(dict(sorted(cleaned.items())))
             mass = sum(weights.values())
             if not close(mass, 1):
                 raise ValueError(f"normalized weights must sum to 1, got {mass}")
@@ -319,12 +319,17 @@ def _plain_ratios(raw: Mapping[object, object]) -> Optional[tuple[dict[int, int]
     return dict(zip(masks, map(operator.mul, numerators, scales))), denominator
 
 
-def _check_weight(mask: int, weight: Number) -> None:
-    """Reject a non-finite float weight, then a negative weight."""
+def _check_weight(mask: int, weight: Number) -> float:
+    """Reject a non-finite float weight, then a negative weight, then an exact
+    weight too large for a float; return the weight as a float."""
     if isinstance(weight, float) and not math.isfinite(weight):
         raise ValueError(f"weight {weight!r} at atom {mask} is not finite")
     if not leq(0, weight):
         raise ValueError(f"negative weight {weight!r} at atom {mask}")
+    try:
+        return float(weight)
+    except OverflowError:
+        raise ValueError(f"weight at atom {mask} is too large for a float") from None
 
 
 def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
@@ -337,12 +342,13 @@ def normalize(n: int, weights: Mapping[int, object]) -> EventSystem:
     coerced = {mask: to_number(w) for mask, w in weights.items()}
     if all_exact(coerced.values()):
         return EventSystem(n, *_exact_weights(n, *_common_denominator(coerced), normalize=True))
-    for mask, weight in coerced.items():
-        _check_weight(mask, weight)
-    positive = {m: w for m, w in coerced.items() if float(w) > 0}
+    positive = {m: w for m, w in coerced.items() if _check_weight(m, w) > 0}
     if not positive:
         raise DegenerateMeasureError("cannot normalize a measure with zero total mass")
-    ftotal = float(sum(positive.values()))
+    try:
+        ftotal = float(sum(positive.values()))  # exact weights before a float add exactly
+    except OverflowError:
+        ftotal = math.inf
     if math.isinf(ftotal):
         raise ValueError("the weights' total mass overflows a float")
     scaled = {m: float(w) / ftotal for m, w in positive.items()}

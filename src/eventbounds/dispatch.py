@@ -8,14 +8,8 @@ Each entry checks its request once (:meth:`BoundRequest.check`); the
 functions behind it trust the request.  Whether the closed forms serve a
 request is decided in one place, :func:`_closed_form_route`, and which
 families serve it, with every other ``m`` rule and window range, in
-:func:`_closed_forms`.  Applicability is checked before the window, but
-``m`` on a route or on a named family that has no window for any target
-is rejected first; :func:`evaluate_request` gives the whole order.
-
-A closed-form request's plan, its families' sources and labels, is
-resolved once per (n, request) and process (:func:`_plan`), so a windowed
-source keeps its fetched rows; failures are not cached, and the search
-and Jordan routes do not use the plan.
+:func:`_closed_forms`; :func:`evaluate_request` gives the order of the
+checks and how the closed-form plans are cached.
 """
 
 from __future__ import annotations

@@ -14,32 +14,13 @@ This module has the one exact solver, a fraction-free elimination on
 integers (:func:`_prefix_solves`), which solves the search tables, the
 closed-form family rows and exact sharpness witnesses.  It tabulates the
 dual-feasible index sets once per shape (n, d, ell, target vector, side)
-as rows (:class:`Row`, the one dual row type), checking feasibility only
-there, and tests moments against the closed-form facets of the moment
-cone (:func:`check_realizable`).  It evaluates no bound: ``families``
-applies rows to moments, for the closed forms, the index-set search and
-the full-order (Jordan) case alike; ``checker`` re-checks certificates on
-its own.
-
-The table is not built from all C(n-d+1, ell) index sets.  At d = 0,
-b = F^T a is a polynomial in the position x of degree at most ell-1.
-Feasibility pins b to an interval at every position, which forces signs
-on b(x+1) - b(x), and a left-to-right scan counts the roots those signs
-force.  A set whose targets hold both 0 and 1 makes b nonconstant, and
-b(x+1) - b(x) is b' at a point of (x, x+1) by the mean value theorem, so
-its forced roots are roots of b', which has at most ell-2.  A shape at
-d >= 1 is the d = 0 shape of the same n with ell + d orders and its first
-d positions pinned into the set, so the one scan serves every d.  Only
-the index sets whose count fits the budget are solved, and each is still
-checked (:func:`dual_bases`); none has been rejected on any shape with
-n <= 12, a measured property.  The enumeration cap limits the number of
-those candidates.
-
-The candidates come in lexicographic order and share one fraction-free
-elimination along their common prefixes (:func:`_prefix_solves`), with
-no row swaps: every leading minor of F_I^T is positive.  The check of b
-against v starts at the position that rejected the latest candidate;
-check order cannot change which sets pass.
+as rows (:class:`Row`, the one dual row type), from the candidates that
+the rule of :func:`dual_bases` allows, checking feasibility only there,
+and tests moments against the closed-form facets of the moment cone
+(:func:`check_realizable`).  It evaluates no bound: ``families`` applies
+rows to moments, for the closed forms, the index-set search and the
+full-order (Jordan) case alike; ``checker`` re-checks certificates on its
+own.
 """
 
 from __future__ import annotations
@@ -69,6 +50,7 @@ from .numerics import (
     leq,
     over_common_denominator,
     rational,
+    zero,
 )
 
 #: The enumeration cap: the most candidate index sets one table may solve.
@@ -177,7 +159,7 @@ def sharpness_witness(
     columns = [fmat.column(i) for i in index_set]
     exact = all_exact(values)
     solution = (_witness_exact if exact else _solve_float)(columns, values)
-    z = [rational(0) if exact else 0.0] * fmat.positions
+    z = [zero(exact)] * fmat.positions
     for position, entry in zip(index_set, solution):
         z[position - 1] = entry
     nonnegative = all(leq(0, entry) for entry in solution)
@@ -285,9 +267,7 @@ class BasisTable:
     ``bases`` holds the other feasible sets in lexicographic order, plus
     the first set of each range, which stands for all of its range in a
     search: they share a value, and ties go to the first.  ``solved``
-    counts the candidate sets solved and checked to build the table: at
-    every d, on every shape measured, the feasible sets outside the ranges
-    (see :func:`dual_bases`).
+    counts the candidate sets solved and checked (:func:`dual_bases`).
     """
 
     ell: int
@@ -376,21 +356,20 @@ def _scan(state: tuple[int, ...], constraint: int, cap: int) -> Optional[tuple[i
 
 
 class _Candidates:
-    """The index sets of one shape that the root-count bound allows.
+    """The index sets of one shape that the rule of :func:`dual_bases` allows.
 
-    Scans the d = 0 shape with ell+d orders and targets (0,)*d + v, whose
-    first d positions are pinned into the set (see :func:`dual_bases`),
-    left to right, each position in or out of the set, with the scan state
-    of b's first differences (:func:`_scan`).  A prefix dies once it
-    leaves out a pinned position, once the count exceeds the budget, since
-    it only grows, or once the positions left cannot give its members both
-    targets 0 and 1.  A node is (members left, scan state, whether the
-    previous position is a member, the targets seen among the members as
-    bits 1 << v) before a position.  Equal nodes share their completions,
-    so a forward pass finds every reachable node and a backward pass counts
-    each node's allowed completions.  ``count`` is thus known before any
-    set is listed, and iteration lists the allowed sets in lexicographic
-    order along live nodes only, each member shifted back by d.
+    Scans its d = 0 shape, first d positions pinned, left to right, each
+    position in or out of the set, with the scan state of b's first
+    differences (:func:`_scan`).  A prefix dies once it leaves out a pinned
+    position, once the count exceeds the budget, since it only grows, or
+    once the positions left cannot give its members both targets 0 and 1.
+    A node is (members left, scan state, whether the previous position is
+    a member, the targets seen among the members as bits 1 << v) before a
+    position.  Equal nodes share their completions, so a forward pass finds
+    every reachable node and a backward pass counts each node's allowed
+    completions.  ``count`` is thus known before any set is listed, and
+    iteration lists the allowed sets in lexicographic order along live
+    nodes only, each member shifted back by d.
     """
 
     def __init__(self, v: tuple[int, ...], ell: int, d: int, upper: bool) -> None:
@@ -463,9 +442,8 @@ def dual_bases(
     moments, so the table is built once per shape and cached.  Only the
     index sets that a root-count bound allows are solved, on integers,
     sharing the elimination along common prefixes (:func:`_prefix_solves`),
-    and b = F^T a is compared with v through the sign of
-    N . F_i - v_i den, rejecting positions first (moved to the front), so
-    every stored set is checked.
+    and b = F^T a is compared with v at every position, through the sign
+    of N . F_i - v_i den, so every stored set is checked.
 
     The bound at d = 0.  Let I have targets holding both 0 and 1 (the
     other sets are the table's ranges).  Then b(x) = sum_k a_k C(x-1, k-1)
@@ -534,13 +512,9 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
     ]
     columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
     checks = list(zip(columns, v))
+    feasible = operator.ge if upper else operator.le
     for index_set, numerators, den in _prefix_solves(columns, v, candidates):
-        for place, (column, target) in enumerate(checks):
-            gap = sum(map(operator.mul, numerators, column)) - target * den
-            if gap < 0 if upper else gap > 0:
-                checks.insert(0, checks.pop(place))
-                break
-        else:
+        if all(feasible(sum(map(operator.mul, numerators, c)), t * den) for c, t in checks):
             bases.append(Row(index_set, None, numerators, den))
     bases.sort(key=operator.attrgetter("index_set"))
     return BasisTable(ell, tuple(bases), zero_positions, one_positions, candidates.count)
@@ -642,22 +616,21 @@ def witness_system(
     base = event_mask(j, n)
     other_bits = [b for b in range(n) if not (base >> b) & 1]
     weights: dict[int, Number] = {}
-    total: Number = rational(0) if exact else 0.0
+    total = zero(exact)
     for position, z_u in enumerate(witness.z, start=1):
         if z_u == 0:
             continue
-        extra = position - 1
         mask = base
-        for bit in other_bits[:extra]:
+        for bit in other_bits[: position - 1]:
             mask |= 1 << bit
         scaled = z_u * binomial(position + d - 1, d)
-        weights[mask] = weights.get(mask, rational(0) if exact else 0.0) + scaled
-        total = total + scaled
-    leftover = (1 - total) if exact else 1.0 - float(total)
+        weights[mask] = weights.get(mask, zero(exact)) + scaled
+        total += scaled
+    leftover = 1 - total
     if not leq(0, leftover):
         raise DegenerateMeasureError(
             f"witness mass exceeds one ({total}); the moments are not from a probability measure"
         )
     if leftover > 0:
-        weights[0] = weights.get(0, rational(0) if exact else 0.0) + leftover
+        weights[0] = weights.get(0, zero(exact)) + leftover
     return EventSystem(n=n, weights=weights)

@@ -17,9 +17,8 @@ proposes (:func:`family_source`), or the best row of a row set, which is
 how the index-set search and the full-order (Jordan) row are read
 (:func:`row_source`).  :func:`evaluate` combines the sources of one
 request into its certificate, so every certificate comes from one path.
-Nothing here checks a request: which families serve it, and every check
-(applicability before the window, but ``m`` on a named family with no
-window first), is made once, in :func:`eventbounds.dispatch.evaluate_request`.
+Nothing here checks a request: which families serve it, and every check,
+is decided once, in :func:`eventbounds.dispatch.evaluate_request`.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     EventSystem,
+    _probability,
     atom_masses,
     binomial,
     exact_occurrence,
@@ -49,6 +50,7 @@ from .numerics import (
     over_common_denominator,
     rational,
     to_number,
+    zero,
 )
 
 
@@ -79,13 +81,16 @@ class MomentMatrix:
 
 def moment_matrix(n: int, d: int, ell: int) -> MomentMatrix:
     """Build the moment matrix with entries C(i+d-1, k+d-1)."""
+    _check_shape(n, d, ell)
+    return MomentMatrix(n=n, d=d, ell=ell, rows=moment_rows(d, ell, range(1, n - d + 2)))
+
+
+def _check_shape(n: int, d: int, ell: int) -> None:
+    """Reject an order d or a moment count ell that n events do not have."""
     if d < 0 or d > n:
         raise ValueError(f"need 0 <= d <= n, got n={n}, d={d}")
-    positions = n - d + 1
-    if ell < 2 or ell > positions:
-        raise ValueError(f"need 2 <= ell <= n-d+1 = {positions}, got ell={ell}")
-    rows = moment_rows(d, ell, range(1, positions + 1))
-    return MomentMatrix(n=n, d=d, ell=ell, rows=rows)
+    if ell < 2 or ell > n - d + 1:
+        raise ValueError(f"need 2 <= ell <= n-d+1 = {n - d + 1}, got ell={ell}")
 
 
 def moment_rows(d: int, ell: int, positions: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -140,8 +145,8 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
     nonzero group's sum is then added to prefix (a,) at level c once per
     event a of its half mask.  Every atom containing a lies in exactly
     one group of a's half that has a, so prefix (a,) gets the same sum.
-    Float weights take one add per atom and d-subset of its events; d = 0
-    one add per atom.
+    Float weights, which come only from :func:`verify_decomposition`, take
+    one add per atom and d-subset of its events; d = 0 one add per atom.
     """
     table: dict[tuple[int, ...], list] = {
         indices: [0] * (n + 1) for indices in index_tuple_indices(n, d)
@@ -343,8 +348,9 @@ class MomentSet:
         order d exactly once, naming a record by its place s[i] in the file
         or the first index tuple that has none.  This is the one place that
         checks moment values: each record must hold ell values, finite and
-        nonnegative with s_1 <= 1, and each tuple's first min(ell, 3) orders
-        must pass every closed-form facet of the moment cone
+        nonnegative with s_1 <= 1, within float range when the file holds a
+        float, and each tuple's first min(ell, 3) orders must pass every
+        closed-form facet of the moment cone
         (:func:`eventbounds.engine.check_realizable`; a necessary condition
         only at ell >= 4, and per tuple).  A set built in code, such as
         :func:`moment_set`'s, is not value-checked.
@@ -385,6 +391,15 @@ class MomentSet:
                     raise ValueError(f"s_1 = {values[0]} exceeds 1")
                 vectors.append(MomentVector(tuple(j), values))
             moments = cls(n=n, d=d, ell=ell, vectors=vectors)
+            if not all(all_exact(vector.values) for vector in vectors):  # summed in floats
+                for index, vector in enumerate(vectors):
+                    try:
+                        list(map(float, vector.values))
+                    except OverflowError:
+                        raise ValueError(
+                            f"moment record s[{index}] holds a value too large for a float, "
+                            "in a file that holds floats"
+                        ) from None
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"malformed moment record: {exc}") from None
         except ValueError as exc:
@@ -397,24 +412,13 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
     """All moment vectors of order d for the system, batched.
 
     Exact mode sums the integer numerators per index tuple and occurrence
-    level (:func:`_level_sums`), then applies the falling factorials once
-    per tuple and level; only the final values become rationals, and the
-    set keeps the integers as its :meth:`MomentSet.forms` at ell.  For
-    d >= 1 those sums are packed: one int per level and (d-1)-prefix holds
-    every event's sum in its own slot of w bits, w the bit length of the
-    total numerator, and since no slot sum exceeds that total, no slot
-    carries into the next; each atom adds once per (d-1)-subset of its
-    events, except at d = 2, where it adds once to each of two groups,
-    by low- and high-half mask and level, and each group's sum is added
-    once per event of its half mask.  Float mode accumulates per atom and
-    order (and float weights reach :func:`_level_sums` only through
-    :func:`verify_decomposition`, which takes its plain per-subset loop).
+    level (:func:`_level_sums`, packed), then applies the falling factorials
+    once per tuple and level; only the final values become rationals, and
+    the set keeps the integers as its :meth:`MomentSet.forms` at ell.
+    Float mode accumulates per atom and order.
     """
-    if d < 0 or d > sys.n:
-        raise ValueError(f"need 0 <= d <= n, got n={sys.n}, d={d}")
-    if ell < 2 or ell > sys.n - d + 1:
-        raise ValueError(f"need 2 <= ell <= n-d+1 = {sys.n - d + 1}, got ell={ell}")
     n = sys.n
+    _check_shape(n, d, ell)
     dfact = math.factorial(d)
     if sys.exact:
         numerators, denominator = sys.integerized()
@@ -508,28 +512,17 @@ def verify_decomposition(sys: EventSystem, r: int, d: int) -> DecompositionRepor
     # a combinatorial factor would assume the identity under test.
     weights, denominator = atom_masses(sys)
     joint = _level_sums(weights, sys.n, d)
-    if sys.exact:
-        exactly_decomposed = sum(
-            (rational(levels[r], binomial(r, d) * denominator) for levels in joint.values()),
-            rational(0),
-        )
-        at_least_decomposed = sum(
+    exactly_decomposed, at_least_decomposed = (
+        sum(
             (
-                rational(levels[i], binomial(i, d) * denominator)
+                _probability(sys, levels[i], denominator) / binomial(i, d)
                 for levels in joint.values()
-                for i in range(r, sys.n + 1)
+                for i in levels_range
             ),
-            rational(0),
+            zero(sys.exact),
         )
-    else:
-        exactly_decomposed = sum(
-            float(levels[r]) / binomial(r, d) for levels in joint.values()
-        )
-        at_least_decomposed = sum(
-            float(levels[i]) / binomial(i, d)
-            for levels in joint.values()
-            for i in range(r, sys.n + 1)
-        )
+        for levels_range in (range(r, r + 1), range(r, sys.n + 1))
+    )
     matched = close(exactly_direct, exactly_decomposed) and close(
         at_least_direct, at_least_decomposed
     )

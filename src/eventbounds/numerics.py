@@ -30,14 +30,9 @@ DEFAULT_TOLERANCE = 1e-9
 Number = Union[Fraction, float]
 
 
-def is_rational(value: object) -> bool:
-    """True for ints and exact rationals, False for floats and others."""
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
 def all_exact(values: Iterable[object]) -> bool:
-    """True when every value is an int or exact rational."""
-    return all(is_rational(v) for v in values)
+    """True when every value is an int or exact rational (not a bool or float)."""
+    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
 
 
 def to_number(value: object) -> Number:
@@ -68,15 +63,10 @@ def over_common_denominator(values: Sequence[Number]) -> tuple[tuple[int, ...], 
     return numerators, denominator
 
 
-def exactify(value: Number) -> Number:
-    """Convert a float to the exact rational with the same decimal text.
-
-    Exact values pass through unchanged.  Used by the CLI flag that forces
-    exact arithmetic on float-laden input files.
-    """
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
+def exactify(value: float) -> Fraction:
+    """The exact rational with the float's shortest decimal text, as the CLI
+    flag that forces exact arithmetic reads each float literal."""
+    return Fraction(repr(value))
 
 
 def encode_number(value: Number) -> object:

@@ -609,6 +609,57 @@ class TestExitCodes:
             assert out == ""
             assert message in err
 
+    @pytest.mark.parametrize(
+        "weights, normalize, message",
+        [
+            ({"1": "1e400", "2": 0.5}, False, "weight at atom 1 is too large for a float"),
+            ({"1": "1e400", "2": 0.5}, True, "weight at atom 1 is too large for a float"),
+            ({"1": "1e308", "2": "1e308", "3": 0.5}, True, "total mass overflows a float"),
+        ],
+    )
+    def test_exact_weights_too_large_for_a_float_system(
+        self, capsys, tmp_path, weights, normalize, message
+    ):
+        # A float among the weights makes the system float, and converting
+        # the exact weight, or the exact sum, ended in an OverflowError.
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"n": 2, "weights": weights, "normalize": normalize}))
+        code, out, err = run(capsys, ["bound", "--input", str(path), "--r", "1", "--ell", "2"])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "d, ell, records, place",
+        [
+            (0, 3, [{"j": [], "values": ["1", "1e400", 0.5]}], 0),
+            # The exact record's s_4 passes the 3-order facets, and the float
+            # records made the certificate's sum convert it.
+            (
+                1,
+                4,
+                [{"j": [k], "values": [0.5, 0.25, 0.125, 0.0625]} for k in (2, 3, 4)]
+                + [{"j": [1], "values": ["1/2", "1/4", "1/8", "1e400"]}],
+                3,
+            ),
+        ],
+    )
+    def test_moment_too_large_for_a_float_file(self, capsys, tmp_path, d, ell, records, place):
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps({"n": 4 if d else 3, "d": d, "ell": ell, "s": records}))
+        argv = ["bound", "--moments", str(path), "--d", str(d), "--r", "2", "--ell", str(ell)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"moment record s[{place}] holds a value too large for a float" in err
+
+    def test_exact_weight_that_is_zero_as_a_float_is_left_out(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"n": 2, "weights": {"1": "1e-400", "2": 1.0}}))
+        system = EventSystem.from_payload(json.loads(path.read_text()))
+        assert dict(system.weights) == {2: 1.0}
+        code, out, err = run(capsys, ["exact", "--input", str(path)])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["p"] == [0.0, 1.0, 0.0]
+
     def test_moment_values_must_be_a_list(self, capsys, tmp_path):
         # A string was read character by character: "10" as the moments (1, 0).
         path = tmp_path / "moments.json"

@@ -288,6 +288,56 @@ class TestBasisTable:
                                 )
         assert shapes == 5720
 
+    def test_the_check_rejects_what_the_candidates_let_through(self, monkeypatch):
+        """Every shape with n <= 7, with the candidates widened to every set
+        outside the ranges: the check at every position alone keeps the
+        table equal to the exhaustive build, rejecting thousands of solves."""
+
+        class EveryCandidate:
+            def __init__(self, v, ell, d, upper):
+                self.sets = [
+                    index_set
+                    for index_set in itertools.combinations(range(1, len(v) + 1), ell)
+                    if any(v[i - 1] for i in index_set)
+                    and (d or not all(v[i - 1] for i in index_set))
+                ]
+                self.count = len(self.sets)
+
+            def __iter__(self):
+                return iter(self.sets)
+
+        shapes = rejected = 0
+        engine._basis_table.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_Candidates", EveryCandidate)
+                for n in range(1, 8):
+                    for d in range(n):
+                        for ell in range(2, n - d + 2):
+                            fmat = moment_matrix(n, d, ell)
+                            for r in range(d, n + 1):
+                                for target in TARGETS:
+                                    v = target_vector(n, d, r, target)
+                                    for side in SIDES:
+                                        shapes += 1
+                                        table = dual_bases(fmat, v, side)
+                                        bases = tuple(
+                                            (row.index_set, row.numerators, row.den)
+                                            for row in table.bases
+                                        )
+                                        got = (bases, table.zero_positions, table.one_positions)
+                                        expected = _exhaustive_table(fmat, v, side)
+                                        assert got == expected, (n, d, ell, r, target, side)
+                                        ranges = sum(
+                                            len(positions) >= ell
+                                            for positions in expected[1:]
+                                        )
+                                        rejected += table.solved - (len(bases) - ranges)
+        finally:
+            engine._basis_table.cache_clear()
+        assert shapes == 1680
+        assert rejected == 10283
+
     def test_wide_shapes_solve_few_candidates(self):
         """The four n=60, d=0, ell=4 shapes that took seconds to tens of
         seconds to build from all 521,855 index sets."""

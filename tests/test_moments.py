@@ -370,6 +370,35 @@ class TestLevelSums:
         self.assert_matches(weights, 20, (1, 2, 3))
 
 
+def decomposed_sides(system, r, d):
+    """Both decomposed sides summed over the oracle's level sums: exact
+    rationals over binomial(i, d) times the denominator, or floats divided
+    by binomial(i, d), tuple by tuple and level by level."""
+    n = system.n
+    if system.exact:
+        numerators, denominator = system.integerized()
+        joint = level_sums_by_tuple(numerators, n, d)
+        exactly = sum(
+            (Fraction(levels[r], binomial(r, d) * denominator) for levels in joint.values()),
+            Fraction(0),
+        )
+        at_least = sum(
+            (
+                Fraction(levels[i], binomial(i, d) * denominator)
+                for levels in joint.values()
+                for i in range(r, n + 1)
+            ),
+            Fraction(0),
+        )
+        return exactly, at_least
+    joint = level_sums_by_tuple(system.weights, n, d)
+    exactly = sum(float(levels[r]) / binomial(r, d) for levels in joint.values())
+    at_least = sum(
+        float(levels[i]) / binomial(i, d) for levels in joint.values() for i in range(r, n + 1)
+    )
+    return exactly, at_least
+
+
 class TestDecomposition:
     def test_fair_two_fixture(self):
         report = verify_decomposition(fair(2), 1, 1)
@@ -383,14 +412,19 @@ class TestDecomposition:
     def test_identity_holds_for_all_orders(self, system):
         for d in range(0, system.n + 1):
             for r in range(d, system.n + 1):
-                assert verify_decomposition(system, r, d).matched
+                report = verify_decomposition(system, r, d)
+                assert report.matched
+                decomposed = (report.exactly_decomposed, report.at_least_decomposed)
+                assert decomposed == decomposed_sides(system, r, d), (r, d)
+                assert all(type(x) is Fraction for x in decomposed)
 
     def test_rejects_d_above_r(self):
         with pytest.raises(ValueError):
             verify_decomposition(fair(3), 1, 2)
 
     def test_identity_holds_on_float_systems(self):
-        """The float branch: sums of float joint masses, within the tolerance."""
+        """The float branch: sums of float joint masses, within the tolerance,
+        bit for bit the sums of the oracle's level sums."""
         cases = 0
         for k in range(20):
             rng = random.Random(f"decomposition:float:{k}")
@@ -401,6 +435,8 @@ class TestDecomposition:
                     assert report.matched, (k, r, d)
                     assert isinstance(report.exactly_decomposed, float)
                     assert isinstance(report.at_least_decomposed, float)
+                    decomposed = (report.exactly_decomposed, report.at_least_decomposed)
+                    assert decomposed == decomposed_sides(system, r, d), (k, r, d)
                     cases += 1
         assert cases == 272
 
