@@ -9,9 +9,6 @@ partition.  Then runs, in-process, with and without
 * ``exact --input`` and ``sweep --input`` on each system file;
 * ``bound --input`` at every d from 0 to n, r from 0 to n+1, ell 2, 3
   and 4, both sides and targets;
-* ``bound --input`` in JSON, with and without ``--exact-arithmetic``, at
-  every d, r, side and target as above, ell 2 and 3, and ``--m`` from 0
-  to n-d+2, so that every window rule and range check is reached;
 * ``bound --moments`` on each moment file at its d and at d+1, over the
   same r, ell, sides and targets;
 * ``conditional`` at every d below n, r from 0 to n+1, ell 2 and 3, both
@@ -104,15 +101,6 @@ def _calls(root: Path, seed: int, n_max: int):
                     yield [
                         "conditional", "--input", source, "--partition", partition,
                         "--d", str(d), "--ell", str(ell), *request,
-                    ]
-        for flags in FLAGS:
-            grid = itertools.product(range(n + 1), range(n + 2), (2, 3), SIDES, TARGETS)
-            for d, r, ell, side, target in grid:
-                for m in range(n - d + 3):
-                    yield [
-                        "bound", "--input", source, "--d", str(d), "--r", str(r),
-                        "--ell", str(ell), "--side", side, "--target", target, "--m", str(m),
-                        *flags,
                     ]
         for d in range(n):
             moments = moment_set(system, d, min(4, n - d + 1))

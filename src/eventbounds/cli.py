@@ -24,7 +24,7 @@ from .dispatch import evaluate_request, request_grid
 from .engine import sharpness_witness
 from .errors import EventBoundsError, InputFormatError, NotApplicableError
 from .moments import MomentSet, moment_matrix, moment_set
-from .numerics import Number, difference, encode_number, exactify
+from .numerics import Number, encode_number, exactify
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -63,20 +63,13 @@ def _emit(args: argparse.Namespace, payload: object, header: list[str], rows: li
 
 
 def _request_from(args: argparse.Namespace) -> BoundRequest:
-    return BoundRequest(
-        r=args.r,
-        d=args.d,
-        ell=args.ell,
-        side=args.side,
-        target=args.target,
-        m=getattr(args, "m", None),
-    )
+    return BoundRequest(r=args.r, d=args.d, ell=args.ell, side=args.side, target=args.target)
 
 
 def _gap(certificate, truth: Number) -> Number:
     if certificate.side == "upper":
-        return difference(certificate.clamped, truth)
-    return difference(truth, certificate.clamped)
+        return certificate.clamped - truth
+    return truth - certificate.clamped
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
@@ -234,14 +227,18 @@ def _add_common(parser: argparse.ArgumentParser, reads_input: bool = True) -> No
         )
 
 
-def _add_request(parser: argparse.ArgumentParser, with_m: bool = True) -> None:
+def _add_source(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="event-system JSON file")
+    source.add_argument("--moments", help="moment-set JSON file")
+
+
+def _add_request(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r", type=int, required=True, help="occurrence threshold")
     parser.add_argument("--d", type=int, default=0, help="conditioning order (tuple size)")
     parser.add_argument("--ell", type=int, default=3, help="number of moment orders")
     parser.add_argument("--target", choices=TARGETS, default=TARGET_AT_LEAST)
     parser.add_argument("--side", choices=SIDES, default="upper")
-    if with_m:
-        parser.add_argument("--m", type=int, default=None, help="pin the window position")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     exact_cmd.set_defaults(handler=cmd_exact)
 
     bound_cmd = commands.add_parser("bound", help="one bound certificate")
-    source = bound_cmd.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="event-system JSON file")
-    source.add_argument("--moments", help="moment-set JSON file")
+    _add_source(bound_cmd)
     _add_request(bound_cmd)
     _add_common(bound_cmd)
     bound_cmd.set_defaults(handler=cmd_bound)
@@ -273,10 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.set_defaults(handler=cmd_sweep)
 
     witness_cmd = commands.add_parser("witness", help="sharpness witnesses per tuple")
-    wsource = witness_cmd.add_mutually_exclusive_group(required=True)
-    wsource.add_argument("--input", help="event-system JSON file")
-    wsource.add_argument("--moments", help="moment-set JSON file")
-    _add_request(witness_cmd, with_m=False)
+    _add_source(witness_cmd)
+    _add_request(witness_cmd)
     _add_common(witness_cmd)
     witness_cmd.set_defaults(handler=cmd_witness)
 
@@ -296,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(verify_cmd, reads_input=False)
     verify_cmd.set_defaults(handler=cmd_verify)
 
+    for command in commands.choices.values():
+        command.allow_abbrev = False  # options are spelled in full: --m is not --moments
     return parser
 
 

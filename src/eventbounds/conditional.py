@@ -21,13 +21,7 @@ from .core import EventSystem, _atom_count, _exact_weights, atom_masses, normali
 from .dispatch import evaluate_request
 from .errors import InputFormatError
 from .moments import moment_set
-from .numerics import (
-    Number,
-    clamp01,
-    difference,
-    dot_product,
-    encode_number,
-)
+from .numerics import Number, clamp01, dot_product, encode_number
 
 
 def _first_fault(n: int, blocks: tuple[tuple[int, ...], ...]) -> str:
@@ -168,11 +162,14 @@ class AggregatedBound:
     of the clamped block values bounds the unconditional probability from
     the same side.  When the unconditional certificate is attached,
     ``margin`` is how much the aggregation sharpened it (nonnegative
-    means at least as tight).  For ``formula="search"`` on exact moments
-    it is never negative: the sharp bound is concave (upper) or convex
-    (lower) in the moments, and the unconditional moments are the
-    block-weighted mean of the block moments.  The best-of closed forms
-    carry no such guarantee.
+    means at least as tight).  On exact moments it is never negative.
+    Every bound is the least (upper) or greatest (lower) of functions
+    linear in the moments, one per choice of a dual-feasible basis per
+    index tuple, and which bases are dual feasible depends on the shape
+    alone (the closed forms' families and windows, the search's index
+    sets).  So an upper bound is concave in the moments, a lower one
+    convex, clamping a valid bound keeps that, and the unconditional
+    moments are the block-weighted mean of the block moments.
     """
 
     value: Number
@@ -224,9 +221,9 @@ def expectation_aggregate(
         if request(unconditional)[:4] != request(first)[:4]:
             raise ValueError("the unconditional certificate must answer the same side, target, r, d")
         if first.side == "upper":
-            margin = difference(unconditional.clamped, value)
+            margin = unconditional.clamped - value
         else:
-            margin = difference(value, unconditional.clamped)
+            margin = value - unconditional.clamped
     return AggregatedBound(
         value=value,
         clamped=clamp01(value),

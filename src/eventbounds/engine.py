@@ -76,11 +76,11 @@ def target_entries(d: int, r: int, target: str, positions: Iterable[int]) -> tup
     raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
 
 
-def _solve_float(columns: Sequence[Sequence[int]], values: Sequence[Number]) -> tuple[float, ...]:
-    """The z with F_I z = s in floats, F_I's columns given, by Gauss-Jordan
+def _solve_float(rows: Sequence[Sequence[int]], values: Sequence[Number]) -> tuple[float, ...]:
+    """The z with F_I z = s in floats, F_I's rows given, by Gauss-Jordan
     elimination with partial pivoting.  Raises on a singular matrix."""
-    size = len(columns)
-    mat = [[float(column[k]) for column in columns] + [float(b)] for k, b in enumerate(values)]
+    size = len(rows)
+    mat = [[float(x) for x in row] + [float(b)] for row, b in zip(rows, values)]
     for col in range(size):
         pivot = max(range(col, size), key=lambda r: abs(mat[r][col]))
         if abs(mat[pivot][col]) < 1e-300:
@@ -93,20 +93,6 @@ def _solve_float(columns: Sequence[Sequence[int]], values: Sequence[Number]) -> 
                 factor = mat[r][col]
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
     return tuple(mat[r][size] for r in range(size))
-
-
-def _witness_exact(columns: Sequence[Sequence[int]], values: Sequence[Number]) -> tuple:
-    """The exact z with F_I z = s, F_I's columns given.  Entry p is s . a for
-    the a with F_I^T a = e_p, since a . F_I z = e_p . z; each a comes from
-    the one exact elimination, :func:`_prefix_solves`."""
-    moments, scale = over_common_denominator(values)
-    size = len(columns)
-    whole = (tuple(range(1, size + 1)),)
-    z = []
-    for p in range(size):
-        ((_, a, den),) = _prefix_solves(columns, [int(k == p) for k in range(size)], whole)
-        z.append(rational(sum(map(operator.mul, a, moments)), den * scale))
-    return tuple(z)
 
 
 def _check_index_set(fmat: MomentMatrix, index_set: Sequence[int]) -> tuple[int, ...]:
@@ -156,9 +142,16 @@ def sharpness_witness(
     values = tuple(values)
     if len(values) != fmat.ell:
         raise ValueError(f"moment vector must have {fmat.ell} entries, got {len(values)}")
-    columns = [fmat.column(i) for i in index_set]
+    rows = [[row[i - 1] for i in index_set] for row in fmat.rows]  # F_I
     exact = all_exact(values)
-    solution = (_witness_exact if exact else _solve_float)(columns, values)
+    if exact:
+        # Given F_I's rows as its columns, the solver of F_I^T a = v solves
+        # F_I z = s; its pivots, F_I's leading minors, are F_I^T's.
+        targets, scale = over_common_denominator(values)
+        ((_, numerators, den),) = _prefix_solves(rows, targets, (tuple(range(1, fmat.ell + 1)),))
+        solution = tuple(rational(a, den * scale) for a in numerators)
+    else:
+        solution = _solve_float(rows, values)
     z = [zero(exact)] * fmat.positions
     for position, entry in zip(index_set, solution):
         z[position - 1] = entry

@@ -142,13 +142,6 @@ def integer_bracket(numerator: Number, denominator: Number, lo: int, hi: int) ->
     return (below,) if below == above else (below, above)
 
 
-def difference(a: Number, b: Number) -> Number:
-    """a - b, exact for rationals, in float when either is a float."""
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) - float(b)
-    return a - b
-
-
 def leq(a: Number, b: Number) -> bool:
     """a <= b, exactly for rationals, within the tolerance when a float is involved."""
     if isinstance(a, float) or isinstance(b, float):

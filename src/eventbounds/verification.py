@@ -345,8 +345,10 @@ def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteRepo
 
 
 def suite_conditional(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteReport:
-    """Per-block certificates bracket the block-conditional oracle and the
-    weight-averaged bound brackets the unconditional oracle."""
+    """Per-block certificates bracket the block-conditional oracle, the
+    weight-averaged bound brackets the unconditional oracle, and it is at
+    least as tight as the unconditional bound (``margin`` >= 0, see
+    :class:`~eventbounds.conditional.AggregatedBound`)."""
 
     def check(rng, system):
         n = system.n
@@ -375,6 +377,10 @@ def suite_conditional(trials: int = 200, n_max: int = 8, seed: int = 42) -> Suit
             aggregated = expectation_aggregate(blocks, unconditional)
             ok = _brackets(side, aggregated.clamped, occurrence.probability(r, target))
             yield 1, None if ok else dict(kind="aggregate", **context)
+            margin = aggregated.margin
+            yield 1, None if leq(0, margin) else dict(
+                kind="margin", margin=encode_number(margin), **context
+            )
 
     return _run("conditional", trials, n_max, seed, check)
 

@@ -1,13 +1,14 @@
 """Fixtures shared by the test modules."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from eventbounds import bounds_l3, dispatch, engine
+from eventbounds import bounds_l3, dispatch, engine, verification
 from eventbounds.certificates import TARGET_AT_LEAST
 from eventbounds.engine import Row
-from eventbounds.numerics import over_common_denominator
+from eventbounds.numerics import all_exact, over_common_denominator
 
 
 @pytest.fixture
@@ -41,14 +42,22 @@ def skewed_ub2_row(monkeypatch, fresh_plans):
 
 
 @pytest.fixture
-def inflated_exact_solve(monkeypatch):
-    """A stand-in solver defect: every exact witness solve comes back with 1/7
-    added to its first entry, so a sharpness witness can carry more than all
-    the mass and ``witness_system`` raises."""
-    original = engine._witness_exact
+def inflated_exact_witness(monkeypatch):
+    """A stand-in solver defect: every exact sharpness witness that the
+    verify suites build comes back with 1/7 added to its entry at the first
+    position of its index set, so it can carry more than all the mass and
+    ``witness_system`` raises."""
+    original = engine.sharpness_witness
 
-    def inflated(columns, values):
-        first, *rest = original(columns, values)
-        return (first + Fraction(1, 7), *rest)
+    def inflated(fmat, index_set, values):
+        witness = original(fmat, index_set, values)
+        if not all_exact(values):
+            return witness
+        z = list(witness.z)
+        z[index_set[0] - 1] += Fraction(1, 7)
+        solution = [z[position - 1] for position in index_set]
+        return dataclasses.replace(
+            witness, z=tuple(z), nonnegative=all(entry >= 0 for entry in solution)
+        )
 
-    monkeypatch.setattr(engine, "_witness_exact", inflated)
+    monkeypatch.setattr(verification, "sharpness_witness", inflated)

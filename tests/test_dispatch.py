@@ -49,6 +49,12 @@ class TestDefaultRouting:
         cert = evaluate_request(d1_l3, BoundRequest(r=2, d=1, ell=3, side="lower"))
         assert cert.value == Fraction(1, 2)
 
+    def test_a_pinned_window_reaches_the_windowed_family(self, fair3):
+        request = BoundRequest(r=1, d=1, ell=2, side="lower", m=1)
+        cert = evaluate_request(moment_set(fair3, 1, 2), request)
+        assert cert.formula_id == "l2"
+        assert cert.value == Fraction(3, 4)
+
     def test_higher_orders_fall_back_to_the_search(self, d0_l4, fair3):
         cert = evaluate_request(d0_l4, BoundRequest(r=1, d=0, ell=4, side="upper"))
         assert cert.formula_id == "search"

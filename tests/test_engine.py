@@ -567,6 +567,31 @@ class TestWitness:
         assert not witness.nonnegative
         assert witness.z == (Fraction(-1, 2), Fraction(3, 2), 0, 0)
 
+    def test_an_exact_witness_is_one_elimination(self, monkeypatch):
+        """Every index set with n <= 7, on random exact moments: the witness
+        is the reference solve of F_I z = s, from one exact elimination."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = engine._prefix_solves
+        monkeypatch.setattr(engine, "_prefix_solves", counted)
+        rng = random.Random("witness")
+        for n in range(2, 8):
+            for d in range(n):
+                for ell in range(2, n - d + 2):
+                    fmat = moment_matrix(n, d, ell)
+                    for index_set in itertools.combinations(range(1, fmat.positions + 1), ell):
+                        s = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ell)]
+                        witness = sharpness_witness(fmat, index_set, s)
+                        rows = [[row[i - 1] for i in index_set] for row in fmat.rows]
+                        z = tuple(witness.z[i - 1] for i in index_set)
+                        assert z == reference_solve(rows, s)
+                        assert len(calls) == 1
+                        calls.clear()
+
     def test_witness_system_reproduces_the_moments(self):
         witness = sharpness_witness(F32, (2, 4), S)
         induced = witness_system(witness, (), 3, 0)

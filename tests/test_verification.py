@@ -10,6 +10,7 @@ import pytest
 from eventbounds import bounds_l2, bounds_l3, dispatch
 from eventbounds.certificates import BoundCertificate, BoundRequest
 from eventbounds.checker import check_certificate
+from eventbounds.conditional import expectation_aggregate
 from eventbounds.core import EventSystem
 from eventbounds.dispatch import evaluate_request
 from eventbounds.engine import Row
@@ -69,7 +70,7 @@ class TestVerifyCounts:
             ("engine-agreement", True, 10, 448),
             ("witness-closure", True, 10, 41),
             ("jordan", True, 5, 108),
-            ("conditional", True, 10, 78),
+            ("conditional", True, 10, 108),
         ]
 
 
@@ -223,7 +224,7 @@ class TestMutationSensitivity:
         monkeypatch.setattr(dispatch, "solved_row", skewed)
         _assert_caught(suite_jordan(trials=5, n_max=6, seed=7), "jordan")
 
-    def test_witness_closure_reports_a_check_that_raises(self, inflated_exact_solve):
+    def test_witness_closure_reports_a_check_that_raises(self, inflated_exact_witness):
         report = suite_witness_closure(trials=15, n_max=6, seed=7)
         _assert_caught(report, "witness-closure")
         assert any(" error=DegenerateMeasureError " in line for line in report.failures)
@@ -240,6 +241,24 @@ class TestMutationSensitivity:
 
     def test_conditional_catches_it(self, skewed_ub2_row):
         _assert_caught(suite_conditional(trials=30, n_max=6, seed=7), "conditional")
+
+    def test_conditional_catches_a_negative_margin(self, monkeypatch):
+        # The first aggregate comes back a trillionth looser than its
+        # unconditional bound; the exact margin check has no slack for it.
+        aggregates = []
+
+        def loosened(blocks, unconditional):
+            aggregated = expectation_aggregate(blocks, unconditional)
+            aggregates.append(aggregated)
+            if len(aggregates) > 1:
+                return aggregated
+            return dataclasses.replace(aggregated, margin=Fraction(-1, 10**12))
+
+        monkeypatch.setattr("eventbounds.verification.expectation_aggregate", loosened)
+        report = suite_conditional(trials=10, n_max=6, seed=11)
+        _assert_caught(report, "conditional")
+        assert len(report.failures) == 1
+        assert " kind=margin margin=-1/1000000000000 " in report.failures[0]
 
     def test_clean_run_recovers(self):
         assert suite_sandwich(trials=5, n_max=5, seed=7).passed
