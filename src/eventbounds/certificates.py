@@ -289,7 +289,6 @@ class BoundRequest:
     ell: int
     side: str = SIDE_UPPER
     target: str = TARGET_AT_LEAST
-    m: Optional[int] = None
     formula: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -304,9 +303,6 @@ class BoundRequest:
             raise ValueError(f"r and d must be nonnegative, got r={self.r}, d={self.d}")
         if self.ell < 2:
             raise ValueError(f"ell must be at least 2, got {self.ell}")
-        m = self.m
-        if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
-            raise ValueError(f"m must be a positive integer, got {m!r}")
 
     def check(self, n: int) -> None:
         """Reject, in order, d > n (ValueError), more moment orders than the

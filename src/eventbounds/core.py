@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .certificates import TARGET_AT_LEAST
+from .certificates import TARGET_AT_LEAST, TARGET_EXACTLY, TARGETS
 from .errors import DegenerateMeasureError, InputFormatError
 from .numerics import (
     Number,
@@ -370,13 +370,18 @@ class OccurrenceDistribution:
 
     def at_least(self, r: int) -> Number:
         """P(at least r events occur), for 0 <= r <= n."""
-        if not isinstance(r, int) or r < 0 or r > self.n:
-            raise ValueError(f"need 0 <= r <= {self.n}, got r={r!r}")
-        return sum(self.p[r:])
+        return self.probability(r, TARGET_AT_LEAST)
 
     def probability(self, r: int, target: str) -> Number:
-        """P(at least r events occur), or P(exactly r) for the exactly target."""
-        return self.at_least(r) if target == TARGET_AT_LEAST else self.p[r]
+        """P(at least r events occur), or P(exactly r) for the exactly
+        target, for 0 <= r <= n; any other target raises ValueError."""
+        if not isinstance(r, int) or r < 0 or r > self.n:
+            raise ValueError(f"need 0 <= r <= {self.n}, got r={r!r}")
+        if target == TARGET_AT_LEAST:
+            return sum(self.p[r:])
+        if target == TARGET_EXACTLY:
+            return self.p[r]
+        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
 
 
 def atom_masses(sys: EventSystem) -> tuple[Mapping[int, Number], int]:

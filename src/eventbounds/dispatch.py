@@ -5,11 +5,10 @@ other order, or an explicit request, goes through the index-set search.
 A request naming a formula gets exactly that family or an error; a
 request without one gets the best applicable bound for its moment order.
 Each entry checks its request once (:meth:`BoundRequest.check`); the
-functions behind it trust the request.  Whether the closed forms serve a
-request is decided in one place, :func:`_closed_form_route`, and which
-families serve it, with every other ``m`` rule and window range, in
-:func:`_closed_forms`; :func:`evaluate_request` gives the order of the
-checks and how the closed-form plans are cached.
+functions behind it trust the request.  Which families serve a
+closed-form request is decided in one place, :func:`_closed_forms`, and
+each windowed family picks its own window; :func:`evaluate_request`
+gives the order of the checks and how the closed-form plans are cached.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ _BEST_OF = {2: (bounds_l2.FAMILY_ROWS, False), 3: (bounds_l3.FAMILY_ROWS, True)}
 FORMULAS = tuple(sorted(FAMILY_TABLE)) + ("search", "jordan")
 
 #: Closed-form plans kept at once: one verify-small pass makes 1,036 and
-#: ``run_all(150, 8, 42)`` makes 2,893, so neither evicts one.
+#: ``run_all(150, 8, 42)`` makes 1,675, so neither evicts one.
 MAX_PLANS = 4096
 
 
@@ -61,80 +60,43 @@ def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]
                         yield moments, request
 
 
-def _closed_form_route(request: BoundRequest) -> bool:
-    """Whether the closed forms serve a checked request, not the search or
-    Jordan route; ``m`` on those two routes raises."""
-    formula = request.formula
-    if formula in ("search", "jordan") or formula is None and request.ell not in _BEST_OF:
-        if request.m is not None:
-            raise ValueError(
-                f"formula {formula!r} has no window parameter m" if formula
-                else "m applies only to the closed-form windowed families"
-            )
-        return False
-    return True
-
-
 def _closed_forms(n: int, request: BoundRequest) -> tuple[tuple, bool]:
     """The closed-form families that serve a checked closed-form request,
-    each with the window ``m`` pins in it (None for a free or fixed window),
     and whether they combine per index tuple.  Raises in the order
     :func:`evaluate_request` states."""
     r, d, side, target = request.r, request.d, request.side, request.target
-    formula, m = request.formula, request.m
+    formula = request.formula
     if formula is None:
         families, per_tuple = _BEST_OF[request.ell]
-        if per_tuple and m is not None:
-            raise ValueError(
-                "the combined three-moment bound picks windows per index tuple; "
-                "name a formula to pin m"
-            )
-        families = [f for f in families if f.side == side and f.applies(n, r, d, target)]
+        families = tuple(f for f in families if f.side == side and f.applies(n, r, d, target))
         if not families:
             raise NotApplicableError(
                 f"no {request.ell}-moment {side} bound applies to target={target!r}, "
                 f"r={r}, d={d}, n={n}"
             )
-        if m is not None and not any(target in family.windows for family in families):
-            raise ValueError("m applies only to the closed-form windowed families")
-    else:
-        family = FAMILY_TABLE.get(formula)
-        if family is None:
-            raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
-        if side != family.side:
-            raise ValueError(
-                f"formula {formula!r} produces {family.side} bounds, request says {side}"
-            )
-        if request.ell != family.ell:
-            raise ValueError(
-                f"formula {formula!r} uses ell={family.ell}, request says {request.ell}"
-            )
-        if m is not None and not family.windows:
-            raise ValueError(f"formula {formula!r} has no window parameter m")
-        if not family.applies(n, r, d, target):
-            raise NotApplicableError(
-                f"formula {formula!r} does not apply to target={target!r} at r={r}, d={d}, n={n}"
-            )
-        if m is not None and target not in family.windows:
-            raise ValueError(f"the {target} target of {formula!r} has a fixed window")
-        families, per_tuple = (family,), True
-    selected = tuple((family, m if target in family.windows else None) for family in families)
-    for family, pin in selected:
-        if pin is not None:
-            lo, hi = family.windows[target](n, r, d)
-            if not lo <= pin <= hi:
-                raise ValueError(f"need {lo} <= m <= {hi}, got m={m}")
-    return selected, per_tuple
+        return families, per_tuple
+    family = FAMILY_TABLE.get(formula)
+    if family is None:
+        raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
+    if side != family.side:
+        raise ValueError(f"formula {formula!r} produces {family.side} bounds, request says {side}")
+    if request.ell != family.ell:
+        raise ValueError(f"formula {formula!r} uses ell={family.ell}, request says {request.ell}")
+    if not family.applies(n, r, d, target):
+        raise NotApplicableError(
+            f"formula {formula!r} does not apply to target={target!r} at r={r}, d={d}, n={n}"
+        )
+    return (family,), True
 
 
 @lru_cache(maxsize=MAX_PLANS)
 def _plan(n: int, request: BoundRequest) -> tuple[tuple, tuple, bool]:
     """The sources, labels and ``per_tuple`` of a checked closed-form
     request; a request that raises is not cached."""
-    selected, per_tuple = _closed_forms(n, request)
+    families, per_tuple = _closed_forms(n, request)
     r, d, target = request.r, request.d, request.target
-    sources = tuple(family_source(family, n, r, d, target, pin) for family, pin in selected)
-    return sources, tuple(family.name for family, _ in selected), per_tuple
+    sources = tuple(family_source(family, n, r, d, target) for family in families)
+    return sources, tuple(family.name for family in families), per_tuple
 
 
 def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertificate:
@@ -148,14 +110,12 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
 
     Checks raise in this order (ValueError unless NotApplicableError is
     named): the set's d and orders against the request;
-    :meth:`BoundRequest.check`; ``m`` on a route without windows (search,
-    Jordan, a best-of beyond ell 3 or at ell 3).  Then best-of: no family
-    of the side applies (NotApplicableError), ``m`` with no windowed
-    target among those that do.  Named: an unknown name, the side, the
-    order, ``m`` on a family without windows, applicability
-    (NotApplicableError), ``m`` on a fixed window.  Then a pinned ``m``
-    outside its range.  Last, no side-feasible index set for the search,
-    or an order other than n-d+1 for Jordan (NotApplicableError).
+    :meth:`BoundRequest.check`.  Then best-of: no family of the side
+    applies (NotApplicableError).  Named: an unknown name, the side, the
+    order, applicability (NotApplicableError).  Last, no side-feasible
+    index set for the search, or an order other than n-d+1 for Jordan
+    (NotApplicableError).  A windowed family takes its sharpest window per
+    index tuple; a request pins none.
 
     A closed-form request's plan is resolved once per (n, request) and
     process; failures are not cached, and search and Jordan do not use it.
@@ -168,9 +128,10 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
         )
     n, d, r, target, side = moments.n, moments.d, request.r, request.target, request.side
     request.check(n)
-    if _closed_form_route(request):
+    formula = request.formula
+    if formula not in ("search", "jordan") and (formula is not None or request.ell in _BEST_OF):
         sources, labels, per_tuple = _plan(n, request)
-    elif request.formula == "jordan":
+    elif formula == "jordan":
         # At full order the row solved at every position makes b = v, so
         # s . a is the target probability itself.
         positions = n - d + 1

@@ -12,10 +12,10 @@ evaluates, combines, sweeps or verifies a closed form reads the rows
 through this module.
 
 A *source* maps one index tuple's moment form to its (key, row) choice:
-a family's fixed or pinned row, the best of the windows its ``pick``
-proposes (:func:`family_source`), or the best row of a row set, which is
-how the index-set search and the full-order (Jordan) row are read
-(:func:`row_source`).  :func:`evaluate` combines the sources of one
+a family's fixed row, the best of the windows its ``pick`` proposes
+(:func:`family_source`), or the best row of a row set, which is how the
+index-set search, the full-order (Jordan) row and one window's row are
+read (:func:`row_source`).  :func:`evaluate` combines the sources of one
 request into its certificate, so every certificate comes from one path.
 Nothing here checks a request: which families serve it, and every check,
 is decided once, in :func:`eventbounds.dispatch.evaluate_request`.
@@ -56,8 +56,8 @@ class Family:
     index set to :func:`solved_row`, which caches the rows, so equal
     arguments give the same :class:`Row`, whose forms are built once.
     ``windows`` maps each target that has a window choice to its range
-    ``(n, r, d) -> (lo, hi)``; a target missing from it uses a fixed row,
-    and a family with no windows at all takes no ``m``.
+    ``(n, r, d) -> (lo, hi)``, and the family picks its window there per
+    index tuple; a target missing from it uses a fixed row (``m`` None).
     ``pick(values, n, r, d, lo, hi)`` proposes the candidate windows for
     one moment vector, in increasing order; it gets integer numerators
     for exact moments, which leave every bracket unchanged.
@@ -151,15 +151,13 @@ def row_source(rows: Sequence[Row], side: str) -> Callable:
     return choose
 
 
-def family_source(
-    family: Family, n: int, r: int, d: int, target: str, m: Optional[int]
-) -> Callable:
-    """The family's source: its row at the pinned window ``m``, its fixed row,
-    or, for a free window range, per form the (key, row) of the best window
-    ``pick`` proposes; ties keep the smallest, and each row is solved once."""
-    window = family.windows.get(target) if m is None else None
+def family_source(family: Family, n: int, r: int, d: int, target: str) -> Callable:
+    """The family's source: its fixed row, or, for a window range, per form
+    the (key, row) of the best window ``pick`` proposes; ties keep the
+    smallest, and each row is solved once."""
+    window = family.windows.get(target)
     if window is None:
-        return row_source((family.row(n, r, d, target, m),), family.side)
+        return row_source((family.row(n, r, d, target, None),), family.side)
     lo, hi = window(n, r, d)
     minimize, pick, rows = family.side == SIDE_UPPER, family.pick, {}
 

@@ -41,6 +41,7 @@ from .dispatch import FAMILY_TABLE, evaluate_request, request_grid
 from .checker import check_certificate
 from .engine import sharpness_witness, target_vector, witness_system
 from .errors import NotApplicableError
+from .families import evaluate, row_source
 from .moments import moment_matrix, moment_set, verify_decomposition
 from .numerics import Number, dot_product, encode_number, leq, rational
 
@@ -217,12 +218,15 @@ def suite_optimal_m(trials: int = 200, n_max: int = 8, seed: int = 42) -> SuiteR
 
 
 def _family_bound(family, moments, r: int, target: str, m: Optional[int] = None):
-    """The family's certificate at r for the target, window pinned to m if given."""
+    """The family's certificate at r for the target, or, given m, the
+    certificate of its row at window m alone."""
     request = BoundRequest(
-        r=r, d=moments.d, ell=family.ell, side=family.side, target=target, m=m,
-        formula=family.name,
+        r=r, d=moments.d, ell=family.ell, side=family.side, target=target, formula=family.name
     )
-    return evaluate_request(moments, request)
+    if m is None:
+        return evaluate_request(moments, request)
+    row = family.row(moments.n, r, moments.d, target, m)
+    return evaluate([row_source((row,), family.side)], [family.name], moments, request, True)
 
 
 def suite_engine_agreement(

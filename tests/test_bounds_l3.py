@@ -14,6 +14,7 @@ from eventbounds.dispatch import FAMILY_TABLE, evaluate_request
 from eventbounds.errors import DegenerateConfigurationError, NotApplicableError
 from eventbounds.families import solved_row
 from eventbounds.moments import MomentSet, MomentVector, moment_set
+from eventbounds.verification import _family_bound
 
 
 def fair(n):
@@ -21,10 +22,9 @@ def fair(n):
 
 
 def family(moments, formula, r, target="at-least", m=None):
-    """The named family's certificate, window pinned to ``m`` if given."""
-    side = FAMILY_TABLE[formula].side
-    request = BoundRequest(r=r, d=moments.d, ell=3, side=side, target=target, m=m, formula=formula)
-    return evaluate_request(moments, request)
+    """The named family's certificate, or with ``m`` the certificate of its
+    row at window m alone, as the optimal-m suite sweeps it."""
+    return _family_bound(FAMILY_TABLE[formula], moments, r, target, m)
 
 
 def best(moments, r, target, side):

@@ -20,7 +20,9 @@ from eventbounds.core import (
     _exact_weights,
     _plain_ratios,
 )
+from eventbounds.certificates import TARGETS
 from eventbounds.errors import DegenerateMeasureError, InputFormatError
+from eventbounds.verification import random_system
 from oracles import permute_events
 
 
@@ -424,6 +426,18 @@ class TestOracle:
         with pytest.raises(ValueError):
             occurrence.at_least(-1)
         assert occurrence.at_least(0) == 1
+
+    def test_probability_checks_r_and_the_target(self):
+        # p[-1] wrapped round to P(exactly n), and any unknown target read p[r].
+        occurrence = exact_occurrence(random_system(random.Random("oracle:probability"), 3))
+        for target in TARGETS:
+            for r in (-1, 4):
+                with pytest.raises(ValueError, match=re.escape("need 0 <= r <= 3")):
+                    occurrence.probability(r, target)
+        with pytest.raises(ValueError, match="target must be one of"):
+            occurrence.probability(1, "nonsense")
+        assert occurrence.probability(3, "exactly") == occurrence.p[3]
+        assert occurrence.probability(1, "at-least") == sum(occurrence.p[1:])
 
     def test_joint_decomposes_the_level_probability(self):
         system = fair(3)

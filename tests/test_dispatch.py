@@ -1,5 +1,6 @@
 """Request routing: named formulas, best-of dispatch, search and exact modes."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ from eventbounds import dispatch
 from eventbounds.certificates import SIDES, BoundRequest
 from eventbounds.cli import EXIT_OK, main
 from eventbounds.core import EventSystem, exact_occurrence
-from eventbounds.dispatch import FORMULAS, bound_for_system, evaluate_request
+from eventbounds.dispatch import FAMILY_TABLE, FORMULAS, bound_for_system, evaluate_request
 from eventbounds.errors import NotApplicableError
 from eventbounds.moments import MomentSet, moment_set
+from eventbounds.verification import _family_bound
 from test_golden import golden_requests
 
 
@@ -50,10 +52,10 @@ class TestDefaultRouting:
         assert cert.value == Fraction(1, 2)
 
     def test_a_pinned_window_reaches_the_windowed_family(self, fair3):
-        request = BoundRequest(r=1, d=1, ell=2, side="lower", m=1)
-        cert = evaluate_request(moment_set(fair3, 1, 2), request)
-        assert cert.formula_id == "l2"
-        assert cert.value == Fraction(3, 4)
+        moments = moment_set(fair3, 1, 2)
+        cert = evaluate_request(moments, BoundRequest(r=1, d=1, ell=2, side="lower"))
+        assert (cert.formula_id, cert.value, cert.m) == ("l2", Fraction(3, 4), 1)
+        assert cert == _family_bound(FAMILY_TABLE["l2"], moments, 1, "at-least", 1)
 
     def test_higher_orders_fall_back_to_the_search(self, d0_l4, fair3):
         cert = evaluate_request(d0_l4, BoundRequest(r=1, d=0, ell=4, side="upper"))
@@ -88,10 +90,7 @@ class TestNamedFormulas:
         assert cert.clamped == 1
 
     def test_l2_window_pinned(self, fair3):
-        moments = moment_set(fair3, 1, 2)
-        cert = evaluate_request(
-            moments, BoundRequest(r=1, d=1, ell=2, side="lower", m=1, formula="l2")
-        )
+        cert = _family_bound(FAMILY_TABLE["l2"], moment_set(fair3, 1, 2), 1, "at-least", 1)
         assert cert.formula_id == "l2"
         assert cert.value == Fraction(3, 4)
         assert cert.m == 1
@@ -147,42 +146,12 @@ class TestRoutingErrors:
                 d0_l4, BoundRequest(r=1, d=0, ell=3, side="upper", formula="u1")
             )
 
-    def test_window_on_a_fixed_family(self, d0_l4):
-        with pytest.raises(ValueError, match="no window parameter"):
-            evaluate_request(
-                d0_l4, BoundRequest(r=1, d=0, ell=2, side="upper", m=2, formula="u2")
-            )
-
-    def test_window_on_the_search(self, d0_l4):
-        with pytest.raises(ValueError, match="no window parameter"):
-            evaluate_request(
-                d0_l4, BoundRequest(r=1, d=0, ell=2, side="upper", m=1, formula="search")
-            )
-
-    def test_window_on_the_combined_ell_three_bound(self, d1_l3):
-        with pytest.raises(ValueError, match="name a formula"):
-            evaluate_request(d1_l3, BoundRequest(r=2, d=1, ell=3, side="upper", m=1))
-
-    def test_window_beyond_the_closed_forms(self, d0_l4):
-        with pytest.raises(ValueError, match="windowed families"):
-            evaluate_request(d0_l4, BoundRequest(r=1, d=0, ell=4, side="upper", m=1))
-
-    def test_exactly_window_is_fixed_for_l2(self, fair3):
-        moments = moment_set(fair3, 1, 2)
-        with pytest.raises(ValueError, match="fixed window"):
-            evaluate_request(
-                moments,
-                BoundRequest(r=1, d=1, ell=2, side="lower", target="exactly", m=1, formula="l2"),
-            )
-
     def test_applicability_is_checked_before_the_window(self, d1_l3):
         for formula in ("lb2", "lb3"):
             with pytest.raises(NotApplicableError):
                 evaluate_request(
                     d1_l3,
-                    BoundRequest(
-                        r=3, d=1, ell=3, side="lower", target="exactly", m=2, formula=formula
-                    ),
+                    BoundRequest(r=3, d=1, ell=3, side="lower", target="exactly", formula=formula),
                 )
 
     def test_l2_needs_r_equal_d(self, d0_l4):
@@ -233,16 +202,13 @@ class TestRequestValidation:
             BoundRequest(r=-1, d=0, ell=2)
         with pytest.raises(ValueError):
             BoundRequest(r=1, d=0, ell=1)
-        with pytest.raises(ValueError):
-            BoundRequest(r=1, d=0, ell=2, m=0)
 
-    def test_a_boolean_window_is_rejected(self, fair3):
-        # m=True passed as window 1, and the payload wrote "m": true.
-        for m in (True, False):
-            with pytest.raises(ValueError, match=f"m must be a positive integer, got {m}"):
-                BoundRequest(r=1, d=1, ell=2, side="lower", m=m)
-        pinned = BoundRequest(r=1, d=1, ell=2, side="lower", m=1)
-        assert evaluate_request(moment_set(fair3, 1, 2), pinned).to_payload()["m"] == 1
+    def test_a_request_has_no_window(self):
+        # Each windowed family picks its sharpest window per index tuple.
+        fields = [field.name for field in dataclasses.fields(BoundRequest)]
+        assert fields == ["r", "d", "ell", "side", "target", "formula"]
+        with pytest.raises(TypeError):
+            BoundRequest(r=1, d=1, ell=2, m=1)
 
 
 class TestBoundForSystem:
@@ -291,10 +257,7 @@ class TestPlanCache:
     and Jordan routes never touch it."""
 
     def test_cold_warm_and_reversed_passes_agree(self, fresh_plans):
-        requests = [
-            (moments, request)
-            for _, moments, grid in golden_requests() for request in grid
-        ]
+        requests = [(moments, request) for _, moments, request in golden_requests()]
         cold = [_payload_or_error(*pair) for pair in requests]
         plans = dispatch._plan.cache_info().currsize
         assert plans > 0
@@ -307,8 +270,8 @@ class TestPlanCache:
     @pytest.mark.parametrize("request_, error", [
         (BoundRequest(r=1, d=0, ell=2, side="lower", target="exactly", formula="l1"),
          NotApplicableError),
-        (BoundRequest(r=2, d=1, ell=3, side="lower", formula="lb2", m=9), ValueError),
-    ], ids=["not-applicable", "m-out-of-range"])
+        (BoundRequest(r=2, d=1, ell=3, side="upper", formula="lb2"), ValueError),
+    ], ids=["not-applicable", "side-mismatch"])
     def test_a_failing_request_is_not_cached(self, d0_l4, d1_l3, fresh_plans, request_, error):
         moments = d1_l3 if request_.d else d0_l4
         messages = []

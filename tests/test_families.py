@@ -33,7 +33,7 @@ from eventbounds.errors import NotApplicableError
 from eventbounds import families
 from eventbounds.numerics import all_exact, integer_bracket
 from eventbounds.moments import moment_matrix, moment_set
-from eventbounds.verification import floatize, random_system
+from eventbounds.verification import _family_bound, floatize, random_system
 
 
 def row_cases(family):
@@ -231,7 +231,7 @@ def _systems():
 
 
 def _requests(moments, n, d):
-    """Every applicable (family, r, target, m), m None or pinned in range."""
+    """Every applicable (family, r, target, m), m None or a window in range."""
     for family in FAMILY_TABLE.values():
         if family.ell > moments.ell:
             continue
@@ -268,11 +268,7 @@ def test_evaluation_matches_the_fraction_reference(monkeypatch):
             ties += _ties(moments, n, d)
             for family, r, target, m in _requests(moments, n, d):
                 expected = reference.terms(family, moments, n, r, d, target, m)
-                request = BoundRequest(
-                    r=r, d=d, ell=family.ell, side=family.side, target=target, m=m,
-                    formula=family.name,
-                )
-                certificate = evaluate_request(moments, request)
+                certificate = _family_bound(family, moments, r, target, m)
                 _assert_matches(certificate, expected, [family.name] * len(expected))
                 checked += 1
             for ell, per_tuple in ((2, False), (3, True)):
@@ -324,11 +320,7 @@ def _grid(systems):
                         yield full, evaluate_request(full, request)
             moments = moment_set(system, d, min(3, n - d + 1))
             for family, r, target, m in _requests(moments, n, d):
-                request = BoundRequest(
-                    r=r, d=d, ell=family.ell, side=family.side, target=target, m=m,
-                    formula=family.name,
-                )
-                yield moments, evaluate_request(moments, request)
+                yield moments, _family_bound(family, moments, r, target, m)
             for ell in range(2, moments.ell + 1):
                 for r in range(d, n + 1):
                     for target in TARGETS:

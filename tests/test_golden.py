@@ -1,10 +1,11 @@
 """Golden closed-form certificates: every request shape on fixed systems.
 
 For each system, every d, r, ell in {2, 3}, side and target, and every
-request form (best-of and each named closed-form family) with every window
-m in {None, 1..n+1}, the fixture stores the sha256 of the certificate's
-canonical payload JSON, or the exception class name when the request
-fails.  The test recomputes every entry and names the first keys that
+request form (best-of and each named closed-form family, a windowed
+family picking its own windows), the fixture stores the sha256 of the
+certificate's canonical payload JSON, or the exception class name when
+the request fails, as a group of one in the format ``test_golden_search``
+shares.  The test recomputes every entry and names the first keys that
 differ, and every certificate of the grid must pass ``check_certificate``.
 
 Regenerate the fixture (only when a change of outcome is intended) with
@@ -51,8 +52,8 @@ def _outcome(moments, request: BoundRequest) -> str:
 
 
 def golden_requests():
-    """Each grid key "system d r ell side target formula", its moment set, and
-    its requests over m = None, 1..n+1."""
+    """Each grid key "system d r ell side target formula", its moment set and
+    its request."""
     for name, system in golden_systems().items():
         n = system.n
         for d in range(n):
@@ -63,21 +64,14 @@ def golden_requests():
                         for target in TARGETS:
                             for formula in (None,) + NAMED:
                                 key = f"{name} {d} {r} {ell} {side} {target} {formula or 'best'}"
-                                yield key, moments, [
-                                    BoundRequest(
-                                        r=r, d=d, ell=ell, side=side, target=target,
-                                        m=m, formula=formula,
-                                    )
-                                    for m in (None, *range(1, n + 2))
-                                ]
+                                yield key, moments, BoundRequest(
+                                    r=r, d=d, ell=ell, side=side, target=target, formula=formula
+                                )
 
 
 def golden_outcomes() -> dict[str, list[str]]:
-    """Map each grid key to its outcomes over m = None, 1..n+1."""
-    return {
-        key: [_outcome(moments, request) for request in requests]
-        for key, moments, requests in golden_requests()
-    }
+    """Map each grid key to its outcome, a group of one."""
+    return {key: [_outcome(moments, request)] for key, moments, request in golden_requests()}
 
 
 def _encode(groups: dict[str, list[str]]) -> str:
@@ -103,25 +97,23 @@ def test_certificates_match_the_golden_fixture():
     actual = golden_outcomes()
     assert sorted(actual) == sorted(expected)
     differing = [
-        f"{key} m={'None' if position == 0 else position}: {want} -> {got}"
+        f"{key}: {expected[key]} -> {outcomes}"
         for key, outcomes in actual.items()
-        for position, (want, got) in enumerate(zip(expected[key], outcomes))
-        if want != got
+        if outcomes != expected[key]
     ]
     assert not differing, f"{len(differing)} outcomes differ, first: {differing[:5]}"
 
 
 def test_every_golden_certificate_passes_the_checker():
     checked = 0
-    for key, moments, requests in golden_requests():
-        for request in requests:
-            try:
-                certificate = evaluate_request(moments, request)
-            except (NotApplicableError, ValueError):
-                continue
-            assert check_certificate(certificate, moments) == [], (key, request.m)
-            checked += 1
-    assert checked == 1874
+    for key, moments, request in golden_requests():
+        try:
+            certificate = evaluate_request(moments, request)
+        except (NotApplicableError, ValueError):
+            continue
+        assert check_certificate(certificate, moments) == [], key
+        checked += 1
+    assert checked == 1359
 
 
 if __name__ == "__main__":
