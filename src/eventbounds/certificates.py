@@ -61,10 +61,14 @@ class BoundTerm:
     formula_id: str
     m: Optional[int] = None
 
-    def to_payload(self) -> dict:
+    def to_payload(self, encoded: Optional[dict] = None) -> dict:
+        """``encoded`` maps id(coefficients) to their strings across one payload."""
+        key, encoded = id(self.coefficients), {} if encoded is None else encoded
+        if key not in encoded:
+            encoded[key] = [encode_number(c) for c in self.coefficients]
         payload = {
             "j": list(self.j),
-            "coefficients": [encode_number(c) for c in self.coefficients],
+            "coefficients": encoded[key].copy(),
             "index_set": list(self.index_set),
             "value": encode_number(self.value),
             "formula": self.formula_id,
@@ -201,7 +205,8 @@ class BoundCertificate:
         if self.m is not None:
             payload["m"] = self.m
         if self.terms:
-            payload["terms"] = [term.to_payload() for term in self.terms]
+            encoded: dict = {}  # the terms on one row share its tuple: encode it once
+            payload["terms"] = [term.to_payload(encoded) for term in self.terms]
         return payload
 
     @classmethod

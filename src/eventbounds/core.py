@@ -12,9 +12,6 @@ the oracle functions here, which work by direct enumeration:
   ``at_least(r)`` is the probability that at least ``r`` events occur;
 * :func:`exact_joint`      -- probability that exactly ``i`` events occur
   and all events of a given index tuple are among them.
-
-All values are immutable after construction and all functions are pure, so
-everything here is safe to evaluate concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from .certificates import TARGET_AT_LEAST, TARGET_EXACTLY, TARGETS
 from .errors import DegenerateMeasureError, InputFormatError
@@ -234,13 +231,11 @@ class EventSystem:
         omitted masks meaning weight zero; an optional ``"normalize": true``
         requests division by the total mass.
 
-        A file whose weights are all strings ``"a"`` or ``"a/b"`` of ASCII
-        digits with b != 0, whose keys read with ``int`` as distinct masks
-        and whose ``"normalize"`` is a bool is parsed in bulk by
-        :func:`_plain_ratios`.  Every other file takes the per-weight loop,
-        which reads each weight with :func:`to_number` and alone raises the
-        format errors.  Both routes end in :func:`_exact_weights` (or the
-        float checks), so they give the same system and the same errors.
+        A file of plain ratios with a bool ``"normalize"`` is parsed in bulk
+        (:func:`_plain_ratios`); the per-weight loop (:func:`to_number`) reads
+        every other file and alone raises the format errors.  Both routes end
+        in :func:`_exact_weights` (or the float checks), so they give the same
+        system and the same errors.
         """
         if not isinstance(payload, dict):
             raise InputFormatError("event system payload must be a JSON object")
@@ -284,36 +279,41 @@ class EventSystem:
             raise InputFormatError(str(exc)) from None
 
 
-#: Comma-joined weight strings "a" or "a/b" of ASCII digits.
+#: Comma-joined strings "a" or "a/b" of ASCII digits.
 _PLAIN_RATIOS = re.compile(r"[0-9]+(?:/[0-9]+)?(?:,[0-9]+(?:/[0-9]+)?)*")
 
 
-def _plain_ratios(raw: Mapping[object, object]) -> Optional[tuple[dict[int, int], int]]:
-    """Integer numerators per mask over the lcm of the denominators, when every
-    value is a string "a" or "a/b" of ASCII digits with b != 0 and every key
-    reads with ``int`` as a distinct mask; None for any other file.
-
-    The passes run in C: one join, one regex match, one split read by
-    ``map(int, ...)``.  Only the per-weight loop of ``from_payload`` raises.
-    """
+def _plain_parts(values: Collection) -> Optional[tuple[list[int], list[int]]]:
+    """The numerators and denominators of values that are all strings "a" or
+    "a/b" of ASCII digits with b != 0, read in C (one join, one regex match,
+    one split read by ``map(int, ...)``); None for any other values."""
     try:
-        text = ",".join(raw.values())
-        masks = list(map(int, raw))
-    except (TypeError, ValueError, OverflowError):
+        text = ",".join(values)
+    except TypeError:
         return None
-    if text.count(",") != len(raw) - 1 or not _PLAIN_RATIOS.fullmatch(text):
+    if text.count(",") != len(values) - 1 or not _PLAIN_RATIOS.fullmatch(text):
         return None  # a value holding a comma, or one that is not a plain ratio
-    if len(set(masks)) < len(masks):
-        return None
-    if text.count("/") < len(raw):
-        text = ",".join(v if "/" in v else v + "/1" for v in raw.values())
+    if text.count("/") < len(values):
+        text = ",".join(v if "/" in v else v + "/1" for v in values)
     try:
         numbers = list(map(int, text.replace("/", ",").split(",")))
     except ValueError:  # more digits than int() reads
         return None
-    numerators, denominators = numbers[::2], numbers[1::2]
-    if 0 in denominators:
+    return None if 0 in numbers[1::2] else (numbers[::2], numbers[1::2])
+
+
+def _plain_ratios(raw: Mapping[object, object]) -> Optional[tuple[dict[int, int], int]]:
+    """Integer numerators per mask over the lcm of the denominators, when every
+    value is a plain ratio (:func:`_plain_parts`) and every key reads with
+    ``int`` as a distinct mask; None for any other file."""
+    try:
+        masks = list(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
         return None
+    parts = _plain_parts(raw.values())
+    if parts is None or len(set(masks)) < len(masks):
+        return None
+    numerators, denominators = parts
     denominator = math.lcm(*set(denominators))
     scales = map(operator.floordiv, itertools.repeat(denominator), denominators)
     return dict(zip(masks, map(operator.mul, numerators, scales))), denominator

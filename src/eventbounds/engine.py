@@ -10,17 +10,11 @@ feasibility.  The vector z* supported on i with F_i z*_i = s has the same
 moments, and when z* is nonnegative it is an occurrence vector attaining
 the bound, which is the sharpness witness.
 
-This module has the one exact solver, a fraction-free elimination on
-integers (:func:`_prefix_solves`), which solves the search tables, the
-closed-form family rows and exact sharpness witnesses.  It tabulates the
-dual-feasible index sets once per shape (n, d, ell, target vector, side)
-as rows (:class:`Row`, the one dual row type), from the candidates that
-the rule of :func:`dual_bases` allows, checking feasibility only there,
-and tests moments against the closed-form facets of the moment cone
+This module has the one exact solver (:func:`_prefix_solves`), the table
+of dual-feasible index sets per shape (:func:`dual_bases`) as rows
+(:class:`Row`, the one dual row type), and the moment cone's facets
 (:func:`check_realizable`).  It evaluates no bound: ``families`` applies
-rows to moments, for the closed forms, the index-set search and the
-full-order (Jordan) case alike; ``checker`` re-checks certificates on its
-own.
+rows to moments; ``checker`` re-checks certificates on its own.
 """
 
 from __future__ import annotations
@@ -186,19 +180,26 @@ def check_realizable(moments: MomentSet) -> None:
     that is a . s >= 0 for every facet normal a of cone(F)
     (:func:`_facets`), on the integer numerators of :meth:`MomentSet.forms`
     when exact.  A float tuple may fall short of 0 by ``DEFAULT_TOLERANCE``
-    times the normal's scale.  The test is complete for those orders, so
-    at ell <= 3 and d >= 1 it accepts exactly the moment vectors some
-    distribution has; at ell >= 4 it is only a necessary condition.  At
-    d = 0, s_1 = P(Omega) must be 1, which is not enforced: moments with
-    s_1 < 1 there pass.  Consistency across tuples is not checked.
+    times the normal's scale, so it meets every facet.  An exact tuple at 3
+    orders meets five: on the edges {i, i+1}, a_i . s = s_1 i^2 - (s_1 +
+    2(d+1) s_2) i + const is least at an end, or next to its vertex when
+    s_1 > 0.  The test is complete for those orders (at ell <= 3 and d >= 1
+    it accepts exactly the moments some distribution has), only necessary at
+    ell >= 4, and per tuple; s_1 = 1 at d = 0 is not enforced.
     """
-    orders = min(moments.ell, 3, moments.n - moments.d + 1)
+    positions, d = moments.n - moments.d + 1, moments.d
+    orders = min(moments.ell, 3, positions)
     if orders < 2:
         return
-    facets = _facets(moments.n - moments.d + 1, moments.d, orders)
+    facets = _facets(positions, d, orders)
     for vector, (_, s, den) in zip(moments, moments.forms(orders)[0]):
+        near = facets
+        if den and orders == 3:
+            vertex = (s[0] + 2 * (d + 1) * s[1]) // (2 * s[0]) if s[0] > 0 else 1
+            edges = {1, positions - 1, *(min(max(i, 1), positions - 1) for i in (vertex, vertex + 1))}
+            near = [facets[i - 1] for i in edges] + facets[-1:]  # and {1, N}
         slack = 0 if den else DEFAULT_TOLERANCE
-        if any(sum(map(operator.mul, a, s)) < -slack * scale for a, scale in facets):
+        if any(sum(map(operator.mul, a, s)) < -slack * scale for a, scale in near):
             values = vector.values[:orders]
             raise InfeasibleMomentsError(
                 f"no distribution has the moments {[encode_number(x) for x in values]} "
@@ -212,11 +213,9 @@ class Row:
 
     ``numerators`` are the row as integers over the positive ``den``;
     ``coefficients`` are the exact rationals a certificate records;
-    ``floats`` holds ``float(c)`` per coefficient, for float moments.  The
-    last two are built on first read, since a search table stores many rows
-    and reads few; as properties over private slots, they leave reads of
-    the other slots plain (a ``__getattr__`` hook would slow every read).
-    ``m`` is the window a closed-form family records, None elsewhere.
+    ``floats`` holds ``float(c)`` per coefficient, for float moments: both
+    built on first read, since a search table stores many rows and reads
+    few.  ``m`` is the window a closed-form family records, None elsewhere.
     """
 
     __slots__ = ("index_set", "m", "numerators", "den", "_coefficients", "_floats")
@@ -356,14 +355,15 @@ class _Candidates:
     differences (:func:`_scan`).  A prefix dies once it leaves out a pinned
     position, once the count exceeds the budget, since it only grows, or
     once the positions left cannot give its members both targets 0 and 1.
-    A node is (members left, scan state, whether the previous position is
+    A node is (scan state, members left, whether the previous position is
     a member, the targets seen among the members as bits 1 << v) before a
-    position.  Equal nodes share their completions, so a forward pass finds
+    position, packed in one int (the state by its number in order of first
+    reach), so the passes' dicts hold ints, which the collector does not
+    track.  Equal nodes share their completions, so a forward pass finds
     every reachable node and a backward pass counts each node's allowed
     completions.  ``count`` is thus known before any set is listed, and
     iteration lists the allowed sets in lexicographic order along live
-    nodes only, each member shifted back by d.
-    """
+    nodes only, each member shifted back by d."""
 
     def __init__(self, v: tuple[int, ...], ell: int, d: int, upper: bool) -> None:
         self.d = d
@@ -376,37 +376,41 @@ class _Candidates:
             bits[x] = bits[x + 1] | 1 << v[x]
 
         signs = [_forced(v_x, v[x - 1] if x else None, upper) for x, v_x in enumerate(v)]
+        shift, self.left_mask = ell.bit_length() + 3, (1 << ell.bit_length()) - 1
+        states, numbers, moves = [(0,) + (cap,) * 4], {(0,) + (cap,) * 4: 0}, {}
 
-        def step(node: tuple, member: bool, x: int) -> Optional[tuple]:
+        def step(node: int, member: bool, x: int) -> Optional[int]:
             """The node after position x, or None if no completion is allowed."""
-            left, state, previous, seen = node
-            left -= member
+            left = (node >> 3 & self.left_mask) - member
             if (x < d and not member) or not 0 <= left <= positions - x - 1:
                 return None
-            seen |= member << v[x]  # the members' targets must come to hold both 0 and 1
-            missing = 0b11 & ~seen
+            seen = node & 3 | member << v[x]  # the members' targets must come to hold both 0 and 1
+            missing = 3 & ~seen
             if missing & ~bits[x + 1] or missing.bit_count() > left:
                 return None
-            state = _scan(state, signs[x][member][previous], cap)
-            return state and (left, state, member, seen)
+            move = (node >> shift) * 6 + signs[x][member][node >> 2 & 1]  # state number, sign
+            if move not in moves:
+                scanned = _scan(states[node >> shift], move % 6, cap)
+                moves[move] = -1 if scanned is None else numbers.setdefault(scanned, len(numbers))
+                if len(numbers) > len(states):
+                    states.append(scanned)
+            state = moves[move]
+            return None if state < 0 else state << shift | left << 3 | member << 2 | seen
 
-        self.start = (ell, (0,) + (cap,) * 4, False, 0)
-        self.edges: list[dict] = []
-        nodes = {self.start}
+        self.start, self.skips, self.takes, nodes = ell << 3, [], [], {ell << 3}
         for x in range(positions):
-            edges = {node: (step(node, False, x), step(node, True, x)) for node in nodes}
-            self.edges.append(edges)
-            nodes = {child for pair in edges.values() for child in pair if child}
-        counts = dict.fromkeys(nodes, 1)
+            self.skips.append({node: step(node, False, x) for node in nodes})
+            self.takes.append({node: step(node, True, x) for node in nodes})
+            nodes = {*self.skips[x].values(), *self.takes[x].values()} - {None}
+        self.counts = [dict.fromkeys(nodes, 1)]
         for x in range(positions - 1, -1, -1):
-            later, counts, live = counts, {}, {}
-            for node, (skip, take) in self.edges[x].items():
-                total = later.get(skip, 0) + later.get(take, 0)
+            later, counts = self.counts[0], {}
+            for node, skip in self.skips[x].items():
+                total = later.get(skip, 0) + later.get(self.takes[x][node], 0)
                 if total:
                     counts[node] = total
-                    live[node] = (skip if skip in later else None, take if take in later else None)
-            self.edges[x] = live
-        self.count: int = counts.get(self.start, 0)
+            self.counts.insert(0, counts)
+        self.count: int = self.counts[0].get(self.start, 0)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         if not self.count:
@@ -414,13 +418,14 @@ class _Candidates:
         stack = [(0, self.start, ())]
         while stack:
             x, node, members = stack.pop()
-            if not node[0]:  # no members left: one completion
+            if not node >> 3 & self.left_mask:  # no members left: one completion
                 yield members[self.d:]
                 continue
-            skip, take = self.edges[x][node]
-            if skip:
+            later = self.counts[x + 1]
+            skip, take = self.skips[x][node], self.takes[x][node]
+            if skip in later:
                 stack.append((x + 1, skip, members))
-            if take:
+            if take in later:
                 stack.append((x + 1, take, members + (x + 1 - self.d,)))
 
 
@@ -435,8 +440,9 @@ def dual_bases(
     moments, so the table is built once per shape and cached.  Only the
     index sets that a root-count bound allows are solved, on integers,
     sharing the elimination along common prefixes (:func:`_prefix_solves`),
-    and b = F^T a is compared with v at every position, through the sign
-    of N . F_i - v_i den, so every stored set is checked.
+    and b = F^T a is compared with v at every position, so every stored set
+    is checked; b is B(L) below, whose j-th forward difference at L = 0 is
+    c_j, so ell+d-1 running sums give it at every level.
 
     The bound at d = 0.  Let I have targets holding both 0 and 1 (the
     other sets are the table's ranges).  Then b(x) = sum_k a_k C(x-1, k-1)
@@ -504,10 +510,14 @@ def _basis_table(fmat: MomentMatrix, v: tuple[int, ...], side: str) -> BasisTabl
         if len(positions) >= ell
     ]
     columns = [fmat.column(i) for i in range(1, fmat.positions + 1)]
-    checks = list(zip(columns, v))
-    feasible = operator.ge if upper else operator.le
+    d, feasible = fmat.d, operator.ge if upper else operator.le
     for index_set, numerators, den in _prefix_solves(columns, v, candidates):
-        if all(feasible(sum(map(operator.mul, numerators, c)), t * den) for c, t in checks):
+        # b at levels 0..n from its forward differences at 0, c = (0,)*d + a
+        levels = itertools.repeat(numerators[-1], fmat.n + 2 - ell - d)
+        for c_j in itertools.chain(reversed(numerators[:-1]), itertools.repeat(0, d)):
+            levels = itertools.accumulate(levels, initial=c_j)
+        targets = map(operator.mul, v, itertools.repeat(den))
+        if all(map(feasible, itertools.islice(levels, d, None), targets)):
             bases.append(Row(index_set, None, numerators, den))
     bases.sort(key=operator.attrgetter("index_set"))
     return BasisTable(ell, tuple(bases), zero_positions, one_positions, candidates.count)
@@ -591,14 +601,12 @@ def witness_system(
 ) -> EventSystem:
     """Realize a nonnegative witness as an event system with the same moments.
 
-    Position u of the witness corresponds to occurrence level u+d-1; its
-    mass z_u scales to z_u * C(u+d-1, d) on a single atom of that level
-    containing all of j's events.  The first moment row forces those
-    masses to sum to s_1 <= 1, and the leftover goes on the empty atom,
-    which no moment on j sees (at d = 0 the empty atom is itself level 0,
-    and the leftover there is exactly zero).  The resulting system has
-    moment vector s at j, so the bound value is attained by an actual
-    distribution.
+    Position u of the witness is occurrence level u+d-1; its mass z_u
+    scales to z_u * C(u+d-1, d) on one atom of that level holding all of
+    j's events.  Those masses sum to s_1 <= 1, and the leftover goes on the
+    empty atom, which no moment on j sees (at d = 0 it is level 0, and the
+    leftover is zero).  The system has moment vector s at j, so an actual
+    distribution attains the bound value.
     """
     if not witness.nonnegative:
         raise ValueError("only a nonnegative witness describes a distribution")

@@ -12,11 +12,8 @@ maps z(j) to the normalized binomial moments s(j):
 
 :func:`moment_set` is the one route from a system to its moments: it
 batches the falling-factorial expectation above over all j with integer
-accumulators.  The tests hold it to three independent oracles, the
-factorial expectation per tuple, sums of plain intersection probabilities
-over unordered index subsets, and F applied to z(j) built from
-:func:`eventbounds.core.exact_joint` (``tests/oracles.py``).  Moment
-values are checked once, where they enter from outside, in
+accumulators, held by the tests to three oracles (``tests/oracles.py``).
+Moment values are checked once, where they enter from outside, in
 :meth:`MomentSet.from_payload`; :class:`MomentVector` is a plain record.
 
 s_1(j) is the probability that all events of j occur; for d=0 it is 1.
@@ -26,12 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     EventSystem,
+    _plain_parts,
     _probability,
     atom_masses,
     binomial,
@@ -222,14 +221,10 @@ def _level_sums(weights: Mapping[int, Number], n: int, d: int) -> dict[tuple[int
 
 @dataclass(frozen=True)
 class MomentVector:
-    """The moments s_1(j)..s_ell(j) attached to one index tuple j: a plain
-    record, which nothing checks on construction.
-
-    j is a plain tuple of ints; the :class:`MomentSet` holding the vector
-    checks that it is an index tuple of order d, and that no other vector
-    of the set has it.  The values are checked once, where a moment file
-    is read (:meth:`MomentSet.from_payload`); the sums :func:`moment_set`
-    builds from a checked system need no check.
+    """The moments s_1(j)..s_ell(j) attached to one index tuple j, a plain
+    tuple of ints: a record that nothing checks on construction.  The
+    :class:`MomentSet` holding it checks j, and a file's values are checked
+    where it is read (:meth:`MomentSet.from_payload`).
     """
 
     j: tuple[int, ...]
@@ -291,7 +286,7 @@ class MomentSet:
         comparison of one tuple; float tuples give their values as they are
         for the picks, their floats for the dot products, and D = None.
         When the forms at the set's full order are all exact (:func:`moment_set`
-        hands over the integers it summed as those forms), they are sliced.
+        and a file's bulk read hand over their integers as those), they are sliced.
         """
         cached = self._forms.get(ell)
         if cached is None:
@@ -349,11 +344,12 @@ class MomentSet:
         or the first index tuple that has none.  This is the one place that
         checks moment values: each record must hold ell values, finite and
         nonnegative with s_1 <= 1, within float range when the file holds a
-        float, and each tuple's first min(ell, 3) orders must pass every
-        closed-form facet of the moment cone
-        (:func:`eventbounds.engine.check_realizable`; a necessary condition
-        only at ell >= 4, and per tuple).  A set built in code, such as
-        :func:`moment_set`'s, is not value-checked.
+        float, and each tuple's first min(ell, 3) orders must pass the moment
+        cone's facets (:func:`eventbounds.engine.check_realizable`).  A set
+        built in code, such as :func:`moment_set`'s, is not value-checked.
+        A file of plain ratios is read in bulk (:func:`_plain_vectors`); the
+        per-value loop reads any other file and alone raises, so both routes
+        give the same set and the same messages.
         """
         from .engine import check_realizable  # the engine imports this module
         if not isinstance(payload, dict):
@@ -367,9 +363,10 @@ class MomentSet:
                 raise InputFormatError(f'"{name}" must be an integer, got {value!r}')
         if not isinstance(entries, list):
             raise InputFormatError('"s" must be a list of moment records')
-        vectors = []
+        plain = _plain_vectors(entries, ell)
+        vectors = [] if plain is None else plain[0]
         try:
-            for index, record in enumerate(entries):
+            for index, record in enumerate(entries if plain is None else ()):
                 j, values = record["j"], record["values"]
                 if not isinstance(j, list) or any(type(k) is not int for k in j):
                     raise InputFormatError(
@@ -391,7 +388,9 @@ class MomentSet:
                     raise ValueError(f"s_1 = {values[0]} exceeds 1")
                 vectors.append(MomentVector(tuple(j), values))
             moments = cls(n=n, d=d, ell=ell, vectors=vectors)
-            if not all(all_exact(vector.values) for vector in vectors):  # summed in floats
+            if plain is not None:  # each form in the set's order of j
+                moments._forms[ell] = (tuple(plain[1][vector.j] for vector in moments), True)
+            elif not all(all_exact(vector.values) for vector in vectors):  # summed in floats
                 for index, vector in enumerate(vectors):
                     try:
                         list(map(float, vector.values))
@@ -461,6 +460,34 @@ def moment_set(sys: EventSystem, d: int, ell: int) -> MomentSet:
         values = tuple(float(row[k]) * dfact / math.factorial(k + d) for k in range(ell))
         vectors.append(MomentVector(j, values))
     return MomentSet(n=n, d=d, ell=ell, vectors=tuple(vectors))
+
+
+def _plain_vectors(entries: list, ell: int) -> Optional[tuple[list, dict]]:
+    """The vectors of a file whose records are dicts of a "j" list of ints and
+    ell plain ratios (``core._plain_parts``) with s_1 <= 1, and each j's exact
+    form as :func:`_form` gives it; None for any other file."""
+    try:
+        js, rows = [record["j"] for record in entries], [record["values"] for record in entries]
+    except (KeyError, TypeError):
+        return None
+    if ell < 1 or not all(isinstance(row, list) and len(row) == ell for row in rows):
+        return None
+    if not all(isinstance(j, list) for j in js) or any(type(k) is not int for j in js for k in j):
+        return None
+    parts = _plain_parts(list(itertools.chain.from_iterable(rows)))
+    if parts is None or any(map(operator.gt, parts[0][::ell], parts[1][::ell])):  # s_1 > 1
+        return None
+    divisors = list(map(math.gcd, *parts))
+    numerators, denominators = (list(map(operator.floordiv, x, divisors)) for x in parts)
+    values, vectors, forms = list(map(rational, numerators, denominators)), [], {}
+    for start, j in zip(range(0, len(values), ell), map(tuple, js)):
+        stop = start + ell
+        common = math.lcm(*denominators[start:stop])
+        scales = map(operator.floordiv, itertools.repeat(common), denominators[start:stop])
+        row = tuple(map(operator.mul, numerators[start:stop], scales))
+        vectors.append(MomentVector(j, tuple(values[start:stop])))
+        forms[j] = (row, row, common)
+    return vectors, forms
 
 
 def _is_index_tuple(j: tuple[int, ...], n: int, d: int) -> bool:

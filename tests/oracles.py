@@ -12,7 +12,12 @@ solves a small system on ``Fraction``s, ``integer_solve`` gives its
 solution as integer numerators over |det|, ``realizable`` asks whether
 some z >= 0 has the moments, and ``dual_gaps`` and ``feasible_sides``
 compare b = F^T a with a target vector v on ``Fraction``s: the dual
-engine's and the checker's tests hold them to these.  ``partition_fault``
+engine's and the checker's tests hold them to these.
+``check_realizable_by_scan`` tests every tuple against every facet of
+``engine._facets``, and ``moments_by_values`` reads a moment file by its
+per-value loop alone, value by value with ``to_number``; the tests hold
+:func:`eventbounds.engine.check_realizable` and
+:meth:`eventbounds.moments.MomentSet.from_payload` to them.  ``partition_fault``
 scans a partition's atoms one by one for the message
 :class:`eventbounds.conditional.PartitionField` must raise.
 """
@@ -21,8 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+from eventbounds import engine
 
 from eventbounds.core import (
     EventSystem,
@@ -32,8 +40,18 @@ from eventbounds.core import (
     exact_joint,
     falling_factorial,
 )
-from eventbounds.moments import MomentMatrix, MomentVector
-from eventbounds.numerics import Number, rational, zero
+from eventbounds.errors import InfeasibleMomentsError, InputFormatError
+from eventbounds.moments import MomentMatrix, MomentSet, MomentVector
+from eventbounds.numerics import (
+    DEFAULT_TOLERANCE,
+    Number,
+    all_exact,
+    encode_number,
+    leq,
+    rational,
+    to_number,
+    zero,
+)
 
 
 def moments_via_factorial(sys: EventSystem, j: Iterable[int], ell: int) -> MomentVector:
@@ -256,3 +274,78 @@ def partition_fault(n: int, blocks: Sequence[Sequence[object]]) -> str | None:
             seen.add(atom)
     missing = [atom for atom in range(size) if atom not in seen]
     return f"blocks do not cover all atoms; atom {missing[0]} is missing" if missing else None
+
+
+def check_realizable_by_scan(moments: MomentSet) -> None:
+    """Reject moments off the cone at their first min(ell, 3) orders, testing
+    every tuple against every facet normal of ``engine._facets``, exact or
+    float, with the message of :func:`eventbounds.engine.check_realizable`."""
+    positions = moments.n - moments.d + 1
+    orders = min(moments.ell, 3, positions)
+    if orders < 2:
+        return
+    facets = engine._facets(positions, moments.d, orders)
+    for vector, (_, s, den) in zip(moments, moments.forms(orders)[0]):
+        slack = 0 if den else DEFAULT_TOLERANCE
+        if any(sum(map(operator.mul, a, s)) < -slack * scale for a, scale in facets):
+            values = vector.values[:orders]
+            raise InfeasibleMomentsError(
+                f"no distribution has the moments {[encode_number(x) for x in values]} "
+                f"at j={list(vector.j)}: no occurrence vector z >= 0 gives them"
+            )
+
+
+def moments_by_values(payload: object) -> MomentSet:
+    """A moment file read record by record and value by value with
+    ``to_number``, with the checks and messages of ``MomentSet.from_payload``
+    in its order, and the facets scanned (:func:`check_realizable_by_scan`)."""
+    if not isinstance(payload, dict):
+        raise InputFormatError("moment payload must be a JSON object")
+    try:
+        n, d, ell, entries = payload["n"], payload["d"], payload["ell"], payload["s"]
+    except KeyError as exc:
+        raise InputFormatError(f"moment payload missing key {exc}") from None
+    for name, value in (("n", n), ("d", d), ("ell", ell)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputFormatError(f'"{name}" must be an integer, got {value!r}')
+    if not isinstance(entries, list):
+        raise InputFormatError('"s" must be a list of moment records')
+    vectors = []
+    try:
+        for index, record in enumerate(entries):
+            j, values = record["j"], record["values"]
+            if not isinstance(j, list) or any(type(k) is not int for k in j):
+                raise InputFormatError(
+                    f'moment record s[{index}]: "j" must be a list of integers, got {j!r}'
+                )
+            if not isinstance(values, list):
+                raise InputFormatError(f'"values" must be a list of numbers, got {values!r}')
+            values = tuple(to_number(x) for x in values)
+            if ell < 1:
+                raise ValueError(f"need ell >= 1, got ell={ell}")
+            if len(values) != ell:
+                raise ValueError(f"expected {ell} moment values, got {len(values)}")
+            for value in values:
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"moment {value!r} is not finite")
+                if not leq(0, value):
+                    raise ValueError(f"negative moment {value}")
+            if not leq(values[0], 1):
+                raise ValueError(f"s_1 = {values[0]} exceeds 1")
+            vectors.append(MomentVector(tuple(j), values))
+        moments = MomentSet(n=n, d=d, ell=ell, vectors=vectors)
+        if not all(all_exact(vector.values) for vector in vectors):
+            for index, vector in enumerate(vectors):
+                try:
+                    list(map(float, vector.values))
+                except OverflowError:
+                    raise ValueError(
+                        f"moment record s[{index}] holds a value too large for a float, "
+                        "in a file that holds floats"
+                    ) from None
+    except (KeyError, TypeError) as exc:
+        raise InputFormatError(f"malformed moment record: {exc}") from None
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
+    check_realizable_by_scan(moments)
+    return moments

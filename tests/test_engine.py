@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    check_realizable_by_scan,
     determinant,
     dual_gaps,
     feasible_sides,
@@ -530,6 +531,43 @@ class TestBasisTable:
             pattern = rf"; solved={solved} rejected=0 at \d+\.\d us/candidate; slowest "
             assert re.search(pattern, summary), summary
 
+    def test_search_request_times_script_runs(self):
+        """``scripts/search_request_times.py`` splits each search-moments-shaped
+        request, each in a fresh interpreter, into its timed pieces, with
+        their net tracked allocations."""
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [
+                sys.executable, str(root / "scripts" / "search_request_times.py"),
+                "--tuple-n", "5", "--single-n", "6", "--repeat", "1",
+            ],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        lines = result.stdout.splitlines()
+        assert lines[0].split() == [
+            "request", "parse", "realize", "candidates", "solves", "checks", "evaluate",
+            "payload", "json", "total",
+        ]
+        names = [
+            "n5-d1-ell4-upper-at-least", "n5-d1-ell5-lower-exactly",
+            "n6-d0-ell4-upper-at-least", "n6-d0-ell4-lower-exactly",
+        ]
+        for line, name in zip(lines[2:6], names):
+            assert re.fullmatch(rf"{name}(\s+-?\d+/-?\d+){{9}}\s*", line), line
+        assert re.fullmatch(r"pass \(us\)(\s+-?\d+){9}", lines[6]), lines[6]
+
+    def test_a_payload_encodes_each_row_once(self):
+        """The terms on one row share its coefficients tuple, which the payload
+        encodes once; each term still gets a list of its own."""
+        moments = moment_set(EventSystem(n=6, weights={m: Fraction(1, 64) for m in range(64)}), 1, 4)
+        certificate = evaluate_request(moments, BoundRequest(r=3, d=1, ell=4))
+        terms = certificate.to_payload()["terms"]
+        assert terms == [term.to_payload() for term in certificate.terms]
+        assert len({id(term.coefficients) for term in certificate.terms}) < len(terms)
+        assert len({id(term["coefficients"]) for term in terms}) == len(terms)
+
     def test_closed_form_times_script_runs(self):
         """``scripts/closed_form_times.py`` prints the planned and unplanned
         closed-form cost per (ell, tuples), the fits, and the plan cache."""
@@ -680,6 +718,41 @@ class TestNonnegativeSolution:
                     }
                     assert zero_sets == edges, (positions, d, orders)
         assert normals == 4475
+
+    def test_five_facets_decide_as_the_full_scan(self):
+        """An exact tuple at 3 orders meets both end edges, the two edges
+        around the vertex and {1, N}; the verdict and message equal those of
+        every facet (``oracles.check_realizable_by_scan``), exact and as
+        floats.  The tuples lie on an edge {i, i+1} with s_3 moved by up to
+        +-3/97, or anywhere in [-1, 1]^3, s_1 <= 0 included."""
+        rng = random.Random(34)
+        verdicts = collections.Counter()
+        for _ in range(4000):
+            d = rng.choice((0, 0, 1, 2))
+            n = rng.randint(d + 2, {0: 60, 1: 30, 2: 8}[d])
+            positions = n - d + 1
+            if rng.random() < 0.75:
+                i = rng.randint(1, positions - 1)
+                z = [rng.randint(1, 9) if x in (i, i + 1) else 0 for x in range(1, positions + 1)]
+                rows = moment_matrix(n, d, 3).rows
+                total = 2 * sum(map(operator.mul, rows[0], z))
+                s = [Fraction(sum(map(operator.mul, row, z)), total) for row in rows]
+                s[2] += Fraction(rng.randint(-3, 3), 97)
+            else:
+                s = [Fraction(rng.randint(-20, 20), 20) for _ in range(3)]
+            for values in (tuple(s), tuple(map(float, s))):
+                vectors = [MomentVector(j, values) for j in index_tuple_indices(n, d)]
+                moments = MomentSet(n=n, d=d, ell=3, vectors=vectors)
+                outcomes = []
+                for check in (check_realizable, check_realizable_by_scan):
+                    try:
+                        check(moments)
+                        outcomes.append(None)
+                    except InfeasibleMomentsError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (n, d, values)
+                verdicts[type(values[0]).__name__, outcomes[0] is None] += 1
+        assert min(verdicts.values()) > 500, verdicts
 
     def test_verdict_equals_the_index_set_oracle(self):
         """Every shape with n <= 8: a tuple passes exactly when some index set

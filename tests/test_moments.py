@@ -1,5 +1,6 @@
 """Moment matrices, moment vectors, and the decomposition identities."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -24,12 +25,19 @@ from eventbounds.moments import (
     MomentSet,
     MomentVector,
     _level_sums,
+    _plain_vectors,
     moment_matrix,
     moment_set,
     verify_decomposition,
 )
 from eventbounds.verification import floatize, random_system
-from oracles import level_sums_by_tuple, moments_via_factorial, moments_via_subsets, z_via_joint
+from oracles import (
+    level_sums_by_tuple,
+    moments_by_values,
+    moments_via_factorial,
+    moments_via_subsets,
+    z_via_joint,
+)
 
 
 def fair(n):
@@ -337,6 +345,90 @@ class TestMomentSetPayload:
         payload["s"][2]["values"] = ["1/2", "3/4", "0"]
         with pytest.raises(InfeasibleMomentsError, match="j=\\[3\\]"):
             MomentSet.from_payload(payload)
+
+
+def _moment_file_corpus():
+    """(name, payload, whether the bulk read takes it) for moment files on
+    either side of the bulk read of plain ratios, valid and invalid."""
+    system = normalize(4, {0: 1, 3: 2, 5: 3, 6: 1, 14: 5, 15: 7})
+    base = moment_set(system, 1, 3).to_payload()
+    single = moment_set(system, 0, 4).to_payload()  # s_1 is the integer "1"
+
+    def edited(payload, record, order, value):
+        payload = json.loads(json.dumps(payload))
+        payload["s"][record]["values"][order] = value
+        return payload
+
+    def digits(text, zero):
+        return "".join(chr(ord(zero) + int(c)) if c.isdigit() else c for c in text)
+
+    second = base["s"][0]["values"][1]
+    numerator, denominator = second.split("/")
+    unreduced = json.loads(json.dumps(base))
+    for record in unreduced["s"]:
+        record["values"] = [
+            f"{3 * int(a)}/{3 * int(b)}" if b else f"00{a}"
+            for a, _, b in (x.partition("/") for x in record["values"])
+        ]
+    unsorted, missing = json.loads(json.dumps(base)), json.loads(json.dumps(base))
+    unsorted["s"].reverse()
+    del missing["s"][1]["values"][2]
+    wide = "1" * 4000 + "/" + "1" + "0" * 4000
+    huge = "1" * 5000 + "/" + "1" + "0" * 5000
+    corpus = [
+        ("ratios", base, True),
+        ("integers", single, True),
+        ("unreduced-and-leading-zeros", unreduced, True),
+        ("unsorted-j", unsorted, True),
+        ("4000-digit-ratio", {"n": 3, "d": 0, "ell": 2, "s": [{"j": [], "values": ["1", wide]}]}, True),
+        ("off-the-cone", edited(edited(base, 2, 1, "3/4"), 2, 2, "0"), True),
+        ("space", edited(base, 0, 1, " " + second), False),
+        ("plus", edited(base, 0, 1, "+" + second), False),
+        ("minus-zero", edited(edited(base, 3, 1, "0"), 3, 2, "-0"), False),
+        ("underscore", edited(base, 0, 1, f"{numerator}/1_0"), False),
+        ("exponent", edited(base, 0, 2, "1e-3"), False),
+        ("full-width", edited(base, 0, 1, digits(second, "\uff10")), False),
+        ("arabic-indic", edited(base, 0, 1, digits(second, "\u0660")), False),
+        ("zero-denominator", edited(base, 1, 1, "1/0"), False),
+        ("5000-digit-numerator", edited(base, 0, 1, huge), False),
+        ("float-among-strings", edited(base, 1, 0, float(Fraction(base["s"][1]["values"][0]))), False),
+        ("bool", edited(base, 1, 2, True), False),
+        ("s1-above-one", edited(base, 2, 0, "3/2"), False),
+        ("wrong-count", missing, False),
+        ("zero-ell", {"n": 3, "d": 0, "ell": 0, "s": [{"j": [], "values": []}]}, False),
+        ("non-int-j", json.loads(json.dumps(base).replace('"j": [2]', '"j": [2.0]')), False),
+    ]
+    return corpus
+
+
+class TestBulkParse:
+    """``MomentSet.from_payload`` reads files of plain ratios in bulk, and
+    every file as the per-value loop reads it (``oracles.moments_by_values``)."""
+
+    @staticmethod
+    def read(parse, payload):
+        try:
+            moments = parse(json.loads(json.dumps(payload)))
+        except Exception as exc:
+            return type(exc), str(exc)
+        vectors = [(v.j, v.values, tuple(map(type, v.values))) for v in moments]
+        return vectors, moments.forms(moments.ell), moments.forms(2)
+
+    @pytest.mark.parametrize(
+        "name, payload, bulk", _moment_file_corpus(), ids=[c[0] for c in _moment_file_corpus()]
+    )
+    def test_every_file_reads_as_the_per_value_loop_reads_it(self, name, payload, bulk):
+        """The same vectors, values and forms, or the same exception class
+        and message; the plain-ratio files, and only they, are read in bulk."""
+        assert (_plain_vectors(payload["s"], payload["ell"]) is not None) == bulk
+        assert self.read(MomentSet.from_payload, payload) == self.read(moments_by_values, payload)
+
+    def test_the_corpus_holds_both_outcomes(self):
+        outcomes = collections.Counter(
+            (bulk, isinstance(self.read(MomentSet.from_payload, payload)[0], list))
+            for _, payload, bulk in _moment_file_corpus()
+        )
+        assert outcomes == {(True, True): 5, (True, False): 1, (False, True): 6, (False, False): 9}
 
 
 class TestLevelSums:
