@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .certificates import BoundCertificate, BoundRequest, header_payload
 from .core import EventSystem, _atom_count, _exact_weights, atom_masses, normalize
@@ -160,9 +160,9 @@ class AggregatedBound:
 
     Taking expectations preserves each block inequality, so the average
     of the clamped block values bounds the unconditional probability from
-    the same side.  When the unconditional certificate is attached,
-    ``margin`` is how much the aggregation sharpened it (nonnegative
-    means at least as tight).  On exact moments it is never negative.
+    the same side.  ``unconditional`` is the same request's unconditional
+    certificate and ``margin`` how much the aggregation sharpened it
+    (nonnegative: at least as tight), never negative on exact moments.
     Every bound is the least (upper) or greatest (lower) of functions
     linear in the moments, one per choice of a dual-feasible basis per
     index tuple, and which bases are dual feasible depends on the shape
@@ -181,28 +181,26 @@ class AggregatedBound:
     ell: int
     formula_id: str
     blocks: tuple[BlockBound, ...]
-    unconditional: Optional[BoundCertificate] = None
-    margin: Optional[Number] = None
+    unconditional: BoundCertificate
+    margin: Number
 
     def to_payload(self) -> dict:
         payload = header_payload(self)
         payload["blocks"] = [block.to_payload() for block in self.blocks]
-        if self.unconditional is not None:
-            payload["unconditional"] = self.unconditional.to_payload()
-        if self.margin is not None:
-            payload["margin"] = encode_number(self.margin)
+        payload["unconditional"] = self.unconditional.to_payload()
+        payload["margin"] = encode_number(self.margin)
         return payload
 
 
 def expectation_aggregate(
     block_bounds: tuple[BlockBound, ...] | list[BlockBound],
-    unconditional: Optional[BoundCertificate] = None,
+    unconditional: BoundCertificate,
 ) -> AggregatedBound:
     """Average per-block clamped bounds by block weight.
 
-    All blocks must carry the same side, target and parameters.  The
-    positive-weight blocks carry the whole mass, so the weights sum to
-    one and the average is a convex combination.
+    All blocks, and ``unconditional`` but for ell, share side, target
+    and parameters.  The positive-weight blocks carry the whole mass, so
+    the weights sum to one and the average is a convex combination.
     """
     blocks = tuple(block_bounds)
     if not blocks:
@@ -216,14 +214,9 @@ def expectation_aggregate(
     value = dot_product(weights, values)
     formula_ids = {block.certificate.formula_id for block in blocks}
     formula_id = formula_ids.pop() if len(formula_ids) == 1 else "mixed"
-    margin = None
-    if unconditional is not None:
-        if request(unconditional)[:4] != request(first)[:4]:
-            raise ValueError("the unconditional certificate must answer the same side, target, r, d")
-        if first.side == "upper":
-            margin = unconditional.clamped - value
-        else:
-            margin = value - unconditional.clamped
+    if request(unconditional)[:4] != request(first)[:4]:
+        raise ValueError("the unconditional certificate must answer the same side, target, r, d")
+    margin = unconditional.clamped - value if first.side == "upper" else value - unconditional.clamped
     return AggregatedBound(
         value=value,
         clamped=clamp01(value),

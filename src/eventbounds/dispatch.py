@@ -1,14 +1,15 @@
-"""Route bound requests to the closed-form families or the generic engine.
+"""Route bound requests: the closed-form families or the index-set search.
 
 The closed forms cover only the first two or three moment orders; any
-other order, or an explicit request, goes through the index-set search.
-A request naming a formula gets exactly that family or an error; a
-request without one gets the best applicable bound for its moment order.
-Each entry checks its request once (:meth:`BoundRequest.check`); the
-functions behind it trust the request.  Which families serve a
-closed-form request is decided in one place, :func:`_closed_forms`, and
-each windowed family picks its own window; :func:`evaluate_request`
-gives the order of the checks and how the closed-form plans are cached.
+other order, "search", or "jordan" (full order, where the search's one
+set is every position) goes through the search.  A request naming a
+family gets exactly that family or an error; a request without one gets
+the best applicable bound for its moment order.  Each entry checks its
+request once (:meth:`BoundRequest.check`); the functions behind it trust
+the request.  Which families serve a closed-form request is decided in
+one place, :func:`_plan`, and each windowed family picks its own window;
+:func:`evaluate_request` gives the order of the checks and how the
+closed-form plans are cached.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .certificates import SIDES, TARGETS, BoundCertificate, BoundRequest
 from .core import EventSystem
 from .engine import dual_bases, target_vector
 from .errors import NotApplicableError
-from .families import evaluate, family_source, row_source, solved_row
+from .families import evaluate, family_source, row_source
 from .moments import MomentSet, moment_matrix, moment_set
 
 #: Every closed-form family by name, in tie-breaking order.
@@ -60,10 +61,12 @@ def request_grid(system: EventSystem) -> Iterator[tuple[MomentSet, BoundRequest]
                         yield moments, request
 
 
-def _closed_forms(n: int, request: BoundRequest) -> tuple[tuple, bool]:
-    """The closed-form families that serve a checked closed-form request,
-    and whether they combine per index tuple.  Raises in the order
-    :func:`evaluate_request` states."""
+@lru_cache(maxsize=MAX_PLANS)
+def _plan(n: int, request: BoundRequest) -> tuple[tuple, tuple, bool]:
+    """The sources, labels and ``per_tuple`` of a checked closed-form
+    request: the families that serve it, and whether they combine per
+    index tuple.  Raises in the order :func:`evaluate_request` states; a
+    request that raises is not cached."""
     r, d, side, target = request.r, request.d, request.side, request.target
     formula = request.formula
     if formula is None:
@@ -74,27 +77,19 @@ def _closed_forms(n: int, request: BoundRequest) -> tuple[tuple, bool]:
                 f"no {request.ell}-moment {side} bound applies to target={target!r}, "
                 f"r={r}, d={d}, n={n}"
             )
-        return families, per_tuple
-    family = FAMILY_TABLE.get(formula)
-    if family is None:
-        raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
-    if side != family.side:
-        raise ValueError(f"formula {formula!r} produces {family.side} bounds, request says {side}")
-    if request.ell != family.ell:
-        raise ValueError(f"formula {formula!r} uses ell={family.ell}, request says {request.ell}")
-    if not family.applies(n, r, d, target):
-        raise NotApplicableError(
-            f"formula {formula!r} does not apply to target={target!r} at r={r}, d={d}, n={n}"
-        )
-    return (family,), True
-
-
-@lru_cache(maxsize=MAX_PLANS)
-def _plan(n: int, request: BoundRequest) -> tuple[tuple, tuple, bool]:
-    """The sources, labels and ``per_tuple`` of a checked closed-form
-    request; a request that raises is not cached."""
-    families, per_tuple = _closed_forms(n, request)
-    r, d, target = request.r, request.d, request.target
+    else:
+        family = FAMILY_TABLE.get(formula)
+        if family is None:
+            raise ValueError(f"unknown formula {formula!r}; known: {FORMULAS}")
+        if side != family.side:
+            raise ValueError(f"formula {formula!r} produces {family.side} bounds, request says {side}")
+        if request.ell != family.ell:
+            raise ValueError(f"formula {formula!r} uses ell={family.ell}, request says {request.ell}")
+        if not family.applies(n, r, d, target):
+            raise NotApplicableError(
+                f"formula {formula!r} does not apply to target={target!r} at r={r}, d={d}, n={n}"
+            )
+        families, per_tuple = (family,), True
     sources = tuple(family_source(family, n, r, d, target) for family in families)
     return sources, tuple(family.name for family in families), per_tuple
 
@@ -105,20 +100,21 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
     Without a formula: the best applicable closed form at ell 2 or 3, the
     index-set search otherwise.  With a formula: that family exactly
     (side and moment order must agree), "search" for the enumeration, or
-    "jordan" for the exact full-order evaluation.  A set with more orders
-    than the request is read at its first ``request.ell``, with no copy.
+    "jordan", the search at full order, whose label it keeps.  A set with
+    more orders than the request is read at its first ``request.ell``,
+    with no copy.
 
     Checks raise in this order (ValueError unless NotApplicableError is
     named): the set's d and orders against the request;
     :meth:`BoundRequest.check`.  Then best-of: no family of the side
     applies (NotApplicableError).  Named: an unknown name, the side, the
-    order, applicability (NotApplicableError).  Last, no side-feasible
-    index set for the search, or an order other than n-d+1 for Jordan
+    order, applicability (NotApplicableError).  Last, for "jordan" an
+    order other than n-d+1, then no side-feasible index set
     (NotApplicableError).  A windowed family takes its sharpest window per
     index tuple; a request pins none.
 
     A closed-form request's plan is resolved once per (n, request) and
-    process; failures are not cached, and search and Jordan do not use it.
+    process; failures are not cached, and the search does not use it.
     """
     if moments.d != request.d:
         raise ValueError(f"moment set has d={moments.d}, request asks for d={request.d}")
@@ -131,17 +127,13 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
     formula = request.formula
     if formula not in ("search", "jordan") and (formula is not None or request.ell in _BEST_OF):
         sources, labels, per_tuple = _plan(n, request)
-    elif formula == "jordan":
-        # At full order the row solved at every position makes b = v, so
-        # s . a is the target probability itself.
-        positions = n - d + 1
-        if request.ell != positions:
-            raise NotApplicableError(
-                f"exact evaluation needs ell = n-d+1 = {positions}, got ell={request.ell}"
-            )
-        row = solved_row(n, r, d, target, tuple(range(1, positions + 1)), None)
-        sources, labels, per_tuple = [row_source((row,), side)], ["jordan"], True
+    elif formula == "jordan" and request.ell != n - d + 1:
+        raise NotApplicableError(
+            f"exact evaluation needs ell = n-d+1 = {n - d + 1}, got ell={request.ell}"
+        )
     else:
+        # At full order the one stored set is every position, so b = v and
+        # s . a is the target probability itself (Jordan's formula).
         fmat, v = moment_matrix(n, d, request.ell), target_vector(n, d, r, target)
         table = dual_bases(fmat, v, side)
         if not table.bases:
@@ -149,7 +141,7 @@ def evaluate_request(moments: MomentSet, request: BoundRequest) -> BoundCertific
                 f"no {side}-feasible index set at ell={request.ell} "
                 f"for target={target!r}, r={r}, d={d}, n={n}"
             )
-        sources, labels, per_tuple = [row_source(table.bases, side)], ["search"], True
+        sources, labels, per_tuple = [row_source(table.bases, side)], [formula or "search"], True
     return evaluate(sources, labels, moments, request, per_tuple)
 
 

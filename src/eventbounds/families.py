@@ -14,7 +14,7 @@ through this module.
 A *source* maps one index tuple's moment form to its (key, row) choice:
 a family's fixed row, the best of the windows its ``pick`` proposes
 (:func:`family_source`), or the best row of a row set, which is how the
-index-set search, the full-order (Jordan) row and one window's row are
+index-set search, full order (Jordan) included, and one window's row are
 read (:func:`row_source`).  :func:`evaluate` combines the sources of one
 request into its certificate, so every certificate comes from one path.
 Nothing here checks a request: which families serve it, and every check,
@@ -137,8 +137,8 @@ def _total(choices: list[tuple], forms: Sequence, exact: bool) -> Number:
 
 def row_source(rows: Sequence[Row], side: str) -> Callable:
     """The source that takes per form the (key, row) of the extremal row in
-    ``rows``, ties the first: the index-set search's table, or one fixed row
-    (a family's, or the full-order Jordan row), read with no comparison."""
+    ``rows``, ties the first: the index-set search's table (one row at full
+    order), or a family's fixed row, read with no comparison."""
     if len(rows) == 1:
         (row,) = rows
         return lambda form: (_key(row, form), row)

@@ -321,10 +321,10 @@ def suite_witness_closure(
 
 
 def suite_jordan(trials: int = 100, n_max: int = 8, seed: int = 42) -> SuiteReport:
-    """At full moment order the engine reproduces the oracle exactly for
-    all r and all d with at least two moment positions, and each
-    certificate passes :func:`check_certificate`: its index set is every
-    position, so b = F^T a equals v throughout."""
+    """At full moment order the index-set search ("jordan") reproduces the
+    oracle exactly for all r and all d below n, and each certificate
+    passes :func:`check_certificate`: the search's one feasible set is
+    every position, so b = F^T a equals v throughout."""
 
     def check(rng, system):
         n = system.n

@@ -822,7 +822,9 @@ def _brackets_the_binomial_tail(capsys, tmp_path, ell, d=0):
 
 
 def test_cli_outputs_script_runs():
-    """``scripts/cli_outputs.py`` digests exact, sweep, bound and conditional calls."""
+    """``scripts/cli_outputs.py`` digests exact, sweep, bound and conditional
+    calls, and the quick run's digests are pinned, so every test run checks
+    that no output byte or exit code moved."""
     root = Path(__file__).resolve().parent.parent
     path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
@@ -837,5 +839,9 @@ def test_cli_outputs_script_runs():
     commands = {json.loads(line)[0].split()[0] for line in calls}
     assert commands == {"exact", "sweep", "bound", "conditional"}
     assert "--moments" in " ".join(json.loads(line)[0] for line in calls)
-    assert summary.startswith(f"{len(calls)} calls, stdout and exit codes sha256 ")
-    assert ", with stderr " in summary
+    assert summary == (
+        "217 calls, stdout and exit codes sha256 "
+        "a15d8d437f029dfe966971c8393fbb3f6d0ddadc1b305c2ae3305cdca19f0d45, with stderr "
+        "97f62c8d1097b4b2fda9995092cb6a9759685f0bb57ed93c66179af65d863a00"
+    )
+    assert len(calls) == 217

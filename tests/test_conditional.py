@@ -278,20 +278,19 @@ class TestAggregation:
     def test_mixed_formulas_are_labeled_mixed(self, fair3, by_third_event):
         request = BoundRequest(r=2, d=0, ell=3, side="upper")
         blocks = conditional_bound(fair3, by_third_event, request)
-        aggregate = expectation_aggregate(blocks)
+        aggregate = expectation_aggregate(blocks, bound_for_system(fair3, request))
         if len({b.certificate.formula_id for b in blocks}) > 1:
             assert aggregate.formula_id == "mixed"
         assert aggregate.clamped >= exact_occurrence(fair3).at_least(2)
 
     def test_rejects_mixed_parameters(self, fair3, by_third_event):
-        upper = conditional_bound(
-            fair3, by_third_event, BoundRequest(r=2, d=0, ell=2, side="upper")
-        )
+        request = BoundRequest(r=2, d=0, ell=2, side="upper")
+        upper = conditional_bound(fair3, by_third_event, request)
         lower = conditional_bound(
             fair3, by_third_event, BoundRequest(r=2, d=0, ell=2, side="lower")
         )
         with pytest.raises(ValueError, match="mixed block certificates"):
-            expectation_aggregate((upper[0], lower[1]))
+            expectation_aggregate((upper[0], lower[1]), bound_for_system(fair3, request))
 
     def test_rejects_a_mismatched_unconditional(self, fair3, by_third_event):
         request = BoundRequest(r=2, d=0, ell=2, side="upper")
@@ -300,9 +299,10 @@ class TestAggregation:
         with pytest.raises(ValueError, match="same side, target"):
             expectation_aggregate(blocks, other)
 
-    def test_rejects_an_empty_block_list(self):
+    def test_rejects_an_empty_block_list(self, fair3):
+        request = BoundRequest(r=2, d=0, ell=2, side="upper")
         with pytest.raises(ValueError, match="nothing to aggregate"):
-            expectation_aggregate(())
+            expectation_aggregate((), bound_for_system(fair3, request))
 
     def test_payload_carries_the_story(self, fair3, by_third_event):
         request = BoundRequest(r=2, d=0, ell=2, side="upper", formula="u1")

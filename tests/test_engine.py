@@ -45,6 +45,7 @@ from eventbounds.errors import (
 )
 from eventbounds.moments import MomentSet, MomentVector, moment_matrix, moment_set
 from eventbounds.numerics import dot_product
+from eventbounds.verification import floatize, random_system
 
 
 def fair(n):
@@ -813,6 +814,37 @@ class TestJordan:
         message = "exact evaluation needs ell = n-d+1 = 4, got ell=2"
         with pytest.raises(NotApplicableError, match=re.escape(message)):
             evaluate_request(single_tuple(3, S), BoundRequest(r=1, d=0, ell=2, formula="jordan"))
+
+    def test_is_the_search_at_full_order(self):
+        """At ell = n-d+1 the search's one feasible set is every position, so
+        a "jordan" request and a "search" one give the same payload but for
+        every formula label, exact and float, at every d < n, r, side and
+        target."""
+
+        def labels(payload):
+            found = [payload.pop("formula")]
+            for term in payload["terms"]:
+                found.append(term.pop("formula"))
+            return set(found)
+
+        rng, requests = random.Random(9), 0
+        for _ in range(40):
+            exact = random_system(rng, rng.randint(2, 6))
+            for system in (exact, floatize(exact)):
+                n = system.n
+                for d in range(n):
+                    moments = moment_set(system, d, n - d + 1)
+                    grid = itertools.product(range(d, n + 1), SIDES, TARGETS)
+                    for r, side, target in grid:
+                        request = dict(r=r, d=d, ell=moments.ell, side=side, target=target)
+                        jordan = BoundRequest(**request, formula="jordan")
+                        jordan = evaluate_request(moments, jordan).to_payload()
+                        search = BoundRequest(**request, formula="search")
+                        search = evaluate_request(moments, search).to_payload()
+                        assert (labels(jordan), labels(search)) == ({"jordan"}, {"search"})
+                        assert jordan == search, (n, d, r, side, target)
+                        requests += 1
+        assert requests == 4880
 
 
 class TestLinearSolveEdgeCases:

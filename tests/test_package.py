@@ -2,9 +2,9 @@
 constant, the family coefficients have one source, certificates have one
 evaluator, the certificate checker shares no code with it, the randomized
 suites have one runner, exact weights have one builder, moment values are
-checked in one place, which family applies where is read in one place, no
-object writes another's frozen fields, and every module-level import is
-read."""
+checked in one place, which family applies where is read in one place,
+family rows are solved for the families alone, no object writes another's
+frozen fields, and every module-level import is read."""
 
 import ast
 import os
@@ -177,11 +177,11 @@ def test_moment_values_are_checked_in_one_place():
 
 def test_applicability_has_one_reader():
     """Which family applies where is decided in one place: in src/, the
-    attribute applies is read only inside dispatch._closed_forms."""
+    attribute applies is read only inside dispatch._plan."""
     reads, inside = [], set()
     for path in sorted(Path(eventbounds.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.FunctionDef) and node.name == "_closed_forms":
+            if isinstance(node, ast.FunctionDef) and node.name == "_plan":
                 if path.name == "dispatch.py":
                     inside.update(range(node.lineno, node.end_lineno + 1))
             elif isinstance(node, ast.Attribute) and node.attr == "applies":
@@ -189,7 +189,25 @@ def test_applicability_has_one_reader():
     offenders = [
         f"{name}:{line}" for name, line in reads if name != "dispatch.py" or line not in inside
     ]
-    assert reads and not offenders, f"applies read outside dispatch._closed_forms at {offenders}"
+    assert reads and not offenders, f"applies read outside dispatch._plan at {offenders}"
+
+
+def test_family_rows_are_solved_for_the_families_alone():
+    """families.solved_row serves the closed-form families: in src/ it is
+    named, imported or called only in bounds_l2, bounds_l3 and families, so
+    every other request, the full-order one included, reads the search."""
+    allowed = {"bounds_l2.py", "bounds_l3.py", "families.py"}
+    uses, offenders = [], []
+    for path in sorted(Path(eventbounds.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            word = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                word = node.name
+            if word == "solved_row":
+                uses.append(path.name)
+                if path.name not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert uses and not offenders, f"solved_row used at {offenders}"
 
 
 def test_no_frozen_field_is_written_from_outside():

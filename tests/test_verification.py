@@ -11,7 +11,7 @@ from eventbounds import bounds_l2, bounds_l3, dispatch
 from eventbounds.certificates import BoundCertificate, BoundRequest
 from eventbounds.checker import check_certificate
 from eventbounds.conditional import expectation_aggregate
-from eventbounds.core import EventSystem
+from eventbounds.core import EventSystem, exact_occurrence
 from eventbounds.dispatch import evaluate_request
 from eventbounds.engine import Row
 from eventbounds.moments import _level_sums, moment_set
@@ -219,9 +219,27 @@ class TestMutationSensitivity:
             monkeypatch.setattr(module, "window_candidates", lambda num, den, lo, hi: (lo,))
         _assert_caught(suite_optimal_m(trials=10, n_max=6, seed=7), "optimal-m")
 
-    def test_jordan_catches_a_skewed_full_order_row(self, monkeypatch, fresh_plans):
-        skewed = _skewed(dispatch.solved_row, lambda n, r, d: tuple(range(1, n - d + 2)))
-        monkeypatch.setattr(dispatch, "solved_row", skewed)
+    def test_jordan_catches_a_skewed_full_order_row(self, monkeypatch):
+        """The one row the search stores at full order, every position,
+        skewed after the table's own check: both the value and the checker
+        comparison see it, and the suite fails."""
+        original = dispatch.dual_bases
+
+        def skewed(fmat, v, side):
+            table = original(fmat, v, side)
+            if fmat.ell != fmat.positions:
+                return table
+            (row,) = table.bases
+            a, b, *rest = row.numerators
+            row = Row(row.index_set, row.m, (a, b - row.den, *rest), row.den)
+            return dataclasses.replace(table, bases=(row,))
+
+        monkeypatch.setattr(dispatch, "dual_bases", skewed)
+        system = random_system(random.Random("jordan"), 4)
+        moments = moment_set(system, 0, 5)
+        certificate = evaluate_request(moments, BoundRequest(r=2, d=0, ell=5, formula="jordan"))
+        assert certificate.value != exact_occurrence(system).at_least(2)
+        assert check_certificate(certificate, moments)
         _assert_caught(suite_jordan(trials=5, n_max=6, seed=7), "jordan")
 
     def test_witness_closure_reports_a_check_that_raises(self, inflated_exact_witness):
