@@ -7,9 +7,12 @@ timed twice, best of ``--repeat`` single calls: *planned*,
 with its closed-form plan already cached, and *unplanned*, with the plan
 cache cleared before each call, so the plan is resolved again every time
 (the row cache stays warm in both).  One line per (ell, tuples) gives the
-request count and the median microseconds of each; the last lines give
-the least-squares fixed and per-tuple cost per ell, and the plan cache's
-``cache_info()``.  Run from the repository root:
+request count, the median microseconds of each, and the mean net
+GC-tracked allocations a planned request leaves alive: the rise of
+``gc.get_count()[0]`` over the call, with the collector paused and the
+certificate kept, which repeats exactly from run to run.  The last lines
+give the least-squares fixed and per-tuple cost per ell, and the plan
+cache's ``cache_info()``.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/closed_form_times.py --seed 7
 """
@@ -17,6 +20,7 @@ the least-squares fixed and per-tuple cost per ell, and the plan cache's
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import random
 import statistics
@@ -63,6 +67,15 @@ def main() -> None:
             ):
                 dispatch.evaluate_request(moments, request)
                 requests.append((moments, request))
+    kept, allocated = [], defaultdict(list)
+    gc.collect()
+    gc.disable()
+    for moments, request in requests:
+        count = gc.get_count()[0]
+        kept.append(dispatch.evaluate_request(moments, request))
+        allocated[request.ell, len(moments)].append(gc.get_count()[0] - count)
+    gc.enable()
+    del kept
     costs = defaultdict(list)
     for moments, request in requests:
         call = lambda: dispatch.evaluate_request(moments, request)  # noqa: E731
@@ -72,12 +85,15 @@ def main() -> None:
     dispatch._plan.cache_clear()
     for moments, request in requests:  # leave the cache as one pass leaves it
         dispatch.evaluate_request(moments, request)
-    print(f"{'ell':>3} {'tuples':>6} {'requests':>8} {'planned_us':>10} {'unplanned_us':>12}")
+    print(
+        f"{'ell':>3} {'tuples':>6} {'requests':>8} {'planned_us':>10} {'unplanned_us':>12} "
+        f"{'allocs':>6}"
+    )
     for (ell, tuples), pairs in sorted(costs.items()):
         planned, unplanned = zip(*pairs)
         print(
             f"{ell:>3} {tuples:>6} {len(pairs):>8} {statistics.median(planned):>10.1f} "
-            f"{statistics.median(unplanned):>12.1f}"
+            f"{statistics.median(unplanned):>12.1f} {statistics.fmean(allocated[ell, tuples]):>6.1f}"
         )
     for ell in sorted({ell for ell, _ in costs}):
         for column, name in ((0, "planned"), (1, "unplanned")):

@@ -23,14 +23,17 @@ through :func:`eventbounds.dispatch.evaluate_request`.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .certificates import SIDE_LOWER, SIDE_UPPER, TARGET_AT_LEAST
 from .families import Family, solved_row, window_candidates
 
 
-def _l2_windows(values, n: int, r: int, d: int, lo: int, hi: int) -> tuple[int, ...]:
-    """The bracket m-1 <= (d+1) s_2/s_1 <= m when s_1 > 0, else the endpoints."""
-    s1, s2 = values
-    return window_candidates((d + 1) * s2, s1, lo, hi)
+def _l2_windows(n: int, r: int, d: int, lo: int, hi: int) -> Callable:
+    """Per moment vector, the bracket m-1 <= (d+1) s_2/s_1 <= m when s_1 > 0,
+    else the endpoints."""
+    scale = d + 1
+    return lambda values: window_candidates(scale * values[1], values[0], lo, hi)
 
 
 FAMILY_ROWS = (

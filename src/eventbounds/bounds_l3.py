@@ -22,11 +22,11 @@ lower bounds
   * ``lb3`` (r = d, n - d >= 2): positions (m, m+1, N), m in 1..n-d-1;
     the exactly target uses the fixed window m = 1.
 
-Windows are picked per index tuple by the family's bracket rule
-(``_bracket``): the integer bracket when its sign condition holds (it
-comes from requiring the sharpness witness at the window to be
-nonnegative, so the bracketed window attains the bound), the range
-endpoints otherwise.  The families are evaluated through
+Windows are picked per index tuple by the family's bracket rule, whose
+constants ``_bracket`` fixes once per plan: the integer bracket when its
+sign condition holds (it comes from requiring the sharpness witness at
+the window to be nonnegative, so the bracketed window attains the
+bound), the range endpoints otherwise.  The families are evaluated through
 :mod:`eventbounds.families`; requests reach them through
 :func:`eventbounds.dispatch.evaluate_request`.
 """
@@ -34,32 +34,41 @@ endpoints otherwise.  The families are evaluated through
 from __future__ import annotations
 
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .certificates import SIDE_LOWER, SIDE_UPPER, TARGET_AT_LEAST, TARGETS
 from .families import Family, solved_row, window_candidates
 from .numerics import Number
 
 
-def _bracket(
-    rule: str, values: Sequence[Number], n: int, r: int, d: int, lo: int, hi: int
-) -> tuple[int, ...]:
-    """Candidate windows of one rule: the integer bracket when its sign
+def _bracket(rule: str, n: int, r: int, d: int, lo: int, hi: int) -> Callable:
+    """One rule's window function at one request shape, its constants fixed
+    once per plan: per moment vector, the integer bracket when its sign
     condition holds, the range endpoints otherwise."""
-    s1, s2, s3 = values
-    if rule == "mop":
-        den = (r - d) * s1 - (d + 1) * s2
-        num = (d + 1) * ((r - d - 1) * s2 - (d + 2) * s3)
-        if lo >= r - d + 2:
-            # High-range windows invert the quotient's sign condition.
-            den, num = -den, -num
-    elif rule == "mop1":
-        den = (d + 1) * s2 - (r - d - 1) * s1
-        num = (d + 1) * ((d + 2) * s3 - (r - d - 2) * s2)
-    else:
-        den = (n - d) * s1 - (d + 1) * s2
-        num = (d + 1) * ((n - d - 1) * s2 - (d + 2) * s3)
-    return window_candidates(num, den, lo, hi)
+    b, c = d + 1, d + 2
+    if rule == "mop1":
+        k, k2 = r - d - 1, r - d - 2
+
+        def windows(values: Sequence[Number]) -> tuple[int, ...]:
+            s1, s2, s3 = values
+            return window_candidates(b * (c * s3 - k2 * s2), b * s2 - k * s1, lo, hi)
+
+        return windows
+    k = r - d if rule == "mop" else n - d
+    k1 = k - 1
+    if rule == "mop" and lo >= r - d + 2:
+        # High-range windows invert the quotient's sign condition.
+        def windows(values: Sequence[Number]) -> tuple[int, ...]:
+            s1, s2, s3 = values
+            return window_candidates(-(b * (k1 * s2 - c * s3)), -(k * s1 - b * s2), lo, hi)
+
+        return windows
+
+    def windows(values: Sequence[Number]) -> tuple[int, ...]:
+        s1, s2, s3 = values
+        return window_candidates(b * (k1 * s2 - c * s3), k * s1 - b * s2, lo, hi)
+
+    return windows
 
 
 FAMILY_ROWS = (

@@ -92,21 +92,19 @@ class BoundTerm:
 class Terms(Sequence):
     """Read-only view of a certificate's terms, built on first read.
 
-    ``build()`` returns the :class:`BoundTerm` of each index tuple; it runs
-    once, on the first iteration or index, and ``len`` is ``count`` without
-    building anything.  ``rows`` holds the distinct rows the terms take
-    their ``coefficients``, ``index_set`` and ``m`` from, which is all
-    :func:`certificate_from_terms` reads to find the shared fields.  The
+    ``rows`` holds each index tuple's row, which is all
+    :func:`certificate_from_terms` reads to find the shared fields, and
+    ``len`` is its length; ``build()`` returns the :class:`BoundTerm` of
+    each index tuple, and runs once, on the first iteration or index.  The
     view compares equal to, and hashes like, the tuple of its terms.
     """
 
-    __slots__ = ("_count", "_build", "_terms", "_rows")
+    __slots__ = ("_rows", "_build", "_terms")
 
-    def __init__(self, count: int, build: Callable[[], Iterable[BoundTerm]], rows: Iterable) -> None:
-        self._count = count
+    def __init__(self, rows: Sequence, build: Callable[[], Iterable[BoundTerm]]) -> None:
+        self._rows = rows
         self._build = build
         self._terms: Optional[tuple[BoundTerm, ...]] = None
-        self._rows = rows
 
     def _built(self) -> tuple[BoundTerm, ...]:
         if self._terms is None:
@@ -115,7 +113,7 @@ class Terms(Sequence):
         return self._terms
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._rows)
 
     def __getitem__(self, index):
         return self._built()[index]
@@ -149,9 +147,25 @@ def header_payload(bound) -> dict:
     }
 
 
-@dataclass(frozen=True)
+def _check_fields(side: str, target: str, r: object, d: object, ell: object) -> None:
+    """Reject, in order, a side or target outside its choices, then an r, d
+    or ell that is not an integer (a bool is not one)."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    if target not in TARGETS:
+        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
+    if not type(r) is type(d) is type(ell) is int:  # the common case in one test
+        for name, value in (("r", r), ("d", d), ("ell", ell)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class BoundCertificate:
-    """A computed bound and its provenance.
+    """A computed bound and its provenance: a plain record that nothing
+    checks on construction.  The package builds it through
+    :func:`certificate_from_terms`, and a payload from outside is checked
+    where it is read (:meth:`from_payload`).
 
     ``value`` is the raw formula output, ``clamped`` its restriction to
     [0, 1].  When the coefficient vector, index set, or window position is
@@ -173,25 +187,6 @@ class BoundCertificate:
     m: Optional[int] = None
     terms: Sequence[BoundTerm] = ()
 
-    def __post_init__(self) -> None:
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
-        if self.target not in TARGETS:
-            raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if self.coefficients is not None:
-            object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if self.index_set is not None:
-            object.__setattr__(self, "index_set", tuple(self.index_set))
-        if not isinstance(self.terms, Terms):
-            object.__setattr__(self, "terms", tuple(self.terms))
-        clamped = self.clamped
-        if isinstance(clamped, float):
-            outside = clamped < -DEFAULT_TOLERANCE or clamped > 1 + DEFAULT_TOLERANCE
-        else:  # exactly: p/q with q > 0 lies in [0, 1] iff 0 <= p <= q
-            outside = not 0 <= clamped.numerator <= clamped.denominator
-        if outside:
-            raise ValueError(f"clamped value {self.clamped} outside [0, 1]")
-
     @property
     def exact(self) -> bool:
         return not isinstance(self.value, float)
@@ -211,23 +206,28 @@ class BoundCertificate:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "BoundCertificate":
-        coefficients = payload.get("coefficients")
+        """Read a certificate payload, then check in order its side, target,
+        r, d and ell (:func:`_check_fields`), and that ``clamped`` lies in
+        [0, 1], exactly or within DEFAULT_TOLERANCE for floats."""
+        coefficients, index_set = payload.get("coefficients"), payload.get("index_set")
         if coefficients is not None:
-            coefficients = tuple(to_number(c) for c in coefficients)
-        return cls(
-            value=to_number(payload["value"]),
-            clamped=to_number(payload["clamped"]),
-            side=payload["side"],
-            target=payload["target"],
-            r=payload["r"],
-            d=payload["d"],
-            ell=payload["ell"],
-            formula_id=payload["formula"],
-            coefficients=coefficients,
-            index_set=payload.get("index_set"),
+            coefficients = tuple(map(to_number, coefficients))
+        value, clamped = to_number(payload["value"]), to_number(payload["clamped"])
+        side, target, r, d, ell = (payload[name] for name in ("side", "target", "r", "d", "ell"))
+        certificate = cls(
+            value, clamped, side, target, r, d, ell, payload["formula"], coefficients,
+            index_set=None if index_set is None else tuple(index_set),
             m=payload.get("m"),
             terms=tuple(BoundTerm.from_payload(t) for t in payload.get("terms", ())),
         )
+        _check_fields(side, target, r, d, ell)
+        if isinstance(clamped, float):
+            outside = clamped < -DEFAULT_TOLERANCE or clamped > 1 + DEFAULT_TOLERANCE
+        else:  # exactly: p/q with q > 0 lies in [0, 1] iff 0 <= p <= q
+            outside = not 0 <= clamped.numerator <= clamped.denominator
+        if outside:
+            raise ValueError(f"clamped value {clamped} outside [0, 1]")
+        return certificate
 
 
 def certificate_from_terms(
@@ -243,12 +243,13 @@ def certificate_from_terms(
     """Assemble a certificate by summing per-tuple contributions.
 
     Top-level coefficients, index set and m are filled in when they agree
-    across all terms; a :class:`Terms` view is kept as it is, and its
-    rows stand in for the terms there.  A caller that has already
-    summed the term values passes the sum as ``value``.
+    across all terms, found in one pass over the distinct rows; a
+    :class:`Terms` view is kept as it is, and its rows stand in for the
+    terms there.  A caller that has already summed the term values passes
+    the sum as ``value``.
     """
     if isinstance(terms, Terms):
-        rows = terms._rows
+        rows = dict.fromkeys(terms._rows)
     else:
         rows = terms = tuple(terms)
     if not len(terms):
@@ -258,25 +259,18 @@ def certificate_from_terms(
         value = zero(exact)
         for term in terms:
             value = value + term.value if exact else value + float(term.value)
-    first = next(iter(rows))
-    shared_coeffs = first.coefficients if all(
-        t.coefficients == first.coefficients for t in rows
-    ) else None
-    shared_index = first.index_set if all(t.index_set == first.index_set for t in rows) else None
-    shared_m = first.m if all(t.m == first.m for t in rows) else None
+    rows = iter(rows)
+    first = next(rows)
+    coefficients, index_set, m = first.coefficients, first.index_set, first.m
+    for row in rows:  # a field that differs once is not shared
+        if coefficients is not None and row.coefficients != coefficients:
+            coefficients = None
+        if index_set is not None and row.index_set != index_set:
+            index_set = None
+        if row.m != m:
+            m = None
     return BoundCertificate(
-        value=value,
-        clamped=clamp01(value),
-        side=side,
-        target=target,
-        r=r,
-        d=d,
-        ell=ell,
-        formula_id=formula_id,
-        coefficients=shared_coeffs,
-        index_set=shared_index,
-        m=shared_m,
-        terms=terms,
+        value, clamp01(value), side, target, r, d, ell, formula_id, coefficients, index_set, m, terms
     )
 
 
@@ -297,13 +291,7 @@ class BoundRequest:
     formula: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
-        if self.target not in TARGETS:
-            raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
-        for name, value in (("r", self.r), ("d", self.d), ("ell", self.ell)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_fields(self.side, self.target, self.r, self.d, self.ell)
         if self.d < 0 or self.r < 0:
             raise ValueError(f"r and d must be nonnegative, got r={self.r}, d={self.d}")
         if self.ell < 2:

@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from .certificates import (
@@ -58,9 +58,11 @@ class Family:
     ``windows`` maps each target that has a window choice to its range
     ``(n, r, d) -> (lo, hi)``, and the family picks its window there per
     index tuple; a target missing from it uses a fixed row (``m`` None).
-    ``pick(values, n, r, d, lo, hi)`` proposes the candidate windows for
-    one moment vector, in increasing order; it gets integer numerators
-    for exact moments, which leave every bracket unchanged.
+    ``pick(n, r, d, lo, hi)`` fixes the family's bracket rule at one
+    request shape, once per plan, and returns the function that proposes
+    the candidate windows of one moment vector, in increasing order; it
+    gets integer numerators for exact moments, which leave every bracket
+    unchanged.
     """
 
     name: str
@@ -110,27 +112,19 @@ def _key(row: Row, form: tuple):
     return sum(map(operator.mul, a, b))
 
 
-def _beats(key, row: Row, best_key, best_row: Row, exact, minimize: bool) -> bool:
-    """Strictly better: smaller when minimizing, larger otherwise."""
-    if exact:
-        key, best_key = key * best_row.den, best_key * row.den
-    return key < best_key if minimize else key > best_key
-
-
 def _value(key, row: Row, form: tuple) -> Number:
     return rational(key, row.den * form[2]) if form[2] else key
 
 
-def _total(choices: list[tuple], forms: Sequence, exact: bool) -> Number:
+def _total(keys: Sequence, rows: Sequence[Row], forms: Sequence, exact: bool) -> Number:
     """The sum of the term values: on integers when every tuple is exact,
     else in float, term by term, as certificate_from_terms sums."""
     if exact:
-        dens = [row.den * form[2] for (_, row), form in zip(choices, forms)]
+        dens = [row.den * form[2] for row, form in zip(rows, forms)]
         common = math.lcm(*set(dens))
-        numerator = sum(key * (common // den) for (key, _), den in zip(choices, dens))
-        return rational(numerator, common)
+        return rational(sum(key * (common // den) for key, den in zip(keys, dens)), common)
     total = 0.0
-    for (key, row), form in zip(choices, forms):
+    for key, row, form in zip(keys, rows, forms):
         total = total + float(_value(key, row, form))
     return total
 
@@ -142,33 +136,39 @@ def row_source(rows: Sequence[Row], side: str) -> Callable:
     if len(rows) == 1:
         (row,) = rows
         return lambda form: (_key(row, form), row)
-    minimize = side == SIDE_UPPER
+    better, first, rest = operator.lt if side == SIDE_UPPER else operator.gt, rows[0], rows[1:]
 
     def choose(form: tuple) -> tuple:
-        candidates = [(_key(row, form), row) for row in rows]
-        return candidates[_extremum(candidates, minimize, form[2])]
+        best_key, best_row = _key(first, form), first
+        for row in rest:
+            key = _key(row, form)
+            if better(key * best_row.den, best_key * row.den) if form[2] else better(key, best_key):
+                best_key, best_row = key, row
+        return best_key, best_row
 
     return choose
 
 
 def family_source(family: Family, n: int, r: int, d: int, target: str) -> Callable:
     """The family's source: its fixed row, or, for a window range, per form
-    the (key, row) of the best window ``pick`` proposes; ties keep the
-    smallest, and each row is solved once."""
+    the (key, row) of the best window its window function proposes; ties
+    keep the smallest, and each row is solved once."""
     window = family.windows.get(target)
     if window is None:
         return row_source((family.row(n, r, d, target, None),), family.side)
-    lo, hi = window(n, r, d)
-    minimize, pick, rows = family.side == SIDE_UPPER, family.pick, {}
+    windows, rows = family.pick(n, r, d, *window(n, r, d)), {}
+    better = operator.lt if family.side == SIDE_UPPER else operator.gt
 
     def choose(form: tuple) -> tuple:
         best_key = best_row = None
-        for candidate in pick(form[0], n, r, d, lo, hi):
+        for candidate in windows(form[0]):
             row = rows.get(candidate)
             if row is None:
                 row = rows[candidate] = family.row(n, r, d, target, candidate)
             key = _key(row, form)
-            if best_row is None or _beats(key, row, best_key, best_row, form[2], minimize):
+            if best_row is None or (
+                better(key * best_row.den, best_key * row.den) if form[2] else better(key, best_key)
+            ):
                 best_key, best_row = key, row
         return best_key, best_row
 
@@ -183,47 +183,45 @@ def evaluate(
 
     Upper takes the minimum, lower the maximum, and ties keep the earlier
     source.  With ``per_tuple`` each index tuple takes its own best source,
-    and more than one source is labelled ``ub-min``/``lb-max``; otherwise
-    whole certificates are compared and the winner keeps its label.  The
-    terms are built on first read.
+    in one pass over the forms, and more than one source is labelled
+    ``ub-min``/``lb-max``; otherwise whole certificates are compared and
+    the winner keeps its label.  The certificate keeps each tuple's key,
+    row and label in flat sequences, and builds its terms on first read.
     """
     forms, exact = moments.forms(request.ell)
-    columns = [list(map(source, forms)) for source in sources]
-    minimize = request.side == SIDE_UPPER
-    if per_tuple and len(columns) > 1:
-        choices, names = [], []
-        for form, candidates in zip(forms, zip(*columns)):
-            best = _extremum(candidates, minimize, form[2])
-            choices.append(candidates[best])
-            names.append(labels[best])
-        label, total = MIXED_LABELS[request.side], _total(choices, forms, exact)
+    better = operator.lt if request.side == SIDE_UPPER else operator.gt
+    if per_tuple and len(sources) > 1:
+        keys, rows, names = [], [], []
+        first, rest = sources[0], tuple(zip(sources[1:], labels[1:]))
+        for form in forms:
+            best_key, best_row = first(form)
+            name = labels[0]
+            for source, label in rest:
+                key, row = source(form)
+                if better(key * best_row.den, best_key * row.den) if form[2] else better(key, best_key):
+                    best_key, best_row, name = key, row, label
+            keys.append(best_key)
+            rows.append(best_row)
+            names.append(name)
+        label = MIXED_LABELS[request.side]
+        total = _total(keys, rows, forms, exact)
     else:
-        totals = [(_total(choices, forms, exact), None) for choices in columns]
-        best = _extremum(totals, minimize)
-        label, choices, total = labels[best], columns[best], totals[best][0]
+        total = None
+        for source, name in zip(sources, labels):
+            column_keys, column_rows = zip(*map(source, forms))
+            column_total = _total(column_keys, column_rows, forms, exact)
+            if total is None or better(column_total, total):
+                keys, rows, label, total = column_keys, column_rows, name, column_total
         names = itertools.repeat(label)
-
-    def build() -> list[BoundTerm]:
-        return [
-            BoundTerm(vector.term_j, row.coefficients, row.index_set, _value(key, row, form), name, row.m)
-            for vector, form, (key, row), name in zip(moments, forms, choices, names)
-        ]
-
-    terms = Terms(len(choices), build, dict.fromkeys(row for _, row in choices))
+    terms = Terms(rows, partial(_terms, moments, forms, keys, rows, names))
     return certificate_from_terms(
         request.side, request.target, request.r, moments.d, request.ell, label, terms, value=total
     )
 
 
-def _extremum(candidates: Sequence[tuple], minimize: bool, exact=None) -> int:
-    """The position of the first smallest (or largest) (key, row) candidate.
-
-    With ``exact`` set the keys are integer numerators over their rows'
-    denominators, compared by cross-multiplication; otherwise the keys are
-    compared as they are.
-    """
-    best = 0
-    for position in range(1, len(candidates)):
-        if _beats(*candidates[position], *candidates[best], exact, minimize):
-            best = position
-    return best
+def _terms(moments: MomentSet, forms: Sequence, keys: Sequence, rows: Sequence[Row], names) -> list:
+    """The certificate's terms from its flat per-tuple keys, rows and labels."""
+    return [
+        BoundTerm(vector.term_j, row.coefficients, row.index_set, _value(key, row, form), name, row.m)
+        for vector, form, key, row, name in zip(moments, forms, keys, rows, names)
+    ]

@@ -76,22 +76,24 @@ def encode_number(value: Number) -> object:
     return str(value)
 
 
+_ZERO, _ONE = rational(0), rational(1)
+
+
 def zero(exact: bool) -> Number:
     return rational(0) if exact else 0.0
 
 
 def clamp01(value: Number) -> Number:
-    """Clip a raw bound value to [0, 1], preserving arithmetic mode."""
+    """Clip a raw bound value to [0, 1], preserving arithmetic mode; an
+    exact value is compared on its integer numerator and denominator."""
     if isinstance(value, float):
         return min(1.0, max(0.0, value))
-    if value < 0:
-        return rational(0)
-    if value > 1:
-        return rational(1)
+    if value.numerator < 0:
+        return _ZERO
+    if value.numerator > value.denominator:
+        return _ONE
     return value
 
-
-_ZERO = rational(0)
 
 
 def dot_product(coefficients: Sequence[Number], values: Sequence[Number]) -> Number:

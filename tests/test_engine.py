@@ -571,7 +571,8 @@ class TestBasisTable:
 
     def test_closed_form_times_script_runs(self):
         """``scripts/closed_form_times.py`` prints the planned and unplanned
-        closed-form cost per (ell, tuples), the fits, and the plan cache."""
+        closed-form cost and the allocations a request keeps per (ell,
+        tuples), the fits, and the plan cache."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
@@ -583,8 +584,10 @@ class TestBasisTable:
             capture_output=True, text=True, check=True, timeout=120,
         )
         lines = result.stdout.splitlines()
-        assert lines[0].split() == ["ell", "tuples", "requests", "planned_us", "unplanned_us"]
-        assert re.fullmatch(r"\s+2\s+1\s+\d+\s+\d+\.\d\s+\d+\.\d", lines[1]), lines[1]
+        assert lines[0].split() == [
+            "ell", "tuples", "requests", "planned_us", "unplanned_us", "allocs"
+        ]
+        assert re.fullmatch(r"\s+2\s+1\s+\d+\s+\d+\.\d\s+\d+\.\d\s+\d+\.\d", lines[1]), lines[1]
         for ell in (2, 3):
             for name in ("planned", "unplanned"):
                 pattern = rf"ell={ell} {name}: fixed -?\d+\.\d us \+ -?\d+\.\d\d us/tuple"

@@ -7,9 +7,11 @@ The integer and float forms evaluation uses must be the same row, and the
 certificates must equal those of a test-local evaluator on ``Fraction``s.
 """
 
+import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -159,6 +161,60 @@ def test_integer_bracket_matches_the_quotient_rule():
         assert integer_bracket(float(num), float(den), lo, hi) == expected
 
 
+def _reference_quotient(name, values, n, r, d):
+    """The (numerator, denominator) of a windowed family's bracket rule,
+    m-1 <= numerator/denominator <= m, stated once more here."""
+    if name == "l2":
+        s1, s2 = values
+        return (d + 1) * s2, s1
+    s1, s2, s3 = values
+    if name == "lb2":
+        return (d + 1) * ((d + 2) * s3 - (r - d - 2) * s2), (d + 1) * s2 - (r - d - 1) * s1
+    if name == "lb3":
+        return (d + 1) * ((n - d - 1) * s2 - (d + 2) * s3), (n - d) * s1 - (d + 1) * s2
+    numerator, denominator = (d + 1) * ((r - d - 1) * s2 - (d + 2) * s3), (r - d) * s1 - (d + 1) * s2
+    # ub3's windows lie above r-d+1, which inverts ub1's sign condition
+    return (-numerator, -denominator) if name == "ub3" else (numerator, denominator)
+
+
+def test_window_functions_equal_the_reference_bracket():
+    """Each windowed family's window function, fixed per request shape,
+    proposes the reference bracket of its rule when the denominator is
+    positive and the range endpoints otherwise, on every shape with n <= 8:
+    on the exact and float forms of seeded systems, and on hand-made
+    values whose quotient is an integer or whose denominator is <= 0."""
+    rng = random.Random("families:windows")
+    grid = {ell: list(itertools.product(range(-1, 4), repeat=ell)) for ell in (2, 3)}
+    shapes = integral = nonpositive = 0
+    for n in range(1, 9):
+        systems = [random_system(rng, n)]
+        systems.append(floatize(systems[0]))
+        for d in range(n):
+            sets = [moment_set(system, d, min(3, n - d + 1)) for system in systems]
+            for family in FAMILY_TABLE.values():
+                if not family.windows or family.ell > sets[0].ell:
+                    continue
+                hand_made = grid[family.ell] + [tuple(map(float, v)) for v in grid[family.ell]]
+                seeded = [form[0] for moments in sets for form in moments.forms(family.ell)[0]]
+                for r in range(d, n + 1):
+                    for target, window in family.windows.items():
+                        if not family.applies(n, r, d, target):
+                            continue
+                        lo, hi = window(n, r, d)
+                        windows = family.pick(n, r, d, lo, hi)
+                        shapes += 1
+                        for values in seeded + hand_made:
+                            num, den = _reference_quotient(family.name, values, n, r, d)
+                            expected = _reference_bracket(num, den, lo, hi) if den > 0 else (
+                                tuple(sorted({lo, hi}))
+                            )
+                            case = (family.name, n, r, d, target, values)
+                            assert windows(values) == expected, case
+                            nonpositive += den <= 0
+                            integral += den > 0 and num / den == math.floor(num / den)
+    assert shapes > 200 and integral > 0 and nonpositive > 0, (shapes, integral, nonpositive)
+
+
 class Reference:
     """The closed forms evaluated on ``Fraction``s (floats for float moments),
     windows picked by the quotient itself."""
@@ -175,7 +231,7 @@ class Reference:
             terms = []
             for vector in moments:
                 values = vector.values[: family.ell]
-                candidates = (m,) if window is None else family.pick(values, n, r, d, *window(n, r, d))
+                candidates = (m,) if window is None else family.pick(n, r, d, *window(n, r, d))(values)
                 rows = [family.row(n, r, d, target, c) for c in candidates]
                 scored = [
                     (_reference_dot(row.coefficients, values), row.coefficients, row.index_set, row.m)
@@ -251,10 +307,10 @@ def _ties(moments, n, d):
     count = 0
     for family, r, target, m in _requests(moments, n, d):
         if m is None and target == TARGET_AT_LEAST and target in family.windows:
-            window = family.windows[target](n, r, d)
+            windows = family.pick(n, r, d, *family.windows[target](n, r, d))
             for vector in moments:
                 values = vector.values[: family.ell]
-                count += all_exact(values) and len(family.pick(values, n, r, d, *window)) == 2
+                count += all_exact(values) and len(windows(values)) == 2
     return count
 
 
@@ -400,3 +456,18 @@ def test_lazy_certificates_round_trip_their_payloads():
     payload = BoundCertificate.from_payload(json.loads(json.dumps(certificate.to_payload())))
     _, unread = next(_grid(_grid_systems()))
     assert payload == unread and hash(unread) == hash(payload)
+
+
+def test_payloads_with_non_integer_parameters_are_rejected():
+    """r, d and ell read from a payload must be integers, and the error
+    names the field in the words a request uses."""
+    moments = moment_set(_tied_system(3), 0, 2)
+    payload = evaluate_request(moments, BoundRequest(r=2, d=0, ell=2)).to_payload()
+    assert BoundCertificate.from_payload(payload).r == 2
+    for name, value in (("r", "5"), ("d", True), ("ell", 2.5), ("r", 2.0)):
+        with pytest.raises(ValueError) as request_error:
+            BoundRequest(**dict(dict(r=2, d=0, ell=2), **{name: value}))
+        message = str(request_error.value)
+        assert message == f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BoundCertificate.from_payload(dict(payload, **{name: value}))

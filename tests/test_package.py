@@ -229,6 +229,39 @@ def test_no_frozen_field_is_written_from_outside():
     assert not offenders, f"object.__setattr__ on another object at {offenders}"
 
 
+def _constructor_bypasses(tree: ast.AST) -> list[int]:
+    """Lines that call object.__new__, or assign to, update or delete
+    through a __dict__."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr == "__new__" and isinstance(func.value, ast.Name) and func.value.id == "object":
+                lines.append(node.lineno)
+            elif isinstance(func.value, ast.Attribute) and func.value.attr == "__dict__":
+                lines.append(node.lineno)  # x.__dict__.update(...) and the like
+        elif isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value if isinstance(node, ast.Subscript) else node
+            if isinstance(target, ast.Attribute) and target.attr == "__dict__":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_constructor_is_bypassed():
+    """src/ never calls object.__new__ and never writes through a __dict__:
+    every object, a frozen certificate included, is built by its constructor."""
+    offenders = []
+    for path in sorted(Path(eventbounds.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{line}" for line in _constructor_bypasses(tree)]
+    assert not offenders, f"a constructor bypass at {offenders}"
+    bypasses = (
+        "c = object.__new__(C)", "c.__dict__.update(x)", "c.__dict__ = x",
+        "c.__dict__['k'] = 1", "del c.__dict__['k']",
+    )
+    assert all(_constructor_bypasses(ast.parse(source)) == [1] for source in bypasses)
+
+
 def test_the_checker_imports_no_solver_module():
     """check_certificate re-derives feasibility from the moment matrix alone:
     checker imports none of the modules that solve or evaluate rows, and
